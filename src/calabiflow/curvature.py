@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import CurvatureUndefinedError, DegenerateInputError, DomainError, RegimeError
 from .polytope import DelzantPolytope
-from .potential import SymplecticPotential, _tensorize
+from .potential import PARTIALS, SymplecticPotential, _tensorize
 
 _SPD_RATIO = 1e-12
 
@@ -146,7 +146,8 @@ def _context_from_jets(partials: dict, n: int, fd_grid=None) -> dict:
 
 
 def _context_fd(u: SymplecticPotential) -> dict:
-    """Field context: difference the inverse-Hessian field itself."""
+    """Field context: difference the inverse-Hessian field itself, its three
+    distinct entries in one stacked call."""
     grid = u.grid
     n = grid.n_nodes
     G = _tensorize(u.jets(2), 2, n)
@@ -158,15 +159,14 @@ def _context_fd(u: SymplecticPotential) -> dict:
     U[:, 0, 1] = U[:, 1, 0] = -G[:, 0, 1] / det
     dU = np.empty((n, 2, 2, 2))
     d2U = np.empty((n, 2, 2, 2, 2))
-    for a in range(2):
-        for b in range(a, 2):
-            jets = grid.field_jets(U[:, a, b])
-            dU[:, 0, a, b] = dU[:, 0, b, a] = jets[(1, 0)]
-            dU[:, 1, a, b] = dU[:, 1, b, a] = jets[(0, 1)]
-            d2U[:, 0, 0, a, b] = d2U[:, 0, 0, b, a] = jets[(2, 0)]
-            d2U[:, 1, 1, a, b] = d2U[:, 1, 1, b, a] = jets[(0, 2)]
-            d2U[:, 0, 1, a, b] = d2U[:, 0, 1, b, a] = jets[(1, 1)]
-            d2U[:, 1, 0, a, b] = d2U[:, 1, 0, b, a] = jets[(1, 1)]
+    jets = grid.field_jets(np.stack([U[:, 0, 0], U[:, 0, 1], U[:, 1, 1]], axis=1))
+    for c, (a, b) in enumerate(((0, 0), (0, 1), (1, 1))):
+        dU[:, 0, a, b] = dU[:, 0, b, a] = jets[(1, 0)][:, c]
+        dU[:, 1, a, b] = dU[:, 1, b, a] = jets[(0, 1)][:, c]
+        d2U[:, 0, 0, a, b] = d2U[:, 0, 0, b, a] = jets[(2, 0)][:, c]
+        d2U[:, 1, 1, a, b] = d2U[:, 1, 1, b, a] = jets[(0, 2)][:, c]
+        d2U[:, 0, 1, a, b] = d2U[:, 0, 1, b, a] = jets[(1, 1)][:, c]
+        d2U[:, 1, 0, a, b] = d2U[:, 1, 0, b, a] = jets[(1, 1)][:, c]
     return {"G": G, "U": U, "dU": dU, "d2U": d2U}
 
 
@@ -190,7 +190,7 @@ def context_at_points(u: SymplecticPotential, points) -> dict:
     if u.total_form is not None:
         partials = {
             key: u.total_form.partial(key[0], key[1], pts[:, 0], pts[:, 1])
-            for key in u.jets(4).keys()
+            for key in PARTIALS
         }
     else:
         from .potential import guillemin_partials

@@ -11,6 +11,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -274,41 +275,42 @@ def standard_triangle() -> DelzantPolytope:
 
 
 _D1_STENCILS = [
-    ((-1, 1), (-0.5, 0.5), 2, "central"),
-    ((0, 1, 2), (-1.5, 2.0, -0.5), 2, "one-sided"),
-    ((0, -1, -2), (1.5, -2.0, 0.5), 2, "one-sided"),
-    ((0, 1), (-1.0, 1.0), 1, "one-sided"),
-    ((0, -1), (1.0, -1.0), 1, "one-sided"),
+    ((-1, 1), (-0.5, 0.5)),
+    ((0, 1, 2), (-1.5, 2.0, -0.5)),
+    ((0, -1, -2), (1.5, -2.0, 0.5)),
+    ((0, 1), (-1.0, 1.0)),
+    ((0, -1), (1.0, -1.0)),
 ]
 
 _D2_STENCILS = [
-    ((-1, 0, 1), (1.0, -2.0, 1.0), 2, "central"),
-    ((0, 1, 2, 3), (2.0, -5.0, 4.0, -1.0), 2, "one-sided"),
-    ((0, -1, -2, -3), (2.0, -5.0, 4.0, -1.0), 2, "one-sided"),
-    ((0, 1, 2), (1.0, -2.0, 1.0), 1, "one-sided"),
-    ((0, -1, -2), (1.0, -2.0, 1.0), 1, "one-sided"),
+    ((-1, 0, 1), (1.0, -2.0, 1.0)),
+    ((0, 1, 2, 3), (2.0, -5.0, 4.0, -1.0)),
+    ((0, -1, -2, -3), (2.0, -5.0, 4.0, -1.0)),
+    ((0, 1, 2), (1.0, -2.0, 1.0)),
+    ((0, -1, -2), (1.0, -2.0, 1.0)),
 ]
 
+# row blocks of Grid.jet_matrix, in order
+JET_KEYS = ((1, 0), (0, 1), (2, 0), (0, 2), (1, 1))
 
-class _AxisOperator:
-    """Gather-style finite-difference operator over the node list.
 
-    idx : (n, K) node indices, coeff : (n, K) weights; rows of quality 0 hold
-    no stencil and are filled from the nearest node that has one.
-    """
+def _csr(rows, cols, vals, shape):
+    """CSR matrix from entry triplets; the entries of a row keep their order.
 
-    def __init__(self, idx, coeff, quality, fill_src):
-        self.idx = idx
-        self.coeff = coeff
-        self.quality = quality
-        self.fill_src = fill_src
+    Indices are int32 (scipy keeps int64 ones as given, doubling the index
+    memory of every operator)."""
+    from scipy import sparse
 
-    def apply(self, f: np.ndarray) -> np.ndarray:
-        out = np.einsum("nk,nk->n", f[self.idx], self.coeff)
-        if self.fill_src is not None:
-            bad = self.quality == 0
-            out[bad] = out[self.fill_src[bad]]
-        return out
+    order = np.argsort(rows, kind="stable")
+    indptr = np.zeros(shape[0] + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
+    return sparse.csr_array((vals[order], cols[order].astype(np.int32), indptr), shape=shape)
+
+
+def _entries(A):
+    """(rows, cols, vals) of a CSR matrix in storage order."""
+    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    return rows, A.indices, A.data
 
 
 class Grid:
@@ -317,6 +319,11 @@ class Grid:
     Nodes are the lattice points x = anchor + h*(i, j) whose smallest facet
     value min_i l_i(x) is at least delta_min.  Construction is deterministic
     from (polytope, n, delta_min); everything derived is cached and immutable.
+
+    Every linear derivative operator is a sparse (CSR) matrix over the node
+    list, compiled once per grid: the axis stencils in ``axis_operators``,
+    the stacked first/second-derivative operator in ``jet_matrix`` and the
+    quadrature functional in ``quadrature_weights``.
     """
 
     def __init__(self, polytope: DelzantPolytope, n: int, delta_min: float):
@@ -356,53 +363,66 @@ class Grid:
         self.min_facet_distance = delta[mask]
         self.n_nodes = len(self.points)
 
-        self._ops = {}
-        self._classification = None
         self._boundary_distance = None
         self._cell_weights = None
-        self._ls_patch = None
 
     # -- stencil machinery --------------------------------------------------
 
-    def _build_operator(self, axis: int, order: int) -> _AxisOperator:
+    def _neighbors(self, axis: int, offsets) -> np.ndarray:
+        """(n_nodes, len(offsets)) ids of the lattice neighbours along an axis,
+        -1 where the neighbour is not a node."""
+        offsets = np.asarray(offsets)
+        pad = int(np.abs(offsets).max())
+        ids = np.pad(self.node_id, pad, constant_values=-1)
+        i = self.ij[:, 0, None] + pad
+        j = self.ij[:, 1, None] + pad
+        return ids[i + offsets, j] if axis == 0 else ids[i, j + offsets]
+
+    def _axis_operator(self, axis: int, order: int):
+        """(CSR matrix, served mask) of one axis stencil operator.
+
+        Each node takes the first stencil of the table whose nodes all exist.
+        A node no stencil serves gets the row of the nearest served node.
+        """
         table = _D1_STENCILS if order == 1 else _D2_STENCILS
         scale = self.h if order == 1 else self.h * self.h
-        K = max(len(t[0]) for t in table)
-        idx = np.tile(np.arange(self.n_nodes)[:, None], (1, K))
-        coeff = np.zeros((self.n_nodes, K))
-        quality = np.zeros(self.n_nodes, dtype=np.int8)
+        n = self.n_nodes
+        served = np.zeros(n, dtype=bool)
+        rows, cols, vals = [], [], []
+        for offs, cs in table:
+            ids = self._neighbors(axis, offs)
+            take = ~served & (ids >= 0).all(axis=1)
+            served |= take
+            rows.append(np.repeat(np.nonzero(take)[0], len(offs)))
+            cols.append(ids[take].ravel())
+            vals.append(np.tile(np.asarray(cs) / scale, int(take.sum())))
+        A = _csr(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), (n, n))
+        if served.all():
+            return A, served
+        good = np.nonzero(served)[0]
+        if len(good) == 0:
+            raise DegenerateInputError("grid too sparse for finite differences")
+        bad = np.nonzero(~served)[0]
+        d2 = ((self.points[bad][:, None, :] - self.points[good][None, :, :]) ** 2).sum(-1)
+        src = np.arange(n)
+        src[bad] = good[np.argmin(d2, axis=1)]
+        return A[src], served
 
-        def neighbor(i, j, o):
-            i2, j2 = (i + o, j) if axis == 0 else (i, j + o)
-            if 0 <= i2 < self.shape[0] and 0 <= j2 < self.shape[1]:
-                return self.node_id[i2, j2]
-            return -1
+    @cached_property
+    def _compiled(self):
+        """({(axis, order): CSR}, {(axis, order): served mask}) for orders 1, 2."""
+        ops, served = {}, {}
+        for axis in (0, 1):
+            for order in (1, 2):
+                ops[axis, order], served[axis, order] = self._axis_operator(axis, order)
+        return ops, served
 
-        for nn, (i, j) in enumerate(self.ij):
-            for offs, cs, q, _name in table:
-                ids = [neighbor(i, j, o) for o in offs]
-                if all(t >= 0 for t in ids):
-                    idx[nn, : len(ids)] = ids
-                    coeff[nn, : len(ids)] = np.asarray(cs) / scale
-                    quality[nn] = q
-                    break
-
-        fill_src = None
-        if (quality == 0).any():
-            good = np.nonzero(quality > 0)[0]
-            if len(good) == 0:
-                raise DegenerateInputError("grid too sparse for finite differences")
-            bad = np.nonzero(quality == 0)[0]
-            fill_src = np.arange(self.n_nodes)
-            d2 = ((self.points[bad][:, None, :] - self.points[good][None, :, :]) ** 2).sum(-1)
-            fill_src[bad] = good[np.argmin(d2, axis=1)]
-        return _AxisOperator(idx, coeff, quality, fill_src)
-
-    def operator(self, axis: int, order: int) -> _AxisOperator:
-        key = (axis, order)
-        if key not in self._ops:
-            self._ops[key] = self._build_operator(axis, order)
-        return self._ops[key]
+    @property
+    def axis_operators(self) -> dict:
+        """{(axis, order): CSR matrix} of the stencil partials d/dx, d/dy,
+        d2/dx2, d2/dy2; rows of nodes no stencil serves are filled from the
+        nearest served node."""
+        return self._compiled[0]
 
     def diff(self, f: np.ndarray, dx: int, dy: int) -> np.ndarray:
         """Finite-difference partial of a node field, composing per axis.
@@ -410,17 +430,19 @@ class Grid:
         Pure derivatives up to order 2 use a single stencil; higher orders and
         mixed derivatives compose first/second differences.
         """
+        ops = self.axis_operators
         out = np.asarray(f, dtype=float)
         for axis, k in ((0, dx), (1, dy)):
             while k >= 2:
-                out = self.operator(axis, 2).apply(out)
+                out = ops[axis, 2] @ out
                 k -= 2
             if k == 1:
-                out = self.operator(axis, 1).apply(out)
+                out = ops[axis, 1] @ out
         return out
 
-    def _ls_fallback(self):
-        """Least-squares quadratic jets for the near-boundary node band.
+    def _ls_band(self):
+        """(nodes, clouds, pinv) of the least-squares quadratic jets on the
+        near-boundary node band.
 
         The band covers every node within 3h of a facet in the facet-affine
         sense, plus any node the axis stencils cannot serve (corner wedges and
@@ -429,93 +451,111 @@ class Grid:
         patterns along staircased facets, which otherwise injects wrong-signed
         high-frequency error into the flow's energy balance; it reproduces
         quadratic fields exactly, so the canonical inverse-Hessian field stays
-        exact to roundoff.
+        exact to roundoff.  pinv[:, c] maps the node values of a cloud to the
+        coefficient c of (1, dx, dy, dx^2, dx dy, dy^2) in units of h.
         """
-        if self._ls_patch is None:
-            bad = self.min_facet_distance < 3.0 * self.h
-            for axis in (0, 1):
-                for order in (1, 2):
-                    bad |= self.operator(axis, order).quality == 0
-            # composition d/dy of the d/dx field: flag consumers of bad intermediates
-            bad_x1 = self.operator(0, 1).quality == 0
-            opy = self.operator(1, 1)
-            touches = (np.abs(opy.coeff) > 0) & bad_x1[opy.idx]
-            bad |= touches.any(axis=1)
-            nodes = np.nonzero(bad)[0]
-            k = min(24, self.n_nodes)
-            if len(nodes) == 0:
-                self._ls_patch = (nodes, np.empty((0, k), dtype=int), np.empty((0, 6, k)))
-                return self._ls_patch
-            _, clouds = self.kdtree.query(self.points[nodes], k=k)
-            clouds = np.atleast_2d(clouds)
-            d = (self.points[clouds] - self.points[nodes][:, None, :]) / self.h
-            M = np.stack(
-                [np.ones(d.shape[:2]), d[..., 0], d[..., 1],
-                 d[..., 0] ** 2, d[..., 0] * d[..., 1], d[..., 1] ** 2],
-                axis=-1,
-            )  # (nb, k, 6)
-            # Gaussian distance weights: neighbors fade smoothly, so the fitted
-            # jets vary smoothly with node position (abrupt k-NN cloud changes
-            # otherwise inject node-scale noise that fourth-order differencing
-            # amplifies catastrophically along the flow)
-            r2 = (d**2).sum(-1)
-            omega = np.exp(-r2 / 1.5**2)
-            MtW = np.swapaxes(M, 1, 2) * omega[:, None, :]  # (nb, 6, k)
-            gram = MtW @ M  # (nb, 6, 6)
-            pinv = np.linalg.solve(gram, MtW)  # (nb, 6, k) weighted LS solve
-            self._ls_patch = (nodes, clouds, pinv)
-        return self._ls_patch
+        ops, served = self._compiled
+        bad = self.min_facet_distance < 3.0 * self.h
+        for ok in served.values():
+            bad |= ~ok
+        # composition d/dy of the d/dx field: flag consumers of bad intermediates
+        r, c, _ = _entries(ops[1, 1])
+        bad[r[~served[0, 1][c]]] = True
+        nodes = np.nonzero(bad)[0]
+        k = min(24, self.n_nodes)
+        if len(nodes) == 0:
+            return nodes, np.empty((0, k), dtype=int), np.empty((0, 6, k))
+        _, clouds = self.kdtree.query(self.points[nodes], k=k)
+        clouds = np.atleast_2d(clouds)
+        d = (self.points[clouds] - self.points[nodes][:, None, :]) / self.h
+        M = np.stack(
+            [np.ones(d.shape[:2]), d[..., 0], d[..., 1],
+             d[..., 0] ** 2, d[..., 0] * d[..., 1], d[..., 1] ** 2],
+            axis=-1,
+        )  # (nb, k, 6)
+        # Gaussian distance weights: neighbors fade smoothly, so the fitted
+        # jets vary smoothly with node position (abrupt k-NN cloud changes
+        # otherwise inject node-scale noise that fourth-order differencing
+        # amplifies catastrophically along the flow)
+        r2 = (d**2).sum(-1)
+        omega = np.exp(-r2 / 1.5**2)
+        MtW = np.swapaxes(M, 1, 2) * omega[:, None, :]  # (nb, 6, k)
+        gram = MtW @ M  # (nb, 6, 6)
+        pinv = np.linalg.solve(gram, MtW)  # (nb, 6, k) weighted LS solve
+        return nodes, clouds, pinv
+
+    @cached_property
+    def jet_matrix(self):
+        """(5 n, n) CSR operator of the first and second partials, row blocks
+        in JET_KEYS order.
+
+        Tensor-product stencil rows in the interior, the mixed block being
+        d/dy of d/dx; least-squares rows on the near-boundary band.
+        """
+        from scipy import sparse
+
+        ops = self.axis_operators
+        n, h = self.n_nodes, self.h
+        nodes, clouds, pinv = self._ls_band()
+        in_band = np.zeros(n, dtype=bool)
+        in_band[nodes] = True
+        # (stencil rows, least-squares rows) per block, in JET_KEYS order
+        parts = (
+            (ops[0, 1], pinv[:, 1] / h),
+            (ops[1, 1], pinv[:, 2] / h),
+            (ops[0, 2], 2.0 * pinv[:, 3] / (h * h)),
+            (ops[1, 2], 2.0 * pinv[:, 5] / (h * h)),
+            (ops[1, 1] @ ops[0, 1], pinv[:, 4] / (h * h)),
+        )
+        band_rows = np.repeat(nodes, clouds.shape[1])
+        blocks = []
+        for stencil, ls in parts:
+            r, c, v = _entries(stencil)
+            keep = ~in_band[r]
+            blocks.append(_csr(np.concatenate([r[keep], band_rows]),
+                               np.concatenate([c[keep], clouds.ravel()]),
+                               np.concatenate([v[keep], ls.ravel()]), (n, n)))
+        return sparse.vstack(blocks, format="csr")
 
     def field_jets(self, f: np.ndarray) -> dict:
         """First and second derivative fields of a node field.
 
-        Tensor-product stencils in the interior; smooth least-squares jets on
-        the near-boundary band.  Returns {(a, b): array} for 1 <= a+b <= 2.
+        f is (n,) or a stack (n, m) of m fields.  Tensor-product stencils in
+        the interior; smooth least-squares jets on the near-boundary band.
+        Returns {(a, b): array shaped like f} for 1 <= a+b <= 2.
         """
         f = np.asarray(f, dtype=float)
-        out = {
-            (1, 0): self.operator(0, 1).apply(f),
-            (0, 1): self.operator(1, 1).apply(f),
-            (2, 0): self.operator(0, 2).apply(f),
-            (0, 2): self.operator(1, 2).apply(f),
-            (1, 1): self.operator(1, 1).apply(self.operator(0, 1).apply(f)),
-        }
-        nodes, clouds, pinv = self._ls_fallback()
-        if len(nodes):
-            h = self.h
-            c = np.einsum("nik,nk->ni", pinv, f[clouds])
-            out[(1, 0)][nodes] = c[:, 1] / h
-            out[(0, 1)][nodes] = c[:, 2] / h
-            out[(2, 0)][nodes] = 2.0 * c[:, 3] / (h * h)
-            out[(1, 1)][nodes] = c[:, 4] / (h * h)
-            out[(0, 2)][nodes] = 2.0 * c[:, 5] / (h * h)
-        return out
+        out = (self.jet_matrix @ f).reshape((len(JET_KEYS),) + f.shape)
+        return dict(zip(JET_KEYS, out))
 
-    @property
-    def stencil_classification(self):
+    @cached_property
+    def stencil_classification(self) -> np.ndarray:
         """Per-node per-axis 'central' or 'one-sided' tag."""
-        if self._classification is None:
-            tags = np.empty((self.n_nodes, 2), dtype=object)
-            for nn, (i, j) in enumerate(self.ij):
-                for axis in (0, 1):
-                    def _has(o):
-                        i2, j2 = (i + o, j) if axis == 0 else (i, j + o)
-                        return (
-                            0 <= i2 < self.shape[0]
-                            and 0 <= j2 < self.shape[1]
-                            and self.node_id[i2, j2] >= 0
-                        )
-                    tags[nn, axis] = "central" if (_has(1) and _has(-1)) else "one-sided"
-            self._classification = tags
-        return self._classification
+        central = np.stack(
+            [(self._neighbors(axis, (-1, 1)) >= 0).all(axis=1) for axis in (0, 1)], axis=1
+        )
+        return np.where(central, "central", "one-sided")
 
     @property
     def boundary_distance(self) -> np.ndarray:
-        """Exact Euclidean distance of each node to the boundary polygon."""
+        """Exact Euclidean distance of each node to the boundary polygon.
+
+        Same arithmetic as DelzantPolytope.distance_to_boundary, over all
+        nodes and facets at once."""
         if self._boundary_distance is None:
-            self._boundary_distance = np.array(
-                [self.polytope.distance_to_boundary(p) for p in self.points]
-            )
+            P = self.polytope
+            segs = [P.facet_segment(i) for i in range(len(P.offsets))]
+            a = np.array([s[0] for s in segs])
+            ab = np.array([s[1] for s in segs]) - a
+            x, y = self.points[:, 0, None], self.points[:, 1, None]
+            ax, ay = x - a[:, 0], y - a[:, 1]
+            denom = ab[:, 0] * ab[:, 0] + ab[:, 1] * ab[:, 1]
+            t = np.clip((ax * ab[:, 0] + ay * ab[:, 1]) / denom, 0.0, 1.0)
+            dx = x - (a[:, 0] + t * ab[:, 0])
+            dy = y - (a[:, 1] + t * ab[:, 1])
+            # math.hypot, not np.hypot: the two differ in the last bit
+            dist = np.fromiter(map(math.hypot, dx.flat, dy.flat), float, count=dx.size)
+            self._boundary_distance = dist.reshape(dx.shape).min(axis=1)
         return self._boundary_distance
 
     @property
@@ -629,7 +669,7 @@ class Grid:
         self._full_cell = full_cell
         return weights
 
-    @property
+    @cached_property
     def midpoint_correction_mask(self) -> np.ndarray:
         """Nodes whose cell is fully interior and whose stencils are central.
 
@@ -637,11 +677,19 @@ class Grid:
         well defined and lifts the interior rule to fourth order.
         """
         _ = self.cell_weights
-        central = np.array(
-            [cls0 == "central" and cls1 == "central"
-             for cls0, cls1 in self.stencil_classification]
-        )
-        return self._full_cell & central
+        return self._full_cell & (self.stencil_classification == "central").all(axis=1)
+
+    @cached_property
+    def quadrature_weights(self) -> np.ndarray:
+        """Node weights of the refined interior quadrature.
+
+        cell_weights plus the midpoint Laplacian correction, which is linear
+        in the integrand and so folds in: h^4/24 * (d2/dx2 + d2/dy2)^T mask.
+        """
+        ops = self.axis_operators
+        lap = ops[0, 2] + ops[1, 2]
+        mask = self.midpoint_correction_mask.astype(float)
+        return self.cell_weights + self.h**4 / 24.0 * (lap.T @ mask)
 
 
 def build_grid(polytope: DelzantPolytope, n: int, delta_min: float) -> Grid:

@@ -230,7 +230,8 @@ class SymplecticPotential:
             self.f_values = f_form(grid.points[:, 0], grid.points[:, 1])
         else:
             self.f_values = np.zeros(grid.n_nodes)
-        self._jets = None
+        self._jets = {}
+        self._jets_order = -1
 
     # -- constructors --------------------------------------------------------
 
@@ -267,12 +268,17 @@ class SymplecticPotential:
     # -- derivative fields ----------------------------------------------------
 
     def jets(self, order: int = 4) -> dict:
-        """Partials {(a, b): array over nodes} of u up to `order`."""
+        """Partials {(a, b): array over nodes} of u with a + b <= `order`.
+
+        Partials are computed on first request and cached, so asking for
+        order 2 never composes the order-3/4 differences of node data.
+        """
         if order > 4:
             raise ValueError("derivatives supported up to order 4")
-        if self._jets is None:
-            self._jets = self._compute_jets()
-        return self._jets
+        if order > self._jets_order:
+            self._jets.update(self._compute_jets(self._jets_order + 1, order))
+            self._jets_order = order
+        return {key: val for key, val in self._jets.items() if sum(key) <= order}
 
     def _guillemin_grid_jets(self) -> dict:
         cache = getattr(self.grid, "_guillemin_jets", None)
@@ -281,23 +287,24 @@ class SymplecticPotential:
             self.grid._guillemin_jets = cache
         return cache
 
-    def _compute_jets(self) -> dict:
+    def _compute_jets(self, lo: int, hi: int) -> dict:
+        """Partials of u with lo <= a + b <= hi."""
+        keys = [key for key in PARTIALS if lo <= sum(key) <= hi]
         x, y = self.grid.points[:, 0], self.grid.points[:, 1]
         if self.total_form is not None:
-            return {(a, b): self.total_form.partial(a, b, x, y) for (a, b) in PARTIALS}
-        out = {k: np.array(v) for k, v in self._guillemin_grid_jets().items()}
+            return {(a, b): self.total_form.partial(a, b, x, y) for (a, b) in keys}
+        base = self._guillemin_grid_jets()
         if self.provider == "analytic":
-            for (a, b) in PARTIALS:
-                out[(a, b)] = out[(a, b)] + self.f_form.partial(a, b, x, y)
-        else:
-            low = self.f_jets2()
-            for (a, b) in PARTIALS:
-                if (a, b) == (0, 0):
-                    out[(a, b)] = out[(a, b)] + self.f_values
-                elif a + b <= 2:
-                    out[(a, b)] = out[(a, b)] + low[(a, b)]
-                else:
-                    out[(a, b)] = out[(a, b)] + self.grid.diff(self.f_values, a, b)
+            return {(a, b): base[(a, b)] + self.f_form.partial(a, b, x, y) for (a, b) in keys}
+        low = self.f_jets2()
+        out = {}
+        for (a, b) in keys:
+            if a + b == 0:
+                out[(a, b)] = base[(a, b)] + self.f_values
+            elif a + b <= 2:
+                out[(a, b)] = base[(a, b)] + low[(a, b)]
+            else:
+                out[(a, b)] = base[(a, b)] + self.grid.diff(self.f_values, a, b)
         return out
 
     def f_jets2(self) -> dict:
@@ -355,8 +362,7 @@ class SymplecticPotential:
         k = self.node_index(x)
         if np.hypot(*(self.grid.points[k] - x)) > 0.5 * self.grid.h + 1e-12:
             raise DomainError("fd potential can only be evaluated at grid nodes")
-        jets = self.jets(order)
-        return Jet({key: float(jets[key][k]) for key in jets if sum(key) <= order})
+        return Jet({key: float(val[k]) for key, val in self.jets(order).items()})
 
     # -- off-grid sampling (monitors only) --------------------------------------
 

@@ -8,6 +8,7 @@ sys.path.insert(0, os.path.dirname(__file__))
 
 from calabiflow import (
     AdmissibleClass,
+    DelzantPolytope,
     FlowRun,
     RunConfig,
     SymplecticPotential,
@@ -30,6 +31,20 @@ def grid48(triangle):
 @pytest.fixture(scope="session")
 def grid96(triangle):
     return build_grid(triangle, 96, 0.5 * 3.0 / 96)
+
+
+@pytest.fixture(scope="session")
+def hexagon():
+    """Normals (+-1, 0), (0, +-1), +-(1, 1); offsets 1, 1, 1.5."""
+    return DelzantPolytope(
+        normals=np.array([[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1], [-1, -1]]),
+        offsets=np.array([1.0, 1.0, 1.0, 1.0, 1.5, 1.5]),
+    )
+
+
+@pytest.fixture(scope="session")
+def hex_grid(hexagon):
+    return build_grid(hexagon, 24, 0.5 * 2.0 / 24)
 
 
 @pytest.fixture(scope="session")

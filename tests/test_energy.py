@@ -22,6 +22,12 @@ def test_quadrature_constant(grid96):
     assert interior_quadrature(grid96, np.ones(grid96.n_nodes)) == pytest.approx(4.5, abs=1e-6)
 
 
+def test_quadrature_constant_exact_on_polygons(triangle, grid48, hexagon, hex_grid):
+    # the folded Laplacian correction vanishes on constants
+    for P, g in ((triangle, grid48), (hexagon, hex_grid)):
+        assert abs(interior_quadrature(g, np.ones(g.n_nodes)) - P.area) <= 1e-12
+
+
 def test_quadrature_linear_symmetry(grid96):
     assert interior_quadrature(grid96, grid96.points[:, 0]) == pytest.approx(0.0, abs=1e-6)
     assert interior_quadrature(grid96, grid96.points[:, 1]) == pytest.approx(0.0, abs=1e-6)

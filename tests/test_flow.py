@@ -22,6 +22,29 @@ def fd_state(potential):
     return FlowState(t=0.0, u=potential.with_node_values(potential.f_values))
 
 
+def test_step_composes_no_higher_differences(monkeypatch, triangle, grid48, bundle_class):
+    from calabiflow.polytope import Grid
+    from calabiflow.potential import bump_form
+
+    calls = {"diff": 0, "field_jets": 0}
+    for name in calls:
+        orig = getattr(Grid, name)
+
+        def counted(self, *args, _orig=orig, _name=name):
+            calls[_name] += 1
+            return _orig(self, *args)
+
+        monkeypatch.setattr(Grid, name, counted)
+    f = bump_form(0.05)(grid48.points[:, 0], grid48.points[:, 1])
+    u = SymplecticPotential.from_node_values(triangle, grid48, f)
+    new = step(FlowState(t=0.0, u=u), bundle_class)
+    assert new.step_count == 1
+    assert calls["diff"] == 0
+    # six potentials (the state, four RK stages, the candidate), each with one
+    # jet call for f and one stacked call for the inverse-Hessian entries
+    assert calls["field_jets"] == 12
+
+
 def test_rhs_vanishes_at_fs_trivial(fs48):
     st = fd_state(fs48)
     v = rhs(st, AdmissibleClass.trivial())

@@ -13,7 +13,7 @@ from calabiflow import (
     save_polytope,
     standard_triangle,
 )
-from calabiflow.polytope import clip_halfplane, _polygon_area
+from calabiflow.polytope import _D1_STENCILS, _D2_STENCILS, _polygon_area, clip_halfplane
 
 
 def test_standard_triangle_vertices(triangle):
@@ -161,3 +161,90 @@ def test_field_jets_exact_on_quadratics(grid48):
     np.testing.assert_allclose(jets[(1, 1)], -0.7, atol=1e-9)
     np.testing.assert_allclose(jets[(0, 2)], 0.6, atol=1e-9)
     np.testing.assert_allclose(jets[(1, 0)], 3.0 * x - 0.7 * y + 2, atol=1e-9)
+
+
+@pytest.fixture(params=["triangle", "hexagon"])
+def small_grid(request, triangle, hex_grid):
+    """A small triangle grid (it has unserved stencil rows) and the hexagon grid."""
+    if request.param == "triangle":
+        return build_grid(triangle, 16, 0.5 * 3.0 / 16)
+    return hex_grid
+
+
+def test_boundary_distance_matches_scalar_loop(triangle, grid48, hexagon, hex_grid):
+    for P, g in ((triangle, grid48), (hexagon, hex_grid)):
+        loop = np.array([P.distance_to_boundary(p) for p in g.points])
+        assert np.array_equal(g.boundary_distance, loop)
+
+
+def test_stencil_classification_matches_neighbors(small_grid):
+    g = small_grid
+    for k, (i, j) in enumerate(g.ij):
+        for axis, step in ((0, (1, 0)), (1, (0, 1))):
+            has = [
+                0 <= i + s * step[0] < g.shape[0] and 0 <= j + s * step[1] < g.shape[1]
+                and g.node_id[i + s * step[0], j + s * step[1]] >= 0
+                for s in (-1, 1)
+            ]
+            assert g.stencil_classification[k, axis] == ("central" if all(has) else "one-sided")
+
+
+def _loop_stencil_rows(g, axis, order):
+    """Per-node {column: coefficient} of the first stencil that fits, or None."""
+    table = _D1_STENCILS if order == 1 else _D2_STENCILS
+    scale = g.h if order == 1 else g.h * g.h
+    rows = []
+    for i, j in g.ij:
+        row = None
+        for offs, cs in table:
+            ids = []
+            for o in offs:
+                i2, j2 = (i + o, j) if axis == 0 else (i, j + o)
+                inside = 0 <= i2 < g.shape[0] and 0 <= j2 < g.shape[1]
+                ids.append(g.node_id[i2, j2] if inside else -1)
+            if min(ids) >= 0:
+                row = {int(t): c / scale for t, c in zip(ids, cs)}
+                break
+        rows.append(row)
+    return rows
+
+
+def test_axis_operators_match_stencil_loop(small_grid):
+    g = small_grid
+    for (axis, order), A in g.axis_operators.items():
+        dense = A.toarray()
+        rows = _loop_stencil_rows(g, axis, order)
+        served = [k for k, r in enumerate(rows) if r is not None]
+        for k, row in enumerate(rows):
+            if row is None:
+                # unserved rows repeat the row of the nearest served node
+                d2 = ((g.points[served] - g.points[k]) ** 2).sum(axis=1)
+                row = rows[served[int(np.argmin(d2))]]
+            expect = np.zeros(g.n_nodes)
+            for col, c in row.items():
+                expect[col] = c
+            assert np.array_equal(dense[k], expect), (axis, order, k)
+
+
+def test_field_jets_exact_on_quadratics_every_row(small_grid):
+    g = small_grid
+    x, y = g.points[:, 0], g.points[:, 1]
+    f = 1.5 * x**2 - 0.7 * x * y + 0.3 * y**2 + 2 * x - y + 4
+    jets = g.field_jets(f)
+    expect = {(1, 0): 3.0 * x - 0.7 * y + 2, (0, 1): -0.7 * x + 0.6 * y - 1,
+              (2, 0): 3.0, (0, 2): 0.6, (1, 1): -0.7}
+    for key, val in expect.items():
+        np.testing.assert_allclose(jets[key], np.broadcast_to(val, x.shape), atol=1e-9)
+    # the pure second-difference operators are exact on quadratics at fill rows too
+    np.testing.assert_allclose(g.diff(f, 2, 0), 3.0, atol=1e-9)
+    np.testing.assert_allclose(g.diff(f, 0, 2), 0.6, atol=1e-9)
+
+
+def test_field_jets_stacked_equals_single(hex_grid):
+    rng = np.random.default_rng(7)
+    F = rng.standard_normal((hex_grid.n_nodes, 3))
+    stacked = hex_grid.field_jets(F)
+    for c in range(3):
+        single = hex_grid.field_jets(F[:, c].copy())
+        for key, val in single.items():
+            assert np.array_equal(stacked[key][:, c], val), key

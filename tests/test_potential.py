@@ -197,3 +197,23 @@ def test_snapshot_polytope_mismatch(tmp_path, triangle, grid48):
     )
     with pytest.raises(DomainError):
         load_snapshot(path, polytope=other)
+
+
+def test_fd_evaluate_order4_composes_differences(triangle, grid48):
+    f = bump_form(0.05)(grid48.points[:, 0], grid48.points[:, 1])
+    u = SymplecticPotential.from_node_values(triangle, grid48, f)
+    k = int(np.argmin((grid48.points**2).sum(axis=1)))
+    jet = u.evaluate(grid48.points[k], order=4)
+    canonical = guillemin_partials(triangle, grid48.points, order=4)
+    for a in range(5):
+        for b in range(5 - a):
+            if a + b >= 3:
+                expect = canonical[(a, b)][k] + grid48.diff(f, a, b)[k]
+                assert jet.partials[(a, b)] == expect, (a, b)
+
+
+def test_jets_respects_order(triangle, grid48):
+    u = SymplecticPotential.from_node_values(triangle, grid48, np.zeros(grid48.n_nodes))
+    assert max(sum(key) for key in u.jets(2)) == 2
+    assert max(sum(key) for key in u.jets(4)) == 4
+    assert max(sum(key) for key in u.jets(1)) == 1
