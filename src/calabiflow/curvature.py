@@ -123,10 +123,12 @@ def _check_spd(G: np.ndarray) -> None:
 def _context_from_jets(partials: dict, n: int, fd_grid=None) -> dict:
     """Build (G, U, dU, d2U) from u-partials; dU/d2U by matrix calculus.
 
-    G    : (n, 2, 2) Hessian of u
-    U    : (n, 2, 2) inverse Hessian
-    dU   : (n, 2, 2, 2) with dU[:, k, a, b] = d U_ab / d z_k
-    d2U  : (n, 2, 2, 2, 2) with d2U[:, k, l, a, b]
+    G         : (n, 2, 2) Hessian of u
+    U         : (n, 2, 2) inverse Hessian
+    dU        : (n, 2, 2, 2) with dU[:, k, a, b] = d U_ab / d z_k
+    d2U       : (n, 2, 2, 2, 2) with d2U[:, k, l, a, b]
+    dU_trace  : (n, 2, 2) with dU_trace[:, s, r] = d U_rs / d z_s
+    d2U_trace : (n,) sum over r, s of d2 U_rs / d z_r d z_s
     """
     G = _tensorize(partials, 2, n)
     _check_spd(G)
@@ -142,12 +144,13 @@ def _context_from_jets(partials: dict, n: int, fd_grid=None) -> dict:
     t2 = np.einsum("nai,nijkl,njb->nklab", U, T4, U)
     t3 = np.einsum("nai,nijk,nljb->nklab", U, T3, dU)
     d2U = -(t1 + t2 + t3)
-    return {"G": G, "U": U, "dU": dU, "d2U": d2U}
+    return {"G": G, "U": U, "dU": dU, "d2U": d2U,
+            "dU_trace": np.einsum("nsrs->nsr", dU), "d2U_trace": np.einsum("nrsrs->n", d2U)}
 
 
 def _context_fd(u: SymplecticPotential) -> dict:
     """Field context: difference the inverse-Hessian field itself, its three
-    distinct entries in one stacked call."""
+    distinct entries in one stacked call (see _FdContext)."""
     grid = u.grid
     n = grid.n_nodes
     G = _tensorize(u.jets(2), 2, n)
@@ -157,17 +160,46 @@ def _context_fd(u: SymplecticPotential) -> dict:
     U[:, 0, 0] = G[:, 1, 1] / det
     U[:, 1, 1] = G[:, 0, 0] / det
     U[:, 0, 1] = U[:, 1, 0] = -G[:, 0, 1] / det
-    dU = np.empty((n, 2, 2, 2))
-    d2U = np.empty((n, 2, 2, 2, 2))
     jets = grid.field_jets(np.stack([U[:, 0, 0], U[:, 0, 1], U[:, 1, 1]], axis=1))
-    for c, (a, b) in enumerate(((0, 0), (0, 1), (1, 1))):
-        dU[:, 0, a, b] = dU[:, 0, b, a] = jets[(1, 0)][:, c]
-        dU[:, 1, a, b] = dU[:, 1, b, a] = jets[(0, 1)][:, c]
-        d2U[:, 0, 0, a, b] = d2U[:, 0, 0, b, a] = jets[(2, 0)][:, c]
-        d2U[:, 1, 1, a, b] = d2U[:, 1, 1, b, a] = jets[(0, 2)][:, c]
-        d2U[:, 0, 1, a, b] = d2U[:, 0, 1, b, a] = jets[(1, 1)][:, c]
-        d2U[:, 1, 0, a, b] = d2U[:, 1, 0, b, a] = jets[(1, 1)][:, c]
-    return {"G": G, "U": U, "dU": dU, "d2U": d2U}
+    return _FdContext(G, U, jets)
+
+
+class _FdContext(dict):
+    """Derivative context of an fd potential, from the jets of (U00, U01, U11).
+
+    G, U and the two traces the scalar curvatures read are filled at once.
+    The full tensors dU and d2U are assembled on first access: the flow
+    velocity needs only the traces, and scattering the jets into 8 + 16
+    strided components would be most of its work on large grids.
+    """
+
+    def __init__(self, G: np.ndarray, U: np.ndarray, jets: dict):
+        dx, dy, dxy = jets[(1, 0)], jets[(0, 1)], jets[(1, 1)][:, 1]
+        super().__init__(
+            G=G,
+            U=U,
+            # [:, s, r] = d_s U_rs: rows (d_x U00, d_x U01), (d_y U01, d_y U11)
+            dU_trace=np.stack([dx[:, :2], dy[:, 1:]], axis=1),
+            # summed in the order of the einsum over the full d2U tensor
+            d2U_trace=((jets[(2, 0)][:, 0] + dxy) + dxy) + jets[(0, 2)][:, 2],
+        )
+        self._jets = jets
+
+    def __missing__(self, key):
+        if key not in ("dU", "d2U"):
+            raise KeyError(key)
+        jets, n = self._jets, len(self["U"])
+        dU = np.empty((n, 2, 2, 2))
+        d2U = np.empty((n, 2, 2, 2, 2))
+        for c, (a, b) in enumerate(((0, 0), (0, 1), (1, 1))):
+            dU[:, 0, a, b] = dU[:, 0, b, a] = jets[(1, 0)][:, c]
+            dU[:, 1, a, b] = dU[:, 1, b, a] = jets[(0, 1)][:, c]
+            d2U[:, 0, 0, a, b] = d2U[:, 0, 0, b, a] = jets[(2, 0)][:, c]
+            d2U[:, 1, 1, a, b] = d2U[:, 1, 1, b, a] = jets[(0, 2)][:, c]
+            d2U[:, 0, 1, a, b] = d2U[:, 0, 1, b, a] = jets[(1, 1)][:, c]
+            d2U[:, 1, 0, a, b] = d2U[:, 1, 0, b, a] = jets[(1, 1)][:, c]
+        self["dU"], self["d2U"] = dU, d2U
+        return self[key]
 
 
 def curvature_context(u: SymplecticPotential) -> dict:
@@ -212,7 +244,7 @@ def _node_context(u: SymplecticPotential, x):
     if np.hypot(*(u.grid.points[k] - x)) > 0.5 * u.grid.h + 1e-12:
         raise DomainError("fd potentials evaluate curvature at grid nodes only")
     ctx = curvature_context(u)
-    sub = {key: val[k : k + 1] for key, val in ctx.items()}
+    sub = {key: ctx[key][k : k + 1] for key in ("G", "U", "dU", "d2U", "dU_trace", "d2U_trace")}
     return sub, u.grid.points[k]
 
 
@@ -232,8 +264,7 @@ def abreu_scalar_field(u: SymplecticPotential) -> np.ndarray:
     """R = -sum_ij (u^{ij})_{,ij} at every node."""
     cache = _field_cache(u)
     if "abreu" not in cache:
-        d2U = curvature_context(u)["d2U"]
-        cache["abreu"] = -np.einsum("nijij->n", d2U)
+        cache["abreu"] = -curvature_context(u)["d2U_trace"]
     return cache["abreu"]
 
 
@@ -251,20 +282,18 @@ def _weighted_scalar_from_ctx(ctx: dict, cls: AdmissibleClass, points) -> np.nda
     q = pts @ np.asarray(cls.p) + cls.c_S
     pw = q**cls.m
     pvec = np.asarray(cls.p)
-    U, dU, d2U = ctx["U"], ctx["dU"], ctx["d2U"]
     # derivatives of the weight p(z) = q^m (q affine)
     pr = cls.m * q[:, None] ** (cls.m - 1) * pvec[None, :] if cls.m >= 1 else np.zeros_like(pts)
+    # div = sum_rs d_r d_s (p U_rs) = sum p_rs U_rs + 2 sum p_r d_s U_rs + p sum d_r d_s U_rs
+    dUt = ctx["dU_trace"]
+    div = 2.0 * ((pr[:, 0] * dUt[:, 0, 0] + pr[:, 1] * dUt[:, 0, 1])
+                 + (pr[:, 0] * dUt[:, 1, 0] + pr[:, 1] * dUt[:, 1, 1]))
     if cls.m >= 2:
         prs = (cls.m * (cls.m - 1) * q ** (cls.m - 2))[:, None, None] * np.einsum(
             "r,s->rs", pvec, pvec
         )[None, :, :]
-    else:
-        prs = np.zeros((len(pts), 2, 2))
-    div = (
-        np.einsum("nrs,nrs->n", prs, U)
-        + 2.0 * np.einsum("nr,nsrs->n", pr, dU)
-        + pw * np.einsum("nrsrs->n", d2U)
-    )
+        div = np.einsum("nrs,nrs->n", prs, ctx["U"]) + div
+    div = div + pw * ctx["d2U_trace"]
     return cls.scal_S / q - div / pw
 
 
@@ -352,7 +381,7 @@ def abreu_scalar(u: SymplecticPotential, x) -> float:
     if u.provider == "fd":
         return float(abreu_scalar_field(u)[_fd_node(u, x)])
     ctx, pt = _node_context(u, x)
-    return float(-np.einsum("nijij->n", ctx["d2U"])[0])
+    return float(-ctx["d2U_trace"][0])
 
 
 def weighted_scalar(u: SymplecticPotential, cls: AdmissibleClass, x) -> float:
@@ -388,7 +417,7 @@ def admissible_blocks(u: SymplecticPotential, cls: AdmissibleClass, x) -> Curvat
         rm2_fiber = float(fiber_riemann_norm_field(u)[k])
         rm2_total = float(rm2_total_field(u, cls)[k])
     else:
-        r_fiber = float(-np.einsum("nijij->n", ctx["d2U"])[0])
+        r_fiber = float(-ctx["d2U_trace"][0])
         r_weighted = float(_weighted_scalar_from_ctx(ctx, cls, pt[None, :])[0])
         rm2_fiber = float(blocks["rm2_fiber"][0])
         rm2_total = float(blocks["rm2_total"][0])

@@ -20,6 +20,7 @@ from calabiflow import (
     weighted_scalar,
     weighted_scalar_field,
 )
+from calabiflow.curvature import curvature_context
 from calabiflow.potential import ClosedForm
 from calabiflow.polytope import DelzantPolytope
 from conftest import interior_points
@@ -219,3 +220,48 @@ def test_perturbed_curvature_matches_oracle(triangle, grid48):
     ref = oracle_curvature(u.value_at, np.array([0.0, 0.0]))
     assert agrees_to_sig(abreu_scalar(u, (0.0, 0.0)), ref["r_fiber"])
     assert agrees_to_sig(fiber_riemann_norm(u, (0.0, 0.0)), ref["rm2_fiber"])
+
+
+# -- fd context: traces at once, full tensors on demand ----------------------
+
+
+def _cubic_fd(P, grid):
+    form = polynomial_form({(3, 0): 0.02, (1, 2): -0.015, (2, 1): 0.01})
+    return SymplecticPotential.from_node_values(P, grid, form(grid.points[:, 0], grid.points[:, 1]))
+
+
+@pytest.mark.parametrize("poly, grid", [("triangle", "grid48"), ("hexagon", "hex_grid")])
+def test_fd_context_traces_match_full_tensors(poly, grid, request):
+    u = _cubic_fd(request.getfixturevalue(poly), request.getfixturevalue(grid))
+    ctx = curvature_context(u)
+    assert np.array_equal(ctx["dU_trace"], np.einsum("nsrs->nsr", ctx["dU"]))
+    assert np.array_equal(ctx["d2U_trace"], np.einsum("nrsrs->n", ctx["d2U"]))
+
+
+@pytest.mark.parametrize(
+    "cls", CLASSES[:2] + [AdmissibleClass((2.0, 1.0), 12.0, 1.0, 2, 2), AdmissibleClass.trivial()]
+)
+def test_weighted_scalar_matches_full_tensor_formula(triangle, grid48, cls):
+    u = _cubic_fd(triangle, grid48)
+    ctx = curvature_context(u)
+    q = cls.affine(grid48.points)
+    p = np.asarray(cls.p)
+    pr = cls.m * q[:, None] ** (cls.m - 1) * p if cls.m >= 1 else np.zeros((len(q), 2))
+    prs = (cls.m * (cls.m - 1) * q ** (cls.m - 2))[:, None, None] * np.outer(p, p)
+    div = (np.einsum("nrs,nrs->n", prs, ctx["U"])
+           + 2.0 * np.einsum("nr,nsrs->n", pr, ctx["dU"])
+           + q**cls.m * np.einsum("nrsrs->n", ctx["d2U"]))
+    ref = cls.scal_S / q - div / q**cls.m
+    np.testing.assert_allclose(weighted_scalar_field(u, cls), ref, rtol=1e-12, atol=1e-12)
+
+
+def test_flow_velocity_leaves_full_tensors_unbuilt(triangle, grid48, bundle_class):
+    u = _cubic_fd(triangle, grid48)
+    weighted_scalar_field(u, bundle_class)
+    abreu_scalar_field(u)
+    ctx = curvature_context(u)
+    assert "dU" not in ctx and "d2U" not in ctx
+    k = grid48.n_nodes // 2
+    sample = admissible_blocks(u, bundle_class, grid48.points[k])
+    assert "dU" in ctx and "d2U" in ctx
+    assert sample.r_fiber == abreu_scalar_field(u)[k]
