@@ -331,8 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--json", action="store_true", help="machine-readable output")
     ap.add_argument("--emit-plots", action="store_true",
                     help="write one whitespace-separated data file per monitored series")
-    ap.add_argument("--threads", type=int, default=1,
-                    help="thread budget (computation is vectorized and deterministic)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     sub.add_parser("baseline", help="run the canonical-potential golden suite")
@@ -365,9 +363,6 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
-    if args.threads < 1:
-        print("error: --threads must be at least 1", file=sys.stderr)
-        return EXIT_CONFIG
     handlers = {
         "baseline": cmd_baseline,
         "flow": cmd_flow,

@@ -15,7 +15,14 @@ import numpy as np
 
 from .errors import CurvatureUndefinedError, DegenerateInputError, DomainError, RegimeError
 from .polytope import DelzantPolytope
-from .potential import PARTIALS, SymplecticPotential, _tensorize
+from .potential import (
+    PARTIALS,
+    SymplecticPotential,
+    _sym2_eigenvalues,
+    _sym2_inverse,
+    _tensorize,
+    guillemin_partials,
+)
 
 _SPD_RATIO = 1e-12
 
@@ -107,11 +114,7 @@ class CurvatureSample:
 
 
 def _check_spd(G: np.ndarray) -> None:
-    tr = G[:, 0, 0] + G[:, 1, 1]
-    det = G[:, 0, 0] * G[:, 1, 1] - G[:, 0, 1] ** 2
-    disc = np.sqrt(np.maximum(tr * tr - 4 * det, 0.0))
-    lo = 0.5 * (tr - disc)
-    hi = 0.5 * (tr + disc)
+    lo, hi = _sym2_eigenvalues(G)
     bad = ~np.isfinite(lo) | (lo <= _SPD_RATIO * np.maximum(hi, 1.0))
     if np.any(bad):
         raise CurvatureUndefinedError(
@@ -134,11 +137,7 @@ def _context_from_jets(partials: dict, n: int, fd_grid=None) -> dict:
     _check_spd(G)
     T3 = _tensorize(partials, 3, n)  # T3[:, i, j, k] = u_{ijk}
     T4 = _tensorize(partials, 4, n)
-    det = G[:, 0, 0] * G[:, 1, 1] - G[:, 0, 1] ** 2
-    U = np.empty_like(G)
-    U[:, 0, 0] = G[:, 1, 1] / det
-    U[:, 1, 1] = G[:, 0, 0] / det
-    U[:, 0, 1] = U[:, 1, 0] = -G[:, 0, 1] / det
+    U = _sym2_inverse(G)
     dU = -np.einsum("nai,nijk,njb->nkab", U, T3, U)
     t1 = np.einsum("nlai,nijk,njb->nklab", dU, T3, U)
     t2 = np.einsum("nai,nijkl,njb->nklab", U, T4, U)
@@ -155,11 +154,7 @@ def _context_fd(u: SymplecticPotential) -> dict:
     n = grid.n_nodes
     G = _tensorize(u.jets(2), 2, n)
     _check_spd(G)
-    det = G[:, 0, 0] * G[:, 1, 1] - G[:, 0, 1] ** 2
-    U = np.empty_like(G)
-    U[:, 0, 0] = G[:, 1, 1] / det
-    U[:, 1, 1] = G[:, 0, 0] / det
-    U[:, 0, 1] = U[:, 1, 0] = -G[:, 0, 1] / det
+    U = _sym2_inverse(G)
     jets = grid.field_jets(np.stack([U[:, 0, 0], U[:, 0, 1], U[:, 1, 1]], axis=1))
     return _FdContext(G, U, jets)
 
@@ -204,14 +199,13 @@ class _FdContext(dict):
 
 def curvature_context(u: SymplecticPotential) -> dict:
     """Cached grid-wide derivative context for the potential's provider."""
-    ctx = getattr(u, "_curvature_context", None)
-    if ctx is None:
+    cache = u.curvature_cache
+    if "context" not in cache:
         if u.provider == "analytic":
-            ctx = _context_from_jets(u.jets(4), u.grid.n_nodes)
+            cache["context"] = _context_from_jets(u.jets(4), u.grid.n_nodes)
         else:
-            ctx = _context_fd(u)
-        u._curvature_context = ctx
-    return ctx
+            cache["context"] = _context_fd(u)
+    return cache["context"]
 
 
 def context_at_points(u: SymplecticPotential, points) -> dict:
@@ -225,8 +219,6 @@ def context_at_points(u: SymplecticPotential, points) -> dict:
             for key in PARTIALS
         }
     else:
-        from .potential import guillemin_partials
-
         partials = guillemin_partials(u.polytope, pts, 4)
         for (a, b) in list(partials):
             partials[(a, b)] = partials[(a, b)] + u.f_form.partial(a, b, pts[:, 0], pts[:, 1])
@@ -234,35 +226,31 @@ def context_at_points(u: SymplecticPotential, points) -> dict:
 
 
 def _node_context(u: SymplecticPotential, x):
-    """(context restricted to one node, node point) for pointwise ops."""
+    """(one-point context, point, node) for pointwise ops.
+
+    Analytic providers evaluate the context at x itself (node None); fd
+    providers need x to be a grid node and take that row of the grid context.
+    """
     x = np.asarray(x, dtype=float)
     if not u.polytope.contains(x):
         raise DomainError(f"point {tuple(x)} is not interior to the polytope")
     if u.provider == "analytic":
-        return context_at_points(u, x[None, :]), x
+        return context_at_points(u, x[None, :]), x, None
     k = u.node_index(x)
     if np.hypot(*(u.grid.points[k] - x)) > 0.5 * u.grid.h + 1e-12:
         raise DomainError("fd potentials evaluate curvature at grid nodes only")
     ctx = curvature_context(u)
     sub = {key: ctx[key][k : k + 1] for key in ("G", "U", "dU", "d2U", "dU_trace", "d2U_trace")}
-    return sub, u.grid.points[k]
+    return sub, u.grid.points[k], k
 
 
 # ---------------------------------------------------------------------------
 # field operations
 
 
-def _field_cache(u: SymplecticPotential) -> dict:
-    cache = getattr(u, "_scalar_field_cache", None)
-    if cache is None:
-        cache = {}
-        u._scalar_field_cache = cache
-    return cache
-
-
 def abreu_scalar_field(u: SymplecticPotential) -> np.ndarray:
     """R = -sum_ij (u^{ij})_{,ij} at every node."""
-    cache = _field_cache(u)
+    cache = u.curvature_cache
     if "abreu" not in cache:
         cache["abreu"] = -curvature_context(u)["d2U_trace"]
     return cache["abreu"]
@@ -270,7 +258,7 @@ def abreu_scalar_field(u: SymplecticPotential) -> np.ndarray:
 
 def fiber_riemann_norm_field(u: SymplecticPotential) -> np.ndarray:
     """|Rm|^2 of the fiber metric: (1/4) sum (u^{ij})_{,kl} (u^{kl})_{,ij}."""
-    cache = _field_cache(u)
+    cache = u.curvature_cache
     if "fiber_rm2" not in cache:
         d2U = curvature_context(u)["d2U"]
         cache["fiber_rm2"] = 0.25 * np.einsum("nklij,nijkl->n", d2U, d2U)
@@ -299,7 +287,7 @@ def _weighted_scalar_from_ctx(ctx: dict, cls: AdmissibleClass, points) -> np.nda
 
 def weighted_scalar_field(u: SymplecticPotential, cls: AdmissibleClass) -> np.ndarray:
     cls.validate_on(u.polytope)
-    cache = _field_cache(u)
+    cache = u.curvature_cache
     key = ("weighted", cls)
     if key not in cache:
         cache[key] = _weighted_scalar_from_ctx(curvature_context(u), cls, u.grid.points)
@@ -355,7 +343,7 @@ def _blocks_from_ctx(ctx: dict, cls: AdmissibleClass, points) -> dict:
 
 def rm2_total_field(u: SymplecticPotential, cls: AdmissibleClass) -> np.ndarray:
     cls.validate_on(u.polytope)
-    cache = _field_cache(u)
+    cache = u.curvature_cache
     key = ("rm2_total", cls)
     if key not in cache:
         blocks = _blocks_from_ctx(curvature_context(u), cls, u.grid.points)
@@ -367,35 +355,23 @@ def rm2_total_field(u: SymplecticPotential, cls: AdmissibleClass) -> np.ndarray:
 # pointwise operations
 
 
-def _fd_node(u: SymplecticPotential, x) -> int:
-    x = np.asarray(x, dtype=float)
-    if not u.polytope.contains(x):
-        raise DomainError(f"point {tuple(x)} is not interior to the polytope")
-    k = u.node_index(x)
-    if np.hypot(*(u.grid.points[k] - x)) > 0.5 * u.grid.h + 1e-12:
-        raise DomainError("fd potentials evaluate curvature at grid nodes only")
-    return k
-
-
 def abreu_scalar(u: SymplecticPotential, x) -> float:
-    if u.provider == "fd":
-        return float(abreu_scalar_field(u)[_fd_node(u, x)])
-    ctx, pt = _node_context(u, x)
+    ctx, _, _ = _node_context(u, x)
     return float(-ctx["d2U_trace"][0])
 
 
 def weighted_scalar(u: SymplecticPotential, cls: AdmissibleClass, x) -> float:
     cls.validate_on(u.polytope)
-    if u.provider == "fd":
-        return float(weighted_scalar_field(u, cls)[_fd_node(u, x)])
-    ctx, pt = _node_context(u, x)
+    ctx, pt, k = _node_context(u, x)
+    if k is not None:
+        return float(weighted_scalar_field(u, cls)[k])
     return float(_weighted_scalar_from_ctx(ctx, cls, pt[None, :])[0])
 
 
 def fiber_riemann_norm(u: SymplecticPotential, x) -> float:
-    if u.provider == "fd":
-        return float(fiber_riemann_norm_field(u)[_fd_node(u, x)])
-    ctx, pt = _node_context(u, x)
+    ctx, _, k = _node_context(u, x)
+    if k is not None:
+        return float(fiber_riemann_norm_field(u)[k])
     d2U = ctx["d2U"]
     return float(0.25 * np.einsum("nklij,nijkl->n", d2U, d2U)[0])
 
@@ -408,16 +384,14 @@ def admissible_blocks(u: SymplecticPotential, cls: AdmissibleClass, x) -> Curvat
     raw derivative context.
     """
     cls.validate_on(u.polytope)
-    ctx, pt = _node_context(u, x)
+    ctx, pt, k = _node_context(u, x)
     blocks = _blocks_from_ctx(ctx, cls, pt[None, :])
-    if u.provider == "fd":
-        k = _fd_node(u, x)
-        r_fiber = float(abreu_scalar_field(u)[k])
+    r_fiber = float(-ctx["d2U_trace"][0])
+    if k is not None:
         r_weighted = float(weighted_scalar_field(u, cls)[k])
         rm2_fiber = float(fiber_riemann_norm_field(u)[k])
         rm2_total = float(rm2_total_field(u, cls)[k])
     else:
-        r_fiber = float(-ctx["d2U_trace"][0])
         r_weighted = float(_weighted_scalar_from_ctx(ctx, cls, pt[None, :])[0])
         rm2_fiber = float(blocks["rm2_fiber"][0])
         rm2_total = float(blocks["rm2_total"][0])
@@ -441,7 +415,7 @@ def ricci_trace(u: SymplecticPotential, cls: AdmissibleClass, x) -> float:
     Internal consistency oracle: equals the weighted scalar curvature.
     """
     cls.validate_on(u.polytope)
-    ctx, pt = _node_context(u, x)
+    ctx, pt, _ = _node_context(u, x)
     blocks = _blocks_from_ctx(ctx, cls, pt[None, :])
     pw = float(cls.weight(pt))
     fiber = 2.0 * float(np.einsum("nij,nij->n", ctx["G"], blocks["ric_ij"])[0])
@@ -449,13 +423,15 @@ def ricci_trace(u: SymplecticPotential, cls: AdmissibleClass, x) -> float:
 
 
 def control_rm_rhs(cls: AdmissibleClass, x) -> float:
-    """Pointwise upper bound for |Rm|^2 of the canonical potential.
+    """Pointwise upper bound for |Rm|^2 of the canonical potential at x."""
+    return canonical_rm2_bound(cls, float(cls.affine(np.asarray(x, dtype=float))))
 
-    (1/q^2) (scal_S^2 + 90 p1^4 / q^2 + (4 p1 + 24 p1^2 / q)^2) + 4/3,
-    with q = <p, z> + c_S.
+
+def canonical_rm2_bound(cls: AdmissibleClass, q: float) -> float:
+    """|Rm|^2 bound of the canonical potential where <p, z> + c_S = q:
+
+    (1/q^2) (scal_S^2 + 90 p1^4 / q^2 + (4 p1 + 24 p1^2 / q)^2) + 4/3.
     """
-    x = np.asarray(x, dtype=float)
-    q = float(cls.affine(x))
     p1 = cls.p[0]
     return (
         (cls.scal_S**2 + 90.0 * p1**4 / q**2 + (4.0 * p1 + 24.0 * p1**2 / q) ** 2) / q**2

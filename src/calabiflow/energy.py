@@ -17,7 +17,7 @@ from .curvature import (
 )
 from .errors import DegenerateInputError
 from .polytope import BoundaryQuadrature, DelzantPolytope, Grid, boundary_quadrature
-from .potential import SymplecticPotential
+from .potential import SymplecticPotential, _tensorize
 
 
 def interior_quadrature(grid: Grid, integrand: np.ndarray, refine: bool = True) -> float:
@@ -87,10 +87,11 @@ class EnergyReport:
         return asdict(self)
 
 
-def scalar_hessian_fields(u: SymplecticPotential, R: np.ndarray):
-    """Second differences of a scalar-curvature node field (R_xx, R_xy, R_yy)."""
-    jets = u.grid.field_jets(R)
-    return jets[(2, 0)], jets[(1, 1)], jets[(0, 2)]
+def _r_hessian_parts(u: SymplecticPotential, cls: AdmissibleClass, R: np.ndarray):
+    """(U, Rh, p) at every node: the inverse Hessian of u, the Hessian of a
+    scalar-curvature node field R by second differences, the class weight."""
+    Rh = _tensorize(u.grid.field_jets(R), 2, u.grid.n_nodes)
+    return curvature_context(u)["U"], Rh, cls.weight(u.grid.points)
 
 
 def dissipation_integral(u: SymplecticPotential, cls: AdmissibleClass,
@@ -103,13 +104,7 @@ def dissipation_integral(u: SymplecticPotential, cls: AdmissibleClass,
     """
     if R is None:
         R = weighted_scalar_field(u, cls)
-    U = curvature_context(u)["U"]
-    Rxx, Rxy, Ryy = scalar_hessian_fields(u, R)
-    Rh = np.empty((u.grid.n_nodes, 2, 2))
-    Rh[:, 0, 0] = Rxx
-    Rh[:, 0, 1] = Rh[:, 1, 0] = Rxy
-    Rh[:, 1, 1] = Ryy
-    pw = cls.weight(u.grid.points)
+    U, Rh, pw = _r_hessian_parts(u, cls, R)
     integrand = np.einsum("nir,njs,nij,nrs->n", U, U, Rh, Rh) * pw
     return interior_quadrature(u.grid, integrand)
 
@@ -180,14 +175,7 @@ def cauchy_schwarz_gap(u: SymplecticPotential, cls: AdmissibleClass) -> float:
     Returns LHS - RHS (nonnegative up to quadrature noise).
     """
     R = weighted_scalar_field(u, cls)
-    U = curvature_context(u)["U"]
-    Rxx, Rxy, Ryy = scalar_hessian_fields(u, R)
-    Rh = np.empty((u.grid.n_nodes, 2, 2))
-    Rh[:, 0, 0] = Rxx
-    Rh[:, 0, 1] = Rh[:, 1, 0] = Rxy
-    Rh[:, 1, 1] = Ryy
-    pw = cls.weight(u.grid.points)
-    lhs = interior_quadrature(u.grid, np.einsum("nir,njs,nij,nrs->n", U, U, Rh, Rh) * pw)
+    U, Rh, pw = _r_hessian_parts(u, cls, R)
     mixed = interior_quadrature(u.grid, np.einsum("nij,nij->n", U, Rh) * pw)
     vol = interior_quadrature(u.grid, pw)
-    return lhs - mixed**2 / (2.0 * vol)
+    return dissipation_integral(u, cls, R) - mixed**2 / (2.0 * vol)

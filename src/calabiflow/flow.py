@@ -3,8 +3,6 @@ the smooth correction f, with per-step estimate monitors."""
 
 from __future__ import annotations
 
-import heapq
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -18,8 +16,14 @@ from .curvature import (
 )
 from .energy import average_scalar, energy_report, interior_quadrature
 from .errors import ConfigError, CurvatureUndefinedError, StiffnessError
-from .polytope import Grid, boundary_quadrature, build_grid, eps_region, load_polytope
-from .potential import SymplecticPotential, bump_form, save_snapshot, zero_form
+from .polytope import OFFSETS8, Grid, boundary_quadrature, build_grid, eps_region, load_polytope
+from .potential import (
+    SymplecticPotential,
+    _sym2_eigenvalues,
+    bump_form,
+    save_snapshot,
+    zero_form,
+)
 
 
 @dataclass(frozen=True)
@@ -86,17 +90,9 @@ def rhs(state: FlowState, cls: AdmissibleClass, r_bar: float = None) -> np.ndarr
     return r_bar - weighted_scalar_field(u, cls)
 
 
-def _spectral_norm_inverse_hessian(u: SymplecticPotential) -> float:
-    U = curvature_context(u)["U"]
-    tr = U[:, 0, 0] + U[:, 1, 1]
-    det = U[:, 0, 0] * U[:, 1, 1] - U[:, 0, 1] ** 2
-    disc = np.sqrt(np.maximum(tr * tr - 4 * det, 0.0))
-    return float(np.max(0.5 * (tr + disc)))
-
-
 def proposed_dt(u: SymplecticPotential, sigma: float) -> float:
     """CFL step: sigma * h^4 / (1 + max ||Hess u^{-1}||)^2."""
-    s = _spectral_norm_inverse_hessian(u)
+    s = float(np.max(_sym2_eigenvalues(curvature_context(u)["U"])[1]))
     return sigma * u.grid.h**4 / (1.0 + s) ** 2
 
 
@@ -109,7 +105,11 @@ def _calabi(u: SymplecticPotential, cls: AdmissibleClass, r_bar: float) -> float
 def step(state: FlowState, cls: AdmissibleClass, policy: StepPolicy = None,
          r_bar: float = None, calabi_now: float = None) -> FlowState:
     """One accepted RK4 step; halves dt and retries on energy increase or
-    positivity failure, raising StiffnessError after max_retries rejections."""
+    positivity failure, raising StiffnessError after max_retries rejections.
+
+    Positivity is checked where the curvature of a stage or of the candidate
+    is computed: a Hessian that is not positive definite raises
+    CurvatureUndefinedError there."""
     if policy is None:
         policy = StepPolicy()
     if policy.order != "rk4":
@@ -135,8 +135,6 @@ def step(state: FlowState, cls: AdmissibleClass, policy: StepPolicy = None,
             k4 = velocity(f0 + dt * k3)
             f_new = f0 + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             cand = u.with_node_values(f_new)
-            if np.min(cand.min_hessian_eigenvalues()) <= 0:
-                raise CurvatureUndefinedError("positivity lost at tentative state")
             calabi_new = _calabi(cand, cls, r_bar)
         except CurvatureUndefinedError:
             dt *= 0.5
@@ -154,62 +152,23 @@ def step(state: FlowState, cls: AdmissibleClass, policy: StepPolicy = None,
 # ---------------------------------------------------------------------------
 # Riemannian grid-graph distances
 
-_OFFSETS8 = [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)]
-
-
-def _neighbors8(grid: Grid):
-    cache = getattr(grid, "_neighbors8", None)
-    if cache is None:
-        nbrs = []
-        ni, nj = grid.shape
-        for (i, j) in grid.ij:
-            row = []
-            for di, dj in _OFFSETS8:
-                i2, j2 = i + di, j + dj
-                if 0 <= i2 < ni and 0 <= j2 < nj:
-                    nid = grid.node_id[i2, j2]
-                    if nid >= 0:
-                        row.append((int(nid), grid.h * di, grid.h * dj))
-            nbrs.append(row)
-        grid._neighbors8 = nbrs
-        cache = nbrs
-    return cache
-
-
-def _edge_lengths(grid: Grid, hessians: np.ndarray):
-    """Edge metric lengths sqrt(dx^T G dx) with G averaged over endpoints."""
-    nbrs = _neighbors8(grid)
-    out = []
-    for n, row in enumerate(nbrs):
-        lens = []
-        Gn = hessians[n]
-        for (m, dx, dy) in row:
-            Gm = 0.5 * (Gn + hessians[m])
-            q = Gm[0, 0] * dx * dx + 2.0 * Gm[0, 1] * dx * dy + Gm[1, 1] * dy * dy
-            lens.append((m, math.sqrt(max(q, 0.0))))
-        out.append(lens)
-    return out
-
-
 def distance_field(grid: Grid, hessians: np.ndarray, sources) -> np.ndarray:
-    """Dijkstra distances from a source node set on the 8-neighbor graph."""
-    edges = _edge_lengths(grid, hessians)
-    dist = np.full(grid.n_nodes, np.inf)
-    heap = []
-    for s in np.atleast_1d(np.asarray(sources, dtype=int)):
-        dist[s] = 0.0
-        heap.append((0.0, int(s)))
-    heapq.heapify(heap)
-    while heap:
-        d, n = heapq.heappop(heap)
-        if d > dist[n]:
-            continue
-        for m, w in edges[n]:
-            nd = d + w
-            if nd < dist[m]:
-                dist[m] = nd
-                heapq.heappush(heap, (nd, m))
-    return dist
+    """Dijkstra distances from a source node set on the 8-neighbour graph.
+
+    An edge n -> m has metric length sqrt(dx^T G dx), G the mean of the
+    Hessians at its two ends.  Zero-length edges stay edges of the graph.
+    """
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import dijkstra
+
+    rows, k = np.nonzero(grid.neighbors8 >= 0)
+    cols = grid.neighbors8[rows, k]
+    dx, dy = (grid.h * OFFSETS8[k]).T
+    G = 0.5 * (hessians[rows] + hessians[cols])
+    q = G[:, 0, 0] * dx * dx + 2.0 * G[:, 0, 1] * dx * dy + G[:, 1, 1] * dy * dy
+    A = csr_array((np.sqrt(np.maximum(q, 0.0)), (rows, cols)), shape=(grid.n_nodes,) * 2)
+    sources = np.atleast_1d(np.asarray(sources, dtype=int))
+    return dijkstra(A, indices=sources, min_only=True)
 
 
 def riemannian_distance(u: SymplecticPotential, A, B) -> float:
@@ -223,16 +182,12 @@ def riemannian_distance(u: SymplecticPotential, A, B) -> float:
 
 
 def boundary_ring(grid: Grid, region) -> np.ndarray:
-    """Nodes of a region with an 8-neighbor outside it."""
+    """Nodes of a region with an 8-neighbour outside it (or off the grid)."""
     inside = np.zeros(grid.n_nodes, dtype=bool)
     inside[np.asarray(region, dtype=int)] = True
-    nbrs = _neighbors8(grid)
-    ring = [
-        n
-        for n in np.nonzero(inside)[0]
-        if any(not inside[m] for (m, _, _) in nbrs[n]) or len(nbrs[n]) < 8
-    ]
-    return np.asarray(ring, dtype=int)
+    nodes = np.nonzero(inside)[0]
+    nbrs = grid.neighbors8[nodes]
+    return nodes[((nbrs < 0) | ~inside[nbrs]).any(axis=1)]
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +242,8 @@ class FlowRun:
         self.bquad = boundary_quadrature(self.polytope)
         self.eps_nodes = eps_region(self.polytope, self.grid, cfg.epsilon)
         self.eps2_nodes = eps_region(self.polytope, self.grid, 2.0 * cfg.epsilon)
-        self.eps_ring = boundary_ring(self.grid, self.eps_nodes) if len(self.eps_nodes) else np.array([], dtype=int)
-        self.eps2_ring = boundary_ring(self.grid, self.eps2_nodes) if len(self.eps2_nodes) else np.array([], dtype=int)
+        self.eps_ring = boundary_ring(self.grid, self.eps_nodes)
+        self.eps2_ring = boundary_ring(self.grid, self.eps2_nodes)
         self.records: list[MonitorRecord] = []
         self.initial_witnesses = None
         self.keep_states = False

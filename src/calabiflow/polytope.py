@@ -293,6 +293,9 @@ _D2_STENCILS = [
 # row blocks of Grid.jet_matrix, in order
 JET_KEYS = ((1, 0), (0, 1), (2, 0), (0, 2), (1, 1))
 
+# lattice offsets (di, dj) of the columns of Grid.neighbors8
+OFFSETS8 = np.array([(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)])
+
 
 def _csr(rows, cols, vals, shape):
     """CSR matrix from entry triplets; the entries of a row keep their order.
@@ -365,18 +368,24 @@ class Grid:
 
         self._boundary_distance = None
         self._cell_weights = None
+        self._full_cell = None
 
     # -- stencil machinery --------------------------------------------------
 
-    def _neighbors(self, axis: int, offsets) -> np.ndarray:
-        """(n_nodes, len(offsets)) ids of the lattice neighbours along an axis,
+    def _neighbors(self, offsets) -> np.ndarray:
+        """(n_nodes, k) ids of the lattice neighbours at k offsets (di, dj),
         -1 where the neighbour is not a node."""
         offsets = np.asarray(offsets)
         pad = int(np.abs(offsets).max())
         ids = np.pad(self.node_id, pad, constant_values=-1)
-        i = self.ij[:, 0, None] + pad
-        j = self.ij[:, 1, None] + pad
-        return ids[i + offsets, j] if axis == 0 else ids[i, j + offsets]
+        i, j = (self.ij + pad).T
+        return ids[i[:, None] + offsets[:, 0], j[:, None] + offsets[:, 1]]
+
+    @cached_property
+    def neighbors8(self) -> np.ndarray:
+        """(n_nodes, 8) ids of the 8 lattice neighbours at OFFSETS8, -1 where
+        the neighbour is not a node."""
+        return self._neighbors(OFFSETS8)
 
     def _axis_operator(self, axis: int, order: int):
         """(CSR matrix, served mask) of one axis stencil operator.
@@ -387,10 +396,11 @@ class Grid:
         table = _D1_STENCILS if order == 1 else _D2_STENCILS
         scale = self.h if order == 1 else self.h * self.h
         n = self.n_nodes
+        unit = np.eye(2, dtype=int)[axis]
         served = np.zeros(n, dtype=bool)
         rows, cols, vals = [], [], []
         for offs, cs in table:
-            ids = self._neighbors(axis, offs)
+            ids = self._neighbors(np.outer(offs, unit))
             take = ~served & (ids >= 0).all(axis=1)
             served |= take
             rows.append(np.repeat(np.nonzero(take)[0], len(offs)))
@@ -531,9 +541,9 @@ class Grid:
     @cached_property
     def stencil_classification(self) -> np.ndarray:
         """Per-node per-axis 'central' or 'one-sided' tag."""
-        central = np.stack(
-            [(self._neighbors(axis, (-1, 1)) >= 0).all(axis=1) for axis in (0, 1)], axis=1
-        )
+        # both neighbours along x, then both along y
+        ids = self._neighbors([(-1, 0), (1, 0), (0, -1), (0, 1)]).reshape(-1, 2, 2)
+        central = (ids >= 0).all(axis=2)
         return np.where(central, "central", "one-sided")
 
     @property
@@ -558,13 +568,18 @@ class Grid:
             self._boundary_distance = dist.reshape(dx.shape).min(axis=1)
         return self._boundary_distance
 
-    @property
+    @cached_property
     def kdtree(self):
-        if getattr(self, "_kdtree", None) is None:
-            from scipy.spatial import cKDTree
+        from scipy.spatial import cKDTree
 
-            self._kdtree = cKDTree(self.points)
-        return self._kdtree
+        return cKDTree(self.points)
+
+    @cached_property
+    def guillemin_jets(self) -> dict:
+        """Partials up to order 4 of the canonical potential u_G at the nodes."""
+        from .potential import guillemin_partials
+
+        return guillemin_partials(self.polytope, self.points, order=4)
 
     @property
     def cell_weights(self) -> np.ndarray:
@@ -577,7 +592,7 @@ class Grid:
         the weights sum to the polytope area.
         """
         if self._cell_weights is None:
-            self._cell_weights = self._compute_cell_weights()
+            self._cell_weights, self._full_cell = self._compute_cell_weights()
         return self._cell_weights
 
     def _distribute_cell(self, weights, moments, center):
@@ -625,7 +640,8 @@ class Grid:
             return
         weights[near[0]] += A
 
-    def _compute_cell_weights(self) -> np.ndarray:
+    def _compute_cell_weights(self):
+        """(cell weights, mask of nodes whose cell is a full interior cell)."""
         P = self.polytope
         h = self.h
         ni, nj = self.shape
@@ -666,8 +682,7 @@ class Grid:
                 if area <= 1e-14 * h * h or m is None:
                     continue
                 self._distribute_cell(weights, m, np.array([m[1] / m[0], m[2] / m[0]]))
-        self._full_cell = full_cell
-        return weights
+        return weights, full_cell
 
     @cached_property
     def midpoint_correction_mask(self) -> np.ndarray:

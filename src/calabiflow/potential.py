@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -171,6 +172,24 @@ def _tensorize(partials: dict, order: int, n: int) -> np.ndarray:
     return T
 
 
+def _sym2_eigenvalues(G: np.ndarray):
+    """(lower, upper) eigenvalues of a field (n, 2, 2) of symmetric matrices."""
+    tr = G[:, 0, 0] + G[:, 1, 1]
+    det = G[:, 0, 0] * G[:, 1, 1] - G[:, 0, 1] ** 2
+    disc = np.sqrt(np.maximum(tr * tr - 4 * det, 0.0))
+    return 0.5 * (tr - disc), 0.5 * (tr + disc)
+
+
+def _sym2_inverse(G: np.ndarray) -> np.ndarray:
+    """Inverse of a field (n, 2, 2) of symmetric matrices."""
+    det = G[:, 0, 0] * G[:, 1, 1] - G[:, 0, 1] ** 2
+    U = np.empty_like(G)
+    U[:, 0, 0] = G[:, 1, 1] / det
+    U[:, 1, 1] = G[:, 0, 0] / det
+    U[:, 0, 1] = U[:, 1, 0] = -G[:, 0, 1] / det
+    return U
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -232,6 +251,9 @@ class SymplecticPotential:
             self.f_values = np.zeros(grid.n_nodes)
         self._jets = {}
         self._jets_order = -1
+        # curvature fields of this state, filled on first request by
+        # calabiflow.curvature: the derivative context and the scalar fields
+        self.curvature_cache = {}
 
     # -- constructors --------------------------------------------------------
 
@@ -280,20 +302,13 @@ class SymplecticPotential:
             self._jets_order = order
         return {key: val for key, val in self._jets.items() if sum(key) <= order}
 
-    def _guillemin_grid_jets(self) -> dict:
-        cache = getattr(self.grid, "_guillemin_jets", None)
-        if cache is None:
-            cache = guillemin_partials(self.polytope, self.grid.points, order=4)
-            self.grid._guillemin_jets = cache
-        return cache
-
     def _compute_jets(self, lo: int, hi: int) -> dict:
         """Partials of u with lo <= a + b <= hi."""
         keys = [key for key in PARTIALS if lo <= sum(key) <= hi]
         x, y = self.grid.points[:, 0], self.grid.points[:, 1]
         if self.total_form is not None:
             return {(a, b): self.total_form.partial(a, b, x, y) for (a, b) in keys}
-        base = self._guillemin_grid_jets()
+        base = self.grid.guillemin_jets
         if self.provider == "analytic":
             return {(a, b): base[(a, b)] + self.f_form.partial(a, b, x, y) for (a, b) in keys}
         low = self.f_jets2()
@@ -316,22 +331,18 @@ class SymplecticPotential:
                 for (a, b) in PARTIALS
                 if 1 <= a + b <= 2
             }
-        cache = getattr(self, "_f_jets2", None)
-        if cache is None:
-            cache = self.grid.field_jets(self.f_values)
-            self._f_jets2 = cache
-        return cache
+        return self._fd_jets2
+
+    @cached_property
+    def _fd_jets2(self) -> dict:
+        return self.grid.field_jets(self.f_values)
 
     def hessians(self) -> np.ndarray:
         """(n, 2, 2) Hessian of u at every node."""
         return _tensorize(self.jets(2), 2, self.grid.n_nodes)
 
     def min_hessian_eigenvalues(self) -> np.ndarray:
-        H = self.hessians()
-        tr = H[:, 0, 0] + H[:, 1, 1]
-        det = H[:, 0, 0] * H[:, 1, 1] - H[:, 0, 1] ** 2
-        disc = np.sqrt(np.maximum(tr * tr - 4 * det, 0.0))
-        return 0.5 * (tr - disc)
+        return _sym2_eigenvalues(self.hessians())[0]
 
     # -- pointwise evaluation --------------------------------------------------
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curvature import AdmissibleClass, curvature_context
+from .curvature import AdmissibleClass, canonical_rm2_bound, curvature_context
 from .energy import interior_quadrature
 from .errors import RegimeError
 from .polytope import DelzantPolytope
@@ -224,11 +224,7 @@ def fiber_energy_bound(cls: AdmissibleClass, topo: ClassTopology = None,
             raise RegimeError("weight interval does not cover the polytope")
 
     # pointwise curvature bound, maximized where the weight is smallest
-    q = inf_w
-    sup_rm2 = (
-        (cls.scal_S**2 + 90.0 * p1**4 / q**2 + (4.0 * p1 + 24.0 * p1**2 / q) ** 2) / q**2
-        + 4.0 / 3.0
-    )
+    sup_rm2 = canonical_rm2_bound(cls, inf_w)
     if not sup_rm2 < _SUP_RM2_CEILING:
         raise RegimeError(
             f"pointwise curvature bound {sup_rm2:.6g} does not clear the regime "

@@ -226,8 +226,8 @@ def test_deterministic_outputs(capsys, tmp_path, triangle_file):
     assert outs[0] == outs[1]
 
 
-def test_threads_flag_validates(capsys):
-    code, _, err = run_cli(capsys, "--threads", "0", "baseline")
+def test_removed_threads_flag_is_rejected(capsys):
+    code, _, err = run_cli(capsys, "--threads", "1", "baseline")
     assert code == 2
 
 

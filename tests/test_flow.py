@@ -1,3 +1,6 @@
+import heapq
+import math
+
 import numpy as np
 import pytest
 
@@ -15,7 +18,8 @@ from calabiflow import (
     step,
 )
 from calabiflow.flow import boundary_ring, distance_field, proposed_dt
-from calabiflow.errors import StiffnessError
+from calabiflow.errors import CurvatureUndefinedError, StiffnessError
+from calabiflow.potential import bump_form
 
 
 def fd_state(potential):
@@ -102,6 +106,38 @@ def test_stiffness_error_carries_state(fs48, triangle, grid48):
     assert exc.value.last_state is st
 
 
+def test_step_rejects_non_spd_candidate(monkeypatch, triangle, grid48, bundle_class):
+    # A velocity spike at one node lowers both Hessian eigenvalues there.  It
+    # grows with the spike, v = s + (4 / dt0) (f - f0), so at dt0 the RK4
+    # stage states reach 7 dt0 s and the candidate 50/6 dt0 s; the spike size
+    # puts the positivity threshold in between.  The candidate alone must be
+    # rejected, and the step accepted at dt0 / 2.
+    import calabiflow.flow as flow
+
+    u = SymplecticPotential.from_node_values(triangle, grid48, np.zeros(grid48.n_nodes))
+    f0 = u.f_values
+    dt0 = proposed_dt(u, StepPolicy().sigma)
+    k = int(np.argmin((grid48.points**2).sum(axis=1)))
+    spike = np.zeros(grid48.n_nodes)
+    spike[k] = u.min_hessian_eigenvalues()[k] * grid48.h**2 / (2.0 * 7.6 * dt0)
+    real = flow.weighted_scalar_field
+    rejected = []
+
+    def spiked(p, cls):
+        try:
+            real(p, cls)
+        except CurvatureUndefinedError:
+            rejected.append(p.f_values[k] / (dt0 * spike[k]))
+            raise
+        return -(spike + 4.0 / dt0 * (p.f_values - f0))  # r_bar = 0
+
+    monkeypatch.setattr(flow, "weighted_scalar_field", spiked)
+    new = step(FlowState(t=0.0, u=u), bundle_class, r_bar=0.0, calabi_now=np.inf)
+    assert rejected == [pytest.approx(50.0 / 6.0)]
+    assert new.dt_last == dt0 / 2
+    assert new.u.min_hessian_eigenvalues()[k] > 0
+
+
 def test_riemannian_distance_flat_metric(triangle, grid48):
     # identity Hessians: the graph distance approximates Euclidean length
     ident = np.tile(np.eye(2), (grid48.n_nodes, 1, 1))
@@ -131,6 +167,104 @@ def test_riemannian_distance_refinement_monotone(triangle):
         assert np.allclose(g.points[a], pts[0]) and np.allclose(g.points[b], pts[1])
         vals.append(riemannian_distance(u, [a], [b]))
     assert vals[1] <= vals[0] * (1 + 1e-9)
+
+
+# -- graph: vectorized code against the per-node reference loops -----------------
+# The heapq Dijkstra and the ring loop that distance_field and boundary_ring
+# replaced; the vectorized versions must reproduce them bit for bit.
+
+_OFFSETS8 = [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)]
+
+
+def reference_neighbors8(grid):
+    nbrs = []
+    ni, nj = grid.shape
+    for (i, j) in grid.ij:
+        row = []
+        for di, dj in _OFFSETS8:
+            i2, j2 = i + di, j + dj
+            if 0 <= i2 < ni and 0 <= j2 < nj:
+                nid = grid.node_id[i2, j2]
+                if nid >= 0:
+                    row.append((int(nid), grid.h * di, grid.h * dj))
+        nbrs.append(row)
+    return nbrs
+
+
+def reference_distance_field(grid, hessians, sources):
+    edges = []
+    for n, row in enumerate(reference_neighbors8(grid)):
+        lens = []
+        Gn = hessians[n]
+        for (m, dx, dy) in row:
+            Gm = 0.5 * (Gn + hessians[m])
+            q = Gm[0, 0] * dx * dx + 2.0 * Gm[0, 1] * dx * dy + Gm[1, 1] * dy * dy
+            lens.append((m, math.sqrt(max(q, 0.0))))
+        edges.append(lens)
+    dist = np.full(grid.n_nodes, np.inf)
+    heap = []
+    for s in np.atleast_1d(np.asarray(sources, dtype=int)):
+        dist[s] = 0.0
+        heap.append((0.0, int(s)))
+    heapq.heapify(heap)
+    while heap:
+        d, n = heapq.heappop(heap)
+        if d > dist[n]:
+            continue
+        for m, w in edges[n]:
+            nd = d + w
+            if nd < dist[m]:
+                dist[m] = nd
+                heapq.heappush(heap, (nd, m))
+    return dist
+
+
+def reference_boundary_ring(grid, region):
+    inside = np.zeros(grid.n_nodes, dtype=bool)
+    inside[np.asarray(region, dtype=int)] = True
+    nbrs = reference_neighbors8(grid)
+    ring = [
+        n
+        for n in np.nonzero(inside)[0]
+        if any(not inside[m] for (m, _, _) in nbrs[n]) or len(nbrs[n]) < 8
+    ]
+    return np.asarray(ring, dtype=int)
+
+
+def bump_hessians(grid):
+    f = bump_form(0.05)(grid.points[:, 0], grid.points[:, 1])
+    return SymplecticPotential.from_node_values(grid.polytope, grid, f).hessians()
+
+
+@pytest.mark.parametrize("grid_name", ["grid48", "hex_grid"])
+def test_boundary_ring_matches_reference(request, grid_name):
+    grid = request.getfixturevalue(grid_name)
+    for eps in (0.1, 0.25, 0.5):
+        region = eps_region(grid.polytope, grid, eps)
+        ring = boundary_ring(grid, region)
+        assert len(ring) > 0
+        assert np.array_equal(ring, reference_boundary_ring(grid, region))
+    assert np.array_equal(boundary_ring(grid, np.arange(grid.n_nodes)),
+                          reference_boundary_ring(grid, np.arange(grid.n_nodes)))
+
+
+@pytest.mark.parametrize("grid_name", ["grid48", "hex_grid"])
+def test_distance_field_matches_reference(request, grid_name):
+    grid = request.getfixturevalue(grid_name)
+    hess = bump_hessians(grid)
+    eps_ring = boundary_ring(grid, eps_region(grid.polytope, grid, 0.25))
+    for sources in (eps_ring, [0], [grid.n_nodes // 2, grid.n_nodes - 1]):
+        dist = distance_field(grid, hess, sources)
+        assert np.isfinite(dist).all()
+        assert np.array_equal(dist, reference_distance_field(grid, hess, sources))
+
+
+def test_distance_field_zero_metric(grid48):
+    # zero-length edges are still edges: every node is at distance 0, not inf
+    zero = np.zeros((grid48.n_nodes, 2, 2))
+    dist = distance_field(grid48, zero, [grid48.n_nodes // 2])
+    assert np.array_equal(dist, np.zeros(grid48.n_nodes))
+    assert np.array_equal(dist, reference_distance_field(grid48, zero, [grid48.n_nodes // 2]))
 
 
 # -- fixed-point run ---------------------------------------------------------
