@@ -123,7 +123,7 @@ def _check_spd(G: np.ndarray) -> None:
         )
 
 
-def _context_from_jets(partials: dict, n: int, fd_grid=None) -> dict:
+def _context_from_jets(partials: dict, n: int) -> dict:
     """Build (G, U, dU, d2U) from u-partials; dU/d2U by matrix calculus.
 
     G         : (n, 2, 2) Hessian of u

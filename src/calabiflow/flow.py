@@ -124,8 +124,8 @@ def step(state: FlowState, cls: AdmissibleClass, policy: StepPolicy = None,
     dt = proposed_dt(u, policy.sigma)
 
     def velocity(f_stage: np.ndarray) -> np.ndarray:
-        stage = u.with_node_values(f_stage)
-        return r_bar - weighted_scalar_field(stage, cls)
+        # the flow is autonomous, so a stage keeps the step's start time
+        return rhs(FlowState(t=state.t, u=u.with_node_values(f_stage)), cls, r_bar)
 
     k1 = velocity(f0)
     for attempt in range(policy.max_retries + 1):

@@ -15,44 +15,47 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-import sympy as sp
+from numpy.polynomial.hermite import hermval
 
 from .errors import DomainError, NumericError
 from .polytope import DelzantPolytope, Grid, from_dict as polytope_from_dict, standard_triangle
-
-_X, _Y = sp.symbols("x y", real=True)
 
 PARTIALS = [(a, b) for total in range(5) for a in range(total + 1) for b in [total - a]]
 
 
 class ClosedForm:
-    """Smooth function of (x, y) with exact partial derivatives to order 4."""
+    """Smooth function of (x, y) with exact partial derivatives to order 4.
 
-    def __init__(self, expr):
-        expr = sp.sympify(expr, locals={"x": _X, "y": _Y})
-        # string input may still carry foreign x/y symbols; rebind them
-        expr = expr.subs({sp.Symbol("x"): _X, sp.Symbol("y"): _Y})
-        self.expr = expr
-        self._lambdas = {}
+    A polynomial sum c_ij x^i y^j from coefficients {(i, j): c}, plus Gaussian
+    bumps (A, (cx, cy), w) for A exp(-s^2 - t^2), s = (x - cx)/w, t = (y - cy)/w.
+    """
+
+    def __init__(self, coeffs: dict = None, bumps=()):
+        self.coeffs = dict(coeffs or {})
+        self.bumps = [(float(A), (float(c[0]), float(c[1])), float(w)) for A, c, w in bumps]
 
     def partial(self, a: int, b: int, x, y) -> np.ndarray:
-        key = (a, b)
-        if key not in self._lambdas:
-            d = self.expr
-            if a:
-                d = sp.diff(d, _X, a)
-            if b:
-                d = sp.diff(d, _Y, b)
-            self._lambdas[key] = sp.lambdify((_X, _Y), d, "numpy")
-        val = self._lambdas[key](np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-        out = np.asarray(val, dtype=float)
-        if out.shape != np.shape(x):
-            out = np.broadcast_to(out, np.shape(x)).copy()
+        """d^(a+b) / dx^a dy^b, shaped like x.
+
+        Monomials differentiate by falling factorials; a bump by Rodrigues'
+        formula A (-1/w)^(a+b) H_a(s) H_b(t) exp(-s^2 - t^2), H_k the
+        physicists' Hermite polynomials."""
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        out = np.zeros(x.shape)
+        for (i, j), c in self.coeffs.items():
+            if i >= a and j >= b:
+                out += c * math.perm(i, a) * math.perm(j, b) * x ** (i - a) * y ** (j - b)
+        for A, (cx, cy), w in self.bumps:
+            s, t = (x - cx) / w, (y - cy) / w
+            Ha, Hb = hermval(s, [0] * a + [1]), hermval(t, [0] * b + [1])
+            out += A * (-1.0 / w) ** (a + b) * Ha * Hb * np.exp(-s * s - t * t)
         return out
 
     def __call__(self, x, y) -> np.ndarray:
@@ -60,20 +63,17 @@ class ClosedForm:
 
 
 def zero_form() -> ClosedForm:
-    return ClosedForm(0)
+    return ClosedForm()
 
 
 def polynomial_form(coeffs: dict) -> ClosedForm:
     """Polynomial sum c_{ab} x^a y^b from {(a, b): c}."""
-    expr = sum(c * _X**a * _Y**b for (a, b), c in coeffs.items())
-    return ClosedForm(expr)
+    return ClosedForm(coeffs)
 
 
 def bump_form(amplitude: float, center=(0.0, 0.0), width: float = 0.8) -> ClosedForm:
     """Gaussian bump; smooth on the closed polytope."""
-    cx, cy = center
-    r2 = (_X - cx) ** 2 + (_Y - cy) ** 2
-    return ClosedForm(amplitude * sp.exp(-r2 / width**2))
+    return ClosedForm(bumps=[(amplitude, center, width)])
 
 
 # ---------------------------------------------------------------------------
@@ -153,18 +153,10 @@ class Jet:
         p = self.partials
         return np.array([[p[(2, 0)], p[(1, 1)]], [p[(1, 1)], p[(0, 2)]]], dtype=float)
 
-    def tensor(self, order: int) -> np.ndarray:
-        """Symmetric derivative tensor of the given order (index = axis)."""
-        shape = (2,) * order
-        T = np.empty(shape)
-        for idx in np.ndindex(shape):
-            a = order - sum(idx)
-            T[idx] = self.partials[(a, order - a)]
-        return T
-
 
 def _tensorize(partials: dict, order: int, n: int) -> np.ndarray:
-    """Field version of Jet.tensor: (n, 2, ..., 2)."""
+    """Symmetric derivative tensor field (n, 2, ..., 2) of the given order from
+    partials {(a, b): array}; tensor index 0 is x, 1 is y."""
     T = np.empty((n,) + (2,) * order)
     for idx in np.ndindex((2,) * order):
         a = order - sum(idx)

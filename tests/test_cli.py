@@ -1,11 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from calabiflow import SymplecticPotential, save_snapshot
 from calabiflow.cli import main
+import calabiflow
 import calabiflow.cli as cli_mod
 
 
@@ -251,3 +256,14 @@ def test_stiffness_exit_code(capsys, tmp_path, triangle_file):
     assert code == 3
     assert "rejected" in err
     assert (tmp_path / "stiff" / "monitor.csv").exists()
+
+
+def test_cli_import_loads_no_symbolic_engine():
+    # closed forms are plain numpy, so importing the CLI must not pull in sympy
+    src = str(Path(calabiflow.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, calabiflow.cli; print('sympy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -21,7 +21,6 @@ from calabiflow import (
     weighted_scalar_field,
 )
 from calabiflow.curvature import curvature_context
-from calabiflow.potential import ClosedForm
 from calabiflow.polytope import DelzantPolytope
 from conftest import interior_points
 from fd_oracle import agrees_to_sig, oracle_curvature
@@ -62,7 +61,7 @@ def test_abreu_scalar_fs_fd(fs48_fd):
 def test_quadratic_potential_is_flat():
     P = square_polytope()
     g = build_grid(P, 16, 0.05)
-    u = SymplecticPotential.from_total_form(P, g, ClosedForm("x**2/2 + y**2/2"))
+    u = SymplecticPotential.from_total_form(P, g, polynomial_form({(2, 0): 0.5, (0, 2): 0.5}))
     assert np.abs(abreu_scalar_field(u)).max() <= 1e-12
     assert np.abs(fiber_riemann_norm_field(u)).max() <= 1e-12
 
@@ -70,7 +69,7 @@ def test_quadratic_potential_is_flat():
 def test_indefinite_hessian_raises():
     P = square_polytope()
     g = build_grid(P, 16, 0.05)
-    u = SymplecticPotential.from_total_form(P, g, ClosedForm("x**2/2 - y**2/2"))
+    u = SymplecticPotential.from_total_form(P, g, polynomial_form({(2, 0): 0.5, (0, 2): -0.5}))
     with pytest.raises(CurvatureUndefinedError):
         abreu_scalar_field(u)
 

@@ -34,10 +34,12 @@ def test_quadrature_linear_symmetry(grid96):
 
 
 def test_quadrature_refinement_order(triangle):
-    import sympy as sp
-
-    sx, sy = sp.symbols("x y")
-    exact = float(sp.integrate(sp.integrate(sp.cos(sx) * sp.exp(sy / 3), (sy, -1, 1 - sx)), (sx, -1, 2)))
+    # integral of cos x e^{y/3} over the triangle -1 <= x, -1 <= y, x + y <= 1:
+    # the y-integral is 3 cos x (e^{(1-x)/3} - e^{-1/3}), and with
+    # int e^{-x/3} cos x dx = (9/10) e^{-x/3} (sin x - cos x / 3) the x-integral
+    # over [-1, 2] collects to the two exponentials below
+    exact = (np.exp(2 / 3) * (2.7 * np.sin(1) + 0.9 * np.cos(1))
+             - np.exp(-1 / 3) * (3 * np.sin(1) + 0.3 * np.sin(2) + 0.9 * np.cos(2)))
     errs = []
     for n in (48, 96):
         g = build_grid(triangle, n, 0.5 * 3.0 / n)

@@ -13,7 +13,7 @@ from calabiflow import (
     polynomial_form,
     save_snapshot,
 )
-from calabiflow.potential import bump_form
+from calabiflow.potential import PARTIALS, bump_form, zero_form
 from conftest import interior_points
 
 
@@ -217,3 +217,61 @@ def test_jets_respects_order(triangle, grid48):
     assert max(sum(key) for key in u.jets(2)) == 2
     assert max(sum(key) for key in u.jets(4)) == 4
     assert max(sum(key) for key in u.jets(1)) == 1
+
+
+# -- closed forms --------------------------------------------------------------
+
+QUARTIC = {(i, j): 0.01 * (1 + i - 2 * j) for i in range(5) for j in range(5 - i)}
+BUMP = (0.3, np.array([0.15, -0.2]), 0.7)
+
+
+def _central_difference(form, a, b, axis, x, y, d=1e-3):
+    """4th-order central difference, along `axis`, of the (a, b) partial."""
+    dx, dy = (d, 0.0) if axis == 0 else (0.0, d)
+    m2, m1, p1, p2 = (form.partial(a, b, x + k * dx, y + k * dy) for k in (-2, -1, 1, 2))
+    return (m2 - 8 * m1 + 8 * p1 - p2) / (12 * d)
+
+
+@pytest.mark.parametrize("name", ["polynomial", "bump"])
+def test_closed_form_partials_match_central_differences(grid48, name):
+    inner = grid48.boundary_distance >= 0.1
+    x, y = grid48.points[inner, 0], grid48.points[inner, 1]
+    if name == "polynomial":
+        form = polynomial_form(QUARTIC)
+        value = sum(c * x**i * y**j for (i, j), c in QUARTIC.items())
+    else:
+        A, (cx, cy), w = BUMP
+        form = bump_form(A, BUMP[1], w)
+        value = A * np.exp(-((x - cx) ** 2 + (y - cy) ** 2) / w**2)
+    np.testing.assert_allclose(form(x, y), value, rtol=0, atol=1e-14 * np.abs(value).max())
+    for a, b in PARTIALS[1:]:
+        # difference the next-lower partial along an axis it still carries
+        lower, axis = ((a - 1, b), 0) if a else ((a, b - 1), 1)
+        exact = form.partial(a, b, x, y)
+        fd = _central_difference(form, *lower, axis, x, y)
+        assert np.abs(fd - exact).max() <= 1e-8 * np.abs(exact).max(), (name, a, b)
+
+
+def test_polynomial_partials_exact_on_monomials():
+    # dyadic points keep every product exact, so the comparison is bitwise
+    x = np.array([[-1.0, -0.5], [0.25, 1.5]])
+    y = np.array([[0.75, 2.0], [-1.25, 0.0]])
+    for i, j in PARTIALS:
+        form = polynomial_form({(i, j): 1.0})
+        for a, b in PARTIALS:
+            coeff, pi, pj = 1.0, i, j
+            for _ in range(a):
+                coeff, pi = coeff * pi, pi - 1
+            for _ in range(b):
+                coeff, pj = coeff * pj, pj - 1
+            expect = coeff * x**pi * y**pj if pi >= 0 and pj >= 0 else np.zeros_like(x)
+            got = form.partial(a, b, x, y)
+            assert got.shape == x.shape
+            np.testing.assert_array_equal(got, expect, err_msg=str((i, j, a, b)))
+
+
+def test_constant_partials_are_shaped_like_x():
+    x = np.linspace(-0.5, 0.5, 6).reshape(2, 3)
+    assert zero_form().partial(2, 1, x, x).shape == (2, 3)
+    assert bump_form(0.05)(0.0, 0.0).shape == ()
+    assert float(bump_form(0.05)(0.0, 0.0)) == 0.05
