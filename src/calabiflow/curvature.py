@@ -1,10 +1,11 @@
 """Pointwise curvature of toric and admissible metrics.
 
 Everything is computed from the inverse-Hessian field U = (Hess u)^{-1} and
-its first two derivative fields, differentiated by the potential's provider
-(exact matrix calculus for analytic potentials, field differencing for node
-data).  Derivatives in the dual coordinates are obtained by the chain rule
-u_{ik} d/dxi_k = d/dz_i, never by differencing in dual space.
+its first two derivative fields: exact matrix calculus for potentials with a
+closed form, field differencing for node data.  Pointwise operations evaluate
+the same formulas on a one-point context.  Derivatives in the dual
+coordinates are obtained by the chain rule u_{ik} d/dxi_k = d/dz_i, never by
+differencing in dual space.
 """
 
 from __future__ import annotations
@@ -15,14 +16,7 @@ import numpy as np
 
 from .errors import CurvatureUndefinedError, DegenerateInputError, DomainError, RegimeError
 from .polytope import DelzantPolytope
-from .potential import (
-    PARTIALS,
-    SymplecticPotential,
-    _sym2_eigenvalues,
-    _sym2_inverse,
-    _tensorize,
-    guillemin_partials,
-)
+from .potential import SymplecticPotential, _sym2_eigenvalues, _sym2_inverse, _tensorize
 
 _SPD_RATIO = 1e-12
 
@@ -62,9 +56,10 @@ class AdmissibleClass:
         return -self.scal_S / 2.0
 
     def affine(self, points) -> np.ndarray:
-        """<p, z> + c_S."""
+        """<p, z> + c_S, elementwise so that one point gives the same bits as
+        a whole grid (a matrix product may fuse the multiply-adds)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        q = pts @ np.asarray(self.p) + self.c_S
+        q = pts[:, 0] * self.p[0] + pts[:, 1] * self.p[1] + self.c_S
         return q if np.asarray(points).ndim > 1 else q[0]
 
     def weight(self, points) -> np.ndarray:
@@ -198,7 +193,7 @@ class _FdContext(dict):
 
 
 def curvature_context(u: SymplecticPotential) -> dict:
-    """Cached grid-wide derivative context for the potential's provider."""
+    """Cached grid-wide derivative context of the potential."""
     cache = u.curvature_cache
     if "context" not in cache:
         if u.provider == "analytic":
@@ -209,39 +204,26 @@ def curvature_context(u: SymplecticPotential) -> dict:
 
 
 def context_at_points(u: SymplecticPotential, points) -> dict:
-    """Derivative context at arbitrary interior points (analytic providers)."""
-    if u.provider != "analytic":
-        raise DomainError("pointwise off-node curvature needs analytic derivatives")
+    """Derivative context at arbitrary interior points (closed forms only)."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if u.total_form is not None:
-        partials = {
-            key: u.total_form.partial(key[0], key[1], pts[:, 0], pts[:, 1])
-            for key in PARTIALS
-        }
-    else:
-        partials = guillemin_partials(u.polytope, pts, 4)
-        for (a, b) in list(partials):
-            partials[(a, b)] = partials[(a, b)] + u.f_form.partial(a, b, pts[:, 0], pts[:, 1])
-    return _context_from_jets(partials, len(pts))
+    return _context_from_jets(u.partials_at(pts), len(pts))
 
 
 def _node_context(u: SymplecticPotential, x):
-    """(one-point context, point, node) for pointwise ops.
+    """(one-point context, point) for pointwise ops.
 
-    Analytic providers evaluate the context at x itself (node None); fd
-    providers need x to be a grid node and take that row of the grid context.
+    Closed forms evaluate the context at x itself; node data needs x to be a
+    grid node and takes that node's row of the grid context.
     """
     x = np.asarray(x, dtype=float)
     if not u.polytope.contains(x):
         raise DomainError(f"point {tuple(x)} is not interior to the polytope")
     if u.provider == "analytic":
-        return context_at_points(u, x[None, :]), x, None
-    k = u.node_index(x)
-    if np.hypot(*(u.grid.points[k] - x)) > 0.5 * u.grid.h + 1e-12:
-        raise DomainError("fd potentials evaluate curvature at grid nodes only")
+        return context_at_points(u, x[None, :]), x
+    k = u.grid_node(x)
     ctx = curvature_context(u)
     sub = {key: ctx[key][k : k + 1] for key in ("G", "U", "dU", "d2U", "dU_trace", "d2U_trace")}
-    return sub, u.grid.points[k], k
+    return sub, u.grid.points[k]
 
 
 # ---------------------------------------------------------------------------
@@ -256,18 +238,22 @@ def abreu_scalar_field(u: SymplecticPotential) -> np.ndarray:
     return cache["abreu"]
 
 
-def fiber_riemann_norm_field(u: SymplecticPotential) -> np.ndarray:
+def _fiber_rm2(d2U: np.ndarray) -> np.ndarray:
     """|Rm|^2 of the fiber metric: (1/4) sum (u^{ij})_{,kl} (u^{kl})_{,ij}."""
+    return 0.25 * np.einsum("nklij,nijkl->n", d2U, d2U)
+
+
+def fiber_riemann_norm_field(u: SymplecticPotential) -> np.ndarray:
+    """Fiber |Rm|^2 at every node."""
     cache = u.curvature_cache
     if "fiber_rm2" not in cache:
-        d2U = curvature_context(u)["d2U"]
-        cache["fiber_rm2"] = 0.25 * np.einsum("nklij,nijkl->n", d2U, d2U)
+        cache["fiber_rm2"] = _fiber_rm2(curvature_context(u)["d2U"])
     return cache["fiber_rm2"]
 
 
 def _weighted_scalar_from_ctx(ctx: dict, cls: AdmissibleClass, points) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    q = pts @ np.asarray(cls.p) + cls.c_S
+    q = cls.affine(pts)
     pw = q**cls.m
     pvec = np.asarray(cls.p)
     # derivatives of the weight p(z) = q^m (q affine)
@@ -298,8 +284,7 @@ def _blocks_from_ctx(ctx: dict, cls: AdmissibleClass, points) -> dict:
     """All admissible curvature blocks as arrays over the context points."""
     if cls.m > 1:
         raise RegimeError("admissible curvature blocks require base dimension m <= 1")
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    q = pts @ np.asarray(cls.p) + cls.c_S
+    q = cls.affine(np.atleast_2d(points))
     pw = q**cls.m
     a = cls.a
     pvec = np.asarray(cls.p)
@@ -326,7 +311,7 @@ def _blocks_from_ctx(ctx: dict, cls: AdmissibleClass, points) -> dict:
     ric_00 = -2.0 * a - 2.0 * np.einsum("nij,nij->n", G, pH3)
     ric_ij = 0.25 * np.einsum("nkl,nijkl->nij", G, fiber_core)
 
-    rm2_fiber = 0.25 * np.einsum("nklij,nijkl->n", d2U, d2U)
+    rm2_fiber = _fiber_rm2(d2U)
     term1 = (2.0 * a * pw + A) ** 2 / (4.0 * pw**4)
     term2 = np.einsum("nik,njl,nij,nkl->n", G, G, M, M) / (4.0 * pw**2)
     rm2_total = term1 + term2 + rm2_fiber
@@ -356,56 +341,41 @@ def rm2_total_field(u: SymplecticPotential, cls: AdmissibleClass) -> np.ndarray:
 
 
 def abreu_scalar(u: SymplecticPotential, x) -> float:
-    ctx, _, _ = _node_context(u, x)
+    ctx, _ = _node_context(u, x)
     return float(-ctx["d2U_trace"][0])
 
 
 def weighted_scalar(u: SymplecticPotential, cls: AdmissibleClass, x) -> float:
     cls.validate_on(u.polytope)
-    ctx, pt, k = _node_context(u, x)
-    if k is not None:
-        return float(weighted_scalar_field(u, cls)[k])
+    ctx, pt = _node_context(u, x)
     return float(_weighted_scalar_from_ctx(ctx, cls, pt[None, :])[0])
 
 
 def fiber_riemann_norm(u: SymplecticPotential, x) -> float:
-    ctx, _, k = _node_context(u, x)
-    if k is not None:
-        return float(fiber_riemann_norm_field(u)[k])
-    d2U = ctx["d2U"]
-    return float(0.25 * np.einsum("nklij,nijkl->n", d2U, d2U)[0])
+    ctx, _ = _node_context(u, x)
+    return float(_fiber_rm2(ctx["d2U"])[0])
 
 
 def admissible_blocks(u: SymplecticPotential, cls: AdmissibleClass, x) -> CurvatureSample:
-    """All curvature blocks at a point.
+    """All curvature blocks at a point, from the one-point derivative context.
 
-    For fd providers the scalar entries take the band-regularized field values
-    so they agree with the field operations; the tensor blocks come from the
-    raw derivative context.
+    For node data that context is the node's row of the grid context, so the
+    scalar entries equal the rows of the field operations.
     """
     cls.validate_on(u.polytope)
-    ctx, pt, k = _node_context(u, x)
+    ctx, pt = _node_context(u, x)
     blocks = _blocks_from_ctx(ctx, cls, pt[None, :])
-    r_fiber = float(-ctx["d2U_trace"][0])
-    if k is not None:
-        r_weighted = float(weighted_scalar_field(u, cls)[k])
-        rm2_fiber = float(fiber_riemann_norm_field(u)[k])
-        rm2_total = float(rm2_total_field(u, cls)[k])
-    else:
-        r_weighted = float(_weighted_scalar_from_ctx(ctx, cls, pt[None, :])[0])
-        rm2_fiber = float(blocks["rm2_fiber"][0])
-        rm2_total = float(blocks["rm2_total"][0])
     return CurvatureSample(
         point=pt,
-        r_fiber=r_fiber,
-        r_weighted=r_weighted,
-        rm2_fiber=rm2_fiber,
+        r_fiber=float(-ctx["d2U_trace"][0]),
+        r_weighted=float(_weighted_scalar_from_ctx(ctx, cls, pt[None, :])[0]),
+        rm2_fiber=float(blocks["rm2_fiber"][0]),
         rm_0000=float(blocks["rm_0000"][0]),
         rm_00ij=blocks["rm_00ij"][0],
         rm_ijkl=blocks["rm_ijkl"][0],
         ric_00=float(blocks["ric_00"][0]),
         ric_ij=blocks["ric_ij"][0],
-        rm2_total=rm2_total,
+        rm2_total=float(blocks["rm2_total"][0]),
     )
 
 
@@ -415,7 +385,7 @@ def ricci_trace(u: SymplecticPotential, cls: AdmissibleClass, x) -> float:
     Internal consistency oracle: equals the weighted scalar curvature.
     """
     cls.validate_on(u.polytope)
-    ctx, pt, _ = _node_context(u, x)
+    ctx, pt = _node_context(u, x)
     blocks = _blocks_from_ctx(ctx, cls, pt[None, :])
     pw = float(cls.weight(pt))
     fiber = 2.0 * float(np.einsum("nij,nij->n", ctx["G"], blocks["ric_ij"])[0])

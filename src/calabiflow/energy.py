@@ -20,20 +20,19 @@ from .polytope import BoundaryQuadrature, DelzantPolytope, Grid, boundary_quadra
 from .potential import SymplecticPotential, _tensorize
 
 
-def interior_quadrature(grid: Grid, integrand: np.ndarray, refine: bool = True) -> float:
+def interior_quadrature(grid: Grid, integrand: np.ndarray) -> float:
     """Integral over the polytope of a node field.
 
     Midpoint rule with exact cell-clipping weights; the weights tile the
     polytope, so constants and affine integrands integrate exactly and smooth
-    integrands converge at second order (boundary-limited; the optional
-    Laplacian correction lifts the interior cells to fourth order).  Either
-    rule is one dot product with a per-grid weight vector.
+    integrands converge at second order (boundary-limited; the Laplacian
+    correction lifts the interior cells to fourth order).  The rule is one
+    dot product with the grid's quadrature_weights.
     """
     integrand = np.asarray(integrand, dtype=float)
     if integrand.shape != (grid.n_nodes,):
         raise DegenerateInputError("integrand must be defined at all grid nodes")
-    weights = grid.quadrature_weights if refine else grid.cell_weights
-    return float(np.dot(weights, integrand))
+    return float(np.dot(grid.quadrature_weights, integrand))
 
 
 def boundary_integral(P: DelzantPolytope, values_fn, quad: BoundaryQuadrature = None) -> float:

@@ -252,18 +252,14 @@ class FlowRun:
     # -- monitors -----------------------------------------------------------
 
     def _correction_derivative_maxima(self, u: SymplecticPotential) -> dict:
+        """Max over the eps-region of |d^k f| per order k (a flow state is node data)."""
         sel = self.eps_nodes
-        f = u.f_values
         out = {}
-        low = u.f_jets2() if u.provider == "fd" else None
         for k in (1, 2, 3, 4):
             comps = []
             for a in range(k + 1):
                 b = k - a
-                if u.provider == "fd":
-                    fld = low[(a, b)] if k <= 2 else u.grid.diff(f, a, b)
-                else:
-                    fld = u.f_form.partial(a, b, u.grid.points[:, 0], u.grid.points[:, 1])
+                fld = u.f_jets2[(a, b)] if k <= 2 else u.grid.diff(u.f_values, a, b)
                 comps.append(np.abs(fld[sel]).max() if len(sel) else np.nan)
             out[k] = float(np.max(comps))
         return out

@@ -741,15 +741,19 @@ class BoundaryQuadrature:
         return float(self.weights.sum())
 
 
-def boundary_quadrature(P: DelzantPolytope, panels_per_facet: int = 2048) -> BoundaryQuadrature:
+BOUNDARY_PANELS = 2048
+
+
+def boundary_quadrature(P: DelzantPolytope) -> BoundaryQuadrature:
+    """BOUNDARY_PANELS midpoint panels on every facet."""
     pts = []
     wts = []
     fidx = []
+    m = BOUNDARY_PANELS
+    t = (np.arange(m) + 0.5) / m
     for i in range(len(P.offsets)):
         a, b = P.facet_segment(i)
         L = P.facet_lattice_length(i)
-        m = max(4, panels_per_facet)
-        t = (np.arange(m) + 0.5) / m
         pts.append(a[None, :] + t[:, None] * (b - a)[None, :])
         wts.append(np.full(m, L / m))
         fidx.append(np.full(m, i, dtype=np.int64))

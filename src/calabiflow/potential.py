@@ -1,14 +1,15 @@
 """Symplectic potentials u = u_G + f on a Delzant polytope.
 
 The singular canonical part u_G = 1/2 sum_i l_i ln l_i is always handled in
-closed form; only the smooth correction f is discretized.  Derivatives of f
-come from one of two providers:
+closed form; only the smooth correction f is discretized.  How u is
+differentiated follows from what it was built from, it is not chosen:
 
-* ``analytic``  -- f (or the whole potential) is a registered closed form and
-  every partial up to order 4 is exact;
-* ``fd``        -- f lives on the grid nodes and is differenced with the
-  grid's second-order stencils (one-sided near the boundary, higher orders by
-  composition).
+* a closed form (f_form with the canonical part, or a total_form alone) --
+  every partial up to order 4 is exact, at any interior point
+  (``partials_at``);
+* node data f_values -- differenced with the grid's second-order stencils
+  (one-sided near the boundary, higher orders by composition), at grid
+  nodes only.
 """
 
 from __future__ import annotations
@@ -217,19 +218,11 @@ class SymplecticPotential:
         f_values: np.ndarray = None,
         f_form: ClosedForm = None,
         total_form: ClosedForm = None,
-        provider: str = None,
     ):
-        if provider is None:
-            provider = "analytic" if (f_form is not None or total_form is not None) else "fd"
-        if provider not in ("analytic", "fd"):
-            raise ValueError(f"unknown derivative provider {provider!r}")
-        if provider == "analytic" and f_form is None and total_form is None:
-            raise ValueError("analytic provider needs a registered closed form")
         self.polytope = polytope
         self.grid = grid
         self.f_form = f_form
         self.total_form = total_form
-        self.provider = provider
         if total_form is not None:
             self.f_values = np.zeros(grid.n_nodes)
         elif f_values is not None:
@@ -247,6 +240,12 @@ class SymplecticPotential:
         # calabiflow.curvature: the derivative context and the scalar fields
         self.curvature_cache = {}
 
+    @property
+    def provider(self) -> str:
+        """How u is differentiated, fixed by its inputs: "analytic" for a closed
+        form, "fd" for node data."""
+        return "fd" if self.f_form is None and self.total_form is None else "analytic"
+
     # -- constructors --------------------------------------------------------
 
     @classmethod
@@ -260,12 +259,12 @@ class SymplecticPotential:
         return cls.guillemin(standard_triangle(), grid)
 
     @classmethod
-    def from_closed_form(cls, polytope, grid, f_form: ClosedForm, provider="analytic"):
-        return cls(polytope, grid, f_form=f_form, provider=provider)
+    def from_closed_form(cls, polytope, grid, f_form: ClosedForm):
+        return cls(polytope, grid, f_form=f_form)
 
     @classmethod
     def from_node_values(cls, polytope, grid, f_values):
-        return cls(polytope, grid, f_values=f_values, provider="fd")
+        return cls(polytope, grid, f_values=f_values)
 
     @classmethod
     def from_total_form(cls, polytope, grid, form: ClosedForm):
@@ -273,10 +272,10 @@ class SymplecticPotential:
 
         For synthetic curvature checks, e.g. quadratics on a square.
         """
-        return cls(polytope, grid, total_form=form, provider="analytic")
+        return cls(polytope, grid, total_form=form)
 
     def with_node_values(self, f_values) -> "SymplecticPotential":
-        """Fresh fd-provider state on the same grid (used by the flow)."""
+        """Fresh node-data state on the same grid (used by the flow)."""
         return SymplecticPotential.from_node_values(self.polytope, self.grid, f_values)
 
     # -- derivative fields ----------------------------------------------------
@@ -297,36 +296,44 @@ class SymplecticPotential:
     def _compute_jets(self, lo: int, hi: int) -> dict:
         """Partials of u with lo <= a + b <= hi."""
         keys = [key for key in PARTIALS if lo <= sum(key) <= hi]
-        x, y = self.grid.points[:, 0], self.grid.points[:, 1]
-        if self.total_form is not None:
-            return {(a, b): self.total_form.partial(a, b, x, y) for (a, b) in keys}
-        base = self.grid.guillemin_jets
         if self.provider == "analytic":
-            return {(a, b): base[(a, b)] + self.f_form.partial(a, b, x, y) for (a, b) in keys}
-        low = self.f_jets2()
+            return self._closed_partials(self.grid.points, keys, lambda: self.grid.guillemin_jets)
+        base = self.grid.guillemin_jets
         out = {}
         for (a, b) in keys:
             if a + b == 0:
                 out[(a, b)] = base[(a, b)] + self.f_values
             elif a + b <= 2:
-                out[(a, b)] = base[(a, b)] + low[(a, b)]
+                out[(a, b)] = base[(a, b)] + self.f_jets2[(a, b)]
             else:
                 out[(a, b)] = base[(a, b)] + self.grid.diff(self.f_values, a, b)
         return out
 
-    def f_jets2(self) -> dict:
-        """First/second derivative fields of f (fd provider), cached."""
-        if self.provider == "analytic":
-            x, y = self.grid.points[:, 0], self.grid.points[:, 1]
-            return {
-                (a, b): self.f_form.partial(a, b, x, y)
-                for (a, b) in PARTIALS
-                if 1 <= a + b <= 2
-            }
-        return self._fd_jets2
+    def partials_at(self, points, order: int = 4) -> dict:
+        """Exact partials {(a, b): array over points} of u with a + b <= `order`
+        at interior points; node data has none (DomainError)."""
+        if order > 4:
+            raise ValueError("derivatives supported up to order 4")
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        keys = [key for key in PARTIALS if sum(key) <= order]
+        return self._closed_partials(
+            pts, keys, lambda: guillemin_partials(self.polytope, pts, order)
+        )
+
+    def _closed_partials(self, pts: np.ndarray, keys, canonical) -> dict:
+        """Partials `keys` of a closed-form u at pts: the total form alone, or
+        the canonical partials `canonical()` plus those of f_form."""
+        if self.provider == "fd":
+            raise DomainError("node-data potentials have no closed-form partials")
+        x, y = pts[:, 0], pts[:, 1]
+        if self.total_form is not None:
+            return {(a, b): self.total_form.partial(a, b, x, y) for (a, b) in keys}
+        base = canonical()
+        return {(a, b): base[(a, b)] + self.f_form.partial(a, b, x, y) for (a, b) in keys}
 
     @cached_property
-    def _fd_jets2(self) -> dict:
+    def f_jets2(self) -> dict:
+        """First/second derivative fields of the node data f."""
         return self.grid.field_jets(self.f_values)
 
     def hessians(self) -> np.ndarray:
@@ -343,29 +350,25 @@ class SymplecticPotential:
         _, k = self.grid.kdtree.query(x)
         return int(k)
 
+    def grid_node(self, x) -> int:
+        """Index of the grid node at x (the nearest within h/2); node data is
+        only evaluated there, elsewhere this raises DomainError."""
+        x = np.asarray(x, dtype=float)
+        k = self.node_index(x)
+        if np.hypot(*(self.grid.points[k] - x)) > 0.5 * self.grid.h + 1e-12:
+            raise DomainError("node-data potentials are evaluated at grid nodes only")
+        return k
+
     def evaluate(self, x, order: int = 2) -> Jet:
         """Value and partials of u at a point.
 
-        Analytic providers accept any interior point; the fd provider requires
-        a grid node (the nearest node within h/2 is used).
+        Closed forms accept any interior point; node data requires a grid
+        node (the nearest node within h/2 is used).
         """
-        if order > 4:
-            raise ValueError("derivatives supported up to order 4")
-        x = np.asarray(x, dtype=float)
-        if self.total_form is not None:
-            p = {(a, b): float(self.total_form.partial(a, b, x[0], x[1]))
-                 for (a, b) in PARTIALS if a + b <= order}
-            return Jet(p)
-        if self.provider == "analytic":
-            p = guillemin_partials(self.polytope, x, order)
-            for key in list(p):
-                a, b = key
-                p[key] = float(p[key]) + float(self.f_form.partial(a, b, x[0], x[1]))
-            return Jet(p)
-        k = self.node_index(x)
-        if np.hypot(*(self.grid.points[k] - x)) > 0.5 * self.grid.h + 1e-12:
-            raise DomainError("fd potential can only be evaluated at grid nodes")
-        return Jet({key: float(val[k]) for key, val in self.jets(order).items()})
+        if self.provider == "fd":
+            k = self.grid_node(x)
+            return Jet({key: float(val[k]) for key, val in self.jets(order).items()})
+        return Jet({key: float(val[0]) for key, val in self.partials_at(x, order).items()})
 
     # -- off-grid sampling (monitors only) --------------------------------------
 
@@ -381,7 +384,7 @@ class SymplecticPotential:
         if self.provider == "analytic":
             val = self.f_form(pts[:, 0], pts[:, 1])
         else:
-            low = self.f_jets2()
+            low = self.f_jets2
             _, ks = self.grid.kdtree.query(pts)
             ks = np.atleast_1d(ks)
             d = pts - self.grid.points[ks]
@@ -403,40 +406,28 @@ class SymplecticPotential:
         return out if np.asarray(points).ndim > 1 else out[0]
 
     def gradient_at(self, x) -> np.ndarray:
-        """grad u at an interior point (Taylor-extended for node data)."""
+        """grad u at an interior point (Taylor-extended from the nearest node
+        for node data)."""
+        if self.provider == "analytic":
+            return self.evaluate(x, 1).gradient
         x = np.asarray(x, dtype=float)
         gG = guillemin_partials(self.polytope, x, 1)
-        g = np.array([gG[(1, 0)], gG[(0, 1)]], dtype=float)
-        if self.total_form is not None:
-            raise DomainError("potential has no canonical/correction split")
-        if self.provider == "analytic":
-            g[0] += float(self.f_form.partial(1, 0, x[0], x[1]))
-            g[1] += float(self.f_form.partial(0, 1, x[0], x[1]))
-        else:
-            k = self.node_index(x)
-            d = x - self.grid.points[k]
-            low = self.f_jets2()
-            g[0] += low[(1, 0)][k] + low[(2, 0)][k] * d[0] + low[(1, 1)][k] * d[1]
-            g[1] += low[(0, 1)][k] + low[(1, 1)][k] * d[0] + low[(0, 2)][k] * d[1]
-        return g
+        k = self.node_index(x)
+        d = x - self.grid.points[k]
+        low = self.f_jets2
+        return np.array([
+            gG[(1, 0)] + (low[(1, 0)][k] + low[(2, 0)][k] * d[0] + low[(1, 1)][k] * d[1]),
+            gG[(0, 1)] + (low[(0, 1)][k] + low[(1, 1)][k] * d[0] + low[(0, 2)][k] * d[1]),
+        ])
 
     def hessian_at(self, x) -> np.ndarray:
+        """Hess u at an interior point (node data: f's Hessian at the nearest node)."""
+        if self.provider == "analytic":
+            return self.evaluate(x, 2).hessian
         x = np.asarray(x, dtype=float)
         hG = guillemin_partials(self.polytope, x, 2)
-        H = np.array([[hG[(2, 0)], hG[(1, 1)]], [hG[(1, 1)], hG[(0, 2)]]])
-        if self.provider == "analytic" and self.f_form is not None:
-            H[0, 0] += float(self.f_form.partial(2, 0, x[0], x[1]))
-            H[0, 1] += float(self.f_form.partial(1, 1, x[0], x[1]))
-            H[1, 0] = H[0, 1]
-            H[1, 1] += float(self.f_form.partial(0, 2, x[0], x[1]))
-        elif self.provider == "fd":
-            k = self.node_index(x)
-            low = self.f_jets2()
-            Hf = np.array(
-                [[low[(2, 0)][k], low[(1, 1)][k]], [low[(1, 1)][k], low[(0, 2)][k]]]
-            )
-            H = H + Hf
-        return H
+        k = self.node_index(x)
+        return Jet({key: hG[key] + self.f_jets2[key][k] for key in hG if sum(key) == 2}).hessian
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +506,7 @@ def save_snapshot(u: SymplecticPotential, path, t: float = 0.0) -> None:
 
 
 def load_snapshot(path, polytope: DelzantPolytope = None):
-    """Rebuild the fd-provider potential saved by save_snapshot.
+    """Rebuild the node-data potential saved by save_snapshot.
 
     Returns (potential, t).  If a polytope is supplied its content hash must
     match the sidecar.

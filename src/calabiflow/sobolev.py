@@ -17,7 +17,7 @@ from .curvature import AdmissibleClass, canonical_rm2_bound, curvature_context
 from .energy import interior_quadrature
 from .errors import RegimeError
 from .polytope import DelzantPolytope
-from .potential import SymplecticPotential
+from .potential import SymplecticPotential, bump_form, polynomial_form
 
 _SUP_RM2_CEILING = 0.5 + 4.0 / 3.0
 
@@ -217,7 +217,6 @@ def fiber_energy_bound(cls: AdmissibleClass, topo: ClassTopology = None,
     sup_w = cls.c_S + 2.0 * p1
     if polytope is not None:
         exact_inf = float(np.min(cls.affine(polytope.vertices)))
-        inf_w = max(inf_w, 0.0) if exact_inf <= 0 else inf_w
         # the affine form attains its extremes at vertices; keep the interval
         # only if it really contains them
         if exact_inf < inf_w - 1e-12:
@@ -267,41 +266,27 @@ def fiber_energy_bound(cls: AdmissibleClass, topo: ClassTopology = None,
 
 def builtin_test_functions():
     """Smooth test functions on the closed polytope: value and gradient maps."""
-    fns = []
+    forms = [
+        ("one", polynomial_form({(0, 0): 1.0})),
+        ("x", polynomial_form({(1, 0): 1.0})),
+        ("y", polynomial_form({(0, 1): 1.0})),
+        ("1+x+y", polynomial_form({(0, 0): 1.0, (1, 0): 1.0, (0, 1): 1.0})),
+        ("x2-y2", polynomial_form({(2, 0): 1.0, (0, 2): -1.0})),
+        ("xy", polynomial_form({(1, 1): 1.0})),
+        ("bump", bump_form(1.0, (0, 0), 1.0)),
+    ]
 
-    def poly(cx):
+    def maps(form):
         def val(pts):
-            x, y = pts[:, 0], pts[:, 1]
-            return sum(c * x**a * y**b for (a, b), c in cx.items())
+            return form(pts[:, 0], pts[:, 1])
 
         def grad(pts):
             x, y = pts[:, 0], pts[:, 1]
-            gx = sum(a * c * x ** (a - 1) * y**b for (a, b), c in cx.items() if a > 0)
-            gy = sum(b * c * x**a * y ** (b - 1) for (a, b), c in cx.items() if b > 0)
-            gx = np.broadcast_to(np.asarray(gx, dtype=float), x.shape)
-            gy = np.broadcast_to(np.asarray(gy, dtype=float), x.shape)
-            return np.stack([gx, gy], axis=-1)
+            return np.stack([form.partial(1, 0, x, y), form.partial(0, 1, x, y)], axis=-1)
 
         return val, grad
 
-    fns.append(("one", *poly({(0, 0): 1.0})))
-    fns.append(("x", *poly({(1, 0): 1.0})))
-    fns.append(("y", *poly({(0, 1): 1.0})))
-    fns.append(("1+x+y", *poly({(0, 0): 1.0, (1, 0): 1.0, (0, 1): 1.0})))
-    fns.append(("x2-y2", *poly({(2, 0): 1.0, (0, 2): -1.0})))
-    fns.append(("xy", *poly({(1, 1): 1.0})))
-
-    def bump_val(pts):
-        r2 = pts[:, 0] ** 2 + pts[:, 1] ** 2
-        return np.exp(-r2)
-
-    def bump_grad(pts):
-        r2 = pts[:, 0] ** 2 + pts[:, 1] ** 2
-        e = np.exp(-r2)
-        return np.stack([-2 * pts[:, 0] * e, -2 * pts[:, 1] * e], axis=-1)
-
-    fns.append(("bump", bump_val, bump_grad))
-    return fns
+    return [(name, *maps(form)) for name, form in forms]
 
 
 def sobolev_inequality_test(u: SymplecticPotential, cls: AdmissibleClass,

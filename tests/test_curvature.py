@@ -11,6 +11,7 @@ from calabiflow import (
     abreu_scalar_field,
     admissible_blocks,
     build_grid,
+    bump_form,
     control_rm_rhs,
     fiber_riemann_norm,
     fiber_riemann_norm_field,
@@ -264,3 +265,18 @@ def test_flow_velocity_leaves_full_tensors_unbuilt(triangle, grid48, bundle_clas
     sample = admissible_blocks(u, bundle_class, grid48.points[k])
     assert "dU" in ctx and "d2U" in ctx
     assert sample.r_fiber == abreu_scalar_field(u)[k]
+
+
+@pytest.mark.parametrize("poly, grid", [("triangle", "grid48"), ("hexagon", "hex_grid")])
+def test_pointwise_scalars_equal_field_rows(poly, grid, request, bundle_class):
+    P, g = request.getfixturevalue(poly), request.getfixturevalue(grid)
+    x, y = g.points[:, 0], g.points[:, 1]
+    u = SymplecticPotential.from_node_values(P, g, _cubic_fd(P, g).f_values + bump_form(0.05)(x, y))
+    rf = fiber_riemann_norm_field(u)
+    for cls in (bundle_class, AdmissibleClass.trivial(), AdmissibleClass((0.7, 0.3), 13.1, 1.0, 1, 2)):
+        R, rm2 = weighted_scalar_field(u, cls), rm2_total_field(u, cls)
+        for k, pt in enumerate(g.points):
+            sample = admissible_blocks(u, cls, pt)
+            assert weighted_scalar(u, cls, pt) == R[k] == sample.r_weighted
+            assert fiber_riemann_norm(u, pt) == rf[k] == sample.rm2_fiber
+            assert sample.rm2_total == rm2[k]

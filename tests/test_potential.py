@@ -13,6 +13,7 @@ from calabiflow import (
     polynomial_form,
     save_snapshot,
 )
+from calabiflow.polytope import DelzantPolytope
 from calabiflow.potential import PARTIALS, bump_form, zero_form
 from conftest import interior_points
 
@@ -217,6 +218,50 @@ def test_jets_respects_order(triangle, grid48):
     assert max(sum(key) for key in u.jets(2)) == 2
     assert max(sum(key) for key in u.jets(4)) == 4
     assert max(sum(key) for key in u.jets(1)) == 1
+
+
+def _square_grid():
+    P = DelzantPolytope(np.array([[1, 0], [0, 1], [-1, 0], [0, -1]]), np.array([1.0, 1.0, 1.0, 1.0]))
+    return P, build_grid(P, 16, 0.05)
+
+
+def _potential_of_kind(kind, triangle, grid48):
+    form = bump_form(0.05, (0.1, -0.2), 0.7)
+    if kind == "closed_form":
+        return SymplecticPotential.from_closed_form(triangle, grid48, form)
+    if kind == "node_values":
+        return SymplecticPotential.from_node_values(
+            triangle, grid48, form(grid48.points[:, 0], grid48.points[:, 1]))
+    P, g = _square_grid()
+    total = polynomial_form({(2, 0): 0.5, (0, 2): 0.5, (3, 0): 0.05, (1, 2): -0.03})
+    return SymplecticPotential.from_total_form(P, g, total)
+
+
+@pytest.mark.parametrize("kind", ["closed_form", "node_values", "total_form"])
+def test_gradient_and_hessian_at_match_evaluate(kind, triangle, grid48, rng):
+    u = _potential_of_kind(kind, triangle, grid48)
+    for k in rng.choice(u.grid.n_nodes, size=25, replace=False):
+        x = u.grid.points[k]
+        jet = u.evaluate(x, order=2)
+        np.testing.assert_allclose(u.gradient_at(x), jet.gradient, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(u.hessian_at(x), jet.hessian, rtol=0, atol=1e-12)
+
+
+def test_total_form_hessian_at_is_the_forms_hessian():
+    P, g = _square_grid()
+    u = SymplecticPotential.from_total_form(P, g, polynomial_form({(2, 0): 0.5, (0, 2): 0.5}))
+    x = np.array([0.3, -0.2])
+    assert np.array_equal(u.hessian_at(x), np.eye(2))
+    assert np.array_equal(u.gradient_at(x), x)
+
+
+def test_node_data_has_no_off_grid_partials(triangle, grid48):
+    u = SymplecticPotential.from_node_values(triangle, grid48, np.zeros(grid48.n_nodes))
+    off_node = grid48.points[0] + 0.6 * grid48.h
+    with pytest.raises(DomainError):
+        u.evaluate(off_node)
+    with pytest.raises(DomainError):
+        u.partials_at(grid48.points[:3])
 
 
 # -- closed forms --------------------------------------------------------------

@@ -13,6 +13,8 @@ from calabiflow import (
     sobolev_inequality_test,
     yamabe_lower_bound,
 )
+from calabiflow.polytope import DelzantPolytope
+from calabiflow.sobolev import builtin_test_functions
 
 PI2 = math.pi**2
 
@@ -101,6 +103,32 @@ def test_regime_errors():
         fiber_energy_bound(AdmissibleClass((1.0, 0.5), 12.0, -1.0, 1, -2))
     with pytest.raises(RegimeError, match="m = 1"):
         fiber_energy_bound(AdmissibleClass((1.0, 1.0), 12.0, -1.0, 0, -2))
+
+
+def test_weight_interval_must_cover_polytope(bundle_class):
+    big = DelzantPolytope(np.array([[1, 0], [0, 1], [-1, -1]]), np.array([3.0, 3.0, 3.0]))
+    with pytest.raises(RegimeError, match="weight interval does not cover the polytope"):
+        fiber_energy_bound(bundle_class, polytope=big)
+
+
+def test_builtin_test_functions_match_formulas(grid48, hex_grid):
+    x2, y2 = lambda p: p[:, 0] ** 2, lambda p: p[:, 1] ** 2
+    ref = {
+        "one": (lambda p: np.ones(len(p)), lambda p: np.zeros((len(p), 2))),
+        "x": (lambda p: p[:, 0], lambda p: np.tile([1.0, 0.0], (len(p), 1))),
+        "y": (lambda p: p[:, 1], lambda p: np.tile([0.0, 1.0], (len(p), 1))),
+        "1+x+y": (lambda p: 1 + p[:, 0] + p[:, 1], lambda p: np.ones((len(p), 2))),
+        "x2-y2": (lambda p: x2(p) - y2(p), lambda p: np.stack([2 * p[:, 0], -2 * p[:, 1]], -1)),
+        "xy": (lambda p: p[:, 0] * p[:, 1], lambda p: p[:, ::-1]),
+        "bump": (lambda p: np.exp(-(x2(p) + y2(p))),
+                 lambda p: -2 * p * np.exp(-(x2(p) + y2(p)))[:, None]),
+    }
+    fns = builtin_test_functions()
+    assert [name for name, _, _ in fns] == list(ref)
+    for pts in (grid48.points, hex_grid.points):
+        for name, val, grad in fns:
+            assert np.array_equal(val(pts), ref[name][0](pts)), name
+            assert np.array_equal(grad(pts), ref[name][1](pts)), name
 
 
 def test_topology_validation():
