@@ -175,6 +175,12 @@ class _FdContext(dict):
         )
         self._jets = jets
 
+    def row(self, k: int) -> "_FdContext":
+        """One-row context of node k, from row k of G, U and the jets; its
+        full tensors are assembled from that row alone."""
+        return _FdContext(self["G"][k : k + 1], self["U"][k : k + 1],
+                          {key: val[k : k + 1] for key, val in self._jets.items()})
+
     def __missing__(self, key):
         if key not in ("dU", "d2U"):
             raise KeyError(key)
@@ -213,7 +219,8 @@ def _node_context(u: SymplecticPotential, x):
     """(one-point context, point) for pointwise ops.
 
     Closed forms evaluate the context at x itself; node data needs x to be a
-    grid node and takes that node's row of the grid context.
+    grid node and takes that node's row of the grid context (a one-row
+    _FdContext, so the whole-grid dU/d2U tensors stay unbuilt).
     """
     x = np.asarray(x, dtype=float)
     if not u.polytope.contains(x):
@@ -221,9 +228,7 @@ def _node_context(u: SymplecticPotential, x):
     if u.provider == "analytic":
         return context_at_points(u, x[None, :]), x
     k = u.grid_node(x)
-    ctx = curvature_context(u)
-    sub = {key: ctx[key][k : k + 1] for key in ("G", "U", "dU", "d2U", "dU_trace", "d2U_trace")}
-    return sub, u.grid.points[k]
+    return curvature_context(u).row(k), u.grid.points[k]
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,6 @@ class StepPolicy:
     """Explicit stepping policy: classical RK4 under an h^4 parabolic CFL."""
 
     sigma: float = 0.1
-    order: str = "rk4"
     max_retries: int = 10
 
 
@@ -112,8 +111,6 @@ def step(state: FlowState, cls: AdmissibleClass, policy: StepPolicy = None,
     CurvatureUndefinedError there."""
     if policy is None:
         policy = StepPolicy()
-    if policy.order != "rk4":
-        raise ConfigError(f"unsupported stepper order {policy.order!r}")
     u = state.u
     grid = u.grid
     if r_bar is None:

@@ -585,18 +585,22 @@ class Grid:
     def cell_weights(self) -> np.ndarray:
         """Quadrature weights tiling the polytope with quadratic precision.
 
-        Full interior cells are midpoint cells of their node.  Each clipped
-        boundary cell (with or without a node of its own) is distributed over
-        nearby nodes so that its exact area, centroid, and second moments are
-        reproduced; quadratic integrands therefore see no boundary error and
-        the weights sum to the polytope area.
+        Every lattice cell (the h-square about a lattice point) is classified
+        at once by the facet values at its corners: full, missing (outside
+        one facet) or cut.  A full cell that owns a node gives it h^2.  Only
+        the cut cells, clipped to P, and the full cells without a node are
+        visited one by one: each is distributed over nearby nodes so that its
+        exact area, centroid, and second moments are reproduced; quadratic
+        integrands therefore see no boundary error and the weights sum to
+        the polytope area.
         """
         if self._cell_weights is None:
             self._cell_weights, self._full_cell = self._compute_cell_weights()
         return self._cell_weights
 
-    def _distribute_cell(self, weights, moments, center):
-        """Spread a clipped cell onto nearby nodes, matching its moments.
+    def _distribute_cell(self, moments, center):
+        """(nodes, weights) spreading a clipped cell onto nearby nodes so that
+        its moments are matched.
 
         moments are [A, Mx, My, Mxx, Mxy, Myy] in absolute coordinates; the
         matching system is solved in coordinates scaled by h about `center`.
@@ -635,54 +639,43 @@ class Grid:
             resid = rows @ (rows.T @ lam) - m
             if np.max(np.abs(resid)) > 1e-9 * max(abs(A), 1e-30):
                 continue
-            w = rows.T @ lam
-            np.add.at(weights, near, w)
-            return
-        weights[near[0]] += A
+            return near, rows.T @ lam
+        return near[:1], np.array([A])
 
     def _compute_cell_weights(self):
-        """(cell weights, mask of nodes whose cell is a full interior cell)."""
-        P = self.polytope
-        h = self.h
-        ni, nj = self.shape
-        lo = self.anchor
-        weights = np.zeros(self.n_nodes)
-        full_cell = np.zeros(self.n_nodes, dtype=bool)
-        normals = P.normals.astype(float)
+        """(cell weights, mask of nodes whose cell is a full interior cell).
 
-        for i in range(ni):
-            for j in range(nj):
-                cx = lo[0] + h * i
-                cy = lo[1] + h * j
-                corners = [
-                    (cx - h / 2, cy - h / 2),
-                    (cx + h / 2, cy - h / 2),
-                    (cx + h / 2, cy + h / 2),
-                    (cx - h / 2, cy + h / 2),
-                ]
-                vals = P.facet_values(np.asarray(corners))  # (4, d)
-                nid = self.node_id[i, j]
-                if np.all(vals >= 0):
-                    if nid >= 0:
-                        weights[nid] += h * h
-                        full_cell[nid] = True
-                    else:
-                        _, m = _polygon_moments(corners)
-                        self._distribute_cell(weights, m, np.array([cx, cy]))
-                    continue
-                if np.any(np.all(vals < 0, axis=0)):
-                    # all corners on the far side of one facet: cell misses P
-                    continue
-                poly = corners
-                for k in range(len(P.offsets)):
-                    poly = clip_halfplane(poly, normals[k, 0], normals[k, 1], P.offsets[k])
-                    if not poly:
-                        break
-                area, m = _polygon_moments(poly)
-                if area <= 1e-14 * h * h or m is None:
-                    continue
-                self._distribute_cell(weights, m, np.array([m[1] / m[0], m[2] / m[0]]))
-        return weights, full_cell
+        Cells are numbered in lattice order, the order of the nodes, and all
+        contributions are summed in cell order."""
+        P, h = self.polytope, self.h
+        normals = P.normals.astype(float)
+        centers = self.anchor + h * np.indices(self.shape).reshape(2, -1).T
+        signs = np.array([(-1, -1), (1, -1), (1, 1), (-1, 1)])
+        corners = centers[:, None, :] + signs * (h / 2)  # (cells, 4, 2)
+        vals = P.facet_values(corners)  # (cells, 4, d)
+        full = (vals >= 0).all(axis=(1, 2))
+        # all corners on the far side of one facet: the cell misses P
+        missing = (vals < 0).all(axis=1).any(axis=1)
+        node = self.node_id.ravel()
+        owned = full & (node >= 0)
+        parts = [(np.flatnonzero(owned), node[owned], np.full(owned.sum(), h * h))]
+        for c in np.flatnonzero(~owned & ~missing):
+            # clipping leaves a full cell's four corners as they are
+            poly = [tuple(p) for p in corners[c]]
+            for k in range(len(P.offsets)):
+                poly = clip_halfplane(poly, normals[k, 0], normals[k, 1], P.offsets[k])
+                if not poly:
+                    break
+            area, m = _polygon_moments(poly)
+            if area <= 1e-14 * h * h or m is None:
+                continue
+            near, w = self._distribute_cell(m, centers[c] if full[c] else m[1:3] / m[0])
+            parts.append((np.full(len(near), c), near, w))
+        cells, nodes, contribs = map(np.concatenate, zip(*parts))
+        order = np.argsort(cells, kind="stable")
+        weights = np.zeros(self.n_nodes)
+        np.add.at(weights, nodes[order], contribs[order])
+        return weights, full[node >= 0]
 
     @cached_property
     def midpoint_correction_mask(self) -> np.ndarray:

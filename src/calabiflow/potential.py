@@ -25,7 +25,8 @@ import numpy as np
 from numpy.polynomial.hermite import hermval
 
 from .errors import DomainError, NumericError
-from .polytope import DelzantPolytope, Grid, from_dict as polytope_from_dict, standard_triangle
+from .polytope import JET_KEYS, DelzantPolytope, Grid, standard_triangle
+from .polytope import from_dict as polytope_from_dict
 
 PARTIALS = [(a, b) for total in range(5) for a in range(total + 1) for b in [total - a]]
 
@@ -372,6 +373,22 @@ class SymplecticPotential:
 
     # -- off-grid sampling (monitors only) --------------------------------------
 
+    def _f_taylor(self, pts: np.ndarray) -> dict:
+        """Partials {(a, b): array over pts}, a + b <= 2, of the second-order
+        Taylor polynomial of the node data f about each point's nearest node."""
+        _, ks = self.grid.kdtree.query(pts)
+        dx, dy = (pts - self.grid.points[ks]).T
+        f10, f01, f20, f02, f11 = (self.f_jets2[key][ks] for key in JET_KEYS)
+        return {
+            (0, 0): (self.f_values[ks] + f10 * dx + f01 * dy
+                     + 0.5 * (f20 * dx**2 + 2 * f11 * dx * dy + f02 * dy**2)),
+            (1, 0): f10 + f20 * dx + f11 * dy,
+            (0, 1): f01 + f11 * dx + f02 * dy,
+            (2, 0): f20,
+            (1, 1): f11,
+            (0, 2): f02,
+        }
+
     def f_at(self, points) -> np.ndarray:
         """f at arbitrary points of the closed polytope.
 
@@ -384,18 +401,7 @@ class SymplecticPotential:
         if self.provider == "analytic":
             val = self.f_form(pts[:, 0], pts[:, 1])
         else:
-            low = self.f_jets2
-            _, ks = self.grid.kdtree.query(pts)
-            ks = np.atleast_1d(ks)
-            d = pts - self.grid.points[ks]
-            val = (
-                self.f_values[ks]
-                + low[(1, 0)][ks] * d[:, 0]
-                + low[(0, 1)][ks] * d[:, 1]
-                + 0.5 * (low[(2, 0)][ks] * d[:, 0] ** 2
-                         + 2 * low[(1, 1)][ks] * d[:, 0] * d[:, 1]
-                         + low[(0, 2)][ks] * d[:, 1] ** 2)
-            )
+            val = self._f_taylor(pts)[(0, 0)]
         return val if np.asarray(points).ndim > 1 else np.atleast_1d(val)
 
     def value_at(self, points) -> np.ndarray:
@@ -412,13 +418,8 @@ class SymplecticPotential:
             return self.evaluate(x, 1).gradient
         x = np.asarray(x, dtype=float)
         gG = guillemin_partials(self.polytope, x, 1)
-        k = self.node_index(x)
-        d = x - self.grid.points[k]
-        low = self.f_jets2
-        return np.array([
-            gG[(1, 0)] + (low[(1, 0)][k] + low[(2, 0)][k] * d[0] + low[(1, 1)][k] * d[1]),
-            gG[(0, 1)] + (low[(0, 1)][k] + low[(1, 1)][k] * d[0] + low[(0, 2)][k] * d[1]),
-        ])
+        df = self._f_taylor(x[None, :])
+        return np.array([gG[(1, 0)] + df[(1, 0)][0], gG[(0, 1)] + df[(0, 1)][0]])
 
     def hessian_at(self, x) -> np.ndarray:
         """Hess u at an interior point (node data: f's Hessian at the nearest node)."""
@@ -426,8 +427,8 @@ class SymplecticPotential:
             return self.evaluate(x, 2).hessian
         x = np.asarray(x, dtype=float)
         hG = guillemin_partials(self.polytope, x, 2)
-        k = self.node_index(x)
-        return Jet({key: hG[key] + self.f_jets2[key][k] for key in hG if sum(key) == 2}).hessian
+        df = self._f_taylor(x[None, :])
+        return Jet({key: hG[key] + df[key][0] for key in hG if sum(key) == 2}).hessian
 
 
 # ---------------------------------------------------------------------------

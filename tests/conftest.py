@@ -43,6 +43,16 @@ def hexagon():
 
 
 @pytest.fixture(scope="session")
+def trapezoid():
+    """Hirzebruch trapezoid: normals (1, 0), (0, 1), (-1, -2), (0, -1);
+    offsets 1, 1, 3, 1; vertices (-1, -1), (5, -1), (1, 1), (-1, 1)."""
+    return DelzantPolytope(
+        normals=np.array([[1, 0], [0, 1], [-1, -2], [0, -1]]),
+        offsets=np.array([1.0, 1.0, 3.0, 1.0]),
+    )
+
+
+@pytest.fixture(scope="session")
 def hex_grid(hexagon):
     return build_grid(hexagon, 24, 0.5 * 2.0 / 24)
 

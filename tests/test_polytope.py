@@ -13,7 +13,13 @@ from calabiflow import (
     save_polytope,
     standard_triangle,
 )
-from calabiflow.polytope import _D1_STENCILS, _D2_STENCILS, _polygon_area, clip_halfplane
+from calabiflow.polytope import (
+    _D1_STENCILS,
+    _D2_STENCILS,
+    _polygon_area,
+    _polygon_moments,
+    clip_halfplane,
+)
 
 
 def test_standard_triangle_vertices(triangle):
@@ -123,8 +129,73 @@ def test_boundary_quadrature_lattice_lengths(triangle):
     assert bq.total == pytest.approx(9.0, abs=1e-12)
 
 
-def test_cell_weights_tile_area(triangle, grid96):
+def test_cell_weights_tile_area(triangle, grid96, trapezoid):
     assert grid96.cell_weights.sum() == pytest.approx(4.5, abs=1e-12)
+    # a normal outside {-1, 0, 1}: the trapezoid's area is 8
+    g = build_grid(trapezoid, 24, 0.5 * 6.0 / 24)
+    assert trapezoid.area == pytest.approx(8.0, abs=1e-14)
+    assert g.cell_weights.sum() == pytest.approx(8.0, abs=1e-12)
+
+
+def _loop_cell_weights(g):
+    """(cell weights, full-cell node mask) by one pass over every lattice cell.
+
+    The per-cell reference for Grid.cell_weights: each cell's facet values,
+    clipping and moments, added in place in lattice order."""
+    P, h, lo = g.polytope, g.h, g.anchor
+    weights = np.zeros(g.n_nodes)
+    full_cell = np.zeros(g.n_nodes, dtype=bool)
+    normals = P.normals.astype(float)
+    for i in range(g.shape[0]):
+        for j in range(g.shape[1]):
+            cx, cy = lo[0] + h * i, lo[1] + h * j
+            corners = [(cx - h / 2, cy - h / 2), (cx + h / 2, cy - h / 2),
+                       (cx + h / 2, cy + h / 2), (cx - h / 2, cy + h / 2)]
+            vals = P.facet_values(np.asarray(corners))
+            nid = g.node_id[i, j]
+            if np.all(vals >= 0):
+                if nid >= 0:
+                    weights[nid] += h * h
+                    full_cell[nid] = True
+                else:
+                    near, w = g._distribute_cell(_polygon_moments(corners)[1], np.array([cx, cy]))
+                    np.add.at(weights, near, w)
+                continue
+            if np.any(np.all(vals < 0, axis=0)):
+                continue
+            poly = corners
+            for k in range(len(P.offsets)):
+                poly = clip_halfplane(poly, normals[k, 0], normals[k, 1], P.offsets[k])
+                if not poly:
+                    break
+            area, m = _polygon_moments(poly)
+            if area <= 1e-14 * h * h or m is None:
+                continue
+            near, w = g._distribute_cell(m, np.array([m[1] / m[0], m[2] / m[0]]))
+            np.add.at(weights, near, w)
+    return weights, full_cell
+
+
+# (polytope, N, delta_min / h).  N = 3 and 4 reach the 1- and 3-moment
+# fallbacks of the moment matching.  Only the factor-2 grids have full cells
+# without a node (135, 78 and 33 of them).
+_CELL_GRIDS = [
+    (poly, n, factor)
+    for poly, n in (("triangle", 3), ("triangle", 4), ("triangle", 48),
+                    ("hexagon", 3), ("hexagon", 24), ("trapezoid", 24))
+    for factor in (0.25, 0.5, 1.0)
+] + [("triangle", 48, 2.0), ("hexagon", 24, 2.0), ("trapezoid", 24, 2.0)]
+
+
+@pytest.mark.parametrize("poly, n, factor", _CELL_GRIDS)
+def test_cell_weights_match_cell_loop(poly, n, factor, request):
+    P = request.getfixturevalue(poly)
+    lo, hi = P.bbox
+    g = build_grid(P, n, factor * (hi[0] - lo[0]) / n)
+    weights, full_cell = _loop_cell_weights(g)
+    assert np.array_equal(g.cell_weights, weights)
+    stencil_central = (g.stencil_classification == "central").all(axis=1)
+    assert np.array_equal(g.midpoint_correction_mask, full_cell & stencil_central)
 
 
 def test_polytope_json_roundtrip(tmp_path, triangle):
