@@ -143,57 +143,69 @@ def _context_from_jets(partials: dict, n: int) -> dict:
 
 
 def _context_fd(u: SymplecticPotential) -> dict:
-    """Field context: difference the inverse-Hessian field itself, its three
-    distinct entries in one stacked call (see _FdContext)."""
+    """Field context: G from the second-derivative operators applied to f,
+    then the derivatives of the inverse-Hessian entries (see _FdContext)."""
     grid = u.grid
-    n = grid.n_nodes
-    G = _tensorize(u.jets(2), 2, n)
+    D, base, f = grid.jet_blocks, grid.guillemin_jets, u.f_values
+    G = np.empty((grid.n_nodes, 2, 2))
+    G[:, 0, 0] = base[(2, 0)] + D[(2, 0)] @ f
+    G[:, 0, 1] = G[:, 1, 0] = base[(1, 1)] + D[(1, 1)] @ f
+    G[:, 1, 1] = base[(0, 2)] + D[(0, 2)] @ f
     _check_spd(G)
     U = _sym2_inverse(G)
-    jets = grid.field_jets(np.stack([U[:, 0, 0], U[:, 0, 1], U[:, 1, 1]], axis=1))
-    return _FdContext(G, U, jets)
+    return _FdContext(G, U, D, np.stack([U[:, 0, 0], U[:, 0, 1], U[:, 1, 1]]))
 
 
 class _FdContext(dict):
-    """Derivative context of an fd potential, from the jets of (U00, U01, U11).
+    """Derivative context of an fd potential, from the derivative operators
+    of the grid applied to the inverse-Hessian entries (U00, U01, U11).
 
-    G, U and the two traces the scalar curvatures read are filled at once.
-    The full tensors dU and d2U are assembled on first access: the flow
-    velocity needs only the traces, and scattering the jets into 8 + 16
-    strided components would be most of its work on large grids.
+    blocks holds one operator per JET_KEYS partial, restricted to the rows
+    of this context's points; entries is the (3, n) stack of the entries at
+    every grid node, which those rows act on.  G, U and the two traces the
+    scalar curvatures read are filled at once, from the seven products of a
+    block with one entry that the traces need.  The full tensors dU and d2U
+    are assembled on first access: the flow velocity needs only the traces.
     """
 
-    def __init__(self, G: np.ndarray, U: np.ndarray, jets: dict):
-        dx, dy, dxy = jets[(1, 0)], jets[(0, 1)], jets[(1, 1)][:, 1]
+    def __init__(self, G: np.ndarray, U: np.ndarray, blocks: dict, entries: np.ndarray):
+        U00, U01, U11 = entries
+        dxy01 = blocks[(1, 1)] @ U01
+        dU_trace = np.empty((len(G), 2, 2))  # [:, s, r] = d_s U_rs
+        dU_trace[:, 0, 0] = blocks[(1, 0)] @ U00
+        dU_trace[:, 0, 1] = blocks[(1, 0)] @ U01
+        dU_trace[:, 1, 0] = blocks[(0, 1)] @ U01
+        dU_trace[:, 1, 1] = blocks[(0, 1)] @ U11
         super().__init__(
             G=G,
             U=U,
-            # [:, s, r] = d_s U_rs: rows (d_x U00, d_x U01), (d_y U01, d_y U11)
-            dU_trace=np.stack([dx[:, :2], dy[:, 1:]], axis=1),
+            dU_trace=dU_trace,
             # summed in the order of the einsum over the full d2U tensor
-            d2U_trace=((jets[(2, 0)][:, 0] + dxy) + dxy) + jets[(0, 2)][:, 2],
+            d2U_trace=((blocks[(2, 0)] @ U00 + dxy01) + dxy01) + blocks[(0, 2)] @ U11,
         )
-        self._jets = jets
+        self._blocks, self._entries = blocks, entries
 
     def row(self, k: int) -> "_FdContext":
-        """One-row context of node k, from row k of G, U and the jets; its
-        full tensors are assembled from that row alone."""
+        """One-row context of node k: row k of G and U, and row k of every
+        block, so its traces and full tensors are built as the grid's are."""
         return _FdContext(self["G"][k : k + 1], self["U"][k : k + 1],
-                          {key: val[k : k + 1] for key, val in self._jets.items()})
+                          {key: D[k : k + 1] for key, D in self._blocks.items()},
+                          self._entries)
 
     def __missing__(self, key):
         if key not in ("dU", "d2U"):
             raise KeyError(key)
-        jets, n = self._jets, len(self["U"])
+        jets = {jet: [D @ e for e in self._entries] for jet, D in self._blocks.items()}
+        n = len(self["U"])
         dU = np.empty((n, 2, 2, 2))
         d2U = np.empty((n, 2, 2, 2, 2))
         for c, (a, b) in enumerate(((0, 0), (0, 1), (1, 1))):
-            dU[:, 0, a, b] = dU[:, 0, b, a] = jets[(1, 0)][:, c]
-            dU[:, 1, a, b] = dU[:, 1, b, a] = jets[(0, 1)][:, c]
-            d2U[:, 0, 0, a, b] = d2U[:, 0, 0, b, a] = jets[(2, 0)][:, c]
-            d2U[:, 1, 1, a, b] = d2U[:, 1, 1, b, a] = jets[(0, 2)][:, c]
-            d2U[:, 0, 1, a, b] = d2U[:, 0, 1, b, a] = jets[(1, 1)][:, c]
-            d2U[:, 1, 0, a, b] = d2U[:, 1, 0, b, a] = jets[(1, 1)][:, c]
+            dU[:, 0, a, b] = dU[:, 0, b, a] = jets[(1, 0)][c]
+            dU[:, 1, a, b] = dU[:, 1, b, a] = jets[(0, 1)][c]
+            d2U[:, 0, 0, a, b] = d2U[:, 0, 0, b, a] = jets[(2, 0)][c]
+            d2U[:, 1, 1, a, b] = d2U[:, 1, 1, b, a] = jets[(0, 2)][c]
+            d2U[:, 0, 1, a, b] = d2U[:, 0, 1, b, a] = jets[(1, 1)][c]
+            d2U[:, 1, 0, a, b] = d2U[:, 1, 0, b, a] = jets[(1, 1)][c]
         self["dU"], self["d2U"] = dU, d2U
         return self[key]
 
@@ -285,29 +297,45 @@ def weighted_scalar_field(u: SymplecticPotential, cls: AdmissibleClass) -> np.nd
     return cache[key]
 
 
-def _blocks_from_ctx(ctx: dict, cls: AdmissibleClass, points) -> dict:
-    """All admissible curvature blocks as arrays over the context points."""
+def _rm2_total_from_ctx(ctx: dict, cls: AdmissibleClass, points) -> dict:
+    """|Rm|^2 of the admissible metric over the context points, with the
+    pieces it is built from: {"pw", "A", "H3", "pH3", "M", "rm2_fiber",
+    "rm2_total"}.  It needs no fourth-order tensor of H."""
     if cls.m > 1:
         raise RegimeError("admissible curvature blocks require base dimension m <= 1")
     q = cls.affine(np.atleast_2d(points))
     pw = q**cls.m
     a = cls.a
     pvec = np.asarray(cls.p)
+    G, U, dU = ctx["G"], ctx["U"], ctx["dU"]
+
+    # chain rule to the dual-coordinate derivative tensor of H = U
+    H3 = np.einsum("nkm,nmij->nijk", U, dU)
+    Hp = np.einsum("nij,j->ni", U, pvec)
+    A = np.einsum("ni,i->n", Hp, pvec)
+    pH3 = np.einsum("k,nijk->nij", pvec, H3)
+    M = -pH3 + np.einsum("ni,nj->nij", Hp, Hp) / pw[:, None, None]
+
+    rm2_fiber = _fiber_rm2(ctx["d2U"])
+    term1 = (2.0 * a * pw + A) ** 2 / (4.0 * pw**4)
+    term2 = np.einsum("nik,njl,nij,nkl->n", G, G, M, M) / (4.0 * pw**2)
+    return {"pw": pw, "A": A, "H3": H3, "pH3": pH3, "M": M,
+            "rm2_fiber": rm2_fiber, "rm2_total": term1 + term2 + rm2_fiber}
+
+
+def _blocks_from_ctx(ctx: dict, cls: AdmissibleClass, points) -> dict:
+    """All admissible curvature blocks as arrays over the context points."""
+    parts = _rm2_total_from_ctx(ctx, cls, points)
+    pw, A, H3, pH3, M = (parts[k] for k in ("pw", "A", "H3", "pH3", "M"))
+    a = cls.a
     G, U, dU, d2U = ctx["G"], ctx["U"], ctx["dU"], ctx["d2U"]
 
-    # chain rule to dual-coordinate derivative tensors of H = U
-    H3 = np.einsum("nkm,nmij->nijk", U, dU)
     H4 = np.einsum("nlv,nvkm,nmij->nijkl", U, dU, dU) + np.einsum(
         "nkm,nlv,nmvij->nijkl", U, U, d2U
     )
     H4 = 0.5 * (H4 + np.swapaxes(H4, 2, 3))
 
-    Hp = np.einsum("nij,j->ni", U, pvec)
-    A = np.einsum("ni,i->n", Hp, pvec)
-    pH3 = np.einsum("k,nijk->nij", pvec, H3)
-
     rm_0000 = -4.0 * a * pw - 2.0 * A
-    M = -pH3 + np.einsum("ni,nj->nij", Hp, Hp) / pw[:, None, None]
     rm_00ij = 0.5 * M
     fiber_core = -H4 + np.einsum("nst,nilt,njks->nijkl", G, H3, H3)
     rm_ijkl = fiber_core / 8.0
@@ -315,19 +343,14 @@ def _blocks_from_ctx(ctx: dict, cls: AdmissibleClass, points) -> dict:
     # 2(g^{00}Ric_00 + g^{ij}Ric_ij) = R(u) with g_00 = 2p(z), g_ij = H/2.
     ric_00 = -2.0 * a - 2.0 * np.einsum("nij,nij->n", G, pH3)
     ric_ij = 0.25 * np.einsum("nkl,nijkl->nij", G, fiber_core)
-
-    rm2_fiber = _fiber_rm2(d2U)
-    term1 = (2.0 * a * pw + A) ** 2 / (4.0 * pw**4)
-    term2 = np.einsum("nik,njl,nij,nkl->n", G, G, M, M) / (4.0 * pw**2)
-    rm2_total = term1 + term2 + rm2_fiber
     return {
         "rm_0000": rm_0000,
         "rm_00ij": rm_00ij,
         "rm_ijkl": rm_ijkl,
         "ric_00": ric_00,
         "ric_ij": ric_ij,
-        "rm2_fiber": rm2_fiber,
-        "rm2_total": rm2_total,
+        "rm2_fiber": parts["rm2_fiber"],
+        "rm2_total": parts["rm2_total"],
     }
 
 
@@ -336,8 +359,7 @@ def rm2_total_field(u: SymplecticPotential, cls: AdmissibleClass) -> np.ndarray:
     cache = u.curvature_cache
     key = ("rm2_total", cls)
     if key not in cache:
-        blocks = _blocks_from_ctx(curvature_context(u), cls, u.grid.points)
-        cache[key] = blocks["rm2_total"]
+        cache[key] = _rm2_total_from_ctx(curvature_context(u), cls, u.grid.points)["rm2_total"]
     return cache[key]
 
 

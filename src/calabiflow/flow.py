@@ -124,7 +124,9 @@ def step(state: FlowState, cls: AdmissibleClass, policy: StepPolicy = None,
         # the flow is autonomous, so a stage keeps the step's start time
         return rhs(FlowState(t=state.t, u=u.with_node_values(f_stage)), cls, r_bar)
 
-    k1 = velocity(f0)
+    # a node-data field is a function of (grid, f_values) alone, so the
+    # state's own cached curvature gives the k1 of a fresh copy
+    k1 = rhs(state, cls, r_bar) if u.provider == "fd" else velocity(f0)
     for attempt in range(policy.max_retries + 1):
         try:
             k2 = velocity(f0 + 0.5 * dt * k1)

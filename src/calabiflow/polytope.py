@@ -290,7 +290,7 @@ _D2_STENCILS = [
     ((0, -1, -2), (1.0, -2.0, 1.0)),
 ]
 
-# row blocks of Grid.jet_matrix, in order
+# the partials of Grid.jet_blocks, in order
 JET_KEYS = ((1, 0), (0, 1), (2, 0), (0, 2), (1, 1))
 
 # lattice offsets (di, dj) of the columns of Grid.neighbors8
@@ -325,7 +325,7 @@ class Grid:
 
     Every linear derivative operator is a sparse (CSR) matrix over the node
     list, compiled once per grid: the axis stencils in ``axis_operators``,
-    the stacked first/second-derivative operator in ``jet_matrix`` and the
+    one operator per first/second partial in ``jet_blocks`` and the
     quadrature functional in ``quadrature_weights``.
     """
 
@@ -368,7 +368,6 @@ class Grid:
 
         self._boundary_distance = None
         self._cell_weights = None
-        self._full_cell = None
 
     # -- stencil machinery --------------------------------------------------
 
@@ -495,15 +494,13 @@ class Grid:
         return nodes, clouds, pinv
 
     @cached_property
-    def jet_matrix(self):
-        """(5 n, n) CSR operator of the first and second partials, row blocks
-        in JET_KEYS order.
+    def jet_blocks(self) -> dict:
+        """{(a, b): (n, n) CSR operator of the partial d^(a+b)/dx^a dy^b} for
+        the first and second partials, one block per JET_KEYS entry.
 
         Tensor-product stencil rows in the interior, the mixed block being
         d/dy of d/dx; least-squares rows on the near-boundary band.
         """
-        from scipy import sparse
-
         ops = self.axis_operators
         n, h = self.n_nodes, self.h
         nodes, clouds, pinv = self._ls_band()
@@ -518,14 +515,14 @@ class Grid:
             (ops[1, 1] @ ops[0, 1], pinv[:, 4] / (h * h)),
         )
         band_rows = np.repeat(nodes, clouds.shape[1])
-        blocks = []
-        for stencil, ls in parts:
+        blocks = {}
+        for key, (stencil, ls) in zip(JET_KEYS, parts):
             r, c, v = _entries(stencil)
             keep = ~in_band[r]
-            blocks.append(_csr(np.concatenate([r[keep], band_rows]),
+            blocks[key] = _csr(np.concatenate([r[keep], band_rows]),
                                np.concatenate([c[keep], clouds.ravel()]),
-                               np.concatenate([v[keep], ls.ravel()]), (n, n)))
-        return sparse.vstack(blocks, format="csr")
+                               np.concatenate([v[keep], ls.ravel()]), (n, n))
+        return blocks
 
     def field_jets(self, f: np.ndarray) -> dict:
         """First and second derivative fields of a node field.
@@ -535,8 +532,7 @@ class Grid:
         Returns {(a, b): array shaped like f} for 1 <= a+b <= 2.
         """
         f = np.asarray(f, dtype=float)
-        out = (self.jet_matrix @ f).reshape((len(JET_KEYS),) + f.shape)
-        return dict(zip(JET_KEYS, out))
+        return {key: D @ f for key, D in self.jet_blocks.items()}
 
     @cached_property
     def stencil_classification(self) -> np.ndarray:
@@ -595,7 +591,7 @@ class Grid:
         the polytope area.
         """
         if self._cell_weights is None:
-            self._cell_weights, self._full_cell = self._compute_cell_weights()
+            self._cell_weights = self._compute_cell_weights()
         return self._cell_weights
 
     def _distribute_cell(self, moments, center):
@@ -642,8 +638,8 @@ class Grid:
             return near, rows.T @ lam
         return near[:1], np.array([A])
 
-    def _compute_cell_weights(self):
-        """(cell weights, mask of nodes whose cell is a full interior cell).
+    def _compute_cell_weights(self) -> np.ndarray:
+        """Cell weights of the nodes.
 
         Cells are numbered in lattice order, the order of the nodes, and all
         contributions are summed in cell order."""
@@ -675,17 +671,20 @@ class Grid:
         order = np.argsort(cells, kind="stable")
         weights = np.zeros(self.n_nodes)
         np.add.at(weights, nodes[order], contribs[order])
-        return weights, full[node >= 0]
+        return weights
 
     @cached_property
     def midpoint_correction_mask(self) -> np.ndarray:
-        """Nodes whose cell is fully interior and whose stencils are central.
+        """Nodes whose stencils are central on both axes.
 
-        On these the composite-midpoint Laplacian correction h^2/24 * lap f is
+        Such a node owns a full interior cell: its axis neighbours clear
+        delta_min, so each facet value at the node exceeds delta_min by at
+        least h * max(|n_x|, |n_y|), which is no less than the
+        h * (|n_x| + |n_y|) / 2 its cell's corners fall below it.  On these
+        nodes the composite-midpoint Laplacian correction h^2/24 * lap f is
         well defined and lifts the interior rule to fourth order.
         """
-        _ = self.cell_weights
-        return self._full_cell & (self.stencil_classification == "central").all(axis=1)
+        return (self.stencil_classification == "central").all(axis=1)
 
     @cached_property
     def quadrature_weights(self) -> np.ndarray:

@@ -255,10 +255,40 @@ def test_weighted_scalar_matches_full_tensor_formula(triangle, grid48, cls):
     np.testing.assert_allclose(weighted_scalar_field(u, cls), ref, rtol=1e-12, atol=1e-12)
 
 
-def test_flow_velocity_leaves_full_tensors_unbuilt(triangle, grid48, bundle_class):
+@pytest.mark.parametrize("poly, grid", [("triangle", "grid48"), ("hexagon", "hex_grid"),
+                                        ("trapezoid", None)])
+def test_fd_traces_equal_full_jets(poly, grid, request):
+    P = request.getfixturevalue(poly)
+    g = request.getfixturevalue(grid) if grid else build_grid(P, 24, 0.5 * 6.0 / 24)
+    x, y = g.points[:, 0], g.points[:, 1]
+    u = SymplecticPotential.from_node_values(P, g, _cubic_fd(P, g).f_values + bump_form(0.05)(x, y))
+    ctx = curvature_context(u)
+    assert np.array_equal(ctx["G"], u.hessians())
+    U = ctx["U"]
+    jets = g.field_jets(np.stack([U[:, 0, 0], U[:, 0, 1], U[:, 1, 1]], axis=1))
+    dx, dy, dxy = jets[(1, 0)], jets[(0, 1)], jets[(1, 1)][:, 1]
+    assert np.array_equal(ctx["dU_trace"], np.stack([dx[:, :2], dy[:, 1:]], axis=1))
+    assert np.array_equal(ctx["d2U_trace"],
+                          ((jets[(2, 0)][:, 0] + dxy) + dxy) + jets[(0, 2)][:, 2])
+    keys = ("G", "U", "dU_trace", "d2U_trace", "dU", "d2U")
+    for k in range(g.n_nodes):
+        row = ctx.row(k)
+        for key in keys:
+            assert np.array_equal(row[key], ctx[key][k : k + 1]), (k, key)
+
+
+def test_flow_velocity_leaves_full_tensors_unbuilt(monkeypatch, triangle, grid48, bundle_class):
+    from calabiflow.polytope import Grid
+
     u = _cubic_fd(triangle, grid48)
+    field_jets = Grid.field_jets
+    calls = []
+    monkeypatch.setattr(Grid, "field_jets", lambda *a: calls.append(1) or field_jets(*a))
     weighted_scalar_field(u, bundle_class)
     abreu_scalar_field(u)
+    # the velocity applies the derivative operators it reads, not the full jets
+    assert calls == []
+    monkeypatch.undo()
     ctx = curvature_context(u)
     assert "dU" not in ctx and "d2U" not in ctx
     k = grid48.n_nodes // 2

@@ -26,27 +26,55 @@ def fd_state(potential):
     return FlowState(t=0.0, u=potential.with_node_values(potential.f_values))
 
 
-def test_step_composes_no_higher_differences(monkeypatch, triangle, grid48, bundle_class):
+def _count_calls(monkeypatch):
+    """Count Grid.diff, Grid.field_jets and fd curvature-context builds."""
+    from calabiflow import curvature
     from calabiflow.polytope import Grid
-    from calabiflow.potential import bump_form
 
-    calls = {"diff": 0, "field_jets": 0}
-    for name in calls:
-        orig = getattr(Grid, name)
+    calls = {"diff": 0, "field_jets": 0, "_context_fd": 0}
+    for owner, name in ((Grid, "diff"), (Grid, "field_jets"), (curvature, "_context_fd")):
+        orig = getattr(owner, name)
 
-        def counted(self, *args, _orig=orig, _name=name):
+        def counted(*args, _orig=orig, _name=name):
             calls[_name] += 1
-            return _orig(self, *args)
+            return _orig(*args)
 
-        monkeypatch.setattr(Grid, name, counted)
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_step_composes_no_higher_differences(monkeypatch, triangle, grid48, bundle_class):
+    calls = _count_calls(monkeypatch)
     f = bump_form(0.05)(grid48.points[:, 0], grid48.points[:, 1])
     u = SymplecticPotential.from_node_values(triangle, grid48, f)
     new = step(FlowState(t=0.0, u=u), bundle_class)
     assert new.step_count == 1
+    # the velocity applies single derivative operators, never the full jets
     assert calls["diff"] == 0
-    # six potentials (the state, four RK stages, the candidate), each with one
-    # jet call for f and one stacked call for the inverse-Hessian entries
-    assert calls["field_jets"] == 12
+    assert calls["field_jets"] == 0
+    # five contexts: the fresh state, the three later RK stages, the candidate
+    assert calls["_context_fd"] == 5
+
+
+def test_step_reuses_cached_curvature(monkeypatch, triangle, grid48, bundle_class):
+    f = bump_form(0.05)(grid48.points[:, 0], grid48.points[:, 1])
+    start = FlowState(t=0.0, u=SymplecticPotential.from_node_values(triangle, grid48, f))
+    # reference: every step starts from a fresh copy, so its k1 is computed anew
+    ref = start
+    for _ in range(3):
+        fresh = FlowState(t=ref.t, u=ref.u.with_node_values(ref.u.f_values),
+                          step_count=ref.step_count)
+        ref = step(fresh, bundle_class)
+    cur = step(start, bundle_class)
+    calls = _count_calls(monkeypatch)
+    cur = step(cur, bundle_class)
+    # the candidate of the last step is this state: three later RK stages and
+    # the new candidate
+    assert calls["_context_fd"] == 4
+    cur = step(cur, bundle_class)
+    assert cur.step_count == ref.step_count == 3
+    assert cur.t == ref.t
+    assert np.array_equal(cur.u.f_values, ref.u.f_values)
 
 
 def test_rhs_vanishes_at_fs_trivial(fs48):

@@ -198,6 +198,23 @@ def test_cell_weights_match_cell_loop(poly, n, factor, request):
     assert np.array_equal(g.midpoint_correction_mask, full_cell & stencil_central)
 
 
+@pytest.mark.parametrize("factor", [0.25, 0.5, 1.0, 1.5, 2.0])
+@pytest.mark.parametrize("poly", ["triangle", "hexagon", "trapezoid"])
+def test_central_stencil_nodes_own_full_cells(poly, factor, request):
+    # midpoint_correction_mask reads the stencils alone; this is why a node it
+    # selects owns a full cell
+    P = request.getfixturevalue(poly)
+    lo, hi = P.bbox
+    signs = np.array([(-1, -1), (1, -1), (1, 1), (-1, 1)])
+    for n in (24, 49, 96):
+        g = build_grid(P, n, factor * (hi[0] - lo[0]) / n)
+        central = (g.stencil_classification == "central").all(axis=1)
+        assert np.array_equal(g.midpoint_correction_mask, central)
+        assert 0 < central.sum() < g.n_nodes
+        corners = g.points[central][:, None, :] + signs * (g.h / 2)
+        assert (P.facet_values(corners) >= 0).all()
+
+
 def test_polytope_json_roundtrip(tmp_path, triangle):
     path = tmp_path / "poly.json"
     save_polytope(triangle, path)
