@@ -143,17 +143,12 @@ def _context_from_jets(partials: dict, n: int) -> dict:
 
 
 def _context_fd(u: SymplecticPotential) -> dict:
-    """Field context: G from the second-derivative operators applied to f,
-    then the derivatives of the inverse-Hessian entries (see _FdContext)."""
-    grid = u.grid
-    D, base, f = grid.jet_blocks, grid.guillemin_jets, u.f_values
-    G = np.empty((grid.n_nodes, 2, 2))
-    G[:, 0, 0] = base[(2, 0)] + D[(2, 0)] @ f
-    G[:, 0, 1] = G[:, 1, 0] = base[(1, 1)] + D[(1, 1)] @ f
-    G[:, 1, 1] = base[(0, 2)] + D[(0, 2)] @ f
+    """Field context: G = u.hessians(), then the derivatives of the
+    inverse-Hessian entries (see _FdContext)."""
+    G = u.hessians()
     _check_spd(G)
     U = _sym2_inverse(G)
-    return _FdContext(G, U, D, np.stack([U[:, 0, 0], U[:, 0, 1], U[:, 1, 1]]))
+    return _FdContext(G, U, u.grid.jet_blocks, np.stack([U[:, 0, 0], U[:, 0, 1], U[:, 1, 1]]))
 
 
 class _FdContext(dict):

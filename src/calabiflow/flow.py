@@ -3,7 +3,7 @@ the smooth correction f, with per-step estimate monitors."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -62,19 +62,15 @@ class MonitorRecord:
     invariant_j: float
     positivity_ok: bool
 
-    CSV_COLUMNS = (
-        "t,calabi,dissipation,calabi_rate_residual,l2_u,boundary_u,min_hess_eig,"
-        "max_d1,max_d2,max_d3,max_d4,dist_eps,q_d2_max,invariant_j,positivity_ok"
-    )
+    @classmethod
+    def columns(cls) -> list:
+        """The monitor.csv columns: the fields, in order."""
+        return [f.name for f in fields(cls)]
 
     def csv_row(self) -> str:
-        vals = [
-            self.t, self.calabi, self.dissipation, self.calabi_rate_residual,
-            self.l2_u, self.boundary_u, self.min_hess_eig,
-            self.max_d1, self.max_d2, self.max_d3, self.max_d4,
-            self.dist_eps, self.q_d2_max, self.invariant_j,
-        ]
-        return ",".join(repr(float(v)) for v in vals) + f",{int(self.positivity_ok)}"
+        """Floats by repr, bool fields as 0 or 1."""
+        vals = (getattr(self, f.name) for f in fields(self))
+        return ",".join(str(int(v)) if isinstance(v, bool) else repr(float(v)) for v in vals)
 
 
 # ---------------------------------------------------------------------------
@@ -255,11 +251,8 @@ class FlowRun:
         sel = self.eps_nodes
         out = {}
         for k in (1, 2, 3, 4):
-            comps = []
-            for a in range(k + 1):
-                b = k - a
-                fld = u.f_jets2[(a, b)] if k <= 2 else u.grid.diff(u.f_values, a, b)
-                comps.append(np.abs(fld[sel]).max() if len(sel) else np.nan)
+            comps = [np.abs(u.f_partial((a, k - a))[sel]).max() if len(sel) else np.nan
+                     for a in range(k + 1)]
             out[k] = float(np.max(comps))
         return out
 
@@ -330,14 +323,10 @@ class FlowRun:
             limit = min(limit, self.state.step_count + n_steps)
         if self.initial_witnesses is None:
             self.initial_witnesses = self.measure()
-        calabi_now = self.initial_witnesses.calabi if not self.records else self.records[-1].calabi
         while self.state.t < cfg.t_end and self.state.step_count < limit:
-            self.state = step(self.state, self.cls, self.policy,
-                              r_bar=self.r_bar, calabi_now=calabi_now)
-            calabi_now = None  # recomputed lazily next acceptance
+            self.state = step(self.state, self.cls, self.policy, r_bar=self.r_bar)
             if self.state.step_count % cfg.monitor_every == 0:
-                rec = self.monitor()
-                calabi_now = rec.calabi
+                self.monitor()
             if cfg.snapshot_every and self.state.step_count % cfg.snapshot_every == 0:
                 self._write_snapshot()
         self._fill_rate_residuals()
@@ -354,15 +343,14 @@ class FlowRun:
         out.mkdir(parents=True, exist_ok=True)
         monitor_path = out / "monitor.csv"
         with open(monitor_path, "w") as fh:
-            fh.write(MonitorRecord.CSV_COLUMNS + "\n")
+            fh.write(",".join(MonitorRecord.columns()) + "\n")
             for rec in self.records:
                 fh.write(rec.csv_row() + "\n")
         final_snap = out / "snapshot_final.csv"
         save_snapshot(self.state.u, final_snap, t=self.state.t)
         paths = {"monitor": str(monitor_path), "final_snapshot": str(final_snap)}
         if self.cfg.emit_plots:
-            series = [c for c in MonitorRecord.CSV_COLUMNS.split(",") if c != "t"]
-            for name in series:
+            for name in MonitorRecord.columns()[1:]:
                 p = out / f"plot_{name}.dat"
                 with open(p, "w") as fh:
                     for rec in self.records:

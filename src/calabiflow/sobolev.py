@@ -216,10 +216,10 @@ def fiber_energy_bound(cls: AdmissibleClass, topo: ClassTopology = None,
     inf_w = cls.c_S - 2.0 * p1
     sup_w = cls.c_S + 2.0 * p1
     if polytope is not None:
-        exact_inf = float(np.min(cls.affine(polytope.vertices)))
+        w = cls.affine(polytope.vertices)
         # the affine form attains its extremes at vertices; keep the interval
         # only if it really contains them
-        if exact_inf < inf_w - 1e-12:
+        if np.min(w) < inf_w - 1e-12 or np.max(w) > sup_w + 1e-12:
             raise RegimeError("weight interval does not cover the polytope")
 
     # pointwise curvature bound, maximized where the weight is smallest

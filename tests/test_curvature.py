@@ -277,6 +277,16 @@ def test_fd_traces_equal_full_jets(poly, grid, request):
             assert np.array_equal(row[key], ctx[key][k : k + 1]), (k, key)
 
 
+def test_fd_context_reads_second_partials_only(monkeypatch, triangle, grid48):
+    u = _cubic_fd(triangle, grid48)
+    f_partial = SymplecticPotential.f_partial
+    keys = []
+    monkeypatch.setattr(SymplecticPotential, "f_partial",
+                        lambda self, key: keys.append(key) or f_partial(self, key))
+    curvature_context(u)
+    assert sorted(keys) == [(0, 2), (1, 1), (2, 0)]
+
+
 def test_flow_velocity_leaves_full_tensors_unbuilt(monkeypatch, triangle, grid48, bundle_class):
     from calabiflow.polytope import Grid
 

@@ -77,6 +77,23 @@ def test_step_reuses_cached_curvature(monkeypatch, triangle, grid48, bundle_clas
     assert np.array_equal(cur.u.f_values, ref.u.f_values)
 
 
+def test_measure_differentiates_node_data_once(monkeypatch, triangle_file, bundle_class):
+    from calabiflow.flow import FlowRun
+
+    cfg = RunConfig(polytope_path=str(triangle_file), admissible_class=bundle_class, grid_n=24,
+                    perturbation_kind="bump", perturbation_amplitude=0.05, snapshot_every=0)
+    fr = FlowRun(cfg)
+    calls = _count_calls(monkeypatch)
+    fr.measure()
+    # the nine third/fourth partials of f for the |d^k f| maxima, and the
+    # jets of R for the dissipation; first/second partials of f come from
+    # the derivative operators
+    assert calls["diff"] == 9
+    assert calls["field_jets"] == 1
+    fr.state.u.jets(4)
+    assert calls["diff"] == 9
+
+
 def test_rhs_vanishes_at_fs_trivial(fs48):
     st = fd_state(fs48)
     v = rhs(st, AdmissibleClass.trivial())

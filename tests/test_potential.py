@@ -220,6 +220,15 @@ def test_jets_respects_order(triangle, grid48):
     assert max(sum(key) for key in u.jets(1)) == 1
 
 
+@pytest.mark.parametrize("poly, grid", [("triangle", "grid48"), ("hexagon", "hex_grid")])
+def test_order0_jet_is_value_at_nodes(poly, grid, request):
+    P, g = request.getfixturevalue(poly), request.getfixturevalue(grid)
+    form = bump_form(0.05, (0.1, -0.2), 0.7)
+    for u in (SymplecticPotential.from_closed_form(P, g, form),
+              SymplecticPotential.from_node_values(P, g, form(g.points[:, 0], g.points[:, 1]))):
+        assert np.array_equal(u.jets(0)[(0, 0)], u.value_at(g.points)), u.provider
+
+
 def _square_grid():
     P = DelzantPolytope(np.array([[1, 0], [0, 1], [-1, 0], [0, -1]]), np.array([1.0, 1.0, 1.0, 1.0]))
     return P, build_grid(P, 16, 0.05)

@@ -109,6 +109,12 @@ def test_weight_interval_must_cover_polytope(bundle_class):
     big = DelzantPolytope(np.array([[1, 0], [0, 1], [-1, -1]]), np.array([3.0, 3.0, 3.0]))
     with pytest.raises(RegimeError, match="weight interval does not cover the polytope"):
         fiber_energy_bound(bundle_class, polytope=big)
+    # the weight 29 at the vertex (3, -1) lies above the interval [20, 28]
+    tall = DelzantPolytope(np.array([[1, 0], [0, 1], [-1, -1]]), np.array([1.0, 1.0, 2.0]))
+    cls = AdmissibleClass((2, 1), 24, -1)
+    assert np.max(cls.affine(tall.vertices)) == 29.0
+    with pytest.raises(RegimeError, match="weight interval does not cover the polytope"):
+        fiber_energy_bound(cls, polytope=tall)
 
 
 def test_builtin_test_functions_match_formulas(grid48, hex_grid):
