@@ -129,7 +129,7 @@ def energy_report(u: SymplecticPotential, cls: AdmissibleClass,
     rm2_fib_field = fiber_riemann_norm_field(u)
     rm2_fib = interior_quadrature(grid, rm2_fib_field)
     diss = dissipation_integral(u, cls, R)
-    u_bdry = boundary_integral(u.polytope, u.value_at, quad)
+    u_bdry = float(np.dot(quad.weights, u.boundary_values(quad)))
     u_nodes = u.jets(0)[(0, 0)]
     l2_u = interior_quadrature(grid, u_nodes**2)
     rf = abreu_scalar_field(u)

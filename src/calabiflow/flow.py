@@ -156,12 +156,14 @@ def distance_field(grid: Grid, hessians: np.ndarray, sources) -> np.ndarray:
     from scipy.sparse import csr_array
     from scipy.sparse.csgraph import dijkstra
 
-    rows, k = np.nonzero(grid.neighbors8 >= 0)
-    cols = grid.neighbors8[rows, k]
-    dx, dy = (grid.h * OFFSETS8[k]).T
-    G = 0.5 * (hessians[rows] + hessians[cols])
-    q = G[:, 0, 0] * dx * dx + 2.0 * G[:, 0, 1] * dx * dy + G[:, 1, 1] * dy * dy
-    A = csr_array((np.sqrt(np.maximum(q, 0.0)), (rows, cols)), shape=(grid.n_nodes,) * 2)
+    rows, cols, k, indptr = grid.edges8
+    # 1-d np.take per entry: fancy indexing of (n, 2, 2) rows by int32 ids is
+    # several times slower
+    dx, dy = (np.take(o, k) for o in (grid.h * OFFSETS8).T)
+    g00, g01, g11 = (0.5 * (np.take(e, rows) + np.take(e, cols))
+                     for e in (hessians[:, 0, 0], hessians[:, 0, 1], hessians[:, 1, 1]))
+    q = g00 * dx * dx + 2.0 * g01 * dx * dy + g11 * dy * dy
+    A = csr_array((np.sqrt(np.maximum(q, 0.0)), cols, indptr), shape=(grid.n_nodes,) * 2)
     sources = np.atleast_1d(np.asarray(sources, dtype=int))
     return dijkstra(A, indices=sources, min_only=True)
 
@@ -261,12 +263,13 @@ class FlowRun:
         u = self.state.u
         cls = self.cls
         rep = energy_report(u, cls, self.bquad)
-        eigs = u.min_hessian_eigenvalues()
+        # the Hessian field of the state's curvature context, cached by energy_report
+        G = curvature_context(u)["G"]
+        eigs = _sym2_eigenvalues(G)[0]
         positivity = bool(np.min(eigs) > 0)
         d = self._correction_derivative_maxima(u)
-        hess = u.hessians()
         if len(self.eps_ring) and len(self.eps2_ring):
-            dist = distance_field(self.grid, hess, self.eps_ring)
+            dist = distance_field(self.grid, G, self.eps_ring)
             dist_eps = float(np.min(dist[self.eps2_ring]))
             rm2 = rm2_total_field(u, cls)
             q = np.sqrt(np.maximum(rm2[self.eps_nodes], 0.0)) * dist[self.eps_nodes] ** 2

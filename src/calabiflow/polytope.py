@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -386,6 +387,18 @@ class Grid:
         the neighbour is not a node."""
         return self._neighbors(OFFSETS8)
 
+    @cached_property
+    def edges8(self):
+        """(rows, cols, k, indptr) of the 8-neighbour graph in CSR order: edge
+        e runs from node rows[e] to node cols[e] at offset OFFSETS8[k[e]], and
+        the edges of node n are indptr[n]:indptr[n + 1].  Node ids grow with
+        (i, j), so the columns of a row are sorted."""
+        rows, k = np.nonzero(self.neighbors8 >= 0)
+        indptr = np.zeros(self.n_nodes + 1, dtype=np.int32)
+        np.cumsum(np.bincount(rows, minlength=self.n_nodes), out=indptr[1:])
+        return (rows.astype(np.int32), self.neighbors8[rows, k].astype(np.int32),
+                k.astype(np.int8), indptr)
+
     def _axis_operator(self, axis: int, order: int):
         """(CSR matrix, served mask) of one axis stencil operator.
 
@@ -721,16 +734,33 @@ class BoundaryQuadrature:
     """Midpoint panels on each facet against the lattice boundary measure.
 
     points : (M, 2), weights : (M,), facet_index : (M,).  Per-facet weights
-    sum exactly to the facet's lattice length.
+    sum exactly to the facet's lattice length.  canonical : (M,) is u_G at
+    the points, and polytope_hash the content hash of the polytope they were
+    built for.
     """
 
     points: np.ndarray
     weights: np.ndarray
     facet_index: np.ndarray
+    canonical: np.ndarray
+    polytope_hash: str
+    # grid -> nearest_nodes(grid); weak keys, so a lookup never outlives its grid
+    _nearest: weakref.WeakKeyDictionary = field(
+        default_factory=weakref.WeakKeyDictionary, init=False, repr=False, compare=False
+    )
 
     @property
     def total(self) -> float:
         return float(self.weights.sum())
+
+    def nearest_nodes(self, grid: Grid):
+        """(ks, dx, dy): the nearest node of `grid` to each point and the
+        point's offset from it; computed once per grid."""
+        if grid not in self._nearest:
+            _, ks = grid.kdtree.query(self.points)
+            dx, dy = (self.points - grid.points[ks]).T
+            self._nearest[grid] = (ks, dx, dy)
+        return self._nearest[grid]
 
 
 BOUNDARY_PANELS = 2048
@@ -749,8 +779,13 @@ def boundary_quadrature(P: DelzantPolytope) -> BoundaryQuadrature:
         pts.append(a[None, :] + t[:, None] * (b - a)[None, :])
         wts.append(np.full(m, L / m))
         fidx.append(np.full(m, i, dtype=np.int64))
+    from .potential import guillemin_value
+
+    points = np.concatenate(pts)
     return BoundaryQuadrature(
-        points=np.concatenate(pts),
+        points=points,
         weights=np.concatenate(wts),
         facet_index=np.concatenate(fidx),
+        canonical=guillemin_value(P, points),
+        polytope_hash=P.content_hash(),
     )

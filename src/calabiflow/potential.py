@@ -25,7 +25,7 @@ import numpy as np
 from numpy.polynomial.hermite import hermval
 
 from .errors import DomainError, NumericError
-from .polytope import JET_KEYS, DelzantPolytope, Grid, standard_triangle
+from .polytope import JET_KEYS, BoundaryQuadrature, DelzantPolytope, Grid, standard_triangle
 from .polytope import from_dict as polytope_from_dict
 
 PARTIALS = [(a, b) for total in range(5) for a in range(total + 1) for b in [total - a]]
@@ -160,7 +160,7 @@ def _tensorize(partials: dict, order: int, n: int) -> np.ndarray:
     """Symmetric derivative tensor field (n, 2, ..., 2) of the given order from
     partials {(a, b): array}; tensor index 0 is x, 1 is y."""
     T = np.empty((n,) + (2,) * order)
-    # itertools, not np.ndindex: this runs in every fd curvature context, and
+    # itertools, not np.ndindex: this runs on every monitor record, and
     # np.ndindex builds an nditer per call (about 4.5 us against 1 us)
     for idx in itertools.product((0, 1), repeat=order):
         a = order - sum(idx)
@@ -335,7 +335,16 @@ class SymplecticPotential:
 
     def hessians(self) -> np.ndarray:
         """(n, 2, 2) Hessian of u at every node."""
-        return _tensorize(self._node_partials(JET_KEYS[2:]), 2, self.grid.n_nodes)
+        n = self.grid.n_nodes
+        if self.provider == "analytic":
+            return _tensorize(self._node_partials(JET_KEYS[2:]), 2, n)
+        # node data, on every flow-velocity evaluation: each sum is written
+        # straight into G
+        base, G = self.grid.guillemin_jets, np.empty((n, 2, 2))
+        for key, (i, j) in zip(JET_KEYS[2:], ((0, 0), (1, 1), (0, 1))):
+            np.add(base[key], self.f_partial(key), out=G[:, i, j])
+        G[:, 1, 0] = G[:, 0, 1]
+        return G
 
     def min_hessian_eigenvalues(self) -> np.ndarray:
         return _sym2_eigenvalues(self.hessians())[0]
@@ -374,6 +383,11 @@ class SymplecticPotential:
         Taylor polynomial of the node data f about each point's nearest node."""
         _, ks = self.grid.kdtree.query(pts)
         dx, dy = (pts - self.grid.points[ks]).T
+        return self._taylor(ks, dx, dy)
+
+    def _taylor(self, ks: np.ndarray, dx: np.ndarray, dy: np.ndarray) -> dict:
+        """Partials, a + b <= 2, of the second-order Taylor polynomial of the
+        node data f about nodes ks, at offsets (dx, dy) from them."""
         f10, f01, f20, f02, f11 = (self.f_partial(key)[ks] for key in JET_KEYS)
         return {
             (0, 0): (self.f_values[ks] + f10 * dx + f01 * dy
@@ -406,6 +420,20 @@ class SymplecticPotential:
         base = guillemin_value(self.polytope, pts)
         out = np.atleast_1d(base) + self.f_at(pts)
         return out if np.asarray(points).ndim > 1 else out[0]
+
+    def boundary_values(self, quad: BoundaryQuadrature) -> np.ndarray:
+        """u at the points of a boundary quadrature, as value_at(quad.points)
+        computes it, from the quadrature's canonical values and, for node
+        data, its nearest nodes on this grid."""
+        if self.total_form is not None:
+            raise DomainError("potential has no canonical/correction split")
+        if quad.polytope_hash != self.polytope.content_hash():
+            raise DomainError("boundary quadrature belongs to a different polytope")
+        if self.provider == "analytic":
+            f = self.f_form(quad.points[:, 0], quad.points[:, 1])
+        else:
+            f = self._taylor(*quad.nearest_nodes(self.grid))[(0, 0)]
+        return quad.canonical + f
 
     def gradient_at(self, x) -> np.ndarray:
         """grad u at an interior point (Taylor-extended from the nearest node

@@ -58,6 +58,11 @@ def hex_grid(hexagon):
 
 
 @pytest.fixture(scope="session")
+def trap_grid(trapezoid):
+    return build_grid(trapezoid, 24, 0.5 * 6.0 / 24)
+
+
+@pytest.fixture(scope="session")
 def fs48(triangle, grid48):
     return SymplecticPotential.fubini_study(grid48)
 

@@ -5,9 +5,11 @@ from scipy.integrate import quad
 from calabiflow import (
     AdmissibleClass,
     DegenerateInputError,
+    DomainError,
     SymplecticPotential,
     abreu_scalar_field,
     average_scalar,
+    boundary_quadrature,
     build_grid,
     energy_report,
     interior_quadrature,
@@ -176,3 +178,11 @@ def test_boundary_integral_weight(triangle, bundle_class):
     # affine weights integrate exactly against the lattice boundary measure
     val = boundary_integral(triangle, lambda pts: bundle_class.affine(pts))
     assert val == pytest.approx(108.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("potential", ["fs48", "fs48_fd"])
+def test_energy_report_rejects_quadrature_of_another_polytope(potential, hexagon, bundle_class,
+                                                              request):
+    u = request.getfixturevalue(potential)
+    with pytest.raises(DomainError):
+        energy_report(u, bundle_class, boundary_quadrature(hexagon))

@@ -77,12 +77,16 @@ def test_step_reuses_cached_curvature(monkeypatch, triangle, grid48, bundle_clas
     assert np.array_equal(cur.u.f_values, ref.u.f_values)
 
 
-def test_measure_differentiates_node_data_once(monkeypatch, triangle_file, bundle_class):
+def _flow_run24(triangle_file, bundle_class):
     from calabiflow.flow import FlowRun
 
     cfg = RunConfig(polytope_path=str(triangle_file), admissible_class=bundle_class, grid_n=24,
                     perturbation_kind="bump", perturbation_amplitude=0.05, snapshot_every=0)
-    fr = FlowRun(cfg)
+    return FlowRun(cfg)
+
+
+def test_measure_differentiates_node_data_once(monkeypatch, triangle_file, bundle_class):
+    fr = _flow_run24(triangle_file, bundle_class)
     calls = _count_calls(monkeypatch)
     fr.measure()
     # the nine third/fourth partials of f for the |d^k f| maxima, and the
@@ -92,6 +96,45 @@ def test_measure_differentiates_node_data_once(monkeypatch, triangle_file, bundl
     assert calls["field_jets"] == 1
     fr.state.u.jets(4)
     assert calls["diff"] == 9
+
+
+def test_measure_reads_hessians_from_curvature_context(monkeypatch, triangle_file,
+                                                       bundle_class):
+    from calabiflow.curvature import curvature_context
+
+    fr = _flow_run24(triangle_file, bundle_class)
+    curvature_context(fr.state.u)
+    calls = []
+    orig = SymplecticPotential.hessians
+    monkeypatch.setattr(SymplecticPotential, "hessians",
+                        lambda self: calls.append(1) or orig(self))
+    fr.measure()
+    assert calls == []
+
+
+class _CountingTree:
+    """Stands in for Grid.kdtree and counts its queries."""
+
+    def __init__(self, tree):
+        self.tree, self.queries = tree, 0
+
+    def query(self, *args, **kwargs):
+        self.queries += 1
+        return self.tree.query(*args, **kwargs)
+
+
+def test_measure_builds_run_constants_once(triangle_file, bundle_class):
+    fr = _flow_run24(triangle_file, bundle_class)
+    tree = _CountingTree(fr.grid.kdtree)
+    fr.grid.__dict__["kdtree"] = tree
+    first = fr.measure()
+    edges, queries = fr.grid.edges8, tree.queries
+    fr.state = step(fr.state, bundle_class, r_bar=fr.r_bar)
+    second = fr.measure()
+    # the boundary points' nearest nodes and the distance graph are reused
+    assert tree.queries == queries
+    assert fr.grid.edges8 is edges
+    assert second.boundary_u != first.boundary_u
 
 
 def test_rhs_vanishes_at_fs_trivial(fs48):
@@ -281,7 +324,9 @@ def bump_hessians(grid):
     return SymplecticPotential.from_node_values(grid.polytope, grid, f).hessians()
 
 
-@pytest.mark.parametrize("grid_name", ["grid48", "hex_grid"])
+# the trapezoid's staircased facet, normal (-1, -2), gives the edge table
+# its irregular rows
+@pytest.mark.parametrize("grid_name", ["grid48", "hex_grid", "trap_grid"])
 def test_boundary_ring_matches_reference(request, grid_name):
     grid = request.getfixturevalue(grid_name)
     for eps in (0.1, 0.25, 0.5):
@@ -293,7 +338,9 @@ def test_boundary_ring_matches_reference(request, grid_name):
                           reference_boundary_ring(grid, np.arange(grid.n_nodes)))
 
 
-@pytest.mark.parametrize("grid_name", ["grid48", "hex_grid"])
+# the trapezoid's staircased facet, normal (-1, -2), gives the edge table
+# its irregular rows
+@pytest.mark.parametrize("grid_name", ["grid48", "hex_grid", "trap_grid"])
 def test_distance_field_matches_reference(request, grid_name):
     grid = request.getfixturevalue(grid_name)
     hess = bump_hessians(grid)

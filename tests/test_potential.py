@@ -13,7 +13,7 @@ from calabiflow import (
     polynomial_form,
     save_snapshot,
 )
-from calabiflow.polytope import DelzantPolytope
+from calabiflow.polytope import DelzantPolytope, boundary_quadrature
 from calabiflow.potential import PARTIALS, bump_form, zero_form
 from conftest import interior_points
 
@@ -187,7 +187,7 @@ def test_snapshot_roundtrip(tmp_path, triangle, grid48, rng):
 
 
 def test_snapshot_polytope_mismatch(tmp_path, triangle, grid48):
-    from calabiflow.polytope import DelzantPolytope
+    from calabiflow.polytope import DelzantPolytope, boundary_quadrature
 
     u = SymplecticPotential.from_node_values(triangle, grid48, np.zeros(grid48.n_nodes))
     path = tmp_path / "snap.csv"
@@ -227,6 +227,20 @@ def test_order0_jet_is_value_at_nodes(poly, grid, request):
     for u in (SymplecticPotential.from_closed_form(P, g, form),
               SymplecticPotential.from_node_values(P, g, form(g.points[:, 0], g.points[:, 1]))):
         assert np.array_equal(u.jets(0)[(0, 0)], u.value_at(g.points)), u.provider
+
+
+@pytest.mark.parametrize("poly", ["triangle", "hexagon"])
+def test_boundary_values_match_value_at(poly, request):
+    P = request.getfixturevalue(poly)
+    width = P.bbox[1][0] - P.bbox[0][0]
+    grids = [build_grid(P, n, 0.5 * width / n) for n in (24, 48)]
+    quad = boundary_quadrature(P)
+    form = bump_form(0.05, (0.1, -0.2), 0.7)
+    # one quadrature alternately on two grids: its nearest nodes are per grid
+    for g in grids + grids:
+        for u in (SymplecticPotential.from_closed_form(P, g, form),
+                  SymplecticPotential.from_node_values(P, g, form(g.points[:, 0], g.points[:, 1]))):
+            assert np.array_equal(u.boundary_values(quad), u.value_at(quad.points)), u.provider
 
 
 def _square_grid():
