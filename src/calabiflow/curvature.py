@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import CurvatureUndefinedError, DegenerateInputError, DomainError, RegimeError
 from .polytope import DelzantPolytope
-from .potential import SymplecticPotential, _sym2_eigenvalues, _sym2_inverse, _tensorize
+from .potential import (SymplecticPotential, _mat2_product, _sym2_eigenvalues, _sym2_inverse,
+                        _tensorize, _trace_of_square)
 
 _SPD_RATIO = 1e-12
 
@@ -130,14 +131,20 @@ def _context_from_jets(partials: dict, n: int) -> dict:
     """
     G = _tensorize(partials, 2, n)
     _check_spd(G)
-    T3 = _tensorize(partials, 3, n)  # T3[:, i, j, k] = u_{ijk}
-    T4 = _tensorize(partials, 4, n)
     U = _sym2_inverse(G)
-    dU = -np.einsum("nai,nijk,njb->nkab", U, T3, U)
-    t1 = np.einsum("nlai,nijk,njb->nklab", dU, T3, U)
-    t2 = np.einsum("nai,nijkl,njb->nklab", U, T4, U)
-    t3 = np.einsum("nai,nijk,nljb->nklab", U, T3, dU)
-    d2U = -(t1 + t2 + t3)
+    # fully symmetric, so T3[:, k] is the matrix (u_ijk)_ij and T4[:, k, l]
+    # the matrix (u_ijkl)_ij
+    T3 = _tensorize(partials, 3, n)
+    T4 = _tensorize(partials, 4, n)
+    Uk, Ukl = U[:, None], U[:, None, None]
+    # dU_k = -U T3_k U;  d2U_kl = -(U T4_kl U + C + C^T) with C = dU_l T3_k U,
+    # summed in place so that at most three (n, 2, 2, 2, 2) arrays are live
+    dU = -_mat2_product(_mat2_product(Uk, T3), Uk)
+    d2U = _mat2_product(_mat2_product(Ukl, T4), Ukl)
+    C = _mat2_product(_mat2_product(dU[:, None], T3[:, :, None]), Ukl)
+    d2U += C
+    d2U += np.swapaxes(C, 3, 4)
+    np.negative(d2U, out=d2U)
     return {"G": G, "U": U, "dU": dU, "d2U": d2U,
             "dU_trace": np.einsum("nsrs->nsr", dU), "d2U_trace": np.einsum("nrsrs->n", d2U)}
 
@@ -292,39 +299,44 @@ def weighted_scalar_field(u: SymplecticPotential, cls: AdmissibleClass) -> np.nd
     return cache[key]
 
 
-def _rm2_total_from_ctx(ctx: dict, cls: AdmissibleClass, points) -> dict:
+def _rm2_total_from_ctx(ctx: dict, cls: AdmissibleClass, points, rm2_fiber: np.ndarray) -> dict:
     """|Rm|^2 of the admissible metric over the context points, with the
-    pieces it is built from: {"pw", "A", "H3", "pH3", "M", "rm2_fiber",
-    "rm2_total"}.  It needs no fourth-order tensor of H."""
+    pieces it is built from: {"pw", "A", "pH3", "M", "rm2_fiber",
+    "rm2_total"}.  rm2_fiber is the fiber |Rm|^2 at the same points.  Every
+    contraction is written out per entry, and none needs a third-order
+    tensor of H = U."""
     if cls.m > 1:
         raise RegimeError("admissible curvature blocks require base dimension m <= 1")
     q = cls.affine(np.atleast_2d(points))
     pw = q**cls.m
     a = cls.a
-    pvec = np.asarray(cls.p)
+    p0, p1 = cls.p
     G, U, dU = ctx["G"], ctx["U"], ctx["dU"]
 
-    # chain rule to the dual-coordinate derivative tensor of H = U
-    H3 = np.einsum("nkm,nmij->nijk", U, dU)
-    Hp = np.einsum("nij,j->ni", U, pvec)
-    A = np.einsum("ni,i->n", Hp, pvec)
-    pH3 = np.einsum("k,nijk->nij", pvec, H3)
-    M = -pH3 + np.einsum("ni,nj->nij", Hp, Hp) / pw[:, None, None]
+    # Hp = U p and A = <Hp, p>
+    Hp = np.stack([U[:, 0, 0] * p0 + U[:, 0, 1] * p1, U[:, 1, 0] * p0 + U[:, 1, 1] * p1], axis=1)
+    A = Hp[:, 0] * p0 + Hp[:, 1] * p1
+    # pH3_ij = sum_k p_k H3_ijk with H3_ijk = sum_m U_km d_m U_ij (the chain
+    # rule to dual coordinates), so pH3_ij = sum_m Hp_m d_m U_ij
+    pH3 = Hp[:, 0, None, None] * dU[:, 0] + Hp[:, 1, None, None] * dU[:, 1]
+    M = -pH3 + Hp[:, :, None] * Hp[:, None, :] / pw[:, None, None]
 
-    rm2_fiber = _fiber_rm2(ctx["d2U"])
     term1 = (2.0 * a * pw + A) ** 2 / (4.0 * pw**4)
-    term2 = np.einsum("nik,njl,nij,nkl->n", G, G, M, M) / (4.0 * pw**2)
-    return {"pw": pw, "A": A, "H3": H3, "pH3": pH3, "M": M,
+    # sum G_ik G_jl M_ij M_kl = tr((G M)^2)
+    term2 = _trace_of_square(_mat2_product(G, M)) / (4.0 * pw**2)
+    return {"pw": pw, "A": A, "pH3": pH3, "M": M,
             "rm2_fiber": rm2_fiber, "rm2_total": term1 + term2 + rm2_fiber}
 
 
 def _blocks_from_ctx(ctx: dict, cls: AdmissibleClass, points) -> dict:
     """All admissible curvature blocks as arrays over the context points."""
-    parts = _rm2_total_from_ctx(ctx, cls, points)
-    pw, A, H3, pH3, M = (parts[k] for k in ("pw", "A", "H3", "pH3", "M"))
+    parts = _rm2_total_from_ctx(ctx, cls, points, _fiber_rm2(ctx["d2U"]))
+    pw, A, pH3, M = (parts[k] for k in ("pw", "A", "pH3", "M"))
     a = cls.a
     G, U, dU, d2U = ctx["G"], ctx["U"], ctx["dU"], ctx["d2U"]
 
+    # chain rule to the dual-coordinate derivative tensors of H = U
+    H3 = np.einsum("nkm,nmij->nijk", U, dU)
     H4 = np.einsum("nlv,nvkm,nmij->nijkl", U, dU, dU) + np.einsum(
         "nkm,nlv,nmvij->nijkl", U, U, d2U
     )
@@ -354,7 +366,8 @@ def rm2_total_field(u: SymplecticPotential, cls: AdmissibleClass) -> np.ndarray:
     cache = u.curvature_cache
     key = ("rm2_total", cls)
     if key not in cache:
-        cache[key] = _rm2_total_from_ctx(curvature_context(u), cls, u.grid.points)["rm2_total"]
+        cache[key] = _rm2_total_from_ctx(curvature_context(u), cls, u.grid.points,
+                                         fiber_riemann_norm_field(u))["rm2_total"]
     return cache[key]
 
 

@@ -16,8 +16,8 @@ from .curvature import (
     weighted_scalar_field,
 )
 from .errors import DegenerateInputError
-from .polytope import BoundaryQuadrature, DelzantPolytope, Grid, boundary_quadrature
-from .potential import SymplecticPotential, _tensorize
+from .polytope import JET_KEYS, BoundaryQuadrature, DelzantPolytope, Grid, boundary_quadrature
+from .potential import SymplecticPotential, _mat2_product, _tensorize, _trace_of_square
 
 
 def interior_quadrature(grid: Grid, integrand: np.ndarray) -> float:
@@ -89,8 +89,15 @@ class EnergyReport:
 def _r_hessian_parts(u: SymplecticPotential, cls: AdmissibleClass, R: np.ndarray):
     """(U, Rh, p) at every node: the inverse Hessian of u, the Hessian of a
     scalar-curvature node field R by second differences, the class weight."""
-    Rh = _tensorize(u.grid.field_jets(R), 2, u.grid.n_nodes)
+    Rh = _tensorize(u.grid.field_jets(R, JET_KEYS[2:]), 2, u.grid.n_nodes)
     return curvature_context(u)["U"], Rh, cls.weight(u.grid.points)
+
+
+def _dissipation_density(u: SymplecticPotential, cls: AdmissibleClass,
+                         R: np.ndarray) -> np.ndarray:
+    """u^{ir} u^{js} R_{,ij} R_{,rs} p at every node, as tr((U Rh)^2) p."""
+    U, Rh, pw = _r_hessian_parts(u, cls, R)
+    return _trace_of_square(_mat2_product(U, Rh)) * pw
 
 
 def dissipation_integral(u: SymplecticPotential, cls: AdmissibleClass,
@@ -103,9 +110,7 @@ def dissipation_integral(u: SymplecticPotential, cls: AdmissibleClass,
     """
     if R is None:
         R = weighted_scalar_field(u, cls)
-    U, Rh, pw = _r_hessian_parts(u, cls, R)
-    integrand = np.einsum("nir,njs,nij,nrs->n", U, U, Rh, Rh) * pw
-    return interior_quadrature(u.grid, integrand)
+    return interior_quadrature(u.grid, _dissipation_density(u, cls, R))
 
 
 def fiber_average_scalar(P: DelzantPolytope) -> float:

@@ -537,15 +537,17 @@ class Grid:
                                np.concatenate([v[keep], ls.ravel()]), (n, n))
         return blocks
 
-    def field_jets(self, f: np.ndarray) -> dict:
+    def field_jets(self, f: np.ndarray, keys=JET_KEYS) -> dict:
         """First and second derivative fields of a node field.
 
         f is (n,) or a stack (n, m) of m fields.  Tensor-product stencils in
         the interior; smooth least-squares jets on the near-boundary band.
-        Returns {(a, b): array shaped like f} for 1 <= a+b <= 2.
+        Returns {(a, b): array shaped like f} for the partials `keys`, by
+        default every (a, b) with 1 <= a+b <= 2.
         """
         f = np.asarray(f, dtype=float)
-        return {key: D @ f for key, D in self.jet_blocks.items()}
+        blocks = self.jet_blocks
+        return {key: blocks[key] @ f for key in keys}
 
     @cached_property
     def stencil_classification(self) -> np.ndarray:

@@ -186,6 +186,26 @@ def _sym2_inverse(G: np.ndarray) -> np.ndarray:
     return U
 
 
+def _mat2_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Matrix product A B of two fields (..., 2, 2) of 2x2 matrices, broadcast
+    over the leading axes.
+
+    Each entry is written out as A_i0 B_0j + A_i1 B_1j, elementwise over the
+    field, so one row gives the same bits as the whole field and no generic
+    contraction loop runs.
+    """
+    C = np.empty(np.broadcast_shapes(A.shape, B.shape))
+    for i in (0, 1):
+        for j in (0, 1):
+            C[..., i, j] = A[..., i, 0] * B[..., 0, j] + A[..., i, 1] * B[..., 1, j]
+    return C
+
+
+def _trace_of_square(P: np.ndarray) -> np.ndarray:
+    """tr(P P) of a field (n, 2, 2) of 2x2 matrices, elementwise."""
+    return (P[:, 0, 0] * P[:, 0, 0] + 2.0 * (P[:, 0, 1] * P[:, 1, 0])) + P[:, 1, 1] * P[:, 1, 1]
+
+
 # ---------------------------------------------------------------------------
 
 

@@ -86,16 +86,27 @@ def _curvature_once(u_value, center, s, cls=None):
 
         # block algebra from the center-point tensors
         Uc = U[c, c]
-        Gc = np.linalg.inv(Uc)
-        a_const = -cls.scal_S / 2.0
-        H3 = np.einsum("km,mij->ijk", Uc, dU)
-        Up = Uc @ pvec
-        A = float(pvec @ Uc @ pvec)
-        M = -np.einsum("k,ijk->ij", pvec, H3) + np.outer(Up, Up) / pw
-        term1 = (2 * a_const * pw + A) ** 2 / (4 * pw**4)
-        term2 = np.einsum("ik,jl,ij,kl->", Gc, Gc, M, M) / (4 * pw**2)
-        out["rm2_total"] = term1 + term2 + out["rm2_fiber"]
+        pieces = rm2_total_pieces(np.linalg.inv(Uc), Uc, dU, out["rm2_fiber"], cls, pw)
+        out["rm2_total"] = pieces[2]
     return out
+
+
+def rm2_total_pieces(G, U, dU, rm2_fiber, cls, pw):
+    """(A, M, rm2_total) of the admissible metric at one point, by the
+    block algebra's einsum contractions.
+
+    G is the Hessian, U its inverse, dU[k] = d_k U (each 2x2), rm2_fiber the
+    fiber |Rm|^2 and pw the class weight at the point.
+    """
+    pvec = np.asarray(cls.p)
+    a_const = -cls.scal_S / 2.0
+    H3 = np.einsum("km,mij->ijk", U, dU)
+    Up = U @ pvec
+    A = float(pvec @ U @ pvec)
+    M = -np.einsum("k,ijk->ij", pvec, H3) + np.outer(Up, Up) / pw
+    term1 = (2 * a_const * pw + A) ** 2 / (4 * pw**4)
+    term2 = np.einsum("ik,jl,ij,kl->", G, G, M, M) / (4 * pw**2)
+    return A, M, term1 + term2 + rm2_fiber
 
 
 def oracle_curvature(u_value, center, cls=None, s=3.0 / 512.0):

@@ -21,10 +21,11 @@ from calabiflow import (
     weighted_scalar,
     weighted_scalar_field,
 )
-from calabiflow.curvature import curvature_context
+from calabiflow.curvature import _rm2_total_from_ctx, curvature_context
 from calabiflow.polytope import DelzantPolytope
+from calabiflow.potential import _tensorize
 from conftest import interior_points
-from fd_oracle import agrees_to_sig, oracle_curvature
+from fd_oracle import agrees_to_sig, oracle_curvature, rm2_total_pieces
 
 
 def square_polytope():
@@ -323,3 +324,45 @@ def test_pointwise_scalars_equal_field_rows(poly, grid, request, bundle_class):
             assert weighted_scalar(u, cls, pt) == R[k] == sample.r_weighted
             assert fiber_riemann_norm(u, pt) == rf[k] == sample.rm2_fiber
             assert sample.rm2_total == rm2[k]
+
+
+# -- closed-form contractions against the einsum references ------------------
+
+POLY_GRIDS = [("triangle", "grid48"), ("hexagon", "hex_grid"), ("trapezoid", "trap_grid")]
+
+
+@pytest.mark.parametrize("poly, grid", POLY_GRIDS)
+def test_rm2_total_pieces_match_einsum_reference(poly, grid, request, bundle_class):
+    P, g = request.getfixturevalue(poly), request.getfixturevalue(grid)
+    x, y = g.points[:, 0], g.points[:, 1]
+    f = _cubic_fd(P, g).f_values + bump_form(0.05)(x, y)
+    u = SymplecticPotential.from_node_values(P, g, f)
+    ctx, rf = curvature_context(u), fiber_riemann_norm_field(u)
+    for cls in (bundle_class, AdmissibleClass.trivial(),
+                AdmissibleClass((0.7, 0.3), 13.1, 1.0, 1, 2)):
+        parts = _rm2_total_from_ctx(ctx, cls, g.points, rf)
+        pw = cls.weight(g.points)
+        ref = [rm2_total_pieces(ctx["G"][k], ctx["U"][k], ctx["dU"][k], rf[k], cls, pw[k])
+               for k in range(g.n_nodes)]
+        for col, name in enumerate(("A", "M", "rm2_total")):
+            want = np.array([r[col] for r in ref])
+            assert np.max(np.abs(parts[name] - want)) <= 1e-13 * np.max(np.abs(want)), (cls, name)
+
+
+@pytest.mark.parametrize("poly, grid", POLY_GRIDS)
+def test_analytic_context_matches_einsum_reference(poly, grid, request):
+    P, g = request.getfixturevalue(poly), request.getfixturevalue(grid)
+    u = SymplecticPotential.from_closed_form(P, g, bump_form(0.05))
+    ctx, partials, n = curvature_context(u), u.jets(4), g.n_nodes
+    U, T3, T4 = ctx["U"], _tensorize(partials, 3, n), _tensorize(partials, 4, n)
+    dU = -np.einsum("nai,nijk,njb->nkab", U, T3, U)
+    t1 = np.einsum("nlai,nijk,njb->nklab", dU, T3, U)
+    t2 = np.einsum("nai,nijkl,njb->nklab", U, T4, U)
+    t3 = np.einsum("nai,nijk,nljb->nklab", U, T3, dU)
+    assert np.max(np.abs(ctx["dU"] - dU)) <= 1e-13 * np.max(np.abs(dU))
+    # near a facet the three terms are O(1/l) and cancel to an O(1) d2U; the
+    # reference's own rounding there reaches several 1e-13 of max |d2U| on the
+    # triangle at N=48 (against an extended-precision contraction), so the
+    # drift is taken relative to the terms it sums
+    scale = np.max(np.abs(t1)) + np.max(np.abs(t2)) + np.max(np.abs(t3))
+    assert np.max(np.abs(ctx["d2U"] + (t1 + t2 + t3))) <= 1e-13 * scale

@@ -17,7 +17,15 @@ from calabiflow import (
     polynomial_form,
     weighted_scalar_field,
 )
-from calabiflow.energy import boundary_integral, cauchy_schwarz_gap, dissipation_integral
+from calabiflow.energy import (
+    _dissipation_density,
+    _r_hessian_parts,
+    boundary_integral,
+    cauchy_schwarz_gap,
+    dissipation_integral,
+)
+from calabiflow.polytope import JET_KEYS, Grid
+from calabiflow.potential import _tensorize, bump_form
 
 
 def test_quadrature_constant(grid96):
@@ -186,3 +194,43 @@ def test_energy_report_rejects_quadrature_of_another_polytope(potential, hexagon
     u = request.getfixturevalue(potential)
     with pytest.raises(DomainError):
         energy_report(u, bundle_class, boundary_quadrature(hexagon))
+
+
+def _bump_fd(P, g):
+    f = bump_form(0.05)(g.points[:, 0], g.points[:, 1])
+    return SymplecticPotential.from_node_values(P, g, f)
+
+
+@pytest.mark.parametrize("poly, grid", [("triangle", "grid48"), ("hexagon", "hex_grid"),
+                                        ("trapezoid", "trap_grid")])
+def test_dissipation_density_matches_einsum_reference(poly, grid, request, bundle_class):
+    P, g = request.getfixturevalue(poly), request.getfixturevalue(grid)
+    u = _bump_fd(P, g)
+    for cls in (bundle_class, AdmissibleClass.trivial(),
+                AdmissibleClass((0.7, 0.3), 13.1, 1.0, 1, 2)):
+        R = weighted_scalar_field(u, cls)
+        U, Rh, pw = _r_hessian_parts(u, cls, R)
+        # the second-order blocks alone give the Hessian of R the full jets give
+        assert np.array_equal(Rh, _tensorize(g.field_jets(R), 2, g.n_nodes))
+        ref = np.einsum("nir,njs,nij,nrs->n", U, U, Rh, Rh) * pw
+        got = _dissipation_density(u, cls, R)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert dissipation_integral(u, cls, R) == interior_quadrature(g, got)
+
+
+def test_fresh_fd_report_evaluates_fiber_norm_once(monkeypatch, triangle, grid48, bundle_class):
+    from calabiflow import curvature
+
+    u = _bump_fd(triangle, grid48)
+    fiber_rm2, field_jets = curvature._fiber_rm2, Grid.field_jets
+    calls, keys = [], []
+    monkeypatch.setattr(curvature, "_fiber_rm2", lambda d2U: calls.append(1) or fiber_rm2(d2U))
+    monkeypatch.setattr(Grid, "field_jets", lambda self, f, k=JET_KEYS:
+                        keys.append(tuple(k)) or field_jets(self, f, k))
+    rep = energy_report(u, bundle_class)
+    # |Rm|^2 and the unweighted fiber energy read one cached fiber field, and
+    # the dissipation applies only the second-order blocks to R
+    assert calls == [1]
+    assert keys == [JET_KEYS[2:]]
+    assert rep.fiber_rm2_unweighted == interior_quadrature(
+        grid48, curvature.fiber_riemann_norm_field(u))
