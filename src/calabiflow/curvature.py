@@ -1,9 +1,13 @@
 """Pointwise curvature of toric and admissible metrics.
 
 Everything is computed from the inverse-Hessian field U = (Hess u)^{-1} and
-its first two derivative fields: exact matrix calculus for potentials with a
-closed form, field differencing for node data.  Pointwise operations evaluate
-the same formulas on a one-point context.  Derivatives in the dual
+its first two derivatives, the U-jets: exact matrix calculus for potentials
+with a closed form, field differencing for node data.  Each symmetric 2x2
+field is held by its components (00, 01, 11), a (3, n) array, and each U-jet
+is such an array keyed by its partial (a, b); the fields are contracted
+entry by entry with the 2x2 helpers of calabiflow.potential.  Pointwise
+operations evaluate the same formulas on a one-point context, and only the
+curvature blocks expand it to full tensors.  Derivatives in the dual
 coordinates are obtained by the chain rule u_{ik} d/dxi_k = d/dz_i, never by
 differencing in dual space.
 """
@@ -15,9 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CurvatureUndefinedError, DegenerateInputError, DomainError, RegimeError
-from .polytope import DelzantPolytope
-from .potential import (SymplecticPotential, _mat2_product, _sym2_eigenvalues, _sym2_inverse,
-                        _tensorize, _trace_of_square)
+from .polytope import JET_KEYS, DelzantPolytope
+from .potential import (HESSIAN_KEYS, SymplecticPotential, _mat2, _mat2_product, _sym2_dot,
+                        _sym2_eigenvalues, _sym2_inverse, _sym2_matrix, _sym2_sandwich,
+                        _trace_of_square)
 
 _SPD_RATIO = 1e-12
 
@@ -109,7 +114,8 @@ class CurvatureSample:
 # derivative context
 
 
-def _check_spd(G: np.ndarray) -> None:
+def _check_spd(G) -> np.ndarray:
+    """Lower eigenvalue field of a Hessian field G, which must be positive definite."""
     lo, hi = _sym2_eigenvalues(G)
     bad = ~np.isfinite(lo) | (lo <= _SPD_RATIO * np.maximum(hi, 1.0))
     if np.any(bad):
@@ -117,98 +123,89 @@ def _check_spd(G: np.ndarray) -> None:
             f"Hessian not positive definite at {int(bad.sum())} point(s); "
             f"min eigenvalue {np.nanmin(lo):.3e}"
         )
+    return lo
 
 
-def _context_from_jets(partials: dict, n: int) -> dict:
-    """Build (G, U, dU, d2U) from u-partials; dU/d2U by matrix calculus.
+def _traces(jet) -> dict:
+    """dU_trace[s, r] = d_s U_rs and d2U_trace = sum of d_r d_s U_rs over rs = 00,
+    01, 10, 11 in this order, from jet(key, c), component c of the U-jet key."""
+    dxy01 = jet((1, 1), 1)
+    return {"dU_trace": np.array([[jet((1, 0), 0), jet((1, 0), 1)],
+                                  [jet((0, 1), 1), jet((0, 1), 2)]]),
+            "d2U_trace": ((jet((2, 0), 0) + dxy01) + dxy01) + jet((0, 2), 2)}
 
-    G         : (n, 2, 2) Hessian of u
-    U         : (n, 2, 2) inverse Hessian
-    dU        : (n, 2, 2, 2) with dU[:, k, a, b] = d U_ab / d z_k
-    d2U       : (n, 2, 2, 2, 2) with d2U[:, k, l, a, b]
-    dU_trace  : (n, 2, 2) with dU_trace[:, s, r] = d U_rs / d z_s
-    d2U_trace : (n,) sum over r, s of d2 U_rs / d z_r d z_s
+
+def _context_from_jets(p: dict) -> dict:
+    """Context from u-partials {(a, b): array}, the U-jets by matrix calculus.
+
+    G, U    : (3, n) components (00, 01, 11) of Hess u and of its inverse
+    min_eig : (n,) lower eigenvalue of G
+    dU, d2U : the U-jets, {(a, b): (3, n) components of the partial (a, b)
+              of U}, for (1, 0), (0, 1) and for (2, 0), (1, 1), (0, 2)
+    dU_trace, d2U_trace : see _traces
+
+    With T3_k = (u_ijk)_ij and T4_kl = (u_ijkl)_ij read from the partials,
+    dU_k = -U T3_k U and d2U_kl = -((U T4_kl U + C) + C^T), C = dU_l T3_k U.
     """
-    G = _tensorize(partials, 2, n)
-    _check_spd(G)
+    G = np.stack([p[key] for key in HESSIAN_KEYS])
+    min_eig = _check_spd(G)
     U = _sym2_inverse(G)
-    # fully symmetric, so T3[:, k] is the matrix (u_ijk)_ij and T4[:, k, l]
-    # the matrix (u_ijkl)_ij
-    T3 = _tensorize(partials, 3, n)
-    T4 = _tensorize(partials, 4, n)
-    Uk, Ukl = U[:, None], U[:, None, None]
-    # dU_k = -U T3_k U;  d2U_kl = -(U T4_kl U + C + C^T) with C = dU_l T3_k U,
-    # summed in place so that at most three (n, 2, 2, 2, 2) arrays are live
-    dU = -_mat2_product(_mat2_product(Uk, T3), Uk)
-    d2U = _mat2_product(_mat2_product(Ukl, T4), Ukl)
-    C = _mat2_product(_mat2_product(dU[:, None], T3[:, :, None]), Ukl)
-    d2U += C
-    d2U += np.swapaxes(C, 3, 4)
-    np.negative(d2U, out=d2U)
-    return {"G": G, "U": U, "dU": dU, "d2U": d2U,
-            "dU_trace": np.einsum("nsrs->nsr", dU), "d2U_trace": np.einsum("nrsrs->n", d2U)}
+
+    def T(m, order):  # the matrix (u_ij..)_ij of that order, m y's among its indices past ij
+        return tuple(p[(order - m - c, m + c)] for c in range(3))
+
+    T3 = [T(k, 3) for k in (0, 1)]
+    dU = {key: -_sym2_sandwich(U, T3[k]) for k, key in enumerate(JET_KEYS[:2])}
+    d2U = {}
+    for (k, l), key in zip(((0, 0), (0, 1), (1, 1)), HESSIAN_KEYS):
+        c00, c01, c10, c11 = _mat2_product(
+            _mat2_product(_mat2(dU[JET_KEYS[l]]), _mat2(T3[k])), _mat2(U))
+        s00, s01, s11 = _sym2_sandwich(U, T(k + l, 4))
+        d2U[key] = -np.stack([(s00 + c00) + c00, (s01 + c01) + c10, (s11 + c11) + c11])
+    jets = {**dU, **d2U}
+    return {"G": G, "U": U, "min_eig": min_eig, "dU": dU, "d2U": d2U,
+            **_traces(lambda key, c: jets[key][c])}
 
 
 def _context_fd(u: SymplecticPotential) -> dict:
-    """Field context: G = u.hessians(), then the derivatives of the
-    inverse-Hessian entries (see _FdContext)."""
-    G = u.hessians()
-    _check_spd(G)
+    """Field context: G = u.hessian_field(), then the derivatives of the
+    inverse-Hessian components (see _FdContext)."""
+    G = u.hessian_field()
+    min_eig = _check_spd(G)
     U = _sym2_inverse(G)
-    return _FdContext(G, U, u.grid.jet_blocks, np.stack([U[:, 0, 0], U[:, 0, 1], U[:, 1, 1]]))
+    return _FdContext({"G": G, "U": U, "min_eig": min_eig}, u.grid.jet_blocks, U)
 
 
 class _FdContext(dict):
-    """Derivative context of an fd potential, from the derivative operators
-    of the grid applied to the inverse-Hessian entries (U00, U01, U11).
+    """Derivative context of an fd potential, with the fields of
+    _context_from_jets: the grid's derivative operators applied to the
+    inverse-Hessian components (U00, U01, U11).
 
     blocks holds one operator per JET_KEYS partial, restricted to the rows
-    of this context's points; entries is the (3, n) stack of the entries at
-    every grid node, which those rows act on.  G, U and the two traces the
-    scalar curvatures read are filled at once, from the seven products of a
-    block with one entry that the traces need.  The full tensors dU and d2U
-    are assembled on first access: the flow velocity needs only the traces.
+    of this context's points; U_nodes is the (3, n) U at every grid node,
+    which those rows act on.  The traces are filled at once, from the seven
+    products of a block with one component that they read.  The U-jets, one
+    (3, n) stack per block, are built on first access: the flow velocity
+    needs only the traces.
     """
 
-    def __init__(self, G: np.ndarray, U: np.ndarray, blocks: dict, entries: np.ndarray):
-        U00, U01, U11 = entries
-        dxy01 = blocks[(1, 1)] @ U01
-        dU_trace = np.empty((len(G), 2, 2))  # [:, s, r] = d_s U_rs
-        dU_trace[:, 0, 0] = blocks[(1, 0)] @ U00
-        dU_trace[:, 0, 1] = blocks[(1, 0)] @ U01
-        dU_trace[:, 1, 0] = blocks[(0, 1)] @ U01
-        dU_trace[:, 1, 1] = blocks[(0, 1)] @ U11
-        super().__init__(
-            G=G,
-            U=U,
-            dU_trace=dU_trace,
-            # summed in the order of the einsum over the full d2U tensor
-            d2U_trace=((blocks[(2, 0)] @ U00 + dxy01) + dxy01) + blocks[(0, 2)] @ U11,
-        )
-        self._blocks, self._entries = blocks, entries
+    def __init__(self, fields: dict, blocks: dict, U_nodes: np.ndarray):
+        super().__init__(fields, **_traces(lambda key, c: blocks[key] @ U_nodes[c]))
+        self._blocks, self._U_nodes = blocks, U_nodes
 
     def row(self, k: int) -> "_FdContext":
-        """One-row context of node k: row k of G and U, and row k of every
-        block, so its traces and full tensors are built as the grid's are."""
-        return _FdContext(self["G"][k : k + 1], self["U"][k : k + 1],
+        """One-row context of node k: column k of G, U and min_eig, and row k
+        of every block, so its traces and U-jets are built as the grid's are."""
+        return _FdContext({key: self[key][..., k : k + 1] for key in ("G", "U", "min_eig")},
                           {key: D[k : k + 1] for key, D in self._blocks.items()},
-                          self._entries)
+                          self._U_nodes)
 
     def __missing__(self, key):
         if key not in ("dU", "d2U"):
             raise KeyError(key)
-        jets = {jet: [D @ e for e in self._entries] for jet, D in self._blocks.items()}
-        n = len(self["U"])
-        dU = np.empty((n, 2, 2, 2))
-        d2U = np.empty((n, 2, 2, 2, 2))
-        for c, (a, b) in enumerate(((0, 0), (0, 1), (1, 1))):
-            dU[:, 0, a, b] = dU[:, 0, b, a] = jets[(1, 0)][c]
-            dU[:, 1, a, b] = dU[:, 1, b, a] = jets[(0, 1)][c]
-            d2U[:, 0, 0, a, b] = d2U[:, 0, 0, b, a] = jets[(2, 0)][c]
-            d2U[:, 1, 1, a, b] = d2U[:, 1, 1, b, a] = jets[(0, 2)][c]
-            d2U[:, 0, 1, a, b] = d2U[:, 0, 1, b, a] = jets[(1, 1)][c]
-            d2U[:, 1, 0, a, b] = d2U[:, 1, 0, b, a] = jets[(1, 1)][c]
-        self["dU"], self["d2U"] = dU, d2U
+        jets = {jet: np.stack([D @ e for e in self._U_nodes]) for jet, D in self._blocks.items()}
+        self["dU"] = {jet: jets[jet] for jet in JET_KEYS[:2]}
+        self["d2U"] = {jet: jets[jet] for jet in HESSIAN_KEYS}
         return self[key]
 
 
@@ -217,7 +214,7 @@ def curvature_context(u: SymplecticPotential) -> dict:
     cache = u.curvature_cache
     if "context" not in cache:
         if u.provider == "analytic":
-            cache["context"] = _context_from_jets(u.jets(4), u.grid.n_nodes)
+            cache["context"] = _context_from_jets(u.jets(4))
         else:
             cache["context"] = _context_fd(u)
     return cache["context"]
@@ -226,7 +223,7 @@ def curvature_context(u: SymplecticPotential) -> dict:
 def context_at_points(u: SymplecticPotential, points) -> dict:
     """Derivative context at arbitrary interior points (closed forms only)."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    return _context_from_jets(u.partials_at(pts), len(pts))
+    return _context_from_jets(u.partials_at(pts))
 
 
 def _node_context(u: SymplecticPotential, x):
@@ -257,9 +254,13 @@ def abreu_scalar_field(u: SymplecticPotential) -> np.ndarray:
     return cache["abreu"]
 
 
-def _fiber_rm2(d2U: np.ndarray) -> np.ndarray:
-    """|Rm|^2 of the fiber metric: (1/4) sum (u^{ij})_{,kl} (u^{kl})_{,ij}."""
-    return 0.25 * np.einsum("nklij,nijkl->n", d2U, d2U)
+def _fiber_rm2(d2U: dict) -> np.ndarray:
+    """|Rm|^2 of the fiber metric: (1/4) sum (u^{ij})_{,kl} (u^{kl})_{,ij}, that
+    is, the sum over kl = 00, 01, 10, 11 of <J[kl], J[:, kl]> with J[kl] the
+    components of d_k d_l U."""
+    J = np.stack([d2U[key] for key in HESSIAN_KEYS])
+    t00, t01, t11 = (_sym2_dot(J[c], J[:, c]) for c in range(3))
+    return 0.25 * ((t00 + 2.0 * t01) + t11)
 
 
 def fiber_riemann_norm_field(u: SymplecticPotential) -> np.ndarray:
@@ -279,13 +280,11 @@ def _weighted_scalar_from_ctx(ctx: dict, cls: AdmissibleClass, points) -> np.nda
     pr = cls.m * q[:, None] ** (cls.m - 1) * pvec[None, :] if cls.m >= 1 else np.zeros_like(pts)
     # div = sum_rs d_r d_s (p U_rs) = sum p_rs U_rs + 2 sum p_r d_s U_rs + p sum d_r d_s U_rs
     dUt = ctx["dU_trace"]
-    div = 2.0 * ((pr[:, 0] * dUt[:, 0, 0] + pr[:, 1] * dUt[:, 0, 1])
-                 + (pr[:, 0] * dUt[:, 1, 0] + pr[:, 1] * dUt[:, 1, 1]))
+    div = 2.0 * ((pr[:, 0] * dUt[0, 0] + pr[:, 1] * dUt[0, 1])
+                 + (pr[:, 0] * dUt[1, 0] + pr[:, 1] * dUt[1, 1]))
     if cls.m >= 2:
-        prs = (cls.m * (cls.m - 1) * q ** (cls.m - 2))[:, None, None] * np.einsum(
-            "r,s->rs", pvec, pvec
-        )[None, :, :]
-        div = np.einsum("nrs,nrs->n", prs, ctx["U"]) + div
+        prs = cls.m * (cls.m - 1) * q ** (cls.m - 2) * (pvec[[0, 0, 1]] * pvec[[0, 1, 1]])[:, None]
+        div = _sym2_dot(prs, ctx["U"]) + div
     div = div + pw * ctx["d2U_trace"]
     return cls.scal_S / q - div / pw
 
@@ -302,38 +301,40 @@ def weighted_scalar_field(u: SymplecticPotential, cls: AdmissibleClass) -> np.nd
 def _rm2_total_from_ctx(ctx: dict, cls: AdmissibleClass, points, rm2_fiber: np.ndarray) -> dict:
     """|Rm|^2 of the admissible metric over the context points, with the
     pieces it is built from: {"pw", "A", "pH3", "M", "rm2_fiber",
-    "rm2_total"}.  rm2_fiber is the fiber |Rm|^2 at the same points.  Every
-    contraction is written out per entry, and none needs a third-order
-    tensor of H = U."""
+    "rm2_total"}, pH3 and M as components (3, n).  rm2_fiber is the fiber
+    |Rm|^2 at the same points.  Every contraction is written out per entry,
+    and none needs a third-order tensor of H = U."""
     if cls.m > 1:
         raise RegimeError("admissible curvature blocks require base dimension m <= 1")
     q = cls.affine(np.atleast_2d(points))
     pw = q**cls.m
     a = cls.a
     p0, p1 = cls.p
-    G, U, dU = ctx["G"], ctx["U"], ctx["dU"]
+    U00, U01, U11 = ctx["U"]
 
     # Hp = U p and A = <Hp, p>
-    Hp = np.stack([U[:, 0, 0] * p0 + U[:, 0, 1] * p1, U[:, 1, 0] * p0 + U[:, 1, 1] * p1], axis=1)
-    A = Hp[:, 0] * p0 + Hp[:, 1] * p1
+    Hp0, Hp1 = U00 * p0 + U01 * p1, U01 * p0 + U11 * p1
+    A = Hp0 * p0 + Hp1 * p1
     # pH3_ij = sum_k p_k H3_ijk with H3_ijk = sum_m U_km d_m U_ij (the chain
     # rule to dual coordinates), so pH3_ij = sum_m Hp_m d_m U_ij
-    pH3 = Hp[:, 0, None, None] * dU[:, 0] + Hp[:, 1, None, None] * dU[:, 1]
-    M = -pH3 + Hp[:, :, None] * Hp[:, None, :] / pw[:, None, None]
+    pH3 = Hp0 * ctx["dU"][(1, 0)] + Hp1 * ctx["dU"][(0, 1)]
+    M = -pH3 + np.stack([Hp0 * Hp0, Hp0 * Hp1, Hp1 * Hp1]) / pw
 
     term1 = (2.0 * a * pw + A) ** 2 / (4.0 * pw**4)
     # sum G_ik G_jl M_ij M_kl = tr((G M)^2)
-    term2 = _trace_of_square(_mat2_product(G, M)) / (4.0 * pw**2)
+    term2 = _trace_of_square(ctx["G"], M) / (4.0 * pw**2)
     return {"pw": pw, "A": A, "pH3": pH3, "M": M,
             "rm2_fiber": rm2_fiber, "rm2_total": term1 + term2 + rm2_fiber}
 
 
 def _blocks_from_ctx(ctx: dict, cls: AdmissibleClass, points) -> dict:
-    """All admissible curvature blocks as arrays over the context points."""
+    """All admissible curvature blocks over the context points, from full tensors."""
     parts = _rm2_total_from_ctx(ctx, cls, points, _fiber_rm2(ctx["d2U"]))
-    pw, A, pH3, M = (parts[k] for k in ("pw", "A", "pH3", "M"))
-    a = cls.a
-    G, U, dU, d2U = ctx["G"], ctx["U"], ctx["dU"], ctx["d2U"]
+    pw, A = parts["pw"], parts["A"]
+    pH3, M, G, U = (_sym2_matrix(S) for S in (parts["pH3"], parts["M"], ctx["G"], ctx["U"]))
+    # dU[:, k, i, j] = d_k U_ij and d2U[:, k, l, i, j] = d_k d_l U_ij
+    dU = _sym2_matrix(np.stack([ctx["dU"][key] for key in JET_KEYS[:2]], axis=-1))
+    d2U = _sym2_matrix(_sym2_matrix(np.stack([ctx["d2U"][key] for key in HESSIAN_KEYS])))
 
     # chain rule to the dual-coordinate derivative tensors of H = U
     H3 = np.einsum("nkm,nmij->nijk", U, dU)
@@ -342,13 +343,13 @@ def _blocks_from_ctx(ctx: dict, cls: AdmissibleClass, points) -> dict:
     )
     H4 = 0.5 * (H4 + np.swapaxes(H4, 2, 3))
 
-    rm_0000 = -4.0 * a * pw - 2.0 * A
+    rm_0000 = -4.0 * cls.a * pw - 2.0 * A
     rm_00ij = 0.5 * M
     fiber_core = -H4 + np.einsum("nst,nilt,njks->nijkl", G, H3, H3)
     rm_ijkl = fiber_core / 8.0
     # The H3-contraction coefficient 2 is forced by the trace identity
     # 2(g^{00}Ric_00 + g^{ij}Ric_ij) = R(u) with g_00 = 2p(z), g_ij = H/2.
-    ric_00 = -2.0 * a - 2.0 * np.einsum("nij,nij->n", G, pH3)
+    ric_00 = -2.0 * cls.a - 2.0 * np.einsum("nij,nij->n", G, pH3)
     ric_ij = 0.25 * np.einsum("nkl,nijkl->nij", G, fiber_core)
     return {
         "rm_0000": rm_0000,
@@ -423,7 +424,7 @@ def ricci_trace(u: SymplecticPotential, cls: AdmissibleClass, x) -> float:
     ctx, pt = _node_context(u, x)
     blocks = _blocks_from_ctx(ctx, cls, pt[None, :])
     pw = float(cls.weight(pt))
-    fiber = 2.0 * float(np.einsum("nij,nij->n", ctx["G"], blocks["ric_ij"])[0])
+    fiber = 2.0 * float(np.einsum("nij,nij->n", _sym2_matrix(ctx["G"]), blocks["ric_ij"])[0])
     return 2.0 * (blocks["ric_00"][0] / (2.0 * pw) + fiber)
 
 

@@ -17,7 +17,7 @@ from .curvature import (
 )
 from .errors import DegenerateInputError
 from .polytope import JET_KEYS, BoundaryQuadrature, DelzantPolytope, Grid, boundary_quadrature
-from .potential import SymplecticPotential, _mat2_product, _tensorize, _trace_of_square
+from .potential import HESSIAN_KEYS, SymplecticPotential, _sym2_dot, _trace_of_square
 
 
 def interior_quadrature(grid: Grid, integrand: np.ndarray) -> float:
@@ -88,16 +88,16 @@ class EnergyReport:
 
 def _r_hessian_parts(u: SymplecticPotential, cls: AdmissibleClass, R: np.ndarray):
     """(U, Rh, p) at every node: the inverse Hessian of u, the Hessian of a
-    scalar-curvature node field R by second differences, the class weight."""
-    Rh = _tensorize(u.grid.field_jets(R, JET_KEYS[2:]), 2, u.grid.n_nodes)
+    scalar-curvature node field R by second differences (both as components
+    (3, n)), the class weight."""
+    jets = u.grid.field_jets(R, JET_KEYS[2:])
+    Rh = np.stack([jets[key] for key in HESSIAN_KEYS])
     return curvature_context(u)["U"], Rh, cls.weight(u.grid.points)
 
 
-def _dissipation_density(u: SymplecticPotential, cls: AdmissibleClass,
-                         R: np.ndarray) -> np.ndarray:
-    """u^{ir} u^{js} R_{,ij} R_{,rs} p at every node, as tr((U Rh)^2) p."""
-    U, Rh, pw = _r_hessian_parts(u, cls, R)
-    return _trace_of_square(_mat2_product(U, Rh)) * pw
+def _dissipation_density(U, Rh, pw: np.ndarray) -> np.ndarray:
+    """u^{ir} u^{js} R_{,ij} R_{,rs} p as tr((U Rh)^2) p, from _r_hessian_parts."""
+    return _trace_of_square(U, Rh) * pw
 
 
 def dissipation_integral(u: SymplecticPotential, cls: AdmissibleClass,
@@ -110,7 +110,7 @@ def dissipation_integral(u: SymplecticPotential, cls: AdmissibleClass,
     """
     if R is None:
         R = weighted_scalar_field(u, cls)
-    return interior_quadrature(u.grid, _dissipation_density(u, cls, R))
+    return interior_quadrature(u.grid, _dissipation_density(*_r_hessian_parts(u, cls, R)))
 
 
 def fiber_average_scalar(P: DelzantPolytope) -> float:
@@ -162,12 +162,9 @@ def mixed_trace(u0: SymplecticPotential, u1: SymplecticPotential):
         or u0.polytope.content_hash() != u1.polytope.content_hash()
     ):
         raise DegenerateInputError("mixed trace requires both potentials on the same grid")
-    G0 = curvature_context(u0)["G"]
-    G1 = curvature_context(u1)["G"]
-    U0 = curvature_context(u0)["U"]
-    U1 = curvature_context(u1)["U"]
-    t01 = interior_quadrature(u0.grid, np.einsum("nij,nij->n", G0, U1))
-    t10 = interior_quadrature(u0.grid, np.einsum("nij,nij->n", G1, U0))
+    ctx0, ctx1 = curvature_context(u0), curvature_context(u1)
+    t01 = interior_quadrature(u0.grid, _sym2_dot(ctx0["G"], ctx1["U"]))
+    t10 = interior_quadrature(u0.grid, _sym2_dot(ctx1["G"], ctx0["U"]))
     return t01, t10
 
 
@@ -178,8 +175,8 @@ def cauchy_schwarz_gap(u: SymplecticPotential, cls: AdmissibleClass) -> float:
     the 2 is the squared norm of the metric itself (trace of the identity).
     Returns LHS - RHS (nonnegative up to quadrature noise).
     """
-    R = weighted_scalar_field(u, cls)
-    U, Rh, pw = _r_hessian_parts(u, cls, R)
-    mixed = interior_quadrature(u.grid, np.einsum("nij,nij->n", U, Rh) * pw)
+    U, Rh, pw = _r_hessian_parts(u, cls, weighted_scalar_field(u, cls))
+    diss = interior_quadrature(u.grid, _dissipation_density(U, Rh, pw))
+    mixed = interior_quadrature(u.grid, _sym2_dot(U, Rh) * pw)
     vol = interior_quadrature(u.grid, pw)
-    return dissipation_integral(u, cls, R) - mixed**2 / (2.0 * vol)
+    return diss - mixed**2 / (2.0 * vol)

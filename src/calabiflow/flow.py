@@ -147,9 +147,10 @@ def step(state: FlowState, cls: AdmissibleClass, policy: StepPolicy = None,
 # ---------------------------------------------------------------------------
 # Riemannian grid-graph distances
 
-def distance_field(grid: Grid, hessians: np.ndarray, sources) -> np.ndarray:
+def distance_field(grid: Grid, hessians, sources) -> np.ndarray:
     """Dijkstra distances from a source node set on the 8-neighbour graph.
 
+    hessians is the metric at every node as its components (g00, g01, g11).
     An edge n -> m has metric length sqrt(dx^T G dx), G the mean of the
     Hessians at its two ends.  Zero-length edges stay edges of the graph.
     """
@@ -157,11 +158,8 @@ def distance_field(grid: Grid, hessians: np.ndarray, sources) -> np.ndarray:
     from scipy.sparse.csgraph import dijkstra
 
     rows, cols, k, indptr = grid.edges8
-    # 1-d np.take per entry: fancy indexing of (n, 2, 2) rows by int32 ids is
-    # several times slower
     dx, dy = (np.take(o, k) for o in (grid.h * OFFSETS8).T)
-    g00, g01, g11 = (0.5 * (np.take(e, rows) + np.take(e, cols))
-                     for e in (hessians[:, 0, 0], hessians[:, 0, 1], hessians[:, 1, 1]))
+    g00, g01, g11 = (0.5 * (np.take(e, rows) + np.take(e, cols)) for e in hessians)
     q = g00 * dx * dx + 2.0 * g01 * dx * dy + g11 * dy * dy
     A = csr_array((np.sqrt(np.maximum(q, 0.0)), cols, indptr), shape=(grid.n_nodes,) * 2)
     sources = np.atleast_1d(np.asarray(sources, dtype=int))
@@ -174,7 +172,7 @@ def riemannian_distance(u: SymplecticPotential, A, B) -> float:
     B = np.atleast_1d(np.asarray(B, dtype=int))
     if len(A) == 0 or len(B) == 0:
         raise ValueError("node sets must be nonempty")
-    dist = distance_field(u.grid, u.hessians(), A)
+    dist = distance_field(u.grid, u.hessian_field(), A)
     return float(np.min(dist[B]))
 
 
@@ -263,9 +261,10 @@ class FlowRun:
         u = self.state.u
         cls = self.cls
         rep = energy_report(u, cls, self.bquad)
-        # the Hessian field of the state's curvature context, cached by energy_report
-        G = curvature_context(u)["G"]
-        eigs = _sym2_eigenvalues(G)[0]
+        # the Hessian field of the state's curvature context, cached by
+        # energy_report, with its lower eigenvalue
+        ctx = curvature_context(u)
+        G, eigs = ctx["G"], ctx["min_eig"]
         positivity = bool(np.min(eigs) > 0)
         d = self._correction_derivative_maxima(u)
         if len(self.eps_ring) and len(self.eps2_ring):

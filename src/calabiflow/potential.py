@@ -15,7 +15,6 @@ differentiated follows from what it was built from, it is not chosen:
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -152,58 +151,73 @@ class Jet:
 
     @property
     def hessian(self) -> np.ndarray:
-        p = self.partials
-        return np.array([[p[(2, 0)], p[(1, 1)]], [p[(1, 1)], p[(0, 2)]]], dtype=float)
+        return _sym2_matrix(np.array([self.partials[key] for key in HESSIAN_KEYS], dtype=float))
 
 
-def _tensorize(partials: dict, order: int, n: int) -> np.ndarray:
-    """Symmetric derivative tensor field (n, 2, ..., 2) of the given order from
-    partials {(a, b): array}; tensor index 0 is x, 1 is y."""
-    T = np.empty((n,) + (2,) * order)
-    # itertools, not np.ndindex: this runs on every monitor record, and
-    # np.ndindex builds an nditer per call (about 4.5 us against 1 us)
-    for idx in itertools.product((0, 1), repeat=order):
-        a = order - sum(idx)
-        T[(slice(None),) + idx] = partials[(a, order - a)]
-    return T
+# The partials (a, b) of the Hessian components (00, 01, 11); the second
+# derivatives d_k d_l of any field are keyed the same way, kl = 00, 01, 11.
+HESSIAN_KEYS = ((2, 0), (1, 1), (0, 2))
+
+# 2x2 algebra on fields of matrices held entry by entry: a symmetric field S
+# is the triple of its components (00, 01, 11), each an array over the same
+# points (a (3, n) array unpacks into one); a general one is the four entries
+# (00, 01, 10, 11).  Every formula is elementwise, so one point gives the same
+# bits as that point's row of a field, and no generic contraction loop runs.
 
 
-def _sym2_eigenvalues(G: np.ndarray):
-    """(lower, upper) eigenvalues of a field (n, 2, 2) of symmetric matrices."""
-    tr = G[:, 0, 0] + G[:, 1, 1]
-    det = G[:, 0, 0] * G[:, 1, 1] - G[:, 0, 1] ** 2
+def _sym2_matrix(S) -> np.ndarray:
+    """The (..., 2, 2) matrices of a symmetric field S = (00, 01, 11)."""
+    s00, s01, s11 = S
+    return np.stack([np.stack([s00, s01], -1), np.stack([s01, s11], -1)], -2)
+
+
+def _mat2(S) -> tuple:
+    """The four entries of a symmetric field S = (00, 01, 11)."""
+    s00, s01, s11 = S
+    return s00, s01, s01, s11
+
+
+def _sym2_eigenvalues(S):
+    """(lower, upper) eigenvalues of a symmetric field S."""
+    s00, s01, s11 = S
+    tr = s00 + s11
+    det = s00 * s11 - s01**2
     disc = np.sqrt(np.maximum(tr * tr - 4 * det, 0.0))
     return 0.5 * (tr - disc), 0.5 * (tr + disc)
 
 
-def _sym2_inverse(G: np.ndarray) -> np.ndarray:
-    """Inverse of a field (n, 2, 2) of symmetric matrices."""
-    det = G[:, 0, 0] * G[:, 1, 1] - G[:, 0, 1] ** 2
-    U = np.empty_like(G)
-    U[:, 0, 0] = G[:, 1, 1] / det
-    U[:, 1, 1] = G[:, 0, 0] / det
-    U[:, 0, 1] = U[:, 1, 0] = -G[:, 0, 1] / det
-    return U
+def _sym2_inverse(S) -> np.ndarray:
+    """Components (3, n) of the inverse of a symmetric field S."""
+    s00, s01, s11 = S
+    det = s00 * s11 - s01**2
+    return np.stack([s11 / det, -s01 / det, s00 / det])
 
 
-def _mat2_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Matrix product A B of two fields (..., 2, 2) of 2x2 matrices, broadcast
-    over the leading axes.
-
-    Each entry is written out as A_i0 B_0j + A_i1 B_1j, elementwise over the
-    field, so one row gives the same bits as the whole field and no generic
-    contraction loop runs.
-    """
-    C = np.empty(np.broadcast_shapes(A.shape, B.shape))
-    for i in (0, 1):
-        for j in (0, 1):
-            C[..., i, j] = A[..., i, 0] * B[..., 0, j] + A[..., i, 1] * B[..., 1, j]
-    return C
+def _mat2_product(A, B) -> tuple:
+    """Entries of the product A B of two fields given by their four entries."""
+    a00, a01, a10, a11 = A
+    b00, b01, b10, b11 = B
+    return (a00 * b00 + a01 * b10, a00 * b01 + a01 * b11,
+            a10 * b00 + a11 * b10, a10 * b01 + a11 * b11)
 
 
-def _trace_of_square(P: np.ndarray) -> np.ndarray:
-    """tr(P P) of a field (n, 2, 2) of 2x2 matrices, elementwise."""
-    return (P[:, 0, 0] * P[:, 0, 0] + 2.0 * (P[:, 0, 1] * P[:, 1, 0])) + P[:, 1, 1] * P[:, 1, 1]
+def _sym2_sandwich(U, A) -> np.ndarray:
+    """Components (3, n) of U A U for symmetric U and A, taken as (U A) U."""
+    c00, c01, _, c11 = _mat2_product(_mat2_product(_mat2(U), _mat2(A)), _mat2(U))
+    return np.stack([c00, c01, c11])
+
+
+def _trace_of_square(A, B) -> np.ndarray:
+    """tr((A B)^2) of two symmetric fields."""
+    p00, p01, p10, p11 = _mat2_product(_mat2(A), _mat2(B))
+    return (p00 * p00 + 2.0 * (p01 * p10)) + p11 * p11
+
+
+def _sym2_dot(A, B) -> np.ndarray:
+    """sum_ij A_ij B_ij of two symmetric fields."""
+    a00, a01, a11 = A
+    b00, b01, b11 = B
+    return (a00 * b00 + 2.0 * (a01 * b01)) + a11 * b11
 
 
 # ---------------------------------------------------------------------------
@@ -220,11 +234,8 @@ def fs_inverse_hessian(points) -> np.ndarray:
     x, y = pts[:, 0], pts[:, 1]
     if np.any((x <= -1) | (y <= -1) | (x + y >= 1)):
         raise DomainError("point outside the open standard triangle")
-    out = np.empty((len(pts), 2, 2))
-    out[:, 0, 0] = (2 - x) * (1 + x)
-    out[:, 1, 1] = (2 - y) * (1 + y)
-    out[:, 0, 1] = out[:, 1, 0] = -(1 + x) * (1 + y)
-    out *= 2.0 / 3.0
+    out = _sym2_matrix(np.stack([(2 - x) * (1 + x), -(1 + x) * (1 + y), (2 - y) * (1 + y)])
+                       * (2.0 / 3.0))
     return out[0] if single else out
 
 
@@ -353,21 +364,23 @@ class SymplecticPotential:
         base = canonical()
         return {(a, b): base[(a, b)] + self.f_form.partial(a, b, x, y) for (a, b) in keys}
 
-    def hessians(self) -> np.ndarray:
-        """(n, 2, 2) Hessian of u at every node."""
-        n = self.grid.n_nodes
+    def hessian_field(self) -> np.ndarray:
+        """Components (00, 01, 11) of the Hessian of u at every node, (3, n)."""
         if self.provider == "analytic":
-            return _tensorize(self._node_partials(JET_KEYS[2:]), 2, n)
+            return np.stack(list(self._node_partials(HESSIAN_KEYS).values()))
         # node data, on every flow-velocity evaluation: each sum is written
-        # straight into G
-        base, G = self.grid.guillemin_jets, np.empty((n, 2, 2))
-        for key, (i, j) in zip(JET_KEYS[2:], ((0, 0), (1, 1), (0, 1))):
-            np.add(base[key], self.f_partial(key), out=G[:, i, j])
-        G[:, 1, 0] = G[:, 0, 1]
+        # straight into its row
+        base, G = self.grid.guillemin_jets, np.empty((3, self.grid.n_nodes))
+        for key, row in zip(HESSIAN_KEYS, G):
+            np.add(base[key], self.f_partial(key), out=row)
         return G
 
+    def hessians(self) -> np.ndarray:
+        """(n, 2, 2) Hessian of u at every node."""
+        return _sym2_matrix(self.hessian_field())
+
     def min_hessian_eigenvalues(self) -> np.ndarray:
-        return _sym2_eigenvalues(self.hessians())[0]
+        return _sym2_eigenvalues(self.hessian_field())[0]
 
     # -- pointwise evaluation --------------------------------------------------
 

@@ -17,7 +17,7 @@ from .curvature import AdmissibleClass, canonical_rm2_bound, curvature_context
 from .energy import interior_quadrature
 from .errors import RegimeError
 from .polytope import DelzantPolytope
-from .potential import SymplecticPotential, bump_form, polynomial_form
+from .potential import SymplecticPotential, _sym2_dot, bump_form, polynomial_form
 
 _SUP_RM2_CEILING = 0.5 + 4.0 / 3.0
 
@@ -309,7 +309,7 @@ def sobolev_inequality_test(u: SymplecticPotential, cls: AdmissibleClass,
         gv = np.asarray(grad(grid.points), dtype=float)
         l3 = interior_quadrature(grid, np.abs(fv) ** 3 * pw) ** (1.0 / 3.0)
         l2 = math.sqrt(interior_quadrature(grid, fv**2 * pw))
-        grad2 = np.einsum("nij,ni,nj->n", U, gv, gv)
+        grad2 = _sym2_dot(U, (gv[:, 0] * gv[:, 0], gv[:, 0] * gv[:, 1], gv[:, 1] * gv[:, 1]))
         h1 = math.sqrt(interior_quadrature(grid, grad2 * pw))
         denom = l2 + h1
         if denom > 0:

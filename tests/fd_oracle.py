@@ -109,6 +109,45 @@ def rm2_total_pieces(G, U, dU, rm2_fiber, cls, pw):
     return A, M, term1 + term2 + rm2_fiber
 
 
+# -- full tensors from the package's component layout --------------------------
+# The package holds a symmetric 2x2 field by its components (00, 01, 11) on
+# the first axis and the derivatives of U as jets {(a, b): components}.  The
+# einsum references read full tensors; these loops build them.
+
+_COMPONENT = {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 2}
+
+
+def sym2_matrices(S):
+    """(..., 2, 2) matrices of a symmetric field with components S[0..2]."""
+    S = np.asarray(S)
+    out = np.empty(S.shape[1:] + (2, 2))
+    for (i, j), c in _COMPONENT.items():
+        out[..., i, j] = S[c]
+    return out
+
+
+def full_tensors(ctx):
+    """(G, U, dU, d2U) of a curvature context as arrays (n, 2, 2),
+    (n, 2, 2, 2) and (n, 2, 2, 2, 2), indexed [n, i, j], [n, k, i, j] and
+    [n, k, l, i, j] with k, l the derivative directions."""
+    dU = np.stack([sym2_matrices(ctx["dU"][key]) for key in ((1, 0), (0, 1))], axis=1)
+    d2U = np.empty(dU.shape[:2] + (2, 2, 2))
+    for k in (0, 1):
+        for l in (0, 1):
+            d2U[:, k, l] = sym2_matrices(ctx["d2U"][(2 - k - l, k + l)])
+    return sym2_matrices(ctx["G"]), sym2_matrices(ctx["U"]), dU, d2U
+
+
+def tensor_field(partials, order, n):
+    """Symmetric derivative tensor field (n, 2, ..., 2) of the given order
+    from partials {(a, b): array}; tensor index 0 is x, 1 is y."""
+    T = np.empty((n,) + (2,) * order)
+    for idx in np.ndindex(*(2,) * order):
+        a = order - sum(idx)
+        T[(slice(None),) + idx] = partials[(a, order - a)]
+    return T
+
+
 def oracle_curvature(u_value, center, cls=None, s=3.0 / 512.0):
     """Richardson-extrapolated curvature reference at an interior point."""
     coarse = _curvature_once(u_value, center, s, cls)

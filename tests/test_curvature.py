@@ -23,9 +23,9 @@ from calabiflow import (
 )
 from calabiflow.curvature import _rm2_total_from_ctx, curvature_context
 from calabiflow.polytope import DelzantPolytope
-from calabiflow.potential import _tensorize
 from conftest import interior_points
-from fd_oracle import agrees_to_sig, oracle_curvature, rm2_total_pieces
+from fd_oracle import (agrees_to_sig, full_tensors, oracle_curvature, rm2_total_pieces,
+                       sym2_matrices, tensor_field)
 
 
 def square_polytope():
@@ -235,8 +235,9 @@ def _cubic_fd(P, grid):
 def test_fd_context_traces_match_full_tensors(poly, grid, request):
     u = _cubic_fd(request.getfixturevalue(poly), request.getfixturevalue(grid))
     ctx = curvature_context(u)
-    assert np.array_equal(ctx["dU_trace"], np.einsum("nsrs->nsr", ctx["dU"]))
-    assert np.array_equal(ctx["d2U_trace"], np.einsum("nrsrs->n", ctx["d2U"]))
+    _, _, dU, d2U = full_tensors(ctx)
+    assert np.array_equal(np.moveaxis(ctx["dU_trace"], -1, 0), np.einsum("nsrs->nsr", dU))
+    assert np.array_equal(ctx["d2U_trace"], np.einsum("nrsrs->n", d2U))
 
 
 @pytest.mark.parametrize(
@@ -245,13 +246,14 @@ def test_fd_context_traces_match_full_tensors(poly, grid, request):
 def test_weighted_scalar_matches_full_tensor_formula(triangle, grid48, cls):
     u = _cubic_fd(triangle, grid48)
     ctx = curvature_context(u)
+    _, U, dU, d2U = full_tensors(ctx)
     q = cls.affine(grid48.points)
     p = np.asarray(cls.p)
     pr = cls.m * q[:, None] ** (cls.m - 1) * p if cls.m >= 1 else np.zeros((len(q), 2))
     prs = (cls.m * (cls.m - 1) * q ** (cls.m - 2))[:, None, None] * np.outer(p, p)
-    div = (np.einsum("nrs,nrs->n", prs, ctx["U"])
-           + 2.0 * np.einsum("nr,nsrs->n", pr, ctx["dU"])
-           + q**cls.m * np.einsum("nrsrs->n", ctx["d2U"]))
+    div = (np.einsum("nrs,nrs->n", prs, U)
+           + 2.0 * np.einsum("nr,nsrs->n", pr, dU)
+           + q**cls.m * np.einsum("nrsrs->n", d2U))
     ref = cls.scal_S / q - div / q**cls.m
     np.testing.assert_allclose(weighted_scalar_field(u, cls), ref, rtol=1e-12, atol=1e-12)
 
@@ -264,18 +266,30 @@ def test_fd_traces_equal_full_jets(poly, grid, request):
     x, y = g.points[:, 0], g.points[:, 1]
     u = SymplecticPotential.from_node_values(P, g, _cubic_fd(P, g).f_values + bump_form(0.05)(x, y))
     ctx = curvature_context(u)
-    assert np.array_equal(ctx["G"], u.hessians())
-    U = ctx["U"]
-    jets = g.field_jets(np.stack([U[:, 0, 0], U[:, 0, 1], U[:, 1, 1]], axis=1))
+    assert np.array_equal(sym2_matrices(ctx["G"]), u.hessians())
+    jets = g.field_jets(np.stack(list(ctx["U"]), axis=1))
     dx, dy, dxy = jets[(1, 0)], jets[(0, 1)], jets[(1, 1)][:, 1]
-    assert np.array_equal(ctx["dU_trace"], np.stack([dx[:, :2], dy[:, 1:]], axis=1))
+    assert np.array_equal(np.moveaxis(ctx["dU_trace"], -1, 0),
+                          np.stack([dx[:, :2], dy[:, 1:]], axis=1))
     assert np.array_equal(ctx["d2U_trace"],
                           ((jets[(2, 0)][:, 0] + dxy) + dxy) + jets[(0, 2)][:, 2])
-    keys = ("G", "U", "dU_trace", "d2U_trace", "dU", "d2U")
+    # the U-jets are the full jets of the components
+    for key in ((1, 0), (0, 1)):
+        assert np.array_equal(ctx["dU"][key], jets[key].T)
+    for key in ((2, 0), (1, 1), (0, 2)):
+        assert np.array_equal(ctx["d2U"][key], jets[key].T)
+    keys = ("G", "U", "min_eig", "dU_trace", "d2U_trace", "dU", "d2U")
     for k in range(g.n_nodes):
         row = ctx.row(k)
         for key in keys:
-            assert np.array_equal(row[key], ctx[key][k : k + 1]), (k, key)
+            field, one = ctx[key], row[key]
+            if isinstance(field, dict):
+                assert one.keys() == field.keys(), (k, key)
+                pairs = [(one[jet], field[jet]) for jet in field]
+            else:
+                pairs = [(one, field)]
+            for got, want in pairs:
+                assert np.array_equal(got, want[..., k : k + 1]), (k, key)
 
 
 def test_fd_context_reads_second_partials_only(monkeypatch, triangle, grid48):
@@ -338,12 +352,13 @@ def test_rm2_total_pieces_match_einsum_reference(poly, grid, request, bundle_cla
     f = _cubic_fd(P, g).f_values + bump_form(0.05)(x, y)
     u = SymplecticPotential.from_node_values(P, g, f)
     ctx, rf = curvature_context(u), fiber_riemann_norm_field(u)
+    G, U, dU, _ = full_tensors(ctx)
     for cls in (bundle_class, AdmissibleClass.trivial(),
                 AdmissibleClass((0.7, 0.3), 13.1, 1.0, 1, 2)):
         parts = _rm2_total_from_ctx(ctx, cls, g.points, rf)
+        parts["M"] = sym2_matrices(parts["M"])
         pw = cls.weight(g.points)
-        ref = [rm2_total_pieces(ctx["G"][k], ctx["U"][k], ctx["dU"][k], rf[k], cls, pw[k])
-               for k in range(g.n_nodes)]
+        ref = [rm2_total_pieces(G[k], U[k], dU[k], rf[k], cls, pw[k]) for k in range(g.n_nodes)]
         for col, name in enumerate(("A", "M", "rm2_total")):
             want = np.array([r[col] for r in ref])
             assert np.max(np.abs(parts[name] - want)) <= 1e-13 * np.max(np.abs(want)), (cls, name)
@@ -354,15 +369,16 @@ def test_analytic_context_matches_einsum_reference(poly, grid, request):
     P, g = request.getfixturevalue(poly), request.getfixturevalue(grid)
     u = SymplecticPotential.from_closed_form(P, g, bump_form(0.05))
     ctx, partials, n = curvature_context(u), u.jets(4), g.n_nodes
-    U, T3, T4 = ctx["U"], _tensorize(partials, 3, n), _tensorize(partials, 4, n)
+    _, U, ctx_dU, ctx_d2U = full_tensors(ctx)
+    T3, T4 = tensor_field(partials, 3, n), tensor_field(partials, 4, n)
     dU = -np.einsum("nai,nijk,njb->nkab", U, T3, U)
     t1 = np.einsum("nlai,nijk,njb->nklab", dU, T3, U)
     t2 = np.einsum("nai,nijkl,njb->nklab", U, T4, U)
     t3 = np.einsum("nai,nijk,nljb->nklab", U, T3, dU)
-    assert np.max(np.abs(ctx["dU"] - dU)) <= 1e-13 * np.max(np.abs(dU))
+    assert np.max(np.abs(ctx_dU - dU)) <= 1e-13 * np.max(np.abs(dU))
     # near a facet the three terms are O(1/l) and cancel to an O(1) d2U; the
     # reference's own rounding there reaches several 1e-13 of max |d2U| on the
     # triangle at N=48 (against an extended-precision contraction), so the
     # drift is taken relative to the terms it sums
     scale = np.max(np.abs(t1)) + np.max(np.abs(t2)) + np.max(np.abs(t3))
-    assert np.max(np.abs(ctx["d2U"] + (t1 + t2 + t3))) <= 1e-13 * scale
+    assert np.max(np.abs(ctx_d2U + (t1 + t2 + t3))) <= 1e-13 * scale

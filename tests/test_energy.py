@@ -25,7 +25,8 @@ from calabiflow.energy import (
     dissipation_integral,
 )
 from calabiflow.polytope import JET_KEYS, Grid
-from calabiflow.potential import _tensorize, bump_form
+from calabiflow.potential import bump_form
+from fd_oracle import sym2_matrices, tensor_field
 
 
 def test_quadrature_constant(grid96):
@@ -209,11 +210,12 @@ def test_dissipation_density_matches_einsum_reference(poly, grid, request, bundl
     for cls in (bundle_class, AdmissibleClass.trivial(),
                 AdmissibleClass((0.7, 0.3), 13.1, 1.0, 1, 2)):
         R = weighted_scalar_field(u, cls)
-        U, Rh, pw = _r_hessian_parts(u, cls, R)
+        parts = _r_hessian_parts(u, cls, R)
+        U, Rh, pw = sym2_matrices(parts[0]), sym2_matrices(parts[1]), parts[2]
         # the second-order blocks alone give the Hessian of R the full jets give
-        assert np.array_equal(Rh, _tensorize(g.field_jets(R), 2, g.n_nodes))
+        assert np.array_equal(Rh, tensor_field(g.field_jets(R), 2, g.n_nodes))
         ref = np.einsum("nir,njs,nij,nrs->n", U, U, Rh, Rh) * pw
-        got = _dissipation_density(u, cls, R)
+        got = _dissipation_density(*parts)
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
         assert dissipation_integral(u, cls, R) == interior_quadrature(g, got)
 
@@ -234,3 +236,21 @@ def test_fresh_fd_report_evaluates_fiber_norm_once(monkeypatch, triangle, grid48
     assert keys == [JET_KEYS[2:]]
     assert rep.fiber_rm2_unweighted == interior_quadrature(
         grid48, curvature.fiber_riemann_norm_field(u))
+
+
+def test_cauchy_schwarz_gap_differences_r_once(monkeypatch, triangle, grid48, bundle_class):
+    u = _bump_fd(triangle, grid48)
+    field_jets = Grid.field_jets
+    calls = []
+    monkeypatch.setattr(Grid, "field_jets", lambda *a: calls.append(1) or field_jets(*a))
+    gap = cauchy_schwarz_gap(u, bundle_class)
+    # the dissipation and the mixed term read one Hessian of R
+    assert calls == [1]
+    monkeypatch.undo()
+    R = weighted_scalar_field(u, bundle_class)
+    U, Rh, pw = _r_hessian_parts(u, bundle_class, R)
+    mixed = interior_quadrature(grid48, np.einsum("nij,nij->n", sym2_matrices(U),
+                                                  sym2_matrices(Rh)) * pw)
+    ref = (dissipation_integral(u, bundle_class, R)
+           - mixed**2 / (2.0 * interior_quadrature(grid48, pw)))
+    assert abs(gap - ref) <= 1e-12 * abs(ref)

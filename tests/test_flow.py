@@ -20,6 +20,7 @@ from calabiflow import (
 from calabiflow.flow import boundary_ring, distance_field, proposed_dt
 from calabiflow.errors import CurvatureUndefinedError, StiffnessError
 from calabiflow.potential import bump_form
+from fd_oracle import sym2_matrices
 
 
 def fd_state(potential):
@@ -98,6 +99,25 @@ def test_measure_differentiates_node_data_once(monkeypatch, triangle_file, bundl
     assert calls["diff"] == 9
 
 
+def test_measure_reads_the_contexts_lower_eigenvalues(monkeypatch, triangle_file, bundle_class):
+    from calabiflow import curvature, flow
+
+    fr = _flow_run24(triangle_file, bundle_class)
+    first = fr.measure()
+    ctx = curvature.curvature_context(fr.state.u)
+    # the field the SPD check evaluated is the one min_hessian_eigenvalues gives
+    assert np.array_equal(ctx["min_eig"], fr.state.u.min_hessian_eigenvalues())
+    assert first.min_hess_eig == ctx["min_eig"][fr.eps_nodes].min()
+    calls = []
+    for owner in (curvature, flow):
+        orig = owner._sym2_eigenvalues
+        monkeypatch.setattr(owner, "_sym2_eigenvalues",
+                            lambda S, _orig=orig: calls.append(1) or _orig(S))
+    # on a cached context a record computes no eigenvalues
+    assert fr.measure().csv_row() == first.csv_row()
+    assert calls == []
+
+
 def test_measure_reads_hessians_from_curvature_context(monkeypatch, triangle_file,
                                                        bundle_class):
     from calabiflow.curvature import curvature_context
@@ -105,9 +125,10 @@ def test_measure_reads_hessians_from_curvature_context(monkeypatch, triangle_fil
     fr = _flow_run24(triangle_file, bundle_class)
     curvature_context(fr.state.u)
     calls = []
-    orig = SymplecticPotential.hessians
-    monkeypatch.setattr(SymplecticPotential, "hessians",
-                        lambda self: calls.append(1) or orig(self))
+    for name in ("hessian_field", "hessians"):
+        orig = getattr(SymplecticPotential, name)
+        monkeypatch.setattr(SymplecticPotential, name,
+                            lambda self, _orig=orig: calls.append(1) or _orig(self))
     fr.measure()
     assert calls == []
 
@@ -228,7 +249,7 @@ def test_step_rejects_non_spd_candidate(monkeypatch, triangle, grid48, bundle_cl
 
 def test_riemannian_distance_flat_metric(triangle, grid48):
     # identity Hessians: the graph distance approximates Euclidean length
-    ident = np.tile(np.eye(2), (grid48.n_nodes, 1, 1))
+    ident = np.array([[1.0], [0.0], [1.0]]) * np.ones(grid48.n_nodes)
     a = int(np.argmin(((grid48.points - (-0.5, -0.5)) ** 2).sum(axis=1)))
     b = int(np.argmin(((grid48.points - (0.75, 0.25)) ** 2).sum(axis=1)))
     d = distance_field(grid48, ident, [a])[b]
@@ -321,7 +342,7 @@ def reference_boundary_ring(grid, region):
 
 def bump_hessians(grid):
     f = bump_form(0.05)(grid.points[:, 0], grid.points[:, 1])
-    return SymplecticPotential.from_node_values(grid.polytope, grid, f).hessians()
+    return SymplecticPotential.from_node_values(grid.polytope, grid, f).hessian_field()
 
 
 # the trapezoid's staircased facet, normal (-1, -2), gives the edge table
@@ -348,15 +369,16 @@ def test_distance_field_matches_reference(request, grid_name):
     for sources in (eps_ring, [0], [grid.n_nodes // 2, grid.n_nodes - 1]):
         dist = distance_field(grid, hess, sources)
         assert np.isfinite(dist).all()
-        assert np.array_equal(dist, reference_distance_field(grid, hess, sources))
+        assert np.array_equal(dist, reference_distance_field(grid, sym2_matrices(hess), sources))
 
 
 def test_distance_field_zero_metric(grid48):
     # zero-length edges are still edges: every node is at distance 0, not inf
-    zero = np.zeros((grid48.n_nodes, 2, 2))
+    zero = np.zeros((3, grid48.n_nodes))
     dist = distance_field(grid48, zero, [grid48.n_nodes // 2])
     assert np.array_equal(dist, np.zeros(grid48.n_nodes))
-    assert np.array_equal(dist, reference_distance_field(grid48, zero, [grid48.n_nodes // 2]))
+    assert np.array_equal(dist, reference_distance_field(grid48, sym2_matrices(zero),
+                                                         [grid48.n_nodes // 2]))
 
 
 # -- fixed-point run ---------------------------------------------------------

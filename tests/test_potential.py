@@ -14,8 +14,11 @@ from calabiflow import (
     save_snapshot,
 )
 from calabiflow.polytope import DelzantPolytope, boundary_quadrature
-from calabiflow.potential import PARTIALS, bump_form, zero_form
+from calabiflow.potential import (PARTIALS, _mat2, _mat2_product, _sym2_dot, _sym2_eigenvalues,
+                                  _sym2_inverse, _sym2_matrix, _sym2_sandwich, _trace_of_square,
+                                  bump_form, zero_form)
 from conftest import interior_points
+from fd_oracle import sym2_matrices
 
 
 def test_guillemin_value_at_centroid(triangle):
@@ -343,3 +346,89 @@ def test_constant_partials_are_shaped_like_x():
     assert zero_form().partial(2, 1, x, x).shape == (2, 3)
     assert bump_form(0.05)(0.0, 0.0).shape == ()
     assert float(bump_form(0.05)(0.0, 0.0)) == 0.05
+
+
+# -- the 2x2 component algebra against numpy.linalg and np.einsum --------------
+
+EPS = np.finfo(float).eps
+
+
+def _spd_field(rng, n=600):
+    """Components (3, n) of R diag(l1, l2) R^T for random rotations R, scales
+    1e-3..1e3 and condition numbers l1/l2: 2..10 on even points, 1e6..1e8 on
+    odd ones."""
+    theta = rng.uniform(0.0, np.pi, n)
+    l1 = 10.0 ** rng.uniform(-3.0, 3.0, n)
+    cond = np.where(np.arange(n) % 2 == 0, rng.uniform(2.0, 10.0, n), 10.0 ** rng.uniform(6, 8, n))
+    l2, c, s = l1 / cond, np.cos(theta), np.sin(theta)
+    return np.stack([l1 * c * c + l2 * s * s, (l1 - l2) * c * s, l1 * s * s + l2 * c * c])
+
+
+def _sym_field(rng, n=600):
+    """Components (3, n) of random symmetric (indefinite) matrices."""
+    return rng.standard_normal((3, n)) * 10.0 ** rng.uniform(-2.0, 2.0, n)
+
+
+def _norm(M):
+    return np.abs(M).max(axis=(-2, -1))
+
+
+def test_sym2_inverse_matches_linalg(rng):
+    S = _spd_field(rng)
+    M = sym2_matrices(S)
+    ref = np.linalg.inv(M)
+    lo, hi = np.linalg.eigvalsh(M).T
+    # both are forward-stable to eps times the condition number
+    err = _norm(sym2_matrices(_sym2_inverse(S)) - ref)
+    assert np.all(err <= 8 * EPS * (hi / lo) * _norm(ref))
+    assert np.max(hi / lo) > 1e7
+
+
+def test_sym2_eigenvalues_match_linalg(rng):
+    S = _spd_field(rng)
+    ref_lo, ref_hi = np.linalg.eigvalsh(sym2_matrices(S)).T
+    lo, hi = _sym2_eigenvalues(S)
+    # accurate to eps times the larger eigenvalue; the lower one of an
+    # ill-conditioned matrix is therefore only accurate relative to hi
+    assert np.all(np.abs(hi - ref_hi) <= 8 * EPS * ref_hi)
+    assert np.all(np.abs(lo - ref_lo) <= 8 * EPS * ref_hi)
+
+
+def test_sym2_sandwich_and_products_match_matmul(rng):
+    U, A, B = _spd_field(rng), _sym_field(rng), _sym_field(rng)
+    Um, Am, Bm = sym2_matrices(U), sym2_matrices(A), sym2_matrices(B)
+    ref = Um @ Am @ Um
+    err = _norm(sym2_matrices(_sym2_sandwich(U, A)) - ref)
+    assert np.all(err <= 8 * EPS * _norm(Um) ** 2 * _norm(Am))
+    P = np.stack(_mat2_product(_mat2(A), _mat2(B)), axis=-1).reshape(-1, 2, 2)
+    assert np.all(_norm(P - Am @ Bm) <= 4 * EPS * _norm(Am) * _norm(Bm))
+
+
+def test_trace_of_square_and_dot_match_einsum(rng):
+    A, B = _spd_field(rng), _sym_field(rng)
+    Am, Bm = sym2_matrices(A), sym2_matrices(B)
+    scale = (_norm(Am) * _norm(Bm)) ** 2
+    ref = np.einsum("nij,nji->n", Am @ Bm, Am @ Bm)
+    got = _trace_of_square(A, B)
+    assert np.all(np.abs(got - ref) <= 16 * EPS * scale)
+    ref = np.einsum("nij,nij->n", Am, Bm)
+    assert np.all(np.abs(_sym2_dot(A, B) - ref) <= 8 * EPS * _norm(Am) * _norm(Bm))
+    assert np.array_equal(_sym2_matrix(A), Am)
+
+
+def test_sym2_helpers_give_a_row_the_bits_of_the_field(rng):
+    U, A, B = _spd_field(rng), _sym_field(rng), _sym_field(rng)
+    fields = {
+        "inverse": lambda U, A, B: _sym2_inverse(U),
+        "eigenvalues": lambda U, A, B: np.stack(_sym2_eigenvalues(U)),
+        "sandwich": lambda U, A, B: _sym2_sandwich(U, A),
+        "product": lambda U, A, B: np.stack(_mat2_product(_mat2(A), _mat2(B))),
+        "trace_of_square": lambda U, A, B: _trace_of_square(U, B),
+        "dot": lambda U, A, B: _sym2_dot(A, B),
+        "matrix": lambda U, A, B: np.moveaxis(_sym2_matrix(U), 0, -1),
+    }
+    for name, f in fields.items():
+        whole = f(U, A, B)
+        for k in range(0, U.shape[1], 7):
+            one = f(U[:, k : k + 1], A[:, k : k + 1], B[:, k : k + 1])
+            assert np.array_equal(one, whole[..., k : k + 1]), (name, k)
