@@ -5,9 +5,14 @@ its first two derivatives, the U-jets: exact matrix calculus for potentials
 with a closed form, field differencing for node data.  Each symmetric 2x2
 field is held by its components (00, 01, 11), a (3, n) array, and each U-jet
 is such an array keyed by its partial (a, b); the fields are contracted
-entry by entry with the 2x2 helpers of calabiflow.potential.  Pointwise
-operations evaluate the same formulas on a one-point context, and only the
-curvature blocks expand it to full tensors.  Derivatives in the dual
+entry by entry with the 2x2 helpers of calabiflow.potential.
+
+The weighted scalar curvature of node data, the flow velocity, is linear in
+U: it is one sparse product of the class record's operator L (see
+class_record) with the contiguous components of U, and reads no U-jet.  The
+pointwise scalars of node data are the rows of their fields; the other
+pointwise operations evaluate the field formulas on a one-point context, and
+only the curvature blocks expand it to full tensors.  Derivatives in the dual
 coordinates are obtained by the chain rule u_{ik} d/dxi_k = d/dz_i, never by
 differencing in dual space.
 """
@@ -19,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CurvatureUndefinedError, DegenerateInputError, DomainError, RegimeError
-from .polytope import JET_KEYS, DelzantPolytope
+from .polytope import JET_KEYS, DelzantPolytope, Grid
 from .potential import (HESSIAN_KEYS, SymplecticPotential, _mat2, _mat2_product, _sym2_dot,
                         _sym2_eigenvalues, _sym2_inverse, _sym2_matrix, _sym2_sandwich,
                         _trace_of_square)
@@ -80,6 +85,58 @@ class AdmissibleClass:
             )
 
 
+@dataclass(frozen=True, eq=False)
+class ClassRecord:
+    """Constants of one admissible class on one grid, at every node.
+
+    q      : <p, z> + c_S
+    pw     : the class weight q^m
+    scal_q : scal_S / q
+    L      : (n, 3n) CSR operator with L @ U.ravel() = sum_rs d_r d_s (q^m U_rs) / q^m
+             for U the (3, n) components (U00, U01, U11), so that the weighted
+             scalar curvature of node data is scal_q - L @ U.ravel()
+
+    With a_r = 2 m p_r / q the blocks of L are
+    L00 = diag(a0) Dx + Dxx,  L01 = diag(a0) Dy + diag(a1) Dx + 2 Dxy,
+    L11 = diag(a1) Dy + Dyy, plus diag(m (m-1) p_r p_s / q^2) on L_rs for
+    m >= 2, doubled on L01; D are the grid's jet_blocks.
+    """
+
+    q: np.ndarray
+    pw: np.ndarray
+    scal_q: np.ndarray
+    L: object
+
+
+def _velocity_operator(grid: Grid, cls: AdmissibleClass, q: np.ndarray):
+    """The operator L of ClassRecord; it keeps the int32 indices of the blocks."""
+    from scipy import sparse
+
+    Dx, Dy, Dxx, Dyy, Dxy = (grid.jet_blocks[key] for key in JET_KEYS)
+    p0, p1 = cls.p
+    a0, a1 = (sparse.diags_array(2.0 * cls.m * p / q) for p in (p0, p1))
+    L00, L01, L11 = a0 @ Dx + Dxx, a0 @ Dy + a1 @ Dx + 2.0 * Dxy, a1 @ Dy + Dyy
+    if cls.m >= 2:
+        prs = cls.m * (cls.m - 1) / q**2
+        L00 = L00 + sparse.diags_array(prs * (p0 * p0))
+        L01 = L01 + sparse.diags_array(2.0 * prs * (p0 * p1))
+        L11 = L11 + sparse.diags_array(prs * (p1 * p1))
+    return sparse.hstack([L00, L01, L11], format="csr")
+
+
+def class_record(grid: Grid, cls: AdmissibleClass) -> ClassRecord:
+    """The ClassRecord of cls on grid, built on first request and kept in
+    grid.class_records."""
+    rec = grid.class_records.get(cls)
+    if rec is None:
+        q = cls.affine(grid.points)
+        # q^1 is q itself, so the bundle classes keep one array for both
+        pw = q if cls.m == 1 else q**cls.m
+        rec = grid.class_records[cls] = ClassRecord(
+            q=q, pw=pw, scal_q=cls.scal_S / q, L=_velocity_operator(grid, cls, q))
+    return rec
+
+
 @dataclass
 class CurvatureSample:
     """All pointwise curvature data at one point."""
@@ -126,13 +183,16 @@ def _check_spd(G) -> np.ndarray:
     return lo
 
 
-def _traces(jet) -> dict:
-    """dU_trace[s, r] = d_s U_rs and d2U_trace = sum of d_r d_s U_rs over rs = 00,
-    01, 10, 11 in this order, from jet(key, c), component c of the U-jet key."""
+def _dU_trace(jet) -> np.ndarray:
+    """dU_trace[s, r] = d_s U_rs, from jet(key, c), component c of the U-jet key."""
+    return np.array([[jet((1, 0), 0), jet((1, 0), 1)], [jet((0, 1), 1), jet((0, 1), 2)]])
+
+
+def _d2U_trace(jet) -> np.ndarray:
+    """The sum of d_r d_s U_rs over rs = 00, 01, 10, 11 in this order, from
+    jet(key, c) as in _dU_trace."""
     dxy01 = jet((1, 1), 1)
-    return {"dU_trace": np.array([[jet((1, 0), 0), jet((1, 0), 1)],
-                                  [jet((0, 1), 1), jet((0, 1), 2)]]),
-            "d2U_trace": ((jet((2, 0), 0) + dxy01) + dxy01) + jet((0, 2), 2)}
+    return ((jet((2, 0), 0) + dxy01) + dxy01) + jet((0, 2), 2)
 
 
 def _context_from_jets(p: dict) -> dict:
@@ -142,7 +202,7 @@ def _context_from_jets(p: dict) -> dict:
     min_eig : (n,) lower eigenvalue of G
     dU, d2U : the U-jets, {(a, b): (3, n) components of the partial (a, b)
               of U}, for (1, 0), (0, 1) and for (2, 0), (1, 1), (0, 2)
-    dU_trace, d2U_trace : see _traces
+    dU_trace, d2U_trace : see _dU_trace and _d2U_trace
 
     With T3_k = (u_ijk)_ij and T4_kl = (u_ijkl)_ij read from the partials,
     dU_k = -U T3_k U and d2U_kl = -((U T4_kl U + C) + C^T), C = dU_l T3_k U.
@@ -163,8 +223,12 @@ def _context_from_jets(p: dict) -> dict:
         s00, s01, s11 = _sym2_sandwich(U, T(k + l, 4))
         d2U[key] = -np.stack([(s00 + c00) + c00, (s01 + c01) + c10, (s11 + c11) + c11])
     jets = {**dU, **d2U}
+
+    def jet(key, c):
+        return jets[key][c]
+
     return {"G": G, "U": U, "min_eig": min_eig, "dU": dU, "d2U": d2U,
-            **_traces(lambda key, c: jets[key][c])}
+            "dU_trace": _dU_trace(jet), "d2U_trace": _d2U_trace(jet)}
 
 
 def _context_fd(u: SymplecticPotential) -> dict:
@@ -183,14 +247,16 @@ class _FdContext(dict):
 
     blocks holds one operator per JET_KEYS partial, restricted to the rows
     of this context's points; U_nodes is the (3, n) U at every grid node,
-    which those rows act on.  The traces are filled at once, from the seven
-    products of a block with one component that they read.  The U-jets, one
-    (3, n) stack per block, are built on first access: the flow velocity
-    needs only the traces.
+    which those rows act on.  Only G, U and min_eig are filled at once: the
+    flow velocity reads U alone (see weighted_scalar_field).  The U-jets, one
+    (3, n) stack per block, are built on first access and kept.  The traces
+    are computed on each access and not kept, from the U-jets when they are
+    built and otherwise from the products of a block with one component that
+    they read; both give the same bits.
     """
 
     def __init__(self, fields: dict, blocks: dict, U_nodes: np.ndarray):
-        super().__init__(fields, **_traces(lambda key, c: blocks[key] @ U_nodes[c]))
+        super().__init__(fields)
         self._blocks, self._U_nodes = blocks, U_nodes
 
     def row(self, k: int) -> "_FdContext":
@@ -200,7 +266,18 @@ class _FdContext(dict):
                           {key: D[k : k + 1] for key, D in self._blocks.items()},
                           self._U_nodes)
 
+    def _jet(self, key, c) -> np.ndarray:
+        """Component c of the U-jet key: read from the U-jets when they are
+        built, otherwise one product of a block with one component."""
+        if "d2U" in self:
+            return self["dU" if sum(key) == 1 else "d2U"][key][c]
+        return self._blocks[key] @ self._U_nodes[c]
+
     def __missing__(self, key):
+        if key == "dU_trace":
+            return _dU_trace(self._jet)
+        if key == "d2U_trace":
+            return _d2U_trace(self._jet)
         if key not in ("dU", "d2U"):
             raise KeyError(key)
         jets = {jet: np.stack([D @ e for e in self._U_nodes]) for jet, D in self._blocks.items()}
@@ -226,20 +303,26 @@ def context_at_points(u: SymplecticPotential, points) -> dict:
     return _context_from_jets(u.partials_at(pts))
 
 
-def _node_context(u: SymplecticPotential, x):
-    """(one-point context, point) for pointwise ops.
+def _locate(u: SymplecticPotential, x):
+    """(point, node) of a pointwise op at x.
 
-    Closed forms evaluate the context at x itself; node data needs x to be a
-    grid node and takes that node's row of the grid context (a one-row
-    _FdContext, so the whole-grid dU/d2U tensors stay unbuilt).
+    A closed form is evaluated at x itself (node None); node data needs x to
+    be a grid node, and gives that node and its index.
     """
     x = np.asarray(x, dtype=float)
     if not u.polytope.contains(x):
         raise DomainError(f"point {tuple(x)} is not interior to the polytope")
     if u.provider == "analytic":
-        return context_at_points(u, x[None, :]), x
+        return x, None
     k = u.grid_node(x)
-    return curvature_context(u).row(k), u.grid.points[k]
+    return u.grid.points[k], k
+
+
+def _point_context(u: SymplecticPotential, pt, k) -> dict:
+    """One-point context at (pt, k) from _locate: the context at pt of a
+    closed form, or node k's row of the grid context (a one-row _FdContext,
+    so the whole-grid U-jets stay unbuilt)."""
+    return context_at_points(u, pt[None, :]) if k is None else curvature_context(u).row(k)
 
 
 # ---------------------------------------------------------------------------
@@ -271,13 +354,14 @@ def fiber_riemann_norm_field(u: SymplecticPotential) -> np.ndarray:
     return cache["fiber_rm2"]
 
 
-def _weighted_scalar_from_ctx(ctx: dict, cls: AdmissibleClass, points) -> np.ndarray:
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    q = cls.affine(pts)
+def _weighted_scalar_from_ctx(ctx: dict, cls: AdmissibleClass, q: np.ndarray) -> np.ndarray:
+    """The weighted scalar curvature from the traces of a context, q the
+    affine class form at its points."""
     pw = q**cls.m
     pvec = np.asarray(cls.p)
     # derivatives of the weight p(z) = q^m (q affine)
-    pr = cls.m * q[:, None] ** (cls.m - 1) * pvec[None, :] if cls.m >= 1 else np.zeros_like(pts)
+    pr = (cls.m * q[:, None] ** (cls.m - 1) * pvec[None, :] if cls.m >= 1
+          else np.zeros((len(q), 2)))
     # div = sum_rs d_r d_s (p U_rs) = sum p_rs U_rs + 2 sum p_r d_s U_rs + p sum d_r d_s U_rs
     dUt = ctx["dU_trace"]
     div = 2.0 * ((pr[:, 0] * dUt[0, 0] + pr[:, 1] * dUt[0, 1])
@@ -290,23 +374,32 @@ def _weighted_scalar_from_ctx(ctx: dict, cls: AdmissibleClass, points) -> np.nda
 
 
 def weighted_scalar_field(u: SymplecticPotential, cls: AdmissibleClass) -> np.ndarray:
+    """R = scal_S / q - sum_rs d_r d_s (q^m U_rs) / q^m at every node.
+
+    Node data applies the class record's operator L to the contiguous
+    components of U, one sparse product (see ClassRecord); a closed form
+    contracts the traces of its exact U-jets."""
     cls.validate_on(u.polytope)
     cache = u.curvature_cache
     key = ("weighted", cls)
     if key not in cache:
-        cache[key] = _weighted_scalar_from_ctx(curvature_context(u), cls, u.grid.points)
+        rec, ctx = class_record(u.grid, cls), curvature_context(u)
+        if u.provider == "fd":
+            cache[key] = rec.scal_q - rec.L @ ctx["U"].ravel()
+        else:
+            cache[key] = _weighted_scalar_from_ctx(ctx, cls, rec.q)
     return cache[key]
 
 
-def _rm2_total_from_ctx(ctx: dict, cls: AdmissibleClass, points, rm2_fiber: np.ndarray) -> dict:
+def _rm2_total_from_ctx(ctx: dict, cls: AdmissibleClass, q: np.ndarray,
+                        rm2_fiber: np.ndarray) -> dict:
     """|Rm|^2 of the admissible metric over the context points, with the
     pieces it is built from: {"pw", "A", "pH3", "M", "rm2_fiber",
-    "rm2_total"}, pH3 and M as components (3, n).  rm2_fiber is the fiber
-    |Rm|^2 at the same points.  Every contraction is written out per entry,
-    and none needs a third-order tensor of H = U."""
+    "rm2_total"}, pH3 and M as components (3, n).  q is the affine class form
+    and rm2_fiber the fiber |Rm|^2 at the same points.  Every contraction is
+    written out per entry, and none needs a third-order tensor of H = U."""
     if cls.m > 1:
         raise RegimeError("admissible curvature blocks require base dimension m <= 1")
-    q = cls.affine(np.atleast_2d(points))
     pw = q**cls.m
     a = cls.a
     p0, p1 = cls.p
@@ -327,9 +420,10 @@ def _rm2_total_from_ctx(ctx: dict, cls: AdmissibleClass, points, rm2_fiber: np.n
             "rm2_fiber": rm2_fiber, "rm2_total": term1 + term2 + rm2_fiber}
 
 
-def _blocks_from_ctx(ctx: dict, cls: AdmissibleClass, points) -> dict:
-    """All admissible curvature blocks over the context points, from full tensors."""
-    parts = _rm2_total_from_ctx(ctx, cls, points, _fiber_rm2(ctx["d2U"]))
+def _blocks_from_ctx(ctx: dict, cls: AdmissibleClass, q: np.ndarray) -> dict:
+    """All admissible curvature blocks over the context points, from full
+    tensors; q is the affine class form at those points."""
+    parts = _rm2_total_from_ctx(ctx, cls, q, _fiber_rm2(ctx["d2U"]))
     pw, A = parts["pw"], parts["A"]
     pH3, M, G, U = (_sym2_matrix(S) for S in (parts["pH3"], parts["M"], ctx["G"], ctx["U"]))
     # dU[:, k, i, j] = d_k U_ij and d2U[:, k, l, i, j] = d_k d_l U_ij
@@ -367,7 +461,7 @@ def rm2_total_field(u: SymplecticPotential, cls: AdmissibleClass) -> np.ndarray:
     cache = u.curvature_cache
     key = ("rm2_total", cls)
     if key not in cache:
-        cache[key] = _rm2_total_from_ctx(curvature_context(u), cls, u.grid.points,
+        cache[key] = _rm2_total_from_ctx(curvature_context(u), cls, class_record(u.grid, cls).q,
                                          fiber_riemann_norm_field(u))["rm2_total"]
     return cache[key]
 
@@ -377,34 +471,45 @@ def rm2_total_field(u: SymplecticPotential, cls: AdmissibleClass) -> np.ndarray:
 
 
 def abreu_scalar(u: SymplecticPotential, x) -> float:
-    ctx, _ = _node_context(u, x)
-    return float(-ctx["d2U_trace"][0])
+    pt, k = _locate(u, x)
+    if k is not None:
+        return float(abreu_scalar_field(u)[k])
+    return float(-_point_context(u, pt, k)["d2U_trace"][0])
 
 
 def weighted_scalar(u: SymplecticPotential, cls: AdmissibleClass, x) -> float:
     cls.validate_on(u.polytope)
-    ctx, pt = _node_context(u, x)
-    return float(_weighted_scalar_from_ctx(ctx, cls, pt[None, :])[0])
+    pt, k = _locate(u, x)
+    if k is not None:
+        return float(weighted_scalar_field(u, cls)[k])
+    return float(_weighted_scalar_from_ctx(_point_context(u, pt, k), cls,
+                                           cls.affine(pt[None, :]))[0])
 
 
 def fiber_riemann_norm(u: SymplecticPotential, x) -> float:
-    ctx, _ = _node_context(u, x)
-    return float(_fiber_rm2(ctx["d2U"])[0])
+    pt, k = _locate(u, x)
+    return float(_fiber_rm2(_point_context(u, pt, k)["d2U"])[0])
 
 
 def admissible_blocks(u: SymplecticPotential, cls: AdmissibleClass, x) -> CurvatureSample:
     """All curvature blocks at a point, from the one-point derivative context.
 
-    For node data that context is the node's row of the grid context, so the
-    scalar entries equal the rows of the field operations.
+    For node data that context is the node's row of the grid context, and
+    the two scalar curvatures are the rows of their fields, so the scalar
+    entries equal the rows of the field operations.
     """
     cls.validate_on(u.polytope)
-    ctx, pt = _node_context(u, x)
-    blocks = _blocks_from_ctx(ctx, cls, pt[None, :])
+    pt, k = _locate(u, x)
+    ctx, q = _point_context(u, pt, k), cls.affine(pt[None, :])
+    blocks = _blocks_from_ctx(ctx, cls, q)
+    if k is None:
+        r_fiber, r_weighted = -ctx["d2U_trace"][0], _weighted_scalar_from_ctx(ctx, cls, q)[0]
+    else:
+        r_fiber, r_weighted = abreu_scalar_field(u)[k], weighted_scalar_field(u, cls)[k]
     return CurvatureSample(
         point=pt,
-        r_fiber=float(-ctx["d2U_trace"][0]),
-        r_weighted=float(_weighted_scalar_from_ctx(ctx, cls, pt[None, :])[0]),
+        r_fiber=float(r_fiber),
+        r_weighted=float(r_weighted),
         rm2_fiber=float(blocks["rm2_fiber"][0]),
         rm_0000=float(blocks["rm_0000"][0]),
         rm_00ij=blocks["rm_00ij"][0],
@@ -421,8 +526,9 @@ def ricci_trace(u: SymplecticPotential, cls: AdmissibleClass, x) -> float:
     Internal consistency oracle: equals the weighted scalar curvature.
     """
     cls.validate_on(u.polytope)
-    ctx, pt = _node_context(u, x)
-    blocks = _blocks_from_ctx(ctx, cls, pt[None, :])
+    pt, k = _locate(u, x)
+    ctx = _point_context(u, pt, k)
+    blocks = _blocks_from_ctx(ctx, cls, cls.affine(pt[None, :]))
     pw = float(cls.weight(pt))
     fiber = 2.0 * float(np.einsum("nij,nij->n", _sym2_matrix(ctx["G"]), blocks["ric_ij"])[0])
     return 2.0 * (blocks["ric_00"][0] / (2.0 * pw) + fiber)

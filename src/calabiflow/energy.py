@@ -10,6 +10,7 @@ import numpy as np
 from .curvature import (
     AdmissibleClass,
     abreu_scalar_field,
+    class_record,
     curvature_context,
     fiber_riemann_norm_field,
     rm2_total_field,
@@ -52,18 +53,18 @@ def average_scalar(P: DelzantPolytope, cls: AdmissibleClass, grid: Grid = None,
 
     R_bar = [scal_S * int p/q dmu + 2 * int_dP p dsigma] / int_P p dmu,
     with q = <p, z> + c_S and p = q^m; by parts the curvature term of the
-    weighted scalar integrates to twice the weighted boundary measure.
+    weighted scalar integrates to twice the weighted boundary measure.  q and
+    p at the nodes are those of the class record (see class_record).
     """
     cls.validate_on(P)
     if grid is None:
         grid = Grid(P, 96, 0.5 * (P.bbox[1][0] - P.bbox[0][0]) / 96)
     if quad is None:
         quad = boundary_quadrature(P)
-    q = cls.affine(grid.points)
-    pw = cls.weight(grid.points)
-    base = cls.scal_S * interior_quadrature(grid, pw / q)
+    rec = class_record(grid, cls)
+    base = cls.scal_S * interior_quadrature(grid, rec.pw / rec.q)
     bdry = 2.0 * float(np.dot(quad.weights, cls.weight(quad.points)))
-    vol = interior_quadrature(grid, pw)
+    vol = interior_quadrature(grid, rec.pw)
     return (base + bdry) / vol
 
 
@@ -92,7 +93,7 @@ def _r_hessian_parts(u: SymplecticPotential, cls: AdmissibleClass, R: np.ndarray
     (3, n)), the class weight."""
     jets = u.grid.field_jets(R, JET_KEYS[2:])
     Rh = np.stack([jets[key] for key in HESSIAN_KEYS])
-    return curvature_context(u)["U"], Rh, cls.weight(u.grid.points)
+    return curvature_context(u)["U"], Rh, class_record(u.grid, cls).pw
 
 
 def _dissipation_density(U, Rh, pw: np.ndarray) -> np.ndarray:
@@ -124,7 +125,7 @@ def energy_report(u: SymplecticPotential, cls: AdmissibleClass,
     grid = u.grid
     if quad is None:
         quad = boundary_quadrature(u.polytope)
-    pw = cls.weight(grid.points)
+    pw = class_record(grid, cls).pw
     area = interior_quadrature(grid, np.ones(grid.n_nodes))
     wvol = interior_quadrature(grid, pw)
     r_bar = average_scalar(u.polytope, cls, grid, quad)

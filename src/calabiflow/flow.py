@@ -10,6 +10,7 @@ import numpy as np
 
 from .curvature import (
     AdmissibleClass,
+    class_record,
     curvature_context,
     rm2_total_field,
     weighted_scalar_field,
@@ -92,7 +93,7 @@ def proposed_dt(u: SymplecticPotential, sigma: float) -> float:
 
 
 def _calabi(u: SymplecticPotential, cls: AdmissibleClass, r_bar: float) -> float:
-    pw = cls.weight(u.grid.points)
+    pw = class_record(u.grid, cls).pw
     R = weighted_scalar_field(u, cls)
     return interior_quadrature(u.grid, (R - r_bar) ** 2 * pw)
 

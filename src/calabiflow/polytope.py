@@ -322,12 +322,18 @@ class Grid:
 
     Nodes are the lattice points x = anchor + h*(i, j) whose smallest facet
     value min_i l_i(x) is at least delta_min.  Construction is deterministic
-    from (polytope, n, delta_min); everything derived is cached and immutable.
+    from (polytope, n, delta_min); what is derived is built on first request
+    and immutable, and kept unless it is read only once at set-up
+    (``neighbors8``, ``stencil_classification``).
 
     Every linear derivative operator is a sparse (CSR) matrix over the node
     list, compiled once per grid: the axis stencils in ``axis_operators``,
     one operator per first/second partial in ``jet_blocks`` and the
-    quadrature functional in ``quadrature_weights``.
+    quadrature functional in ``quadrature_weights``.  ``class_records`` holds
+    the constants of each admissible class on the grid, among them the flow
+    velocity's operator (see calabiflow.curvature.class_record).  Nothing
+    derived refers back to the grid, so a grid is freed without a cyclic
+    collection.
     """
 
     def __init__(self, polytope: DelzantPolytope, n: int, delta_min: float):
@@ -359,16 +365,20 @@ class Grid:
         self.anchor = np.asarray(lo, dtype=float)
         self.shape = (ni, nj)
         self.mask = mask
-        node_id = -np.ones((ni, nj), dtype=np.int64)
+        # node ids and lattice indices fit int32, as do the operators' indices
+        node_id = -np.ones((ni, nj), dtype=np.int32)
         node_id[mask] = np.arange(mask.sum())
         self.node_id = node_id
-        self.ij = np.stack(np.nonzero(mask), axis=1)
+        self.ij = np.stack(np.nonzero(mask), axis=1).astype(np.int32)
         self.points = pts[mask]
         self.min_facet_distance = delta[mask]
         self.n_nodes = len(self.points)
 
         self._boundary_distance = None
         self._cell_weights = None
+        # {AdmissibleClass: record of its constants on this grid}, filled on
+        # first request by calabiflow.curvature.class_record
+        self.class_records = {}
 
     # -- stencil machinery --------------------------------------------------
 
@@ -381,10 +391,10 @@ class Grid:
         i, j = (self.ij + pad).T
         return ids[i[:, None] + offsets[:, 0], j[:, None] + offsets[:, 1]]
 
-    @cached_property
+    @property
     def neighbors8(self) -> np.ndarray:
         """(n_nodes, 8) ids of the 8 lattice neighbours at OFFSETS8, -1 where
-        the neighbour is not a node."""
+        the neighbour is not a node; built on each access, not kept."""
         return self._neighbors(OFFSETS8)
 
     @cached_property
@@ -393,10 +403,11 @@ class Grid:
         e runs from node rows[e] to node cols[e] at offset OFFSETS8[k[e]], and
         the edges of node n are indptr[n]:indptr[n + 1].  Node ids grow with
         (i, j), so the columns of a row are sorted."""
-        rows, k = np.nonzero(self.neighbors8 >= 0)
+        nbrs = self.neighbors8
+        rows, k = np.nonzero(nbrs >= 0)
         indptr = np.zeros(self.n_nodes + 1, dtype=np.int32)
         np.cumsum(np.bincount(rows, minlength=self.n_nodes), out=indptr[1:])
-        return (rows.astype(np.int32), self.neighbors8[rows, k].astype(np.int32),
+        return (rows.astype(np.int32), nbrs[rows, k].astype(np.int32),
                 k.astype(np.int8), indptr)
 
     def _axis_operator(self, axis: int, order: int):
@@ -549,9 +560,10 @@ class Grid:
         blocks = self.jet_blocks
         return {key: blocks[key] @ f for key in keys}
 
-    @cached_property
+    @property
     def stencil_classification(self) -> np.ndarray:
-        """Per-node per-axis 'central' or 'one-sided' tag."""
+        """Per-node per-axis 'central' or 'one-sided' tag; built on each
+        access, not kept."""
         # both neighbours along x, then both along y
         ids = self._neighbors([(-1, 0), (1, 0), (0, -1), (0, 1)]).reshape(-1, 2, 2)
         central = (ids >= 0).all(axis=2)
@@ -587,10 +599,11 @@ class Grid:
 
     @cached_property
     def guillemin_jets(self) -> dict:
-        """Partials up to order 4 of the canonical potential u_G at the nodes."""
-        from .potential import guillemin_partials
+        """Partials up to order 4 of the canonical potential u_G at the nodes,
+        {(a, b): array}, each order computed on its first request."""
+        from .potential import GuilleminJets
 
-        return guillemin_partials(self.polytope, self.points, order=4)
+        return GuilleminJets(self.polytope, self.points)
 
     @property
     def cell_weights(self) -> np.ndarray:

@@ -91,34 +91,53 @@ def guillemin_partials(P: DelzantPolytope, points, order: int = 4) -> dict:
         raise ValueError("derivatives supported up to order 4")
     pts = np.asarray(points, dtype=float)
     single = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    L = P.facet_values(pts)  # (n, d)
-    if np.any(L <= 0):
-        raise DomainError("point on or outside the polytope boundary")
-    V = P.normals.astype(float)  # (d, 2)
+    L, V = _interior_facet_values(P, np.atleast_2d(pts)), P.normals.astype(float)
     out = {}
-    out[(0, 0)] = 0.5 * np.sum(L * np.log(L), axis=1)
-    if order >= 1:
-        g = 0.5 * (np.log(L) + 1.0) @ V  # (n, 2)
-        out[(1, 0)], out[(0, 1)] = g[:, 0], g[:, 1]
-    if order >= 2:
-        invL = 1.0 / L
-        for (a, b) in [(2, 0), (1, 1), (0, 2)]:
-            comp = V[:, 0] ** a * V[:, 1] ** b  # product of normal components
-            out[(a, b)] = 0.5 * invL @ comp
-    if order >= 3:
-        invL2 = 1.0 / L**2
-        for (a, b) in [(3, 0), (2, 1), (1, 2), (0, 3)]:
-            comp = V[:, 0] ** a * V[:, 1] ** b
-            out[(a, b)] = -0.5 * invL2 @ comp
-    if order >= 4:
-        invL3 = 1.0 / L**3
-        for (a, b) in [(4, 0), (3, 1), (2, 2), (1, 3), (0, 4)]:
-            comp = V[:, 0] ** a * V[:, 1] ** b
-            out[(a, b)] = invL3 @ comp
+    for k in range(order + 1):
+        out.update(_guillemin_order(L, V, k))
     if single:
         out = {k: v[0] for k, v in out.items()}
     return out
+
+
+def _interior_facet_values(P: DelzantPolytope, pts: np.ndarray) -> np.ndarray:
+    """Facet values (n, d) at points, which must be interior (DomainError)."""
+    L = P.facet_values(pts)
+    if np.any(L <= 0):
+        raise DomainError("point on or outside the polytope boundary")
+    return L
+
+
+def _guillemin_order(L: np.ndarray, V: np.ndarray, k: int) -> dict:
+    """The partials {(a, b): array} of u_G with a + b = k, from the facet
+    values L (n, d) and the normals V (d, 2): for k >= 2 they are
+    c_k sum_i v_i^(a, b) / l_i^(k-1) with c_k = 1/2, -1/2, 1."""
+    if k == 0:
+        return {(0, 0): 0.5 * np.sum(L * np.log(L), axis=1)}
+    if k == 1:
+        g = 0.5 * (np.log(L) + 1.0) @ V  # (n, 2)
+        return {(1, 0): g[:, 0], (0, 1): g[:, 1]}
+    coef, inv = {2: 0.5, 3: -0.5, 4: 1.0}[k], 1.0 / L ** (k - 1)
+    # product of normal components
+    return {(a, k - a): coef * inv @ (V[:, 0] ** a * V[:, 1] ** (k - a))
+            for a in range(k, -1, -1)}
+
+
+class GuilleminJets(dict):
+    """Partials {(a, b): array} of u_G at fixed interior points, a + b <= 4,
+    filled one order at a time on first request: node data reads only
+    orders 0 and 2.  Holds the polytope and the points, not their grid."""
+
+    def __init__(self, P: DelzantPolytope, points: np.ndarray):
+        super().__init__()
+        self._P, self._points = P, points
+
+    def __missing__(self, key):
+        if key not in PARTIALS:
+            raise KeyError(key)
+        L = _interior_facet_values(self._P, self._points)
+        self.update(_guillemin_order(L, self._P.normals.astype(float), sum(key)))
+        return self[key]
 
 
 def guillemin_value(P: DelzantPolytope, points) -> np.ndarray:
@@ -180,9 +199,10 @@ def _mat2(S) -> tuple:
 def _sym2_eigenvalues(S):
     """(lower, upper) eigenvalues of a symmetric field S."""
     s00, s01, s11 = S
-    tr = s00 + s11
-    det = s00 * s11 - s01**2
-    disc = np.sqrt(np.maximum(tr * tr - 4 * det, 0.0))
+    tr, d = s00 + s11, s00 - s11
+    # the discriminant as a sum of squares: tr^2 - 4 det cancels when the
+    # two eigenvalues are close
+    disc = np.sqrt(d * d + 4.0 * (s01 * s01))
     return 0.5 * (tr - disc), 0.5 * (tr + disc)
 
 

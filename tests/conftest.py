@@ -78,6 +78,17 @@ def fs96(triangle, grid96):
 
 
 @pytest.fixture()
+def csr_products(monkeypatch):
+    """A list that grows by one for every sparse matrix-vector product
+    (scipy's csr_matvec) made while the test runs."""
+    from scipy.sparse import _sparsetools
+
+    calls, matvec = [], _sparsetools.csr_matvec
+    monkeypatch.setattr(_sparsetools, "csr_matvec", lambda *a: calls.append(1) or matvec(*a))
+    return calls
+
+
+@pytest.fixture()
 def rng():
     return np.random.default_rng(20260809)
 

@@ -21,11 +21,11 @@ from calabiflow import (
     weighted_scalar,
     weighted_scalar_field,
 )
-from calabiflow.curvature import _rm2_total_from_ctx, curvature_context
+from calabiflow.curvature import _rm2_total_from_ctx, class_record, curvature_context
 from calabiflow.polytope import DelzantPolytope
 from conftest import interior_points
 from fd_oracle import (agrees_to_sig, full_tensors, oracle_curvature, rm2_total_pieces,
-                       sym2_matrices, tensor_field)
+                       sym2_matrices, tensor_field, weighted_scalar_by_blocks)
 
 
 def square_polytope():
@@ -40,6 +40,8 @@ CLASSES = [
     AdmissibleClass((2.0, 1.0), 30.0, 1.0, 1, 2),
     AdmissibleClass((3.0, 2.0), 40.0, 0.0, 1, 0),
 ]
+
+POLY_GRIDS = [("triangle", "grid48"), ("hexagon", "hex_grid"), ("trapezoid", "trap_grid")]
 
 
 # -- golden values -----------------------------------------------------------
@@ -340,10 +342,26 @@ def test_pointwise_scalars_equal_field_rows(poly, grid, request, bundle_class):
             assert sample.rm2_total == rm2[k]
 
 
+@pytest.mark.parametrize("poly, grid", POLY_GRIDS)
+def test_velocity_operator_matches_block_trace_formula(poly, grid, request, bundle_class):
+    P, g = request.getfixturevalue(poly), request.getfixturevalue(grid)
+    x, y = g.points[:, 0], g.points[:, 1]
+    u = SymplecticPotential.from_node_values(P, g, _cubic_fd(P, g).f_values + bump_form(0.05)(x, y))
+    U = curvature_context(u)["U"]
+    for cls in (bundle_class, AdmissibleClass.trivial(), AdmissibleClass((0.7, 0.3), 13.1, 1.0, 1, 2),
+                AdmissibleClass((2.0, 1.0), 12.0, 1.0, 2, 2)):
+        R = weighted_scalar_field(u, cls)
+        # one product of the class operator with the contiguous components
+        L = class_record(g, cls).L
+        assert L.shape == (g.n_nodes, 3 * g.n_nodes) and L.indices.dtype == np.int32
+        assert np.array_equal(R, class_record(g, cls).scal_q - L @ U.ravel())
+        # the trace formula, block by component; R crosses zero on the
+        # triangle, so the error is taken relative to each node's terms
+        ref, scale = weighted_scalar_by_blocks(g, U, cls)
+        assert np.all(np.abs(R - ref) <= 1e-12 * scale), cls
+
+
 # -- closed-form contractions against the einsum references ------------------
-
-POLY_GRIDS = [("triangle", "grid48"), ("hexagon", "hex_grid"), ("trapezoid", "trap_grid")]
-
 
 @pytest.mark.parametrize("poly, grid", POLY_GRIDS)
 def test_rm2_total_pieces_match_einsum_reference(poly, grid, request, bundle_class):
@@ -355,7 +373,7 @@ def test_rm2_total_pieces_match_einsum_reference(poly, grid, request, bundle_cla
     G, U, dU, _ = full_tensors(ctx)
     for cls in (bundle_class, AdmissibleClass.trivial(),
                 AdmissibleClass((0.7, 0.3), 13.1, 1.0, 1, 2)):
-        parts = _rm2_total_from_ctx(ctx, cls, g.points, rf)
+        parts = _rm2_total_from_ctx(ctx, cls, cls.affine(g.points), rf)
         parts["M"] = sym2_matrices(parts["M"])
         pw = cls.weight(g.points)
         ref = [rm2_total_pieces(G[k], U[k], dU[k], rf[k], cls, pw[k]) for k in range(g.n_nodes)]
@@ -382,3 +400,28 @@ def test_analytic_context_matches_einsum_reference(poly, grid, request):
     # drift is taken relative to the terms it sums
     scale = np.max(np.abs(t1)) + np.max(np.abs(t2)) + np.max(np.abs(t3))
     assert np.max(np.abs(ctx_d2U + (t1 + t2 + t3))) <= 1e-13 * scale
+
+
+def test_grid_and_its_caches_form_no_reference_cycle(triangle, bundle_class):
+    import gc
+    import weakref
+
+    g = build_grid(triangle, 16, 0.5 * 3.0 / 16)
+    x, y = g.points[:, 0], g.points[:, 1]
+    u = SymplecticPotential.from_node_values(triangle, g, bump_form(0.05)(x, y))
+    ua = SymplecticPotential.from_closed_form(triangle, g, bump_form(0.05))
+    for v in (u, ua):
+        rm2_total_field(v, bundle_class)
+        abreu_scalar_field(v)
+        weighted_scalar_field(v, bundle_class)
+    admissible_blocks(u, bundle_class, g.points[5])
+    g.edges8, g.midpoint_correction_mask
+    ref = weakref.ref(g)
+    # the class records, the lazily filled canonical partials and the fd
+    # contexts hold no reference back to the grid: it is freed at once
+    gc.disable()
+    try:
+        del g, u, ua, v
+        assert ref() is None
+    finally:
+        gc.enable()

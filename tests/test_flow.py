@@ -463,3 +463,15 @@ def test_run_config_unknown_perturbation(triangle_file, bundle_class):
 
     with pytest.raises(ConfigError):
         FlowRun(cfg)
+
+
+def test_rk4_step_makes_sixteen_sparse_products(triangle_file, bundle_class, csr_products):
+    fr = _flow_run24(triangle_file, bundle_class)
+    # the first step also evaluates the velocity of the fresh initial state
+    fr.advance(1)
+    del csr_products[:]
+    fr.advance(1)
+    assert fr.state.step_count == 2
+    # four velocities (three later RK stages and the candidate), each the
+    # three second partials of f and one product of the class operator
+    assert len(csr_products) == 16

@@ -394,6 +394,20 @@ def test_sym2_eigenvalues_match_linalg(rng):
     assert np.all(np.abs(lo - ref_lo) <= 8 * EPS * ref_hi)
 
 
+def test_sym2_eigenvalues_of_nearly_isotropic_matrices(rng):
+    # R diag(l, l (1 + gap)) R^T with gaps 1e-12..1e-6: the discriminant must
+    # not be the difference of tr^2 and 4 det, which cancels here
+    n = 2000
+    lam = rng.uniform(0.5, 2.0, n)
+    lam2 = lam * (1.0 + 10.0 ** rng.uniform(-12.0, -6.0, n))
+    c, s = np.cos(rng.uniform(0.0, np.pi, n)), np.sin(rng.uniform(0.0, np.pi, n))
+    S = np.stack([c * c * lam + s * s * lam2, c * s * (lam - lam2), s * s * lam + c * c * lam2])
+    ref_lo, ref_hi = np.linalg.eigvalsh(sym2_matrices(S)).T
+    lo, hi = _sym2_eigenvalues(S)
+    assert np.all(np.abs(lo - ref_lo) <= 4 * EPS * ref_lo)
+    assert np.all(np.abs(hi - ref_hi) <= 4 * EPS * ref_hi)
+
+
 def test_sym2_sandwich_and_products_match_matmul(rng):
     U, A, B = _spd_field(rng), _sym_field(rng), _sym_field(rng)
     Um, Am, Bm = sym2_matrices(U), sym2_matrices(A), sym2_matrices(B)
