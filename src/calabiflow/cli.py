@@ -92,24 +92,29 @@ def load_run_config(path, out_dir=None, emit_plots=False) -> RunConfig:
     ppath = data["polytope"]
     if not Path(ppath).exists():
         raise ConfigError(f"polytope file {ppath} does not exist")
-    cfg = RunConfig(
-        polytope_path=str(ppath),
-        admissible_class=load_class(data["class"]),
-        grid_n=int(grid.get("N", 48)),
-        delta_min_factor=float(grid.get("delta_min_factor", 0.5)),
-        perturbation_kind=str(pert.get("kind", "none")),
-        perturbation_amplitude=float(pert.get("amplitude", 0.0)),
-        perturbation_width=float(pert.get("width", 0.8)),
-        perturbation_center=tuple(pert.get("center", (0.0, 0.0))),
-        t_end=float(data.get("t_end", 0.01)),
-        max_steps=None if data.get("max_steps") is None else int(data["max_steps"]),
-        cfl_sigma=float(data.get("cfl_sigma", 0.1)),
-        monitor_every=int(data.get("monitor_every", 5)),
-        snapshot_every=int(data.get("snapshot_every", 50)),
-        epsilon=float(data.get("epsilon", 0.25)),
-        out_dir=str(out_dir if out_dir is not None else data.get("out_dir", ".")),
-        emit_plots=emit_plots,
-    )
+    try:
+        cfg = RunConfig(
+            polytope_path=str(ppath),
+            admissible_class=load_class(data["class"]),
+            grid_n=int(grid.get("N", 48)),
+            delta_min_factor=float(grid.get("delta_min_factor", 0.5)),
+            perturbation_kind=str(pert.get("kind", "none")),
+            perturbation_amplitude=float(pert.get("amplitude", 0.0)),
+            perturbation_width=float(pert.get("width", 0.8)),
+            perturbation_center=tuple(float(c) for c in pert.get("center", (0.0, 0.0))),
+            t_end=float(data.get("t_end", 0.01)),
+            max_steps=None if data.get("max_steps") is None else int(data["max_steps"]),
+            cfl_sigma=float(data.get("cfl_sigma", 0.1)),
+            monitor_every=int(data.get("monitor_every", 5)),
+            snapshot_every=int(data.get("snapshot_every", 50)),
+            epsilon=float(data.get("epsilon", 0.25)),
+            out_dir=str(out_dir if out_dir is not None else data.get("out_dir", ".")),
+            emit_plots=emit_plots,
+        )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed run config: {exc}") from exc
+    if len(cfg.perturbation_center) != 2:
+        raise ConfigError("perturbation center must hold two numbers")
     if cfg.grid_n < 2:
         raise ConfigError("grid N must be at least 2")
     if not (0 < cfg.delta_min_factor):

@@ -10,11 +10,11 @@ entry by entry with the 2x2 helpers of calabiflow.potential.
 The weighted scalar curvature of node data, the flow velocity, is linear in
 U: it is one sparse product of the class record's operator L (see
 class_record) with the contiguous components of U, and reads no U-jet.  The
-pointwise scalars of node data are the rows of their fields; the other
-pointwise operations evaluate the field formulas on a one-point context, and
-only the curvature blocks expand it to full tensors.  Derivatives in the dual
-coordinates are obtained by the chain rule u_{ik} d/dxi_k = d/dz_i, never by
-differencing in dual space.
+pointwise operations evaluate the field formulas on a one-point context, which
+for node data is the node's slice of the grid context, so they equal the rows
+of the fields; only the curvature blocks expand it to full tensors.
+Derivatives in the dual coordinates are obtained by the chain rule
+u_{ik} d/dxi_k = d/dz_i, never by differencing in dual space.
 """
 
 from __future__ import annotations
@@ -50,6 +50,8 @@ class AdmissibleClass:
     chi_S: int = -2
 
     def __post_init__(self):
+        if len(self.p) != 2:
+            raise DegenerateInputError(f"p must have two entries (p1, p2), got {len(self.p)}")
         object.__setattr__(self, "p", (float(self.p[0]), float(self.p[1])))
         if self.scal_S not in (-1.0, 0.0, 1.0):
             raise DegenerateInputError("scal_S must be -1, 0 or 1 after normalization")
@@ -183,16 +185,16 @@ def _check_spd(G) -> np.ndarray:
     return lo
 
 
-def _dU_trace(jet) -> np.ndarray:
-    """dU_trace[s, r] = d_s U_rs, from jet(key, c), component c of the U-jet key."""
-    return np.array([[jet((1, 0), 0), jet((1, 0), 1)], [jet((0, 1), 1), jet((0, 1), 2)]])
+def _dU_trace(dU: dict) -> np.ndarray:
+    """dU_trace[s, r] = d_s U_rs, from the first U-jets."""
+    return np.array([[dU[(1, 0)][0], dU[(1, 0)][1]], [dU[(0, 1)][1], dU[(0, 1)][2]]])
 
 
-def _d2U_trace(jet) -> np.ndarray:
+def _d2U_trace(d2U: dict) -> np.ndarray:
     """The sum of d_r d_s U_rs over rs = 00, 01, 10, 11 in this order, from
-    jet(key, c) as in _dU_trace."""
-    dxy01 = jet((1, 1), 1)
-    return ((jet((2, 0), 0) + dxy01) + dxy01) + jet((0, 2), 2)
+    the second U-jets."""
+    dxy01 = d2U[(1, 1)][1]
+    return ((d2U[(2, 0)][0] + dxy01) + dxy01) + d2U[(0, 2)][2]
 
 
 def _context_from_jets(p: dict) -> dict:
@@ -202,7 +204,6 @@ def _context_from_jets(p: dict) -> dict:
     min_eig : (n,) lower eigenvalue of G
     dU, d2U : the U-jets, {(a, b): (3, n) components of the partial (a, b)
               of U}, for (1, 0), (0, 1) and for (2, 0), (1, 1), (0, 2)
-    dU_trace, d2U_trace : see _dU_trace and _d2U_trace
 
     With T3_k = (u_ijk)_ij and T4_kl = (u_ijkl)_ij read from the partials,
     dU_k = -U T3_k U and d2U_kl = -((U T4_kl U + C) + C^T), C = dU_l T3_k U.
@@ -222,13 +223,7 @@ def _context_from_jets(p: dict) -> dict:
             _mat2_product(_mat2(dU[JET_KEYS[l]]), _mat2(T3[k])), _mat2(U))
         s00, s01, s11 = _sym2_sandwich(U, T(k + l, 4))
         d2U[key] = -np.stack([(s00 + c00) + c00, (s01 + c01) + c10, (s11 + c11) + c11])
-    jets = {**dU, **d2U}
-
-    def jet(key, c):
-        return jets[key][c]
-
-    return {"G": G, "U": U, "min_eig": min_eig, "dU": dU, "d2U": d2U,
-            "dU_trace": _dU_trace(jet), "d2U_trace": _d2U_trace(jet)}
+    return {"G": G, "U": U, "min_eig": min_eig, "dU": dU, "d2U": d2U}
 
 
 def _context_fd(u: SymplecticPotential) -> dict:
@@ -236,51 +231,24 @@ def _context_fd(u: SymplecticPotential) -> dict:
     inverse-Hessian components (see _FdContext)."""
     G = u.hessian_field()
     min_eig = _check_spd(G)
-    U = _sym2_inverse(G)
-    return _FdContext({"G": G, "U": U, "min_eig": min_eig}, u.grid.jet_blocks, U)
+    return _FdContext({"G": G, "U": _sym2_inverse(G), "min_eig": min_eig}, u.grid.jet_blocks)
 
 
 class _FdContext(dict):
     """Derivative context of an fd potential, with the fields of
-    _context_from_jets: the grid's derivative operators applied to the
-    inverse-Hessian components (U00, U01, U11).
+    _context_from_jets.  Only G, U and min_eig are filled at once: the flow
+    velocity reads U alone (see weighted_scalar_field).  The U-jets, the
+    grid's jet_blocks applied to each component of U, are built on first
+    access and kept."""
 
-    blocks holds one operator per JET_KEYS partial, restricted to the rows
-    of this context's points; U_nodes is the (3, n) U at every grid node,
-    which those rows act on.  Only G, U and min_eig are filled at once: the
-    flow velocity reads U alone (see weighted_scalar_field).  The U-jets, one
-    (3, n) stack per block, are built on first access and kept.  The traces
-    are computed on each access and not kept, from the U-jets when they are
-    built and otherwise from the products of a block with one component that
-    they read; both give the same bits.
-    """
-
-    def __init__(self, fields: dict, blocks: dict, U_nodes: np.ndarray):
+    def __init__(self, fields: dict, blocks: dict):
         super().__init__(fields)
-        self._blocks, self._U_nodes = blocks, U_nodes
-
-    def row(self, k: int) -> "_FdContext":
-        """One-row context of node k: column k of G, U and min_eig, and row k
-        of every block, so its traces and U-jets are built as the grid's are."""
-        return _FdContext({key: self[key][..., k : k + 1] for key in ("G", "U", "min_eig")},
-                          {key: D[k : k + 1] for key, D in self._blocks.items()},
-                          self._U_nodes)
-
-    def _jet(self, key, c) -> np.ndarray:
-        """Component c of the U-jet key: read from the U-jets when they are
-        built, otherwise one product of a block with one component."""
-        if "d2U" in self:
-            return self["dU" if sum(key) == 1 else "d2U"][key][c]
-        return self._blocks[key] @ self._U_nodes[c]
+        self._blocks = blocks
 
     def __missing__(self, key):
-        if key == "dU_trace":
-            return _dU_trace(self._jet)
-        if key == "d2U_trace":
-            return _d2U_trace(self._jet)
         if key not in ("dU", "d2U"):
             raise KeyError(key)
-        jets = {jet: np.stack([D @ e for e in self._U_nodes]) for jet, D in self._blocks.items()}
+        jets = {jet: np.stack([D @ e for e in self["U"]]) for jet, D in self._blocks.items()}
         self["dU"] = {jet: jets[jet] for jet in JET_KEYS[:2]}
         self["d2U"] = {jet: jets[jet] for jet in HESSIAN_KEYS}
         return self[key]
@@ -295,12 +263,6 @@ def curvature_context(u: SymplecticPotential) -> dict:
         else:
             cache["context"] = _context_fd(u)
     return cache["context"]
-
-
-def context_at_points(u: SymplecticPotential, points) -> dict:
-    """Derivative context at arbitrary interior points (closed forms only)."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    return _context_from_jets(u.partials_at(pts))
 
 
 def _locate(u: SymplecticPotential, x):
@@ -319,10 +281,15 @@ def _locate(u: SymplecticPotential, x):
 
 
 def _point_context(u: SymplecticPotential, pt, k) -> dict:
-    """One-point context at (pt, k) from _locate: the context at pt of a
-    closed form, or node k's row of the grid context (a one-row _FdContext,
-    so the whole-grid U-jets stay unbuilt)."""
-    return context_at_points(u, pt[None, :]) if k is None else curvature_context(u).row(k)
+    """One-point context at (pt, k) from _locate: the exact context at pt of
+    a closed form, or the k:k+1 slice of the grid context of node data."""
+    if k is None:
+        return _context_from_jets(u.partials_at(pt[None, :]))
+    ctx = curvature_context(u)
+    one = {key: ctx[key][..., k : k + 1] for key in ("G", "U", "min_eig")}
+    for key in ("dU", "d2U"):
+        one[key] = {jet: a[:, k : k + 1] for jet, a in ctx[key].items()}
+    return one
 
 
 # ---------------------------------------------------------------------------
@@ -330,11 +297,8 @@ def _point_context(u: SymplecticPotential, pt, k) -> dict:
 
 
 def abreu_scalar_field(u: SymplecticPotential) -> np.ndarray:
-    """R = -sum_ij (u^{ij})_{,ij} at every node."""
-    cache = u.curvature_cache
-    if "abreu" not in cache:
-        cache["abreu"] = -curvature_context(u)["d2U_trace"]
-    return cache["abreu"]
+    """R = -sum_ij (u^{ij})_{,ij} at every node, from the second U-jets."""
+    return -_d2U_trace(curvature_context(u)["d2U"])
 
 
 def _fiber_rm2(d2U: dict) -> np.ndarray:
@@ -363,13 +327,13 @@ def _weighted_scalar_from_ctx(ctx: dict, cls: AdmissibleClass, q: np.ndarray) ->
     pr = (cls.m * q[:, None] ** (cls.m - 1) * pvec[None, :] if cls.m >= 1
           else np.zeros((len(q), 2)))
     # div = sum_rs d_r d_s (p U_rs) = sum p_rs U_rs + 2 sum p_r d_s U_rs + p sum d_r d_s U_rs
-    dUt = ctx["dU_trace"]
+    dUt = _dU_trace(ctx["dU"])
     div = 2.0 * ((pr[:, 0] * dUt[0, 0] + pr[:, 1] * dUt[0, 1])
                  + (pr[:, 0] * dUt[1, 0] + pr[:, 1] * dUt[1, 1]))
     if cls.m >= 2:
         prs = cls.m * (cls.m - 1) * q ** (cls.m - 2) * (pvec[[0, 0, 1]] * pvec[[0, 1, 1]])[:, None]
         div = _sym2_dot(prs, ctx["U"]) + div
-    div = div + pw * ctx["d2U_trace"]
+    div = div + pw * _d2U_trace(ctx["d2U"])
     return cls.scal_S / q - div / pw
 
 
@@ -471,10 +435,7 @@ def rm2_total_field(u: SymplecticPotential, cls: AdmissibleClass) -> np.ndarray:
 
 
 def abreu_scalar(u: SymplecticPotential, x) -> float:
-    pt, k = _locate(u, x)
-    if k is not None:
-        return float(abreu_scalar_field(u)[k])
-    return float(-_point_context(u, pt, k)["d2U_trace"][0])
+    return float(-_d2U_trace(_point_context(u, *_locate(u, x))["d2U"])[0])
 
 
 def weighted_scalar(u: SymplecticPotential, cls: AdmissibleClass, x) -> float:
@@ -494,21 +455,19 @@ def fiber_riemann_norm(u: SymplecticPotential, x) -> float:
 def admissible_blocks(u: SymplecticPotential, cls: AdmissibleClass, x) -> CurvatureSample:
     """All curvature blocks at a point, from the one-point derivative context.
 
-    For node data that context is the node's row of the grid context, and
-    the two scalar curvatures are the rows of their fields, so the scalar
-    entries equal the rows of the field operations.
+    For node data that context is the node's slice of the grid context, and
+    the weighted scalar is the row of its field, so the scalar entries equal
+    the rows of the field operations.
     """
     cls.validate_on(u.polytope)
     pt, k = _locate(u, x)
     ctx, q = _point_context(u, pt, k), cls.affine(pt[None, :])
     blocks = _blocks_from_ctx(ctx, cls, q)
-    if k is None:
-        r_fiber, r_weighted = -ctx["d2U_trace"][0], _weighted_scalar_from_ctx(ctx, cls, q)[0]
-    else:
-        r_fiber, r_weighted = abreu_scalar_field(u)[k], weighted_scalar_field(u, cls)[k]
+    r_weighted = (_weighted_scalar_from_ctx(ctx, cls, q)[0] if k is None
+                  else weighted_scalar_field(u, cls)[k])
     return CurvatureSample(
         point=pt,
-        r_fiber=float(r_fiber),
+        r_fiber=float(-_d2U_trace(ctx["d2U"])[0]),
         r_weighted=float(r_weighted),
         rm2_fiber=float(blocks["rm2_fiber"][0]),
         rm_0000=float(blocks["rm_0000"][0]),

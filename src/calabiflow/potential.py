@@ -7,9 +7,10 @@ differentiated follows from what it was built from, it is not chosen:
 * a closed form (f_form with the canonical part, or a total_form alone) --
   every partial up to order 4 is exact, at any interior point
   (``partials_at``);
-* node data f_values -- differenced with the grid's second-order stencils
-  (one-sided near the boundary, higher orders by composition), at grid
-  nodes only; each partial of f is computed once (``f_partial``).
+* node data f_values -- differenced on the grid, at grid nodes only: orders
+  1-2 by the grid's jet_blocks (stencil rows in the interior, least-squares
+  fits on the near-boundary band), orders 3-4 by composed axis differences;
+  each partial of f is computed once (``f_partial``).
 """
 
 from __future__ import annotations
@@ -587,23 +588,36 @@ def load_snapshot(path, polytope: DelzantPolytope = None):
     """Rebuild the node-data potential saved by save_snapshot.
 
     Returns (potential, t).  If a polytope is supplied its content hash must
-    match the sidecar.
+    match the sidecar.  A snapshot whose sidecar or rows are malformed, whose
+    rows are not exactly the nodes of its grid, once each, or whose f is not
+    finite raises DomainError.
     """
     path = Path(path)
-    with open(path.with_suffix(path.suffix + ".json")) as fh:
-        meta = json.load(fh)
-    P = polytope_from_dict(meta["polytope"])
-    if polytope is not None and polytope.content_hash() != meta["polytope_hash"]:
-        raise DomainError("snapshot belongs to a different polytope")
-    grid = Grid(P, int(meta["grid_n"]), float(meta["delta_min"]))
-    rows = {}
-    with open(path) as fh:
-        for row in csv.DictReader(fh):
-            rows[(int(row["i"]), int(row["j"]))] = float(row["f"])
+    try:
+        with open(path.with_suffix(path.suffix + ".json")) as fh:
+            meta = json.load(fh)
+        P = polytope_from_dict(meta["polytope"])
+        if polytope is not None and polytope.content_hash() != meta["polytope_hash"]:
+            raise DomainError("snapshot belongs to a different polytope")
+        grid = Grid(P, int(meta["grid_n"]), float(meta["delta_min"]))
+        t = float(meta["t"])
+        values = {}
+        with open(path) as fh:
+            for row in csv.DictReader(fh):
+                ij = (int(row["i"]), int(row["j"]))
+                if ij in values:
+                    raise DomainError(f"snapshot has two rows for node {ij}")
+                values[ij] = float(row["f"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DomainError(f"malformed snapshot {path}: {exc!r}") from exc
     f = np.empty(grid.n_nodes)
     for k, (i, j) in enumerate(grid.ij):
         try:
-            f[k] = rows[(int(i), int(j))]
+            f[k] = values.pop((int(i), int(j)))
         except KeyError as exc:
             raise DomainError(f"snapshot is missing node {(int(i), int(j))}") from exc
-    return SymplecticPotential.from_node_values(P, grid, f), float(meta["t"])
+    if values:
+        raise DomainError(f"snapshot row {min(values)} is not a node of its grid")
+    if not np.all(np.isfinite(f)):
+        raise DomainError("snapshot f is not finite at every node")
+    return SymplecticPotential.from_node_values(P, grid, f), t

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curvature import AdmissibleClass, canonical_rm2_bound, curvature_context
+from .curvature import AdmissibleClass, canonical_rm2_bound, class_record, curvature_context
 from .energy import interior_quadrature
 from .errors import RegimeError
 from .polytope import DelzantPolytope
@@ -299,7 +299,7 @@ def sobolev_inequality_test(u: SymplecticPotential, cls: AdmissibleClass,
     if test_functions is None:
         test_functions = builtin_test_functions()
     grid = u.grid
-    pw = cls.weight(grid.points)
+    pw = class_record(grid, cls).pw
     U = curvature_context(u)["U"]
     worst = 0.0
     for name, val, grad in test_functions:

@@ -120,6 +120,33 @@ def test_flow_unknown_key(capsys, tmp_path, triangle_file):
     assert "wibble" in err
 
 
+@pytest.mark.parametrize("p", [[1], [1, 1, 5]], ids=["one-entry", "three-entries"])
+def test_fiber_bound_rejects_class_without_two_p_entries(capsys, tmp_path, p):
+    cpath = tmp_path / "class.json"
+    cpath.write_text(json.dumps({"p": p, "c_S": 12, "scal_S": -1, "m": 1, "chi_S": -2}))
+    code, _, err = run_cli(capsys, "fiber-bound", "--class", str(cpath))
+    assert code == 2, err
+    assert "two entries" in err
+
+
+@pytest.mark.parametrize("edit", [{"grid": {"N": "abc"}},
+                                  {"perturbation": {"kind": "bump", "center": [0.1]}}],
+                         ids=["non-numeric-N", "one-number-center"])
+def test_flow_rejects_malformed_config_values(capsys, tmp_path, triangle_file, edit):
+    cfg = {
+        "polytope": str(triangle_file),
+        "class": {"p": [0, 0], "c_S": 1.0, "scal_S": 0, "m": 0},
+        "max_steps": 1,
+        "out_dir": str(tmp_path / "out"),
+        **edit,
+    }
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code, _, err = run_cli(capsys, "flow", str(cfg_path))
+    assert code == 2, err
+    assert err.startswith("error:")
+
+
 @pytest.fixture()
 def fs_snapshot(tmp_path, triangle, grid48):
     u = SymplecticPotential.from_node_values(triangle, grid48, np.zeros(grid48.n_nodes))
@@ -161,6 +188,42 @@ def test_energy_command(capsys, fs_snapshot):
     data = json.loads(out)
     assert data["calabi"] <= 1e-12
     assert data["r_bar"] == pytest.approx(4.0, abs=1e-8)
+
+
+def _drop_grid_n(path):
+    sidecar = path.with_suffix(".csv.json")
+    meta = json.loads(sidecar.read_text())
+    del meta["grid_n"]
+    sidecar.write_text(json.dumps(meta))
+
+
+def _edit_rows(edit):
+    """A snapshot fault that rewrites the CSV lines (header first) with edit."""
+    def fault(path):
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(edit(lines)) + "\n")
+    return fault
+
+
+def _first_f(value):
+    return _edit_rows(lambda lines: [lines[0], lines[1].rsplit(",", 1)[0] + "," + value,
+                                     *lines[2:]])
+
+
+@pytest.mark.parametrize("fault", [
+    lambda path: path.with_suffix(".csv.json").write_text("{not json"),
+    _drop_grid_n,
+    _first_f("abc"),
+    _edit_rows(lambda lines: lines + ["1000,1000,0.0,0.0,0.0"]),
+    _edit_rows(lambda lines: lines + [lines[1]]),
+    _first_f("nan"),
+], ids=["sidecar-not-json", "sidecar-without-grid-n", "non-numeric-f", "row-off-the-grid",
+        "duplicate-row", "nan-f"])
+def test_energy_rejects_malformed_snapshot(capsys, fs_snapshot, fault):
+    fault(fs_snapshot)
+    code, _, err = run_cli(capsys, "energy", "--snapshot", str(fs_snapshot))
+    assert code == 2, err
+    assert "snapshot" in err
 
 
 def test_sobolev_bound_command(capsys):

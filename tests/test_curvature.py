@@ -13,6 +13,7 @@ from calabiflow import (
     build_grid,
     bump_form,
     control_rm_rhs,
+    energy_report,
     fiber_riemann_norm,
     fiber_riemann_norm_field,
     polynomial_form,
@@ -21,7 +22,8 @@ from calabiflow import (
     weighted_scalar,
     weighted_scalar_field,
 )
-from calabiflow.curvature import _rm2_total_from_ctx, class_record, curvature_context
+from calabiflow.curvature import (_d2U_trace, _dU_trace, _point_context, _rm2_total_from_ctx,
+                                  class_record, curvature_context)
 from calabiflow.polytope import DelzantPolytope
 from conftest import interior_points
 from fd_oracle import (agrees_to_sig, full_tensors, oracle_curvature, rm2_total_pieces,
@@ -238,8 +240,8 @@ def test_fd_context_traces_match_full_tensors(poly, grid, request):
     u = _cubic_fd(request.getfixturevalue(poly), request.getfixturevalue(grid))
     ctx = curvature_context(u)
     _, _, dU, d2U = full_tensors(ctx)
-    assert np.array_equal(np.moveaxis(ctx["dU_trace"], -1, 0), np.einsum("nsrs->nsr", dU))
-    assert np.array_equal(ctx["d2U_trace"], np.einsum("nrsrs->n", d2U))
+    assert np.array_equal(np.moveaxis(_dU_trace(ctx["dU"]), -1, 0), np.einsum("nsrs->nsr", dU))
+    assert np.array_equal(_d2U_trace(ctx["d2U"]), np.einsum("nrsrs->n", d2U))
 
 
 @pytest.mark.parametrize(
@@ -271,18 +273,19 @@ def test_fd_traces_equal_full_jets(poly, grid, request):
     assert np.array_equal(sym2_matrices(ctx["G"]), u.hessians())
     jets = g.field_jets(np.stack(list(ctx["U"]), axis=1))
     dx, dy, dxy = jets[(1, 0)], jets[(0, 1)], jets[(1, 1)][:, 1]
-    assert np.array_equal(np.moveaxis(ctx["dU_trace"], -1, 0),
+    assert np.array_equal(np.moveaxis(_dU_trace(ctx["dU"]), -1, 0),
                           np.stack([dx[:, :2], dy[:, 1:]], axis=1))
-    assert np.array_equal(ctx["d2U_trace"],
+    assert np.array_equal(_d2U_trace(ctx["d2U"]),
                           ((jets[(2, 0)][:, 0] + dxy) + dxy) + jets[(0, 2)][:, 2])
     # the U-jets are the full jets of the components
     for key in ((1, 0), (0, 1)):
         assert np.array_equal(ctx["dU"][key], jets[key].T)
     for key in ((2, 0), (1, 1), (0, 2)):
         assert np.array_equal(ctx["d2U"][key], jets[key].T)
-    keys = ("G", "U", "min_eig", "dU_trace", "d2U_trace", "dU", "d2U")
-    for k in range(g.n_nodes):
-        row = ctx.row(k)
+    keys = ("G", "U", "min_eig", "dU", "d2U")
+    for k, pt in enumerate(g.points):
+        row = _point_context(u, pt, k)
+        assert row.keys() == set(keys)
         for key in keys:
             field, one = ctx[key], row[key]
             if isinstance(field, dict):
@@ -312,17 +315,11 @@ def test_flow_velocity_leaves_full_tensors_unbuilt(monkeypatch, triangle, grid48
     calls = []
     monkeypatch.setattr(Grid, "field_jets", lambda *a: calls.append(1) or field_jets(*a))
     weighted_scalar_field(u, bundle_class)
-    abreu_scalar_field(u)
     # the velocity applies the derivative operators it reads, not the full jets
     assert calls == []
     monkeypatch.undo()
     ctx = curvature_context(u)
     assert "dU" not in ctx and "d2U" not in ctx
-    k = grid48.n_nodes // 2
-    sample = admissible_blocks(u, bundle_class, grid48.points[k])
-    # a pointwise call reads a one-row context of its node
-    assert "dU" not in ctx and "d2U" not in ctx
-    assert sample.r_fiber == abreu_scalar_field(u)[k]
     rm2_total_field(u, bundle_class)
     assert "dU" in ctx and "d2U" in ctx
 
@@ -340,6 +337,24 @@ def test_pointwise_scalars_equal_field_rows(poly, grid, request, bundle_class):
             assert weighted_scalar(u, cls, pt) == R[k] == sample.r_weighted
             assert fiber_riemann_norm(u, pt) == rf[k] == sample.rm2_fiber
             assert sample.rm2_total == rm2[k]
+
+
+def test_pointwise_block_after_report_makes_no_sparse_product(hexagon, hex_grid, bundle_class,
+                                                              csr_products):
+    x, y = hex_grid.points[:, 0], hex_grid.points[:, 1]
+    u = SymplecticPotential.from_node_values(hexagon, hex_grid, bump_form(0.05)(x, y))
+    energy_report(u, bundle_class)
+    k = hex_grid.n_nodes // 3
+    del csr_products[:]
+    sample = admissible_blocks(u, bundle_class, hex_grid.points[k])
+    rm2_fiber = fiber_riemann_norm(u, hex_grid.points[k])
+    # a node's one-point context is its slice of the grid context, whose
+    # U-jets the report has built
+    assert len(csr_products) == 0
+    assert sample.r_fiber == abreu_scalar_field(u)[k]
+    assert sample.r_weighted == weighted_scalar_field(u, bundle_class)[k]
+    assert sample.rm2_fiber == rm2_fiber == fiber_riemann_norm_field(u)[k]
+    assert sample.rm2_total == rm2_total_field(u, bundle_class)[k]
 
 
 @pytest.mark.parametrize("poly, grid", POLY_GRIDS)

@@ -13,6 +13,7 @@ from calabiflow import (
     sobolev_inequality_test,
     yamabe_lower_bound,
 )
+from calabiflow.curvature import class_record
 from calabiflow.polytope import DelzantPolytope
 from calabiflow.sobolev import builtin_test_functions
 
@@ -165,3 +166,11 @@ def test_ratio_below_certificate(fs48, bundle_class):
     fb = fiber_energy_bound(bundle_class)
     worst = sobolev_inequality_test(fs48, bundle_class)
     assert worst <= fb.certificate.sobolev_bound
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_ratio_reads_the_class_record_weight(monkeypatch, fs48, m):
+    cls = AdmissibleClass((1.0, 1.0), 12.0, -1.0, m, -2)
+    assert np.array_equal(class_record(fs48.grid, cls).pw, cls.weight(fs48.grid.points))
+    monkeypatch.setattr(AdmissibleClass, "weight", lambda *a: pytest.fail("weight evaluated"))
+    assert sobolev_inequality_test(fs48, cls) > 0.0
