@@ -50,9 +50,16 @@ def _load_json(path):
         raise ConfigError(f"cannot read JSON file {path}: {exc}") from exc
 
 
+def _require_object(value, what):
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {value!r}")
+    return value
+
+
 def load_class(data) -> AdmissibleClass:
     if isinstance(data, (str, Path)):
         data = _load_json(data)
+    _require_object(data, "class data")
     allowed = {"p", "c_S", "scal_S", "m", "chi_S"}
     unknown = set(data) - allowed
     if unknown:
@@ -70,7 +77,7 @@ def load_class(data) -> AdmissibleClass:
 
 
 def load_run_config(path, out_dir=None, emit_plots=False) -> RunConfig:
-    data = _load_json(path)
+    data = _require_object(_load_json(path), "run config")
     allowed = {
         "polytope", "class", "grid", "perturbation", "t_end", "max_steps",
         "cfl_sigma", "monitor_every", "snapshot_every", "epsilon", "out_dir",
@@ -81,10 +88,10 @@ def load_run_config(path, out_dir=None, emit_plots=False) -> RunConfig:
     for key in ("polytope", "class"):
         if key not in data:
             raise ConfigError(f"config is missing required key {key!r}")
-    grid = data.get("grid", {})
+    grid = _require_object(data.get("grid", {}), "grid")
     if set(grid) - {"N", "delta_min_factor"}:
         raise ConfigError(f"unknown grid keys: {sorted(set(grid) - {'N', 'delta_min_factor'})}")
-    pert = data.get("perturbation", {"kind": "none"})
+    pert = _require_object(data.get("perturbation", {"kind": "none"}), "perturbation")
     if set(pert) - {"kind", "amplitude", "width", "center"}:
         raise ConfigError(
             f"unknown perturbation keys: {sorted(set(pert) - {'kind', 'amplitude', 'width', 'center'})}"

@@ -15,9 +15,9 @@ differentiated follows from what it was built from, it is not chosen:
 
 from __future__ import annotations
 
-import csv
 import json
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -566,13 +566,20 @@ def legendre_inverse(u: SymplecticPotential, xi, x0=None, tol: float = 1e-12,
 
 
 def save_snapshot(u: SymplecticPotential, path, t: float = 0.0) -> None:
-    """CSV of node values (i, j, x, y, f) plus a JSON sidecar <path>.json."""
+    """Write the node values of u as CSV, plus a JSON sidecar <path>.json.
+
+    The CSV has the header ``i,j,x,y,f`` and one row per grid node in node
+    order, CRLF line endings, grid indices as integers and floats as their
+    shortest round-trip repr.  The sidecar holds grid_n, delta_min, the
+    polytope's content hash and facet data, and the flow time t.
+    """
     path = Path(path)
+    ij, points = u.grid.ij, u.grid.points
+    rows = map("{},{},{!r},{!r},{!r}\r\n".format, ij[:, 0].tolist(), ij[:, 1].tolist(),
+               points[:, 0].tolist(), points[:, 1].tolist(), u.f_values.tolist())
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["i", "j", "x", "y", "f"])
-        for (i, j), p, v in zip(u.grid.ij, u.grid.points, u.f_values):
-            w.writerow([int(i), int(j), repr(float(p[0])), repr(float(p[1])), repr(float(v))])
+        fh.write("i,j,x,y,f\r\n")
+        fh.writelines(rows)
     sidecar = {
         "grid_n": u.grid.n,
         "delta_min": u.grid.delta_min,
@@ -588,9 +595,11 @@ def load_snapshot(path, polytope: DelzantPolytope = None):
     """Rebuild the node-data potential saved by save_snapshot.
 
     Returns (potential, t).  If a polytope is supplied its content hash must
-    match the sidecar.  A snapshot whose sidecar or rows are malformed, whose
-    rows are not exactly the nodes of its grid, once each, or whose f is not
-    finite raises DomainError.
+    match the sidecar.  The columns i, j and f are read by name; x and y are
+    informative only, and either line ending loads.  DomainError is raised
+    for a malformed sidecar, a header without i, j or f, a malformed row or
+    a non-integer i or j, a row that is not a node of the grid, two rows for
+    one node, a node without a row, and an f that is not finite.
     """
     path = Path(path)
     try:
@@ -601,23 +610,33 @@ def load_snapshot(path, polytope: DelzantPolytope = None):
             raise DomainError("snapshot belongs to a different polytope")
         grid = Grid(P, int(meta["grid_n"]), float(meta["delta_min"]))
         t = float(meta["t"])
-        values = {}
         with open(path) as fh:
-            for row in csv.DictReader(fh):
-                ij = (int(row["i"]), int(row["j"]))
-                if ij in values:
-                    raise DomainError(f"snapshot has two rows for node {ij}")
-                values[ij] = float(row["f"])
+            names = fh.readline().rstrip("\n").split(",")
+            with warnings.catch_warnings():
+                # a header without rows is reported below as a missing node
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                rows = np.loadtxt(fh, delimiter=",", ndmin=1,
+                                  usecols=[names.index(c) for c in ("i", "j", "f")],
+                                  dtype=[("i", np.int64), ("j", np.int64), ("f", float)])
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed snapshot {path}: {exc!r}") from exc
+    i, j = rows["i"], rows["j"]
+    ni, nj = grid.node_id.shape
+    on_grid = (0 <= i) & (i < ni) & (0 <= j) & (j < nj)
+    ids = np.full(len(rows), -1)
+    ids[on_grid] = grid.node_id[i[on_grid], j[on_grid]]
+    if np.any(ids < 0):
+        k = np.flatnonzero(ids < 0)[0]
+        raise DomainError(f"snapshot row {(int(i[k]), int(j[k]))} is not a node of its grid")
+    counts = np.bincount(ids, minlength=grid.n_nodes)
+    if np.any(counts > 1):
+        i0, j0 = grid.ij[np.flatnonzero(counts > 1)[0]]
+        raise DomainError(f"snapshot has two rows for node {(int(i0), int(j0))}")
+    if np.any(counts == 0):
+        i0, j0 = grid.ij[np.flatnonzero(counts == 0)[0]]
+        raise DomainError(f"snapshot is missing node {(int(i0), int(j0))}")
     f = np.empty(grid.n_nodes)
-    for k, (i, j) in enumerate(grid.ij):
-        try:
-            f[k] = values.pop((int(i), int(j)))
-        except KeyError as exc:
-            raise DomainError(f"snapshot is missing node {(int(i), int(j))}") from exc
-    if values:
-        raise DomainError(f"snapshot row {min(values)} is not a node of its grid")
+    f[ids] = rows["f"]
     if not np.all(np.isfinite(f)):
         raise DomainError("snapshot f is not finite at every node")
     return SymplecticPotential.from_node_values(P, grid, f), t

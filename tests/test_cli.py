@@ -147,6 +147,27 @@ def test_flow_rejects_malformed_config_values(capsys, tmp_path, triangle_file, e
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("key", ["grid", "perturbation", "class"],
+                         ids=["grid", "perturbation", "class-file"])
+def test_flow_rejects_config_value_that_is_not_an_object(capsys, tmp_path, triangle_file, key):
+    cfg = {
+        "polytope": str(triangle_file),
+        "class": {"p": [0, 0], "c_S": 1.0, "scal_S": 0, "m": 0},
+        "max_steps": 1,
+        "out_dir": str(tmp_path / "out"),
+        key: 5,
+    }
+    if key == "class":
+        cpath = tmp_path / "class.json"
+        cpath.write_text("5")
+        cfg["class"] = str(cpath)
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code, _, err = run_cli(capsys, "flow", str(cfg_path))
+    assert code == 2, err
+    assert "must be a JSON object" in err
+
+
 @pytest.fixture()
 def fs_snapshot(tmp_path, triangle, grid48):
     u = SymplecticPotential.from_node_values(triangle, grid48, np.zeros(grid48.n_nodes))
@@ -217,8 +238,14 @@ def _first_f(value):
     _edit_rows(lambda lines: lines + ["1000,1000,0.0,0.0,0.0"]),
     _edit_rows(lambda lines: lines + [lines[1]]),
     _first_f("nan"),
+    _edit_rows(lambda lines: [lines[0], "1.5," + lines[1].split(",", 1)[1], *lines[2:]]),
+    _edit_rows(lambda lines: [lines[0], lines[1].rsplit(",", 1)[0], *lines[2:]]),
+    _edit_rows(lambda lines: lines[:1]),
+    _edit_rows(lambda lines: ["i,j,x,y", *lines[1:]]),
 ], ids=["sidecar-not-json", "sidecar-without-grid-n", "non-numeric-f", "row-off-the-grid",
-        "duplicate-row", "nan-f"])
+        "duplicate-row", "nan-f", "non-integer-i", "row-missing-a-field", "header-without-rows",
+        "header-without-f"])
+@pytest.mark.filterwarnings("error")
 def test_energy_rejects_malformed_snapshot(capsys, fs_snapshot, fault):
     fault(fs_snapshot)
     code, _, err = run_cli(capsys, "energy", "--snapshot", str(fs_snapshot))

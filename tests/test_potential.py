@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -184,9 +186,48 @@ def test_snapshot_roundtrip(tmp_path, triangle, grid48, rng):
     save_snapshot(u, path, t=0.125)
     back, t = load_snapshot(path)
     assert t == 0.125
-    np.testing.assert_allclose(back.f_values, f, atol=0)
+    assert np.array_equal(back.f_values, f)
     assert back.polytope.content_hash() == triangle.content_hash()
     assert back.grid.n_nodes == grid48.n_nodes
+
+
+def _csv_writer_snapshot(u, path):
+    """The row-by-row csv.writer snapshot body that save_snapshot must match."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["i", "j", "x", "y", "f"])
+        for (i, j), p, v in zip(u.grid.ij, u.grid.points, u.f_values):
+            w.writerow([int(i), int(j), repr(float(p[0])), repr(float(p[1])), repr(float(v))])
+
+
+def _extreme_values(n, rng):
+    """n values spanning exponents 1e-300 to 1e300, with -0.0 and a subnormal."""
+    f = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-300, 300, n)
+    f[:3] = [-0.0, 5e-324, 2.5e-310]
+    return f
+
+
+@pytest.mark.parametrize("name", ["triangle", "hexagon"])
+def test_snapshot_bytes_match_csv_writer(tmp_path, request, rng, name):
+    P = request.getfixturevalue(name)
+    grid = request.getfixturevalue({"triangle": "grid48", "hexagon": "hex_grid"}[name])
+    f = _extreme_values(grid.n_nodes, rng)
+    u = SymplecticPotential.from_node_values(P, grid, f)
+    save_snapshot(u, tmp_path / "snap.csv")
+    _csv_writer_snapshot(u, tmp_path / "oracle.csv")
+    assert (tmp_path / "snap.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+    back, _ = load_snapshot(tmp_path / "snap.csv", polytope=P)
+    assert np.array_equal(back.f_values.view(np.int64), f.view(np.int64))
+
+
+def test_snapshot_with_lf_line_endings_loads_the_same_bits(tmp_path, triangle, grid48, rng):
+    f = _extreme_values(grid48.n_nodes, rng)
+    path = tmp_path / "snap.csv"
+    save_snapshot(SymplecticPotential.from_node_values(triangle, grid48, f), path)
+    back_crlf, _ = load_snapshot(path)
+    path.write_bytes(path.read_bytes().replace(b"\r\n", b"\n"))
+    back_lf, _ = load_snapshot(path)
+    assert np.array_equal(back_lf.f_values.view(np.int64), back_crlf.f_values.view(np.int64))
 
 
 def test_snapshot_polytope_mismatch(tmp_path, triangle, grid48):
