@@ -8,6 +8,7 @@ Delzant condition (the two normals meeting at a vertex form a Z^2 basis).
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import weakref
@@ -77,6 +78,98 @@ def clip_halfplane(poly, a: float, b: float, c: float):
             t = fp / (fp - fq)
             out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
     return out
+
+
+def clip_cells(xy, counts, a: float, b: float, c: float):
+    """clip_halfplane applied to many polygons at once.
+
+    xy is (m, V, 2): polygon r has its vertices in slots 0..counts[r]-1 and
+    zeros in the rest.  Returns (xy, counts) of the clipped polygons in the
+    same form; each gets the vertices, in the order and with the bits, that
+    clip_halfplane gives it."""
+    m, V, _ = xy.shape
+    slot = np.arange(V)
+    nxt = (slot + 1) % np.maximum(counts, 1)[:, None]
+    valid = slot < counts[:, None]
+    fp = a * xy[..., 0] + b * xy[..., 1] + c
+    fq = np.take_along_axis(fp, nxt, axis=1)
+    keep = valid & (fp >= 0.0)
+    # the edge from a vertex to the next crosses the line
+    cross = valid & ((fp >= 0.0) != (fq >= 0.0))
+    emit = keep + cross.astype(int)
+    start = np.cumsum(emit, axis=1) - emit
+    counts = emit.sum(axis=1)
+    out = np.zeros((m, counts.max(initial=0), 2))
+    r, k = np.nonzero(keep)
+    out[r, start[r, k]] = xy[r, k]
+    r, k = np.nonzero(cross)
+    p, q = xy[r, k], xy[r, nxt[r, k]]
+    fp, fq = fp[r, k], fq[r, k]
+    t = (fp / (fp - fq))[:, None]
+    out[r, start[r, k] + keep[r, k]] = p + t * (q - p)
+    return out, counts
+
+
+def _slot_sum(terms):
+    """Row sums of an (m, n) array, n < 8, in numpy's order for fewer than 8
+    terms: left to right from 0."""
+    total = np.zeros(len(terms))
+    for col in terms.T:
+        total = total + col
+    return total
+
+
+def _cell_moments(xy, counts):
+    """(area, moments) of each polygon of a clip_cells array, as
+    _polygon_moments gives them: moments (m, 6), and area 0 with NaN moments
+    where it gives None.
+
+    A polygon of 8 or more vertices, whose sums numpy takes pairwise, goes
+    through _polygon_moments itself."""
+    area = np.zeros(len(counts))
+    moments = np.full((len(counts), 6), np.nan)
+    for n in np.unique(counts[counts >= 3]):
+        rows = np.flatnonzero(counts == n)
+        if n >= 8:
+            for r in rows:
+                a, mom = _polygon_moments(xy[r, :n])
+                if mom is not None:
+                    area[r], moments[r] = a, mom
+            continue
+        x, y = xy[rows, :n, 0], xy[rows, :n, 1]
+        x1, y1 = np.roll(x, -1, axis=1), np.roll(y, -1, axis=1)
+        cross = x * y1 - x1 * y
+        area2 = _slot_sum(cross)
+        A = 0.5 * area2
+        Mx = _slot_sum((x + x1) * cross) / 6.0
+        My = _slot_sum((y + y1) * cross) / 6.0
+        Mxx = _slot_sum((x * x + x * x1 + x1 * x1) * cross) / 12.0
+        Myy = _slot_sum((y * y + y * y1 + y1 * y1) * cross) / 12.0
+        Mxy = _slot_sum((x * y1 + 2 * x * y + 2 * x1 * y1 + x1 * y) * cross) / 24.0
+        sgn = np.where(area2 > 0, 1.0, -1.0)
+        ok = np.abs(area2) >= 1e-300
+        rows = rows[ok]
+        area[rows] = np.abs(A[ok])
+        moments[rows] = (sgn[:, None] * np.stack([A, Mx, My, Mxx, Mxy, Myy], axis=1))[ok]
+    return area, moments
+
+
+def _solve_each(gram, rhs):
+    """np.linalg.solve of a stack of systems, NaN rows where a matrix is
+    singular.
+
+    LAPACK gives up on the whole stack if one matrix is singular; the stack
+    is then solved matrix by matrix."""
+    try:
+        return np.linalg.solve(gram, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        out = np.full(rhs.shape, np.nan)
+        for i in range(len(rhs)):
+            try:
+                out[i] = np.linalg.solve(gram[i], rhs[i])
+            except np.linalg.LinAlgError:
+                pass
+        return out
 
 
 def _point_segment_distance(x, a, b) -> float:
@@ -323,7 +416,7 @@ class Grid:
     Nodes are the lattice points x = anchor + h*(i, j) whose smallest facet
     value min_i l_i(x) is at least delta_min.  Construction is deterministic
     from (polytope, n, delta_min); what is derived is built on first request
-    and immutable, and kept unless it is read only once at set-up
+    and immutable, and kept unless it is cheap to rebuild and rarely read
     (``neighbors8``, ``stencil_classification``).
 
     Every linear derivative operator is a sparse (CSR) matrix over the node
@@ -586,9 +679,15 @@ class Grid:
             t = np.clip((ax * ab[:, 0] + ay * ab[:, 1]) / denom, 0.0, 1.0)
             dx = x - (a[:, 0] + t * ab[:, 0])
             dy = y - (a[:, 1] + t * ab[:, 1])
-            # math.hypot, not np.hypot: the two differ in the last bit
-            dist = np.fromiter(map(math.hypot, dx.flat, dy.flat), float, count=dx.size)
-            self._boundary_distance = dist.reshape(dx.shape).min(axis=1)
+            # math.hypot, not np.hypot: the two differ in the last bit.  It
+            # runs only on each node's candidates, the facets whose squared
+            # distance is within a relative 1e-12 of the node's smallest
+            d2 = dx * dx + dy * dy
+            r, f = np.nonzero(d2 <= d2.min(axis=1, keepdims=True) * (1.0 + 1e-12))
+            dist = np.fromiter(map(math.hypot, dx[r, f], dy[r, f]), float, count=len(r))
+            # every node has a candidate, so its run in r starts where r steps
+            starts = np.flatnonzero(np.diff(r, prepend=-1))
+            self._boundary_distance = np.minimum.reduceat(dist, starts)
         return self._boundary_distance
 
     @cached_property
@@ -611,60 +710,78 @@ class Grid:
 
         Every lattice cell (the h-square about a lattice point) is classified
         at once by the facet values at its corners: full, missing (outside
-        one facet) or cut.  A full cell that owns a node gives it h^2.  Only
-        the cut cells, clipped to P, and the full cells without a node are
-        visited one by one: each is distributed over nearby nodes so that its
-        exact area, centroid, and second moments are reproduced; quadratic
-        integrands therefore see no boundary error and the weights sum to
-        the polytope area.
+        one facet) or cut.  A full cell that owns a node gives it h^2.  The
+        cut cells and the full cells without a node are clipped to P in one
+        array pass per facet (clip_cells), and each is distributed over its
+        nearby nodes so that its exact area, centroid, and second moments
+        are reproduced; quadratic integrands therefore see no boundary error
+        and the weights sum to the polytope area.  The moment-matching
+        systems are solved as one stack per stage; only a stack that holds a
+        singular matrix is solved again cell by cell.
         """
         if self._cell_weights is None:
             self._cell_weights = self._compute_cell_weights()
         return self._cell_weights
 
-    def _distribute_cell(self, moments, center):
-        """(nodes, weights) spreading a clipped cell onto nearby nodes so that
-        its moments are matched.
+    def _distribute_cells(self, moments, center):
+        """(r, nodes, weights) spreading clipped cells onto nearby nodes so
+        that their moments are matched: cell r[e] gives weights[e] to
+        nodes[e], in cell order.
 
-        moments are [A, Mx, My, Mxx, Mxy, Myy] in absolute coordinates; the
-        matching system is solved in coordinates scaled by h about `center`.
-        Falls back to centroid-only and area-only matching if the local node
-        cloud is too thin."""
-        k = min(12, self.n_nodes)
+        moments are (m, 6) rows [A, Mx, My, Mxx, Mxy, Myy] in absolute
+        coordinates; each cell's matching system is solved in coordinates
+        scaled by h about its row of `center`.  All cells are matched at
+        once; a cell whose local node cloud is too thin falls back to
+        centroid-only, then area-only matching, and one that none of the
+        three matches puts its area on its nearest node."""
+        m, k, h = len(center), min(12, self.n_nodes), self.h
         _, near = self.kdtree.query(center, k=k)
-        near = np.atleast_1d(near)
-        h = self.h
-        xi = (self.points[near] - center) / h
-        A, Mx, My, Mxx, Mxy, Myy = moments
-        # scaled moments of the cell about `center`
-        m6 = np.array(
+        near = near.reshape(m, k)
+        xi = (self.points[near] - center[:, None, :]) / h
+        A, Mx, My, Mxx, Mxy, Myy = moments.T
+        cx, cy = center.T
+        # math.pow, the libm pow that squares a numpy scalar, not the x * x
+        # that squares a numpy array: the two differ in the last bit, and
+        # the weights keep the bits of a per-cell computation
+        cx2, cy2 = (np.fromiter(map(math.pow, c.tolist(), itertools.repeat(2.0)), float, m)
+                    for c in (cx, cy))
+        # scaled moments of each cell about its `center`
+        m6 = np.stack(
             [
                 A,
-                (Mx - center[0] * A) / h,
-                (My - center[1] * A) / h,
-                (Mxx - 2 * center[0] * Mx + center[0] ** 2 * A) / h**2,
-                (Mxy - center[0] * My - center[1] * Mx + center[0] * center[1] * A) / h**2,
-                (Myy - 2 * center[1] * My + center[1] ** 2 * A) / h**2,
-            ]
+                (Mx - cx * A) / h,
+                (My - cy * A) / h,
+                (Mxx - 2 * cx * Mx + cx2 * A) / h**2,
+                (Mxy - cx * My - cy * Mx + cx * cy * A) / h**2,
+                (Myy - 2 * cy * My + cy2 * A) / h**2,
+            ],
+            axis=1,
         )
         rows6 = np.stack(
-            [np.ones(len(near)), xi[:, 0], xi[:, 1],
-             xi[:, 0] ** 2, xi[:, 0] * xi[:, 1], xi[:, 1] ** 2]
-        )
-        for rows, m in ((rows6, m6), (rows6[:3], m6[:3]), (rows6[:1], m6[:1])):
-            # minimum-norm weights reproducing the requested moments
-            gram = rows @ rows.T
-            try:
-                lam = np.linalg.solve(gram, m)
-            except np.linalg.LinAlgError:
-                continue
-            if not np.all(np.isfinite(lam)):
-                continue
-            resid = rows @ (rows.T @ lam) - m
-            if np.max(np.abs(resid)) > 1e-9 * max(abs(A), 1e-30):
-                continue
-            return near, rows.T @ lam
-        return near[:1], np.array([A])
+            [np.ones((m, k)), xi[..., 0], xi[..., 1],
+             xi[..., 0] ** 2, xi[..., 0] * xi[..., 1], xi[..., 1] ** 2],
+            axis=1,
+        )  # (m, 6, k)
+        weights = np.zeros((m, k))
+        weights[:, 0] = A
+        used = np.ones(m, dtype=int)
+        todo = np.arange(m)
+        for s in (6, 3, 1):
+            # minimum-norm weights reproducing the first s moments
+            rows, ms = rows6[todo, :s], m6[todo, :s]
+            lam = _solve_each(rows @ rows.swapaxes(1, 2), ms)
+            fin = np.isfinite(lam).all(axis=1)
+            rows, ms, lam = rows[fin], ms[fin], lam[fin]
+            w = (rows.swapaxes(1, 2) @ lam[..., None])[..., 0]
+            resid = (rows @ w[..., None])[..., 0] - ms
+            ok = ~(np.abs(resid).max(axis=1) > 1e-9 * np.maximum(np.abs(ms[:, 0]), 1e-30))
+            done = todo[fin][ok]
+            weights[done], used[done] = w[ok], k
+            todo = np.setdiff1d(todo, done, assume_unique=True)
+            if not len(todo):
+                break
+        r, slot = np.nonzero(np.arange(k) < used[:, None])
+        return r, near[r, slot], weights[r, slot]
 
     def _compute_cell_weights(self) -> np.ndarray:
         """Cell weights of the nodes.
@@ -683,18 +800,18 @@ class Grid:
         node = self.node_id.ravel()
         owned = full & (node >= 0)
         parts = [(np.flatnonzero(owned), node[owned], np.full(owned.sum(), h * h))]
-        for c in np.flatnonzero(~owned & ~missing):
-            # clipping leaves a full cell's four corners as they are
-            poly = [tuple(p) for p in corners[c]]
-            for k in range(len(P.offsets)):
-                poly = clip_halfplane(poly, normals[k, 0], normals[k, 1], P.offsets[k])
-                if not poly:
-                    break
-            area, m = _polygon_moments(poly)
-            if area <= 1e-14 * h * h or m is None:
-                continue
-            near, w = self._distribute_cell(m, centers[c] if full[c] else m[1:3] / m[0])
-            parts.append((np.full(len(near), c), near, w))
+        # clipping leaves a full cell's four corners as they are
+        cut = np.flatnonzero(~owned & ~missing)
+        xy, counts = corners[cut], np.full(len(cut), 4)
+        for k in range(len(P.offsets)):
+            xy, counts = clip_cells(xy, counts, normals[k, 0], normals[k, 1], P.offsets[k])
+        area, moments = _cell_moments(xy, counts)
+        kept = area > 1e-14 * h * h
+        cut, moments = cut[kept], moments[kept]
+        if len(cut):
+            center = np.where(full[cut, None], centers[cut], moments[:, 1:3] / moments[:, :1])
+            r, near, w = self._distribute_cells(moments, center)
+            parts.append((cut[r], near, w))
         cells, nodes, contribs = map(np.concatenate, zip(*parts))
         order = np.argsort(cells, kind="stable")
         weights = np.zeros(self.n_nodes)
@@ -712,7 +829,7 @@ class Grid:
         nodes the composite-midpoint Laplacian correction h^2/24 * lap f is
         well defined and lifts the interior rule to fourth order.
         """
-        return (self.stencil_classification == "central").all(axis=1)
+        return (self._neighbors([(-1, 0), (1, 0), (0, -1), (0, 1)]) >= 0).all(axis=1)
 
     @cached_property
     def quadrature_weights(self) -> np.ndarray:

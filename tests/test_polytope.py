@@ -16,8 +16,11 @@ from calabiflow import (
 from calabiflow.polytope import (
     _D1_STENCILS,
     _D2_STENCILS,
+    _cell_moments,
     _polygon_area,
     _polygon_moments,
+    _solve_each,
+    clip_cells,
     clip_halfplane,
 )
 
@@ -137,6 +140,51 @@ def test_cell_weights_tile_area(triangle, grid96, trapezoid):
     assert g.cell_weights.sum() == pytest.approx(8.0, abs=1e-12)
 
 
+def _distribute_cell(g, moments, center):
+    """(nodes, weights) spreading one clipped cell onto nearby nodes so that
+    its moments are matched; the per-cell form of Grid._distribute_cells.
+
+    moments are [A, Mx, My, Mxx, Mxy, Myy] in absolute coordinates; the
+    matching system is solved in coordinates scaled by h about `center`.
+    Falls back to centroid-only and area-only matching if the local node
+    cloud is too thin."""
+    k = min(12, g.n_nodes)
+    _, near = g.kdtree.query(center, k=k)
+    near = np.atleast_1d(near)
+    h = g.h
+    xi = (g.points[near] - center) / h
+    A, Mx, My, Mxx, Mxy, Myy = moments
+    # scaled moments of the cell about `center`
+    m6 = np.array(
+        [
+            A,
+            (Mx - center[0] * A) / h,
+            (My - center[1] * A) / h,
+            (Mxx - 2 * center[0] * Mx + center[0] ** 2 * A) / h**2,
+            (Mxy - center[0] * My - center[1] * Mx + center[0] * center[1] * A) / h**2,
+            (Myy - 2 * center[1] * My + center[1] ** 2 * A) / h**2,
+        ]
+    )
+    rows6 = np.stack(
+        [np.ones(len(near)), xi[:, 0], xi[:, 1],
+         xi[:, 0] ** 2, xi[:, 0] * xi[:, 1], xi[:, 1] ** 2]
+    )
+    for rows, m in ((rows6, m6), (rows6[:3], m6[:3]), (rows6[:1], m6[:1])):
+        # minimum-norm weights reproducing the requested moments
+        gram = rows @ rows.T
+        try:
+            lam = np.linalg.solve(gram, m)
+        except np.linalg.LinAlgError:
+            continue
+        if not np.all(np.isfinite(lam)):
+            continue
+        resid = rows @ (rows.T @ lam) - m
+        if np.max(np.abs(resid)) > 1e-9 * max(abs(A), 1e-30):
+            continue
+        return near, rows.T @ lam
+    return near[:1], np.array([A])
+
+
 def _loop_cell_weights(g):
     """(cell weights, full-cell node mask) by one pass over every lattice cell.
 
@@ -158,7 +206,7 @@ def _loop_cell_weights(g):
                     weights[nid] += h * h
                     full_cell[nid] = True
                 else:
-                    near, w = g._distribute_cell(_polygon_moments(corners)[1], np.array([cx, cy]))
+                    near, w = _distribute_cell(g, _polygon_moments(corners)[1], np.array([cx, cy]))
                     np.add.at(weights, near, w)
                 continue
             if np.any(np.all(vals < 0, axis=0)):
@@ -171,20 +219,23 @@ def _loop_cell_weights(g):
             area, m = _polygon_moments(poly)
             if area <= 1e-14 * h * h or m is None:
                 continue
-            near, w = g._distribute_cell(m, np.array([m[1] / m[0], m[2] / m[0]]))
+            near, w = _distribute_cell(g, m, np.array([m[1] / m[0], m[2] / m[0]]))
             np.add.at(weights, near, w)
     return weights, full_cell
 
 
 # (polytope, N, delta_min / h).  N = 3 and 4 reach the 1- and 3-moment
 # fallbacks of the moment matching.  Only the factor-2 grids have full cells
-# without a node (135, 78 and 33 of them).
+# without a node (135, 78 and 33 of them); on them the 6-moment fit is
+# rejected by its residual (triangle, trapezoid) or its stacked solve meets a
+# singular matrix (hexagon).  The last two are the benchmark's grids.
 _CELL_GRIDS = [
     (poly, n, factor)
     for poly, n in (("triangle", 3), ("triangle", 4), ("triangle", 48),
                     ("hexagon", 3), ("hexagon", 24), ("trapezoid", 24))
     for factor in (0.25, 0.5, 1.0)
-] + [("triangle", 48, 2.0), ("hexagon", 24, 2.0), ("trapezoid", 24, 2.0)]
+] + [("triangle", 48, 2.0), ("hexagon", 24, 2.0), ("trapezoid", 24, 2.0),
+     ("triangle", 96, 0.5), ("hexagon", 128, 0.5)]
 
 
 @pytest.mark.parametrize("poly, n, factor", _CELL_GRIDS)
@@ -196,6 +247,17 @@ def test_cell_weights_match_cell_loop(poly, n, factor, request):
     assert np.array_equal(g.cell_weights, weights)
     stencil_central = (g.stencil_classification == "central").all(axis=1)
     assert np.array_equal(g.midpoint_correction_mask, full_cell & stencil_central)
+
+
+def test_cell_weights_match_cell_loop_off_lattice():
+    # the trapezoid's normals with offsets off the lattice: here the squared
+    # centroid coordinates of some cut cells differ in the last bit between
+    # x * x and the pow of a scalar, which the per-cell reference takes
+    P = DelzantPolytope(np.array([[1, 0], [0, 1], [-1, -2], [0, -1]]),
+                        np.array([1.1, 0.9, 2.7, 1.3]))
+    lo, hi = P.bbox
+    g = build_grid(P, 96, 0.5 * (hi[0] - lo[0]) / 96)
+    assert np.array_equal(g.cell_weights, _loop_cell_weights(g)[0])
 
 
 @pytest.mark.parametrize("factor", [0.25, 0.5, 1.0, 1.5, 2.0])
@@ -239,6 +301,102 @@ def test_clip_halfplane_area():
     square = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
     half = clip_halfplane(square, -1.0, 0.0, 0.5)  # x <= 1/2
     assert _polygon_area(half) == pytest.approx(0.5, abs=1e-14)
+
+
+def _convex_polygons(rng, count, sizes):
+    """Seeded random convex polygons: vertices at sorted angles on circles of
+    random centre and radius, counterclockwise."""
+    polys = []
+    for _ in range(count):
+        n = int(rng.choice(sizes))
+        ang = np.sort(rng.uniform(0.0, 2 * np.pi, n))
+        c, r = rng.normal(size=2), rng.uniform(0.1, 2.0)
+        polys.append([(c[0] + r * np.cos(t), c[1] + r * np.sin(t)) for t in ang])
+    return polys
+
+
+def _stacked(polys):
+    """(xy, counts) of a list of polygons in the form clip_cells takes."""
+    counts = np.array([len(p) for p in polys])
+    xy = np.zeros((len(polys), counts.max(initial=0), 2))
+    for r, p in enumerate(polys):
+        xy[r, :len(p)] = np.asarray(p, dtype=float).reshape(-1, 2)
+    return xy, counts
+
+
+def _assert_same_polygons(xy, counts, polys):
+    assert list(counts) == [len(p) for p in polys]
+    for r, p in enumerate(polys):
+        ref = np.asarray(p, dtype=float).reshape(-1, 2)
+        assert xy[r, :counts[r]].tobytes() == ref.tobytes()
+
+
+def test_clip_cells_matches_clip_halfplane():
+    rng = np.random.default_rng(20151)
+    square = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+    fixed = [
+        (square, (1.0, 1.0, 0.0)),     # a vertex on the line, fp == 0, the rest inside
+        (square, (-1.0, -1.0, 1.0)),   # a diagonal through two vertices
+        (square, (1.0, 1.0, -1.0)),    # the same diagonal, from the other side
+        (square, (-1.0, 0.0, 0.0)),    # an edge on the line, the rest outside
+        (square, (1.0, 0.0, -1.0)),    # the opposite edge on the line, the rest outside
+        (square, (0.0, 1.0, 0.0)),     # an edge on the line, the rest inside
+        (square, (1.0, 0.0, -2.0)),    # clipped away entirely
+        (square, (1.0, 0.0, 2.0)),     # untouched
+        ([], (1.0, 0.0, 0.0)),         # an empty polygon stays empty
+    ]
+    random = [(p, tuple(rng.normal(size=3)))
+              for p in _convex_polygons(rng, 400, [3, 4, 5, 6, 7, 9])]
+    for cases in (fixed, random):
+        polys = [p for p, _ in cases]
+        xy, counts = _stacked(polys)
+        for r, (_, (a, b, c)) in enumerate(cases):
+            # one line per polygon: clip each one row at a time
+            xy_r, n_r = clip_cells(xy[r:r + 1, :max(counts[r], 1)], counts[r:r + 1], a, b, c)
+            _assert_same_polygons(xy_r, n_r, [clip_halfplane(polys[r], a, b, c)])
+    # one stack through several lines in turn, as the cell weights clip
+    polys = _convex_polygons(rng, 300, [3, 4, 5, 8]) + [square, []]
+    xy, counts = _stacked(polys)
+    angles = rng.uniform(0.0, 2 * np.pi, 4)
+    lines = [(np.cos(t), np.sin(t), c) for t, c in zip(angles, rng.uniform(0.5, 2.0, 4))]
+    for a, b, c in lines + [(1.0, 0.0, 0.0), (0.0, -1.0, 1.0)]:
+        xy, counts = clip_cells(xy, counts, a, b, c)
+        polys = [clip_halfplane(p, a, b, c) for p in polys]
+        _assert_same_polygons(xy, counts, polys)
+    assert (counts == 0).any() and (counts > 0).any()
+
+
+def test_cell_moments_match_polygon_moments():
+    # 8 or more vertices go through _polygon_moments, fewer are summed in place
+    rng = np.random.default_rng(20152)
+    polys = _convex_polygons(rng, 500, [3, 4, 5, 6, 7, 8, 9, 12])
+    polys += [[], [(0.0, 0.0)], [(0.0, 0.0), (1.0, 1.0)],
+              [(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)],                  # zero area
+              [(0.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, 0.0)]]      # clockwise
+    area, moments = _cell_moments(*_stacked(polys))
+    for r, p in enumerate(polys):
+        a, m = _polygon_moments(p)
+        if m is None:
+            assert area[r] == 0.0 and np.isnan(moments[r]).all()
+        else:
+            assert area[r].tobytes() == np.float64(a).tobytes()
+            assert moments[r].tobytes() == m.tobytes()
+
+
+def test_solve_each_retries_a_singular_stack():
+    rng = np.random.default_rng(20153)
+    M = rng.normal(size=(5, 6, 6))
+    gram = M @ M.swapaxes(1, 2)
+    gram[2] = 0.0
+    rhs = rng.normal(size=(5, 6))
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(gram, rhs[..., None])
+    x = _solve_each(gram, rhs)
+    assert np.isnan(x[2]).all()
+    for i in (0, 1, 3, 4):
+        assert x[i].tobytes() == np.linalg.solve(gram[i], rhs[i]).tobytes()
+    ok = np.delete(gram, 2, axis=0), np.delete(rhs, 2, axis=0)
+    assert np.array_equal(_solve_each(*ok), np.delete(x, 2, axis=0))
 
 
 def test_field_jets_exact_on_quadratics(grid48):
