@@ -8,12 +8,15 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
+from ._serialize import json_value
 from .curvature import (
     AdmissibleClass,
+    CurvatureSample,
     abreu_scalar_field,
     admissible_blocks,
     fiber_riemann_norm,
@@ -60,80 +63,62 @@ def load_class(data) -> AdmissibleClass:
     if isinstance(data, (str, Path)):
         data = _load_json(data)
     _require_object(data, "class data")
-    allowed = {"p", "c_S", "scal_S", "m", "chi_S"}
-    unknown = set(data) - allowed
+    # the type of each key; a key left out keeps AdmissibleClass's default
+    types = {"p": tuple, "c_S": float, "scal_S": float, "m": int, "chi_S": int}
+    unknown = set(data) - set(types)
     if unknown:
         raise ConfigError(f"unknown class keys: {sorted(unknown)}")
     try:
-        return AdmissibleClass(
-            p=tuple(data["p"]),
-            c_S=float(data["c_S"]),
-            scal_S=float(data["scal_S"]),
-            m=int(data.get("m", 1)),
-            chi_S=int(data.get("chi_S", -2)),
-        )
-    except (KeyError, TypeError, ValueError, DegenerateInputError) as exc:
+        return AdmissibleClass(**{key: types[key](value) for key, value in data.items()})
+    except (TypeError, ValueError, DegenerateInputError) as exc:
         raise ConfigError(f"malformed class data: {exc}") from exc
 
 
-def load_run_config(path, out_dir=None, emit_plots=False) -> RunConfig:
-    data = _require_object(_load_json(path), "run config")
-    allowed = {
-        "polytope", "class", "grid", "perturbation", "t_end", "max_steps",
-        "cfl_sigma", "monitor_every", "snapshot_every", "epsilon", "out_dir",
-    }
-    unknown = set(data) - allowed
+# the RunConfig field each key of a run config sets; a nested table is the
+# table of a nested JSON object
+_RUN_CONFIG_KEYS = {
+    "polytope": "polytope_path",
+    "class": "admissible_class",
+    "grid": {"N": "grid_n", "delta_min_factor": "delta_min_factor"},
+    "perturbation": {"kind": "perturbation_kind", "amplitude": "perturbation_amplitude",
+                     "width": "perturbation_width", "center": "perturbation_center"},
+    "t_end": "t_end",
+    "max_steps": "max_steps",
+    "cfl_sigma": "cfl_sigma",
+    "monitor_every": "monitor_every",
+    "snapshot_every": "snapshot_every",
+    "epsilon": "epsilon",
+    "out_dir": "out_dir",
+}
+
+
+def _config_fields(data, table: dict, what: str) -> dict:
+    """{RunConfig field: value} of the keys of a config object, by `table`."""
+    unknown = set(_require_object(data, what)) - set(table)
     if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+    values = {}
+    for key, value in data.items():
+        if isinstance(table[key], dict):
+            values.update(_config_fields(value, table[key], key))
+        else:
+            values[table[key]] = value
+    return values
+
+
+def load_run_config(path, out_dir=None, emit_plots=False) -> RunConfig:
+    """The RunConfig of a JSON run config; keys it omits keep RunConfig's defaults."""
+    data = _require_object(_load_json(path), "run config")
+    values = _config_fields(data, _RUN_CONFIG_KEYS, "config")
     for key in ("polytope", "class"):
         if key not in data:
             raise ConfigError(f"config is missing required key {key!r}")
-    grid = _require_object(data.get("grid", {}), "grid")
-    if set(grid) - {"N", "delta_min_factor"}:
-        raise ConfigError(f"unknown grid keys: {sorted(set(grid) - {'N', 'delta_min_factor'})}")
-    pert = _require_object(data.get("perturbation", {"kind": "none"}), "perturbation")
-    if set(pert) - {"kind", "amplitude", "width", "center"}:
-        raise ConfigError(
-            f"unknown perturbation keys: {sorted(set(pert) - {'kind', 'amplitude', 'width', 'center'})}"
-        )
-    ppath = data["polytope"]
-    if not Path(ppath).exists():
-        raise ConfigError(f"polytope file {ppath} does not exist")
-    try:
-        cfg = RunConfig(
-            polytope_path=str(ppath),
-            admissible_class=load_class(data["class"]),
-            grid_n=int(grid.get("N", 48)),
-            delta_min_factor=float(grid.get("delta_min_factor", 0.5)),
-            perturbation_kind=str(pert.get("kind", "none")),
-            perturbation_amplitude=float(pert.get("amplitude", 0.0)),
-            perturbation_width=float(pert.get("width", 0.8)),
-            perturbation_center=tuple(float(c) for c in pert.get("center", (0.0, 0.0))),
-            t_end=float(data.get("t_end", 0.01)),
-            max_steps=None if data.get("max_steps") is None else int(data["max_steps"]),
-            cfl_sigma=float(data.get("cfl_sigma", 0.1)),
-            monitor_every=int(data.get("monitor_every", 5)),
-            snapshot_every=int(data.get("snapshot_every", 50)),
-            epsilon=float(data.get("epsilon", 0.25)),
-            out_dir=str(out_dir if out_dir is not None else data.get("out_dir", ".")),
-            emit_plots=emit_plots,
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed run config: {exc}") from exc
-    if len(cfg.perturbation_center) != 2:
-        raise ConfigError("perturbation center must hold two numbers")
-    if cfg.grid_n < 2:
-        raise ConfigError("grid N must be at least 2")
-    if not (0 < cfg.delta_min_factor):
-        raise ConfigError("delta_min_factor must be positive")
-    if cfg.t_end <= 0:
-        raise ConfigError("t_end must be positive")
-    if cfg.cfl_sigma <= 0:
-        raise ConfigError("cfl_sigma must be positive")
-    if cfg.monitor_every < 1 or cfg.snapshot_every < 0:
-        raise ConfigError("monitor_every must be >= 1 and snapshot_every >= 0")
-    if cfg.epsilon <= 0:
-        raise ConfigError("epsilon must be positive")
+    values["admissible_class"] = load_class(values["admissible_class"])
+    if out_dir is not None:
+        values["out_dir"] = out_dir
+    cfg = RunConfig(emit_plots=emit_plots, **values)
+    if not Path(cfg.polytope_path).exists():
+        raise ConfigError(f"polytope file {cfg.polytope_path} does not exist")
     return cfg
 
 
@@ -231,12 +216,17 @@ def baseline_checks(n: int = 48):
     )
 
 
+def _print_json(data) -> None:
+    """Print a result as strict JSON: non-finite floats print as null."""
+    print(json.dumps(json_value(data), indent=2, allow_nan=False))
+
+
 def cmd_baseline(args) -> int:
     results = []
     for name, ok, got, expect in baseline_checks():
         results.append({"check": name, "ok": bool(ok), "got": got, "expected": expect})
     if args.json:
-        print(json.dumps({"checks": results, "passed": all(r["ok"] for r in results)}, indent=2))
+        _print_json({"checks": results, "passed": all(r["ok"] for r in results)})
     else:
         for r in results:
             mark = "ok  " if r["ok"] else "FAIL"
@@ -258,10 +248,10 @@ def cmd_flow(args) -> int:
         "steps": fr.state.step_count,
         "dt_last": fr.state.dt_last,
         "records": len(fr.records),
-        "final_report": rep.to_dict(),
+        "final_report": rep,
     }
     if args.json:
-        print(json.dumps(summary, indent=2))
+        _print_json(summary)
     else:
         print(f"flow finished at t = {fr.state.t:.6g} after {fr.state.step_count} steps")
         print(f"final calabi = {rep.calabi:.6g}, dissipation = {rep.dissipation:.6g}")
@@ -286,49 +276,31 @@ def cmd_curvature(args) -> int:
     if args.cls is not None:
         cls = load_class(args.cls)
         sample = admissible_blocks(u, cls, node)
-        out = sample.to_dict()
     else:
-        out = {
-            "point": [float(node[0]), float(node[1])],
-            "r_fiber": abreu_scalar(u, node),
-            "rm2_fiber": fiber_riemann_norm(u, node),
-            "r_weighted": None,
-            "rm_0000": None,
-            "rm_00ij": None,
-            "rm_ijkl": None,
-            "ric_00": None,
-            "ric_ij": None,
-            "rm2_total": None,
-        }
-    out["requested_point"] = [float(x[0]), float(x[1])]
-    out["t"] = t
-    print(json.dumps(out, indent=2))
+        # the fiber scalars alone; the admissible blocks need a class
+        blank = dict.fromkeys((f.name for f in fields(CurvatureSample)), None)
+        sample = CurvatureSample(**{**blank, "point": node, "r_fiber": abreu_scalar(u, node),
+                                    "rm2_fiber": fiber_riemann_norm(u, node)})
+    _print_json({**sample.to_dict(), "requested_point": x, "t": t})
     return EXIT_OK
 
 
 def cmd_energy(args) -> int:
     u, t = _load_snapshot_potential(args.snapshot)
     cls = load_class(args.cls) if args.cls is not None else AdmissibleClass.trivial()
-    rep = energy_report(u, cls)
-    out = rep.to_dict()
-    out["t"] = t
-    print(json.dumps(out, indent=2))
+    _print_json({**energy_report(u, cls).to_dict(), "t": t})
     return EXIT_OK
 
 
 def cmd_sobolev_bound(args) -> int:
-    cls = load_class(args.cls) if args.cls is not None else None
-    chi = cls.chi_S if cls is not None else -2
-    topo = ClassTopology.standard_o3(euler_char_base=chi)
-    cert = certify(float(args.ca), topo)
-    print(json.dumps(cert.to_dict(), indent=2))
+    chi = {} if args.cls is None else {"euler_char_base": load_class(args.cls).chi_S}
+    _print_json(certify(args.ca, ClassTopology.standard_o3(**chi)))
     return EXIT_OK
 
 
 def cmd_fiber_bound(args) -> int:
     cls = load_class(args.cls)
-    fb = fiber_energy_bound(cls)
-    print(json.dumps(fb.to_dict(), indent=2))
+    _print_json(fiber_energy_bound(cls))
     return EXIT_OK
 
 
@@ -345,26 +317,32 @@ def build_parser() -> argparse.ArgumentParser:
                     help="write one whitespace-separated data file per monitored series")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("baseline", help="run the canonical-potential golden suite")
+    p_base = sub.add_parser("baseline", help="run the canonical-potential golden suite")
+    p_base.set_defaults(handler=cmd_baseline)
 
     p_flow = sub.add_parser("flow", help="run a configured flow")
+    p_flow.set_defaults(handler=cmd_flow)
     p_flow.add_argument("config", help="run configuration JSON")
     p_flow.add_argument("--out-dir", default=None, help="override the config's out_dir")
 
     p_curv = sub.add_parser("curvature", help="curvature sample from a snapshot")
+    p_curv.set_defaults(handler=cmd_curvature)
     p_curv.add_argument("--snapshot", required=True)
     p_curv.add_argument("--at", nargs=2, type=float, required=True, metavar=("X", "Y"))
     p_curv.add_argument("--class", dest="cls", default=None, help="class JSON file")
 
     p_en = sub.add_parser("energy", help="energy report from a snapshot")
+    p_en.set_defaults(handler=cmd_energy)
     p_en.add_argument("--snapshot", required=True)
     p_en.add_argument("--class", dest="cls", default=None, help="class JSON file")
 
     p_sb = sub.add_parser("sobolev-bound", help="Yamabe/Sobolev certificate for a Calabi energy")
+    p_sb.set_defaults(handler=cmd_sobolev_bound)
     p_sb.add_argument("--ca", type=float, required=True)
     p_sb.add_argument("--class", dest="cls", default=None, help="class JSON file")
 
     p_fb = sub.add_parser("fiber-bound", help="controlled-class fiber energy bound")
+    p_fb.set_defaults(handler=cmd_fiber_bound)
     p_fb.add_argument("--class", dest="cls", required=True, help="class JSON file")
     return ap
 
@@ -375,16 +353,8 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
-    handlers = {
-        "baseline": cmd_baseline,
-        "flow": cmd_flow,
-        "curvature": cmd_curvature,
-        "energy": cmd_energy,
-        "sobolev-bound": cmd_sobolev_bound,
-        "fiber-bound": cmd_fiber_bound,
-    }
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except (ConfigError, DegenerateInputError, DomainError, RegimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._serialize import json_value
 from .errors import CurvatureUndefinedError, DegenerateInputError, DomainError, RegimeError
 from .polytope import JET_KEYS, DelzantPolytope, Grid
 from .potential import (HESSIAN_KEYS, SymplecticPotential, _mat2, _mat2_product, _sym2_dot,
@@ -155,18 +156,7 @@ class CurvatureSample:
     rm2_total: float
 
     def to_dict(self) -> dict:
-        return {
-            "point": [float(self.point[0]), float(self.point[1])],
-            "r_fiber": self.r_fiber,
-            "r_weighted": self.r_weighted,
-            "rm2_fiber": self.rm2_fiber,
-            "rm_0000": self.rm_0000,
-            "rm_00ij": np.asarray(self.rm_00ij).tolist(),
-            "rm_ijkl": np.asarray(self.rm_ijkl).tolist(),
-            "ric_00": self.ric_00,
-            "ric_ij": np.asarray(self.ric_ij).tolist(),
-            "rm2_total": self.rm2_total,
-        }
+        return json_value(self)
 
 
 # ---------------------------------------------------------------------------

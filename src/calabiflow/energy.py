@@ -3,10 +3,11 @@ dissipation, boundary integrals, and the flow-invariant combination."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
+from ._serialize import json_value
 from .curvature import (
     AdmissibleClass,
     abreu_scalar_field,
@@ -84,7 +85,7 @@ class EnergyReport:
     invariant_j: float
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return json_value(self)
 
 
 def _r_hessian_parts(u: SymplecticPotential, cls: AdmissibleClass, R: np.ndarray):

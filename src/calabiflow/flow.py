@@ -192,6 +192,10 @@ def boundary_ring(grid: Grid, region) -> np.ndarray:
 
 @dataclass
 class RunConfig:
+    """The configuration of one flow run, with the default of every field.
+    Construction coerces each field to its type and raises ConfigError for a
+    value it cannot coerce or that is out of range."""
+
     polytope_path: str
     admissible_class: AdmissibleClass
     grid_n: int = 48
@@ -209,6 +213,32 @@ class RunConfig:
     out_dir: str = "."
     emit_plots: bool = False
 
+    def __post_init__(self):
+        try:
+            # a field whose default is a number or a string takes its type
+            for f in fields(self):
+                if type(f.default) in (int, float, str):
+                    setattr(self, f.name, type(f.default)(getattr(self, f.name)))
+            self.polytope_path = str(self.polytope_path)
+            self.perturbation_center = tuple(float(c) for c in self.perturbation_center)
+            self.max_steps = None if self.max_steps is None else int(self.max_steps)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed run config: {exc}") from exc
+        if len(self.perturbation_center) != 2:
+            raise ConfigError("perturbation center must hold two numbers")
+        if self.grid_n < 2:
+            raise ConfigError("grid N must be at least 2")
+        if not (0 < self.delta_min_factor):
+            raise ConfigError("delta_min_factor must be positive")
+        if self.t_end <= 0:
+            raise ConfigError("t_end must be positive")
+        if self.cfl_sigma <= 0:
+            raise ConfigError("cfl_sigma must be positive")
+        if self.monitor_every < 1 or self.snapshot_every < 0:
+            raise ConfigError("monitor_every must be >= 1 and snapshot_every >= 0")
+        if self.epsilon <= 0:
+            raise ConfigError("epsilon must be positive")
+
 
 def initial_correction(cfg: RunConfig):
     if cfg.perturbation_kind == "none":
@@ -222,22 +252,22 @@ def initial_correction(cfg: RunConfig):
 class FlowRun:
     """Owns one trajectory: stepping, monitors, and file outputs."""
 
-    def __init__(self, cfg: RunConfig, polytope=None):
+    def __init__(self, cfg: RunConfig):
         self.cfg = cfg
-        self.polytope = polytope if polytope is not None else load_polytope(cfg.polytope_path)
+        P = self.polytope = load_polytope(cfg.polytope_path)
         cls = cfg.admissible_class
-        cls.validate_on(self.polytope)
+        cls.validate_on(P)
         self.cls = cls
-        h = (self.polytope.bbox[1][0] - self.polytope.bbox[0][0]) / cfg.grid_n
-        self.grid = build_grid(self.polytope, cfg.grid_n, cfg.delta_min_factor * h)
+        h = (P.bbox[1][0] - P.bbox[0][0]) / cfg.grid_n
+        self.grid = build_grid(P, cfg.grid_n, cfg.delta_min_factor * h)
         form = initial_correction(cfg)
-        u0 = SymplecticPotential.from_closed_form(self.polytope, self.grid, form)
-        self.state = FlowState(t=0.0, u=u0.with_node_values(u0.f_values))
+        u0 = SymplecticPotential.from_node_values(P, self.grid, form(*self.grid.points.T))
+        self.state = FlowState(t=0.0, u=u0)
         self.policy = StepPolicy(sigma=cfg.cfl_sigma)
-        self.r_bar = average_scalar(self.polytope, cls, self.grid)
-        self.bquad = boundary_quadrature(self.polytope)
-        self.eps_nodes = eps_region(self.polytope, self.grid, cfg.epsilon)
-        self.eps2_nodes = eps_region(self.polytope, self.grid, 2.0 * cfg.epsilon)
+        self.bquad = boundary_quadrature(P)
+        self.r_bar = average_scalar(P, cls, self.grid, self.bquad)
+        self.eps_nodes = eps_region(P, self.grid, cfg.epsilon)
+        self.eps2_nodes = eps_region(P, self.grid, 2.0 * cfg.epsilon)
         self.eps_ring = boundary_ring(self.grid, self.eps_nodes)
         self.eps2_ring = boundary_ring(self.grid, self.eps2_nodes)
         self.records: list[MonitorRecord] = []
@@ -363,10 +393,10 @@ class FlowRun:
         return paths
 
 
-def run(cfg: RunConfig, polytope=None) -> FlowRun:
+def run(cfg: RunConfig) -> FlowRun:
     """Execute a configured flow to t_end (or max_steps); partial outputs are
     flushed before a stiffness error propagates."""
-    fr = FlowRun(cfg, polytope=polytope)
+    fr = FlowRun(cfg)
     try:
         fr.advance()
     except StiffnessError:

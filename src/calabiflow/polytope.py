@@ -417,7 +417,7 @@ class Grid:
     value min_i l_i(x) is at least delta_min.  Construction is deterministic
     from (polytope, n, delta_min); what is derived is built on first request
     and immutable, and kept unless it is cheap to rebuild and rarely read
-    (``neighbors8``, ``stencil_classification``).
+    (``neighbors8``).
 
     Every linear derivative operator is a sparse (CSR) matrix over the node
     list, compiled once per grid: the axis stencils in ``axis_operators``,
@@ -652,15 +652,6 @@ class Grid:
         f = np.asarray(f, dtype=float)
         blocks = self.jet_blocks
         return {key: blocks[key] @ f for key in keys}
-
-    @property
-    def stencil_classification(self) -> np.ndarray:
-        """Per-node per-axis 'central' or 'one-sided' tag; built on each
-        access, not kept."""
-        # both neighbours along x, then both along y
-        ids = self._neighbors([(-1, 0), (1, 0), (0, -1), (0, 1)]).reshape(-1, 2, 2)
-        central = (ids >= 0).all(axis=2)
-        return np.where(central, "central", "one-sided")
 
     @property
     def boundary_distance(self) -> np.ndarray:

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 from numpy.polynomial.hermite import hermval
 
-from .errors import DomainError, NumericError
+from .errors import DegenerateInputError, DomainError, NumericError
 from .polytope import JET_KEYS, BoundaryQuadrature, DelzantPolytope, Grid, standard_triangle
 from .polytope import from_dict as polytope_from_dict
 
@@ -263,8 +263,14 @@ def fs_inverse_hessian(points) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _same_facets(P: DelzantPolytope, Q: DelzantPolytope) -> bool:
+    """Whether two polytopes have the same facet presentation."""
+    return np.array_equal(P.normals, Q.normals) and np.array_equal(P.offsets, Q.offsets)
+
+
 class SymplecticPotential:
-    """State variable of the flow: u = u_G + f, immutable once built."""
+    """State variable of the flow: u = u_G + f.  Its inputs never change once
+    built; its caches of derived fields never change a returned value."""
 
     def __init__(
         self,
@@ -274,6 +280,9 @@ class SymplecticPotential:
         f_form: ClosedForm = None,
         total_form: ClosedForm = None,
     ):
+        # identity first: the flow's stages share the grid's polytope
+        if polytope is not grid.polytope and not _same_facets(polytope, grid.polytope):
+            raise DegenerateInputError("the potential's polytope is not its grid's")
         self.polytope = polytope
         self.grid = grid
         self.f_form = f_form
@@ -310,8 +319,10 @@ class SymplecticPotential:
 
     @classmethod
     def fubini_study(cls, grid: Grid) -> "SymplecticPotential":
-        """Fubini-Study potential on the standard triangle."""
-        return cls.guillemin(standard_triangle(), grid)
+        """Fubini-Study potential on a grid of the standard triangle."""
+        if not _same_facets(grid.polytope, standard_triangle()):
+            raise DegenerateInputError("Fubini-Study needs a grid of the standard triangle")
+        return cls.guillemin(grid.polytope, grid)
 
     @classmethod
     def from_closed_form(cls, polytope, grid, f_form: ClosedForm):

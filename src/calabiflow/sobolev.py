@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._serialize import json_value
 from .curvature import AdmissibleClass, canonical_rm2_bound, class_record, curvature_context
 from .energy import interior_quadrature
 from .errors import RegimeError
@@ -73,16 +74,7 @@ class SobolevCertificate:
         return bool(np.isfinite(self.sobolev_bound))
 
     def to_dict(self) -> dict:
-        return {
-            "calabi": self.calabi,
-            "eq_cs_satisfied": self.eq_cs_satisfied,
-            "yamabe_lower": None if not np.isfinite(self.yamabe_lower) else self.yamabe_lower,
-            "calabi_l2": self.calabi_l2,
-            "sobolev_bound": None if not self.has_bound else self.sobolev_bound,
-            "eq_cs_threshold": self.eq_cs_threshold,
-            "prop_threshold_variant": self.prop_threshold_variant,
-            "derivation_log": list(self.derivation_log),
-        }
+        return json_value(self)
 
 
 def yamabe_lower_bound(ca: float, topo: ClassTopology) -> SobolevCertificate:
@@ -91,8 +83,11 @@ def yamabe_lower_bound(ca: float, topo: ClassTopology) -> SobolevCertificate:
     With total curvature int R^2 = Ca + r_bar^2 Vol, the bound is
     Y >= sqrt(96 pi^2 c1^2 - 2 int R^2) whenever the radicand is positive, and
     the certificate goes on to a Sobolev bound when additionally
-    96 pi^2 c1^2 - 2 int R^2 >= Ca.
+    96 pi^2 c1^2 - 2 int R^2 >= Ca.  A negative or non-finite Ca raises
+    RegimeError.
     """
+    if not math.isfinite(ca):
+        raise RegimeError(f"Calabi energy must be finite, got {ca!r}")
     if ca < 0:
         raise RegimeError("Calabi energy must be nonnegative")
     log = []
@@ -170,18 +165,7 @@ class FiberEnergyBound:
     certificate: SobolevCertificate = None
 
     def to_dict(self) -> dict:
-        out = {
-            "sup_rm2_pointwise": self.sup_rm2_pointwise,
-            "sup_rm2_ceiling": self.sup_rm2_ceiling,
-            "inf_weight": self.inf_weight,
-            "sup_weight": self.sup_weight,
-            "total_rm2_upper": self.total_rm2_upper,
-            "fiber_l2_bound": self.fiber_l2_bound,
-            "ca_bound": self.ca_bound,
-        }
-        if self.certificate is not None:
-            out["certificate"] = self.certificate.to_dict()
-        return out
+        return json_value(self)
 
 
 def fiber_energy_bound(cls: AdmissibleClass, topo: ClassTopology = None,

@@ -107,6 +107,15 @@ def test_flow_missing_polytope(capsys, tmp_path):
     assert "does not exist" in err
 
 
+def test_flow_polytope_that_is_not_a_path(capsys, tmp_path):
+    cfg = {"polytope": 5, "class": {"p": [0, 0], "c_S": 1.0, "scal_S": 0, "m": 0}}
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code, _, err = run_cli(capsys, "flow", str(cfg_path))
+    assert code == 2
+    assert "does not exist" in err
+
+
 def test_flow_unknown_key(capsys, tmp_path, triangle_file):
     cfg = {
         "polytope": str(triangle_file),
@@ -259,6 +268,13 @@ def test_sobolev_bound_command(capsys):
     data = json.loads(out)
     assert data["sobolev_bound"] == pytest.approx(1.0, rel=1e-12)
     assert data["yamabe_lower"] == pytest.approx(12 * math.pi, rel=1e-12)
+
+
+@pytest.mark.parametrize("ca", ["inf", "nan"])
+def test_sobolev_bound_rejects_non_finite_energy(capsys, ca):
+    code, out, err = run_cli(capsys, "--json", "sobolev-bound", "--ca", ca)
+    assert code == 2, out
+    assert out == "" and "finite" in err
 
 
 def test_fiber_bound_command(capsys, tmp_path):

@@ -465,6 +465,25 @@ def test_run_config_unknown_perturbation(triangle_file, bundle_class):
         FlowRun(cfg)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("cfl_sigma", 0.0), ("perturbation_center", (0.0, 0.0, 1.0)), ("grid_n", 1),
+    ("delta_min_factor", 0.0), ("t_end", -1.0), ("monitor_every", 0), ("snapshot_every", -1),
+    ("epsilon", 0.0), ("grid_n", "abc"), ("perturbation_center", 0.5),
+])
+def test_run_config_checks_its_fields(triangle_file, bundle_class, field, value):
+    with pytest.raises(ConfigError):
+        RunConfig(polytope_path=str(triangle_file), admissible_class=bundle_class,
+                  **{field: value})
+
+
+def test_run_config_coerces_its_fields(triangle_file, bundle_class):
+    cfg = RunConfig(polytope_path=triangle_file, admissible_class=bundle_class, grid_n=24.0,
+                    perturbation_center=np.array([0.25, 0]), max_steps="3")
+    assert cfg.polytope_path == str(triangle_file)
+    assert type(cfg.grid_n) is int and cfg.max_steps == 3
+    assert cfg.perturbation_center == (0.25, 0.0)
+
+
 def test_rk4_step_makes_sixteen_sparse_products(triangle_file, bundle_class, csr_products):
     fr = _flow_run24(triangle_file, bundle_class)
     # the first step also evaluates the velocity of the fresh initial state

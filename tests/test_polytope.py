@@ -104,9 +104,17 @@ def test_grid_node_coordinates_are_lattice(triangle, grid48):
     np.testing.assert_allclose(recon, grid48.points, atol=1e-13)
 
 
+def _stencil_classification(g):
+    """Per-node per-axis 'central' or 'one-sided' tag of a grid's stencils."""
+    # both neighbours along x, then both along y
+    ids = g._neighbors([(-1, 0), (1, 0), (0, -1), (0, 1)]).reshape(-1, 2, 2)
+    central = (ids >= 0).all(axis=2)
+    return np.where(central, "central", "one-sided")
+
+
 def test_stencil_classification_interior(triangle, grid48):
     k = int(np.argmin((grid48.points**2).sum(axis=1)))
-    assert list(grid48.stencil_classification[k]) == ["central", "central"]
+    assert list(_stencil_classification(grid48)[k]) == ["central", "central"]
 
 
 def test_eps_region_examples(triangle, grid48):
@@ -245,7 +253,7 @@ def test_cell_weights_match_cell_loop(poly, n, factor, request):
     g = build_grid(P, n, factor * (hi[0] - lo[0]) / n)
     weights, full_cell = _loop_cell_weights(g)
     assert np.array_equal(g.cell_weights, weights)
-    stencil_central = (g.stencil_classification == "central").all(axis=1)
+    stencil_central = (_stencil_classification(g) == "central").all(axis=1)
     assert np.array_equal(g.midpoint_correction_mask, full_cell & stencil_central)
 
 
@@ -270,7 +278,7 @@ def test_central_stencil_nodes_own_full_cells(poly, factor, request):
     signs = np.array([(-1, -1), (1, -1), (1, 1), (-1, 1)])
     for n in (24, 49, 96):
         g = build_grid(P, n, factor * (hi[0] - lo[0]) / n)
-        central = (g.stencil_classification == "central").all(axis=1)
+        central = (_stencil_classification(g) == "central").all(axis=1)
         assert np.array_equal(g.midpoint_correction_mask, central)
         assert 0 < central.sum() < g.n_nodes
         corners = g.points[central][:, None, :] + signs * (g.h / 2)
@@ -425,6 +433,7 @@ def test_boundary_distance_matches_scalar_loop(triangle, grid48, hexagon, hex_gr
 
 def test_stencil_classification_matches_neighbors(small_grid):
     g = small_grid
+    tags = _stencil_classification(g)
     for k, (i, j) in enumerate(g.ij):
         for axis, step in ((0, (1, 0)), (1, (0, 1))):
             has = [
@@ -432,7 +441,7 @@ def test_stencil_classification_matches_neighbors(small_grid):
                 and g.node_id[i + s * step[0], j + s * step[1]] >= 0
                 for s in (-1, 1)
             ]
-            assert g.stencil_classification[k, axis] == ("central" if all(has) else "one-sided")
+            assert tags[k, axis] == ("central" if all(has) else "one-sided")
 
 
 def _loop_stencil_rows(g, axis, order):

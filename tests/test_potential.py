@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from calabiflow import (
+    DegenerateInputError,
     DomainError,
     SymplecticPotential,
     build_grid,
@@ -14,6 +15,7 @@ from calabiflow import (
     load_snapshot,
     polynomial_form,
     save_snapshot,
+    standard_triangle,
 )
 from calabiflow.polytope import DelzantPolytope, boundary_quadrature
 from calabiflow.potential import (PARTIALS, _mat2, _mat2_product, _sym2_dot, _sym2_eigenvalues,
@@ -95,6 +97,29 @@ def test_evaluate_quadratic_adds_constant_hessian(triangle, grid48):
         [[2.0, 0.0], [0.0, 2.0]],
         atol=1e-12,
     )
+
+
+def test_potential_polytope_must_be_its_grids(triangle, grid48, hexagon, hex_grid):
+    with pytest.raises(DegenerateInputError):
+        SymplecticPotential.from_node_values(triangle, hex_grid, np.zeros(hex_grid.n_nodes))
+    with pytest.raises(DegenerateInputError):
+        SymplecticPotential.guillemin(hexagon, grid48)
+    # the triangle's normals with other offsets
+    with pytest.raises(DegenerateInputError):
+        SymplecticPotential.guillemin(DelzantPolytope(triangle.normals, 2.0 * triangle.offsets),
+                                      grid48)
+    # the same facets in another object are the grid's polytope
+    u = SymplecticPotential.guillemin(standard_triangle(), grid48)
+    fs = SymplecticPotential.fubini_study(grid48)
+    assert np.array_equal(u.hessian_field(), fs.hessian_field())
+
+
+def test_fubini_study_needs_a_grid_of_the_triangle(triangle, grid48, hex_grid):
+    # the hexagon's canonical potential is not Fubini-Study: its scalar
+    # curvature is not 4
+    with pytest.raises(DegenerateInputError):
+        SymplecticPotential.fubini_study(hex_grid)
+    assert SymplecticPotential.fubini_study(grid48).polytope is grid48.polytope
 
 
 def test_evaluate_order_cap(fs48):
