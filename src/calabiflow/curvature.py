@@ -129,9 +129,12 @@ def _velocity_operator(grid: Grid, cls: AdmissibleClass, q: np.ndarray):
 
 def class_record(grid: Grid, cls: AdmissibleClass) -> ClassRecord:
     """The ClassRecord of cls on grid, built on first request and kept in
-    grid.class_records."""
+    grid.class_records.  The class is validated on the grid's polytope when
+    its record is built (DegenerateInputError), so a record exists only for a
+    valid class."""
     rec = grid.class_records.get(cls)
     if rec is None:
+        cls.validate_on(grid.polytope)
         q = cls.affine(grid.points)
         # q^1 is q itself, so the bundle classes keep one array for both
         pw = q if cls.m == 1 else q**cls.m
@@ -163,16 +166,22 @@ class CurvatureSample:
 # derivative context
 
 
-def _check_spd(G) -> np.ndarray:
-    """Lower eigenvalue field of a Hessian field G, which must be positive definite."""
-    lo, hi = _sym2_eigenvalues(G)
-    bad = ~np.isfinite(lo) | (lo <= _SPD_RATIO * np.maximum(hi, 1.0))
-    if np.any(bad):
+def _spd_inverse(G) -> tuple:
+    """(U, min_eig) of a Hessian field G, which must be positive definite
+    (CurvatureUndefinedError): the components (3, n) of its inverse and its
+    lower eigenvalue field, with s01^2 computed once for both."""
+    sq = G[1] * G[1]
+    lo, hi = _sym2_eigenvalues(G, sq)
+    np.maximum(hi, 1.0, out=hi)
+    hi *= _SPD_RATIO
+    # a NaN eigenvalue fails the comparison
+    if not np.all(lo > hi):
+        # fmin skips NaN without the all-NaN warning of nanmin
         raise CurvatureUndefinedError(
-            f"Hessian not positive definite at {int(bad.sum())} point(s); "
-            f"min eigenvalue {np.nanmin(lo):.3e}"
+            f"Hessian not positive definite at {np.count_nonzero(~(lo > hi))} point(s); "
+            f"min eigenvalue {np.fmin.reduce(lo):.3e}"
         )
-    return lo
+    return _sym2_inverse(G, sq), lo
 
 
 def _dU_trace(dU: dict) -> np.ndarray:
@@ -199,8 +208,7 @@ def _context_from_jets(p: dict) -> dict:
     dU_k = -U T3_k U and d2U_kl = -((U T4_kl U + C) + C^T), C = dU_l T3_k U.
     """
     G = np.stack([p[key] for key in HESSIAN_KEYS])
-    min_eig = _check_spd(G)
-    U = _sym2_inverse(G)
+    U, min_eig = _spd_inverse(G)
 
     def T(m, order):  # the matrix (u_ij..)_ij of that order, m y's among its indices past ij
         return tuple(p[(order - m - c, m + c)] for c in range(3))
@@ -220,8 +228,8 @@ def _context_fd(u: SymplecticPotential) -> dict:
     """Field context: G = u.hessian_field(), then the derivatives of the
     inverse-Hessian components (see _FdContext)."""
     G = u.hessian_field()
-    min_eig = _check_spd(G)
-    return _FdContext({"G": G, "U": _sym2_inverse(G), "min_eig": min_eig}, u.grid.jet_blocks)
+    U, min_eig = _spd_inverse(G)
+    return _FdContext({"G": G, "U": U, "min_eig": min_eig}, u.grid.jet_blocks)
 
 
 class _FdContext(dict):
@@ -332,14 +340,15 @@ def weighted_scalar_field(u: SymplecticPotential, cls: AdmissibleClass) -> np.nd
 
     Node data applies the class record's operator L to the contiguous
     components of U, one sparse product (see ClassRecord); a closed form
-    contracts the traces of its exact U-jets."""
-    cls.validate_on(u.polytope)
+    contracts the traces of its exact U-jets.  The class is validated when
+    its record is built (see class_record)."""
     cache = u.curvature_cache
     key = ("weighted", cls)
     if key not in cache:
         rec, ctx = class_record(u.grid, cls), curvature_context(u)
         if u.provider == "fd":
-            cache[key] = rec.scal_q - rec.L @ ctx["U"].ravel()
+            R = rec.L @ ctx["U"].ravel()
+            cache[key] = np.subtract(rec.scal_q, R, out=R)
         else:
             cache[key] = _weighted_scalar_from_ctx(ctx, cls, rec.q)
     return cache[key]
@@ -411,7 +420,8 @@ def _blocks_from_ctx(ctx: dict, cls: AdmissibleClass, q: np.ndarray) -> dict:
 
 
 def rm2_total_field(u: SymplecticPotential, cls: AdmissibleClass) -> np.ndarray:
-    cls.validate_on(u.polytope)
+    """|Rm|^2 of the admissible metric at every node; the class is validated
+    when its record is built (see class_record)."""
     cache = u.curvature_cache
     key = ("rm2_total", cls)
     if key not in cache:

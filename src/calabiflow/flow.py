@@ -3,6 +3,7 @@ the smooth correction f, with per-step estimate monitors."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -37,12 +38,20 @@ class FlowState:
     step_count: int = 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class StepPolicy:
-    """Explicit stepping policy: classical RK4 under an h^4 parabolic CFL."""
+    """Explicit stepping policy: classical RK4 under an h^4 parabolic CFL.
+    Construction raises ConfigError unless sigma is finite and positive and
+    max_retries >= 0; the fields cannot be changed afterwards."""
 
     sigma: float = 0.1
     max_retries: int = 10
+
+    def __post_init__(self):
+        if not (math.isfinite(self.sigma) and self.sigma > 0):
+            raise ConfigError(f"CFL factor sigma must be finite and positive, got {self.sigma!r}")
+        if not self.max_retries >= 0:
+            raise ConfigError(f"max_retries must be >= 0, got {self.max_retries!r}")
 
 
 @dataclass
@@ -206,7 +215,7 @@ class RunConfig:
     perturbation_center: tuple = (0.0, 0.0)
     t_end: float = 0.01
     max_steps: int = None
-    cfl_sigma: float = 0.1
+    cfl_sigma: float = StepPolicy.sigma
     monitor_every: int = 5
     snapshot_every: int = 50
     epsilon: float = 0.25
@@ -224,20 +233,27 @@ class RunConfig:
             self.max_steps = None if self.max_steps is None else int(self.max_steps)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"malformed run config: {exc}") from exc
+        # each check is written so that NaN fails it
         if len(self.perturbation_center) != 2:
             raise ConfigError("perturbation center must hold two numbers")
+        if not all(map(math.isfinite, self.perturbation_center)):
+            raise ConfigError("perturbation center must be finite")
+        if not math.isfinite(self.perturbation_amplitude):
+            raise ConfigError("perturbation_amplitude must be finite")
+        if not 0 < self.perturbation_width < math.inf:
+            raise ConfigError("perturbation_width must be finite and positive")
         if self.grid_n < 2:
             raise ConfigError("grid N must be at least 2")
-        if not (0 < self.delta_min_factor):
+        if not 0 < self.delta_min_factor:
             raise ConfigError("delta_min_factor must be positive")
-        if self.t_end <= 0:
+        if not self.t_end > 0:
             raise ConfigError("t_end must be positive")
-        if self.cfl_sigma <= 0:
-            raise ConfigError("cfl_sigma must be positive")
+        if not 0 < self.cfl_sigma < math.inf:
+            raise ConfigError("cfl_sigma must be finite and positive")
         if self.monitor_every < 1 or self.snapshot_every < 0:
             raise ConfigError("monitor_every must be >= 1 and snapshot_every >= 0")
-        if self.epsilon <= 0:
-            raise ConfigError("epsilon must be positive")
+        if not 0 < self.epsilon < math.inf:
+            raise ConfigError("epsilon must be finite and positive")
 
 
 def initial_correction(cfg: RunConfig):

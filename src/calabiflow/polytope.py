@@ -387,6 +387,10 @@ _D2_STENCILS = [
 # the partials of Grid.jet_blocks, in order
 JET_KEYS = ((1, 0), (0, 1), (2, 0), (0, 2), (1, 1))
 
+# The partials (a, b) of the Hessian components (00, 01, 11); the second
+# derivatives d_k d_l of any field are keyed the same way, kl = 00, 01, 11.
+HESSIAN_KEYS = ((2, 0), (1, 1), (0, 2))
+
 # lattice offsets (di, dj) of the columns of Grid.neighbors8
 OFFSETS8 = np.array([(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)])
 
@@ -402,6 +406,19 @@ def _csr(rows, cols, vals, shape):
     indptr = np.zeros(shape[0] + 1, dtype=np.int32)
     np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
     return sparse.csr_array((vals[order], cols[order].astype(np.int32), indptr), shape=shape)
+
+
+def _row_block(A, k: int, n: int):
+    """Rows k n : (k + 1) n of a CSR matrix A, as a CSR matrix whose data and
+    indices are views of A's; only its row pointer is new."""
+    from scipy import sparse
+
+    lo, hi = A.indptr[k * n], A.indptr[(k + 1) * n]
+    B = sparse.csr_array((A.data[lo:hi], A.indices[lo:hi], A.indptr[k * n : (k + 1) * n + 1] - lo),
+                         shape=(n, A.shape[1]))
+    # the constructor copies a view of a much larger array; put the views back
+    B.data, B.indices = A.data[lo:hi], A.indices[lo:hi]
+    return B
 
 
 def _entries(A):
@@ -421,8 +438,10 @@ class Grid:
 
     Every linear derivative operator is a sparse (CSR) matrix over the node
     list, compiled once per grid: the axis stencils in ``axis_operators``,
-    one operator per first/second partial in ``jet_blocks`` and the
-    quadrature functional in ``quadrature_weights``.  ``class_records`` holds
+    one operator per first/second partial in ``jet_blocks``, whose three
+    second-order blocks are row views of the one stacked Hessian operator
+    ``hessian_operator``, and the quadrature functional in
+    ``quadrature_weights``.  ``class_records`` holds
     the constants of each admissible class on the grid, among them the flow
     velocity's operator (see calabiflow.curvature.class_record).  Nothing
     derived refers back to the grid, so a grid is freed without a cyclic
@@ -611,13 +630,14 @@ class Grid:
         return nodes, clouds, pinv
 
     @cached_property
-    def jet_blocks(self) -> dict:
-        """{(a, b): (n, n) CSR operator of the partial d^(a+b)/dx^a dy^b} for
-        the first and second partials, one block per JET_KEYS entry.
+    def _jet_operators(self):
+        """(jet_blocks, hessian_operator): see those.
 
         Tensor-product stencil rows in the interior, the mixed block being
         d/dy of d/dx; least-squares rows on the near-boundary band.
         """
+        from scipy import sparse
+
         ops = self.axis_operators
         n, h = self.n_nodes, self.h
         nodes, clouds, pinv = self._ls_band()
@@ -639,7 +659,26 @@ class Grid:
             blocks[key] = _csr(np.concatenate([r[keep], band_rows]),
                                np.concatenate([c[keep], clouds.ravel()]),
                                np.concatenate([v[keep], ls.ravel()]), (n, n))
-        return blocks
+        # stacking keeps the entries of every row in order; the stacked rows
+        # then replace the separate second-order blocks
+        hessian = sparse.vstack([blocks[key] for key in HESSIAN_KEYS], format="csr")
+        for k, key in enumerate(HESSIAN_KEYS):
+            blocks[key] = _row_block(hessian, k, n)
+        return blocks, hessian
+
+    @property
+    def jet_blocks(self) -> dict:
+        """{(a, b): (n, n) CSR operator of the partial d^(a+b)/dx^a dy^b} for
+        the first and second partials, one block per JET_KEYS entry; the
+        second-order blocks share the memory of hessian_operator."""
+        return self._jet_operators[0]
+
+    @property
+    def hessian_operator(self):
+        """(3n, n) CSR operator of the three second partials, stacked in
+        HESSIAN_KEYS order: its product with a node field f, reshaped to
+        (3, n), is the (00, 01, 11) components of Hess f."""
+        return self._jet_operators[1]
 
     def field_jets(self, f: np.ndarray, keys=JET_KEYS) -> dict:
         """First and second derivative fields of a node field.

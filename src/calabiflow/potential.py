@@ -19,13 +19,15 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 from numpy.polynomial.hermite import hermval
 
 from .errors import DegenerateInputError, DomainError, NumericError
-from .polytope import JET_KEYS, BoundaryQuadrature, DelzantPolytope, Grid, standard_triangle
+from .polytope import (HESSIAN_KEYS, JET_KEYS, BoundaryQuadrature, DelzantPolytope, Grid,
+                       standard_triangle)
 from .polytope import from_dict as polytope_from_dict
 
 PARTIALS = [(a, b) for total in range(5) for a in range(total + 1) for b in [total - a]]
@@ -127,7 +129,8 @@ def _guillemin_order(L: np.ndarray, V: np.ndarray, k: int) -> dict:
 class GuilleminJets(dict):
     """Partials {(a, b): array} of u_G at fixed interior points, a + b <= 4,
     filled one order at a time on first request: node data reads only
-    orders 0 and 2.  Holds the polytope and the points, not their grid."""
+    orders 0 and 2.  The order-2 entries are the rows of ``hessian``.  Holds
+    the polytope and the points, not their grid."""
 
     def __init__(self, P: DelzantPolytope, points: np.ndarray):
         super().__init__()
@@ -136,9 +139,18 @@ class GuilleminJets(dict):
     def __missing__(self, key):
         if key not in PARTIALS:
             raise KeyError(key)
-        L = _interior_facet_values(self._P, self._points)
-        self.update(_guillemin_order(L, self._P.normals.astype(float), sum(key)))
+        self.update(zip(HESSIAN_KEYS, self.hessian) if sum(key) == 2 else self._order(sum(key)))
         return self[key]
+
+    def _order(self, k: int) -> dict:
+        L = _interior_facet_values(self._P, self._points)
+        return _guillemin_order(L, self._P.normals.astype(float), k)
+
+    @cached_property
+    def hessian(self) -> np.ndarray:
+        """Components (00, 01, 11) of Hess u_G at the points, (3, n)."""
+        second = self._order(2)
+        return np.stack([second[key] for key in HESSIAN_KEYS])
 
 
 def guillemin_value(P: DelzantPolytope, points) -> np.ndarray:
@@ -174,10 +186,6 @@ class Jet:
         return _sym2_matrix(np.array([self.partials[key] for key in HESSIAN_KEYS], dtype=float))
 
 
-# The partials (a, b) of the Hessian components (00, 01, 11); the second
-# derivatives d_k d_l of any field are keyed the same way, kl = 00, 01, 11.
-HESSIAN_KEYS = ((2, 0), (1, 1), (0, 2))
-
 # 2x2 algebra on fields of matrices held entry by entry: a symmetric field S
 # is the triple of its components (00, 01, 11), each an array over the same
 # points (a (3, n) array unpacks into one); a general one is the four entries
@@ -197,21 +205,38 @@ def _mat2(S) -> tuple:
     return s00, s01, s01, s11
 
 
-def _sym2_eigenvalues(S):
-    """(lower, upper) eigenvalues of a symmetric field S."""
+def _sym2_eigenvalues(S, s01_sq=None):
+    """(lower, upper) eigenvalues of a symmetric field S; s01_sq, if given,
+    is s01 * s01 already computed."""
     s00, s01, s11 = S
-    tr, d = s00 + s11, s00 - s11
-    # the discriminant as a sum of squares: tr^2 - 4 det cancels when the
-    # two eigenvalues are close
-    disc = np.sqrt(d * d + 4.0 * (s01 * s01))
-    return 0.5 * (tr - disc), 0.5 * (tr + disc)
+    if s01_sq is None:
+        s01_sq = s01 * s01
+    # the discriminant as a sum of squares, sqrt(d^2 + 4 s01^2) with
+    # d = s00 - s11: tr^2 - 4 det cancels when the two eigenvalues are close
+    disc = s00 - s11
+    disc *= disc
+    disc += 4.0 * s01_sq
+    np.sqrt(disc, out=disc)
+    tr = s00 + s11
+    lo = tr - disc
+    lo *= 0.5
+    tr += disc
+    tr *= 0.5
+    return lo, tr
 
 
-def _sym2_inverse(S) -> np.ndarray:
-    """Components (3, n) of the inverse of a symmetric field S."""
+def _sym2_inverse(S, s01_sq=None) -> np.ndarray:
+    """Components (3, n) of the inverse of a symmetric field S; s01_sq, if
+    given, is s01 * s01 already computed."""
     s00, s01, s11 = S
-    det = s00 * s11 - s01**2
-    return np.stack([s11 / det, -s01 / det, s00 / det])
+    det = s00 * s11
+    det -= s01 * s01 if s01_sq is None else s01_sq
+    inv = np.empty((3, *det.shape))
+    np.divide(s11, det, out=inv[0])
+    np.divide(s01, det, out=inv[1])
+    np.negative(inv[1], out=inv[1])
+    np.divide(s00, det, out=inv[2])
+    return inv
 
 
 def _mat2_product(A, B) -> tuple:
@@ -298,8 +323,10 @@ class SymplecticPotential:
             self.f_values = f_form(grid.points[:, 0], grid.points[:, 1])
         else:
             self.f_values = np.zeros(grid.n_nodes)
-        # partials (a, b) of the node data f, filled on first request by f_partial
+        # partials (a, b) of the node data f, filled on first request by
+        # f_partial; the three second partials are the rows of _f_hessian
         self._f_partials = {}
+        self._f_hessian = None
         # curvature fields of this state, filled on first request by
         # calabiflow.curvature: the derivative context and the scalar fields
         self.curvature_cache = {}
@@ -362,14 +389,18 @@ class SymplecticPotential:
 
     def f_partial(self, key) -> np.ndarray:
         """Partial key = (a, b) of the node data f at every node, computed on
-        first request: f itself, the grid's first/second-derivative operators,
+        first request: f itself, the grid's first-derivative operators, one
+        product of its stacked Hessian operator for all three second partials,
         or composed differences for orders 3 and 4."""
         if key not in self._f_partials:
             a, b = key
             if a + b == 0:
                 self._f_partials[key] = self.f_values
-            elif a + b <= 2:
+            elif a + b == 1:
                 self._f_partials[key] = self.grid.jet_blocks[key] @ self.f_values
+            elif a + b == 2:
+                self._f_hessian = (self.grid.hessian_operator @ self.f_values).reshape(3, -1)
+                self._f_partials.update(zip(HESSIAN_KEYS, self._f_hessian))
             else:
                 self._f_partials[key] = self.grid.diff(self.f_values, a, b)
         return self._f_partials[key]
@@ -400,12 +431,12 @@ class SymplecticPotential:
         """Components (00, 01, 11) of the Hessian of u at every node, (3, n)."""
         if self.provider == "analytic":
             return np.stack(list(self._node_partials(HESSIAN_KEYS).values()))
-        # node data, on every flow-velocity evaluation: each sum is written
-        # straight into its row
-        base, G = self.grid.guillemin_jets, np.empty((3, self.grid.n_nodes))
-        for key, row in zip(HESSIAN_KEYS, G):
-            np.add(base[key], self.f_partial(key), out=row)
-        return G
+        # node data, on every flow-velocity evaluation: f_partial fills the
+        # three second partials of f as the rows of one product, _f_hessian,
+        # so the sum is one add
+        for key in HESSIAN_KEYS:
+            self.f_partial(key)
+        return np.add(self.grid.guillemin_jets.hessian, self._f_hessian)
 
     def hessians(self) -> np.ndarray:
         """(n, 2, 2) Hessian of u at every node."""
@@ -608,9 +639,10 @@ def load_snapshot(path, polytope: DelzantPolytope = None):
     Returns (potential, t).  If a polytope is supplied its content hash must
     match the sidecar.  The columns i, j and f are read by name; x and y are
     informative only, and either line ending loads.  DomainError is raised
-    for a malformed sidecar, a header without i, j or f, a malformed row or
-    a non-integer i or j, a row that is not a node of the grid, two rows for
-    one node, a node without a row, and an f that is not finite.
+    for a malformed sidecar, a flow time that is not finite, a header
+    without i, j or f, a malformed row or a non-integer i or j, a row that is
+    not a node of the grid, two rows for one node, a node without a row, and
+    an f that is not finite.
     """
     path = Path(path)
     try:
@@ -621,6 +653,8 @@ def load_snapshot(path, polytope: DelzantPolytope = None):
             raise DomainError("snapshot belongs to a different polytope")
         grid = Grid(P, int(meta["grid_n"]), float(meta["delta_min"]))
         t = float(meta["t"])
+        if not math.isfinite(t):
+            raise DomainError(f"malformed snapshot {path}: flow time {t!r} is not finite")
         with open(path) as fh:
             names = fh.readline().rstrip("\n").split(",")
             with warnings.catch_warnings():

@@ -158,8 +158,10 @@ def weighted_scalar_by_blocks(grid, U, cls):
         return div / q**m
 
     R = cls.scal_S / q - divergence(grid.jet_blocks, U, cls.p)
-    # every term by its absolute value (q > 0)
-    absD = {key: abs(B) for key, B in grid.jet_blocks.items()}
+    # every term by its absolute value (q > 0); abs() of a CSR matrix sorts
+    # and prunes its entries in place, so it is taken of a copy, leaving the
+    # grid's operators as built
+    absD = {key: abs(B.copy()) for key, B in grid.jet_blocks.items()}
     scale = abs(cls.scal_S) / q + divergence(absD, np.abs(U), np.abs(cls.p))
     return R, scale
 

@@ -220,11 +220,14 @@ def test_energy_command(capsys, fs_snapshot):
     assert data["r_bar"] == pytest.approx(4.0, abs=1e-8)
 
 
-def _drop_grid_n(path):
-    sidecar = path.with_suffix(".csv.json")
-    meta = json.loads(sidecar.read_text())
-    del meta["grid_n"]
-    sidecar.write_text(json.dumps(meta))
+def _edit_sidecar(edit):
+    """A snapshot fault that rewrites the sidecar's fields with edit."""
+    def fault(path):
+        sidecar = path.with_suffix(".csv.json")
+        meta = json.loads(sidecar.read_text())
+        edit(meta)
+        sidecar.write_text(json.dumps(meta))
+    return fault
 
 
 def _edit_rows(edit):
@@ -242,7 +245,7 @@ def _first_f(value):
 
 @pytest.mark.parametrize("fault", [
     lambda path: path.with_suffix(".csv.json").write_text("{not json"),
-    _drop_grid_n,
+    _edit_sidecar(lambda meta: meta.pop("grid_n")),
     _first_f("abc"),
     _edit_rows(lambda lines: lines + ["1000,1000,0.0,0.0,0.0"]),
     _edit_rows(lambda lines: lines + [lines[1]]),
@@ -251,9 +254,10 @@ def _first_f(value):
     _edit_rows(lambda lines: [lines[0], lines[1].rsplit(",", 1)[0], *lines[2:]]),
     _edit_rows(lambda lines: lines[:1]),
     _edit_rows(lambda lines: ["i,j,x,y", *lines[1:]]),
+    _edit_sidecar(lambda meta: meta.update(t=math.inf)),
 ], ids=["sidecar-not-json", "sidecar-without-grid-n", "non-numeric-f", "row-off-the-grid",
         "duplicate-row", "nan-f", "non-integer-i", "row-missing-a-field", "header-without-rows",
-        "header-without-f"])
+        "header-without-f", "sidecar-infinite-t"])
 @pytest.mark.filterwarnings("error")
 def test_energy_rejects_malformed_snapshot(capsys, fs_snapshot, fault):
     fault(fs_snapshot)

@@ -307,6 +307,26 @@ def test_fd_context_reads_second_partials_only(monkeypatch, triangle, grid48):
     assert sorted(keys) == [(0, 2), (1, 1), (2, 0)]
 
 
+def test_all_nan_hessian_is_curvature_undefined(triangle, grid48):
+    u = SymplecticPotential.from_node_values(triangle, grid48, np.full(grid48.n_nodes, np.nan))
+    # the message's minimum eigenvalue is taken without nanmin's all-NaN warning
+    with pytest.raises(CurvatureUndefinedError, match="min eigenvalue nan"):
+        curvature_context(u)
+
+
+def test_invalid_class_raises_on_a_grid_with_records(hexagon, hex_grid, bundle_class):
+    u = SymplecticPotential.from_node_values(hexagon, hex_grid,
+                                             bump_form(0.05)(*hex_grid.points.T))
+    weighted_scalar_field(u, bundle_class)
+    assert bundle_class in hex_grid.class_records
+    # x + y + 1 is -1/2 at the hexagon's vertices with x + y = -3/2
+    bad = AdmissibleClass(p=(1.0, 1.0), c_S=1.0, scal_S=-1.0)
+    for field in (weighted_scalar_field, rm2_total_field):
+        with pytest.raises(DegenerateInputError):
+            field(u, bad)
+    assert bad not in hex_grid.class_records
+
+
 def test_flow_velocity_leaves_full_tensors_unbuilt(monkeypatch, triangle, grid48, bundle_class):
     from calabiflow.polytope import Grid
 

@@ -238,7 +238,7 @@ def test_fresh_fd_report_evaluates_fiber_norm_once(monkeypatch, triangle, grid48
         grid48, curvature.fiber_riemann_norm_field(u))
 
 
-def test_fresh_fd_report_makes_24_sparse_products(hexagon, hex_grid, bundle_class, csr_products):
+def test_fresh_fd_report_makes_22_sparse_products(hexagon, hex_grid, bundle_class, csr_products):
     bquad = boundary_quadrature(hexagon)
     average_scalar(hexagon, bundle_class, hex_grid, bquad)
     hex_grid.quadrature_weights
@@ -246,10 +246,11 @@ def test_fresh_fd_report_makes_24_sparse_products(hexagon, hex_grid, bundle_clas
     u = SymplecticPotential.from_node_values(hexagon, hex_grid, bump_form(0.05)(x, y))
     del csr_products[:]
     energy_report(u, bundle_class, bquad)
-    # the three second partials of f, one product of the class operator for
-    # R, the 15 U-jets, the Hessian of R and the two first partials of f for
-    # the boundary values; the fiber scalar reads the U-jets
-    assert len(csr_products) == 3 + 1 + 15 + 3 + 2
+    # one product of the stacked Hessian operator for the three second
+    # partials of f, one of the class operator for R, the 15 U-jets, the
+    # Hessian of R and the two first partials of f for the boundary values;
+    # the fiber scalar reads the U-jets
+    assert len(csr_products) == 1 + 1 + 15 + 3 + 2
 
 
 def test_cauchy_schwarz_gap_differences_r_once(monkeypatch, triangle, grid48, bundle_class):

@@ -1,3 +1,4 @@
+import dataclasses
 import heapq
 import math
 
@@ -17,9 +18,10 @@ from calabiflow import (
     riemannian_distance,
     step,
 )
+from calabiflow.curvature import class_record
 from calabiflow.flow import boundary_ring, distance_field, proposed_dt
 from calabiflow.errors import CurvatureUndefinedError, StiffnessError
-from calabiflow.potential import bump_form
+from calabiflow.potential import HESSIAN_KEYS, _sym2_inverse, bump_form
 from fd_oracle import sym2_matrices
 
 
@@ -469,6 +471,11 @@ def test_run_config_unknown_perturbation(triangle_file, bundle_class):
     ("cfl_sigma", 0.0), ("perturbation_center", (0.0, 0.0, 1.0)), ("grid_n", 1),
     ("delta_min_factor", 0.0), ("t_end", -1.0), ("monitor_every", 0), ("snapshot_every", -1),
     ("epsilon", 0.0), ("grid_n", "abc"), ("perturbation_center", 0.5),
+    ("cfl_sigma", math.nan), ("cfl_sigma", math.inf), ("t_end", math.nan),
+    ("epsilon", math.nan), ("epsilon", math.inf), ("perturbation_width", math.nan),
+    ("perturbation_width", 0.0), ("perturbation_width", math.inf),
+    ("perturbation_amplitude", math.nan), ("perturbation_center", (math.nan, 0.0)),
+    ("delta_min_factor", math.nan),
 ])
 def test_run_config_checks_its_fields(triangle_file, bundle_class, field, value):
     with pytest.raises(ConfigError):
@@ -484,13 +491,45 @@ def test_run_config_coerces_its_fields(triangle_file, bundle_class):
     assert cfg.perturbation_center == (0.25, 0.0)
 
 
-def test_rk4_step_makes_sixteen_sparse_products(triangle_file, bundle_class, csr_products):
+@pytest.mark.parametrize("kwargs", [
+    {"sigma": 0.0}, {"sigma": -0.1}, {"sigma": math.nan}, {"sigma": math.inf},
+    {"max_retries": -1},
+])
+def test_step_policy_checks_its_fields(kwargs):
+    with pytest.raises(ConfigError):
+        StepPolicy(**kwargs)
+
+
+def test_step_policy_cannot_be_changed_past_its_check():
+    policy = StepPolicy()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        policy.sigma = 0.0
+    assert RunConfig.cfl_sigma == policy.sigma
+
+
+@pytest.mark.parametrize("poly", ["triangle", "hexagon"])
+def test_rhs_equals_the_velocity_from_separate_blocks(request, poly, bundle_class):
+    P = request.getfixturevalue(poly)
+    lo, hi = P.bbox
+    grid = build_grid(P, 24, 0.5 * (hi[0] - lo[0]) / 24)
+    f = bump_form(0.05)(*grid.points.T)
+    got = rhs(FlowState(t=0.0, u=SymplecticPotential.from_node_values(P, grid, f)),
+              bundle_class, 0.25)
+    # each second partial of f by its own block, the inverse of the Hessian
+    # field by _sym2_inverse, then the class operator
+    G = np.stack([grid.guillemin_jets[key] + grid.jet_blocks[key] @ f for key in HESSIAN_KEYS])
+    rec = class_record(grid, bundle_class)
+    assert np.array_equal(got, 0.25 - (rec.scal_q - rec.L @ _sym2_inverse(G).ravel()))
+
+
+def test_rk4_step_makes_eight_sparse_products(triangle_file, bundle_class, csr_products):
     fr = _flow_run24(triangle_file, bundle_class)
     # the first step also evaluates the velocity of the fresh initial state
     fr.advance(1)
     del csr_products[:]
     fr.advance(1)
     assert fr.state.step_count == 2
-    # four velocities (three later RK stages and the candidate), each the
-    # three second partials of f and one product of the class operator
-    assert len(csr_products) == 16
+    # four velocities (three later RK stages and the candidate), each one
+    # product of the stacked Hessian operator for the three second partials
+    # of f and one of the class operator
+    assert len(csr_products) == 8

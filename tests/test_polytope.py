@@ -503,3 +503,21 @@ def test_field_jets_stacked_equals_single(hex_grid):
         single = hex_grid.field_jets(F[:, c].copy())
         for key, val in single.items():
             assert np.array_equal(stacked[key][:, c], val), key
+
+
+def test_hessian_blocks_are_views_of_the_stacked_operator(hexagon, bundle_class):
+    from calabiflow.curvature import class_record
+    from calabiflow.polytope import HESSIAN_KEYS
+
+    grid = build_grid(hexagon, 24, 0.5 * 2.0 / 24)
+    # the class operator is built from the blocks and leaves them views
+    class_record(grid, bundle_class)
+    H, n = grid.hessian_operator, grid.n_nodes
+    assert H.shape == (3 * n, n)
+    f = np.cos(grid.points @ [1.3, 0.7])
+    Hf = (H @ f).reshape(3, n)
+    for row, key in zip(Hf, HESSIAN_KEYS):
+        block = grid.jet_blocks[key]
+        assert np.shares_memory(block.data, H.data)
+        assert np.shares_memory(block.indices, H.indices)
+        assert np.array_equal(row, block @ f)
