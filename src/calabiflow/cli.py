@@ -60,17 +60,18 @@ def _require_object(value, what):
 
 
 def load_class(data) -> AdmissibleClass:
+    """The AdmissibleClass of a JSON object or file; a key left out keeps the
+    class's default, and the class checks the values."""
     if isinstance(data, (str, Path)):
         data = _load_json(data)
     _require_object(data, "class data")
-    # the type of each key; a key left out keeps AdmissibleClass's default
-    types = {"p": tuple, "c_S": float, "scal_S": float, "m": int, "chi_S": int}
-    unknown = set(data) - set(types)
+    unknown = set(data) - {f.name for f in fields(AdmissibleClass)}
     if unknown:
         raise ConfigError(f"unknown class keys: {sorted(unknown)}")
     try:
-        return AdmissibleClass(**{key: types[key](value) for key, value in data.items()})
-    except (TypeError, ValueError, DegenerateInputError) as exc:
+        return AdmissibleClass(**data)
+    except (TypeError, DegenerateInputError) as exc:
+        # TypeError: a required key is missing
         raise ConfigError(f"malformed class data: {exc}") from exc
 
 

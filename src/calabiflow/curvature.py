@@ -19,13 +19,14 @@ u_{ik} d/dxi_k = d/dz_i, never by differencing in dual space.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._serialize import json_value
-from .errors import CurvatureUndefinedError, DegenerateInputError, DomainError, RegimeError
-from .polytope import JET_KEYS, DelzantPolytope, Grid
+from .errors import CurvatureUndefinedError, DegenerateInputError, DomainError
+from .polytope import JET_KEYS, DelzantPolytope, Grid, _frozen
 from .potential import (HESSIAN_KEYS, SymplecticPotential, _mat2, _mat2_product, _sym2_dot,
                         _sym2_eigenvalues, _sym2_inverse, _sym2_matrix, _sym2_sandwich,
                         _trace_of_square)
@@ -37,11 +38,15 @@ _SPD_RATIO = 1e-12
 class AdmissibleClass:
     """Scalar data of an admissible Kahler class on a projective-plane bundle.
 
-    p : line-bundle curvature factors (p1, p2), p1 >= p2
-    c_S : class constant, with <p, z> + c_S > 0 on the closed polytope
+    p : line-bundle curvature factors (p1, p2), two finite floats, p1 >= p2
+    c_S : class constant, a finite float, with <p, z> + c_S > 0 on the
+          closed polytope (validate_on)
     scal_S : normalized base scalar curvature, one of -1, 0, 1
-    m : complex dimension of the base (0 or 1 supported)
-    chi_S : Euler characteristic of the base
+    m : complex dimension of the base, 0 (the bare fiber) or 1 (a curve)
+    chi_S : Euler characteristic of the base, a whole number
+
+    Construction coerces each field to its type (m = 1.0 to 1, but not 1.7)
+    and raises DegenerateInputError for any other value.
     """
 
     p: tuple
@@ -51,13 +56,24 @@ class AdmissibleClass:
     chi_S: int = -2
 
     def __post_init__(self):
-        if len(self.p) != 2:
-            raise DegenerateInputError(f"p must have two entries (p1, p2), got {len(self.p)}")
-        object.__setattr__(self, "p", (float(self.p[0]), float(self.p[1])))
-        if self.scal_S not in (-1.0, 0.0, 1.0):
+        try:
+            if isinstance(self.p, str) or len(self.p) != 2:
+                raise DegenerateInputError(f"p must have two entries (p1, p2), got {self.p!r}")
+            p, c_S, scal_S, m, chi_S = (tuple(map(float, self.p)), float(self.c_S),
+                                        float(self.scal_S), float(self.m), float(self.chi_S))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise DegenerateInputError(f"malformed class data: {exc}") from exc
+        # each check is written so that NaN fails it
+        if not all(map(math.isfinite, (*p, c_S))):
+            raise DegenerateInputError("p and c_S must be finite")
+        if scal_S not in (-1.0, 0.0, 1.0):
             raise DegenerateInputError("scal_S must be -1, 0 or 1 after normalization")
-        if self.m < 0:
-            raise DegenerateInputError("base dimension m must be nonnegative")
+        if not (m.is_integer() and chi_S.is_integer()):
+            raise DegenerateInputError(f"m, chi_S must be whole numbers: {self.m!r} {self.chi_S!r}")
+        if m not in (0.0, 1.0):
+            raise DegenerateInputError(f"base dimension m must be 0 (fiber) or 1 (curve): {m:g}")
+        for key, value in dict(p=p, c_S=c_S, scal_S=scal_S, m=int(m), chi_S=int(chi_S)).items():
+            object.__setattr__(self, key, value)
 
     @classmethod
     def trivial(cls) -> "AdmissibleClass":
@@ -81,8 +97,9 @@ class AdmissibleClass:
         return self.affine(points) ** self.m
 
     def validate_on(self, polytope: DelzantPolytope) -> None:
-        """The affine form attains its extremes at vertices; require positivity."""
-        if np.min(self.affine(polytope.vertices)) <= 0:
+        """The affine form attains its extremes at vertices; require positivity
+        (a NaN fails the check)."""
+        if not np.min(self.affine(polytope.vertices)) > 0:
             raise DegenerateInputError(
                 "class weight <p, z> + c_S is not positive on the closed polytope"
             )
@@ -101,8 +118,9 @@ class ClassRecord:
 
     With a_r = 2 m p_r / q the blocks of L are
     L00 = diag(a0) Dx + Dxx,  L01 = diag(a0) Dy + diag(a1) Dx + 2 Dxy,
-    L11 = diag(a1) Dy + Dyy, plus diag(m (m-1) p_r p_s / q^2) on L_rs for
-    m >= 2, doubled on L01; D are the grid's jet_blocks.
+    L11 = diag(a1) Dy + Dyy; D are the grid's jet_blocks.  The weight q^m
+    is affine for m in {0, 1}, so no second derivative of it enters.  L's
+    arrays are read-only, like the grid's operators.
     """
 
     q: np.ndarray
@@ -116,15 +134,9 @@ def _velocity_operator(grid: Grid, cls: AdmissibleClass, q: np.ndarray):
     from scipy import sparse
 
     Dx, Dy, Dxx, Dyy, Dxy = (grid.jet_blocks[key] for key in JET_KEYS)
-    p0, p1 = cls.p
-    a0, a1 = (sparse.diags_array(2.0 * cls.m * p / q) for p in (p0, p1))
+    a0, a1 = (sparse.diags_array(2.0 * cls.m * p / q) for p in cls.p)
     L00, L01, L11 = a0 @ Dx + Dxx, a0 @ Dy + a1 @ Dx + 2.0 * Dxy, a1 @ Dy + Dyy
-    if cls.m >= 2:
-        prs = cls.m * (cls.m - 1) / q**2
-        L00 = L00 + sparse.diags_array(prs * (p0 * p0))
-        L01 = L01 + sparse.diags_array(2.0 * prs * (p0 * p1))
-        L11 = L11 + sparse.diags_array(prs * (p1 * p1))
-    return sparse.hstack([L00, L01, L11], format="csr")
+    return _frozen(sparse.hstack([L00, L01, L11], format="csr"))
 
 
 def class_record(grid: Grid, cls: AdmissibleClass) -> ClassRecord:
@@ -320,17 +332,11 @@ def _weighted_scalar_from_ctx(ctx: dict, cls: AdmissibleClass, q: np.ndarray) ->
     """The weighted scalar curvature from the traces of a context, q the
     affine class form at its points."""
     pw = q**cls.m
-    pvec = np.asarray(cls.p)
-    # derivatives of the weight p(z) = q^m (q affine)
-    pr = (cls.m * q[:, None] ** (cls.m - 1) * pvec[None, :] if cls.m >= 1
-          else np.zeros((len(q), 2)))
-    # div = sum_rs d_r d_s (p U_rs) = sum p_rs U_rs + 2 sum p_r d_s U_rs + p sum d_r d_s U_rs
+    # the weight p(z) = q^m is affine for m in {0, 1}: its gradient is m p
+    pr0, pr1 = (cls.m * p for p in cls.p)
+    # div = sum_rs d_r d_s (p U_rs) = 2 sum p_r d_s U_rs + p sum d_r d_s U_rs
     dUt = _dU_trace(ctx["dU"])
-    div = 2.0 * ((pr[:, 0] * dUt[0, 0] + pr[:, 1] * dUt[0, 1])
-                 + (pr[:, 0] * dUt[1, 0] + pr[:, 1] * dUt[1, 1]))
-    if cls.m >= 2:
-        prs = cls.m * (cls.m - 1) * q ** (cls.m - 2) * (pvec[[0, 0, 1]] * pvec[[0, 1, 1]])[:, None]
-        div = _sym2_dot(prs, ctx["U"]) + div
+    div = 2.0 * ((pr0 * dUt[0, 0] + pr1 * dUt[0, 1]) + (pr0 * dUt[1, 0] + pr1 * dUt[1, 1]))
     div = div + pw * _d2U_trace(ctx["d2U"])
     return cls.scal_S / q - div / pw
 
@@ -361,8 +367,6 @@ def _rm2_total_from_ctx(ctx: dict, cls: AdmissibleClass, q: np.ndarray,
     "rm2_total"}, pH3 and M as components (3, n).  q is the affine class form
     and rm2_fiber the fiber |Rm|^2 at the same points.  Every contraction is
     written out per entry, and none needs a third-order tensor of H = U."""
-    if cls.m > 1:
-        raise RegimeError("admissible curvature blocks require base dimension m <= 1")
     pw = q**cls.m
     a = cls.a
     p0, p1 = cls.p

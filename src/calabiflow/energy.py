@@ -17,9 +17,9 @@ from .curvature import (
     rm2_total_field,
     weighted_scalar_field,
 )
-from .errors import DegenerateInputError
+from .errors import DegenerateInputError, DomainError
 from .polytope import JET_KEYS, BoundaryQuadrature, DelzantPolytope, Grid, boundary_quadrature
-from .potential import HESSIAN_KEYS, SymplecticPotential, _sym2_dot, _trace_of_square
+from .potential import HESSIAN_KEYS, SymplecticPotential, _same_facets, _sym2_dot, _trace_of_square
 
 
 def interior_quadrature(grid: Grid, integrand: np.ndarray) -> float:
@@ -48,20 +48,24 @@ def boundary_integral(P: DelzantPolytope, values_fn, quad: BoundaryQuadrature = 
     return float(np.dot(quad.weights, vals))
 
 
-def average_scalar(P: DelzantPolytope, cls: AdmissibleClass, grid: Grid = None,
+def average_scalar(P: DelzantPolytope, cls: AdmissibleClass, grid: Grid,
                    quad: BoundaryQuadrature = None) -> float:
     """Class average of the weighted scalar curvature, independent of u.
 
     R_bar = [scal_S * int p/q dmu + 2 * int_dP p dsigma] / int_P p dmu,
     with q = <p, z> + c_S and p = q^m; by parts the curvature term of the
     weighted scalar integrates to twice the weighted boundary measure.  q and
-    p at the nodes are those of the class record (see class_record).
+    p at the nodes are those of the class record (see class_record).  The
+    grid must be one of P (DegenerateInputError), and so must the boundary
+    quadrature (DomainError, as in SymplecticPotential.boundary_values).
     """
-    cls.validate_on(P)
-    if grid is None:
-        grid = Grid(P, 96, 0.5 * (P.bbox[1][0] - P.bbox[0][0]) / 96)
+    # identity first: a run's grid, quadrature and potentials share its polytope
+    if P is not grid.polytope and not _same_facets(P, grid.polytope):
+        raise DegenerateInputError("the grid is not one of the polytope")
     if quad is None:
         quad = boundary_quadrature(P)
+    elif quad.polytope_hash != P.content_hash():
+        raise DomainError("boundary quadrature belongs to a different polytope")
     rec = class_record(grid, cls)
     base = cls.scal_S * interior_quadrature(grid, rec.pw / rec.q)
     bdry = 2.0 * float(np.dot(quad.weights, cls.weight(quad.points)))
@@ -122,7 +126,6 @@ def fiber_average_scalar(P: DelzantPolytope) -> float:
 
 def energy_report(u: SymplecticPotential, cls: AdmissibleClass,
                   quad: BoundaryQuadrature = None) -> EnergyReport:
-    cls.validate_on(u.polytope)
     grid = u.grid
     if quad is None:
         quad = boundary_quadrature(u.polytope)

@@ -271,9 +271,7 @@ class FlowRun:
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
         P = self.polytope = load_polytope(cfg.polytope_path)
-        cls = cfg.admissible_class
-        cls.validate_on(P)
-        self.cls = cls
+        cls = self.cls = cfg.admissible_class
         h = (P.bbox[1][0] - P.bbox[0][0]) / cfg.grid_n
         self.grid = build_grid(P, cfg.grid_n, cfg.delta_min_factor * h)
         form = initial_correction(cfg)
@@ -288,8 +286,6 @@ class FlowRun:
         self.eps2_ring = boundary_ring(self.grid, self.eps2_nodes)
         self.records: list[MonitorRecord] = []
         self.initial_witnesses = None
-        self.keep_states = False
-        self.states: list[FlowState] = []
 
     # -- monitors -----------------------------------------------------------
 
@@ -341,8 +337,6 @@ class FlowRun:
     def monitor(self) -> MonitorRecord:
         rec = self.measure()
         self.records.append(rec)
-        if self.keep_states:
-            self.states.append(self.state)
         return rec
 
     def _fill_rate_residuals(self, floor: float = 1e-14) -> None:

@@ -189,6 +189,10 @@ class DelzantPolytope:
     normals : (d, 2) int array of primitive inward normals
     offsets : (d,) float array
     vertices : (d, 2) float array, derived, ordered counterclockwise
+
+    Construction raises DegenerateInputError unless each normal is a pair of
+    finite whole numbers ([1.0, 0] is [1, 0]) and each offset finite, and the
+    facets bound a Delzant polygon.
     """
 
     normals: np.ndarray
@@ -196,17 +200,29 @@ class DelzantPolytope:
     vertices: np.ndarray = field(default=None)
 
     def __post_init__(self):
-        normals = np.asarray(self.normals, dtype=np.int64)
-        offsets = np.asarray(self.offsets, dtype=float)
-        object.__setattr__(self, "normals", normals)
+        try:
+            normals = np.asarray(self.normals, dtype=float)
+            offsets = np.asarray(self.offsets, dtype=float)
+        except (TypeError, ValueError) as exc:
+            # a ragged list holds a normal that is not a pair
+            raise DegenerateInputError(
+                "each facet normal must be a pair of numbers and each offset a number") from exc
+        if normals.ndim != 2 or normals.shape[1] != 2 or normals.shape[0] < 3 or (
+                offsets.shape != normals.shape[:1]):
+            raise DegenerateInputError("need 3 or more facets, each with a 2d normal and an offset")
+        if not (np.all(np.isfinite(normals)) and np.all(np.isfinite(offsets))
+                and np.array_equal(normals, np.round(normals))):
+            raise DegenerateInputError("facet normals must be finite whole numbers, offsets finite")
+        object.__setattr__(self, "normals", normals.astype(np.int64))
         object.__setattr__(self, "offsets", offsets)
-        if normals.ndim != 2 or normals.shape[1] != 2 or normals.shape[0] < 3:
-            raise DegenerateInputError("need at least 3 facets with 2d normals")
-        for v in normals:
+        for v in self.normals:
             if math.gcd(int(abs(v[0])), int(abs(v[1]))) != 1:
                 raise DegenerateInputError(f"facet normal {tuple(v)} is not primitive")
         object.__setattr__(self, "vertices", self._derive_vertices())
         self._validate()
+        # the fields never change, so neither does their hash
+        blob = json.dumps(self.to_dict(), sort_keys=True).encode()
+        object.__setattr__(self, "_content_hash", hashlib.sha256(blob).hexdigest())
 
     def _derive_vertices(self) -> np.ndarray:
         d = len(self.offsets)
@@ -323,24 +339,20 @@ class DelzantPolytope:
         }
 
     def content_hash(self) -> str:
-        blob = json.dumps(self.to_dict(), sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()
+        """SHA-256 of the sorted JSON of to_dict, computed when the polytope is built."""
+        return self._content_hash
 
 
 def from_dict(data: dict) -> DelzantPolytope:
+    """The polytope of a {"facets": [{"normal": [a, b], "offset": c}, ...]}
+    object; the polytope checks the values (DegenerateInputError)."""
     try:
         facets = data["facets"]
-        normals = []
-        offsets = []
-        for f in facets:
-            n = f["normal"]
-            if any(float(c) != int(c) for c in n):
-                raise DegenerateInputError(f"normal {n} has non-integer components")
-            normals.append([int(n[0]), int(n[1])])
-            offsets.append(float(f["offset"]))
-    except (KeyError, TypeError, ValueError) as exc:
+        normals = [f["normal"] for f in facets]
+        offsets = [f["offset"] for f in facets]
+    except (KeyError, TypeError) as exc:
         raise DegenerateInputError(f"malformed polytope data: {exc}") from exc
-    return DelzantPolytope(np.array(normals), np.array(offsets))
+    return DelzantPolytope(normals, offsets)
 
 
 def load_polytope(path) -> DelzantPolytope:
@@ -427,6 +439,15 @@ def _entries(A):
     return rows, A.indices, A.data
 
 
+def _frozen(A):
+    """A with read-only data, indices and row pointer, so that a read which
+    sorts its rows in place (scipy's max or abs) raises ValueError instead of
+    reordering A and the views that share its memory."""
+    for a in (A.data, A.indices, A.indptr):
+        a.flags.writeable = False
+    return A
+
+
 class Grid:
     """Axis-aligned lattice of interior nodes with finite-difference stencils.
 
@@ -441,7 +462,9 @@ class Grid:
     one operator per first/second partial in ``jet_blocks``, whose three
     second-order blocks are row views of the one stacked Hessian operator
     ``hessian_operator``, and the quadrature functional in
-    ``quadrature_weights``.  ``class_records`` holds
+    ``quadrature_weights``.  The operators' arrays are read-only: a caller
+    copies an operator before canonicalizing it (sum_duplicates,
+    sort_indices), or before a read that does so in place.  ``class_records`` holds
     the constants of each admissible class on the grid, among them the flow
     velocity's operator (see calabiflow.curvature.class_record).  Nothing
     derived refers back to the grid, so a grid is freed without a cyclic
@@ -559,7 +582,8 @@ class Grid:
         ops, served = {}, {}
         for axis in (0, 1):
             for order in (1, 2):
-                ops[axis, order], served[axis, order] = self._axis_operator(axis, order)
+                A, served[axis, order] = self._axis_operator(axis, order)
+                ops[axis, order] = _frozen(A)
         return ops, served
 
     @property
@@ -664,6 +688,8 @@ class Grid:
         hessian = sparse.vstack([blocks[key] for key in HESSIAN_KEYS], format="csr")
         for k, key in enumerate(HESSIAN_KEYS):
             blocks[key] = _row_block(hessian, k, n)
+        for A in (*blocks.values(), hessian):
+            _frozen(A)
         return blocks, hessian
 
     @property

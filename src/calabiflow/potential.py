@@ -4,13 +4,15 @@ The singular canonical part u_G = 1/2 sum_i l_i ln l_i is always handled in
 closed form; only the smooth correction f is discretized.  How u is
 differentiated follows from what it was built from, it is not chosen:
 
-* a closed form (f_form with the canonical part, or a total_form alone) --
-  every partial up to order 4 is exact, at any interior point
-  (``partials_at``);
+* a closed form f_form -- every partial up to order 4 is exact, at any
+  interior point (``partials_at``);
 * node data f_values -- differenced on the grid, at grid nodes only: orders
   1-2 by the grid's jet_blocks (stencil rows in the interior, least-squares
   fits on the near-boundary band), orders 3-4 by composed axis differences;
-  each partial of f is computed once (``f_partial``).
+  each partial of f is computed once.
+
+On the grid the partials of u are the canonical ones plus ``f_partial``, the
+one place where the two kinds differ.
 """
 
 from __future__ import annotations
@@ -294,8 +296,10 @@ def _same_facets(P: DelzantPolytope, Q: DelzantPolytope) -> bool:
 
 
 class SymplecticPotential:
-    """State variable of the flow: u = u_G + f.  Its inputs never change once
-    built; its caches of derived fields never change a returned value."""
+    """State variable of the flow: u = u_G + f, with f node data f_values or
+    a closed form f_form, never both (DegenerateInputError); f = 0 if neither
+    is given.  Its inputs never change once built; its caches of derived
+    fields never change a returned value."""
 
     def __init__(
         self,
@@ -303,26 +307,20 @@ class SymplecticPotential:
         grid: Grid,
         f_values: np.ndarray = None,
         f_form: ClosedForm = None,
-        total_form: ClosedForm = None,
     ):
         # identity first: the flow's stages share the grid's polytope
         if polytope is not grid.polytope and not _same_facets(polytope, grid.polytope):
             raise DegenerateInputError("the potential's polytope is not its grid's")
+        if f_values is not None and f_form is not None:
+            raise DegenerateInputError("a potential is node data or a closed form, not both")
         self.polytope = polytope
         self.grid = grid
         self.f_form = f_form
-        self.total_form = total_form
-        if total_form is not None:
-            self.f_values = np.zeros(grid.n_nodes)
-        elif f_values is not None:
-            f_values = np.asarray(f_values, dtype=float)
-            if f_values.shape != (grid.n_nodes,):
-                raise ValueError("f_values must have one entry per grid node")
-            self.f_values = f_values
-        elif f_form is not None:
-            self.f_values = f_form(grid.points[:, 0], grid.points[:, 1])
-        else:
-            self.f_values = np.zeros(grid.n_nodes)
+        if f_form is not None:
+            f_values = f_form(grid.points[:, 0], grid.points[:, 1])
+        self.f_values = np.zeros(grid.n_nodes) if f_values is None else np.asarray(f_values, float)
+        if self.f_values.shape != (grid.n_nodes,):
+            raise ValueError("f_values must have one entry per grid node")
         # partials (a, b) of the node data f, filled on first request by
         # f_partial; the three second partials are the rows of _f_hessian
         self._f_partials = {}
@@ -335,7 +333,7 @@ class SymplecticPotential:
     def provider(self) -> str:
         """How u is differentiated, fixed by its inputs: "analytic" for a closed
         form, "fd" for node data."""
-        return "fd" if self.f_form is None and self.total_form is None else "analytic"
+        return "fd" if self.f_form is None else "analytic"
 
     # -- constructors --------------------------------------------------------
 
@@ -359,14 +357,6 @@ class SymplecticPotential:
     def from_node_values(cls, polytope, grid, f_values):
         return cls(polytope, grid, f_values=f_values)
 
-    @classmethod
-    def from_total_form(cls, polytope, grid, form: ClosedForm):
-        """Potential given entirely by a closed form (no canonical part).
-
-        For synthetic curvature checks, e.g. quadratics on a square.
-        """
-        return cls(polytope, grid, total_form=form)
-
     def with_node_values(self, f_values) -> "SymplecticPotential":
         """Fresh node-data state on the same grid (used by the flow)."""
         return SymplecticPotential.from_node_values(self.polytope, self.grid, f_values)
@@ -377,21 +367,18 @@ class SymplecticPotential:
         """Partials {(a, b): array over nodes} of u with a + b <= `order`."""
         if order > 4:
             raise ValueError("derivatives supported up to order 4")
-        return self._node_partials([key for key in PARTIALS if sum(key) <= order])
-
-    def _node_partials(self, keys) -> dict:
-        """Partials `keys` of u at every node: exact for a closed form, the
-        canonical partials plus those of the node data otherwise."""
-        if self.provider == "analytic":
-            return self._closed_partials(self.grid.points, keys, lambda: self.grid.guillemin_jets)
         base = self.grid.guillemin_jets
-        return {key: base[key] + self.f_partial(key) for key in keys}
+        return {key: base[key] + self.f_partial(key) for key in PARTIALS if sum(key) <= order}
 
     def f_partial(self, key) -> np.ndarray:
-        """Partial key = (a, b) of the node data f at every node, computed on
-        first request: f itself, the grid's first-derivative operators, one
-        product of its stacked Hessian operator for all three second partials,
-        or composed differences for orders 3 and 4."""
+        """Partial key = (a, b) of f at every node.
+
+        A closed form's is exact and computed on each call.  Node data's is
+        computed on first request: f itself, the grid's first-derivative
+        operators, one product of its stacked Hessian operator for all three
+        second partials, or composed differences for orders 3 and 4."""
+        if self.f_form is not None:
+            return self.f_form.partial(*key, *self.grid.points.T)
         if key not in self._f_partials:
             a, b = key
             if a + b == 0:
@@ -410,33 +397,20 @@ class SymplecticPotential:
         at interior points; node data has none (DomainError)."""
         if order > 4:
             raise ValueError("derivatives supported up to order 4")
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        keys = [key for key in PARTIALS if sum(key) <= order]
-        return self._closed_partials(
-            pts, keys, lambda: guillemin_partials(self.polytope, pts, order)
-        )
-
-    def _closed_partials(self, pts: np.ndarray, keys, canonical) -> dict:
-        """Partials `keys` of a closed-form u at pts: the total form alone, or
-        the canonical partials `canonical()` plus those of f_form."""
-        if self.provider == "fd":
+        if self.f_form is None:
             raise DomainError("node-data potentials have no closed-form partials")
-        x, y = pts[:, 0], pts[:, 1]
-        if self.total_form is not None:
-            return {(a, b): self.total_form.partial(a, b, x, y) for (a, b) in keys}
-        base = canonical()
-        return {(a, b): base[(a, b)] + self.f_form.partial(a, b, x, y) for (a, b) in keys}
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        base = guillemin_partials(self.polytope, pts, order)
+        return {(a, b): base[(a, b)] + self.f_form.partial(a, b, pts[:, 0], pts[:, 1])
+                for (a, b) in PARTIALS if a + b <= order}
 
     def hessian_field(self) -> np.ndarray:
         """Components (00, 01, 11) of the Hessian of u at every node, (3, n)."""
-        if self.provider == "analytic":
-            return np.stack(list(self._node_partials(HESSIAN_KEYS).values()))
+        f = [self.f_partial(key) for key in HESSIAN_KEYS]
         # node data, on every flow-velocity evaluation: f_partial fills the
-        # three second partials of f as the rows of one product, _f_hessian,
-        # so the sum is one add
-        for key in HESSIAN_KEYS:
-            self.f_partial(key)
-        return np.add(self.grid.guillemin_jets.hessian, self._f_hessian)
+        # three as the rows of one product, _f_hessian, so the sum is one add
+        return np.add(self.grid.guillemin_jets.hessian,
+                      f if self._f_hessian is None else self._f_hessian)
 
     def hessians(self) -> np.ndarray:
         """(n, 2, 2) Hessian of u at every node."""
@@ -502,8 +476,6 @@ class SymplecticPotential:
         second-order Taylor step from the nearest node.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if self.total_form is not None:
-            raise DomainError("potential has no canonical/correction split")
         if self.provider == "analytic":
             val = self.f_form(pts[:, 0], pts[:, 1])
         else:
@@ -521,8 +493,6 @@ class SymplecticPotential:
         """u at the points of a boundary quadrature, as value_at(quad.points)
         computes it, from the quadrature's canonical values and, for node
         data, its nearest nodes on this grid."""
-        if self.total_form is not None:
-            raise DomainError("potential has no canonical/correction split")
         if quad.polytope_hash != self.polytope.content_hash():
             raise DomainError("boundary quadrature belongs to a different polytope")
         if self.provider == "analytic":

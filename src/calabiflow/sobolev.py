@@ -39,8 +39,11 @@ class ClassTopology:
     euler_char_base: int = -2
 
     def __post_init__(self):
-        if self.volume <= 0 or self.c1_squared <= 0:
-            raise RegimeError("fiber class must have positive volume and c1^2")
+        # each check is written so that NaN fails it
+        if not (0 < self.volume < math.inf and 0 < self.c1_squared < math.inf):
+            raise RegimeError("fiber class must have finite positive volume and c1^2")
+        if not math.isfinite(self.r_bar):
+            raise RegimeError("average scalar curvature r_bar must be finite")
 
     @classmethod
     def standard_o3(cls, euler_char_base: int = -2) -> "ClassTopology":
@@ -182,8 +185,6 @@ def fiber_energy_bound(cls: AdmissibleClass, topo: ClassTopology = None,
     p1, p2 = cls.p
     if cls.m != 1:
         raise RegimeError("controlled-class chain requires a curve base (m = 1)")
-    if cls.scal_S not in (-1.0, 0.0, 1.0):
-        raise RegimeError("base scalar curvature must be normalized to -1, 0 or 1")
     if cls.chi_S == 0 or cls.scal_S == 0.0:
         raise RegimeError(
             "flat base (chi = 0) degenerates the base-volume normalization |4 pi chi|"

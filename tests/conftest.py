@@ -134,7 +134,15 @@ def perturbed_run(triangle_file, bundle_class, tmp_path_factory):
         out_dir=str(out),
     )
     fr = FlowRun(cfg)
-    fr.keep_states = True
+    # the state of each monitor record, for the Sobolev corroboration
+    fr.states, monitor = [], fr.monitor
+
+    def monitor_and_keep_state():
+        rec = monitor()
+        fr.states.append(fr.state)
+        return rec
+
+    fr.monitor = monitor_and_keep_state
     fr.advance()
     fr.write_outputs()
     return fr

@@ -140,20 +140,18 @@ def full_tensors(ctx):
 
 def weighted_scalar_by_blocks(grid, U, cls):
     """(R, scale) at every node of `grid`: the weighted scalar curvature
-    R = scal_S/q - [sum p_rs U_rs + 2 sum p_r d_s U_rs + p sum d_r d_s U_rs] / p
-    of the class weight p = q^m, q = <p, z> + c_S, with every trace a product
-    of one of the grid's jet blocks with one component of U (3, n).  scale is
+    R = scal_S/q - [2 sum p_r d_s U_rs + p sum d_r d_s U_rs] / p
+    of the class weight p = q^m, q = <p, z> + c_S; m is 0 or 1, so the weight
+    is affine with gradient m (p1, p2).  Every trace is a product of one of
+    the grid's jet blocks with one component of U (3, n).  scale is
     the sum of the absolute values of its terms, the size that the rounding of
     any order of summation is relative to."""
     m, q = cls.m, cls.affine(grid.points)
 
     def divergence(D, U, p):
         d = {key: [D[key] @ U[c] for c in range(3)] for key in D}
-        pr = m * q ** (m - 1) if m >= 1 else 0.0 * q
-        prs = m * (m - 1) * q ** (m - 2) if m >= 2 else 0.0 * q
-        div = (prs * (p[0] * p[0] * U[0] + 2.0 * p[0] * p[1] * U[1] + p[1] * p[1] * U[2])
-               + 2.0 * pr * (p[0] * (d[(1, 0)][0] + d[(0, 1)][1])
-                             + p[1] * (d[(1, 0)][1] + d[(0, 1)][2]))
+        div = (2.0 * m * (p[0] * (d[(1, 0)][0] + d[(0, 1)][1])
+                          + p[1] * (d[(1, 0)][1] + d[(0, 1)][2]))
                + q**m * (d[(2, 0)][0] + 2.0 * d[(1, 1)][1] + d[(0, 2)][2]))
         return div / q**m
 

@@ -138,6 +138,40 @@ def test_fiber_bound_rejects_class_without_two_p_entries(capsys, tmp_path, p):
     assert "two entries" in err
 
 
+def test_fiber_bound_rejects_fractional_base_dimension(capsys, tmp_path):
+    cpath = tmp_path / "class.json"
+    cpath.write_text(json.dumps({"p": [1, 1], "c_S": 12, "scal_S": -1, "m": 1.7, "chi_S": -2}))
+    code, out, err = run_cli(capsys, "fiber-bound", "--class", str(cpath))
+    assert code == 2, out
+    assert "whole number" in err
+
+
+def test_flow_rejects_nan_class_constant(capsys, tmp_path, triangle_file):
+    # a NaN c_S once ran the flow to exit 3, "step rejected 11 times at t = 0"
+    cfg = {"polytope": str(triangle_file),
+           "class": {"p": [1, 1], "c_S": math.nan, "scal_S": -1, "m": 1, "chi_S": -2},
+           "max_steps": 1, "out_dir": str(tmp_path / "out")}
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code, _, err = run_cli(capsys, "flow", str(cfg_path))
+    assert code == 2, err
+    assert "finite" in err and not (tmp_path / "out").exists()
+
+
+def test_flow_rejects_polygon_normal_that_is_not_a_pair(capsys, tmp_path, triangle_file):
+    poly = json.loads(Path(triangle_file).read_text())
+    poly["facets"][0]["normal"] = [1]
+    ppath = tmp_path / "poly.json"
+    ppath.write_text(json.dumps(poly))
+    cfg = {"polytope": str(ppath), "class": {"p": [0, 0], "c_S": 1.0, "scal_S": 0, "m": 0},
+           "max_steps": 1, "out_dir": str(tmp_path / "out")}
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code, _, err = run_cli(capsys, "flow", str(cfg_path))
+    assert code == 2, err
+    assert err.startswith("error:")
+
+
 @pytest.mark.parametrize("edit", [{"grid": {"N": "abc"}},
                                   {"perturbation": {"kind": "bump", "center": [0.1]}}],
                          ids=["non-numeric-N", "one-number-center"])

@@ -5,7 +5,6 @@ from calabiflow import (
     AdmissibleClass,
     CurvatureUndefinedError,
     DegenerateInputError,
-    RegimeError,
     SymplecticPotential,
     abreu_scalar,
     abreu_scalar_field,
@@ -22,9 +21,11 @@ from calabiflow import (
     weighted_scalar,
     weighted_scalar_field,
 )
-from calabiflow.curvature import (_d2U_trace, _dU_trace, _point_context, _rm2_total_from_ctx,
-                                  class_record, curvature_context)
+from calabiflow.curvature import (_context_from_jets, _d2U_trace, _dU_trace, _fiber_rm2,
+                                  _point_context, _rm2_total_from_ctx, class_record,
+                                  curvature_context)
 from calabiflow.polytope import DelzantPolytope
+from calabiflow.potential import PARTIALS
 from conftest import interior_points
 from fd_oracle import (agrees_to_sig, full_tensors, oracle_curvature, rm2_total_pieces,
                        sym2_matrices, tensor_field, weighted_scalar_by_blocks)
@@ -65,22 +66,42 @@ def test_abreu_scalar_fs_fd(fs48_fd):
 
 
 def test_quadratic_potential_is_flat():
-    P = square_polytope()
-    g = build_grid(P, 16, 0.05)
-    u = SymplecticPotential.from_total_form(P, g, polynomial_form({(2, 0): 0.5, (0, 2): 0.5}))
-    assert np.abs(abreu_scalar_field(u)).max() <= 1e-12
-    assert np.abs(fiber_riemann_norm_field(u)).max() <= 1e-12
+    # the partials of (x^2 + y^2) / 2 at the nodes of a square grid
+    x, y = build_grid(square_polytope(), 16, 0.05).points.T
+    partials = {key: np.zeros_like(x) for key in PARTIALS}
+    partials.update({(0, 0): 0.5 * (x * x + y * y), (1, 0): x, (0, 1): y,
+                     (2, 0): np.ones_like(x), (0, 2): np.ones_like(x)})
+    d2U = _context_from_jets(partials)["d2U"]
+    assert np.abs(_d2U_trace(d2U)).max() <= 1e-12
+    assert np.abs(_fiber_rm2(d2U)).max() <= 1e-12
 
 
-def test_indefinite_hessian_raises():
-    P = square_polytope()
-    g = build_grid(P, 16, 0.05)
-    u = SymplecticPotential.from_total_form(P, g, polynomial_form({(2, 0): 0.5, (0, 2): -0.5}))
+def test_indefinite_hessian_raises(triangle, grid48):
+    # f = -2 x^2 takes 4 from u_xx, which is at most 2.5 at the nodes
+    u = SymplecticPotential.from_closed_form(triangle, grid48, polynomial_form({(2, 0): -2.0}))
     with pytest.raises(CurvatureUndefinedError):
         abreu_scalar_field(u)
 
 
 # -- weighted scalar ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("key, value", [("m", 1.7), ("m", 2), ("chi_S", -2.5), ("c_S", np.nan),
+                                        ("p", (np.nan, 1.0)), ("p", "11")],
+                         ids=["fractional-m", "surface-base", "fractional-chi", "nan-c_S",
+                              "nan-p", "string-p"])
+def test_class_refuses_values_outside_its_schema(key, value):
+    # each of these was once built: 1.7 ran as m = 1, and a NaN ran the flow
+    # to a numerical termination
+    args = {"p": (1.0, 1.0), "c_S": 12.0, "scal_S": -1.0, "m": 1, "chi_S": -2, key: value}
+    with pytest.raises(DegenerateInputError):
+        AdmissibleClass(**args)
+
+
+def test_class_coerces_its_fields():
+    cls = AdmissibleClass([1, 1], 12, -1, 1.0, -2.0)
+    assert cls == AdmissibleClass((1.0, 1.0), 12.0, -1.0, 1, -2)
+    assert [type(v) for v in (*cls.p, cls.c_S, cls.scal_S, cls.m, cls.chi_S)] == [float] * 4 + [int] * 2
 
 
 def test_weighted_trivial_reduces_to_abreu(fs48):
@@ -128,10 +149,10 @@ def test_blocks_symmetry(fs48, bundle_class, rng, triangle):
         np.testing.assert_allclose(T, np.swapaxes(np.swapaxes(T, 0, 2), 1, 3), atol=1e-10)
 
 
-def test_blocks_reject_surface_base(fs48):
-    cls = AdmissibleClass((1.0, 1.0), 12.0, -1.0, 2, -2)
-    with pytest.raises(RegimeError):
-        admissible_blocks(fs48, cls, (0.0, 0.0))
+def test_blocks_reject_surface_base():
+    # a surface base (m = 2) is refused when the class is built
+    with pytest.raises(DegenerateInputError, match="base dimension"):
+        AdmissibleClass((1.0, 1.0), 12.0, -1.0, 2, -2)
 
 
 def test_trace_identity_three_classes(fs48, triangle, rng):
@@ -245,18 +266,15 @@ def test_fd_context_traces_match_full_tensors(poly, grid, request):
 
 
 @pytest.mark.parametrize(
-    "cls", CLASSES[:2] + [AdmissibleClass((2.0, 1.0), 12.0, 1.0, 2, 2), AdmissibleClass.trivial()]
+    "cls", CLASSES[:2] + [AdmissibleClass.trivial()]
 )
 def test_weighted_scalar_matches_full_tensor_formula(triangle, grid48, cls):
     u = _cubic_fd(triangle, grid48)
     ctx = curvature_context(u)
     _, U, dU, d2U = full_tensors(ctx)
     q = cls.affine(grid48.points)
-    p = np.asarray(cls.p)
-    pr = cls.m * q[:, None] ** (cls.m - 1) * p if cls.m >= 1 else np.zeros((len(q), 2))
-    prs = (cls.m * (cls.m - 1) * q ** (cls.m - 2))[:, None, None] * np.outer(p, p)
-    div = (np.einsum("nrs,nrs->n", prs, U)
-           + 2.0 * np.einsum("nr,nsrs->n", pr, dU)
+    # the weight q^m is affine (m is 0 or 1), with gradient m p
+    div = (2.0 * cls.m * np.einsum("r,nsrs->n", np.asarray(cls.p), dU)
            + q**cls.m * np.einsum("nrsrs->n", d2U))
     ref = cls.scal_S / q - div / q**cls.m
     np.testing.assert_allclose(weighted_scalar_field(u, cls), ref, rtol=1e-12, atol=1e-12)
@@ -383,8 +401,7 @@ def test_velocity_operator_matches_block_trace_formula(poly, grid, request, bund
     x, y = g.points[:, 0], g.points[:, 1]
     u = SymplecticPotential.from_node_values(P, g, _cubic_fd(P, g).f_values + bump_form(0.05)(x, y))
     U = curvature_context(u)["U"]
-    for cls in (bundle_class, AdmissibleClass.trivial(), AdmissibleClass((0.7, 0.3), 13.1, 1.0, 1, 2),
-                AdmissibleClass((2.0, 1.0), 12.0, 1.0, 2, 2)):
+    for cls in (bundle_class, AdmissibleClass.trivial(), AdmissibleClass((0.7, 0.3), 13.1, 1.0, 1, 2)):
         R = weighted_scalar_field(u, cls)
         # one product of the class operator with the contiguous components
         L = class_record(g, cls).L

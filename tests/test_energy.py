@@ -15,6 +15,7 @@ from calabiflow import (
     interior_quadrature,
     mixed_trace,
     polynomial_form,
+    standard_triangle,
     weighted_scalar_field,
 )
 from calabiflow.energy import (
@@ -71,6 +72,24 @@ def test_average_scalar_trivial(triangle, grid96):
 def test_average_scalar_constant_weight(triangle, grid96):
     cls = AdmissibleClass((0.0, 0.0), 2.0, -1.0, 1, -2)
     assert average_scalar(triangle, cls, grid96) == pytest.approx(-0.5 + 4.0, abs=1e-10)
+
+
+def test_average_scalar_refuses_a_grid_of_another_polytope(triangle, hexagon, grid48,
+                                                          bundle_class):
+    # the triangle's grid once gave the triangle's average, 3.0278, not the
+    # hexagon's, 3.9167
+    with pytest.raises(DegenerateInputError):
+        average_scalar(hexagon, bundle_class, grid48)
+    # the same facets in another object are the grid's polytope
+    assert (average_scalar(standard_triangle(), bundle_class, grid48)
+            == average_scalar(triangle, bundle_class, grid48))
+
+
+def test_average_scalar_refuses_a_quadrature_of_another_polytope(triangle, hexagon, grid48,
+                                                                bundle_class):
+    # the hexagon's boundary panels once gave the triangle 3.0278 all the same
+    with pytest.raises(DomainError):
+        average_scalar(triangle, bundle_class, grid48, boundary_quadrature(hexagon))
 
 
 def test_average_scalar_two_routes(triangle, grid96, fs96, bundle_class):

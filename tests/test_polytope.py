@@ -293,6 +293,24 @@ def test_polytope_json_roundtrip(tmp_path, triangle):
     np.testing.assert_allclose(back.offsets, triangle.offsets)
 
 
+@pytest.mark.parametrize("normal", [[1.5, 0], [1, 0, 7], [1], [float("nan"), 0], [float("inf"), 0]],
+                         ids=["fraction", "three-entries", "one-entry", "nan", "inf"])
+def test_rejects_normal_that_is_not_a_pair_of_whole_numbers(normal):
+    # a fraction or a third entry was once truncated away, [1, 0] in both cases
+    with pytest.raises(DegenerateInputError):
+        DelzantPolytope([normal, [0, 1], [-1, -1]], [1.0, 1.0, 1.0])
+
+
+@pytest.mark.parametrize("normal", [[1, 0, 7], [1]], ids=["three-entries", "one-entry"])
+def test_loader_rejects_normal_that_is_not_a_pair(tmp_path, normal):
+    data = standard_triangle().to_dict()
+    data["facets"][0]["normal"] = normal
+    path = tmp_path / "poly.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(DegenerateInputError):
+        load_polytope(path)
+
+
 def test_loader_rejects_non_primitive(tmp_path):
     path = tmp_path / "bad.json"
     with open(path, "w") as fh:
@@ -503,6 +521,22 @@ def test_field_jets_stacked_equals_single(hex_grid):
         single = hex_grid.field_jets(F[:, c].copy())
         for key, val in single.items():
             assert np.array_equal(stacked[key][:, c], val), key
+
+
+def test_grid_operators_are_read_only(triangle, bundle_class):
+    from calabiflow.curvature import class_record
+
+    g = build_grid(triangle, 24, 0.5 * 3.0 / 24)
+    f = np.random.default_rng(24).standard_normal(g.n_nodes)
+    before = g.hessian_operator @ f
+    # max would sort the block's rows in place, reordering the stacked
+    # operator whose memory it shares and moving its products by ~1e-14
+    with pytest.raises(ValueError):
+        g.jet_blocks[(2, 0)].max()
+    assert np.array_equal(g.hessian_operator @ f, before)
+    ops = [*g.axis_operators.values(), *g.jet_blocks.values(), g.hessian_operator,
+           class_record(g, bundle_class).L]
+    assert not any(a.flags.writeable for A in ops for a in (A.data, A.indices, A.indptr))
 
 
 def test_hessian_blocks_are_views_of_the_stacked_operator(hexagon, bundle_class):

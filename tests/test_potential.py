@@ -114,6 +114,13 @@ def test_potential_polytope_must_be_its_grids(triangle, grid48, hexagon, hex_gri
     assert np.array_equal(u.hessian_field(), fs.hessian_field())
 
 
+def test_potential_is_node_data_or_a_closed_form_not_both(triangle, grid48):
+    form = bump_form(0.05)
+    # both were once accepted: the curvature read the form, the snapshots the node data
+    with pytest.raises(DegenerateInputError):
+        SymplecticPotential(triangle, grid48, f_values=form(*grid48.points.T), f_form=form)
+
+
 def test_fubini_study_needs_a_grid_of_the_triangle(triangle, grid48, hex_grid):
     # the hexagon's canonical potential is not Fubini-Study: its scalar
     # curvature is not 4
@@ -312,24 +319,15 @@ def test_boundary_values_match_value_at(poly, request):
             assert np.array_equal(u.boundary_values(quad), u.value_at(quad.points)), u.provider
 
 
-def _square_grid():
-    P = DelzantPolytope(np.array([[1, 0], [0, 1], [-1, 0], [0, -1]]), np.array([1.0, 1.0, 1.0, 1.0]))
-    return P, build_grid(P, 16, 0.05)
-
-
 def _potential_of_kind(kind, triangle, grid48):
     form = bump_form(0.05, (0.1, -0.2), 0.7)
     if kind == "closed_form":
         return SymplecticPotential.from_closed_form(triangle, grid48, form)
-    if kind == "node_values":
-        return SymplecticPotential.from_node_values(
-            triangle, grid48, form(grid48.points[:, 0], grid48.points[:, 1]))
-    P, g = _square_grid()
-    total = polynomial_form({(2, 0): 0.5, (0, 2): 0.5, (3, 0): 0.05, (1, 2): -0.03})
-    return SymplecticPotential.from_total_form(P, g, total)
+    return SymplecticPotential.from_node_values(
+        triangle, grid48, form(grid48.points[:, 0], grid48.points[:, 1]))
 
 
-@pytest.mark.parametrize("kind", ["closed_form", "node_values", "total_form"])
+@pytest.mark.parametrize("kind", ["closed_form", "node_values"])
 def test_gradient_and_hessian_at_match_evaluate(kind, triangle, grid48, rng):
     u = _potential_of_kind(kind, triangle, grid48)
     for k in rng.choice(u.grid.n_nodes, size=25, replace=False):
@@ -337,14 +335,6 @@ def test_gradient_and_hessian_at_match_evaluate(kind, triangle, grid48, rng):
         jet = u.evaluate(x, order=2)
         np.testing.assert_allclose(u.gradient_at(x), jet.gradient, rtol=0, atol=1e-12)
         np.testing.assert_allclose(u.hessian_at(x), jet.hessian, rtol=0, atol=1e-12)
-
-
-def test_total_form_hessian_at_is_the_forms_hessian():
-    P, g = _square_grid()
-    u = SymplecticPotential.from_total_form(P, g, polynomial_form({(2, 0): 0.5, (0, 2): 0.5}))
-    x = np.array([0.3, -0.2])
-    assert np.array_equal(u.hessian_at(x), np.eye(2))
-    assert np.array_equal(u.gradient_at(x), x)
 
 
 def test_node_data_has_no_off_grid_partials(triangle, grid48):

@@ -143,6 +143,13 @@ def test_topology_validation():
         ClassTopology(c1_squared=4.5, volume=-1.0, r_bar=4.0)
 
 
+@pytest.mark.parametrize("key", ["c1_squared", "volume", "r_bar"])
+def test_topology_refuses_nan(key):
+    args = {"c1_squared": 4.5, "volume": 9.0 * PI2, "r_bar": 4.0, key: math.nan}
+    with pytest.raises(RegimeError):
+        ClassTopology(**args)
+
+
 def test_ratio_constant_function(fs48):
     triv = AdmissibleClass.trivial()
     worst = sobolev_inequality_test(fs48, triv, [("one", lambda p: np.ones(len(p)),
@@ -168,7 +175,7 @@ def test_ratio_below_certificate(fs48, bundle_class):
     assert worst <= fb.certificate.sobolev_bound
 
 
-@pytest.mark.parametrize("m", [0, 1, 2])
+@pytest.mark.parametrize("m", [0, 1])
 def test_ratio_reads_the_class_record_weight(monkeypatch, fs48, m):
     cls = AdmissibleClass((1.0, 1.0), 12.0, -1.0, m, -2)
     assert np.array_equal(class_record(fs48.grid, cls).pw, cls.weight(fs48.grid.points))
