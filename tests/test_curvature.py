@@ -265,9 +265,7 @@ def test_fd_context_traces_match_full_tensors(poly, grid, request):
     assert np.array_equal(_d2U_trace(ctx["d2U"]), np.einsum("nrsrs->n", d2U))
 
 
-@pytest.mark.parametrize(
-    "cls", CLASSES[:2] + [AdmissibleClass.trivial()]
-)
+@pytest.mark.parametrize("cls", CLASSES + [AdmissibleClass.trivial()])
 def test_weighted_scalar_matches_full_tensor_formula(triangle, grid48, cls):
     u = _cubic_fd(triangle, grid48)
     ctx = curvature_context(u)
