@@ -3,9 +3,11 @@
 Everything is computed from the inverse-Hessian field U = (Hess u)^{-1} and
 its first two derivatives, the U-jets: exact matrix calculus for potentials
 with a closed form, field differencing for node data.  Each symmetric 2x2
-field is held by its components (00, 01, 11), a (3, n) array, and each U-jet
-is such an array keyed by its partial (a, b); the fields are contracted
-entry by entry with the 2x2 helpers of calabiflow.potential.
+field is held by its components (00, 01, 11), a (3, n) array, and the U-jets
+in the layout of the grid's jet operators, partial-major: dU (2, 3, n) with
+dU[k] the components of d_k U, and d2U (3, 3, n) with d2U[kl] those of
+d_k d_l U, kl = 00, 01, 11.  The fields are contracted entry by entry with
+the 2x2 helpers of calabiflow.potential.
 
 The weighted scalar curvature of node data, the flow velocity, is linear in
 U: it is one sparse product of the class record's operator L (see
@@ -26,7 +28,7 @@ import numpy as np
 
 from ._serialize import json_value
 from .errors import CurvatureUndefinedError, DegenerateInputError, DomainError
-from .polytope import JET_KEYS, DelzantPolytope, Grid, _frozen
+from .polytope import DelzantPolytope, Grid, _frozen
 from .potential import (HESSIAN_KEYS, SymplecticPotential, _mat2, _mat2_product, _sym2_dot,
                         _sym2_eigenvalues, _sym2_inverse, _sym2_matrix, _sym2_sandwich,
                         _trace_of_square)
@@ -118,9 +120,10 @@ class ClassRecord:
 
     With a_r = 2 m p_r / q the blocks of L are
     L00 = diag(a0) Dx + Dxx,  L01 = diag(a0) Dy + diag(a1) Dx + 2 Dxy,
-    L11 = diag(a1) Dy + Dyy; D are the grid's jet_blocks.  The weight q^m
-    is affine for m in {0, 1}, so no second derivative of it enters.  L's
-    arrays are read-only, like the grid's operators.
+    L11 = diag(a1) Dy + Dyy; D are the row blocks of the grid's
+    gradient_operator and hessian_operator.  The weight q^m is affine for m
+    in {0, 1}, so no second derivative of it enters.  L's arrays are
+    read-only, like the grid's operators.
     """
 
     q: np.ndarray
@@ -130,10 +133,12 @@ class ClassRecord:
 
 
 def _velocity_operator(grid: Grid, cls: AdmissibleClass, q: np.ndarray):
-    """The operator L of ClassRecord; it keeps the int32 indices of the blocks."""
+    """The operator L of ClassRecord; it keeps the int32 indices of the grid's operators."""
     from scipy import sparse
 
-    Dx, Dy, Dxx, Dyy, Dxy = (grid.jet_blocks[key] for key in JET_KEYS)
+    G, H, n = grid.gradient_operator, grid.hessian_operator, grid.n_nodes
+    Dx, Dy, Dxx, Dxy, Dyy = (A[k * n : (k + 1) * n]
+                             for A, k in ((G, 0), (G, 1), (H, 0), (H, 1), (H, 2)))
     a0, a1 = (sparse.diags_array(2.0 * cls.m * p / q) for p in cls.p)
     L00, L01, L11 = a0 @ Dx + Dxx, a0 @ Dy + a1 @ Dx + 2.0 * Dxy, a1 @ Dy + Dyy
     return _frozen(sparse.hstack([L00, L01, L11], format="csr"))
@@ -196,16 +201,16 @@ def _spd_inverse(G) -> tuple:
     return _sym2_inverse(G, sq), lo
 
 
-def _dU_trace(dU: dict) -> np.ndarray:
+def _dU_trace(dU: np.ndarray) -> np.ndarray:
     """dU_trace[s, r] = d_s U_rs, from the first U-jets."""
-    return np.array([[dU[(1, 0)][0], dU[(1, 0)][1]], [dU[(0, 1)][1], dU[(0, 1)][2]]])
+    return np.stack([dU[0, :2], dU[1, 1:]])
 
 
-def _d2U_trace(d2U: dict) -> np.ndarray:
+def _d2U_trace(d2U: np.ndarray) -> np.ndarray:
     """The sum of d_r d_s U_rs over rs = 00, 01, 10, 11 in this order, from
     the second U-jets."""
-    dxy01 = d2U[(1, 1)][1]
-    return ((d2U[(2, 0)][0] + dxy01) + dxy01) + d2U[(0, 2)][2]
+    dxy01 = d2U[1, 1]
+    return ((d2U[0, 0] + dxy01) + dxy01) + d2U[2, 2]
 
 
 def _context_from_jets(p: dict) -> dict:
@@ -213,8 +218,8 @@ def _context_from_jets(p: dict) -> dict:
 
     G, U    : (3, n) components (00, 01, 11) of Hess u and of its inverse
     min_eig : (n,) lower eigenvalue of G
-    dU, d2U : the U-jets, {(a, b): (3, n) components of the partial (a, b)
-              of U}, for (1, 0), (0, 1) and for (2, 0), (1, 1), (0, 2)
+    dU, d2U : the U-jets, (2, 3, n) and (3, 3, n): dU[k] the components of
+              d_k U, k = 0, 1, and d2U[kl] those of d_k d_l U, kl = 00, 01, 11
 
     With T3_k = (u_ijk)_ij and T4_kl = (u_ijkl)_ij read from the partials,
     dU_k = -U T3_k U and d2U_kl = -((U T4_kl U + C) + C^T), C = dU_l T3_k U.
@@ -226,13 +231,12 @@ def _context_from_jets(p: dict) -> dict:
         return tuple(p[(order - m - c, m + c)] for c in range(3))
 
     T3 = [T(k, 3) for k in (0, 1)]
-    dU = {key: -_sym2_sandwich(U, T3[k]) for k, key in enumerate(JET_KEYS[:2])}
-    d2U = {}
-    for (k, l), key in zip(((0, 0), (0, 1), (1, 1)), HESSIAN_KEYS):
-        c00, c01, c10, c11 = _mat2_product(
-            _mat2_product(_mat2(dU[JET_KEYS[l]]), _mat2(T3[k])), _mat2(U))
+    dU = -np.stack([_sym2_sandwich(U, T3[k]) for k in (0, 1)])
+    d2U = np.empty((3, *U.shape))
+    for kl, (k, l) in enumerate(((0, 0), (0, 1), (1, 1))):
+        c00, c01, c10, c11 = _mat2_product(_mat2_product(_mat2(dU[l]), _mat2(T3[k])), _mat2(U))
         s00, s01, s11 = _sym2_sandwich(U, T(k + l, 4))
-        d2U[key] = -np.stack([(s00 + c00) + c00, (s01 + c01) + c10, (s11 + c11) + c11])
+        d2U[kl] = -np.stack([(s00 + c00) + c00, (s01 + c01) + c10, (s11 + c11) + c11])
     return {"G": G, "U": U, "min_eig": min_eig, "dU": dU, "d2U": d2U}
 
 
@@ -241,26 +245,28 @@ def _context_fd(u: SymplecticPotential) -> dict:
     inverse-Hessian components (see _FdContext)."""
     G = u.hessian_field()
     U, min_eig = _spd_inverse(G)
-    return _FdContext({"G": G, "U": U, "min_eig": min_eig}, u.grid.jet_blocks)
+    return _FdContext({"G": G, "U": U, "min_eig": min_eig}, u.grid)
 
 
 class _FdContext(dict):
     """Derivative context of an fd potential, with the fields of
     _context_from_jets.  Only G, U and min_eig are filled at once: the flow
-    velocity reads U alone (see weighted_scalar_field).  The U-jets, the
-    grid's jet_blocks applied to each component of U, are built on first
-    access and kept."""
+    velocity reads U alone (see weighted_scalar_field).  The U-jets are built
+    together on first access of either and kept: one product of the grid's
+    gradient_operator and one of its hessian_operator per component of U,
+    six in all."""
 
-    def __init__(self, fields: dict, blocks: dict):
+    def __init__(self, fields: dict, grid: Grid):
         super().__init__(fields)
-        self._blocks = blocks
+        self._operators = {"dU": grid.gradient_operator, "d2U": grid.hessian_operator}
 
     def __missing__(self, key):
-        if key not in ("dU", "d2U"):
+        if key not in self._operators:
             raise KeyError(key)
-        jets = {jet: np.stack([D @ e for e in self["U"]]) for jet, D in self._blocks.items()}
-        self["dU"] = {jet: jets[jet] for jet in JET_KEYS[:2]}
-        self["d2U"] = {jet: jets[jet] for jet in HESSIAN_KEYS}
+        U = self["U"]
+        for name, A in self._operators.items():
+            # the partial-major layout: [partial, component, node]
+            self[name] = np.stack([(A @ e).reshape(-1, len(e)) for e in U], axis=1)
         return self[key]
 
 
@@ -296,10 +302,7 @@ def _point_context(u: SymplecticPotential, pt, k) -> dict:
     if k is None:
         return _context_from_jets(u.partials_at(pt[None, :]))
     ctx = curvature_context(u)
-    one = {key: ctx[key][..., k : k + 1] for key in ("G", "U", "min_eig")}
-    for key in ("dU", "d2U"):
-        one[key] = {jet: a[:, k : k + 1] for jet, a in ctx[key].items()}
-    return one
+    return {key: ctx[key][..., k : k + 1] for key in ("G", "U", "min_eig", "dU", "d2U")}
 
 
 # ---------------------------------------------------------------------------
@@ -311,12 +314,10 @@ def abreu_scalar_field(u: SymplecticPotential) -> np.ndarray:
     return -_d2U_trace(curvature_context(u)["d2U"])
 
 
-def _fiber_rm2(d2U: dict) -> np.ndarray:
+def _fiber_rm2(d2U: np.ndarray) -> np.ndarray:
     """|Rm|^2 of the fiber metric: (1/4) sum (u^{ij})_{,kl} (u^{kl})_{,ij}, that
-    is, the sum over kl = 00, 01, 10, 11 of <J[kl], J[:, kl]> with J[kl] the
-    components of d_k d_l U."""
-    J = np.stack([d2U[key] for key in HESSIAN_KEYS])
-    t00, t01, t11 = (_sym2_dot(J[c], J[:, c]) for c in range(3))
+    is, the sum over kl = 00, 01, 10, 11 of <d2U[kl], d2U[:, kl]>."""
+    t00, t01, t11 = (_sym2_dot(d2U[c], d2U[:, c]) for c in range(3))
     return 0.25 * ((t00 + 2.0 * t01) + t11)
 
 
@@ -377,7 +378,7 @@ def _rm2_total_from_ctx(ctx: dict, cls: AdmissibleClass, q: np.ndarray,
     A = Hp0 * p0 + Hp1 * p1
     # pH3_ij = sum_k p_k H3_ijk with H3_ijk = sum_m U_km d_m U_ij (the chain
     # rule to dual coordinates), so pH3_ij = sum_m Hp_m d_m U_ij
-    pH3 = Hp0 * ctx["dU"][(1, 0)] + Hp1 * ctx["dU"][(0, 1)]
+    pH3 = Hp0 * ctx["dU"][0] + Hp1 * ctx["dU"][1]
     M = -pH3 + np.stack([Hp0 * Hp0, Hp0 * Hp1, Hp1 * Hp1]) / pw
 
     term1 = (2.0 * a * pw + A) ** 2 / (4.0 * pw**4)
@@ -394,8 +395,8 @@ def _blocks_from_ctx(ctx: dict, cls: AdmissibleClass, q: np.ndarray) -> dict:
     pw, A = parts["pw"], parts["A"]
     pH3, M, G, U = (_sym2_matrix(S) for S in (parts["pH3"], parts["M"], ctx["G"], ctx["U"]))
     # dU[:, k, i, j] = d_k U_ij and d2U[:, k, l, i, j] = d_k d_l U_ij
-    dU = _sym2_matrix(np.stack([ctx["dU"][key] for key in JET_KEYS[:2]], axis=-1))
-    d2U = _sym2_matrix(_sym2_matrix(np.stack([ctx["d2U"][key] for key in HESSIAN_KEYS])))
+    dU = _sym2_matrix(np.moveaxis(ctx["dU"], 0, -1))
+    d2U = _sym2_matrix(_sym2_matrix(ctx["d2U"]))
 
     # chain rule to the dual-coordinate derivative tensors of H = U
     H3 = np.einsum("nkm,nmij->nijk", U, dU)

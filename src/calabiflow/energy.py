@@ -17,9 +17,9 @@ from .curvature import (
     rm2_total_field,
     weighted_scalar_field,
 )
-from .errors import DegenerateInputError, DomainError
-from .polytope import JET_KEYS, BoundaryQuadrature, DelzantPolytope, Grid, boundary_quadrature
-from .potential import HESSIAN_KEYS, SymplecticPotential, _same_facets, _sym2_dot, _trace_of_square
+from .errors import DegenerateInputError
+from .polytope import HESSIAN_KEYS, BoundaryQuadrature, DelzantPolytope, Grid, quadrature_for
+from .potential import SymplecticPotential, _sym2_dot, _trace_of_square
 
 
 def interior_quadrature(grid: Grid, integrand: np.ndarray) -> float:
@@ -40,10 +40,10 @@ def interior_quadrature(grid: Grid, integrand: np.ndarray) -> float:
 def boundary_integral(P: DelzantPolytope, values_fn, quad: BoundaryQuadrature = None) -> float:
     """Integral over the boundary against the lattice measure.
 
-    values_fn maps an (M, 2) array of boundary points to values.
+    values_fn maps an (M, 2) array of boundary points to values.  The
+    boundary quadrature must be one of P (DomainError).
     """
-    if quad is None:
-        quad = boundary_quadrature(P)
+    quad = quadrature_for(P, quad)
     vals = np.asarray(values_fn(quad.points), dtype=float)
     return float(np.dot(quad.weights, vals))
 
@@ -59,13 +59,9 @@ def average_scalar(P: DelzantPolytope, cls: AdmissibleClass, grid: Grid,
     grid must be one of P (DegenerateInputError), and so must the boundary
     quadrature (DomainError, as in SymplecticPotential.boundary_values).
     """
-    # identity first: a run's grid, quadrature and potentials share its polytope
-    if P is not grid.polytope and not _same_facets(P, grid.polytope):
+    if P != grid.polytope:
         raise DegenerateInputError("the grid is not one of the polytope")
-    if quad is None:
-        quad = boundary_quadrature(P)
-    elif quad.polytope_hash != P.content_hash():
-        raise DomainError("boundary quadrature belongs to a different polytope")
+    quad = quadrature_for(P, quad)
     rec = class_record(grid, cls)
     base = cls.scal_S * interior_quadrature(grid, rec.pw / rec.q)
     bdry = 2.0 * float(np.dot(quad.weights, cls.weight(quad.points)))
@@ -95,9 +91,9 @@ class EnergyReport:
 def _r_hessian_parts(u: SymplecticPotential, cls: AdmissibleClass, R: np.ndarray):
     """(U, Rh, p) at every node: the inverse Hessian of u, the Hessian of a
     scalar-curvature node field R by second differences (both as components
-    (3, n)), the class weight."""
-    jets = u.grid.field_jets(R, JET_KEYS[2:])
-    Rh = np.stack([jets[key] for key in HESSIAN_KEYS])
+    (3, n)), the class weight.  Hess R is one product of the grid's
+    hessian_operator."""
+    Rh = np.stack(list(u.grid.field_jets(R, HESSIAN_KEYS).values()))
     return curvature_context(u)["U"], Rh, class_record(u.grid, cls).pw
 
 
@@ -127,8 +123,7 @@ def fiber_average_scalar(P: DelzantPolytope) -> float:
 def energy_report(u: SymplecticPotential, cls: AdmissibleClass,
                   quad: BoundaryQuadrature = None) -> EnergyReport:
     grid = u.grid
-    if quad is None:
-        quad = boundary_quadrature(u.polytope)
+    quad = quadrature_for(u.polytope, quad)
     pw = class_record(grid, cls).pw
     area = interior_quadrature(grid, np.ones(grid.n_nodes))
     wvol = interior_quadrature(grid, pw)
@@ -161,11 +156,8 @@ def energy_report(u: SymplecticPotential, cls: AdmissibleClass,
 
 def mixed_trace(u0: SymplecticPotential, u1: SymplecticPotential):
     """(int u0_{ij} u1^{ij} dmu, int u1_{ij} u0^{ij} dmu) on a shared grid."""
-    if u0.grid is not u1.grid and (
-        u0.grid.n != u1.grid.n
-        or u0.grid.delta_min != u1.grid.delta_min
-        or u0.polytope.content_hash() != u1.polytope.content_hash()
-    ):
+    if u0.grid is not u1.grid and ((u0.grid.n, u0.grid.delta_min, u0.polytope)
+                                   != (u1.grid.n, u1.grid.delta_min, u1.polytope)):
         raise DegenerateInputError("mixed trace requires both potentials on the same grid")
     ctx0, ctx1 = curvature_context(u0), curvature_context(u1)
     t01 = interior_quadrature(u0.grid, _sym2_dot(ctx0["G"], ctx1["U"]))

@@ -339,7 +339,9 @@ class FlowRun:
         self.records.append(rec)
         return rec
 
-    def _fill_rate_residuals(self, floor: float = 1e-14) -> None:
+    def _fill_rate_residuals(self) -> None:
+        # |d(Ca)/dt + 2 dissipation| / dissipation of every record, the
+        # dissipation floored at 1e-14, d(Ca)/dt by differences of the records
         rs = self.records
         for k in range(len(rs)):
             if len(rs) < 2:
@@ -351,7 +353,7 @@ class FlowRun:
             else:
                 dca = (rs[k + 1].calabi - rs[k - 1].calabi) / (rs[k + 1].t - rs[k - 1].t)
             rs[k].calabi_rate_residual = abs(dca + 2.0 * rs[k].dissipation) / max(
-                rs[k].dissipation, floor
+                rs[k].dissipation, 1e-14
             )
 
     # -- driving ------------------------------------------------------------

@@ -182,7 +182,7 @@ def _point_segment_distance(x, a, b) -> float:
     return math.hypot(dx, dy)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DelzantPolytope:
     """Convex lattice polygon in facet presentation l_i(x) = <x, v_i> + c_i.
 
@@ -192,7 +192,9 @@ class DelzantPolytope:
 
     Construction raises DegenerateInputError unless each normal is a pair of
     finite whole numbers ([1.0, 0] is [1, 0]) and each offset finite, and the
-    facets bound a Delzant polygon.
+    facets bound a Delzant polygon.  Two polytopes are equal, and hash alike,
+    when their content hashes are: the same facets in the same order, with
+    offsets equal bit for bit (-0.0 is not 0.0).
     """
 
     normals: np.ndarray
@@ -277,9 +279,9 @@ class DelzantPolytope:
         x = np.asarray(x, dtype=float)
         return x @ self.normals.T.astype(float) + self.offsets
 
-    def contains(self, x, strict: bool = True) -> bool:
-        vals = self.facet_values(x)
-        return bool(np.all(vals > 0) if strict else np.all(vals >= -1e-12))
+    def contains(self, x) -> bool:
+        """Whether x is in the open polytope."""
+        return bool(np.all(self.facet_values(x) > 0))
 
     @property
     def area(self) -> float:
@@ -342,6 +344,12 @@ class DelzantPolytope:
         """SHA-256 of the sorted JSON of to_dict, computed when the polytope is built."""
         return self._content_hash
 
+    def __eq__(self, other):
+        return isinstance(other, DelzantPolytope) and self._content_hash == other._content_hash
+
+    def __hash__(self):
+        return hash(self._content_hash)
+
 
 def from_dict(data: dict) -> DelzantPolytope:
     """The polytope of a {"facets": [{"normal": [a, b], "offset": c}, ...]}
@@ -396,12 +404,14 @@ _D2_STENCILS = [
     ((0, -1, -2), (1.0, -2.0, 1.0)),
 ]
 
-# the partials of Grid.jet_blocks, in order
-JET_KEYS = ((1, 0), (0, 1), (2, 0), (0, 2), (1, 1))
-
-# The partials (a, b) of the Hessian components (00, 01, 11); the second
-# derivatives d_k d_l of any field are keyed the same way, kl = 00, 01, 11.
+# The partials (a, b) of the rows of Grid.gradient_operator, and those of the
+# rows of Grid.hessian_operator, which are the Hessian components (00, 01, 11);
+# the derivatives d_k and d_k d_l of any field are ordered the same way, k = 0, 1
+# and kl = 00, 01, 11.
+GRADIENT_KEYS = ((1, 0), (0, 1))
 HESSIAN_KEYS = ((2, 0), (1, 1), (0, 2))
+# the first and second partials, the default of Grid.field_jets
+JET_KEYS = GRADIENT_KEYS + HESSIAN_KEYS
 
 # lattice offsets (di, dj) of the columns of Grid.neighbors8
 OFFSETS8 = np.array([(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)])
@@ -420,19 +430,6 @@ def _csr(rows, cols, vals, shape):
     return sparse.csr_array((vals[order], cols[order].astype(np.int32), indptr), shape=shape)
 
 
-def _row_block(A, k: int, n: int):
-    """Rows k n : (k + 1) n of a CSR matrix A, as a CSR matrix whose data and
-    indices are views of A's; only its row pointer is new."""
-    from scipy import sparse
-
-    lo, hi = A.indptr[k * n], A.indptr[(k + 1) * n]
-    B = sparse.csr_array((A.data[lo:hi], A.indices[lo:hi], A.indptr[k * n : (k + 1) * n + 1] - lo),
-                         shape=(n, A.shape[1]))
-    # the constructor copies a view of a much larger array; put the views back
-    B.data, B.indices = A.data[lo:hi], A.indices[lo:hi]
-    return B
-
-
 def _entries(A):
     """(rows, cols, vals) of a CSR matrix in storage order."""
     rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
@@ -442,7 +439,7 @@ def _entries(A):
 def _frozen(A):
     """A with read-only data, indices and row pointer, so that a read which
     sorts its rows in place (scipy's max or abs) raises ValueError instead of
-    reordering A and the views that share its memory."""
+    reordering A and moving the bits of its products."""
     for a in (A.data, A.indices, A.indptr):
         a.flags.writeable = False
     return A
@@ -459,9 +456,9 @@ class Grid:
 
     Every linear derivative operator is a sparse (CSR) matrix over the node
     list, compiled once per grid: the axis stencils in ``axis_operators``,
-    one operator per first/second partial in ``jet_blocks``, whose three
-    second-order blocks are row views of the one stacked Hessian operator
-    ``hessian_operator``, and the quadrature functional in
+    the two jet operators ``gradient_operator`` (2n, n) and
+    ``hessian_operator`` (3n, n), which stack the first and the second
+    partials row block by row block, and the quadrature functional in
     ``quadrature_weights``.  The operators' arrays are read-only: a caller
     copies an operator before canonicalizing it (sum_duplicates,
     sort_indices), or before a read that does so in place.  ``class_records`` holds
@@ -655,48 +652,42 @@ class Grid:
 
     @cached_property
     def _jet_operators(self):
-        """(jet_blocks, hessian_operator): see those.
+        """(gradient_operator, hessian_operator): see those.
 
-        Tensor-product stencil rows in the interior, the mixed block being
+        Tensor-product stencil rows in the interior, the mixed partial being
         d/dy of d/dx; least-squares rows on the near-boundary band.
         """
-        from scipy import sparse
-
         ops = self.axis_operators
         n, h = self.n_nodes, self.h
         nodes, clouds, pinv = self._ls_band()
         in_band = np.zeros(n, dtype=bool)
         in_band[nodes] = True
-        # (stencil rows, least-squares rows) per block, in JET_KEYS order
-        parts = (
-            (ops[0, 1], pinv[:, 1] / h),
-            (ops[1, 1], pinv[:, 2] / h),
-            (ops[0, 2], 2.0 * pinv[:, 3] / (h * h)),
-            (ops[1, 2], 2.0 * pinv[:, 5] / (h * h)),
-            (ops[1, 1] @ ops[0, 1], pinv[:, 4] / (h * h)),
-        )
         band_rows = np.repeat(nodes, clouds.shape[1])
-        blocks = {}
-        for key, (stencil, ls) in zip(JET_KEYS, parts):
-            r, c, v = _entries(stencil)
-            keep = ~in_band[r]
-            blocks[key] = _csr(np.concatenate([r[keep], band_rows]),
-                               np.concatenate([c[keep], clouds.ravel()]),
-                               np.concatenate([v[keep], ls.ravel()]), (n, n))
-        # stacking keeps the entries of every row in order; the stacked rows
-        # then replace the separate second-order blocks
-        hessian = sparse.vstack([blocks[key] for key in HESSIAN_KEYS], format="csr")
-        for k, key in enumerate(HESSIAN_KEYS):
-            blocks[key] = _row_block(hessian, k, n)
-        for A in (*blocks.values(), hessian):
-            _frozen(A)
-        return blocks, hessian
+
+        def stack(parts):
+            # row block k of the stack: the stencil rows of parts[k] off the
+            # band, its least-squares rows on it
+            rows, cols, vals = [], [], []
+            for k, (stencil, ls) in enumerate(parts):
+                r, c, v = _entries(stencil)
+                keep = ~in_band[r]
+                rows += [r[keep] + k * n, band_rows + k * n]
+                cols += [c[keep], clouds.ravel()]
+                vals += [v[keep], ls.ravel()]
+            return _frozen(_csr(np.concatenate(rows), np.concatenate(cols),
+                                np.concatenate(vals), (len(parts) * n, n)))
+
+        gradient = stack(((ops[0, 1], pinv[:, 1] / h), (ops[1, 1], pinv[:, 2] / h)))
+        hessian = stack(((ops[0, 2], 2.0 * pinv[:, 3] / (h * h)),
+                         (ops[1, 1] @ ops[0, 1], pinv[:, 4] / (h * h)),
+                         (ops[1, 2], 2.0 * pinv[:, 5] / (h * h))))
+        return gradient, hessian
 
     @property
-    def jet_blocks(self) -> dict:
-        """{(a, b): (n, n) CSR operator of the partial d^(a+b)/dx^a dy^b} for
-        the first and second partials, one block per JET_KEYS entry; the
-        second-order blocks share the memory of hessian_operator."""
+    def gradient_operator(self):
+        """(2n, n) CSR operator of the two first partials, stacked in
+        GRADIENT_KEYS order: its product with a node field f, reshaped to
+        (2, n), is the gradient (d/dx f, d/dy f)."""
         return self._jet_operators[0]
 
     @property
@@ -712,11 +703,16 @@ class Grid:
         f is (n,) or a stack (n, m) of m fields.  Tensor-product stencils in
         the interior; smooth least-squares jets on the near-boundary band.
         Returns {(a, b): array shaped like f} for the partials `keys`, by
-        default every (a, b) with 1 <= a+b <= 2.
+        default every (a, b) with 1 <= a+b <= 2, from one product of each jet
+        operator that holds one of them.
         """
         f = np.asarray(f, dtype=float)
-        blocks = self.jet_blocks
-        return {key: blocks[key] @ f for key in keys}
+        jets = {}
+        for stacked, A in ((GRADIENT_KEYS, self.gradient_operator),
+                           (HESSIAN_KEYS, self.hessian_operator)):
+            if not set(stacked).isdisjoint(keys):
+                jets.update(zip(stacked, (A @ f).reshape(len(stacked), *f.shape)))
+        return {key: jets[key] for key in keys}
 
     @property
     def boundary_distance(self) -> np.ndarray:
@@ -907,7 +903,10 @@ def build_grid(polytope: DelzantPolytope, n: int, delta_min: float) -> Grid:
 
 
 def eps_region(polytope: DelzantPolytope, grid: Grid, eps: float) -> np.ndarray:
-    """Indices of grid nodes at Euclidean distance >= eps from the boundary."""
+    """Indices of grid nodes at Euclidean distance >= eps from the boundary;
+    the grid must be one of the polytope (DegenerateInputError)."""
+    if grid.polytope != polytope:
+        raise DegenerateInputError("the grid is not one of the polytope")
     if eps <= 0:
         raise DomainError("eps must be positive")
     return np.nonzero(grid.boundary_distance >= eps - 1e-12)[0]
@@ -977,3 +976,12 @@ def boundary_quadrature(P: DelzantPolytope) -> BoundaryQuadrature:
         canonical=guillemin_value(P, points),
         polytope_hash=P.content_hash(),
     )
+
+
+def quadrature_for(P: DelzantPolytope, quad: BoundaryQuadrature = None) -> BoundaryQuadrature:
+    """quad, refused unless it is a boundary quadrature of P (DomainError), or P's own if None."""
+    if quad is None:
+        return boundary_quadrature(P)
+    if quad.polytope_hash != P.content_hash():
+        raise DomainError("boundary quadrature belongs to a different polytope")
+    return quad

@@ -7,9 +7,9 @@ differentiated follows from what it was built from, it is not chosen:
 * a closed form f_form -- every partial up to order 4 is exact, at any
   interior point (``partials_at``);
 * node data f_values -- differenced on the grid, at grid nodes only: orders
-  1-2 by the grid's jet_blocks (stencil rows in the interior, least-squares
-  fits on the near-boundary band), orders 3-4 by composed axis differences;
-  each partial of f is computed once.
+  1-2 by the grid's two jet operators (stencil rows in the interior,
+  least-squares fits on the near-boundary band), one product for each order
+  and computed once; orders 3-4 by composed axis differences, on each request.
 
 On the grid the partials of u are the canonical ones plus ``f_partial``, the
 one place where the two kinds differ.
@@ -28,8 +28,8 @@ import numpy as np
 from numpy.polynomial.hermite import hermval
 
 from .errors import DegenerateInputError, DomainError, NumericError
-from .polytope import (HESSIAN_KEYS, JET_KEYS, BoundaryQuadrature, DelzantPolytope, Grid,
-                       standard_triangle)
+from .polytope import (GRADIENT_KEYS, HESSIAN_KEYS, BoundaryQuadrature, DelzantPolytope, Grid,
+                       quadrature_for, standard_triangle)
 from .polytope import from_dict as polytope_from_dict
 
 PARTIALS = [(a, b) for total in range(5) for a in range(total + 1) for b in [total - a]]
@@ -290,11 +290,6 @@ def fs_inverse_hessian(points) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _same_facets(P: DelzantPolytope, Q: DelzantPolytope) -> bool:
-    """Whether two polytopes have the same facet presentation."""
-    return np.array_equal(P.normals, Q.normals) and np.array_equal(P.offsets, Q.offsets)
-
-
 class SymplecticPotential:
     """State variable of the flow: u = u_G + f, with f node data f_values or
     a closed form f_form, never both (DegenerateInputError); f = 0 if neither
@@ -308,8 +303,7 @@ class SymplecticPotential:
         f_values: np.ndarray = None,
         f_form: ClosedForm = None,
     ):
-        # identity first: the flow's stages share the grid's polytope
-        if polytope is not grid.polytope and not _same_facets(polytope, grid.polytope):
+        if polytope != grid.polytope:
             raise DegenerateInputError("the potential's polytope is not its grid's")
         if f_values is not None and f_form is not None:
             raise DegenerateInputError("a potential is node data or a closed form, not both")
@@ -321,10 +315,10 @@ class SymplecticPotential:
         self.f_values = np.zeros(grid.n_nodes) if f_values is None else np.asarray(f_values, float)
         if self.f_values.shape != (grid.n_nodes,):
             raise ValueError("f_values must have one entry per grid node")
-        # partials (a, b) of the node data f, filled on first request by
-        # f_partial; the three second partials are the rows of _f_hessian
-        self._f_partials = {}
-        self._f_hessian = None
+        # {order: (k, n) product of the grid's jet operator of that order
+        # with the node data f}, for orders 1 and 2, filled on first request
+        # by f_partial
+        self._f_jets = {}
         # curvature fields of this state, filled on first request by
         # calabiflow.curvature: the derivative context and the scalar fields
         self.curvature_cache = {}
@@ -345,7 +339,7 @@ class SymplecticPotential:
     @classmethod
     def fubini_study(cls, grid: Grid) -> "SymplecticPotential":
         """Fubini-Study potential on a grid of the standard triangle."""
-        if not _same_facets(grid.polytope, standard_triangle()):
+        if grid.polytope != standard_triangle():
             raise DegenerateInputError("Fubini-Study needs a grid of the standard triangle")
         return cls.guillemin(grid.polytope, grid)
 
@@ -374,23 +368,25 @@ class SymplecticPotential:
         """Partial key = (a, b) of f at every node.
 
         A closed form's is exact and computed on each call.  Node data's is
-        computed on first request: f itself, the grid's first-derivative
-        operators, one product of its stacked Hessian operator for all three
-        second partials, or composed differences for orders 3 and 4."""
+        f itself, a row of _f_jet for orders 1 and 2, or composed differences,
+        computed on each call, for orders 3 and 4."""
         if self.f_form is not None:
             return self.f_form.partial(*key, *self.grid.points.T)
-        if key not in self._f_partials:
-            a, b = key
-            if a + b == 0:
-                self._f_partials[key] = self.f_values
-            elif a + b == 1:
-                self._f_partials[key] = self.grid.jet_blocks[key] @ self.f_values
-            elif a + b == 2:
-                self._f_hessian = (self.grid.hessian_operator @ self.f_values).reshape(3, -1)
-                self._f_partials.update(zip(HESSIAN_KEYS, self._f_hessian))
-            else:
-                self._f_partials[key] = self.grid.diff(self.f_values, a, b)
-        return self._f_partials[key]
+        order = sum(key)
+        if order == 0:
+            return self.f_values
+        if order > 2:
+            return self.grid.diff(self.f_values, *key)
+        return self._f_jet(order)[(GRADIENT_KEYS, HESSIAN_KEYS)[order - 1].index(key)]
+
+    def _f_jet(self, order: int) -> np.ndarray:
+        """The first (order 1, (2, n) in GRADIENT_KEYS order) or second
+        (order 2, (3, n) in HESSIAN_KEYS order) partials of the node data f:
+        one product of the grid's jet operator, computed on first request."""
+        if order not in self._f_jets:
+            A = self.grid.gradient_operator if order == 1 else self.grid.hessian_operator
+            self._f_jets[order] = (A @ self.f_values).reshape(-1, self.grid.n_nodes)
+        return self._f_jets[order]
 
     def partials_at(self, points, order: int = 4) -> dict:
         """Exact partials {(a, b): array over points} of u with a + b <= `order`
@@ -406,11 +402,10 @@ class SymplecticPotential:
 
     def hessian_field(self) -> np.ndarray:
         """Components (00, 01, 11) of the Hessian of u at every node, (3, n)."""
-        f = [self.f_partial(key) for key in HESSIAN_KEYS]
-        # node data, on every flow-velocity evaluation: f_partial fills the
-        # three as the rows of one product, _f_hessian, so the sum is one add
-        return np.add(self.grid.guillemin_jets.hessian,
-                      f if self._f_hessian is None else self._f_hessian)
+        # node data, on every flow-velocity evaluation: one product and one add
+        f = (self._f_jet(2) if self.f_form is None
+             else [self.f_partial(key) for key in HESSIAN_KEYS])
+        return np.add(self.grid.guillemin_jets.hessian, f)
 
     def hessians(self) -> np.ndarray:
         """(n, 2, 2) Hessian of u at every node."""
@@ -458,7 +453,7 @@ class SymplecticPotential:
     def _taylor(self, ks: np.ndarray, dx: np.ndarray, dy: np.ndarray) -> dict:
         """Partials, a + b <= 2, of the second-order Taylor polynomial of the
         node data f about nodes ks, at offsets (dx, dy) from them."""
-        f10, f01, f20, f02, f11 = (self.f_partial(key)[ks] for key in JET_KEYS)
+        (f10, f01), (f20, f11, f02) = (self._f_jet(order).take(ks, axis=1) for order in (1, 2))
         return {
             (0, 0): (self.f_values[ks] + f10 * dx + f01 * dy
                      + 0.5 * (f20 * dx**2 + 2 * f11 * dx * dy + f02 * dy**2)),
@@ -492,9 +487,9 @@ class SymplecticPotential:
     def boundary_values(self, quad: BoundaryQuadrature) -> np.ndarray:
         """u at the points of a boundary quadrature, as value_at(quad.points)
         computes it, from the quadrature's canonical values and, for node
-        data, its nearest nodes on this grid."""
-        if quad.polytope_hash != self.polytope.content_hash():
-            raise DomainError("boundary quadrature belongs to a different polytope")
+        data, its nearest nodes on this grid.  A quadrature of another polytope
+        raises DomainError."""
+        quadrature_for(self.polytope, quad)
         if self.provider == "analytic":
             f = self.f_form(quad.points[:, 0], quad.points[:, 1])
         else:

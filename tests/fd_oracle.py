@@ -111,8 +111,9 @@ def rm2_total_pieces(G, U, dU, rm2_fiber, cls, pw):
 
 # -- full tensors from the package's component layout --------------------------
 # The package holds a symmetric 2x2 field by its components (00, 01, 11) on
-# the first axis and the derivatives of U as jets {(a, b): components}.  The
-# einsum references read full tensors; these loops build them.
+# the first axis and the derivatives of U partial-major, dU[k] and d2U[kl]
+# components, k = 0, 1 and kl = 00, 01, 11.  The einsum references read full
+# tensors; these loops build them.
 
 _COMPONENT = {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 2}
 
@@ -130,11 +131,11 @@ def full_tensors(ctx):
     """(G, U, dU, d2U) of a curvature context as arrays (n, 2, 2),
     (n, 2, 2, 2) and (n, 2, 2, 2, 2), indexed [n, i, j], [n, k, i, j] and
     [n, k, l, i, j] with k, l the derivative directions."""
-    dU = np.stack([sym2_matrices(ctx["dU"][key]) for key in ((1, 0), (0, 1))], axis=1)
+    dU = np.stack([sym2_matrices(ctx["dU"][k]) for k in (0, 1)], axis=1)
     d2U = np.empty(dU.shape[:2] + (2, 2, 2))
     for k in (0, 1):
         for l in (0, 1):
-            d2U[:, k, l] = sym2_matrices(ctx["d2U"][(2 - k - l, k + l)])
+            d2U[:, k, l] = sym2_matrices(ctx["d2U"][k + l])
     return sym2_matrices(ctx["G"]), sym2_matrices(ctx["U"]), dU, d2U
 
 
@@ -142,11 +143,17 @@ def weighted_scalar_by_blocks(grid, U, cls):
     """(R, scale) at every node of `grid`: the weighted scalar curvature
     R = scal_S/q - [2 sum p_r d_s U_rs + p sum d_r d_s U_rs] / p
     of the class weight p = q^m, q = <p, z> + c_S; m is 0 or 1, so the weight
-    is affine with gradient m (p1, p2).  Every trace is a product of one of
-    the grid's jet blocks with one component of U (3, n).  scale is
-    the sum of the absolute values of its terms, the size that the rounding of
-    any order of summation is relative to."""
-    m, q = cls.m, cls.affine(grid.points)
+    is affine with gradient m (p1, p2).  Every trace is a product of one row
+    block of the grid's jet operators, copied out on its own, with one
+    component of U (3, n).  scale is the sum of the absolute values of its
+    terms, the size that the rounding of any order of summation is relative
+    to."""
+    m, q, n = cls.m, cls.affine(grid.points), grid.n_nodes
+    blocks = {}
+    for keys, A in ((((1, 0), (0, 1)), grid.gradient_operator),
+                    (((2, 0), (1, 1), (0, 2)), grid.hessian_operator)):
+        for k, key in enumerate(keys):
+            blocks[key] = A[k * n : (k + 1) * n].copy()
 
     def divergence(D, U, p):
         d = {key: [D[key] @ U[c] for c in range(3)] for key in D}
@@ -155,11 +162,11 @@ def weighted_scalar_by_blocks(grid, U, cls):
                + q**m * (d[(2, 0)][0] + 2.0 * d[(1, 1)][1] + d[(0, 2)][2]))
         return div / q**m
 
-    R = cls.scal_S / q - divergence(grid.jet_blocks, U, cls.p)
+    R = cls.scal_S / q - divergence(blocks, U, cls.p)
     # every term by its absolute value (q > 0); abs() of a CSR matrix sorts
-    # and prunes its entries in place, so it is taken of a copy, leaving the
-    # grid's operators as built
-    absD = {key: abs(B.copy()) for key, B in grid.jet_blocks.items()}
+    # and prunes its entries in place, so it is taken of the copies, leaving
+    # the grid's operators as built
+    absD = {key: abs(B) for key, B in blocks.items()}
     scale = abs(cls.scal_S) / q + divergence(absD, np.abs(U), np.abs(cls.p))
     return R, scale
 

@@ -293,34 +293,31 @@ def test_fd_traces_equal_full_jets(poly, grid, request):
                           np.stack([dx[:, :2], dy[:, 1:]], axis=1))
     assert np.array_equal(_d2U_trace(ctx["d2U"]),
                           ((jets[(2, 0)][:, 0] + dxy) + dxy) + jets[(0, 2)][:, 2])
-    # the U-jets are the full jets of the components
-    for key in ((1, 0), (0, 1)):
-        assert np.array_equal(ctx["dU"][key], jets[key].T)
-    for key in ((2, 0), (1, 1), (0, 2)):
-        assert np.array_equal(ctx["d2U"][key], jets[key].T)
+    # the U-jets are the full jets of the components, partial-major
+    assert ctx["dU"].shape == (2, 3, g.n_nodes) and ctx["d2U"].shape == (3, 3, g.n_nodes)
+    for k, key in enumerate(((1, 0), (0, 1))):
+        assert np.array_equal(ctx["dU"][k], jets[key].T)
+    for kl, key in enumerate(((2, 0), (1, 1), (0, 2))):
+        assert np.array_equal(ctx["d2U"][kl], jets[key].T)
     keys = ("G", "U", "min_eig", "dU", "d2U")
     for k, pt in enumerate(g.points):
         row = _point_context(u, pt, k)
         assert row.keys() == set(keys)
         for key in keys:
-            field, one = ctx[key], row[key]
-            if isinstance(field, dict):
-                assert one.keys() == field.keys(), (k, key)
-                pairs = [(one[jet], field[jet]) for jet in field]
-            else:
-                pairs = [(one, field)]
-            for got, want in pairs:
-                assert np.array_equal(got, want[..., k : k + 1]), (k, key)
+            assert np.array_equal(row[key], ctx[key][..., k : k + 1]), (k, key)
 
 
 def test_fd_context_reads_second_partials_only(monkeypatch, triangle, grid48):
     u = _cubic_fd(triangle, grid48)
-    f_partial = SymplecticPotential.f_partial
-    keys = []
+    f_partial, f_jet = SymplecticPotential.f_partial, SymplecticPotential._f_jet
+    keys, orders = [], []
     monkeypatch.setattr(SymplecticPotential, "f_partial",
                         lambda self, key: keys.append(key) or f_partial(self, key))
+    monkeypatch.setattr(SymplecticPotential, "_f_jet",
+                        lambda self, order: orders.append(order) or f_jet(self, order))
     curvature_context(u)
-    assert sorted(keys) == [(0, 2), (1, 1), (2, 0)]
+    # the three second partials of f, as the rows of one jet, and nothing else
+    assert keys == [] and orders == [2]
 
 
 def test_all_nan_hessian_is_curvature_undefined(triangle, grid48):

@@ -208,6 +208,14 @@ def test_boundary_integral_weight(triangle, bundle_class):
     assert val == pytest.approx(108.0, abs=1e-9)
 
 
+def test_boundary_integral_refuses_quadrature_of_another_polytope(triangle, hexagon):
+    # it once integrated over the triangle's boundary, 9, not the hexagon's 7
+    one = lambda pts: np.ones(len(pts))
+    with pytest.raises(DomainError):
+        boundary_integral(hexagon, one, boundary_quadrature(triangle))
+    assert boundary_integral(hexagon, one, boundary_quadrature(hexagon)) == pytest.approx(7.0)
+
+
 @pytest.mark.parametrize("potential", ["fs48", "fs48_fd"])
 def test_energy_report_rejects_quadrature_of_another_polytope(potential, hexagon, bundle_class,
                                                               request):
@@ -257,7 +265,7 @@ def test_fresh_fd_report_evaluates_fiber_norm_once(monkeypatch, triangle, grid48
         grid48, curvature.fiber_riemann_norm_field(u))
 
 
-def test_fresh_fd_report_makes_22_sparse_products(hexagon, hex_grid, bundle_class, csr_products):
+def test_fresh_fd_report_makes_10_sparse_products(hexagon, hex_grid, bundle_class, csr_products):
     bquad = boundary_quadrature(hexagon)
     average_scalar(hexagon, bundle_class, hex_grid, bquad)
     hex_grid.quadrature_weights
@@ -265,11 +273,12 @@ def test_fresh_fd_report_makes_22_sparse_products(hexagon, hex_grid, bundle_clas
     u = SymplecticPotential.from_node_values(hexagon, hex_grid, bump_form(0.05)(x, y))
     del csr_products[:]
     energy_report(u, bundle_class, bquad)
-    # one product of the stacked Hessian operator for the three second
-    # partials of f, one of the class operator for R, the 15 U-jets, the
-    # Hessian of R and the two first partials of f for the boundary values;
-    # the fiber scalar reads the U-jets
-    assert len(csr_products) == 1 + 1 + 15 + 3 + 2
+    # one product of the Hessian operator for the three second partials of
+    # f, one of the class operator for R, the U-jets (one product of each
+    # jet operator per component of U), one product of the Hessian operator
+    # for Hess R and one of the gradient operator for the two first partials
+    # of f in the boundary values; the fiber scalar reads the U-jets
+    assert len(csr_products) == 1 + 1 + 2 * 3 + 1 + 1
 
 
 def test_cauchy_schwarz_gap_differences_r_once(monkeypatch, triangle, grid48, bundle_class):

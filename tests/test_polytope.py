@@ -127,6 +127,15 @@ def test_eps_region_examples(triangle, grid48):
     assert big <= small
 
 
+def test_eps_region_refuses_a_grid_of_another_polytope(triangle, grid48, hexagon):
+    # it once returned the triangle grid's nodes
+    with pytest.raises(DegenerateInputError):
+        eps_region(hexagon, grid48, 0.25)
+    # a polytope built anew with the same facets is the grid's
+    assert np.array_equal(eps_region(standard_triangle(), grid48, 0.25),
+                          eps_region(triangle, grid48, 0.25))
+
+
 def test_distance_to_boundary_exact(triangle):
     # centroid: 1 to the axis facets, 1/sqrt(2) to the hypotenuse
     assert triangle.distance_to_boundary((0.0, 0.0)) == pytest.approx(1 / np.sqrt(2), abs=1e-14)
@@ -291,6 +300,21 @@ def test_polytope_json_roundtrip(tmp_path, triangle):
     back = load_polytope(path)
     assert back.content_hash() == triangle.content_hash()
     np.testing.assert_allclose(back.offsets, triangle.offsets)
+
+
+def test_polytopes_compare_by_content_hash(triangle, hexagon):
+    # the generated dataclass comparison once raised numpy's ambiguous truth
+    # value error, and the fields' arrays made the polytope unhashable
+    same = DelzantPolytope([[1, 0], [0, 1], [-1, -1]], [1, 1, 1])
+    assert same is not triangle and same == triangle and not same != triangle
+    assert hash(same) == hash(triangle)
+    assert triangle != hexagon and triangle != "triangle"
+    assert len({triangle, same, hexagon}) == 2
+    # the same facets in another order, and an offset of -0.0 for 0.0, are
+    # another content hash and so another polytope
+    assert DelzantPolytope([[0, 1], [1, 0], [-1, -1]], [1, 1, 1]) != triangle
+    zero = DelzantPolytope([[1, 0], [0, 1], [-1, -1]], [0.0, 0.0, 1.0])
+    assert DelzantPolytope([[1, 0], [0, 1], [-1, -1]], [-0.0, 0.0, 1.0]) != zero
 
 
 @pytest.mark.parametrize("normal", [[1.5, 0], [1, 0, 7], [1], [float("nan"), 0], [float("inf"), 0]],
@@ -529,29 +553,50 @@ def test_grid_operators_are_read_only(triangle, bundle_class):
     g = build_grid(triangle, 24, 0.5 * 3.0 / 24)
     f = np.random.default_rng(24).standard_normal(g.n_nodes)
     before = g.hessian_operator @ f
-    # max would sort the block's rows in place, reordering the stacked
-    # operator whose memory it shares and moving its products by ~1e-14
+    # max would sort the operator's rows in place, reordering its entries
+    # and moving its products by ~1e-14
     with pytest.raises(ValueError):
-        g.jet_blocks[(2, 0)].max()
+        g.hessian_operator.max()
     assert np.array_equal(g.hessian_operator @ f, before)
-    ops = [*g.axis_operators.values(), *g.jet_blocks.values(), g.hessian_operator,
+    ops = [*g.axis_operators.values(), g.gradient_operator, g.hessian_operator,
            class_record(g, bundle_class).L]
     assert not any(a.flags.writeable for A in ops for a in (A.data, A.indices, A.indptr))
 
 
-def test_hessian_blocks_are_views_of_the_stacked_operator(hexagon, bundle_class):
-    from calabiflow.curvature import class_record
-    from calabiflow.polytope import HESSIAN_KEYS
+def _per_partial_blocks(g):
+    """{(a, b): dense (n, n) operator of the partial}, assembled one partial
+    at a time: the axis stencil row (d/dy of d/dx for the mixed partial) off
+    the least-squares band, the least-squares row of the node's cloud on it."""
+    ops, h = g.axis_operators, g.h
+    nodes, clouds, pinv = g._ls_band()
+    parts = {
+        (1, 0): (ops[0, 1], pinv[:, 1] / h),
+        (0, 1): (ops[1, 1], pinv[:, 2] / h),
+        (2, 0): (ops[0, 2], 2.0 * pinv[:, 3] / (h * h)),
+        (1, 1): (ops[1, 1] @ ops[0, 1], pinv[:, 4] / (h * h)),
+        (0, 2): (ops[1, 2], 2.0 * pinv[:, 5] / (h * h)),
+    }
+    blocks = {}
+    for key, (stencil, ls) in parts.items():
+        B = stencil.toarray()
+        B[nodes] = 0.0
+        for node, cloud, row in zip(nodes, clouds, ls):
+            B[node, cloud] = row
+        blocks[key] = B
+    return blocks
 
-    grid = build_grid(hexagon, 24, 0.5 * 2.0 / 24)
-    # the class operator is built from the blocks and leaves them views
-    class_record(grid, bundle_class)
-    H, n = grid.hessian_operator, grid.n_nodes
-    assert H.shape == (3 * n, n)
-    f = np.cos(grid.points @ [1.3, 0.7])
-    Hf = (H @ f).reshape(3, n)
-    for row, key in zip(Hf, HESSIAN_KEYS):
-        block = grid.jet_blocks[key]
-        assert np.shares_memory(block.data, H.data)
-        assert np.shares_memory(block.indices, H.indices)
-        assert np.array_equal(row, block @ f)
+
+@pytest.mark.parametrize("poly", ["triangle", "hexagon", "trapezoid"])
+def test_jet_operator_row_blocks_match_per_partial_assembly(poly, request):
+    P = request.getfixturevalue(poly)
+    lo, hi = P.bbox
+    g = build_grid(P, 16, 0.5 * (hi[0] - lo[0]) / 16)
+    n, blocks = g.n_nodes, _per_partial_blocks(g)
+    for A, keys in ((g.gradient_operator, ((1, 0), (0, 1))),
+                    (g.hessian_operator, ((2, 0), (1, 1), (0, 2)))):
+        assert A.shape == (len(keys) * n, n)
+        for k, key in enumerate(keys):
+            block = A[k * n : (k + 1) * n]
+            # no stored zero stands in for an entry the assembly leaves out
+            assert block.nnz == np.count_nonzero(blocks[key]), key
+            assert np.array_equal(block.toarray(), blocks[key]), key
