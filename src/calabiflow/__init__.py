@@ -17,6 +17,7 @@ from .polytope import (
     boundary_quadrature,
     build_grid,
     eps_region,
+    guillemin_partials,
     load_polytope,
     save_polytope,
     standard_triangle,
@@ -27,7 +28,6 @@ from .potential import (
     SymplecticPotential,
     bump_form,
     fs_inverse_hessian,
-    guillemin_partials,
     legendre_dual,
     legendre_inverse,
     load_snapshot,

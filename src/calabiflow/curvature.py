@@ -241,37 +241,16 @@ def _context_from_jets(p: dict) -> dict:
 
 
 def _context_fd(u: SymplecticPotential) -> dict:
-    """Field context: G = u.hessian_field(), then the derivatives of the
-    inverse-Hessian components (see _FdContext)."""
+    """G = u.hessian_field(), U and min_eig, as _context_from_jets has them;
+    the flow velocity reads U alone, and _jet_context adds the U-jets."""
     G = u.hessian_field()
     U, min_eig = _spd_inverse(G)
-    return _FdContext({"G": G, "U": U, "min_eig": min_eig}, u.grid)
-
-
-class _FdContext(dict):
-    """Derivative context of an fd potential, with the fields of
-    _context_from_jets.  Only G, U and min_eig are filled at once: the flow
-    velocity reads U alone (see weighted_scalar_field).  The U-jets are built
-    together on first access of either and kept: one product of the grid's
-    gradient_operator and one of its hessian_operator per component of U,
-    six in all."""
-
-    def __init__(self, fields: dict, grid: Grid):
-        super().__init__(fields)
-        self._operators = {"dU": grid.gradient_operator, "d2U": grid.hessian_operator}
-
-    def __missing__(self, key):
-        if key not in self._operators:
-            raise KeyError(key)
-        U = self["U"]
-        for name, A in self._operators.items():
-            # the partial-major layout: [partial, component, node]
-            self[name] = np.stack([(A @ e).reshape(-1, len(e)) for e in U], axis=1)
-        return self[key]
+    return {"G": G, "U": U, "min_eig": min_eig}
 
 
 def curvature_context(u: SymplecticPotential) -> dict:
-    """Cached grid-wide derivative context of the potential."""
+    """Cached grid-wide derivative context of the potential: for node data
+    without the U-jets until _jet_context adds them."""
     cache = u.curvature_cache
     if "context" not in cache:
         if u.provider == "analytic":
@@ -279,6 +258,18 @@ def curvature_context(u: SymplecticPotential) -> dict:
         else:
             cache["context"] = _context_fd(u)
     return cache["context"]
+
+
+def _jet_context(u: SymplecticPotential) -> dict:
+    """curvature_context(u) with its U-jets dU and d2U; for node data the
+    first call adds them: one product of the grid's gradient_operator and
+    one of its hessian_operator per component of U, six in all."""
+    ctx = curvature_context(u)
+    if "dU" not in ctx:
+        for name, A in (("dU", u.grid.gradient_operator), ("d2U", u.grid.hessian_operator)):
+            # the partial-major layout: [partial, component, node]
+            ctx[name] = np.stack([(A @ e).reshape(-1, len(e)) for e in ctx["U"]], axis=1)
+    return ctx
 
 
 def _locate(u: SymplecticPotential, x):
@@ -301,7 +292,7 @@ def _point_context(u: SymplecticPotential, pt, k) -> dict:
     a closed form, or the k:k+1 slice of the grid context of node data."""
     if k is None:
         return _context_from_jets(u.partials_at(pt[None, :]))
-    ctx = curvature_context(u)
+    ctx = _jet_context(u)
     return {key: ctx[key][..., k : k + 1] for key in ("G", "U", "min_eig", "dU", "d2U")}
 
 
@@ -311,7 +302,7 @@ def _point_context(u: SymplecticPotential, pt, k) -> dict:
 
 def abreu_scalar_field(u: SymplecticPotential) -> np.ndarray:
     """R = -sum_ij (u^{ij})_{,ij} at every node, from the second U-jets."""
-    return -_d2U_trace(curvature_context(u)["d2U"])
+    return -_d2U_trace(_jet_context(u)["d2U"])
 
 
 def _fiber_rm2(d2U: np.ndarray) -> np.ndarray:
@@ -325,7 +316,7 @@ def fiber_riemann_norm_field(u: SymplecticPotential) -> np.ndarray:
     """Fiber |Rm|^2 at every node."""
     cache = u.curvature_cache
     if "fiber_rm2" not in cache:
-        cache["fiber_rm2"] = _fiber_rm2(curvature_context(u)["d2U"])
+        cache["fiber_rm2"] = _fiber_rm2(_jet_context(u)["d2U"])
     return cache["fiber_rm2"]
 
 
@@ -352,12 +343,12 @@ def weighted_scalar_field(u: SymplecticPotential, cls: AdmissibleClass) -> np.nd
     cache = u.curvature_cache
     key = ("weighted", cls)
     if key not in cache:
-        rec, ctx = class_record(u.grid, cls), curvature_context(u)
+        rec = class_record(u.grid, cls)
         if u.provider == "fd":
-            R = rec.L @ ctx["U"].ravel()
+            R = rec.L @ curvature_context(u)["U"].ravel()
             cache[key] = np.subtract(rec.scal_q, R, out=R)
         else:
-            cache[key] = _weighted_scalar_from_ctx(ctx, cls, rec.q)
+            cache[key] = _weighted_scalar_from_ctx(_jet_context(u), cls, rec.q)
     return cache[key]
 
 
@@ -430,7 +421,7 @@ def rm2_total_field(u: SymplecticPotential, cls: AdmissibleClass) -> np.ndarray:
     cache = u.curvature_cache
     key = ("rm2_total", cls)
     if key not in cache:
-        cache[key] = _rm2_total_from_ctx(curvature_context(u), cls, class_record(u.grid, cls).q,
+        cache[key] = _rm2_total_from_ctx(_jet_context(u), cls, class_record(u.grid, cls).q,
                                          fiber_riemann_norm_field(u))["rm2_total"]
     return cache[key]
 

@@ -199,11 +199,18 @@ def boundary_ring(grid: Grid, region) -> np.ndarray:
 # run driver
 
 
+def _whole_number(value) -> int:
+    """value as an int, or ValueError if it is not a whole number (12.5, NaN)."""
+    if not float(value).is_integer():
+        raise ValueError(f"{value!r} is not a whole number")
+    return int(value)
+
+
 @dataclass
 class RunConfig:
     """The configuration of one flow run, with the default of every field.
-    Construction coerces each field to its type and raises ConfigError for a
-    value it cannot coerce or that is out of range."""
+    Construction coerces each field to its type (12.0 to 12, but not 12.5) and
+    raises ConfigError for a value it cannot coerce or that is out of range."""
 
     polytope_path: str
     admissible_class: AdmissibleClass
@@ -225,13 +232,14 @@ class RunConfig:
     def __post_init__(self):
         try:
             # a field whose default is a number or a string takes its type
+            coerce = {int: _whole_number, float: float, str: str}
             for f in fields(self):
-                if type(f.default) in (int, float, str):
-                    setattr(self, f.name, type(f.default)(getattr(self, f.name)))
+                if type(f.default) in coerce:
+                    setattr(self, f.name, coerce[type(f.default)](getattr(self, f.name)))
             self.polytope_path = str(self.polytope_path)
             self.perturbation_center = tuple(float(c) for c in self.perturbation_center)
-            self.max_steps = None if self.max_steps is None else int(self.max_steps)
-        except (TypeError, ValueError) as exc:
+            self.max_steps = None if self.max_steps is None else _whole_number(self.max_steps)
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"malformed run config: {exc}") from exc
         # each check is written so that NaN fails it
         if len(self.perturbation_center) != 2:

@@ -1,4 +1,5 @@
-"""Delzant polytopes in the plane, interior lattice grids, and boundary measure.
+"""Delzant polytopes in the plane, their canonical potential u_G, interior
+lattice grids, and boundary measure.
 
 The polytope is held in facet form l_i(x) = <x, v_i> + c_i >= 0 with primitive
 integer inward normals v_i.  Vertices are derived and validated against the
@@ -385,6 +386,65 @@ def standard_triangle() -> DelzantPolytope:
 
 
 # ---------------------------------------------------------------------------
+# canonical singular part
+
+
+def guillemin_partials(P: DelzantPolytope, points, order: int = 4) -> dict:
+    """All partials of u_G = 1/2 sum l_i ln l_i up to `order` at interior points.
+
+    Returns {(a, b): array}.  Raises DomainError if any point is on or outside
+    the boundary.
+    """
+    if order > 4:
+        raise ValueError("derivatives supported up to order 4")
+    pts = np.asarray(points, dtype=float)
+    single = pts.ndim == 1
+    L, V = _interior_facet_values(P, np.atleast_2d(pts)), P.normals.astype(float)
+    out = {}
+    for k in range(order + 1):
+        out.update(_guillemin_order(L, V, k))
+    if single:
+        out = {k: v[0] for k, v in out.items()}
+    return out
+
+
+def _interior_facet_values(P: DelzantPolytope, pts: np.ndarray) -> np.ndarray:
+    """Facet values (n, d) at points, which must be interior (DomainError)."""
+    L = P.facet_values(pts)
+    if np.any(L <= 0):
+        raise DomainError("point on or outside the polytope boundary")
+    return L
+
+
+def _guillemin_order(L: np.ndarray, V: np.ndarray, k: int) -> dict:
+    """The partials {(a, b): array} of u_G with a + b = k, from the facet
+    values L (n, d) and the normals V (d, 2): for k >= 2 they are
+    c_k sum_i v_i^(a, b) / l_i^(k-1) with c_k = 1/2, -1/2, 1."""
+    if k == 0:
+        return {(0, 0): 0.5 * np.sum(L * np.log(L), axis=1)}
+    if k == 1:
+        g = 0.5 * (np.log(L) + 1.0) @ V  # (n, 2)
+        return {(1, 0): g[:, 0], (0, 1): g[:, 1]}
+    coef, inv = {2: 0.5, 3: -0.5, 4: 1.0}[k], 1.0 / L ** (k - 1)
+    # product of normal components
+    return {(a, k - a): coef * inv @ (V[:, 0] ** a * V[:, 1] ** (k - a))
+            for a in range(k, -1, -1)}
+
+
+def guillemin_value(P: DelzantPolytope, points) -> np.ndarray:
+    """u_G extended continuously to the closed polytope (l ln l -> 0)."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    L = P.facet_values(pts)
+    if np.any(L < -1e-12):
+        raise DomainError("point outside the closed polytope")
+    Lc = np.clip(L, 0.0, None)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(Lc > 0, Lc * np.log(np.where(Lc > 0, Lc, 1.0)), 0.0)
+    val = 0.5 * terms.sum(axis=1)
+    return val if np.asarray(points).ndim > 1 else val[0]
+
+
+# ---------------------------------------------------------------------------
 # interior grid
 
 
@@ -469,8 +529,9 @@ class Grid:
     """
 
     def __init__(self, polytope: DelzantPolytope, n: int, delta_min: float):
-        if n < 2:
-            raise DegenerateInputError("grid resolution must be at least 2")
+        # each check is written so that NaN fails it
+        if not (float(n).is_integer() and n >= 2):
+            raise DegenerateInputError(f"grid resolution must be a whole number >= 2, got {n!r}")
         if delta_min <= 0:
             raise DegenerateInputError("delta_min must be positive")
         lo, hi = polytope.bbox
@@ -491,7 +552,7 @@ class Grid:
             )
 
         self.polytope = polytope
-        self.n = n
+        self.n = int(n)
         self.delta_min = float(delta_min)
         self.h = float(h)
         self.anchor = np.asarray(lo, dtype=float)
@@ -748,13 +809,32 @@ class Grid:
 
         return cKDTree(self.points)
 
-    @cached_property
-    def guillemin_jets(self) -> dict:
-        """Partials up to order 4 of the canonical potential u_G at the nodes,
-        {(a, b): array}, each order computed on its first request."""
-        from .potential import GuilleminJets
+    def nearest_nodes(self, points):
+        """(ks, dx, dy): the nearest node to each point, a (2,) point or an
+        (m, 2) array of them, and the point's offset from that node."""
+        points = np.asarray(points, dtype=float)
+        _, ks = self.kdtree.query(points)
+        dx, dy = (points - self.points[ks]).T
+        return ks, dx, dy
 
-        return GuilleminJets(self.polytope, self.points)
+    @cached_property
+    def _guillemin(self):
+        """(guillemin_jets, guillemin_hessian): see those."""
+        jets = guillemin_partials(self.polytope, self.points)
+        hessian = np.stack([jets[key] for key in HESSIAN_KEYS])
+        jets.update(zip(HESSIAN_KEYS, hessian))
+        return jets, hessian
+
+    @property
+    def guillemin_jets(self) -> dict:
+        """guillemin_partials of u_G at the nodes, built on first request; its
+        second partials are the rows of guillemin_hessian."""
+        return self._guillemin[0]
+
+    @property
+    def guillemin_hessian(self) -> np.ndarray:
+        """Components (00, 01, 11) of Hess u_G at the nodes, (3, n)."""
+        return self._guillemin[1]
 
     @property
     def cell_weights(self) -> np.ndarray:
@@ -907,8 +987,8 @@ def eps_region(polytope: DelzantPolytope, grid: Grid, eps: float) -> np.ndarray:
     the grid must be one of the polytope (DegenerateInputError)."""
     if grid.polytope != polytope:
         raise DegenerateInputError("the grid is not one of the polytope")
-    if eps <= 0:
-        raise DomainError("eps must be positive")
+    if not eps > 0:
+        raise DomainError(f"eps must be positive, got {eps!r}")
     return np.nonzero(grid.boundary_distance >= eps - 1e-12)[0]
 
 
@@ -941,12 +1021,9 @@ class BoundaryQuadrature:
         return float(self.weights.sum())
 
     def nearest_nodes(self, grid: Grid):
-        """(ks, dx, dy): the nearest node of `grid` to each point and the
-        point's offset from it; computed once per grid."""
+        """grid.nearest_nodes of the points, computed once per grid."""
         if grid not in self._nearest:
-            _, ks = grid.kdtree.query(self.points)
-            dx, dy = (self.points - grid.points[ks]).T
-            self._nearest[grid] = (ks, dx, dy)
+            self._nearest[grid] = grid.nearest_nodes(self.points)
         return self._nearest[grid]
 
 
@@ -966,8 +1043,6 @@ def boundary_quadrature(P: DelzantPolytope) -> BoundaryQuadrature:
         pts.append(a[None, :] + t[:, None] * (b - a)[None, :])
         wts.append(np.full(m, L / m))
         fidx.append(np.full(m, i, dtype=np.int64))
-    from .potential import guillemin_value
-
     points = np.concatenate(pts)
     return BoundaryQuadrature(
         points=points,

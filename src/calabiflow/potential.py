@@ -5,14 +5,15 @@ closed form; only the smooth correction f is discretized.  How u is
 differentiated follows from what it was built from, it is not chosen:
 
 * a closed form f_form -- every partial up to order 4 is exact, at any
-  interior point (``partials_at``);
-* node data f_values -- differenced on the grid, at grid nodes only: orders
-  1-2 by the grid's two jet operators (stencil rows in the interior,
-  least-squares fits on the near-boundary band), one product for each order
-  and computed once; orders 3-4 by composed axis differences, on each request.
+  interior point;
+* node data f_values -- differenced on the grid: orders 1-2 by the grid's
+  two jet operators (stencil rows in the interior, least-squares fits on the
+  near-boundary band), one product for each order and computed once; orders
+  3-4 by composed axis differences, on each request.  Off the grid, orders
+  0-2 are those of the Taylor step from the nearest node (``_taylor``).
 
 On the grid the partials of u are the canonical ones plus ``f_partial``, the
-one place where the two kinds differ.
+one place where the two kinds differ; at any point they are ``partials_at``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +29,7 @@ from numpy.polynomial.hermite import hermval
 
 from .errors import DegenerateInputError, DomainError, NumericError
 from .polytope import (GRADIENT_KEYS, HESSIAN_KEYS, BoundaryQuadrature, DelzantPolytope, Grid,
-                       quadrature_for, standard_triangle)
+                       guillemin_partials, guillemin_value, quadrature_for, standard_triangle)
 from .polytope import from_dict as polytope_from_dict
 
 PARTIALS = [(a, b) for total in range(5) for a in range(total + 1) for b in [total - a]]
@@ -80,92 +80,6 @@ def polynomial_form(coeffs: dict) -> ClosedForm:
 def bump_form(amplitude: float, center=(0.0, 0.0), width: float = 0.8) -> ClosedForm:
     """Gaussian bump; smooth on the closed polytope."""
     return ClosedForm(bumps=[(amplitude, center, width)])
-
-
-# ---------------------------------------------------------------------------
-# canonical singular part
-
-
-def guillemin_partials(P: DelzantPolytope, points, order: int = 4) -> dict:
-    """All partials of u_G = 1/2 sum l_i ln l_i up to `order` at interior points.
-
-    Returns {(a, b): array}.  Raises DomainError if any point is on or outside
-    the boundary.
-    """
-    if order > 4:
-        raise ValueError("derivatives supported up to order 4")
-    pts = np.asarray(points, dtype=float)
-    single = pts.ndim == 1
-    L, V = _interior_facet_values(P, np.atleast_2d(pts)), P.normals.astype(float)
-    out = {}
-    for k in range(order + 1):
-        out.update(_guillemin_order(L, V, k))
-    if single:
-        out = {k: v[0] for k, v in out.items()}
-    return out
-
-
-def _interior_facet_values(P: DelzantPolytope, pts: np.ndarray) -> np.ndarray:
-    """Facet values (n, d) at points, which must be interior (DomainError)."""
-    L = P.facet_values(pts)
-    if np.any(L <= 0):
-        raise DomainError("point on or outside the polytope boundary")
-    return L
-
-
-def _guillemin_order(L: np.ndarray, V: np.ndarray, k: int) -> dict:
-    """The partials {(a, b): array} of u_G with a + b = k, from the facet
-    values L (n, d) and the normals V (d, 2): for k >= 2 they are
-    c_k sum_i v_i^(a, b) / l_i^(k-1) with c_k = 1/2, -1/2, 1."""
-    if k == 0:
-        return {(0, 0): 0.5 * np.sum(L * np.log(L), axis=1)}
-    if k == 1:
-        g = 0.5 * (np.log(L) + 1.0) @ V  # (n, 2)
-        return {(1, 0): g[:, 0], (0, 1): g[:, 1]}
-    coef, inv = {2: 0.5, 3: -0.5, 4: 1.0}[k], 1.0 / L ** (k - 1)
-    # product of normal components
-    return {(a, k - a): coef * inv @ (V[:, 0] ** a * V[:, 1] ** (k - a))
-            for a in range(k, -1, -1)}
-
-
-class GuilleminJets(dict):
-    """Partials {(a, b): array} of u_G at fixed interior points, a + b <= 4,
-    filled one order at a time on first request: node data reads only
-    orders 0 and 2.  The order-2 entries are the rows of ``hessian``.  Holds
-    the polytope and the points, not their grid."""
-
-    def __init__(self, P: DelzantPolytope, points: np.ndarray):
-        super().__init__()
-        self._P, self._points = P, points
-
-    def __missing__(self, key):
-        if key not in PARTIALS:
-            raise KeyError(key)
-        self.update(zip(HESSIAN_KEYS, self.hessian) if sum(key) == 2 else self._order(sum(key)))
-        return self[key]
-
-    def _order(self, k: int) -> dict:
-        L = _interior_facet_values(self._P, self._points)
-        return _guillemin_order(L, self._P.normals.astype(float), k)
-
-    @cached_property
-    def hessian(self) -> np.ndarray:
-        """Components (00, 01, 11) of Hess u_G at the points, (3, n)."""
-        second = self._order(2)
-        return np.stack([second[key] for key in HESSIAN_KEYS])
-
-
-def guillemin_value(P: DelzantPolytope, points) -> np.ndarray:
-    """u_G extended continuously to the closed polytope (l ln l -> 0)."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    L = P.facet_values(pts)
-    if np.any(L < -1e-12):
-        raise DomainError("point outside the closed polytope")
-    Lc = np.clip(L, 0.0, None)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(Lc > 0, Lc * np.log(np.where(Lc > 0, Lc, 1.0)), 0.0)
-    val = 0.5 * terms.sum(axis=1)
-    return val if np.asarray(points).ndim > 1 else val[0]
 
 
 @dataclass
@@ -389,23 +303,28 @@ class SymplecticPotential:
         return self._f_jets[order]
 
     def partials_at(self, points, order: int = 4) -> dict:
-        """Exact partials {(a, b): array over points} of u with a + b <= `order`
-        at interior points; node data has none (DomainError)."""
+        """Partials {(a, b): array over points} of u with a + b <= `order` at
+        interior points: exact for a closed form; for node data those of the
+        Taylor step from the nearest node, to order 2 (DomainError beyond)."""
         if order > 4:
             raise ValueError("derivatives supported up to order 4")
-        if self.f_form is None:
-            raise DomainError("node-data potentials have no closed-form partials")
         pts = np.atleast_2d(np.asarray(points, dtype=float))
+        keys = [key for key in PARTIALS if sum(key) <= order]
+        if self.f_form is not None:
+            f = {key: self.f_form.partial(*key, *pts.T) for key in keys}
+        elif order > 2:
+            raise DomainError("node-data potentials have off-grid partials to order 2 only")
+        else:
+            f = self._taylor(*self.grid.nearest_nodes(pts))
         base = guillemin_partials(self.polytope, pts, order)
-        return {(a, b): base[(a, b)] + self.f_form.partial(a, b, pts[:, 0], pts[:, 1])
-                for (a, b) in PARTIALS if a + b <= order}
+        return {key: base[key] + f[key] for key in keys}
 
     def hessian_field(self) -> np.ndarray:
         """Components (00, 01, 11) of the Hessian of u at every node, (3, n)."""
         # node data, on every flow-velocity evaluation: one product and one add
         f = (self._f_jet(2) if self.f_form is None
              else [self.f_partial(key) for key in HESSIAN_KEYS])
-        return np.add(self.grid.guillemin_jets.hessian, f)
+        return np.add(self.grid.guillemin_hessian, f)
 
     def hessians(self) -> np.ndarray:
         """(n, 2, 2) Hessian of u at every node."""
@@ -417,9 +336,7 @@ class SymplecticPotential:
     # -- pointwise evaluation --------------------------------------------------
 
     def node_index(self, x) -> int:
-        x = np.asarray(x, dtype=float)
-        _, k = self.grid.kdtree.query(x)
-        return int(k)
+        return int(self.grid.nearest_nodes(x)[0])
 
     def grid_node(self, x) -> int:
         """Index of the grid node at x (the nearest within h/2); node data is
@@ -439,16 +356,9 @@ class SymplecticPotential:
         if self.provider == "fd":
             k = self.grid_node(x)
             return Jet({key: float(val[k]) for key, val in self.jets(order).items()})
-        return Jet({key: float(val[0]) for key, val in self.partials_at(x, order).items()})
+        return _jet_at(self, x, order)
 
-    # -- off-grid sampling (monitors only) --------------------------------------
-
-    def _f_taylor(self, pts: np.ndarray) -> dict:
-        """Partials {(a, b): array over pts}, a + b <= 2, of the second-order
-        Taylor polynomial of the node data f about each point's nearest node."""
-        _, ks = self.grid.kdtree.query(pts)
-        dx, dy = (pts - self.grid.points[ks]).T
-        return self._taylor(ks, dx, dy)
+    # -- off-grid sampling -------------------------------------------------------
 
     def _taylor(self, ks: np.ndarray, dx: np.ndarray, dy: np.ndarray) -> dict:
         """Partials, a + b <= 2, of the second-order Taylor polynomial of the
@@ -464,24 +374,15 @@ class SymplecticPotential:
             (0, 2): f02,
         }
 
-    def f_at(self, points) -> np.ndarray:
-        """f at arbitrary points of the closed polytope.
-
-        Closed forms are evaluated exactly; node data is extended by a local
-        second-order Taylor step from the nearest node.
-        """
+    def value_at(self, points) -> np.ndarray:
+        """u on the closed polytope (canonical part by continuity on the
+        boundary); node data by the Taylor step from the nearest node."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if self.provider == "analytic":
-            val = self.f_form(pts[:, 0], pts[:, 1])
+            f = self.f_form(pts[:, 0], pts[:, 1])
         else:
-            val = self._f_taylor(pts)[(0, 0)]
-        return val if np.asarray(points).ndim > 1 else np.atleast_1d(val)
-
-    def value_at(self, points) -> np.ndarray:
-        """u on the closed polytope (canonical part by continuity on the boundary)."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        base = guillemin_value(self.polytope, pts)
-        out = np.atleast_1d(base) + self.f_at(pts)
+            f = self._taylor(*self.grid.nearest_nodes(pts))[(0, 0)]
+        out = guillemin_value(self.polytope, pts) + f
         return out if np.asarray(points).ndim > 1 else out[0]
 
     def boundary_values(self, quad: BoundaryQuadrature) -> np.ndarray:
@@ -496,25 +397,6 @@ class SymplecticPotential:
             f = self._taylor(*quad.nearest_nodes(self.grid))[(0, 0)]
         return quad.canonical + f
 
-    def gradient_at(self, x) -> np.ndarray:
-        """grad u at an interior point (Taylor-extended from the nearest node
-        for node data)."""
-        if self.provider == "analytic":
-            return self.evaluate(x, 1).gradient
-        x = np.asarray(x, dtype=float)
-        gG = guillemin_partials(self.polytope, x, 1)
-        df = self._f_taylor(x[None, :])
-        return np.array([gG[(1, 0)] + df[(1, 0)][0], gG[(0, 1)] + df[(0, 1)][0]])
-
-    def hessian_at(self, x) -> np.ndarray:
-        """Hess u at an interior point (node data: f's Hessian at the nearest node)."""
-        if self.provider == "analytic":
-            return self.evaluate(x, 2).hessian
-        x = np.asarray(x, dtype=float)
-        hG = guillemin_partials(self.polytope, x, 2)
-        df = self._f_taylor(x[None, :])
-        return Jet({key: hG[key] + df[key][0] for key in hG if sum(key) == 2}).hessian
-
 
 # ---------------------------------------------------------------------------
 # Legendre transform
@@ -528,11 +410,16 @@ class ComplexDual:
     phi: float
 
 
+def _jet_at(u: SymplecticPotential, x, order: int) -> Jet:
+    """The Jet of u at an interior point x, from partials_at."""
+    return Jet({key: float(val[0]) for key, val in u.partials_at(x, order).items()})
+
+
 def legendre_dual(u: SymplecticPotential, x) -> ComplexDual:
     x = np.asarray(x, dtype=float)
     if not u.polytope.contains(x):
         raise DomainError("point outside the open polytope")
-    xi = u.gradient_at(x)
+    xi = _jet_at(u, x, 1).gradient
     val = float(u.value_at(x))
     return ComplexDual(xi=xi, phi=float(x @ xi - val))
 
@@ -542,18 +429,18 @@ def legendre_inverse(u: SymplecticPotential, xi, x0=None, tol: float = 1e-12,
     """Solve grad u(x) = xi by damped Newton iteration with the Hessian."""
     xi = np.asarray(xi, dtype=float)
     x = np.asarray(x0, dtype=float) if x0 is not None else u.polytope.vertices.mean(axis=0)
-    res = u.gradient_at(x) - xi
+    res = _jet_at(u, x, 1).gradient - xi
     for _ in range(max_iter):
         nrm = np.hypot(*res)
         if nrm < tol:
             return x
-        H = u.hessian_at(x)
+        H = _jet_at(u, x, 2).hessian
         step = np.linalg.solve(H, -res)
         lam = 1.0
         while lam > 1e-8:
             cand = x + lam * step
             if u.polytope.contains(cand):
-                cand_res = u.gradient_at(cand) - xi
+                cand_res = _jet_at(u, cand, 1).gradient - xi
                 if np.hypot(*cand_res) < nrm:
                     x, res = cand, cand_res
                     break
@@ -601,22 +488,25 @@ def save_snapshot(u: SymplecticPotential, path, t: float = 0.0) -> None:
 def load_snapshot(path, polytope: DelzantPolytope = None):
     """Rebuild the node-data potential saved by save_snapshot.
 
-    Returns (potential, t).  If a polytope is supplied its content hash must
-    match the sidecar.  The columns i, j and f are read by name; x and y are
-    informative only, and either line ending loads.  DomainError is raised
-    for a malformed sidecar, a flow time that is not finite, a header
-    without i, j or f, a malformed row or a non-integer i or j, a row that is
-    not a node of the grid, two rows for one node, a node without a row, and
-    an f that is not finite.
+    Returns (potential, t).  The columns i, j and f are read by name; x and
+    y are informative only, and either line ending loads.  DomainError is
+    raised for a malformed sidecar (one whose polytope or grid cannot be
+    built included), sidecar facets that do not hash to its polytope_hash, a
+    supplied polytope other than those facets' (compared with ==), a flow
+    time that is not finite, a header without i, j or f, a malformed row or
+    a non-integer i or j, a row that is not a node of the grid, two rows for
+    one node, a node without a row, and an f that is not finite.
     """
     path = Path(path)
     try:
         with open(path.with_suffix(path.suffix + ".json")) as fh:
             meta = json.load(fh)
         P = polytope_from_dict(meta["polytope"])
-        if polytope is not None and polytope.content_hash() != meta["polytope_hash"]:
+        if P.content_hash() != meta["polytope_hash"]:
+            raise DomainError(f"malformed snapshot {path}: facets differ from polytope_hash")
+        if polytope is not None and polytope != P:
             raise DomainError("snapshot belongs to a different polytope")
-        grid = Grid(P, int(meta["grid_n"]), float(meta["delta_min"]))
+        grid = Grid(P, meta["grid_n"], float(meta["delta_min"]))
         t = float(meta["t"])
         if not math.isfinite(t):
             raise DomainError(f"malformed snapshot {path}: flow time {t!r} is not finite")
@@ -628,7 +518,7 @@ def load_snapshot(path, polytope: DelzantPolytope = None):
                 rows = np.loadtxt(fh, delimiter=",", ndmin=1,
                                   usecols=[names.index(c) for c in ("i", "j", "f")],
                                   dtype=[("i", np.int64), ("j", np.int64), ("f", float)])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, DegenerateInputError) as exc:
         raise DomainError(f"malformed snapshot {path}: {exc!r}") from exc
     i, j = rows["i"], rows["j"]
     ni, nj = grid.node_id.shape

@@ -22,7 +22,7 @@ from calabiflow import (
     weighted_scalar_field,
 )
 from calabiflow.curvature import (_context_from_jets, _d2U_trace, _dU_trace, _fiber_rm2,
-                                  _point_context, _rm2_total_from_ctx, class_record,
+                                  _jet_context, _point_context, _rm2_total_from_ctx, class_record,
                                   curvature_context)
 from calabiflow.polytope import DelzantPolytope
 from calabiflow.potential import PARTIALS
@@ -259,7 +259,7 @@ def _cubic_fd(P, grid):
 @pytest.mark.parametrize("poly, grid", [("triangle", "grid48"), ("hexagon", "hex_grid")])
 def test_fd_context_traces_match_full_tensors(poly, grid, request):
     u = _cubic_fd(request.getfixturevalue(poly), request.getfixturevalue(grid))
-    ctx = curvature_context(u)
+    ctx = _jet_context(u)
     _, _, dU, d2U = full_tensors(ctx)
     assert np.array_equal(np.moveaxis(_dU_trace(ctx["dU"]), -1, 0), np.einsum("nsrs->nsr", dU))
     assert np.array_equal(_d2U_trace(ctx["d2U"]), np.einsum("nrsrs->n", d2U))
@@ -268,7 +268,7 @@ def test_fd_context_traces_match_full_tensors(poly, grid, request):
 @pytest.mark.parametrize("cls", CLASSES + [AdmissibleClass.trivial()])
 def test_weighted_scalar_matches_full_tensor_formula(triangle, grid48, cls):
     u = _cubic_fd(triangle, grid48)
-    ctx = curvature_context(u)
+    ctx = _jet_context(u)
     _, U, dU, d2U = full_tensors(ctx)
     q = cls.affine(grid48.points)
     # the weight q^m is affine (m is 0 or 1), with gradient m p
@@ -285,7 +285,7 @@ def test_fd_traces_equal_full_jets(poly, grid, request):
     g = request.getfixturevalue(grid) if grid else build_grid(P, 24, 0.5 * 6.0 / 24)
     x, y = g.points[:, 0], g.points[:, 1]
     u = SymplecticPotential.from_node_values(P, g, _cubic_fd(P, g).f_values + bump_form(0.05)(x, y))
-    ctx = curvature_context(u)
+    ctx = _jet_context(u)
     assert np.array_equal(sym2_matrices(ctx["G"]), u.hessians())
     jets = g.field_jets(np.stack(list(ctx["U"]), axis=1))
     dx, dy, dxy = jets[(1, 0)], jets[(0, 1)], jets[(1, 1)][:, 1]

@@ -484,6 +484,17 @@ def test_run_config_checks_its_fields(triangle_file, bundle_class, field, value)
                   **{field: value})
 
 
+@pytest.mark.parametrize("field, value", [("grid_n", 12.5), ("monitor_every", 2.5),
+                                          ("max_steps", 3.9), ("snapshot_every", 0.5)])
+def test_run_config_refuses_fractions_for_whole_numbers(triangle_file, bundle_class, field,
+                                                        value):
+    # each was once truncated: N = 12.5 ran at N = 12, snapshot_every = 0.5
+    # turned periodic snapshots off
+    with pytest.raises(ConfigError):
+        RunConfig(polytope_path=str(triangle_file), admissible_class=bundle_class,
+                  **{field: value})
+
+
 def test_run_config_coerces_its_fields(triangle_file, bundle_class):
     cfg = RunConfig(polytope_path=triangle_file, admissible_class=bundle_class, grid_n=24.0,
                     perturbation_center=np.array([0.25, 0]), max_steps="3")

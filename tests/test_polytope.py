@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -6,14 +7,18 @@ import pytest
 from calabiflow import (
     DegenerateInputError,
     DelzantPolytope,
+    DomainError,
+    Grid,
     boundary_quadrature,
     build_grid,
     eps_region,
+    guillemin_partials,
     load_polytope,
     save_polytope,
     standard_triangle,
 )
 from calabiflow.polytope import (
+    HESSIAN_KEYS,
     _D1_STENCILS,
     _D2_STENCILS,
     _cell_moments,
@@ -90,6 +95,14 @@ def test_grid_too_small_raises(triangle):
         build_grid(triangle, 3, 2.0)
 
 
+@pytest.mark.parametrize("n", [12.5, math.nan])
+def test_grid_refuses_a_resolution_that_is_not_a_whole_number(triangle, n):
+    # 12.5 once built a grid whose snapshot did not load back
+    with pytest.raises(DegenerateInputError):
+        Grid(triangle, n, 0.12)
+    assert type(Grid(triangle, 12.0, 0.12).n) is int
+
+
 def test_grid_refinement_superset(triangle):
     delta = 0.05
     g1 = build_grid(triangle, 24, delta)
@@ -125,6 +138,27 @@ def test_eps_region_examples(triangle, grid48):
     big = set(eps_region(triangle, grid48, 0.5).tolist())
     small = set(eps_region(triangle, grid48, 0.25).tolist())
     assert big <= small
+
+
+def test_eps_region_refuses_nan(triangle, grid48):
+    # it once returned an empty region
+    with pytest.raises(DomainError):
+        eps_region(triangle, grid48, math.nan)
+
+
+@pytest.mark.parametrize("poly", ["triangle", "hexagon", "trapezoid"])
+def test_grid_guillemin_jets_are_guillemin_partials(poly, request):
+    P = request.getfixturevalue(poly)
+    width = P.bbox[1][0] - P.bbox[0][0]
+    g = build_grid(P, 24, 0.5 * width / 24)
+    ref = guillemin_partials(P, g.points)
+    assert g.guillemin_jets.keys() == ref.keys() and len(ref) == 15
+    for key, val in ref.items():
+        assert np.array_equal(g.guillemin_jets[key].view(np.int64), val.view(np.int64)), key
+    # the second partials are the rows of the one stack, not a copy of them
+    for row, key in zip(g.guillemin_hessian, HESSIAN_KEYS):
+        assert g.guillemin_jets[key].base is g.guillemin_hessian
+        assert np.array_equal(row, g.guillemin_jets[key])
 
 
 def test_eps_region_refuses_a_grid_of_another_polytope(triangle, grid48, hexagon):

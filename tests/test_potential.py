@@ -1,4 +1,5 @@
 import csv
+import json
 
 import numpy as np
 import pytest
@@ -18,9 +19,9 @@ from calabiflow import (
     standard_triangle,
 )
 from calabiflow.polytope import DelzantPolytope, boundary_quadrature
-from calabiflow.potential import (PARTIALS, _mat2, _mat2_product, _sym2_dot, _sym2_eigenvalues,
-                                  _sym2_inverse, _sym2_matrix, _sym2_sandwich, _trace_of_square,
-                                  bump_form, zero_form)
+from calabiflow.potential import (PARTIALS, _jet_at, _mat2, _mat2_product, _sym2_dot,
+                                  _sym2_eigenvalues, _sym2_inverse, _sym2_matrix, _sym2_sandwich,
+                                  _trace_of_square, bump_form, zero_form)
 from conftest import interior_points
 from fd_oracle import sym2_matrices
 
@@ -276,6 +277,37 @@ def test_snapshot_polytope_mismatch(tmp_path, triangle, grid48):
         load_snapshot(path, polytope=other)
 
 
+def test_snapshot_sidecar_facets_must_hash_to_its_hash(tmp_path, triangle, grid48):
+    path = tmp_path / "snap.csv"
+    save_snapshot(SymplecticPotential.from_node_values(triangle, grid48, np.zeros(grid48.n_nodes)),
+                  path)
+    sidecar = path.with_suffix(".csv.json")
+    meta = json.loads(sidecar.read_text())
+    # the triangle moved by (1, 0), which has the same grid; the hash is kept
+    for facet, offset in zip(meta["polytope"]["facets"], (0.0, 1.0, 2.0)):
+        facet["offset"] = offset
+    sidecar.write_text(json.dumps(meta))
+    # it once loaded, on the check of the kept hash, as a potential on the moved triangle
+    for polytope in (None, triangle):
+        with pytest.raises(DomainError, match="polytope_hash"):
+            load_snapshot(path, polytope)
+
+
+@pytest.mark.parametrize("edit", [{"grid_n": 48.9}, {"grid_n": 1}, {"delta_min": -1.0},
+                                  {"polytope": {"facets": [{"normal": [2, 0], "offset": 1.0}]}}],
+                         ids=["fractional-grid-n", "grid-n-1", "negative-delta-min",
+                              "not-a-polygon"])
+def test_snapshot_sidecar_that_builds_no_grid_is_malformed(tmp_path, triangle, grid48, edit):
+    path = tmp_path / "snap.csv"
+    save_snapshot(SymplecticPotential.from_node_values(triangle, grid48, np.zeros(grid48.n_nodes)),
+                  path)
+    sidecar = path.with_suffix(".csv.json")
+    sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), **edit}))
+    # grid_n 48.9 once loaded as 48; the others raised DegenerateInputError
+    with pytest.raises(DomainError, match="malformed snapshot"):
+        load_snapshot(path)
+
+
 def test_fd_evaluate_order4_composes_differences(triangle, grid48):
     f = bump_form(0.05)(grid48.points[:, 0], grid48.points[:, 1])
     u = SymplecticPotential.from_node_values(triangle, grid48, f)
@@ -333,8 +365,32 @@ def test_gradient_and_hessian_at_match_evaluate(kind, triangle, grid48, rng):
     for k in rng.choice(u.grid.n_nodes, size=25, replace=False):
         x = u.grid.points[k]
         jet = u.evaluate(x, order=2)
-        np.testing.assert_allclose(u.gradient_at(x), jet.gradient, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(u.hessian_at(x), jet.hessian, rtol=0, atol=1e-12)
+        # the gradient and the Hessian the Legendre functions read
+        np.testing.assert_allclose(_jet_at(u, x, 1).gradient, jet.gradient, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(_jet_at(u, x, 2).hessian, jet.hessian, rtol=0, atol=1e-12)
+
+
+def test_node_data_partials_at_is_the_taylor_step(triangle, grid48, rng):
+    u = _potential_of_kind("node_values", triangle, grid48)
+    ks = rng.choice(grid48.n_nodes, size=25, replace=False)
+    at_nodes, jets = u.partials_at(grid48.points[ks], 2), u.jets(2)
+    assert at_nodes.keys() == jets.keys()
+    for key, val in at_nodes.items():
+        np.testing.assert_allclose(val, jets[key][ks], rtol=0, atol=1e-12)
+    # within 0.2 h of a node, which keeps delta_min = h/2 from every facet
+    off = grid48.points[ks] + rng.uniform(-0.2, 0.2, (25, 2)) * grid48.h
+    assert np.array_equal(u.partials_at(off, 2)[(0, 0)], u.value_at(off))
+    for order in (3, 4):
+        with pytest.raises(DomainError):
+            u.partials_at(off, order)
+
+
+def test_legendre_round_trip_on_node_data(triangle, grid48, rng):
+    u = _potential_of_kind("node_values", triangle, grid48)
+    for k in rng.choice(grid48.n_nodes, size=12, replace=False):
+        x = grid48.points[k]
+        back = legendre_inverse(u, legendre_dual(u, x).xi)
+        np.testing.assert_allclose(back, x, rtol=0, atol=1e-11)
 
 
 def test_node_data_has_no_off_grid_partials(triangle, grid48):
