@@ -14,7 +14,7 @@ import json
 import math
 import weakref
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -160,17 +160,16 @@ def _solve_each(gram, rhs):
     singular.
 
     LAPACK gives up on the whole stack if one matrix is singular; the stack
-    is then solved matrix by matrix."""
+    is then solved again as its two halves, each by this rule, so that only
+    the halves holding a singular matrix are split further."""
     try:
         return np.linalg.solve(gram, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError:
-        out = np.full(rhs.shape, np.nan)
-        for i in range(len(rhs)):
-            try:
-                out[i] = np.linalg.solve(gram[i], rhs[i])
-            except np.linalg.LinAlgError:
-                pass
-        return out
+        if len(rhs) == 1:
+            return np.full(rhs.shape, np.nan)
+        half = len(rhs) // 2
+        return np.concatenate([_solve_each(gram[:half], rhs[:half]),
+                               _solve_each(gram[half:], rhs[half:])])
 
 
 def _point_segment_distance(x, a, b) -> float:
@@ -222,10 +221,14 @@ class DelzantPolytope:
             if math.gcd(int(abs(v[0])), int(abs(v[1]))) != 1:
                 raise DegenerateInputError(f"facet normal {tuple(v)} is not primitive")
         object.__setattr__(self, "vertices", self._derive_vertices())
+        # the fields never change, so neither do their area, hash and
+        # boundary measure
+        object.__setattr__(self, "_area", _polygon_area(self.vertices))
         self._validate()
-        # the fields never change, so neither does their hash
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()
         object.__setattr__(self, "_content_hash", hashlib.sha256(blob).hexdigest())
+        object.__setattr__(self, "_boundary_measure", sum(
+            self.facet_lattice_length(i) for i in range(len(self.offsets))))
 
     def _derive_vertices(self) -> np.ndarray:
         d = len(self.offsets)
@@ -267,7 +270,7 @@ class DelzantPolytope:
                 raise DegenerateInputError(
                     f"normals at vertex {tuple(x)} have determinant {det}, not a Z^2 basis"
                 )
-        if _polygon_area(self.vertices) <= _TOL:
+        if self.area <= _TOL:
             raise DegenerateInputError("polytope has empty interior")
         centroid = self.vertices.mean(axis=0)
         if np.min(self.facet_values(centroid)) <= 0:
@@ -276,8 +279,13 @@ class DelzantPolytope:
     # -- geometry queries (pure) -------------------------------------------
 
     def facet_values(self, x) -> np.ndarray:
-        """l_i(x) for all facets; x is a point (2,) or an array (..., 2)."""
+        """l_i(x) for all facets; x is a point (2,) or an array (..., 2).
+
+        A stack of point arrays (ndim > 2) takes the one product of its
+        (-1, 2) rows, not one product per array."""
         x = np.asarray(x, dtype=float)
+        if x.ndim > 2:
+            return self.facet_values(x.reshape(-1, 2)).reshape(*x.shape[:-1], -1)
         return x @ self.normals.T.astype(float) + self.offsets
 
     def contains(self, x) -> bool:
@@ -286,7 +294,8 @@ class DelzantPolytope:
 
     @property
     def area(self) -> float:
-        return _polygon_area(self.vertices)
+        """Euclidean area, computed when the polytope is built."""
+        return self._area
 
     @property
     def bbox(self):
@@ -322,7 +331,8 @@ class DelzantPolytope:
         return float(np.hypot(*e) / np.hypot(*tau))
 
     def boundary_measure(self) -> float:
-        return sum(self.facet_lattice_length(i) for i in range(len(self.offsets)))
+        """Total lattice length of the facets, computed when the polytope is built."""
+        return self._boundary_measure
 
     def distance_to_boundary(self, x) -> float:
         """Exact Euclidean distance from x to the boundary polygon."""
@@ -542,8 +552,8 @@ class Grid:
         xs = lo[0] + h * ii
         ys = lo[1] + h * jj
         pts = np.stack([xs, ys], axis=-1)
-        lvals = polytope.facet_values(pts.reshape(-1, 2)).reshape(ni, nj, -1)
-        delta = lvals.min(axis=2)
+        # the smallest facet value, one elementwise pass per facet
+        delta = reduce(np.minimum, np.moveaxis(polytope.facet_values(pts), -1, 0))
         mask = delta >= delta_min - 1e-12
 
         if not mask.any():
@@ -577,12 +587,14 @@ class Grid:
 
     def _neighbors(self, offsets) -> np.ndarray:
         """(n_nodes, k) ids of the lattice neighbours at k offsets (di, dj),
-        -1 where the neighbour is not a node."""
+        -1 where the neighbour is not a node: one flat gather from the
+        node_id table padded with -1."""
         offsets = np.asarray(offsets)
         pad = int(np.abs(offsets).max())
         ids = np.pad(self.node_id, pad, constant_values=-1)
-        i, j = (self.ij + pad).T
-        return ids[i[:, None] + offsets[:, 0], j[:, None] + offsets[:, 1]]
+        width = ids.shape[1]
+        at = (self.ij[:, 0] + pad) * width + (self.ij[:, 1] + pad)
+        return ids.ravel().take(at[:, None] + (offsets[:, 0] * width + offsets[:, 1]))
 
     @property
     def neighbors8(self) -> np.ndarray:
@@ -608,15 +620,17 @@ class Grid:
 
         Each node takes the first stencil of the table whose nodes all exist.
         A node no stencil serves gets the row of the nearest served node.
+        The axis neighbours at offsets -3..3 are gathered once, and each
+        stencil picks its columns from them.
         """
         table = _D1_STENCILS if order == 1 else _D2_STENCILS
         scale = self.h if order == 1 else self.h * self.h
         n = self.n_nodes
-        unit = np.eye(2, dtype=int)[axis]
+        line = self._neighbors(np.outer(np.arange(-3, 4), np.eye(2, dtype=int)[axis]))
         served = np.zeros(n, dtype=bool)
         rows, cols, vals = [], [], []
         for offs, cs in table:
-            ids = self._neighbors(np.outer(offs, unit))
+            ids = line[:, np.add(offs, 3)]
             take = ~served & (ids >= 0).all(axis=1)
             served |= take
             rows.append(np.repeat(np.nonzero(take)[0], len(offs)))
@@ -848,8 +862,9 @@ class Grid:
         nearby nodes so that its exact area, centroid, and second moments
         are reproduced; quadratic integrands therefore see no boundary error
         and the weights sum to the polytope area.  The moment-matching
-        systems are solved as one stack per stage; only a stack that holds a
-        singular matrix is solved again cell by cell.
+        systems are solved as one stack per stage; a stack that holds a
+        singular matrix is solved again as two halves, and so on down to the
+        singular cells.
         """
         if self._cell_weights is None:
             self._cell_weights = self._compute_cell_weights()
@@ -927,8 +942,10 @@ class Grid:
         corners = centers[:, None, :] + signs * (h / 2)  # (cells, 4, 2)
         vals = P.facet_values(corners)  # (cells, 4, d)
         full = (vals >= 0).all(axis=(1, 2))
-        # all corners on the far side of one facet: the cell misses P
-        missing = (vals < 0).all(axis=1).any(axis=1)
+        # all corners on the far side of one facet: the cell misses P; one
+        # elementwise pass over the corners, then one over the facets
+        out = reduce(np.logical_and, np.moveaxis(vals < 0, 1, 0))
+        missing = reduce(np.logical_or, out.T)
         node = self.node_id.ravel()
         owned = full & (node >= 0)
         parts = [(np.flatnonzero(owned), node[owned], np.full(owned.sum(), h * h))]

@@ -10,7 +10,8 @@ differentiated follows from what it was built from, it is not chosen:
   two jet operators (stencil rows in the interior, least-squares fits on the
   near-boundary band), one product for each order and computed once; orders
   3-4 by composed axis differences, on each request.  Off the grid, orders
-  0-2 are those of the Taylor step from the nearest node (``_taylor``).
+  0-2 are those of the Taylor step from the nearest node (``_taylor``; the
+  value alone is ``_taylor_value``).
 
 On the grid the partials of u are the canonical ones plus ``f_partial``, the
 one place where the two kinds differ; at any point they are ``partials_at``.
@@ -360,13 +361,25 @@ class SymplecticPotential:
 
     # -- off-grid sampling -------------------------------------------------------
 
+    def _taylor_jets(self, ks: np.ndarray):
+        """(f10, f01, f20, f11, f02): the first and second partials of the
+        node data f at nodes ks."""
+        return (*self._f_jet(1).take(ks, axis=1), *self._f_jet(2).take(ks, axis=1))
+
+    def _taylor_value(self, ks: np.ndarray, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+        """The second-order Taylor polynomial of the node data f about nodes
+        ks, at offsets (dx, dy) from them."""
+        f10, f01, f20, f11, f02 = self._taylor_jets(ks)
+        return (self.f_values[ks] + f10 * dx + f01 * dy
+                + 0.5 * (f20 * dx**2 + 2 * f11 * dx * dy + f02 * dy**2))
+
     def _taylor(self, ks: np.ndarray, dx: np.ndarray, dy: np.ndarray) -> dict:
         """Partials, a + b <= 2, of the second-order Taylor polynomial of the
-        node data f about nodes ks, at offsets (dx, dy) from them."""
-        (f10, f01), (f20, f11, f02) = (self._f_jet(order).take(ks, axis=1) for order in (1, 2))
+        node data f about nodes ks, at offsets (dx, dy) from them; the value
+        is _taylor_value."""
+        f10, f01, f20, f11, f02 = self._taylor_jets(ks)
         return {
-            (0, 0): (self.f_values[ks] + f10 * dx + f01 * dy
-                     + 0.5 * (f20 * dx**2 + 2 * f11 * dx * dy + f02 * dy**2)),
+            (0, 0): self._taylor_value(ks, dx, dy),
             (1, 0): f10 + f20 * dx + f11 * dy,
             (0, 1): f01 + f11 * dx + f02 * dy,
             (2, 0): f20,
@@ -381,7 +394,7 @@ class SymplecticPotential:
         if self.provider == "analytic":
             f = self.f_form(pts[:, 0], pts[:, 1])
         else:
-            f = self._taylor(*self.grid.nearest_nodes(pts))[(0, 0)]
+            f = self._taylor_value(*self.grid.nearest_nodes(pts))
         out = guillemin_value(self.polytope, pts) + f
         return out if np.asarray(points).ndim > 1 else out[0]
 
@@ -394,7 +407,7 @@ class SymplecticPotential:
         if self.provider == "analytic":
             f = self.f_form(quad.points[:, 0], quad.points[:, 1])
         else:
-            f = self._taylor(*quad.nearest_nodes(self.grid))[(0, 0)]
+            f = self._taylor_value(*quad.nearest_nodes(self.grid))
         return quad.canonical + f
 
 
@@ -459,6 +472,14 @@ def legendre_inverse(u: SymplecticPotential, xi, x0=None, tol: float = 1e-12,
 # snapshots
 
 
+def _repr_column(values: np.ndarray) -> list:
+    """repr of each float of an array, taken once per distinct value; the
+    values are told apart by their bits, so -0.0 and 0.0 keep their own."""
+    distinct, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    reprs = list(map(repr, distinct.view(float).tolist()))
+    return [reprs[k] for k in inverse.tolist()]
+
+
 def save_snapshot(u: SymplecticPotential, path, t: float = 0.0) -> None:
     """Write the node values of u as CSV, plus a JSON sidecar <path>.json.
 
@@ -469,11 +490,12 @@ def save_snapshot(u: SymplecticPotential, path, t: float = 0.0) -> None:
     """
     path = Path(path)
     ij, points = u.grid.ij, u.grid.points
-    rows = map("{},{},{!r},{!r},{!r}\r\n".format, ij[:, 0].tolist(), ij[:, 1].tolist(),
-               points[:, 0].tolist(), points[:, 1].tolist(), u.f_values.tolist())
+    # a grid has few distinct coordinates, so x and y cost a repr per lattice
+    # line and f one per node
+    rows = zip(ij[:, 0].tolist(), ij[:, 1].tolist(), _repr_column(points[:, 0]),
+               _repr_column(points[:, 1]), u.f_values.tolist())
     with open(path, "w", newline="") as fh:
-        fh.write("i,j,x,y,f\r\n")
-        fh.writelines(rows)
+        fh.write("i,j,x,y,f\r\n" + "".join(map("%d,%d,%s,%s,%r\r\n".__mod__, rows)))
     sidecar = {
         "grid_n": u.grid.n,
         "delta_min": u.grid.delta_min,

@@ -19,6 +19,7 @@ from calabiflow import (
 )
 from calabiflow.polytope import (
     HESSIAN_KEYS,
+    OFFSETS8,
     _D1_STENCILS,
     _D2_STENCILS,
     _cell_moments,
@@ -467,7 +468,7 @@ def test_cell_moments_match_polygon_moments():
             assert moments[r].tobytes() == m.tobytes()
 
 
-def test_solve_each_retries_a_singular_stack():
+def test_solve_each_retries_a_singular_stack(monkeypatch):
     rng = np.random.default_rng(20153)
     M = rng.normal(size=(5, 6, 6))
     gram = M @ M.swapaxes(1, 2)
@@ -475,7 +476,19 @@ def test_solve_each_retries_a_singular_stack():
     rhs = rng.normal(size=(5, 6))
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.solve(gram, rhs[..., None])
+    solve, calls = np.linalg.solve, []
+
+    def counting_solve(a, b):
+        calls.append(len(a))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
     x = _solve_each(gram, rhs)
+    monkeypatch.undo()
+    # the stack, its halves [0:2] and [2:5], and the halves [2:3] and [3:5]
+    # of the one that fails: the matrices after the singular one are not
+    # solved one by one
+    assert calls == [5, 2, 3, 1, 2]
     assert np.isnan(x[2]).all()
     for i in (0, 1, 3, 4):
         assert x[i].tobytes() == np.linalg.solve(gram[i], rhs[i]).tobytes()
@@ -493,12 +506,17 @@ def test_field_jets_exact_on_quadratics(grid48):
     np.testing.assert_allclose(jets[(1, 0)], 3.0 * x - 0.7 * y + 2, atol=1e-9)
 
 
-@pytest.fixture(params=["triangle", "hexagon"])
-def small_grid(request, triangle, hex_grid):
-    """A small triangle grid (it has unserved stencil rows) and the hexagon grid."""
+# the small grids with nodes that no stencil of some axis operator serves
+_UNSERVED_GRIDS = ("triangle", "trapezoid")
+
+
+@pytest.fixture(params=["triangle", "hexagon", "trapezoid"])
+def small_grid(request, triangle, hex_grid, trap_grid):
+    """A small triangle grid, the hexagon grid and the trapezoid grid; the
+    triangle and the trapezoid grids have unserved stencil rows."""
     if request.param == "triangle":
         return build_grid(triangle, 16, 0.5 * 3.0 / 16)
-    return hex_grid
+    return {"hexagon": hex_grid, "trapezoid": trap_grid}[request.param]
 
 
 def test_boundary_distance_matches_scalar_loop(triangle, grid48, hexagon, hex_grid):
@@ -540,12 +558,14 @@ def _loop_stencil_rows(g, axis, order):
     return rows
 
 
-def test_axis_operators_match_stencil_loop(small_grid):
+def test_axis_operators_match_stencil_loop(small_grid, request):
     g = small_grid
+    unserved = 0
     for (axis, order), A in g.axis_operators.items():
         dense = A.toarray()
         rows = _loop_stencil_rows(g, axis, order)
         served = [k for k, r in enumerate(rows) if r is not None]
+        unserved += g.n_nodes - len(served)
         for k, row in enumerate(rows):
             if row is None:
                 # unserved rows repeat the row of the nearest served node
@@ -555,6 +575,29 @@ def test_axis_operators_match_stencil_loop(small_grid):
             for col, c in row.items():
                 expect[col] = c
             assert np.array_equal(dense[k], expect), (axis, order, k)
+    # the fill rows are checked where there are some
+    assert (unserved > 0) == (request.node.callspec.params["small_grid"] in _UNSERVED_GRIDS)
+
+
+def test_neighbors_match_node_loop(small_grid):
+    g = small_grid
+    for offsets in (OFFSETS8, [(s, 0) for s in range(-3, 4)], [(0, s) for s in range(-3, 4)]):
+        expect = [[g.node_id[i + di, j + dj]
+                   if 0 <= i + di < g.shape[0] and 0 <= j + dj < g.shape[1] else -1
+                   for di, dj in offsets] for i, j in g.ij]
+        assert np.array_equal(g._neighbors(offsets), expect)
+
+
+@pytest.mark.parametrize("name", ["triangle", "hexagon", "trapezoid"])
+def test_facet_values_of_a_stack_are_those_of_its_rows(request, name):
+    P = request.getfixturevalue(name)
+    lo, hi = P.bbox
+    # cell corners about random points, as the cell weights classify them
+    pts = np.random.default_rng(20154).uniform(lo - 0.1, hi + 0.1, (500, 2))
+    corners = pts[:, None, :] + np.array([(-1, -1), (1, -1), (1, 1), (-1, 1)]) * 0.03
+    stacked = P.facet_values(corners)
+    assert stacked.shape == (500, 4, len(P.offsets))
+    assert stacked.tobytes() == P.facet_values(corners.reshape(-1, 2)).tobytes()
 
 
 def test_field_jets_exact_on_quadratics_every_row(small_grid):

@@ -19,9 +19,9 @@ from calabiflow import (
     standard_triangle,
 )
 from calabiflow.polytope import DelzantPolytope, boundary_quadrature
-from calabiflow.potential import (PARTIALS, _jet_at, _mat2, _mat2_product, _sym2_dot,
-                                  _sym2_eigenvalues, _sym2_inverse, _sym2_matrix, _sym2_sandwich,
-                                  _trace_of_square, bump_form, zero_form)
+from calabiflow.potential import (PARTIALS, _jet_at, _mat2, _mat2_product, _repr_column,
+                                  _sym2_dot, _sym2_eigenvalues, _sym2_inverse, _sym2_matrix,
+                                  _sym2_sandwich, _trace_of_square, bump_form, zero_form)
 from conftest import interior_points
 from fd_oracle import sym2_matrices
 
@@ -240,10 +240,11 @@ def _extreme_values(n, rng):
     return f
 
 
-@pytest.mark.parametrize("name", ["triangle", "hexagon"])
+@pytest.mark.parametrize("name", ["triangle", "hexagon", "trapezoid"])
 def test_snapshot_bytes_match_csv_writer(tmp_path, request, rng, name):
     P = request.getfixturevalue(name)
-    grid = request.getfixturevalue({"triangle": "grid48", "hexagon": "hex_grid"}[name])
+    grid = request.getfixturevalue(
+        {"triangle": "grid48", "hexagon": "hex_grid", "trapezoid": "trap_grid"}[name])
     f = _extreme_values(grid.n_nodes, rng)
     u = SymplecticPotential.from_node_values(P, grid, f)
     save_snapshot(u, tmp_path / "snap.csv")
@@ -251,6 +252,13 @@ def test_snapshot_bytes_match_csv_writer(tmp_path, request, rng, name):
     assert (tmp_path / "snap.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
     back, _ = load_snapshot(tmp_path / "snap.csv", polytope=P)
     assert np.array_equal(back.f_values.view(np.int64), f.view(np.int64))
+
+
+def test_repr_column_keeps_negative_zero_apart():
+    values = np.array([0.0, -0.0, 1.5, 0.0, -0.0, 0.1 + 0.2])
+    assert _repr_column(values) == ["0.0", "-0.0", "1.5", "0.0", "-0.0", "0.30000000000000004"]
+    # x and y are columns of the (n, 2) node coordinates
+    assert _repr_column(np.array([[-0.0, 2.0], [0.0, 2.0]])[:, 0]) == ["-0.0", "0.0"]
 
 
 def test_snapshot_with_lf_line_endings_loads_the_same_bits(tmp_path, triangle, grid48, rng):
