@@ -6,7 +6,6 @@ from .errors import (
     CurvatureUndefinedError,
     DegenerateInputError,
     DomainError,
-    NumericError,
     RegimeError,
     StiffnessError,
 )
@@ -24,12 +23,9 @@ from .polytope import (
 )
 from .potential import (
     ClosedForm,
-    ComplexDual,
     SymplecticPotential,
     bump_form,
     fs_inverse_hessian,
-    legendre_dual,
-    legendre_inverse,
     load_snapshot,
     polynomial_form,
     save_snapshot,
@@ -52,10 +48,8 @@ from .curvature import (
 from .energy import (
     EnergyReport,
     average_scalar,
-    boundary_integral,
     energy_report,
     interior_quadrature,
-    mixed_trace,
 )
 from .flow import (
     FlowRun,
@@ -64,7 +58,6 @@ from .flow import (
     RunConfig,
     StepPolicy,
     rhs,
-    riemannian_distance,
     run,
     step,
 )

@@ -30,7 +30,6 @@ from .errors import (
     CurvatureUndefinedError,
     DegenerateInputError,
     DomainError,
-    NumericError,
     RegimeError,
     StiffnessError,
 )
@@ -359,7 +358,7 @@ def main(argv=None) -> int:
     except (ConfigError, DegenerateInputError, DomainError, RegimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (StiffnessError, CurvatureUndefinedError, NumericError) as exc:
+    except (StiffnessError, CurvatureUndefinedError) as exc:
         print(f"numerical termination: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except CalabiflowError as exc:

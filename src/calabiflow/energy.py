@@ -1,5 +1,5 @@
 """Integral quantities over the polytope: volumes, averages, Calabi energy,
-dissipation, boundary integrals, and the flow-invariant combination."""
+dissipation, and the flow-invariant combination."""
 
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from .curvature import (
 )
 from .errors import DegenerateInputError
 from .polytope import HESSIAN_KEYS, BoundaryQuadrature, DelzantPolytope, Grid, quadrature_for
-from .potential import SymplecticPotential, _sym2_dot, _trace_of_square
+from .potential import SymplecticPotential, _trace_of_square
 
 
 def interior_quadrature(grid: Grid, integrand: np.ndarray) -> float:
@@ -35,17 +35,6 @@ def interior_quadrature(grid: Grid, integrand: np.ndarray) -> float:
     if integrand.shape != (grid.n_nodes,):
         raise DegenerateInputError("integrand must be defined at all grid nodes")
     return float(np.dot(grid.quadrature_weights, integrand))
-
-
-def boundary_integral(P: DelzantPolytope, values_fn, quad: BoundaryQuadrature = None) -> float:
-    """Integral over the boundary against the lattice measure.
-
-    values_fn maps an (M, 2) array of boundary points to values.  The
-    boundary quadrature must be one of P (DomainError).
-    """
-    quad = quadrature_for(P, quad)
-    vals = np.asarray(values_fn(quad.points), dtype=float)
-    return float(np.dot(quad.weights, vals))
 
 
 def average_scalar(P: DelzantPolytope, cls: AdmissibleClass, grid: Grid,
@@ -152,28 +141,3 @@ def energy_report(u: SymplecticPotential, cls: AdmissibleClass,
         l2_u=l2_u,
         invariant_j=invariant_j,
     )
-
-
-def mixed_trace(u0: SymplecticPotential, u1: SymplecticPotential):
-    """(int u0_{ij} u1^{ij} dmu, int u1_{ij} u0^{ij} dmu) on a shared grid."""
-    if u0.grid is not u1.grid and ((u0.grid.n, u0.grid.delta_min, u0.polytope)
-                                   != (u1.grid.n, u1.grid.delta_min, u1.polytope)):
-        raise DegenerateInputError("mixed trace requires both potentials on the same grid")
-    ctx0, ctx1 = curvature_context(u0), curvature_context(u1)
-    t01 = interior_quadrature(u0.grid, _sym2_dot(ctx0["G"], ctx1["U"]))
-    t10 = interior_quadrature(u0.grid, _sym2_dot(ctx1["G"], ctx0["U"]))
-    return t01, t10
-
-
-def cauchy_schwarz_gap(u: SymplecticPotential, cls: AdmissibleClass) -> float:
-    """Dissipation minus its Cauchy-Schwarz lower bound.
-
-    int u^{ir} u^{js} R_{ij} R_{rs} p dmu >= (int u^{ij} R_{ij} p dmu)^2 / (2 int p dmu);
-    the 2 is the squared norm of the metric itself (trace of the identity).
-    Returns LHS - RHS (nonnegative up to quadrature noise).
-    """
-    U, Rh, pw = _r_hessian_parts(u, cls, weighted_scalar_field(u, cls))
-    diss = interior_quadrature(u.grid, _dissipation_density(U, Rh, pw))
-    mixed = interior_quadrature(u.grid, _sym2_dot(U, Rh) * pw)
-    vol = interior_quadrature(u.grid, pw)
-    return diss - mixed**2 / (2.0 * vol)

@@ -17,14 +17,6 @@ class CurvatureUndefinedError(CalabiflowError):
     """The Hessian is not positive definite where curvature was requested."""
 
 
-class NumericError(CalabiflowError):
-    """An iterative numerical procedure failed; carries a residual report."""
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
-
-
 class StiffnessError(CalabiflowError):
     """Time stepper rejected too many step-size reductions in a row.
 

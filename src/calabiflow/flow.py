@@ -176,16 +176,6 @@ def distance_field(grid: Grid, hessians, sources) -> np.ndarray:
     return dijkstra(A, indices=sources, min_only=True)
 
 
-def riemannian_distance(u: SymplecticPotential, A, B) -> float:
-    """Shortest grid-graph distance between node sets in the Hessian metric."""
-    A = np.atleast_1d(np.asarray(A, dtype=int))
-    B = np.atleast_1d(np.asarray(B, dtype=int))
-    if len(A) == 0 or len(B) == 0:
-        raise ValueError("node sets must be nonempty")
-    dist = distance_field(u.grid, u.hessian_field(), A)
-    return float(np.min(dist[B]))
-
-
 def boundary_ring(grid: Grid, region) -> np.ndarray:
     """Nodes of a region with an 8-neighbour outside it (or off the grid)."""
     inside = np.zeros(grid.n_nodes, dtype=bool)
@@ -262,15 +252,16 @@ class RunConfig:
             raise ConfigError("monitor_every must be >= 1 and snapshot_every >= 0")
         if not 0 < self.epsilon < math.inf:
             raise ConfigError("epsilon must be finite and positive")
+        if self.max_steps is not None and self.max_steps < 0:
+            raise ConfigError("max_steps must be >= 0")
+        if self.perturbation_kind not in ("none", "bump"):
+            raise ConfigError(f"unknown perturbation kind {self.perturbation_kind!r}")
 
 
 def initial_correction(cfg: RunConfig):
     if cfg.perturbation_kind == "none":
         return zero_form()
-    if cfg.perturbation_kind == "bump":
-        return bump_form(cfg.perturbation_amplitude, cfg.perturbation_center,
-                         cfg.perturbation_width)
-    raise ConfigError(f"unknown perturbation kind {cfg.perturbation_kind!r}")
+    return bump_form(cfg.perturbation_amplitude, cfg.perturbation_center, cfg.perturbation_width)
 
 
 class FlowRun:

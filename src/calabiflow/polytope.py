@@ -1033,10 +1033,6 @@ class BoundaryQuadrature:
         default_factory=weakref.WeakKeyDictionary, init=False, repr=False, compare=False
     )
 
-    @property
-    def total(self) -> float:
-        return float(self.weights.sum())
-
     def nearest_nodes(self, grid: Grid):
         """grid.nearest_nodes of the points, computed once per grid."""
         if grid not in self._nearest:

@@ -9,12 +9,13 @@ differentiated follows from what it was built from, it is not chosen:
 * node data f_values -- differenced on the grid: orders 1-2 by the grid's
   two jet operators (stencil rows in the interior, least-squares fits on the
   near-boundary band), one product for each order and computed once; orders
-  3-4 by composed axis differences, on each request.  Off the grid, orders
-  0-2 are those of the Taylor step from the nearest node (``_taylor``; the
-  value alone is ``_taylor_value``).
+  3-4 by composed axis differences, on each request.  Off the grid only the
+  value is read, that of the Taylor step from the nearest node
+  (``_taylor_value``).
 
 On the grid the partials of u are the canonical ones plus ``f_partial``, the
-one place where the two kinds differ; at any point they are ``partials_at``.
+one place where the two kinds differ; at any interior point a closed form's
+are ``partials_at``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from pathlib import Path
 import numpy as np
 from numpy.polynomial.hermite import hermval
 
-from .errors import DegenerateInputError, DomainError, NumericError
+from .errors import DegenerateInputError, DomainError
 from .polytope import (GRADIENT_KEYS, HESSIAN_KEYS, BoundaryQuadrature, DelzantPolytope, Grid,
                        guillemin_partials, guillemin_value, quadrature_for, standard_triangle)
 from .polytope import from_dict as polytope_from_dict
@@ -304,21 +305,16 @@ class SymplecticPotential:
         return self._f_jets[order]
 
     def partials_at(self, points, order: int = 4) -> dict:
-        """Partials {(a, b): array over points} of u with a + b <= `order` at
-        interior points: exact for a closed form; for node data those of the
-        Taylor step from the nearest node, to order 2 (DomainError beyond)."""
+        """Exact partials {(a, b): array over points} of a closed-form u with
+        a + b <= `order` at interior points.  Node data is read off the grid
+        only as a value (value_at), so for it this raises DomainError."""
         if order > 4:
             raise ValueError("derivatives supported up to order 4")
+        if self.f_form is None:
+            raise DomainError("node-data potentials have no off-grid partials")
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        keys = [key for key in PARTIALS if sum(key) <= order]
-        if self.f_form is not None:
-            f = {key: self.f_form.partial(*key, *pts.T) for key in keys}
-        elif order > 2:
-            raise DomainError("node-data potentials have off-grid partials to order 2 only")
-        else:
-            f = self._taylor(*self.grid.nearest_nodes(pts))
         base = guillemin_partials(self.polytope, pts, order)
-        return {key: base[key] + f[key] for key in keys}
+        return {key: base[key] + self.f_form.partial(*key, *pts.T) for key in base}
 
     def hessian_field(self) -> np.ndarray:
         """Components (00, 01, 11) of the Hessian of u at every node, (3, n)."""
@@ -357,35 +353,17 @@ class SymplecticPotential:
         if self.provider == "fd":
             k = self.grid_node(x)
             return Jet({key: float(val[k]) for key, val in self.jets(order).items()})
-        return _jet_at(self, x, order)
+        return Jet({key: float(val[0]) for key, val in self.partials_at(x, order).items()})
 
     # -- off-grid sampling -------------------------------------------------------
-
-    def _taylor_jets(self, ks: np.ndarray):
-        """(f10, f01, f20, f11, f02): the first and second partials of the
-        node data f at nodes ks."""
-        return (*self._f_jet(1).take(ks, axis=1), *self._f_jet(2).take(ks, axis=1))
 
     def _taylor_value(self, ks: np.ndarray, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
         """The second-order Taylor polynomial of the node data f about nodes
         ks, at offsets (dx, dy) from them."""
-        f10, f01, f20, f11, f02 = self._taylor_jets(ks)
+        f10, f01 = self._f_jet(1).take(ks, axis=1)
+        f20, f11, f02 = self._f_jet(2).take(ks, axis=1)
         return (self.f_values[ks] + f10 * dx + f01 * dy
                 + 0.5 * (f20 * dx**2 + 2 * f11 * dx * dy + f02 * dy**2))
-
-    def _taylor(self, ks: np.ndarray, dx: np.ndarray, dy: np.ndarray) -> dict:
-        """Partials, a + b <= 2, of the second-order Taylor polynomial of the
-        node data f about nodes ks, at offsets (dx, dy) from them; the value
-        is _taylor_value."""
-        f10, f01, f20, f11, f02 = self._taylor_jets(ks)
-        return {
-            (0, 0): self._taylor_value(ks, dx, dy),
-            (1, 0): f10 + f20 * dx + f11 * dy,
-            (0, 1): f01 + f11 * dx + f02 * dy,
-            (2, 0): f20,
-            (1, 1): f11,
-            (0, 2): f02,
-        }
 
     def value_at(self, points) -> np.ndarray:
         """u on the closed polytope (canonical part by continuity on the
@@ -409,63 +387,6 @@ class SymplecticPotential:
         else:
             f = self._taylor_value(*quad.nearest_nodes(self.grid))
         return quad.canonical + f
-
-
-# ---------------------------------------------------------------------------
-# Legendre transform
-
-
-@dataclass(frozen=True)
-class ComplexDual:
-    """Legendre-dual data: xi = grad u(x), phi = <x, xi> - u(x)."""
-
-    xi: np.ndarray
-    phi: float
-
-
-def _jet_at(u: SymplecticPotential, x, order: int) -> Jet:
-    """The Jet of u at an interior point x, from partials_at."""
-    return Jet({key: float(val[0]) for key, val in u.partials_at(x, order).items()})
-
-
-def legendre_dual(u: SymplecticPotential, x) -> ComplexDual:
-    x = np.asarray(x, dtype=float)
-    if not u.polytope.contains(x):
-        raise DomainError("point outside the open polytope")
-    xi = _jet_at(u, x, 1).gradient
-    val = float(u.value_at(x))
-    return ComplexDual(xi=xi, phi=float(x @ xi - val))
-
-
-def legendre_inverse(u: SymplecticPotential, xi, x0=None, tol: float = 1e-12,
-                     max_iter: int = 80) -> np.ndarray:
-    """Solve grad u(x) = xi by damped Newton iteration with the Hessian."""
-    xi = np.asarray(xi, dtype=float)
-    x = np.asarray(x0, dtype=float) if x0 is not None else u.polytope.vertices.mean(axis=0)
-    res = _jet_at(u, x, 1).gradient - xi
-    for _ in range(max_iter):
-        nrm = np.hypot(*res)
-        if nrm < tol:
-            return x
-        H = _jet_at(u, x, 2).hessian
-        step = np.linalg.solve(H, -res)
-        lam = 1.0
-        while lam > 1e-8:
-            cand = x + lam * step
-            if u.polytope.contains(cand):
-                cand_res = _jet_at(u, cand, 1).gradient - xi
-                if np.hypot(*cand_res) < nrm:
-                    x, res = cand, cand_res
-                    break
-            lam *= 0.5
-        else:
-            raise NumericError(
-                f"Newton inversion stalled, |grad u - xi| = {nrm:.3e}", residual=nrm
-            )
-    raise NumericError(
-        f"Newton inversion did not converge, |grad u - xi| = {np.hypot(*res):.3e}",
-        residual=float(np.hypot(*res)),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -171,7 +171,7 @@ class FiberEnergyBound:
         return json_value(self)
 
 
-def fiber_energy_bound(cls: AdmissibleClass, topo: ClassTopology = None,
+def fiber_energy_bound(cls: AdmissibleClass,
                        polytope: DelzantPolytope = None) -> FiberEnergyBound:
     """Bound the fiber Calabi energy along the flow in a controlled class.
 
@@ -193,8 +193,6 @@ def fiber_energy_bound(cls: AdmissibleClass, topo: ClassTopology = None,
         raise RegimeError("need p1 >= p2 >= 1")
     if cls.c_S < 12.0 * p1:
         raise RegimeError(f"need c_S >= 12 p1 = {12.0 * p1:g}, got c_S = {cls.c_S:g}")
-    if topo is None:
-        topo = ClassTopology.standard_o3(euler_char_base=cls.chi_S)
 
     # weight interval over the closed polytope: |<p, z>| <= 2 p1 on the
     # standard triangle, matching the chain's worked constants at c_S = 12 p1
@@ -221,7 +219,7 @@ def fiber_energy_bound(cls: AdmissibleClass, topo: ClassTopology = None,
     fiber_l2 = (sup_w / inf_w) * 4.5 * _SUP_RM2_CEILING
     ca_bound = 8.0 * math.pi**2 * (fiber_l2 - 6.0)
 
-    cert = certify(ca_bound, topo)
+    cert = certify(ca_bound, ClassTopology.standard_o3(euler_char_base=cls.chi_S))
     cert.derivation_log.insert(0, f"weight interval [{inf_w:g}, {sup_w:g}]")
     cert.derivation_log.insert(
         1,

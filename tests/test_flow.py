@@ -15,7 +15,6 @@ from calabiflow import (
     build_grid,
     eps_region,
     rhs,
-    riemannian_distance,
     step,
 )
 from calabiflow.curvature import class_record
@@ -262,7 +261,7 @@ def test_riemannian_distance_flat_metric(triangle, grid48):
 
 def test_riemannian_distance_zero_on_overlap(fs48, triangle, grid48):
     ring = boundary_ring(grid48, eps_region(triangle, grid48, 0.25))
-    assert riemannian_distance(fs48, ring, ring) == 0.0
+    assert len(ring) and np.all(distance_field(grid48, fs48.hessian_field(), ring)[ring] == 0.0)
 
 
 def test_riemannian_distance_refinement_monotone(triangle):
@@ -277,7 +276,7 @@ def test_riemannian_distance_refinement_monotone(triangle):
         a = int(np.argmin(((g.points - pts[0]) ** 2).sum(axis=1)))
         b = int(np.argmin(((g.points - pts[1]) ** 2).sum(axis=1)))
         assert np.allclose(g.points[a], pts[0]) and np.allclose(g.points[b], pts[1])
-        vals.append(riemannian_distance(u, [a], [b]))
+        vals.append(distance_field(g, u.hessian_field(), [a])[b])
     assert vals[1] <= vals[0] * (1 + 1e-9)
 
 
@@ -457,15 +456,9 @@ def test_monitor_csv_written(perturbed_run):
 
 
 def test_run_config_unknown_perturbation(triangle_file, bundle_class):
-    cfg = RunConfig(
-        polytope_path=str(triangle_file),
-        admissible_class=bundle_class,
-        perturbation_kind="sawtooth",
-    )
-    from calabiflow.flow import FlowRun
-
     with pytest.raises(ConfigError):
-        FlowRun(cfg)
+        RunConfig(polytope_path=str(triangle_file), admissible_class=bundle_class,
+                  perturbation_kind="sawtooth")
 
 
 @pytest.mark.parametrize("field, value", [
@@ -476,7 +469,7 @@ def test_run_config_unknown_perturbation(triangle_file, bundle_class):
     ("epsilon", math.nan), ("epsilon", math.inf), ("perturbation_width", math.nan),
     ("perturbation_width", 0.0), ("perturbation_width", math.inf),
     ("perturbation_amplitude", math.nan), ("perturbation_center", (math.nan, 0.0)),
-    ("delta_min_factor", math.nan),
+    ("delta_min_factor", math.nan), ("max_steps", -4),
 ])
 def test_run_config_checks_its_fields(triangle_file, bundle_class, field, value):
     with pytest.raises(ConfigError):

@@ -176,12 +176,13 @@ def test_distance_to_boundary_exact(triangle):
     assert triangle.distance_to_boundary((0.0, 0.0)) == pytest.approx(1 / np.sqrt(2), abs=1e-14)
 
 
-def test_boundary_quadrature_lattice_lengths(triangle):
+def test_boundary_quadrature_lattice_lengths(triangle, hexagon):
     bq = boundary_quadrature(triangle)
     for i in range(3):
         total = bq.weights[bq.facet_index == i].sum()
         assert total == pytest.approx(3.0, abs=1e-12)
-    assert bq.total == pytest.approx(9.0, abs=1e-12)
+    assert bq.weights.sum() == pytest.approx(9.0, abs=1e-12)
+    assert boundary_quadrature(hexagon).weights.sum() == pytest.approx(7.0, abs=1e-12)
 
 
 def test_cell_weights_tile_area(triangle, grid96, trapezoid):

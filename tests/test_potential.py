@@ -11,15 +11,13 @@ from calabiflow import (
     build_grid,
     fs_inverse_hessian,
     guillemin_partials,
-    legendre_dual,
-    legendre_inverse,
     load_snapshot,
     polynomial_form,
     save_snapshot,
     standard_triangle,
 )
 from calabiflow.polytope import DelzantPolytope, boundary_quadrature
-from calabiflow.potential import (PARTIALS, _jet_at, _mat2, _mat2_product, _repr_column,
+from calabiflow.potential import (PARTIALS, _mat2, _mat2_product, _repr_column,
                                   _sym2_dot, _sym2_eigenvalues, _sym2_inverse, _sym2_matrix,
                                   _sym2_sandwich, _trace_of_square, bump_form, zero_form)
 from conftest import interior_points
@@ -175,41 +173,6 @@ def test_guillemin_singular_structure(triangle):
         errs = [abs(val - target) for val in vals]
         assert errs[1] < errs[0] and errs[2] < errs[1]
         assert errs[2] < 0.25 * abs(target)
-
-
-def test_legendre_dual_centroid(fs48):
-    d = legendre_dual(fs48, (0.0, 0.0))
-    np.testing.assert_allclose(d.xi, [0.0, 0.0], atol=1e-14)
-    assert d.phi == pytest.approx(0.0, abs=1e-14)
-
-
-def test_legendre_involution(fs48, triangle, rng):
-    pts = interior_points(triangle, rng, 20, margin=0.05)
-    for x in pts:
-        d = legendre_dual(fs48, x)
-        back = legendre_inverse(fs48, d.xi)
-        np.testing.assert_allclose(back, x, atol=1e-10)
-
-
-def test_legendre_hessian_reciprocity(fs48, triangle, rng):
-    # Hess_xi phi = (Hess_x u)^{-1}: finite differences of the inverse map
-    for x in interior_points(triangle, rng, 3, margin=0.3):
-        d = legendre_dual(fs48, x)
-        eps = 1e-6
-        J = np.empty((2, 2))
-        for k in range(2):
-            dxi = np.zeros(2)
-            dxi[k] = eps
-            xp = legendre_inverse(fs48, d.xi + dxi, x0=x)
-            xm = legendre_inverse(fs48, d.xi - dxi, x0=x)
-            J[:, k] = (xp - xm) / (2 * eps)
-        Uinv = np.linalg.inv(fs48.evaluate(x, 2).hessian)
-        np.testing.assert_allclose(J, Uinv, atol=1e-8)
-
-
-def test_legendre_dual_outside(fs48):
-    with pytest.raises(DomainError):
-        legendre_dual(fs48, (5.0, 5.0))
 
 
 def test_snapshot_roundtrip(tmp_path, triangle, grid48, rng):
@@ -370,35 +333,32 @@ def _potential_of_kind(kind, triangle, grid48):
 @pytest.mark.parametrize("kind", ["closed_form", "node_values"])
 def test_gradient_and_hessian_at_match_evaluate(kind, triangle, grid48, rng):
     u = _potential_of_kind(kind, triangle, grid48)
+    jets = u.jets(2)
     for k in rng.choice(u.grid.n_nodes, size=25, replace=False):
-        x = u.grid.points[k]
-        jet = u.evaluate(x, order=2)
-        # the gradient and the Hessian the Legendre functions read
-        np.testing.assert_allclose(_jet_at(u, x, 1).gradient, jet.gradient, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(_jet_at(u, x, 2).hessian, jet.hessian, rtol=0, atol=1e-12)
+        # the point reader (partials_at for a closed form, the node's jets
+        # for node data) against the node fields
+        jet = u.evaluate(u.grid.points[k], order=2)
+        np.testing.assert_allclose(jet.gradient, [jets[(1, 0)][k], jets[(0, 1)][k]],
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(jet.hessian, [[jets[(2, 0)][k], jets[(1, 1)][k]],
+                                                 [jets[(1, 1)][k], jets[(0, 2)][k]]],
+                                   rtol=0, atol=1e-12)
 
 
-def test_node_data_partials_at_is_the_taylor_step(triangle, grid48, rng):
+def test_node_data_value_at_is_the_taylor_step(triangle, grid48, rng):
     u = _potential_of_kind("node_values", triangle, grid48)
     ks = rng.choice(grid48.n_nodes, size=25, replace=False)
-    at_nodes, jets = u.partials_at(grid48.points[ks], 2), u.jets(2)
-    assert at_nodes.keys() == jets.keys()
-    for key, val in at_nodes.items():
-        np.testing.assert_allclose(val, jets[key][ks], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(u.value_at(grid48.points[ks]), u.jets(0)[(0, 0)][ks],
+                               rtol=0, atol=1e-12)
     # within 0.2 h of a node, which keeps delta_min = h/2 from every facet
-    off = grid48.points[ks] + rng.uniform(-0.2, 0.2, (25, 2)) * grid48.h
-    assert np.array_equal(u.partials_at(off, 2)[(0, 0)], u.value_at(off))
-    for order in (3, 4):
-        with pytest.raises(DomainError):
-            u.partials_at(off, order)
-
-
-def test_legendre_round_trip_on_node_data(triangle, grid48, rng):
-    u = _potential_of_kind("node_values", triangle, grid48)
-    for k in rng.choice(grid48.n_nodes, size=12, replace=False):
-        x = grid48.points[k]
-        back = legendre_inverse(u, legendre_dual(u, x).xi)
-        np.testing.assert_allclose(back, x, rtol=0, atol=1e-11)
+    d = rng.uniform(-0.2, 0.2, (25, 2)) * grid48.h
+    off = grid48.points[ks] + d
+    dx, dy = d.T
+    f = {key: u.f_partial(key)[ks] for key in PARTIALS if sum(key) <= 2}
+    taylor = (f[(0, 0)] + f[(1, 0)] * dx + f[(0, 1)] * dy
+              + 0.5 * (f[(2, 0)] * dx**2 + 2 * f[(1, 1)] * dx * dy + f[(0, 2)] * dy**2))
+    canonical = guillemin_partials(triangle, off, order=0)[(0, 0)]
+    np.testing.assert_allclose(u.value_at(off), canonical + taylor, rtol=0, atol=1e-12)
 
 
 def test_node_data_has_no_off_grid_partials(triangle, grid48):
@@ -406,8 +366,11 @@ def test_node_data_has_no_off_grid_partials(triangle, grid48):
     off_node = grid48.points[0] + 0.6 * grid48.h
     with pytest.raises(DomainError):
         u.evaluate(off_node)
-    with pytest.raises(DomainError):
-        u.partials_at(grid48.points[:3])
+    # not at the nodes either, at any order: node data is read off the grid
+    # by value_at alone
+    for order in range(5):
+        with pytest.raises(DomainError):
+            u.partials_at(grid48.points[:3], order)
 
 
 # -- closed forms --------------------------------------------------------------
