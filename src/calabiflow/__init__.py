@@ -67,9 +67,7 @@ from .sobolev import (
     SobolevCertificate,
     certify,
     fiber_energy_bound,
-    sobolev_bound,
     sobolev_inequality_test,
-    yamabe_lower_bound,
 )
 
 __version__ = "0.1.0"

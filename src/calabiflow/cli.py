@@ -106,7 +106,7 @@ def _config_fields(data, table: dict, what: str) -> dict:
     return values
 
 
-def load_run_config(path, out_dir=None, emit_plots=False) -> RunConfig:
+def load_run_config(path, out_dir=None) -> RunConfig:
     """The RunConfig of a JSON run config; keys it omits keep RunConfig's defaults."""
     data = _require_object(_load_json(path), "run config")
     values = _config_fields(data, _RUN_CONFIG_KEYS, "config")
@@ -116,7 +116,7 @@ def load_run_config(path, out_dir=None, emit_plots=False) -> RunConfig:
     values["admissible_class"] = load_class(values["admissible_class"])
     if out_dir is not None:
         values["out_dir"] = out_dir
-    cfg = RunConfig(emit_plots=emit_plots, **values)
+    cfg = RunConfig(**values)
     if not Path(cfg.polytope_path).exists():
         raise ConfigError(f"polytope file {cfg.polytope_path} does not exist")
     return cfg
@@ -240,7 +240,7 @@ def cmd_baseline(args) -> int:
 
 
 def cmd_flow(args) -> int:
-    cfg = load_run_config(args.config, out_dir=args.out_dir, emit_plots=args.emit_plots)
+    cfg = load_run_config(args.config, out_dir=args.out_dir)
     fr = run(cfg)
     rep = energy_report(fr.state.u, fr.cls, fr.bquad)
     summary = {
@@ -293,8 +293,7 @@ def cmd_energy(args) -> int:
 
 
 def cmd_sobolev_bound(args) -> int:
-    chi = {} if args.cls is None else {"euler_char_base": load_class(args.cls).chi_S}
-    _print_json(certify(args.ca, ClassTopology.standard_o3(**chi)))
+    _print_json(certify(args.ca, ClassTopology.standard_o3()))
     return EXIT_OK
 
 
@@ -313,8 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Calabi-flow laboratory on toric Kahler classes",
     )
     ap.add_argument("--json", action="store_true", help="machine-readable output")
-    ap.add_argument("--emit-plots", action="store_true",
-                    help="write one whitespace-separated data file per monitored series")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p_base = sub.add_parser("baseline", help="run the canonical-potential golden suite")
@@ -339,7 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sb = sub.add_parser("sobolev-bound", help="Yamabe/Sobolev certificate for a Calabi energy")
     p_sb.set_defaults(handler=cmd_sobolev_bound)
     p_sb.add_argument("--ca", type=float, required=True)
-    p_sb.add_argument("--class", dest="cls", default=None, help="class JSON file")
 
     p_fb = sub.add_parser("fiber-bound", help="controlled-class fiber energy bound")
     p_fb.set_defaults(handler=cmd_fiber_bound)

@@ -77,20 +77,6 @@ class EnergyReport:
         return json_value(self)
 
 
-def _r_hessian_parts(u: SymplecticPotential, cls: AdmissibleClass, R: np.ndarray):
-    """(U, Rh, p) at every node: the inverse Hessian of u, the Hessian of a
-    scalar-curvature node field R by second differences (both as components
-    (3, n)), the class weight.  Hess R is one product of the grid's
-    hessian_operator."""
-    Rh = np.stack(list(u.grid.field_jets(R, HESSIAN_KEYS).values()))
-    return curvature_context(u)["U"], Rh, class_record(u.grid, cls).pw
-
-
-def _dissipation_density(U, Rh, pw: np.ndarray) -> np.ndarray:
-    """u^{ir} u^{js} R_{,ij} R_{,rs} p as tr((U Rh)^2) p, from _r_hessian_parts."""
-    return _trace_of_square(U, Rh) * pw
-
-
 def dissipation_integral(u: SymplecticPotential, cls: AdmissibleClass,
                          R: np.ndarray = None) -> float:
     """int_P u^{ir} u^{js} R_{,ij} R_{,rs} p dmu.
@@ -101,7 +87,12 @@ def dissipation_integral(u: SymplecticPotential, cls: AdmissibleClass,
     """
     if R is None:
         R = weighted_scalar_field(u, cls)
-    return interior_quadrature(u.grid, _dissipation_density(*_r_hessian_parts(u, cls, R)))
+    grid = u.grid
+    # Hess R as its components (3, n), one product of the hessian_operator;
+    # u^{ir} u^{js} R_{,ij} R_{,rs} is tr((U Hess R)^2)
+    Rh = np.stack(list(grid.field_jets(R, HESSIAN_KEYS).values()))
+    U = curvature_context(u)["U"]
+    return interior_quadrature(grid, _trace_of_square(U, Rh) * class_record(grid, cls).pw)
 
 
 def fiber_average_scalar(P: DelzantPolytope) -> float:

@@ -38,20 +38,21 @@ class FlowState:
     step_count: int = 0
 
 
+# retries of a rejected step, each at half the last dt, before StiffnessError
+MAX_RETRIES = 10
+
+
 @dataclass(frozen=True)
 class StepPolicy:
     """Explicit stepping policy: classical RK4 under an h^4 parabolic CFL.
-    Construction raises ConfigError unless sigma is finite and positive and
-    max_retries >= 0; the fields cannot be changed afterwards."""
+    Construction raises ConfigError unless sigma is finite and positive; the
+    field cannot be changed afterwards."""
 
     sigma: float = 0.1
-    max_retries: int = 10
 
     def __post_init__(self):
         if not (math.isfinite(self.sigma) and self.sigma > 0):
             raise ConfigError(f"CFL factor sigma must be finite and positive, got {self.sigma!r}")
-        if not self.max_retries >= 0:
-            raise ConfigError(f"max_retries must be >= 0, got {self.max_retries!r}")
 
 
 @dataclass
@@ -108,9 +109,9 @@ def _calabi(u: SymplecticPotential, cls: AdmissibleClass, r_bar: float) -> float
 
 
 def step(state: FlowState, cls: AdmissibleClass, policy: StepPolicy = None,
-         r_bar: float = None, calabi_now: float = None) -> FlowState:
+         r_bar: float = None) -> FlowState:
     """One accepted RK4 step; halves dt and retries on energy increase or
-    positivity failure, raising StiffnessError after max_retries rejections.
+    positivity failure, raising StiffnessError after MAX_RETRIES retries.
 
     Positivity is checked where the curvature of a stage or of the candidate
     is computed: a Hessian that is not positive definite raises
@@ -121,8 +122,7 @@ def step(state: FlowState, cls: AdmissibleClass, policy: StepPolicy = None,
     grid = u.grid
     if r_bar is None:
         r_bar = average_scalar(u.polytope, cls, grid)
-    if calabi_now is None:
-        calabi_now = _calabi(u, cls, r_bar)
+    calabi_now = _calabi(u, cls, r_bar)
     f0 = u.f_values
     dt = proposed_dt(u, policy.sigma)
 
@@ -133,7 +133,7 @@ def step(state: FlowState, cls: AdmissibleClass, policy: StepPolicy = None,
     # a node-data field is a function of (grid, f_values) alone, so the
     # state's own cached curvature gives the k1 of a fresh copy
     k1 = rhs(state, cls, r_bar) if u.provider == "fd" else velocity(f0)
-    for attempt in range(policy.max_retries + 1):
+    for _ in range(MAX_RETRIES + 1):
         try:
             k2 = velocity(f0 + 0.5 * dt * k1)
             k3 = velocity(f0 + 0.5 * dt * k2)
@@ -149,7 +149,7 @@ def step(state: FlowState, cls: AdmissibleClass, policy: StepPolicy = None,
                              step_count=state.step_count + 1)
         dt *= 0.5
     raise StiffnessError(
-        f"step rejected {policy.max_retries + 1} times at t = {state.t:.6g}",
+        f"step rejected {MAX_RETRIES + 1} times at t = {state.t:.6g}",
         last_state=state,
     )
 
@@ -217,7 +217,6 @@ class RunConfig:
     snapshot_every: int = 50
     epsilon: float = 0.25
     out_dir: str = "."
-    emit_plots: bool = False
 
     def __post_init__(self):
         try:
@@ -382,7 +381,7 @@ class FlowRun:
                       t=self.state.t)
 
     def write_outputs(self) -> dict:
-        """Monitor CSV, final snapshot, optional plot series; returns paths."""
+        """Monitor CSV and final snapshot; returns their paths."""
         out = Path(self.cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         monitor_path = out / "monitor.csv"
@@ -392,16 +391,7 @@ class FlowRun:
                 fh.write(rec.csv_row() + "\n")
         final_snap = out / "snapshot_final.csv"
         save_snapshot(self.state.u, final_snap, t=self.state.t)
-        paths = {"monitor": str(monitor_path), "final_snapshot": str(final_snap)}
-        if self.cfg.emit_plots:
-            for name in MonitorRecord.columns()[1:]:
-                p = out / f"plot_{name}.dat"
-                with open(p, "w") as fh:
-                    for rec in self.records:
-                        val = getattr(rec, name)
-                        fh.write(f"{rec.t!r} {float(val)!r}\n")
-                paths[f"plot_{name}"] = str(p)
-        return paths
+        return {"monitor": str(monitor_path), "final_snapshot": str(final_snap)}
 
 
 def run(cfg: RunConfig) -> FlowRun:

@@ -59,35 +59,14 @@ def _polygon_moments(poly):
     return abs(A), m
 
 
-def clip_halfplane(poly, a: float, b: float, c: float):
-    """Clip polygon to the half-plane a*x + b*y + c >= 0 (Sutherland-Hodgman)."""
-    out = []
-    n = len(poly)
-    if n == 0:
-        return out
-    for k in range(n):
-        p = poly[k]
-        q = poly[(k + 1) % n]
-        fp = a * p[0] + b * p[1] + c
-        fq = a * q[0] + b * q[1] + c
-        if fp >= 0.0:
-            out.append(p)
-            if fq < 0.0:
-                t = fp / (fp - fq)
-                out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
-        elif fq >= 0.0:
-            t = fp / (fp - fq)
-            out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
-    return out
-
-
 def clip_cells(xy, counts, a: float, b: float, c: float):
-    """clip_halfplane applied to many polygons at once.
+    """Clip many polygons at once to the half-plane a*x + b*y + c >= 0
+    (Sutherland-Hodgman).
 
     xy is (m, V, 2): polygon r has its vertices in slots 0..counts[r]-1 and
     zeros in the rest.  Returns (xy, counts) of the clipped polygons in the
     same form; each gets the vertices, in the order and with the bits, that
-    clip_halfplane gives it."""
+    the one-polygon Sutherland-Hodgman loop gives it."""
     m, V, _ = xy.shape
     slot = np.arange(V)
     nxt = (slot + 1) % np.maximum(counts, 1)[:, None]
@@ -172,23 +151,14 @@ def _solve_each(gram, rhs):
                                _solve_each(gram[half:], rhs[half:])])
 
 
-def _point_segment_distance(x, a, b) -> float:
-    ab = (b[0] - a[0], b[1] - a[1])
-    ax = (x[0] - a[0], x[1] - a[1])
-    denom = ab[0] * ab[0] + ab[1] * ab[1]
-    t = 0.0 if denom == 0.0 else max(0.0, min(1.0, (ax[0] * ab[0] + ax[1] * ab[1]) / denom))
-    dx = x[0] - (a[0] + t * ab[0])
-    dy = x[1] - (a[1] + t * ab[1])
-    return math.hypot(dx, dy)
-
-
 @dataclass(frozen=True, eq=False)
 class DelzantPolytope:
     """Convex lattice polygon in facet presentation l_i(x) = <x, v_i> + c_i.
 
     normals : (d, 2) int array of primitive inward normals
     offsets : (d,) float array
-    vertices : (d, 2) float array, derived, ordered counterclockwise
+    vertices : (d, 2) float array, derived, ordered counterclockwise; not a
+        constructor input
 
     Construction raises DegenerateInputError unless each normal is a pair of
     finite whole numbers ([1.0, 0] is [1, 0]) and each offset finite, and the
@@ -199,7 +169,7 @@ class DelzantPolytope:
 
     normals: np.ndarray
     offsets: np.ndarray
-    vertices: np.ndarray = field(default=None)
+    vertices: np.ndarray = field(init=False)
 
     def __post_init__(self):
         try:
@@ -333,13 +303,6 @@ class DelzantPolytope:
     def boundary_measure(self) -> float:
         """Total lattice length of the facets, computed when the polytope is built."""
         return self._boundary_measure
-
-    def distance_to_boundary(self, x) -> float:
-        """Exact Euclidean distance from x to the boundary polygon."""
-        return min(
-            _point_segment_distance(x, *self.facet_segment(i))
-            for i in range(len(self.offsets))
-        )
 
     # -- serialization ------------------------------------------------------
 
@@ -567,7 +530,6 @@ class Grid:
         self.h = float(h)
         self.anchor = np.asarray(lo, dtype=float)
         self.shape = (ni, nj)
-        self.mask = mask
         # node ids and lattice indices fit int32, as do the operators' indices
         node_id = -np.ones((ni, nj), dtype=np.int32)
         node_id[mask] = np.arange(mask.sum())
@@ -793,8 +755,10 @@ class Grid:
     def boundary_distance(self) -> np.ndarray:
         """Exact Euclidean distance of each node to the boundary polygon.
 
-        Same arithmetic as DelzantPolytope.distance_to_boundary, over all
-        nodes and facets at once."""
+        The arithmetic of the scalar point-to-segment distance (clamped
+        projection, then math.hypot) minimized over the facet segments, over
+        all nodes and facets at once, so each node's distance has the bits
+        of the scalar loop's."""
         if self._boundary_distance is None:
             P = self.polytope
             segs = [P.facet_segment(i) for i in range(len(P.offsets))]
@@ -1017,15 +981,14 @@ def eps_region(polytope: DelzantPolytope, grid: Grid, eps: float) -> np.ndarray:
 class BoundaryQuadrature:
     """Midpoint panels on each facet against the lattice boundary measure.
 
-    points : (M, 2), weights : (M,), facet_index : (M,).  Per-facet weights
-    sum exactly to the facet's lattice length.  canonical : (M,) is u_G at
-    the points, and polytope_hash the content hash of the polytope they were
-    built for.
+    points : (M, 2), weights : (M,).  Facet i holds the contiguous block
+    i*BOUNDARY_PANELS:(i+1)*BOUNDARY_PANELS, whose weights sum exactly to the
+    facet's lattice length.  canonical : (M,) is u_G at the points, and
+    polytope_hash the content hash of the polytope they were built for.
     """
 
     points: np.ndarray
     weights: np.ndarray
-    facet_index: np.ndarray
     canonical: np.ndarray
     polytope_hash: str
     # grid -> nearest_nodes(grid); weak keys, so a lookup never outlives its grid
@@ -1047,7 +1010,6 @@ def boundary_quadrature(P: DelzantPolytope) -> BoundaryQuadrature:
     """BOUNDARY_PANELS midpoint panels on every facet."""
     pts = []
     wts = []
-    fidx = []
     m = BOUNDARY_PANELS
     t = (np.arange(m) + 0.5) / m
     for i in range(len(P.offsets)):
@@ -1055,12 +1017,10 @@ def boundary_quadrature(P: DelzantPolytope) -> BoundaryQuadrature:
         L = P.facet_lattice_length(i)
         pts.append(a[None, :] + t[:, None] * (b - a)[None, :])
         wts.append(np.full(m, L / m))
-        fidx.append(np.full(m, i, dtype=np.int64))
     points = np.concatenate(pts)
     return BoundaryQuadrature(
         points=points,
         weights=np.concatenate(wts),
-        facet_index=np.concatenate(fidx),
         canonical=guillemin_value(P, points),
         polytope_hash=P.content_hash(),
     )

@@ -86,18 +86,10 @@ def bump_form(amplitude: float, center=(0.0, 0.0), width: float = 0.8) -> Closed
 
 @dataclass
 class Jet:
-    """Value and partial derivatives of a function at one point."""
+    """Value and partial derivatives of a function at one point:
+    partials {(a, b): float}."""
 
     partials: dict
-
-    @property
-    def value(self) -> float:
-        return float(self.partials[(0, 0)])
-
-    @property
-    def gradient(self) -> np.ndarray:
-        p = self.partials
-        return np.array([p[(1, 0)], p[(0, 1)]], dtype=float)
 
     @property
     def hessian(self) -> np.ndarray:
@@ -322,10 +314,6 @@ class SymplecticPotential:
         f = (self._f_jet(2) if self.f_form is None
              else [self.f_partial(key) for key in HESSIAN_KEYS])
         return np.add(self.grid.guillemin_hessian, f)
-
-    def hessians(self) -> np.ndarray:
-        """(n, 2, 2) Hessian of u at every node."""
-        return _sym2_matrix(self.hessian_field())
 
     def min_hessian_eigenvalues(self) -> np.ndarray:
         return _sym2_eigenvalues(self.hessian_field())[0]

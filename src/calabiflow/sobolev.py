@@ -30,7 +30,8 @@ class ClassTopology:
     c1_squared : self-intersection of the fiber first Chern class
     volume : Riemannian volume of the fiber class
     r_bar : average scalar curvature of the class
-    euler_char_base : Euler characteristic of the base curve
+    euler_char_base : Euler characteristic of the base curve, recorded only;
+        no bound reads it
     """
 
     c1_squared: float
@@ -80,13 +81,16 @@ class SobolevCertificate:
         return json_value(self)
 
 
-def yamabe_lower_bound(ca: float, topo: ClassTopology) -> SobolevCertificate:
-    """Lower-bound the Yamabe constant of the fiber class from its Calabi energy.
+def certify(ca: float, topo: ClassTopology) -> SobolevCertificate:
+    """The Yamabe -> Sobolev chain for one Calabi energy Ca.
 
-    With total curvature int R^2 = Ca + r_bar^2 Vol, the bound is
-    Y >= sqrt(96 pi^2 c1^2 - 2 int R^2) whenever the radicand is positive, and
-    the certificate goes on to a Sobolev bound when additionally
-    96 pi^2 c1^2 - 2 int R^2 >= Ca.  A negative or non-finite Ca raises
+    With total curvature int R^2 = Ca + r_bar^2 Vol, the Yamabe constant of
+    the fiber class is bounded below by Y_lb = sqrt(96 pi^2 c1^2 - 2 int R^2)
+    whenever the radicand is positive.  When additionally
+    96 pi^2 c1^2 - 2 int R^2 >= Ca (the quadratic-curvature test) and
+    Y_lb > sqrt(Ca), the Sobolev constant is bounded by
+    C_s <= max(6, r_bar sqrt(Vol)) / (Y_lb - sqrt(Ca)); otherwise the
+    certificate carries no bound (NaN).  A negative or non-finite Ca raises
     RegimeError.
     """
     if not math.isfinite(ca):
@@ -105,49 +109,35 @@ def yamabe_lower_bound(ca: float, topo: ClassTopology) -> SobolevCertificate:
     )
     eq_cs = radicand >= ca - 1e-9 * max(1.0, ca)
     y_lb = math.sqrt(radicand) if radicand > 0 else float("nan")
+    calabi_l2 = math.sqrt(ca)
     log.append(
         "note: the headline statement subtracts Ca itself against a 96 pi^2 "
         "threshold; this chain uses the derivation's quantities (threshold above, "
         "subtrahend sqrt(Ca)), which reproduce the worked constants"
     )
+    prefactor = max(6.0, topo.r_bar * math.sqrt(topo.volume))
+    log.append(f"prefactor max(6, r_bar sqrt(Vol)) = {prefactor:.9g}")
+    bound, gap = float("nan"), y_lb - calabi_l2
+    if not eq_cs or not np.isfinite(y_lb):
+        log.append("quadratic-curvature test failed: no Sobolev bound")
+    elif gap <= 0:
+        log.append(
+            f"Yamabe lower bound {y_lb:.6g} does not exceed "
+            f"|R - r_bar|_L2 = {calabi_l2:.6g}: no Sobolev bound"
+        )
+    else:
+        bound = prefactor / gap
+        log.append(f"Sobolev constant bound = {bound:.9g}")
     return SobolevCertificate(
         calabi=float(ca),
         eq_cs_satisfied=bool(eq_cs),
         yamabe_lower=y_lb,
-        calabi_l2=math.sqrt(ca),
-        sobolev_bound=float("nan"),
+        calabi_l2=calabi_l2,
+        sobolev_bound=bound,
         eq_cs_threshold=threshold,
         prop_threshold_variant=96.0 * math.pi**2,
         derivation_log=log,
     )
-
-
-def sobolev_bound(cert: SobolevCertificate, topo: ClassTopology) -> SobolevCertificate:
-    """Complete the certificate: C_s <= max(6, r_bar sqrt(Vol)) / (Y_lb - sqrt(Ca))."""
-    prefactor = max(6.0, topo.r_bar * math.sqrt(topo.volume))
-    cert.derivation_log.append(
-        f"prefactor max(6, r_bar sqrt(Vol)) = {prefactor:.9g}"
-    )
-    if not cert.eq_cs_satisfied or not np.isfinite(cert.yamabe_lower):
-        cert.derivation_log.append("quadratic-curvature test failed: no Sobolev bound")
-        cert.sobolev_bound = float("nan")
-        return cert
-    gap = cert.yamabe_lower - cert.calabi_l2
-    if gap <= 0:
-        cert.derivation_log.append(
-            f"Yamabe lower bound {cert.yamabe_lower:.6g} does not exceed "
-            f"|R - r_bar|_L2 = {cert.calabi_l2:.6g}: no Sobolev bound"
-        )
-        cert.sobolev_bound = float("nan")
-        return cert
-    cert.sobolev_bound = prefactor / gap
-    cert.derivation_log.append(f"Sobolev constant bound = {cert.sobolev_bound:.9g}")
-    return cert
-
-
-def certify(ca: float, topo: ClassTopology) -> SobolevCertificate:
-    """Full chain: Yamabe lower bound then Sobolev bound."""
-    return sobolev_bound(yamabe_lower_bound(ca, topo), topo)
 
 
 # ---------------------------------------------------------------------------
@@ -175,20 +165,23 @@ def fiber_energy_bound(cls: AdmissibleClass,
                        polytope: DelzantPolytope = None) -> FiberEnergyBound:
     """Bound the fiber Calabi energy along the flow in a controlled class.
 
-    Requires c_S >= 12 p1, p1 >= p2 >= 1, a curve base with scal_S in
-    {-1, 0, 1} and chi != 0.  The chain: a pointwise curvature bound from the
-    canonical initial potential, transfer through the weight interval
-    [c_S - 2 p1, c_S + 2 p1], and the fiber-energy identity anchored at the
-    initial value 6; the resulting Calabi-energy bound feeds the Yamabe and
-    Sobolev chain.
+    Requires c_S >= 12 p1, p1 >= p2 >= 1, a curve base with scal_S = -1 or 1
+    and chi_S != 0; a refusal (RegimeError) names the condition that failed.
+    The chain: a pointwise curvature bound from the canonical initial
+    potential, transfer through the weight interval [c_S - 2 p1, c_S + 2 p1],
+    and the fiber-energy identity anchored at the initial value 6; the
+    resulting Calabi-energy bound feeds the Yamabe and Sobolev chain.
     """
     p1, p2 = cls.p
     if cls.m != 1:
         raise RegimeError("controlled-class chain requires a curve base (m = 1)")
-    if cls.chi_S == 0 or cls.scal_S == 0.0:
+    if cls.chi_S == 0:
         raise RegimeError(
-            "flat base (chi = 0) degenerates the base-volume normalization |4 pi chi|"
+            "base with chi_S = 0 degenerates the base-volume normalization |4 pi chi_S|"
         )
+    if cls.scal_S == 0.0:
+        raise RegimeError("flat base (scal_S = 0): the controlled-class chain needs "
+                          "scal_S = -1 or 1")
     if not (p1 >= p2 >= 1.0):
         raise RegimeError("need p1 >= p2 >= 1")
     if cls.c_S < 12.0 * p1:

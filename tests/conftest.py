@@ -1,3 +1,4 @@
+import math
 import os
 import sys
 
@@ -93,13 +94,30 @@ def rng():
     return np.random.default_rng(20260809)
 
 
+def _point_segment_distance(x, a, b) -> float:
+    ab = (b[0] - a[0], b[1] - a[1])
+    ax = (x[0] - a[0], x[1] - a[1])
+    denom = ab[0] * ab[0] + ab[1] * ab[1]
+    t = 0.0 if denom == 0.0 else max(0.0, min(1.0, (ax[0] * ab[0] + ax[1] * ab[1]) / denom))
+    dx = x[0] - (a[0] + t * ab[0])
+    dy = x[1] - (a[1] + t * ab[1])
+    return math.hypot(dx, dy)
+
+
+def distance_to_boundary(P, x) -> float:
+    """Exact Euclidean distance from a point x to the boundary polygon of P,
+    one facet segment at a time: the scalar reference of
+    Grid.boundary_distance."""
+    return min(_point_segment_distance(x, *P.facet_segment(i)) for i in range(len(P.offsets)))
+
+
 def interior_points(polytope, rng, n, margin=0.3):
     """Random points at distance >= margin from the boundary."""
     pts = []
     lo, hi = polytope.bbox
     while len(pts) < n:
         c = rng.uniform(lo, hi)
-        if polytope.contains(c) and polytope.distance_to_boundary(c) >= margin:
+        if polytope.contains(c) and distance_to_boundary(polytope, c) >= margin:
             pts.append(c)
     return np.array(pts)
 

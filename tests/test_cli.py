@@ -333,26 +333,6 @@ def test_fiber_bound_regime_error(capsys, tmp_path):
     assert "12 p1" in err
 
 
-def test_emit_plots(capsys, tmp_path, triangle_file):
-    cfg = {
-        "polytope": str(triangle_file),
-        "class": {"p": [0, 0], "c_S": 1.0, "scal_S": 0, "m": 0},
-        "grid": {"N": 24},
-        "t_end": 1.0,
-        "max_steps": 4,
-        "monitor_every": 2,
-        "snapshot_every": 0,
-        "out_dir": str(tmp_path / "out3"),
-    }
-    cfg_path = tmp_path / "run.json"
-    cfg_path.write_text(json.dumps(cfg))
-    code, _, err = run_cli(capsys, "--emit-plots", "flow", str(cfg_path))
-    assert code == 0, err
-    assert (tmp_path / "out3" / "plot_calabi.dat").exists()
-    body = (tmp_path / "out3" / "plot_calabi.dat").read_text().strip().splitlines()
-    assert len(body) == 2 and len(body[0].split()) == 2
-
-
 def test_deterministic_outputs(capsys, tmp_path, triangle_file):
     cfg = {
         "polytope": str(triangle_file),
@@ -375,8 +355,13 @@ def test_deterministic_outputs(capsys, tmp_path, triangle_file):
     assert outs[0] == outs[1]
 
 
-def test_removed_threads_flag_is_rejected(capsys):
-    code, _, err = run_cli(capsys, "--threads", "1", "baseline")
+@pytest.mark.parametrize("args", [
+    ("--threads", "1", "baseline"),
+    ("--emit-plots", "baseline"),
+    ("sobolev-bound", "--ca", "0", "--class", "c.json"),
+], ids=["threads", "emit-plots", "sobolev-bound-class"])
+def test_removed_flag_is_rejected(capsys, args):
+    code, _, _ = run_cli(capsys, *args)
     assert code == 2
 
 

@@ -17,12 +17,9 @@ from calabiflow import (
     standard_triangle,
     weighted_scalar_field,
 )
-from calabiflow.energy import (
-    _dissipation_density,
-    _r_hessian_parts,
-    dissipation_integral,
-)
-from calabiflow.polytope import JET_KEYS, Grid
+from calabiflow.curvature import class_record, curvature_context
+from calabiflow.energy import dissipation_integral
+from calabiflow.polytope import HESSIAN_KEYS, JET_KEYS, Grid
 from calabiflow.potential import bump_form
 from fd_oracle import sym2_matrices, tensor_field
 
@@ -185,14 +182,12 @@ def test_dissipation_density_matches_einsum_reference(poly, grid, request, bundl
     for cls in (bundle_class, AdmissibleClass.trivial(),
                 AdmissibleClass((0.7, 0.3), 13.1, 1.0, 1, 2)):
         R = weighted_scalar_field(u, cls)
-        parts = _r_hessian_parts(u, cls, R)
-        U, Rh, pw = sym2_matrices(parts[0]), sym2_matrices(parts[1]), parts[2]
+        Rh = sym2_matrices(list(g.field_jets(R, HESSIAN_KEYS).values()))
         # the second-order blocks alone give the Hessian of R the full jets give
         assert np.array_equal(Rh, tensor_field(g.field_jets(R), 2, g.n_nodes))
-        ref = np.einsum("nir,njs,nij,nrs->n", U, U, Rh, Rh) * pw
-        got = _dissipation_density(*parts)
-        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
-        assert dissipation_integral(u, cls, R) == interior_quadrature(g, got)
+        U, pw = sym2_matrices(curvature_context(u)["U"]), class_record(g, cls).pw
+        ref = interior_quadrature(g, np.einsum("nir,njs,nij,nrs->n", U, U, Rh, Rh) * pw)
+        assert abs(dissipation_integral(u, cls, R) - ref) <= 1e-13 * abs(ref)
 
 
 def test_fresh_fd_report_evaluates_fiber_norm_once(monkeypatch, triangle, grid48, bundle_class):

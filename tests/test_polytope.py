@@ -18,6 +18,7 @@ from calabiflow import (
     standard_triangle,
 )
 from calabiflow.polytope import (
+    BOUNDARY_PANELS,
     HESSIAN_KEYS,
     OFFSETS8,
     _D1_STENCILS,
@@ -27,8 +28,31 @@ from calabiflow.polytope import (
     _polygon_moments,
     _solve_each,
     clip_cells,
-    clip_halfplane,
 )
+from conftest import distance_to_boundary
+
+
+def clip_halfplane(poly, a: float, b: float, c: float):
+    """Clip a polygon to the half-plane a*x + b*y + c >= 0 (Sutherland-Hodgman),
+    one vertex at a time: the one-polygon reference of clip_cells."""
+    out = []
+    n = len(poly)
+    if n == 0:
+        return out
+    for k in range(n):
+        p = poly[k]
+        q = poly[(k + 1) % n]
+        fp = a * p[0] + b * p[1] + c
+        fq = a * q[0] + b * q[1] + c
+        if fp >= 0.0:
+            out.append(p)
+            if fq < 0.0:
+                t = fp / (fp - fq)
+                out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
+        elif fq >= 0.0:
+            t = fp / (fp - fq)
+            out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
+    return out
 
 
 def test_standard_triangle_vertices(triangle):
@@ -56,6 +80,12 @@ def test_delzant_condition_standard(triangle):
 def test_rejects_non_primitive_normal():
     with pytest.raises(DegenerateInputError):
         DelzantPolytope(np.array([[2, 0], [0, 1], [-1, -1]]), np.array([1.0, 1.0, 1.0]))
+
+
+def test_vertices_are_not_a_constructor_input(triangle):
+    # they are derived from the facets; an input would be overwritten unread
+    with pytest.raises(TypeError):
+        DelzantPolytope(triangle.normals, triangle.offsets, vertices=triangle.vertices)
 
 
 def test_rejects_non_delzant_vertex():
@@ -173,14 +203,14 @@ def test_eps_region_refuses_a_grid_of_another_polytope(triangle, grid48, hexagon
 
 def test_distance_to_boundary_exact(triangle):
     # centroid: 1 to the axis facets, 1/sqrt(2) to the hypotenuse
-    assert triangle.distance_to_boundary((0.0, 0.0)) == pytest.approx(1 / np.sqrt(2), abs=1e-14)
+    assert distance_to_boundary(triangle, (0.0, 0.0)) == pytest.approx(1 / np.sqrt(2), abs=1e-14)
 
 
 def test_boundary_quadrature_lattice_lengths(triangle, hexagon):
     bq = boundary_quadrature(triangle)
-    for i in range(3):
-        total = bq.weights[bq.facet_index == i].sum()
-        assert total == pytest.approx(3.0, abs=1e-12)
+    # facet i holds the i-th block of BOUNDARY_PANELS points
+    for block in bq.weights.reshape(3, BOUNDARY_PANELS):
+        assert block.sum() == pytest.approx(3.0, abs=1e-12)
     assert bq.weights.sum() == pytest.approx(9.0, abs=1e-12)
     assert boundary_quadrature(hexagon).weights.sum() == pytest.approx(7.0, abs=1e-12)
 
@@ -522,7 +552,7 @@ def small_grid(request, triangle, hex_grid, trap_grid):
 
 def test_boundary_distance_matches_scalar_loop(triangle, grid48, hexagon, hex_grid):
     for P, g in ((triangle, grid48), (hexagon, hex_grid)):
-        loop = np.array([P.distance_to_boundary(p) for p in g.points])
+        loop = np.array([distance_to_boundary(P, p) for p in g.points])
         assert np.array_equal(g.boundary_distance, loop)
 
 

@@ -338,7 +338,8 @@ def test_gradient_and_hessian_at_match_evaluate(kind, triangle, grid48, rng):
         # the point reader (partials_at for a closed form, the node's jets
         # for node data) against the node fields
         jet = u.evaluate(u.grid.points[k], order=2)
-        np.testing.assert_allclose(jet.gradient, [jets[(1, 0)][k], jets[(0, 1)][k]],
+        np.testing.assert_allclose([jet.partials[(1, 0)], jet.partials[(0, 1)]],
+                                   [jets[(1, 0)][k], jets[(0, 1)][k]],
                                    rtol=0, atol=1e-12)
         np.testing.assert_allclose(jet.hessian, [[jets[(2, 0)][k], jets[(1, 1)][k]],
                                                  [jets[(1, 1)][k], jets[(0, 2)][k]]],

@@ -9,9 +9,7 @@ from calabiflow import (
     RegimeError,
     certify,
     fiber_energy_bound,
-    sobolev_bound,
     sobolev_inequality_test,
-    yamabe_lower_bound,
 )
 from calabiflow.curvature import class_record
 from calabiflow.polytope import DelzantPolytope
@@ -33,7 +31,7 @@ def test_zero_energy_chain(topo):
 
 
 def test_threshold_value(topo):
-    cert = yamabe_lower_bound(0.0, topo)
+    cert = certify(0.0, topo)
     assert cert.eq_cs_threshold == pytest.approx(48 * PI2, rel=1e-13)
     assert cert.prop_threshold_variant == pytest.approx(96 * PI2, rel=1e-13)
 
@@ -69,7 +67,7 @@ def test_bound_closed_form(topo):
 
 def test_negative_energy_rejected(topo):
     with pytest.raises(RegimeError):
-        yamabe_lower_bound(-1.0, topo)
+        certify(-1.0, topo)
 
 
 def test_controlled_class_chain(bundle_class):
@@ -98,12 +96,23 @@ def test_controlled_class_larger_c(bundle_class):
 def test_regime_errors():
     with pytest.raises(RegimeError, match="c_S >= 12 p1"):
         fiber_energy_bound(AdmissibleClass((1.0, 1.0), 11.0, -1.0, 1, -2))
-    with pytest.raises(RegimeError, match="chi"):
+    with pytest.raises(RegimeError, match="chi_S = 0"):
         fiber_energy_bound(AdmissibleClass((1.0, 1.0), 12.0, 0.0, 1, 0))
     with pytest.raises(RegimeError, match="p1 >= p2 >= 1"):
         fiber_energy_bound(AdmissibleClass((1.0, 0.5), 12.0, -1.0, 1, -2))
     with pytest.raises(RegimeError, match="m = 1"):
         fiber_energy_bound(AdmissibleClass((1.0, 1.0), 12.0, -1.0, 0, -2))
+
+
+@pytest.mark.parametrize("scal_S, chi_S, named, blameless", [
+    (-1.0, 0, "chi_S = 0", "scal_S"),
+    (0.0, -2, "scal_S = 0", "chi_S"),
+], ids=["chi_S", "scal_S"])
+def test_flat_base_refusal_names_its_field(scal_S, chi_S, named, blameless):
+    # a flat base with chi_S = -2 was once refused as "chi = 0"
+    with pytest.raises(RegimeError, match=named) as exc:
+        fiber_energy_bound(AdmissibleClass((1.0, 1.0), 12.0, scal_S, 1, chi_S))
+    assert blameless not in str(exc.value)
 
 
 def test_weight_interval_must_cover_polytope(bundle_class):

@@ -10,6 +10,11 @@ the same set in both trees, each in a fresh interpreter with
   a monitor record every 5 and a snapshot every 50);
 * the command-line flows of CI on the triangle and the hexagon at N=12, with
   the ``energy`` and ``curvature`` JSON of their final snapshots;
+* the ``--json`` outputs of the golden suite (``baseline``), of
+  ``fiber-bound`` on the CI class, and of ``sobolev-bound`` at one Calabi
+  energy per outcome: a bound (Ca = 0 and 10), a closed Yamabe gap
+  (Ca = 48 pi^2, written as its repr) and a failed quadratic-curvature test
+  (Ca = 1e4);
 * digests of the grid arrays (cell and quadrature weights, boundary
   distances, axis, jet and velocity operators, ``edges8``) on the triangle,
   the hexagon and the trapezoid at N = 12-128 with delta_min = h/2, h, 2h.
@@ -42,6 +47,8 @@ POLYGONS = {
 GRID_NS = (12, 24, 48, 96, 128)
 # delta_min as a multiple of h
 DELTA_FACTORS = (0.5, 1.0, 2.0)
+# the sobolev-bound energies of the module docstring, 48 pi^2 as its repr
+CERTIFICATE_CAS = ("0", "10", "473.7410112522892", "1e4")
 
 
 def _digest(*arrays) -> str:
@@ -129,6 +136,10 @@ def collect(work: Path) -> None:
         call(["energy", "--snapshot", snap, "--class", "class.json"], f"{name}-energy.json")
         call(["curvature", "--snapshot", snap, "--at", "0", "0", "--class", "class.json"],
              f"{name}-curvature.json")
+    call(["--json", "baseline"], "baseline.json")
+    call(["--json", "fiber-bound", "--class", "class.json"], "fiber-bound.json")
+    for ca in CERTIFICATE_CAS:
+        call(["--json", "sobolev-bound", "--ca", ca], f"sobolev-bound-{ca}.json")
     (work / "grid_digests.json").write_text(json.dumps(_grid_digests(), indent=1))
 
 
