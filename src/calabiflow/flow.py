@@ -5,7 +5,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,7 +20,16 @@ from .curvature import (
 )
 from .energy import average_scalar, energy_report, interior_quadrature
 from .errors import ConfigError, CurvatureUndefinedError, StiffnessError
-from .polytope import OFFSETS8, Grid, boundary_quadrature, build_grid, eps_region, load_polytope
+from .polytope import (
+    GRADIENT_KEYS,
+    HESSIAN_KEYS,
+    OFFSETS8,
+    Grid,
+    boundary_quadrature,
+    build_grid,
+    eps_region,
+    load_polytope,
+)
 from .potential import (
     SymplecticPotential,
     _sym2_eigenvalues,
@@ -157,23 +168,76 @@ def step(state: FlowState, cls: AdmissibleClass, policy: StepPolicy = None,
 # ---------------------------------------------------------------------------
 # Riemannian grid-graph distances
 
-def distance_field(grid: Grid, hessians, sources) -> np.ndarray:
-    """Dijkstra distances from a source node set on the 8-neighbour graph.
+class RegionGraph(NamedTuple):
+    """The 8-neighbour graph induced on a region of grid nodes: the edges of
+    grid.edges8 with both ends in the region, in the same order.
 
-    hessians is the metric at every node as its components (g00, g01, g11).
-    An edge n -> m has metric length sqrt(dx^T G dx), G the mean of the
-    Hessians at its two ends.  Zero-length edges stay edges of the graph.
+    nodes holds the region's grid ids, sorted.  Edge e runs from grid node
+    rows[e] to cols[e] at offset (dx[e], dy[e]); indices and indptr are the
+    CSR structure of the edges on the numbering of nodes.  entries holds the
+    region nodes, in that numbering, that an edge from outside enters."""
+
+    nodes: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    dx: np.ndarray
+    dy: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    entries: np.ndarray
+
+
+def region_graph(grid: Grid, region) -> RegionGraph:
+    """The RegionGraph of a node set of the grid."""
+    inside = np.zeros(grid.n_nodes, dtype=bool)
+    inside[np.asarray(region, dtype=int)] = True
+    nodes = np.nonzero(inside)[0]
+    local = np.full(grid.n_nodes, -1, dtype=np.int32)
+    local[nodes] = np.arange(len(nodes), dtype=np.int32)
+    rows, cols, k, _ = grid.edges8
+    entries = np.unique(local[cols[inside[cols] & ~inside[rows]]])
+    keep = inside[rows] & inside[cols]
+    rows, cols = rows[keep].astype(np.intp), cols[keep].astype(np.intp)
+    indptr = np.zeros(len(nodes) + 1, dtype=np.int32)
+    np.cumsum(np.bincount(local[rows], minlength=len(nodes)), out=indptr[1:])
+    dx, dy = (np.take(o, k[keep]) for o in (grid.h * OFFSETS8).T)
+    return RegionGraph(nodes=nodes, rows=rows, cols=cols, dx=dx, dy=dy, indices=local[cols],
+                       indptr=indptr, entries=entries)
+
+
+def distance_field(graph: RegionGraph, hessians, sources) -> np.ndarray:
+    """Dijkstra distances from a source node set on the 8-neighbour graph of
+    a region of the grid, graph from region_graph; the whole grid is the
+    region of all its nodes.  Returns the distance at each node of the
+    region, in the order of graph.nodes.
+
+    hessians is the metric at every grid node as its components (g00, g01,
+    g11).  An edge n -> m has metric length sqrt(dx^T G dx), G the mean of
+    the Hessians at its two ends.  Zero-length edges stay edges of the graph.
+
+    The sources are grid node ids in the region.  Every edge from outside the
+    region enters it at a source, at distance 0, so a shortest path to a
+    region node never needs to leave the region, and the distances are those
+    of the whole graph bit for bit; ValueError for a region that an edge
+    enters at a node that is not a source, or a source outside the region.
     """
     from scipy.sparse import csr_array
     from scipy.sparse.csgraph import dijkstra
 
-    rows, cols, k, indptr = grid.edges8
-    dx, dy = (np.take(o, k) for o in (grid.h * OFFSETS8).T)
-    g00, g01, g11 = (0.5 * (np.take(e, rows) + np.take(e, cols)) for e in hessians)
-    q = g00 * dx * dx + 2.0 * g01 * dx * dy + g11 * dy * dy
-    A = csr_array((np.sqrt(np.maximum(q, 0.0)), cols, indptr), shape=(grid.n_nodes,) * 2)
     sources = np.atleast_1d(np.asarray(sources, dtype=int))
-    return dijkstra(A, indices=sources, min_only=True)
+    local = np.searchsorted(graph.nodes, sources)
+    if not (local < len(graph.nodes)).all() or not np.array_equal(graph.nodes[local], sources):
+        raise ValueError("a source is not a node of the region")
+    is_source = np.zeros(len(graph.nodes), dtype=bool)
+    is_source[local] = True
+    if not is_source[graph.entries].all():
+        raise ValueError("an edge enters the region at a node that is not a source")
+    dx, dy = graph.dx, graph.dy
+    g00, g01, g11 = (0.5 * (np.take(e, graph.rows) + np.take(e, graph.cols)) for e in hessians)
+    q = g00 * dx * dx + 2.0 * g01 * dx * dy + g11 * dy * dy
+    A = csr_array((np.sqrt(np.maximum(q, 0.0)), graph.indices, graph.indptr),
+                  shape=(len(graph.nodes),) * 2)
+    return dijkstra(A, indices=local, min_only=True)
 
 
 def boundary_ring(grid: Grid, region) -> np.ndarray:
@@ -287,14 +351,23 @@ class FlowRun:
 
     # -- monitors -----------------------------------------------------------
 
+    @cached_property
+    def eps_graph(self) -> RegionGraph:
+        """The 8-neighbour graph of the eps-region, built on the first record."""
+        return region_graph(self.grid, self.eps_nodes)
+
     def _correction_derivative_maxima(self, u: SymplecticPotential) -> dict:
-        """Max over the eps-region of |d^k f| per order k (a flow state is node data)."""
+        """Max over the eps-region of |d^k f| per order k (a flow state is node
+        data): orders 1 and 2 from the state's jets, 3 and 4 from one
+        _f_higher of the state."""
         sel = self.eps_nodes
+        if not len(sel):
+            return dict.fromkeys((1, 2, 3, 4), float("nan"))
+        partials = {key: u.f_partial(key) for key in GRADIENT_KEYS + HESSIAN_KEYS}
+        partials.update(u._f_higher())
         out = {}
         for k in (1, 2, 3, 4):
-            comps = [np.abs(u.f_partial((a, k - a))[sel]).max() if len(sel) else np.nan
-                     for a in range(k + 1)]
-            out[k] = float(np.max(comps))
+            out[k] = float(np.max([np.abs(partials[a, k - a][sel]).max() for a in range(k + 1)]))
         return out
 
     def measure(self) -> MonitorRecord:
@@ -309,11 +382,14 @@ class FlowRun:
         positivity = bool(np.min(eigs) > 0)
         d = self._correction_derivative_maxima(u)
         if len(self.eps_ring) and len(self.eps2_ring):
-            dist = distance_field(self.grid, G, self.eps_ring)
-            dist_eps = float(np.min(dist[self.eps2_ring]))
+            # distances at the eps-region's nodes, in the order of g.nodes;
+            # the 2eps-region lies inside the eps-region
+            g = self.eps_graph
+            dist = distance_field(g, G, self.eps_ring)
+            dist_eps = float(np.min(dist[np.searchsorted(g.nodes, self.eps2_ring)]))
             rm2 = rm2_total_field(u, cls)
-            q = np.sqrt(np.maximum(rm2[self.eps_nodes], 0.0)) * dist[self.eps_nodes] ** 2
-            q_d2_max = float(q.max()) if len(q) else float("nan")
+            q = np.sqrt(np.maximum(rm2[g.nodes], 0.0)) * dist**2
+            q_d2_max = float(q.max())
         else:
             dist_eps = float("nan")
             q_d2_max = float("nan")

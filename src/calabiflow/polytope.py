@@ -964,8 +964,8 @@ def build_grid(polytope: DelzantPolytope, n: int, delta_min: float) -> Grid:
 
 
 def eps_region(polytope: DelzantPolytope, grid: Grid, eps: float) -> np.ndarray:
-    """Indices of grid nodes at Euclidean distance >= eps from the boundary;
-    the grid must be one of the polytope (DegenerateInputError)."""
+    """Indices of grid nodes at Euclidean distance >= eps from the boundary,
+    sorted; the grid must be one of the polytope (DegenerateInputError)."""
     if grid.polytope != polytope:
         raise DegenerateInputError("the grid is not one of the polytope")
     if not eps > 0:
@@ -995,12 +995,22 @@ class BoundaryQuadrature:
     _nearest: weakref.WeakKeyDictionary = field(
         default_factory=weakref.WeakKeyDictionary, init=False, repr=False, compare=False
     )
+    # class -> weighted_measure(class)
+    _weighted: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def nearest_nodes(self, grid: Grid):
         """grid.nearest_nodes of the points, computed once per grid."""
         if grid not in self._nearest:
             self._nearest[grid] = grid.nearest_nodes(self.points)
         return self._nearest[grid]
+
+    def weighted_measure(self, cls) -> float:
+        """The boundary integral of an admissible class's weight, the dot
+        product of the weights with cls.weight(points), computed once per
+        class."""
+        if cls not in self._weighted:
+            self._weighted[cls] = float(np.dot(self.weights, cls.weight(self.points)))
+        return self._weighted[cls]
 
 
 BOUNDARY_PANELS = 2048

@@ -9,7 +9,8 @@ differentiated follows from what it was built from, it is not chosen:
 * node data f_values -- differenced on the grid: orders 1-2 by the grid's
   two jet operators (stencil rows in the interior, least-squares fits on the
   near-boundary band), one product for each order and computed once; orders
-  3-4 by composed axis differences, on each request.  Off the grid only the
+  3-4 all nine at once by axis differences of shared intermediates
+  (``_f_higher``), on each request.  Off the grid only the
   value is read, that of the Taylor step from the nearest node
   (``_taylor_value``).
 
@@ -270,21 +271,24 @@ class SymplecticPotential:
         if order > 4:
             raise ValueError("derivatives supported up to order 4")
         base = self.grid.guillemin_jets
-        return {key: base[key] + self.f_partial(key) for key in PARTIALS if sum(key) <= order}
+        # node data's third and fourth partials come from one _f_higher
+        higher = self._f_higher() if order > 2 and self.f_form is None else {}
+        return {key: base[key] + (higher[key] if key in higher else self.f_partial(key))
+                for key in PARTIALS if sum(key) <= order}
 
     def f_partial(self, key) -> np.ndarray:
         """Partial key = (a, b) of f at every node.
 
         A closed form's is exact and computed on each call.  Node data's is
-        f itself, a row of _f_jet for orders 1 and 2, or composed differences,
-        computed on each call, for orders 3 and 4."""
+        f itself, a row of _f_jet for orders 1 and 2, or, for orders 3 and 4,
+        one entry of _f_higher, which computes all nine on each call."""
         if self.f_form is not None:
             return self.f_form.partial(*key, *self.grid.points.T)
         order = sum(key)
         if order == 0:
             return self.f_values
         if order > 2:
-            return self.grid.diff(self.f_values, *key)
+            return self._f_higher()[key]
         return self._f_jet(order)[(GRADIENT_KEYS, HESSIAN_KEYS)[order - 1].index(key)]
 
     def _f_jet(self, order: int) -> np.ndarray:
@@ -295,6 +299,23 @@ class SymplecticPotential:
             A = self.grid.gradient_operator if order == 1 else self.grid.hessian_operator
             self._f_jets[order] = (A @ self.f_values).reshape(-1, self.grid.n_nodes)
         return self._f_jets[order]
+
+    def _f_higher(self) -> dict:
+        """The nine third and fourth partials {(a, b): array over nodes} of
+        the node data f, computed on each call and not kept.
+
+        Twelve one-product Grid.diff calls on the shared intermediates f_x,
+        f_xx, f_yy and their differences, where diff(f, a, b) for each key
+        would make twenty products.  Each partial gets the operator sequence
+        of diff(f, a, b), x before y, so its bits are those of diff."""
+        d, f = self.grid.diff, self.f_values
+        fx, fxx, fyy = d(f, 1, 0), d(f, 2, 0), d(f, 0, 2)
+        fxxx, fxyy = d(fxx, 1, 0), d(fx, 0, 2)
+        return {
+            (3, 0): fxxx, (2, 1): d(fxx, 0, 1), (1, 2): fxyy, (0, 3): d(fyy, 0, 1),
+            (4, 0): d(fxx, 2, 0), (3, 1): d(fxxx, 0, 1), (2, 2): d(fxx, 0, 2),
+            (1, 3): d(fxyy, 0, 1), (0, 4): d(fyy, 0, 2),
+        }
 
     def partials_at(self, points, order: int = 4) -> dict:
         """Exact partials {(a, b): array over points} of a closed-form u with

@@ -222,3 +222,21 @@ def test_fresh_fd_report_makes_10_sparse_products(hexagon, hex_grid, bundle_clas
     # for Hess R and one of the gradient operator for the two first partials
     # of f in the boundary values; the fiber scalar reads the U-jets
     assert len(csr_products) == 1 + 1 + 2 * 3 + 1 + 1
+
+
+def test_second_report_evaluates_no_class_weight_on_the_quadrature(monkeypatch, hexagon,
+                                                                  hex_grid, bundle_class):
+    bquad = boundary_quadrature(hexagon)
+    first = energy_report(_bump_fd(hexagon, hex_grid), bundle_class, bquad)
+    sizes = []
+    weight = AdmissibleClass.weight
+    monkeypatch.setattr(AdmissibleClass, "weight",
+                        lambda self, points: sizes.append(len(points)) or weight(self, points))
+    second = energy_report(_bump_fd(hexagon, hex_grid), bundle_class, bquad)
+    assert len(bquad.points) not in sizes
+    assert second.r_bar == first.r_bar
+    # the kept boundary measure is the one a fresh quadrature computes
+    assert bquad.weighted_measure(bundle_class) == float(
+        np.dot(bquad.weights, weight(bundle_class, bquad.points)))
+    energy_report(_bump_fd(hexagon, hex_grid), bundle_class, boundary_quadrature(hexagon))
+    assert len(bquad.points) in sizes

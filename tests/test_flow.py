@@ -17,11 +17,16 @@ from calabiflow import (
     rhs,
     step,
 )
-from calabiflow.curvature import class_record
-from calabiflow.flow import boundary_ring, distance_field, proposed_dt
+from calabiflow.curvature import class_record, curvature_context
+from calabiflow.flow import boundary_ring, distance_field, proposed_dt, region_graph
 from calabiflow.errors import CurvatureUndefinedError, StiffnessError
 from calabiflow.potential import HESSIAN_KEYS, _sym2_inverse, bump_form
 from fd_oracle import sym2_matrices
+
+
+def whole_graph(grid):
+    """The RegionGraph of all of a grid's nodes."""
+    return region_graph(grid, np.arange(grid.n_nodes))
 
 
 def fd_state(potential):
@@ -87,14 +92,29 @@ def _flow_run24(triangle_file, bundle_class):
     return FlowRun(cfg)
 
 
-def test_measure_differentiates_node_data_once(monkeypatch, triangle_file, bundle_class):
+def test_measure_differentiates_node_data_once(monkeypatch, triangle_file, bundle_class,
+                                               csr_products):
+    from calabiflow.polytope import Grid
+
     fr = _flow_run24(triangle_file, bundle_class)
     calls = _count_calls(monkeypatch)
+    products_per_diff = []
+    counted = Grid.diff
+
+    def diff(*args):
+        before = len(csr_products)
+        out = counted(*args)
+        products_per_diff.append(len(csr_products) - before)
+        return out
+
+    monkeypatch.setattr(Grid, "diff", diff)
     fr.measure()
-    # the nine third/fourth partials of f for the |d^k f| maxima, and the
-    # jets of R for the dissipation; first/second partials of f come from
-    # the derivative operators
-    assert calls["diff"] == 9
+    # the nine third/fourth partials of f for the |d^k f| maxima, from twelve
+    # one-product differences of shared intermediates, and the jets of R for
+    # the dissipation; first/second partials of f come from the derivative
+    # operators
+    assert calls["diff"] == 12
+    assert products_per_diff == [1] * 12
     assert calls["field_jets"] == 1
     # the state keeps the two first and three second partials of f, no
     # partial of order 3 or 4
@@ -149,13 +169,16 @@ def test_measure_builds_run_constants_once(triangle_file, bundle_class):
     fr = _flow_run24(triangle_file, bundle_class)
     tree = _CountingTree(fr.grid.kdtree)
     fr.grid.__dict__["kdtree"] = tree
+    # set-up builds no distance graph; the first record does
+    assert "eps_graph" not in fr.__dict__
     first = fr.measure()
-    edges, queries = fr.grid.edges8, tree.queries
+    edges, graph, queries = fr.grid.edges8, fr.eps_graph, tree.queries
     fr.state = step(fr.state, bundle_class, r_bar=fr.r_bar)
     second = fr.measure()
-    # the boundary points' nearest nodes and the distance graph are reused
+    # the boundary points' nearest nodes and the distance graphs are reused
     assert tree.queries == queries
     assert fr.grid.edges8 is edges
+    assert fr.eps_graph is graph
     assert second.boundary_u != first.boundary_u
 
 
@@ -260,14 +283,14 @@ def test_riemannian_distance_flat_metric(triangle, grid48):
     ident = np.array([[1.0], [0.0], [1.0]]) * np.ones(grid48.n_nodes)
     a = int(np.argmin(((grid48.points - (-0.5, -0.5)) ** 2).sum(axis=1)))
     b = int(np.argmin(((grid48.points - (0.75, 0.25)) ** 2).sum(axis=1)))
-    d = distance_field(grid48, ident, [a])[b]
+    d = distance_field(whole_graph(grid48), ident, [a])[b]
     euclid = np.hypot(*(grid48.points[a] - grid48.points[b]))
     assert euclid <= d <= 1.09 * euclid
 
 
 def test_riemannian_distance_zero_on_overlap(fs48, triangle, grid48):
     ring = boundary_ring(grid48, eps_region(triangle, grid48, 0.25))
-    assert len(ring) and np.all(distance_field(grid48, fs48.hessian_field(), ring)[ring] == 0.0)
+    assert len(ring) and np.all(distance_field(whole_graph(grid48), fs48.hessian_field(), ring)[ring] == 0.0)
 
 
 def test_riemannian_distance_refinement_monotone(triangle):
@@ -282,7 +305,7 @@ def test_riemannian_distance_refinement_monotone(triangle):
         a = int(np.argmin(((g.points - pts[0]) ** 2).sum(axis=1)))
         b = int(np.argmin(((g.points - pts[1]) ** 2).sum(axis=1)))
         assert np.allclose(g.points[a], pts[0]) and np.allclose(g.points[b], pts[1])
-        vals.append(distance_field(g, u.hessian_field(), [a])[b])
+        vals.append(distance_field(whole_graph(g), u.hessian_field(), [a])[b])
     assert vals[1] <= vals[0] * (1 + 1e-9)
 
 
@@ -348,9 +371,13 @@ def reference_boundary_ring(grid, region):
     return np.asarray(ring, dtype=int)
 
 
-def bump_hessians(grid):
+def bump_state(grid):
     f = bump_form(0.05)(grid.points[:, 0], grid.points[:, 1])
-    return SymplecticPotential.from_node_values(grid.polytope, grid, f).hessian_field()
+    return SymplecticPotential.from_node_values(grid.polytope, grid, f)
+
+
+def bump_hessians(grid):
+    return bump_state(grid).hessian_field()
 
 
 # the trapezoid's staircased facet, normal (-1, -2), gives the edge table
@@ -374,8 +401,9 @@ def test_distance_field_matches_reference(request, grid_name):
     grid = request.getfixturevalue(grid_name)
     hess = bump_hessians(grid)
     eps_ring = boundary_ring(grid, eps_region(grid.polytope, grid, 0.25))
+    graph = whole_graph(grid)
     for sources in (eps_ring, [0], [grid.n_nodes // 2, grid.n_nodes - 1]):
-        dist = distance_field(grid, hess, sources)
+        dist = distance_field(graph, hess, sources)
         assert np.isfinite(dist).all()
         assert np.array_equal(dist, reference_distance_field(grid, sym2_matrices(hess), sources))
 
@@ -383,10 +411,67 @@ def test_distance_field_matches_reference(request, grid_name):
 def test_distance_field_zero_metric(grid48):
     # zero-length edges are still edges: every node is at distance 0, not inf
     zero = np.zeros((3, grid48.n_nodes))
-    dist = distance_field(grid48, zero, [grid48.n_nodes // 2])
+    dist = distance_field(whole_graph(grid48), zero, [grid48.n_nodes // 2])
     assert np.array_equal(dist, np.zeros(grid48.n_nodes))
     assert np.array_equal(dist, reference_distance_field(grid48, sym2_matrices(zero),
                                                          [grid48.n_nodes // 2]))
+
+
+@pytest.fixture(scope="module")
+def polygon_grids48(triangle, hexagon, trapezoid):
+    """N=48 grids, delta_min = h/2, of the three polygons."""
+    grids = {}
+    for name, P in (("triangle", triangle), ("hexagon", hexagon), ("trapezoid", trapezoid)):
+        h = (P.bbox[1][0] - P.bbox[0][0]) / 48
+        grids[name] = build_grid(P, 48, 0.5 * h)
+    return grids
+
+
+@pytest.mark.parametrize("polygon", ["triangle", "hexagon", "trapezoid"])
+@pytest.mark.parametrize("eps", [0.1, 0.25])
+def test_region_distances_are_whole_graph_distances(polygon_grids48, polygon, eps):
+    grid = polygon_grids48[polygon]
+    G = curvature_context(bump_state(grid))["G"]
+    region = eps_region(grid.polytope, grid, eps)
+    ring = boundary_ring(grid, region)
+    graph = region_graph(grid, region)
+    assert np.array_equal(graph.nodes, region)
+    assert len(graph.nodes) < grid.n_nodes
+    dist = distance_field(graph, G, ring)
+    assert np.isfinite(dist).all()
+    assert np.array_equal(dist, distance_field(whole_graph(grid), G, ring)[region])
+    assert np.array_equal(dist, reference_distance_field(grid, sym2_matrices(G), ring)[region])
+
+
+def test_distance_field_refuses_a_region_entered_off_its_sources(grid48):
+    G = curvature_context(bump_state(grid48))["G"]
+    region = eps_region(grid48.polytope, grid48, 0.25)
+    ring = boundary_ring(grid48, region)
+    graph = region_graph(grid48, region)
+    inner = np.setdiff1d(region, ring)
+    assert len(inner)
+    # the ring is entered from outside, so one interior source leaves
+    # entries that are not sources
+    with pytest.raises(ValueError, match="not a source"):
+        distance_field(graph, G, [inner[0]])
+    with pytest.raises(ValueError, match="not a source"):
+        distance_field(graph, G, ring[1:])
+    outside = np.setdiff1d(np.arange(grid48.n_nodes), region)
+    with pytest.raises(ValueError, match="not a node of the region"):
+        distance_field(graph, G, np.append(ring, outside[0]))
+
+
+@pytest.mark.parametrize("polygon", ["triangle", "hexagon", "trapezoid"])
+def test_higher_partials_are_the_differences_of_diff(polygon_grids48, polygon):
+    grid = polygon_grids48[polygon]
+    u = bump_state(grid)
+    partials = u._f_higher()
+    assert sorted(partials) == sorted((a, k - a) for k in (3, 4) for a in range(k + 1))
+    jets = u.jets(4)
+    for key, value in partials.items():
+        assert np.array_equal(value, grid.diff(u.f_values, *key)), key
+        assert np.array_equal(u.f_partial(key), value), key
+        assert np.array_equal(jets[key], grid.guillemin_jets[key] + value), key
 
 
 # -- fixed-point run ---------------------------------------------------------

@@ -8,6 +8,9 @@ the same set in both trees, each in a fresh interpreter with
 
 * the N=48 acceptance flow on the standard triangle (bump 0.05, 200 steps,
   a monitor record every 5 and a snapshot every 50);
+* N=48 flows on the hexagon and the trapezoid (bump 0.05, 40 steps, a
+  monitor record every 2, epsilon = 0.1), so that the monitors' region
+  distances and third and fourth partials are compared off the triangle;
 * the command-line flows of CI on the triangle and the hexagon at N=12, with
   the ``energy`` and ``curvature`` JSON of their final snapshots;
 * the ``--json`` outputs of the golden suite (``baseline``), of
@@ -47,6 +50,8 @@ POLYGONS = {
 GRID_NS = (12, 24, 48, 96, 128)
 # delta_min as a multiple of h
 DELTA_FACTORS = (0.5, 1.0, 2.0)
+# the off-triangle N=48 flows: short, with a record every other step
+MONITORED_FLOW = {"max_steps": 40, "monitor_every": 2, "snapshot_every": 0, "epsilon": 0.1}
 # the sobolev-bound energies of the module docstring, 48 pi^2 as its repr
 CERTIFICATE_CAS = ("0", "10", "473.7410112522892", "1e4")
 
@@ -102,7 +107,7 @@ def _grid_digests() -> dict:
 def _write_inputs(work: Path) -> None:
     from calabiflow import DelzantPolytope, save_polytope
 
-    for name in ("triangle", "hexagon"):
+    for name in POLYGONS:
         save_polytope(DelzantPolytope(*POLYGONS[name]), work / f"{name}.json")
     (work / "class.json").write_text(json.dumps(BUNDLE))
     flows = {
@@ -110,6 +115,8 @@ def _write_inputs(work: Path) -> None:
                                         "snapshot_every": 50}),
         "ci_triangle": ("triangle", 12, {"max_steps": 10, "snapshot_every": 0}),
         "ci_hexagon": ("hexagon", 12, {"max_steps": 10, "snapshot_every": 0}),
+        "hexagon48": ("hexagon", 48, MONITORED_FLOW),
+        "trapezoid48": ("trapezoid", 48, MONITORED_FLOW),
     }
     for name, (polygon, n, extra) in flows.items():
         config = {"polytope": f"{polygon}.json", "class": "class.json", "grid": {"N": n},
@@ -129,7 +136,7 @@ def collect(work: Path) -> None:
         with open(work / stdout, "w") as fh:
             subprocess.run(cli + args, cwd=work, stdout=fh, check=True)
 
-    for name in ("acceptance", "ci_triangle", "ci_hexagon"):
+    for name in ("acceptance", "ci_triangle", "ci_hexagon", "hexagon48", "trapezoid48"):
         call(["--json", "flow", f"{name}.json"], f"{name}-flow.json")
     for name in ("ci_triangle", "ci_hexagon"):
         snap = f"{name}/snapshot_final.csv"
