@@ -13,6 +13,7 @@ import numpy as np
 
 from .curvature import (
     AdmissibleClass,
+    _with_min_eig,
     class_record,
     curvature_context,
     rm2_total_field,
@@ -376,8 +377,8 @@ class FlowRun:
         cls = self.cls
         rep = energy_report(u, cls, self.bquad)
         # the Hessian field of the state's curvature context, cached by
-        # energy_report, with its lower eigenvalue
-        ctx = curvature_context(u)
+        # energy_report, with its lower eigenvalue, kept from the first record
+        ctx = _with_min_eig(curvature_context(u))
         G, eigs = ctx["G"], ctx["min_eig"]
         positivity = bool(np.min(eigs) > 0)
         d = self._correction_derivative_maxima(u)

@@ -21,6 +21,10 @@ import numpy as np
 from .errors import DegenerateInputError, DomainError
 
 _TOL = 1e-10
+# multiply-adds per facet-value product: below OpenBLAS's threading size
+# (65536 * 4 of them), so no product waits on its thread pool, which stalls
+# for tens of milliseconds when it wakes on a busy host
+_FACET_PRODUCT_SIZE = 2**16
 
 
 def _polygon_area(poly) -> float:
@@ -251,12 +255,22 @@ class DelzantPolytope:
     def facet_values(self, x) -> np.ndarray:
         """l_i(x) for all facets; x is a point (2,) or an array (..., 2).
 
-        A stack of point arrays (ndim > 2) takes the one product of its
-        (-1, 2) rows, not one product per array."""
+        A stack of point arrays (ndim > 2) takes the products of its (-1, 2)
+        rows, not one product per array.  The rows are multiplied in blocks
+        of _FACET_PRODUCT_SIZE multiply-adds; each value is the same product
+        of its own row, so blocking leaves every bit as it is."""
         x = np.asarray(x, dtype=float)
         if x.ndim > 2:
             return self.facet_values(x.reshape(-1, 2)).reshape(*x.shape[:-1], -1)
-        return x @ self.normals.T.astype(float) + self.offsets
+        V = self.normals.T.astype(float)
+        if x.ndim < 2:
+            return x @ V + self.offsets
+        out = np.empty((len(x), V.shape[1]))
+        rows = max(1, _FACET_PRODUCT_SIZE // V.size)
+        for i in range(0, len(x), rows):
+            np.matmul(x[i : i + rows], V, out=out[i : i + rows])
+        out += self.offsets
+        return out
 
     def contains(self, x) -> bool:
         """Whether x is in the open polytope."""

@@ -136,17 +136,16 @@ def _sym2_eigenvalues(S, s01_sq=None):
     return lo, tr
 
 
-def _sym2_inverse(S, s01_sq=None) -> np.ndarray:
-    """Components (3, n) of the inverse of a symmetric field S; s01_sq, if
-    given, is s01 * s01 already computed."""
-    s00, s01, s11 = S
-    det = s00 * s11
-    det -= s01 * s01 if s01_sq is None else s01_sq
-    inv = np.empty((3, *det.shape))
-    np.divide(s11, det, out=inv[0])
-    np.divide(s01, det, out=inv[1])
+def _sym2_inverse(S, det=None) -> np.ndarray:
+    """Components (3, n) of the inverse of a symmetric field S, a (3, n)
+    array; det, if given, is its determinant s00 s11 - s01 s01 already
+    computed."""
+    if det is None:
+        det = S[0] * S[2]
+        det -= S[1] * S[1]
+    # (s11, s01, s00) / det, then the middle row negated
+    inv = S[::-1] / det
     np.negative(inv[1], out=inv[1])
-    np.divide(s00, det, out=inv[2])
     return inv
 
 

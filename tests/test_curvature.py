@@ -21,11 +21,11 @@ from calabiflow import (
     weighted_scalar,
     weighted_scalar_field,
 )
-from calabiflow.curvature import (_context_from_jets, _d2U_trace, _dU_trace, _fiber_rm2,
-                                  _jet_context, _point_context, _rm2_total_from_ctx, class_record,
-                                  curvature_context)
+from calabiflow.curvature import (_SPD_RATIO, _context_from_jets, _d2U_trace, _dU_trace,
+                                  _fiber_rm2, _jet_context, _point_context, _rm2_total_from_ctx,
+                                  _spd_inverse, class_record, curvature_context)
 from calabiflow.polytope import DelzantPolytope
-from calabiflow.potential import PARTIALS
+from calabiflow.potential import PARTIALS, _sym2_eigenvalues, _sym2_inverse
 from conftest import interior_points
 from fd_oracle import (agrees_to_sig, full_tensors, oracle_curvature, rm2_total_pieces,
                        sym2_matrices, tensor_field, weighted_scalar_by_blocks)
@@ -81,6 +81,82 @@ def test_indefinite_hessian_raises(triangle, grid48):
     u = SymplecticPotential.from_closed_form(triangle, grid48, polynomial_form({(2, 0): -2.0}))
     with pytest.raises(CurvatureUndefinedError):
         abreu_scalar_field(u)
+
+
+def _eigenvalue_spd_inverse(G):
+    """The SPD check by the eigenvalue test alone, then the inverse: the
+    reference for _spd_inverse, (U, lo) or CurvatureUndefinedError."""
+    lo, hi = _sym2_eigenvalues(G)
+    hi = np.maximum(hi, 1.0) * _SPD_RATIO
+    if not np.all(lo > hi):
+        raise CurvatureUndefinedError(
+            f"Hessian not positive definite at {np.count_nonzero(~(lo > hi))} point(s); "
+            f"min eigenvalue {np.fmin.reduce(lo):.3e}"
+        )
+    return _sym2_inverse(G), lo
+
+
+def _spd_samples(rng, n=4000):
+    """Components (3, n) of R diag(hi, hi / cond) R^T for random rotations R,
+    hi in 1e-8..1e8 and cond in 1e9..1e14, then the special points: NaN, +-inf,
+    zero, semidefinite, indefinite, negative definite and tiny matrices, and
+    ones whose tr^2 or det overflows."""
+    theta = rng.uniform(0.0, np.pi, n)
+    hi = 10.0 ** rng.uniform(-8.0, 8.0, n)
+    lo = hi / 10.0 ** rng.uniform(9.0, 14.0, n)
+    c, s = np.cos(theta), np.sin(theta)
+    random = np.stack([c * c * hi + s * s * lo, c * s * (hi - lo), s * s * hi + c * c * lo])
+    nan, inf = np.nan, np.inf
+    special = np.array([
+        [nan, 0, 1], [1, nan, 1], [1, 0, nan], [nan, nan, nan], [inf, 0, 1], [1, inf, 1],
+        [-inf, 0, 1], [inf, 0, inf], [1, -inf, 1], [0, 0, 0], [1, 1, 1], [1, 2, 1],
+        [1, 0, -1e-20], [-1, 0, -1], [-2, 1, -1], [1e-13, 0, 1e-13], [2e-12, 0, 3e-12],
+        [1.5e154, 0, 1.5e154], [0.95e154, 0, 0.95e154], [1e160, 1, 1],
+    ]).T
+    return np.concatenate([random, special], axis=1)
+
+
+def _decisions(G):
+    """(new, reference) outcomes of one field: ("raise", message) or
+    ("pass", U, lo), lo None where the certificate decided."""
+    out = []
+    for f in (_spd_inverse, _eigenvalue_spd_inverse):
+        try:
+            # both warn of the arithmetic on NaN, inf and overflow samples
+            with np.errstate(all="ignore"):
+                out.append(("pass", *f(G)))
+        except CurvatureUndefinedError as exc:
+            out.append(("raise", str(exc)))
+    return out
+
+
+def test_spd_certificate_decides_as_the_eigenvalue_test(rng):
+    S = _spd_samples(rng)
+    outcomes = {"certificate": 0, "fallback": 0, "raise": 0}
+    # one-point fields, then fields of 7 points, so that a bad point among
+    # good ones is refused with the count of the eigenvalue test
+    perm = rng.permutation(S.shape[1])
+    fields = [S[:, k : k + 1] for k in range(S.shape[1])]
+    fields += [S[:, perm[k : k + 7]] for k in range(0, S.shape[1], 7)]
+    for G in fields:
+        new, ref = _decisions(G)
+        if ref[0] == "raise":
+            assert new == ref, G
+            outcomes["raise"] += 1
+            continue
+        assert new[0] == "pass", G
+        assert np.array_equal(new[1], ref[1]), G
+        if new[2] is not None:
+            assert np.array_equal(new[2], ref[2]), G
+            outcomes["fallback"] += 1
+            continue
+        outcomes["certificate"] += 1
+        # where the certificate accepts, the eigenvalue test's
+        # lo > _SPD_RATIO max(hi, 1) holds with the factor 4 almost whole
+        lo, hi = _sym2_eigenvalues(G)
+        assert np.all(lo > 3.99 * _SPD_RATIO * np.maximum(hi, 1.0)), G
+    # every outcome is exercised, and the certificate decides most fields
+    assert min(outcomes.values()) > 100 and outcomes["certificate"] > outcomes["fallback"], outcomes
 
 
 # -- weighted scalar ---------------------------------------------------------

@@ -140,6 +140,25 @@ def test_measure_reads_the_contexts_lower_eigenvalues(monkeypatch, triangle_file
     assert calls == []
 
 
+def test_step_decomposes_once_and_a_record_once_more(monkeypatch, triangle_file, bundle_class):
+    from calabiflow import curvature, flow
+
+    fr = _flow_run24(triangle_file, bundle_class)
+    calls = []
+    for owner in (curvature, flow):
+        orig = owner._sym2_eigenvalues
+        monkeypatch.setattr(owner, "_sym2_eigenvalues",
+                            lambda *args, _orig=orig, _name=owner.__name__:
+                            calls.append(_name) or _orig(*args))
+    fr.state = step(fr.state, fr.cls, fr.policy, r_bar=fr.r_bar)
+    # the SPD checks of the five contexts pass by their trace and determinant
+    # certificate; the one eigen-decomposition is that of proposed_dt
+    assert calls == ["calabiflow.flow"]
+    # a record adds the lower eigenvalue field of the candidate's context
+    fr.measure()
+    assert calls == ["calabiflow.flow", "calabiflow.curvature"]
+
+
 def test_measure_reads_hessians_from_curvature_context(monkeypatch, triangle_file,
                                                        bundle_class):
     from calabiflow.curvature import curvature_context

@@ -20,7 +20,12 @@ the same set in both trees, each in a fresh interpreter with
   (Ca = 1e4);
 * digests of the grid arrays (cell and quadrature weights, boundary
   distances, axis, jet and velocity operators, ``edges8``) on the triangle,
-  the hexagon and the trapezoid at N = 12-128 with delta_min = h/2, h, 2h.
+  the hexagon, the trapezoid and the Hirzebruch F_3 trapezoid at
+  N = 12-128 with delta_min = h/2, h, 2h.  F_3 has a normal entry of 3:
+  where every entry is 0, +-1 or +-2, each product of an entry with a
+  coordinate is exact, and a fused and an unfused multiply-add give the same
+  facet value, so only such a polygon shows a change in how facet values
+  are multiplied that moves bits.
 
 Prints every output that differs and, for a monitor CSV, the largest
 relative drift of each column.  Exits 1 on any difference, 0 otherwise.
@@ -46,6 +51,7 @@ POLYGONS = {
     "hexagon": ([[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1], [-1, -1]],
                 [1.0, 1.0, 1.0, 1.0, 1.5, 1.5]),
     "trapezoid": ([[1, 0], [0, 1], [-1, -2], [0, -1]], [1.0, 1.0, 3.0, 1.0]),
+    "hirzebruch3": ([[1, 0], [0, 1], [-1, -3], [0, -1]], [1.0, 1.0, 4.0, 1.0]),
 }
 GRID_NS = (12, 24, 48, 96, 128)
 # delta_min as a multiple of h
@@ -80,11 +86,12 @@ def _grid_digests() -> dict:
         width = float(P.bbox[1][0] - P.bbox[0][0])
         for n in GRID_NS:
             for factor in DELTA_FACTORS:
-                g = build_grid(P, n, factor * width / n)
                 try:
+                    g = build_grid(P, n, factor * width / n)
                     g.axis_operators
                 except DegenerateInputError as exc:
-                    # a grid too sparse for its stencils: its refusal is the output
+                    # a grid with no node, or too sparse for its stencils: its
+                    # refusal is the output
                     out[f"{name} N={n} delta={factor}h"] = str(exc)
                     continue
                 arrays = {
