@@ -10,20 +10,13 @@ import math
 import sys
 from dataclasses import fields
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+# each command imports the modules it runs, so `sobolev-bound` loads no grid,
+# potential, curvature, energy or flow code
 from ._serialize import json_value
-from .curvature import (
-    AdmissibleClass,
-    CurvatureSample,
-    abreu_scalar_field,
-    admissible_blocks,
-    fiber_riemann_norm,
-    fiber_riemann_norm_field,
-    abreu_scalar,
-)
-from .energy import average_scalar, energy_report, interior_quadrature
 from .errors import (
     CalabiflowError,
     ConfigError,
@@ -33,10 +26,11 @@ from .errors import (
     RegimeError,
     StiffnessError,
 )
-from .flow import RunConfig, run
-from .polytope import build_grid, standard_triangle
-from .potential import SymplecticPotential, fs_inverse_hessian, load_snapshot
 from .sobolev import ClassTopology, certify, fiber_energy_bound
+
+if TYPE_CHECKING:
+    from .curvature import AdmissibleClass
+    from .flow import RunConfig
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -61,6 +55,8 @@ def _require_object(value, what):
 def load_class(data) -> AdmissibleClass:
     """The AdmissibleClass of a JSON object or file; a key left out keeps the
     class's default, and the class checks the values."""
+    from .curvature import AdmissibleClass
+
     if isinstance(data, (str, Path)):
         data = _load_json(data)
     _require_object(data, "class data")
@@ -108,6 +104,8 @@ def _config_fields(data, table: dict, what: str) -> dict:
 
 def load_run_config(path, out_dir=None) -> RunConfig:
     """The RunConfig of a JSON run config; keys it omits keep RunConfig's defaults."""
+    from .flow import RunConfig
+
     data = _require_object(_load_json(path), "run config")
     values = _config_fields(data, _RUN_CONFIG_KEYS, "config")
     for key in ("polytope", "class"):
@@ -128,6 +126,11 @@ def load_run_config(path, out_dir=None) -> RunConfig:
 
 def baseline_checks(n: int = 48):
     """The canonical-potential golden suite; yields (name, ok, got, expect)."""
+    from .curvature import AdmissibleClass, abreu_scalar_field, fiber_riemann_norm_field
+    from .energy import average_scalar, interior_quadrature
+    from .polytope import build_grid, standard_triangle
+    from .potential import SymplecticPotential, fs_inverse_hessian
+
     P = standard_triangle()
     grid = build_grid(P, n, 0.5 * 3.0 / n)
     u = SymplecticPotential.fubini_study(grid)
@@ -240,6 +243,9 @@ def cmd_baseline(args) -> int:
 
 
 def cmd_flow(args) -> int:
+    from .energy import energy_report
+    from .flow import run
+
     cfg = load_run_config(args.config, out_dir=args.out_dir)
     fr = run(cfg)
     rep = energy_report(fr.state.u, fr.cls, fr.bquad)
@@ -260,6 +266,8 @@ def cmd_flow(args) -> int:
 
 
 def _load_snapshot_potential(path):
+    from .potential import load_snapshot
+
     try:
         return load_snapshot(path)
     except OSError as exc:
@@ -267,6 +275,8 @@ def _load_snapshot_potential(path):
 
 
 def cmd_curvature(args) -> int:
+    from .curvature import CurvatureSample, abreu_scalar, admissible_blocks, fiber_riemann_norm
+
     u, t = _load_snapshot_potential(args.snapshot)
     x = np.array([args.at[0], args.at[1]], dtype=float)
     if not u.polytope.contains(x):
@@ -286,6 +296,9 @@ def cmd_curvature(args) -> int:
 
 
 def cmd_energy(args) -> int:
+    from .curvature import AdmissibleClass
+    from .energy import energy_report
+
     u, t = _load_snapshot_potential(args.snapshot)
     cls = load_class(args.cls) if args.cls is not None else AdmissibleClass.trivial()
     _print_json({**energy_report(u, cls).to_dict(), "t": t})

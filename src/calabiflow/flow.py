@@ -347,6 +347,8 @@ class FlowRun:
         self.eps2_nodes = eps_region(P, self.grid, 2.0 * cfg.epsilon)
         self.eps_ring = boundary_ring(self.grid, self.eps_nodes)
         self.eps2_ring = boundary_ring(self.grid, self.eps2_nodes)
+        # a node on both rings: the lattice cannot separate the two level sets
+        self.rings_meet = bool(np.intersect1d(self.eps_ring, self.eps2_ring).size)
         self.records: list[MonitorRecord] = []
         self.initial_witnesses = None
 
@@ -387,7 +389,8 @@ class FlowRun:
             # the 2eps-region lies inside the eps-region
             g = self.eps_graph
             dist = distance_field(g, G, self.eps_ring)
-            dist_eps = float(np.min(dist[np.searchsorted(g.nodes, self.eps2_ring)]))
+            dist_eps = (float("nan") if self.rings_meet
+                        else float(np.min(dist[np.searchsorted(g.nodes, self.eps2_ring)])))
             rm2 = rm2_total_field(u, cls)
             q = np.sqrt(np.maximum(rm2[g.nodes], 0.0)) * dist**2
             q_d2_max = float(q.max())

@@ -10,15 +10,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ._serialize import json_value
-from .curvature import AdmissibleClass, canonical_rm2_bound, class_record, curvature_context
-from .energy import interior_quadrature
 from .errors import RegimeError
-from .polytope import DelzantPolytope
-from .potential import SymplecticPotential, _sym2_dot, bump_form, polynomial_form
+
+# the certificate is arithmetic on numbers; only the fiber bound and the
+# inequality tester import the field modules, each where it runs, so that
+# `calabiflow sobolev-bound` loads none of them
+if TYPE_CHECKING:
+    from .curvature import AdmissibleClass
+    from .polytope import DelzantPolytope
+    from .potential import SymplecticPotential
 
 _SUP_RM2_CEILING = 0.5 + 4.0 / 3.0
 
@@ -172,6 +177,8 @@ def fiber_energy_bound(cls: AdmissibleClass,
     and the fiber-energy identity anchored at the initial value 6; the
     resulting Calabi-energy bound feeds the Yamabe and Sobolev chain.
     """
+    from .curvature import canonical_rm2_bound
+
     p1, p2 = cls.p
     if cls.m != 1:
         raise RegimeError("controlled-class chain requires a curve base (m = 1)")
@@ -242,6 +249,8 @@ def fiber_energy_bound(cls: AdmissibleClass,
 
 def builtin_test_functions():
     """Smooth test functions on the closed polytope: value and gradient maps."""
+    from .potential import bump_form, polynomial_form
+
     forms = [
         ("one", polynomial_form({(0, 0): 1.0})),
         ("x", polynomial_form({(1, 0): 1.0})),
@@ -272,6 +281,10 @@ def sobolev_inequality_test(u: SymplecticPotential, cls: AdmissibleClass,
     Norms use the weighted measure p(z) dmu; the gradient norm is the inverse
     Hessian contraction u^{ij} f_i f_j.
     """
+    from .curvature import class_record, curvature_context
+    from .energy import interior_quadrature
+    from .potential import _sym2_dot
+
     if test_functions is None:
         test_functions = builtin_test_functions()
     grid = u.grid

@@ -44,7 +44,8 @@ def test_baseline_fault_injection(capsys, monkeypatch):
         out = orig(points)
         return -out  # flipped sign
 
-    monkeypatch.setattr(cli_mod, "fs_inverse_hessian", corrupted)
+    # the golden suite imports the function from its module when it runs
+    monkeypatch.setattr(pot, "fs_inverse_hessian", corrupted)
     code, out, _ = run_cli(capsys, "baseline")
     assert code == 1
     assert "FAIL" in out
@@ -396,3 +397,40 @@ def test_cli_import_loads_no_symbolic_engine():
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+# the sobolev-bound command in a fresh interpreter: its printed JSON and the
+# calabiflow and scipy modules loaded by then; `from calabiflow import *`
+# first loads every module of the package
+_SOBOLEV_BOUND_RUN = """
+import contextlib, io, json, sys
+{prelude}
+from calabiflow import cli
+buf = io.StringIO()
+with contextlib.redirect_stdout(buf):
+    code = cli.main(["--json", "sobolev-bound", "--ca", "1.0"])
+print(json.dumps({{"code": code, "out": buf.getvalue(),
+                  "modules": sorted(m for m in sys.modules
+                                    if m.split(".")[0] in ("calabiflow", "scipy"))}}))
+"""
+
+
+def _sobolev_bound_in_fresh_interpreter(prelude):
+    src = str(Path(calabiflow.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", _SOBOLEV_BOUND_RUN.format(prelude=prelude)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_sobolev_bound_loads_only_its_own_modules():
+    lazy = _sobolev_bound_in_fresh_interpreter("")
+    eager = _sobolev_bound_in_fresh_interpreter("from calabiflow import *")
+    assert lazy["code"] == eager["code"] == 0
+    assert lazy["out"] == eager["out"]
+    assert lazy["modules"] == ["calabiflow", "calabiflow._serialize", "calabiflow.cli",
+                               "calabiflow.errors", "calabiflow.sobolev"]
+    # the eager run does load the field stack, so the comparison above is one
+    # between the two import graphs
+    assert {"calabiflow.flow", "calabiflow.polytope"} <= set(eager["modules"])

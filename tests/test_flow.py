@@ -8,6 +8,7 @@ import pytest
 from calabiflow import (
     AdmissibleClass,
     ConfigError,
+    FlowRun,
     FlowState,
     RunConfig,
     StepPolicy,
@@ -15,6 +16,7 @@ from calabiflow import (
     build_grid,
     eps_region,
     rhs,
+    save_polytope,
     step,
 )
 from calabiflow.curvature import class_record, curvature_context
@@ -85,8 +87,6 @@ def test_step_reuses_cached_curvature(monkeypatch, triangle, grid48, bundle_clas
 
 
 def _flow_run24(triangle_file, bundle_class):
-    from calabiflow.flow import FlowRun
-
     cfg = RunConfig(polytope_path=str(triangle_file), admissible_class=bundle_class, grid_n=24,
                     perturbation_kind="bump", perturbation_amplitude=0.05, snapshot_every=0)
     return FlowRun(cfg)
@@ -649,3 +649,26 @@ def test_rk4_step_makes_eight_sparse_products(triangle_file, bundle_class, csr_p
     # product of the stacked Hessian operator for the three second partials
     # of f and one of the class operator
     assert len(csr_products) == 8
+
+
+# a lattice step can move a node closer to a facet by more than eps, so the
+# eps-ring and the 2eps-ring can share nodes: the staircased facet of the
+# trapezoid at N=48 and eps = 0.1, and the triangle at N=12 and eps = 0.25;
+# at N=48 the triangle's rings are apart
+@pytest.mark.parametrize("polygon, n, eps, shared", [
+    ("trapezoid", 48, 0.1, 13), ("triangle", 12, 0.25, 6), ("triangle", 48, 0.25, 0)])
+def test_dist_eps_is_nan_when_the_rings_share_a_node(request, tmp_path, bundle_class,
+                                                     polygon, n, eps, shared):
+    path = tmp_path / f"{polygon}.json"
+    save_polytope(request.getfixturevalue(polygon), path)
+    fr = FlowRun(RunConfig(polytope_path=str(path), admissible_class=bundle_class, grid_n=n,
+                           perturbation_kind="bump", perturbation_amplitude=0.05,
+                           epsilon=eps, snapshot_every=0))
+    assert len(np.intersect1d(fr.eps_ring, fr.eps2_ring)) == shared
+    rec = fr.measure()
+    # the distance field itself is still defined, so q_d2_max is read
+    assert np.isfinite(rec.q_d2_max)
+    if shared:
+        assert np.isnan(rec.dist_eps)
+    else:
+        assert rec.dist_eps > 0

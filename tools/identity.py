@@ -28,7 +28,8 @@ the same set in both trees, each in a fresh interpreter with
   are multiplied that moves bits.
 
 Prints every output that differs and, for a monitor CSV, the largest
-relative drift of each column.  Exits 1 on any difference, 0 otherwise.
+relative drift of each column and the number of its rows that are NaN on one
+side only.  Exits 1 on any difference, 0 otherwise.
 It runs from any working directory; the revision is read from the checkout
 that holds this script.
 """
@@ -158,7 +159,8 @@ def collect(work: Path) -> None:
 
 
 def _monitor_drift(a: Path, b: Path) -> list:
-    """Largest relative drift of each column of two monitor CSVs."""
+    """Largest relative drift of each column of two monitor CSVs, and the
+    number of rows whose value is NaN in one of them only."""
     import numpy as np
 
     names = a.read_text().splitlines()[0].split(",")
@@ -167,9 +169,15 @@ def _monitor_drift(a: Path, b: Path) -> list:
         return [f"  rows differ: {x.shape} against {y.shape}"]
     with np.errstate(divide="ignore", invalid="ignore"):
         rel = np.abs(x - y) / np.maximum(np.abs(x), np.abs(y))
-    rel = np.where(x == y, 0.0, rel)
-    return [f"  {name}: {float(np.nanmax(col)):.3e}" for name, col in zip(names, rel.T)
-            if np.nanmax(col) > 0]
+    one_nan = np.isnan(x) != np.isnan(y)
+    rel = np.where((x == y) | one_nan | np.isnan(x), 0.0, rel)
+    lines = []
+    for name, col, nans in zip(names, rel.T, one_nan.sum(axis=0)):
+        if col.max() > 0:
+            lines.append(f"  {name}: {float(col.max()):.3e}")
+        if nans:
+            lines.append(f"  {name}: NaN on one side only in {nans} of {len(col)} rows")
+    return lines
 
 
 def compare(a: Path, b: Path) -> int:
