@@ -66,7 +66,6 @@ _EXPORTS = {
         "FlowState",
         "MonitorRecord",
         "RunConfig",
-        "StepPolicy",
         "rhs",
         "run",
         "step",

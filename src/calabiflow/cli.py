@@ -18,7 +18,6 @@ import numpy as np
 # potential, curvature, energy or flow code
 from ._serialize import json_value
 from .errors import (
-    CalabiflowError,
     ConfigError,
     CurvatureUndefinedError,
     DegenerateInputError,
@@ -370,9 +369,6 @@ def main(argv=None) -> int:
     except (StiffnessError, CurvatureUndefinedError) as exc:
         print(f"numerical termination: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except CalabiflowError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
 
 
 if __name__ == "__main__":

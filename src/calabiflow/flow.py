@@ -54,19 +54,6 @@ class FlowState:
 MAX_RETRIES = 10
 
 
-@dataclass(frozen=True)
-class StepPolicy:
-    """Explicit stepping policy: classical RK4 under an h^4 parabolic CFL.
-    Construction raises ConfigError unless sigma is finite and positive; the
-    field cannot be changed afterwards."""
-
-    sigma: float = 0.1
-
-    def __post_init__(self):
-        if not (math.isfinite(self.sigma) and self.sigma > 0):
-            raise ConfigError(f"CFL factor sigma must be finite and positive, got {self.sigma!r}")
-
-
 @dataclass
 class MonitorRecord:
     t: float
@@ -100,12 +87,10 @@ class MonitorRecord:
 # right-hand side and stepping
 
 
-def rhs(state: FlowState, cls: AdmissibleClass, r_bar: float = None) -> np.ndarray:
-    """Node-wise R_bar - R(u): the flow velocity of f."""
-    u = state.u
-    if r_bar is None:
-        r_bar = average_scalar(u.polytope, cls, u.grid)
-    return r_bar - weighted_scalar_field(u, cls)
+def rhs(state: FlowState, cls: AdmissibleClass, r_bar: float) -> np.ndarray:
+    """Node-wise R_bar - R(u): the flow velocity of f, given the class's
+    average scalar curvature r_bar (calabiflow.energy.average_scalar)."""
+    return r_bar - weighted_scalar_field(state.u, cls)
 
 
 def proposed_dt(u: SymplecticPotential, sigma: float) -> float:
@@ -120,23 +105,21 @@ def _calabi(u: SymplecticPotential, cls: AdmissibleClass, r_bar: float) -> float
     return interior_quadrature(u.grid, (R - r_bar) ** 2 * pw)
 
 
-def step(state: FlowState, cls: AdmissibleClass, policy: StepPolicy = None,
-         r_bar: float = None) -> FlowState:
-    """One accepted RK4 step; halves dt and retries on energy increase or
-    positivity failure, raising StiffnessError after MAX_RETRIES retries.
+def step(state: FlowState, cls: AdmissibleClass, sigma: float, r_bar: float) -> FlowState:
+    """One accepted classical RK4 step from the CFL step proposed_dt(u, sigma),
+    with r_bar the class's average scalar curvature; halves dt and retries on
+    energy increase or positivity failure, raising StiffnessError after
+    MAX_RETRIES retries, and ConfigError unless sigma is finite and positive.
 
     Positivity is checked where the curvature of a stage or of the candidate
     is computed: a Hessian that is not positive definite raises
     CurvatureUndefinedError there."""
-    if policy is None:
-        policy = StepPolicy()
+    if not 0 < sigma < math.inf:
+        raise ConfigError(f"CFL factor sigma must be finite and positive, got {sigma!r}")
     u = state.u
-    grid = u.grid
-    if r_bar is None:
-        r_bar = average_scalar(u.polytope, cls, grid)
     calabi_now = _calabi(u, cls, r_bar)
     f0 = u.f_values
-    dt = proposed_dt(u, policy.sigma)
+    dt = proposed_dt(u, sigma)
 
     def velocity(f_stage: np.ndarray) -> np.ndarray:
         # the flow is autonomous, so a stage keeps the step's start time
@@ -277,7 +260,7 @@ class RunConfig:
     perturbation_center: tuple = (0.0, 0.0)
     t_end: float = 0.01
     max_steps: int = None
-    cfl_sigma: float = StepPolicy.sigma
+    cfl_sigma: float = 0.1
     monitor_every: int = 5
     snapshot_every: int = 50
     epsilon: float = 0.25
@@ -340,11 +323,10 @@ class FlowRun:
         form = initial_correction(cfg)
         u0 = SymplecticPotential.from_node_values(P, self.grid, form(*self.grid.points.T))
         self.state = FlowState(t=0.0, u=u0)
-        self.policy = StepPolicy(sigma=cfg.cfl_sigma)
         self.bquad = boundary_quadrature(P)
         self.r_bar = average_scalar(P, cls, self.grid, self.bquad)
-        self.eps_nodes = eps_region(P, self.grid, cfg.epsilon)
-        self.eps2_nodes = eps_region(P, self.grid, 2.0 * cfg.epsilon)
+        self.eps_nodes = eps_region(self.grid, cfg.epsilon)
+        self.eps2_nodes = eps_region(self.grid, 2.0 * cfg.epsilon)
         self.eps_ring = boundary_ring(self.grid, self.eps_nodes)
         self.eps2_ring = boundary_ring(self.grid, self.eps2_nodes)
         # a node on both rings: the lattice cannot separate the two level sets
@@ -447,7 +429,7 @@ class FlowRun:
         if self.initial_witnesses is None:
             self.initial_witnesses = self.measure()
         while self.state.t < cfg.t_end and self.state.step_count < limit:
-            self.state = step(self.state, self.cls, self.policy, r_bar=self.r_bar)
+            self.state = step(self.state, self.cls, cfg.cfl_sigma, self.r_bar)
             if self.state.step_count % cfg.monitor_every == 0:
                 self.monitor()
             if cfg.snapshot_every and self.state.step_count % cfg.snapshot_every == 0:

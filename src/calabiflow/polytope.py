@@ -497,9 +497,10 @@ class Grid:
 
     Nodes are the lattice points x = anchor + h*(i, j) whose smallest facet
     value min_i l_i(x) is at least delta_min.  Construction is deterministic
-    from (polytope, n, delta_min); what is derived is built on first request
-    and immutable, and kept unless it is cheap to rebuild and rarely read
-    (``neighbors8``).
+    from (polytope, n, delta_min) and reads the nodes and their boundary
+    distances off one table of facet values; what else is derived is built
+    on first request and immutable, and kept unless it is cheap to rebuild
+    and rarely read (``neighbors8``).
 
     Every linear derivative operator is a sparse (CSR) matrix over the node
     list, compiled once per grid: the axis stencils in ``axis_operators``,
@@ -529,8 +530,9 @@ class Grid:
         xs = lo[0] + h * ii
         ys = lo[1] + h * jj
         pts = np.stack([xs, ys], axis=-1)
+        values = polytope.facet_values(pts)
         # the smallest facet value, one elementwise pass per facet
-        delta = reduce(np.minimum, np.moveaxis(polytope.facet_values(pts), -1, 0))
+        delta = reduce(np.minimum, np.moveaxis(values, -1, 0))
         mask = delta >= delta_min - 1e-12
 
         if not mask.any():
@@ -552,8 +554,11 @@ class Grid:
         self.points = pts[mask]
         self.min_facet_distance = delta[mask]
         self.n_nodes = len(self.points)
+        # a node lies inside the convex polygon, so its nearest boundary
+        # point is on the nearest facet line: l_i(x) / |v_i| minimized over i
+        lengths = np.sqrt((polytope.normals**2).sum(axis=1).astype(float))
+        self._boundary_distance = reduce(np.minimum, (values[mask] / lengths).T)
 
-        self._boundary_distance = None
         self._cell_weights = None
         # {AdmissibleClass: record of its constants on this grid}, filled on
         # first request by calabiflow.curvature.class_record
@@ -767,32 +772,8 @@ class Grid:
 
     @property
     def boundary_distance(self) -> np.ndarray:
-        """Exact Euclidean distance of each node to the boundary polygon.
-
-        The arithmetic of the scalar point-to-segment distance (clamped
-        projection, then math.hypot) minimized over the facet segments, over
-        all nodes and facets at once, so each node's distance has the bits
-        of the scalar loop's."""
-        if self._boundary_distance is None:
-            P = self.polytope
-            segs = [P.facet_segment(i) for i in range(len(P.offsets))]
-            a = np.array([s[0] for s in segs])
-            ab = np.array([s[1] for s in segs]) - a
-            x, y = self.points[:, 0, None], self.points[:, 1, None]
-            ax, ay = x - a[:, 0], y - a[:, 1]
-            denom = ab[:, 0] * ab[:, 0] + ab[:, 1] * ab[:, 1]
-            t = np.clip((ax * ab[:, 0] + ay * ab[:, 1]) / denom, 0.0, 1.0)
-            dx = x - (a[:, 0] + t * ab[:, 0])
-            dy = y - (a[:, 1] + t * ab[:, 1])
-            # math.hypot, not np.hypot: the two differ in the last bit.  It
-            # runs only on each node's candidates, the facets whose squared
-            # distance is within a relative 1e-12 of the node's smallest
-            d2 = dx * dx + dy * dy
-            r, f = np.nonzero(d2 <= d2.min(axis=1, keepdims=True) * (1.0 + 1e-12))
-            dist = np.fromiter(map(math.hypot, dx[r, f], dy[r, f]), float, count=len(r))
-            # every node has a candidate, so its run in r starts where r steps
-            starts = np.flatnonzero(np.diff(r, prepend=-1))
-            self._boundary_distance = np.minimum.reduceat(dist, starts)
+        """Euclidean distance of each node to the boundary polygon,
+        min_i l_i(x) / |v_i|, computed with the grid."""
         return self._boundary_distance
 
     @cached_property
@@ -977,11 +958,9 @@ def build_grid(polytope: DelzantPolytope, n: int, delta_min: float) -> Grid:
     return Grid(polytope, n, delta_min)
 
 
-def eps_region(polytope: DelzantPolytope, grid: Grid, eps: float) -> np.ndarray:
+def eps_region(grid: Grid, eps: float) -> np.ndarray:
     """Indices of grid nodes at Euclidean distance >= eps from the boundary,
-    sorted; the grid must be one of the polytope (DegenerateInputError)."""
-    if grid.polytope != polytope:
-        raise DegenerateInputError("the grid is not one of the polytope")
+    sorted."""
     if not eps > 0:
         raise DomainError(f"eps must be positive, got {eps!r}")
     return np.nonzero(grid.boundary_distance >= eps - 1e-12)[0]

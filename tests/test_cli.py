@@ -130,6 +130,45 @@ def test_flow_unknown_key(capsys, tmp_path, triangle_file):
     assert "wibble" in err
 
 
+@pytest.mark.parametrize("text", [None, '{"p": [1, 1],'], ids=["missing", "malformed"])
+def test_fiber_bound_rejects_a_class_file_it_cannot_read(capsys, tmp_path, text):
+    cpath = tmp_path / "class.json"
+    if text is not None:
+        cpath.write_text(text)
+    code, _, err = run_cli(capsys, "fiber-bound", "--class", str(cpath))
+    assert code == 2, err
+    assert "cannot read JSON file" in err
+
+
+def test_fiber_bound_rejects_an_unknown_class_key(capsys, tmp_path):
+    cpath = tmp_path / "class.json"
+    cpath.write_text(json.dumps({"p": [1, 1], "c_S": 12, "scal_S": -1, "genus": 2}))
+    code, _, err = run_cli(capsys, "fiber-bound", "--class", str(cpath))
+    assert code == 2, err
+    assert "unknown class keys: ['genus']" in err
+
+
+def test_flow_rejects_a_config_without_a_class(capsys, tmp_path, triangle_file):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"polytope": str(triangle_file), "max_steps": 1,
+                                    "out_dir": str(tmp_path / "out")}))
+    code, _, err = run_cli(capsys, "flow", str(cfg_path))
+    assert code == 2, err
+    assert "missing required key 'class'" in err and not (tmp_path / "out").exists()
+
+
+def test_flow_out_dir_option_replaces_the_configs(capsys, tmp_path, triangle_file):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({
+        "polytope": str(triangle_file), "class": {"p": [0, 0], "c_S": 1.0, "scal_S": 0, "m": 0},
+        "grid": {"N": 12}, "max_steps": 1, "snapshot_every": 0,
+        "out_dir": str(tmp_path / "config_out")}))
+    code, _, err = run_cli(capsys, "flow", str(cfg_path), "--out-dir", str(tmp_path / "out"))
+    assert code == 0, err
+    assert (tmp_path / "out" / "monitor.csv").exists()
+    assert not (tmp_path / "config_out").exists()
+
+
 @pytest.mark.parametrize("p", [[1], [1, 1, 5]], ids=["one-entry", "three-entries"])
 def test_fiber_bound_rejects_class_without_two_p_entries(capsys, tmp_path, p):
     cpath = tmp_path / "class.json"

@@ -163,9 +163,10 @@ def test_spd_certificate_decides_as_the_eigenvalue_test(rng):
 
 
 @pytest.mark.parametrize("key, value", [("m", 1.7), ("m", 2), ("chi_S", -2.5), ("c_S", np.nan),
-                                        ("p", (np.nan, 1.0)), ("p", "11")],
+                                        ("p", (np.nan, 1.0)), ("p", "11"), ("p", ("a", 1)),
+                                        ("scal_S", 0.5)],
                          ids=["fractional-m", "surface-base", "fractional-chi", "nan-c_S",
-                              "nan-p", "string-p"])
+                              "nan-p", "string-p", "non-numeric-p", "unnormalized-scal_S"])
 def test_class_refuses_values_outside_its_schema(key, value):
     # each of these was once built: 1.7 ran as m = 1, and a NaN ran the flow
     # to a numerical termination

@@ -1,4 +1,3 @@
-import dataclasses
 import heapq
 import math
 
@@ -11,7 +10,6 @@ from calabiflow import (
     FlowRun,
     FlowState,
     RunConfig,
-    StepPolicy,
     SymplecticPotential,
     build_grid,
     eps_region,
@@ -20,6 +18,7 @@ from calabiflow import (
     step,
 )
 from calabiflow.curvature import class_record, curvature_context
+from calabiflow.energy import average_scalar
 from calabiflow.flow import boundary_ring, distance_field, proposed_dt, region_graph
 from calabiflow.errors import CurvatureUndefinedError, StiffnessError
 from calabiflow.potential import HESSIAN_KEYS, _sym2_inverse, bump_form
@@ -56,7 +55,8 @@ def test_step_composes_no_higher_differences(monkeypatch, triangle, grid48, bund
     calls = _count_calls(monkeypatch)
     f = bump_form(0.05)(grid48.points[:, 0], grid48.points[:, 1])
     u = SymplecticPotential.from_node_values(triangle, grid48, f)
-    new = step(FlowState(t=0.0, u=u), bundle_class)
+    r_bar = average_scalar(triangle, bundle_class, grid48)
+    new = step(FlowState(t=0.0, u=u), bundle_class, 0.1, r_bar)
     assert new.step_count == 1
     # the velocity applies single derivative operators, never the full jets
     assert calls["diff"] == 0
@@ -68,19 +68,20 @@ def test_step_composes_no_higher_differences(monkeypatch, triangle, grid48, bund
 def test_step_reuses_cached_curvature(monkeypatch, triangle, grid48, bundle_class):
     f = bump_form(0.05)(grid48.points[:, 0], grid48.points[:, 1])
     start = FlowState(t=0.0, u=SymplecticPotential.from_node_values(triangle, grid48, f))
+    r_bar = average_scalar(triangle, bundle_class, grid48)
     # reference: every step starts from a fresh copy, so its k1 is computed anew
     ref = start
     for _ in range(3):
         fresh = FlowState(t=ref.t, u=ref.u.with_node_values(ref.u.f_values),
                           step_count=ref.step_count)
-        ref = step(fresh, bundle_class)
-    cur = step(start, bundle_class)
+        ref = step(fresh, bundle_class, 0.1, r_bar)
+    cur = step(start, bundle_class, 0.1, r_bar)
     calls = _count_calls(monkeypatch)
-    cur = step(cur, bundle_class)
+    cur = step(cur, bundle_class, 0.1, r_bar)
     # the candidate of the last step is this state: three later RK stages and
     # the new candidate
     assert calls["_context_fd"] == 4
-    cur = step(cur, bundle_class)
+    cur = step(cur, bundle_class, 0.1, r_bar)
     assert cur.step_count == ref.step_count == 3
     assert cur.t == ref.t
     assert np.array_equal(cur.u.f_values, ref.u.f_values)
@@ -150,7 +151,7 @@ def test_step_decomposes_once_and_a_record_once_more(monkeypatch, triangle_file,
         monkeypatch.setattr(owner, "_sym2_eigenvalues",
                             lambda *args, _orig=orig, _name=owner.__name__:
                             calls.append(_name) or _orig(*args))
-    fr.state = step(fr.state, fr.cls, fr.policy, r_bar=fr.r_bar)
+    fr.state = step(fr.state, fr.cls, fr.cfg.cfl_sigma, fr.r_bar)
     # the SPD checks of the five contexts pass by their trace and determinant
     # certificate; the one eigen-decomposition is that of proposed_dt
     assert calls == ["calabiflow.flow"]
@@ -192,7 +193,7 @@ def test_measure_builds_run_constants_once(triangle_file, bundle_class):
     assert "eps_graph" not in fr.__dict__
     first = fr.measure()
     edges, graph, queries = fr.grid.edges8, fr.eps_graph, tree.queries
-    fr.state = step(fr.state, bundle_class, r_bar=fr.r_bar)
+    fr.state = step(fr.state, bundle_class, fr.cfg.cfl_sigma, fr.r_bar)
     second = fr.measure()
     # the boundary points' nearest nodes and the distance graphs are reused
     assert tree.queries == queries
@@ -201,29 +202,28 @@ def test_measure_builds_run_constants_once(triangle_file, bundle_class):
     assert second.boundary_u != first.boundary_u
 
 
-def test_rhs_vanishes_at_fs_trivial(fs48):
-    st = fd_state(fs48)
-    v = rhs(st, AdmissibleClass.trivial())
+def test_rhs_vanishes_at_fs_trivial(fs48, triangle, grid48):
+    cls = AdmissibleClass.trivial()
+    v = rhs(fd_state(fs48), cls, average_scalar(triangle, cls, grid48))
     assert np.abs(v).max() <= 1e-9
 
 
-def test_rhs_vanishes_constant_weight(fs48):
+def test_rhs_vanishes_constant_weight(fs48, triangle, grid48):
     cls = AdmissibleClass((0.0, 0.0), 2.0, -1.0, 1, -2)
-    v = rhs(fd_state(fs48), cls)
+    v = rhs(fd_state(fs48), cls, average_scalar(triangle, cls, grid48))
     assert np.abs(v).max() <= 1e-9
 
 
 def test_rhs_sign(fs48, triangle, grid48):
     # where R exceeds its average the potential must decrease
     from calabiflow import polynomial_form, weighted_scalar_field
-    from calabiflow.energy import average_scalar
 
     u = SymplecticPotential.from_closed_form(
         triangle, grid48, polynomial_form({(4, 0): 0.002, (0, 4): 0.002})
     )
     cls = AdmissibleClass.trivial()
     r_bar = average_scalar(triangle, cls, grid48)
-    v = rhs(fd_state(u), cls, r_bar=r_bar)
+    v = rhs(fd_state(u), cls, r_bar)
     W = weighted_scalar_field(u.with_node_values(u.f_values), cls)
     hot = W > r_bar
     assert np.all(v[hot] < 0)
@@ -237,9 +237,9 @@ def test_dt_scaling_h4(triangle, fs48):
     assert dt48 / dt192 == pytest.approx(256.0, rel=0.05)
 
 
-def test_step_accepts_and_advances(fs48):
-    st = fd_state(fs48)
-    st2 = step(st, AdmissibleClass.trivial())
+def test_step_accepts_and_advances(fs48, triangle, grid48):
+    cls = AdmissibleClass.trivial()
+    st2 = step(fd_state(fs48), cls, 0.1, average_scalar(triangle, cls, grid48))
     assert st2.step_count == 1
     assert st2.t == st2.dt_last > 0
 
@@ -252,8 +252,42 @@ def test_stiffness_error_carries_state(fs48, triangle, grid48):
         triangle, grid48, polynomial_form({(2, 0): -0.1})
     )
     st = fd_state(u)
+    cls = AdmissibleClass.trivial()
     with pytest.raises(StiffnessError) as exc:
-        step(st, AdmissibleClass.trivial(), StepPolicy(sigma=1e15))
+        step(st, cls, 1e15, average_scalar(triangle, cls, grid48))
+    assert exc.value.last_state is st
+
+
+def test_step_halves_dt_on_every_energy_increase(monkeypatch, triangle, bundle_class):
+    # from the canonical potential at N=12 every candidate raises the Calabi
+    # energy, though each stage and candidate stays positive
+    import calabiflow.flow as flow
+
+    grid = build_grid(triangle, 12, 0.5 * 3.0 / 12)
+    st = FlowState(t=0.0, u=SymplecticPotential.from_node_values(
+        triangle, grid, np.zeros(grid.n_nodes)))
+    energies, raised = [], []
+    real_calabi, real_scalar = flow._calabi, flow.weighted_scalar_field
+
+    def calabi(*args):
+        energies.append(real_calabi(*args))
+        return energies[-1]
+
+    def scalar(*args):
+        try:
+            return real_scalar(*args)
+        except CurvatureUndefinedError:
+            raised.append(args)
+            raise
+
+    monkeypatch.setattr(flow, "_calabi", calabi)
+    monkeypatch.setattr(flow, "weighted_scalar_field", scalar)
+    with pytest.raises(StiffnessError, match="at t = 0$") as exc:
+        step(st, bundle_class, 0.1, average_scalar(triangle, bundle_class, grid))
+    # the energy now, then one candidate per attempt
+    assert len(energies) == 1 + flow.MAX_RETRIES + 1 == 12
+    assert all(e > energies[0] for e in energies[1:])
+    assert raised == []
     assert exc.value.last_state is st
 
 
@@ -268,7 +302,7 @@ def test_step_rejects_non_spd_candidate(monkeypatch, triangle, grid48, bundle_cl
 
     u = SymplecticPotential.from_node_values(triangle, grid48, np.zeros(grid48.n_nodes))
     f0 = u.f_values
-    dt0 = proposed_dt(u, StepPolicy().sigma)
+    dt0 = proposed_dt(u, 0.1)
     k = int(np.argmin((grid48.points**2).sum(axis=1)))
     spike = np.zeros(grid48.n_nodes)
     spike[k] = u.min_hessian_eigenvalues()[k] * grid48.h**2 / (2.0 * 7.6 * dt0)
@@ -291,7 +325,7 @@ def test_step_rejects_non_spd_candidate(monkeypatch, triangle, grid48, bundle_cl
 
     monkeypatch.setattr(flow, "weighted_scalar_field", spiked)
     monkeypatch.setattr(flow, "_calabi", calabi)
-    new = step(FlowState(t=0.0, u=u), bundle_class, r_bar=0.0)
+    new = step(FlowState(t=0.0, u=u), bundle_class, 0.1, 0.0)
     assert rejected == [pytest.approx(50.0 / 6.0)]
     assert new.dt_last == dt0 / 2
     assert new.u.min_hessian_eigenvalues()[k] > 0
@@ -308,7 +342,7 @@ def test_riemannian_distance_flat_metric(triangle, grid48):
 
 
 def test_riemannian_distance_zero_on_overlap(fs48, triangle, grid48):
-    ring = boundary_ring(grid48, eps_region(triangle, grid48, 0.25))
+    ring = boundary_ring(grid48, eps_region(grid48, 0.25))
     assert len(ring) and np.all(distance_field(whole_graph(grid48), fs48.hessian_field(), ring)[ring] == 0.0)
 
 
@@ -405,7 +439,7 @@ def bump_hessians(grid):
 def test_boundary_ring_matches_reference(request, grid_name):
     grid = request.getfixturevalue(grid_name)
     for eps in (0.1, 0.25, 0.5):
-        region = eps_region(grid.polytope, grid, eps)
+        region = eps_region(grid, eps)
         ring = boundary_ring(grid, region)
         assert len(ring) > 0
         assert np.array_equal(ring, reference_boundary_ring(grid, region))
@@ -419,7 +453,7 @@ def test_boundary_ring_matches_reference(request, grid_name):
 def test_distance_field_matches_reference(request, grid_name):
     grid = request.getfixturevalue(grid_name)
     hess = bump_hessians(grid)
-    eps_ring = boundary_ring(grid, eps_region(grid.polytope, grid, 0.25))
+    eps_ring = boundary_ring(grid, eps_region(grid, 0.25))
     graph = whole_graph(grid)
     for sources in (eps_ring, [0], [grid.n_nodes // 2, grid.n_nodes - 1]):
         dist = distance_field(graph, hess, sources)
@@ -451,7 +485,7 @@ def polygon_grids48(triangle, hexagon, trapezoid):
 def test_region_distances_are_whole_graph_distances(polygon_grids48, polygon, eps):
     grid = polygon_grids48[polygon]
     G = curvature_context(bump_state(grid))["G"]
-    region = eps_region(grid.polytope, grid, eps)
+    region = eps_region(grid, eps)
     ring = boundary_ring(grid, region)
     graph = region_graph(grid, region)
     assert np.array_equal(graph.nodes, region)
@@ -464,7 +498,7 @@ def test_region_distances_are_whole_graph_distances(polygon_grids48, polygon, ep
 
 def test_distance_field_refuses_a_region_entered_off_its_sources(grid48):
     G = curvature_context(bump_state(grid48))["G"]
-    region = eps_region(grid48.polytope, grid48, 0.25)
+    region = eps_region(grid48, 0.25)
     ring = boundary_ring(grid48, region)
     graph = region_graph(grid48, region)
     inner = np.setdiff1d(region, ring)
@@ -609,16 +643,10 @@ def test_run_config_coerces_its_fields(triangle_file, bundle_class):
 @pytest.mark.parametrize("kwargs", [
     {"sigma": 0.0}, {"sigma": -0.1}, {"sigma": math.nan}, {"sigma": math.inf},
 ])
-def test_step_policy_checks_its_fields(kwargs):
+def test_step_policy_checks_its_fields(fs48, kwargs):
+    # step refuses a CFL factor that is not finite and positive
     with pytest.raises(ConfigError):
-        StepPolicy(**kwargs)
-
-
-def test_step_policy_cannot_be_changed_past_its_check():
-    policy = StepPolicy()
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        policy.sigma = 0.0
-    assert RunConfig.cfl_sigma == policy.sigma
+        step(fd_state(fs48), AdmissibleClass.trivial(), r_bar=4.0, **kwargs)
 
 
 @pytest.mark.parametrize("poly", ["triangle", "hexagon"])

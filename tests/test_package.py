@@ -24,7 +24,7 @@ EXPORTED = {
                   "fiber_riemann_norm_field", "ricci_trace", "rm2_total_field",
                   "weighted_scalar", "weighted_scalar_field"],
     "energy": ["EnergyReport", "average_scalar", "energy_report", "interior_quadrature"],
-    "flow": ["FlowRun", "FlowState", "MonitorRecord", "RunConfig", "StepPolicy", "rhs", "run",
+    "flow": ["FlowRun", "FlowState", "MonitorRecord", "RunConfig", "rhs", "run",
              "step"],
     "sobolev": ["ClassTopology", "FiberEnergyBound", "SobolevCertificate", "certify",
                 "fiber_energy_bound", "sobolev_inequality_test"],

@@ -28,6 +28,7 @@ from calabiflow.polytope import (
     _polygon_moments,
     _solve_each,
     clip_cells,
+    from_dict,
 )
 from conftest import distance_to_boundary
 
@@ -162,19 +163,19 @@ def test_stencil_classification_interior(triangle, grid48):
 
 
 def test_eps_region_examples(triangle, grid48):
-    nodes = eps_region(triangle, grid48, 0.5)
+    nodes = eps_region(grid48, 0.5)
     centroid = int(np.argmin((grid48.points**2).sum(axis=1)))
     assert centroid in set(nodes.tolist())
-    assert len(eps_region(triangle, grid48, 10.0)) == 0
-    big = set(eps_region(triangle, grid48, 0.5).tolist())
-    small = set(eps_region(triangle, grid48, 0.25).tolist())
+    assert len(eps_region(grid48, 10.0)) == 0
+    big = set(eps_region(grid48, 0.5).tolist())
+    small = set(eps_region(grid48, 0.25).tolist())
     assert big <= small
 
 
 def test_eps_region_refuses_nan(triangle, grid48):
     # it once returned an empty region
     with pytest.raises(DomainError):
-        eps_region(triangle, grid48, math.nan)
+        eps_region(grid48, math.nan)
 
 
 @pytest.mark.parametrize("poly", ["triangle", "hexagon", "trapezoid"])
@@ -190,15 +191,6 @@ def test_grid_guillemin_jets_are_guillemin_partials(poly, request):
     for row, key in zip(g.guillemin_hessian, HESSIAN_KEYS):
         assert g.guillemin_jets[key].base is g.guillemin_hessian
         assert np.array_equal(row, g.guillemin_jets[key])
-
-
-def test_eps_region_refuses_a_grid_of_another_polytope(triangle, grid48, hexagon):
-    # it once returned the triangle grid's nodes
-    with pytest.raises(DegenerateInputError):
-        eps_region(hexagon, grid48, 0.25)
-    # a polytope built anew with the same facets is the grid's
-    assert np.array_equal(eps_region(standard_triangle(), grid48, 0.25),
-                          eps_region(triangle, grid48, 0.25))
 
 
 def test_distance_to_boundary_exact(triangle):
@@ -401,6 +393,13 @@ def test_loader_rejects_normal_that_is_not_a_pair(tmp_path, normal):
         load_polytope(path)
 
 
+@pytest.mark.parametrize("data", [{"vertices": [[0, 0], [1, 0], [0, 1]]}, [[1, 0], [0, 1]]],
+                         ids=["no-facets", "not-an-object"])
+def test_from_dict_rejects_data_without_facets(data):
+    with pytest.raises(DegenerateInputError, match="malformed polytope data"):
+        from_dict(data)
+
+
 def test_loader_rejects_non_primitive(tmp_path):
     path = tmp_path / "bad.json"
     with open(path, "w") as fh:
@@ -550,10 +549,24 @@ def small_grid(request, triangle, hex_grid, trap_grid):
     return {"hexagon": hex_grid, "trapezoid": trap_grid}[request.param]
 
 
-def test_boundary_distance_matches_scalar_loop(triangle, grid48, hexagon, hex_grid):
+def test_boundary_distance_matches_scalar_loop(triangle, grid48, hexagon, hex_grid, trap_grid):
+    # the nearest facet line, one node and one facet at a time
     for P, g in ((triangle, grid48), (hexagon, hex_grid)):
-        loop = np.array([distance_to_boundary(P, p) for p in g.points])
+        lengths = [math.sqrt(float(v[0] * v[0] + v[1] * v[1])) for v in P.normals]
+        loop = [min(l / n for l, n in zip(P.facet_values(p), lengths)) for p in g.points]
         assert np.array_equal(g.boundary_distance, loop)
+    # the nearest facet segment, the exact distance on any polygon.  Both
+    # round sums of coordinates, so they agree to the coordinates' last bits,
+    # not to the distance's: a facet value near 0 is a difference of numbers
+    # near the polygon's size.  F_3 has a normal entry of 3, so its facet
+    # values are rounded as a fused multiply-add or not
+    f3 = DelzantPolytope([[1, 0], [0, 1], [-1, -3], [0, -1]], [1.0, 1.0, 4.0, 1.0])
+    for g in (grid48, hex_grid, trap_grid, build_grid(f3, 48, 0.5 * 8.0 / 48)):
+        ref = np.array([distance_to_boundary(g.polytope, p) for p in g.points])
+        size = np.abs(g.polytope.vertices).max()
+        assert np.all(np.abs(g.boundary_distance - ref) <= 2 * np.spacing(size))
+        for eps in (0.1, 0.2, 0.25, 0.45, 0.5):
+            assert np.array_equal(eps_region(g, eps), np.nonzero(ref >= eps - 1e-12)[0])
 
 
 def test_stencil_classification_matches_neighbors(small_grid):
