@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import fields, is_dataclass
-
-import numpy as np
 
 
 def json_value(value):
@@ -16,7 +15,10 @@ def json_value(value):
         return {f.name: json_value(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, dict):
         return {k: json_value(v) for k, v in value.items()}
-    if isinstance(value, (np.ndarray, np.generic)):
+    # a numpy value exists only once numpy is imported, so a process that has
+    # not imported it (`calabiflow sobolev-bound`) never imports it here
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(value, (np.ndarray, np.generic)):
         value = value.tolist()
     if isinstance(value, (list, tuple)):
         return [json_value(v) for v in value]

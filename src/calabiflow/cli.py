@@ -12,10 +12,8 @@ from dataclasses import fields
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-import numpy as np
-
-# each command imports the modules it runs, so `sobolev-bound` loads no grid,
-# potential, curvature, energy or flow code
+# each command imports the modules it runs, so `sobolev-bound` loads no numpy
+# and no grid, potential, curvature, energy or flow code
 from ._serialize import json_value
 from .errors import (
     ConfigError,
@@ -125,6 +123,8 @@ def load_run_config(path, out_dir=None) -> RunConfig:
 
 def baseline_checks(n: int = 48):
     """The canonical-potential golden suite; yields (name, ok, got, expect)."""
+    import numpy as np
+
     from .curvature import AdmissibleClass, abreu_scalar_field, fiber_riemann_norm_field
     from .energy import average_scalar, interior_quadrature
     from .polytope import build_grid, standard_triangle
@@ -274,6 +274,8 @@ def _load_snapshot_potential(path):
 
 
 def cmd_curvature(args) -> int:
+    import numpy as np
+
     from .curvature import CurvatureSample, abreu_scalar, admissible_blocks, fiber_riemann_norm
 
     u, t = _load_snapshot_potential(args.snapshot)

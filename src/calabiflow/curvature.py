@@ -536,9 +536,16 @@ def canonical_rm2_bound(cls: AdmissibleClass, q: float) -> float:
     """|Rm|^2 bound of the canonical potential where <p, z> + c_S = q:
 
     (1/q^2) (scal_S^2 + 90 p1^4 / q^2 + (4 p1 + 24 p1^2 / q)^2) + 4/3.
+
+    A float power past the float range (p1^4 for p1 past 1.2e77) gives inf, the
+    value a product past it already gives, so a caller refuses it as it
+    refuses any non-finite bound.
     """
     p1 = cls.p[0]
-    return (
-        (cls.scal_S**2 + 90.0 * p1**4 / q**2 + (4.0 * p1 + 24.0 * p1**2 / q) ** 2) / q**2
-        + 4.0 / 3.0
-    )
+    try:
+        return (
+            (cls.scal_S**2 + 90.0 * p1**4 / q**2 + (4.0 * p1 + 24.0 * p1**2 / q) ** 2) / q**2
+            + 4.0 / 3.0
+        )
+    except OverflowError:
+        return math.inf

@@ -12,14 +12,12 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from ._serialize import json_value
 from .errors import RegimeError
 
 # the certificate is arithmetic on numbers; only the fiber bound and the
-# inequality tester import the field modules, each where it runs, so that
-# `calabiflow sobolev-bound` loads none of them
+# inequality tester import numpy and the field modules, each where it runs,
+# so that `calabiflow sobolev-bound` loads none of them
 if TYPE_CHECKING:
     from .curvature import AdmissibleClass
     from .polytope import DelzantPolytope
@@ -80,7 +78,7 @@ class SobolevCertificate:
 
     @property
     def has_bound(self) -> bool:
-        return bool(np.isfinite(self.sobolev_bound))
+        return math.isfinite(self.sobolev_bound)
 
     def to_dict(self) -> dict:
         return json_value(self)
@@ -123,7 +121,7 @@ def certify(ca: float, topo: ClassTopology) -> SobolevCertificate:
     prefactor = max(6.0, topo.r_bar * math.sqrt(topo.volume))
     log.append(f"prefactor max(6, r_bar sqrt(Vol)) = {prefactor:.9g}")
     bound, gap = float("nan"), y_lb - calabi_l2
-    if not eq_cs or not np.isfinite(y_lb):
+    if not eq_cs or not math.isfinite(y_lb):
         log.append("quadratic-curvature test failed: no Sobolev bound")
     elif gap <= 0:
         log.append(
@@ -202,7 +200,7 @@ def fiber_energy_bound(cls: AdmissibleClass,
         w = cls.affine(polytope.vertices)
         # the affine form attains its extremes at vertices; keep the interval
         # only if it really contains them
-        if np.min(w) < inf_w - 1e-12 or np.max(w) > sup_w + 1e-12:
+        if w.min() < inf_w - 1e-12 or w.max() > sup_w + 1e-12:
             raise RegimeError("weight interval does not cover the polytope")
 
     # pointwise curvature bound, maximized where the weight is smallest
@@ -249,6 +247,8 @@ def fiber_energy_bound(cls: AdmissibleClass,
 
 def builtin_test_functions():
     """Smooth test functions on the closed polytope: value and gradient maps."""
+    import numpy as np
+
     from .potential import bump_form, polynomial_form
 
     forms = [
@@ -281,6 +281,8 @@ def sobolev_inequality_test(u: SymplecticPotential, cls: AdmissibleClass,
     Norms use the weighted measure p(z) dmu; the gradient norm is the inverse
     Hessian contraction u^{ij} f_i f_j.
     """
+    import numpy as np
+
     from .curvature import class_record, curvature_context
     from .energy import interior_quadrature
     from .potential import _sym2_dot

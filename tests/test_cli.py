@@ -373,6 +373,28 @@ def test_fiber_bound_regime_error(capsys, tmp_path):
     assert "12 p1" in err
 
 
+def test_fiber_bound_refuses_a_class_past_the_float_range(capsys, tmp_path):
+    # p1**4 overflows a float; the command once exited 1 with a traceback
+    cpath = tmp_path / "class.json"
+    cpath.write_text(json.dumps({"p": [1e80, 1], "c_S": 1.2e81, "scal_S": -1, "m": 1,
+                                 "chi_S": -2}))
+    code, out, err = run_cli(capsys, "fiber-bound", "--class", str(cpath))
+    assert code == 2, err
+    assert out == ""
+    assert err == ("error: pointwise curvature bound inf does not clear the regime "
+                   "ceiling 1.83333\n")
+
+
+@pytest.mark.parametrize("command", [("energy",), ("curvature", "--at", "0", "0")],
+                         ids=["energy", "curvature"])
+def test_snapshot_commands_refuse_a_missing_snapshot(capsys, tmp_path, command):
+    missing = tmp_path / "missing.csv"
+    code, out, err = run_cli(capsys, command[0], "--snapshot", str(missing), *command[1:])
+    assert code == 2, err
+    assert out == ""
+    assert err.startswith(f"error: cannot read snapshot {missing}")
+
+
 def test_deterministic_outputs(capsys, tmp_path, triangle_file):
     cfg = {
         "polytope": str(triangle_file),
@@ -438,38 +460,57 @@ def test_cli_import_loads_no_symbolic_engine():
     assert proc.stdout.strip() == "False"
 
 
-# the sobolev-bound command in a fresh interpreter: its printed JSON and the
-# calabiflow and scipy modules loaded by then; `from calabiflow import *`
-# first loads every module of the package
-_SOBOLEV_BOUND_RUN = """
+# a command in a fresh interpreter: its exit code, its printed output and the
+# modules outside the standard library loaded by then that the interpreter's
+# start had not loaded; `from calabiflow import *` first loads every module of
+# the package, and `sys.modules["numpy"] = None` makes every `import numpy` fail
+_FRESH_RUN = """
 import contextlib, io, json, sys
+started = set(sys.modules)
 {prelude}
 from calabiflow import cli
 buf = io.StringIO()
 with contextlib.redirect_stdout(buf):
-    code = cli.main(["--json", "sobolev-bound", "--ca", "1.0"])
+    code = cli.main({argv!r})
 print(json.dumps({{"code": code, "out": buf.getvalue(),
-                  "modules": sorted(m for m in sys.modules
-                                    if m.split(".")[0] in ("calabiflow", "scipy"))}}))
+                  "modules": sorted(m for m in sys.modules if m not in started
+                                    and m.split(".")[0] not in sys.stdlib_module_names)}}))
 """
 
+_SOBOLEV_BOUND = ["--json", "sobolev-bound", "--ca", "1.0"]
+_NO_NUMPY = 'sys.modules["numpy"] = None'
 
-def _sobolev_bound_in_fresh_interpreter(prelude):
+
+def _run_in_fresh_interpreter(prelude, argv=_SOBOLEV_BOUND):
     src = str(Path(calabiflow.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", _SOBOLEV_BOUND_RUN.format(prelude=prelude)],
+    proc = subprocess.run([sys.executable, "-c", _FRESH_RUN.format(prelude=prelude, argv=argv)],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
 
 def test_sobolev_bound_loads_only_its_own_modules():
-    lazy = _sobolev_bound_in_fresh_interpreter("")
-    eager = _sobolev_bound_in_fresh_interpreter("from calabiflow import *")
+    lazy = _run_in_fresh_interpreter("")
+    eager = _run_in_fresh_interpreter("from calabiflow import *")
     assert lazy["code"] == eager["code"] == 0
     assert lazy["out"] == eager["out"]
+    # no numpy, no scipy and no other third-party module
     assert lazy["modules"] == ["calabiflow", "calabiflow._serialize", "calabiflow.cli",
                                "calabiflow.errors", "calabiflow.sobolev"]
-    # the eager run does load the field stack, so the comparison above is one
-    # between the two import graphs
-    assert {"calabiflow.flow", "calabiflow.polytope"} <= set(eager["modules"])
+    # the eager run does load the field stack and numpy, so the comparison
+    # above is one between the two import graphs
+    assert {"calabiflow.flow", "calabiflow.polytope", "numpy"} <= set(eager["modules"])
+
+
+def test_sobolev_bound_runs_where_numpy_cannot_be_imported():
+    eager = _run_in_fresh_interpreter("from calabiflow import *")
+    blocked = _run_in_fresh_interpreter(_NO_NUMPY)
+    assert blocked == {**eager, "modules": blocked["modules"]}
+    # "numpy" is the blocking None entry itself
+    assert blocked["modules"] == ["calabiflow", "calabiflow._serialize", "calabiflow.cli",
+                                  "calabiflow.errors", "calabiflow.sobolev", "numpy"]
+    assert _run_in_fresh_interpreter(
+        _NO_NUMPY, ["--json", "sobolev-bound", "--ca", "inf"])["code"] == 2
+    helped = _run_in_fresh_interpreter(_NO_NUMPY, ["--help"])
+    assert helped["code"] == 0 and "sobolev-bound" in helped["out"]

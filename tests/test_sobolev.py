@@ -72,6 +72,10 @@ def test_negative_energy_rejected(topo):
 
 def test_controlled_class_chain(bundle_class):
     fb = fiber_energy_bound(bundle_class)
+    assert (fb.sup_rm2_pointwise, fb.sup_rm2_ceiling, fb.inf_weight, fb.sup_weight,
+            fb.total_rm2_upper, fb.fiber_l2_bound, fb.ca_bound) == (
+        1.7619333333333334, 1.8333333333333333, 10.0, 14.0,
+        19099.866435064683, 11.549999999999999, 438.2104354083674)
     assert fb.sup_rm2_pointwise < 0.5 + 4.0 / 3.0
     assert fb.inf_weight == pytest.approx(10.0)
     assert fb.sup_weight == pytest.approx(14.0)
@@ -102,6 +106,11 @@ def test_regime_errors():
         fiber_energy_bound(AdmissibleClass((1.0, 0.5), 12.0, -1.0, 1, -2))
     with pytest.raises(RegimeError, match="m = 1"):
         fiber_energy_bound(AdmissibleClass((1.0, 1.0), 12.0, -1.0, 0, -2))
+    # at p1 = 1e77 a product in the curvature bound overflows to inf; at 1e80
+    # p1**4 itself overflows, which once escaped as an OverflowError
+    for p1 in (1e77, 1e80):
+        with pytest.raises(RegimeError, match="bound inf does not clear the regime ceiling"):
+            fiber_energy_bound(AdmissibleClass((p1, 1.0), 12.0 * p1, -1.0, 1, -2))
 
 
 @pytest.mark.parametrize("scal_S, chi_S, named, blameless", [
