@@ -183,10 +183,9 @@ class CurvatureSample:
 # derivative context
 
 
-def _spd_inverse(G) -> tuple:
-    """(U, lo) of a Hessian field G, which must be positive definite
-    (CurvatureUndefinedError): U the components (3, n) of its inverse, and lo
-    its lower eigenvalue field where the eigenvalue test ran, else None.
+def _spd_inverse(G) -> np.ndarray:
+    """The components (3, n) of the inverse of a Hessian field G, which must
+    be positive definite (CurvatureUndefinedError).
 
     The test is lo > _SPD_RATIO max(hi, 1) at every point, lo <= hi the
     eigenvalues.  A certificate from the trace and the determinant, which
@@ -208,7 +207,6 @@ def _spd_inverse(G) -> tuple:
     bound *= tr
     bound *= 4.0 * _SPD_RATIO
     # a NaN fails both comparisons
-    lo = None
     if not (tr.min() > 0 and (det > bound).all()):
         lo, hi = _sym2_eigenvalues(G, sq)
         np.maximum(hi, 1.0, out=hi)
@@ -219,22 +217,7 @@ def _spd_inverse(G) -> tuple:
                 f"Hessian not positive definite at {np.count_nonzero(~(lo > hi))} point(s); "
                 f"min eigenvalue {np.fmin.reduce(lo):.3e}"
             )
-    return _sym2_inverse(G, det), lo
-
-
-def _spd_context(G) -> dict:
-    """The context {"G", "U"} of a Hessian field G, with "min_eig" when the
-    SPD check of _spd_inverse computed it."""
-    U, lo = _spd_inverse(G)
-    return {"G": G, "U": U} if lo is None else {"G": G, "U": U, "min_eig": lo}
-
-
-def _with_min_eig(ctx: dict) -> dict:
-    """ctx with "min_eig", the lower eigenvalue field of its G, computed on
-    the first request and kept in ctx."""
-    if "min_eig" not in ctx:
-        ctx["min_eig"] = _sym2_eigenvalues(ctx["G"])[0]
-    return ctx
+    return _sym2_inverse(G, det)
 
 
 def _dU_trace(dU: np.ndarray) -> np.ndarray:
@@ -258,11 +241,9 @@ def _context_from_jets(p: dict) -> dict:
 
     With T3_k = (u_ijk)_ij and T4_kl = (u_ijkl)_ij read from the partials,
     dU_k = -U T3_k U and d2U_kl = -((U T4_kl U + C) + C^T), C = dU_l T3_k U.
-    The lower eigenvalue field of G is "min_eig" if the SPD check computed
-    it, and _with_min_eig adds it otherwise.
     """
-    ctx = _spd_context(np.stack([p[key] for key in HESSIAN_KEYS]))
-    U = ctx["U"]
+    G = np.stack([p[key] for key in HESSIAN_KEYS])
+    U = _spd_inverse(G)
 
     def T(m, order):  # the matrix (u_ij..)_ij of that order, m y's among its indices past ij
         return tuple(p[(order - m - c, m + c)] for c in range(3))
@@ -274,26 +255,20 @@ def _context_from_jets(p: dict) -> dict:
         c00, c01, c10, c11 = _mat2_product(_mat2_product(_mat2(dU[l]), _mat2(T3[k])), _mat2(U))
         s00, s01, s11 = _sym2_sandwich(U, T(k + l, 4))
         d2U[kl] = -np.stack([(s00 + c00) + c00, (s01 + c01) + c10, (s11 + c11) + c11])
-    ctx["dU"], ctx["d2U"] = dU, d2U
-    return ctx
-
-
-def _context_fd(u: SymplecticPotential) -> dict:
-    """G = u.hessian_field() and U, as _context_from_jets has them; the flow
-    velocity reads U alone, and _jet_context adds the U-jets."""
-    return _spd_context(u.hessian_field())
+    return {"G": G, "U": U, "dU": dU, "d2U": d2U}
 
 
 def curvature_context(u: SymplecticPotential) -> dict:
-    """Cached grid-wide derivative context of the potential: for node data
-    without the U-jets until _jet_context adds them, and without "min_eig"
-    (unless the SPD check computed it) until _with_min_eig adds it."""
+    """Cached grid-wide derivative context of the potential, as
+    _context_from_jets has it for a closed form; node data has G =
+    u.hessian_field() and U alone until _jet_context adds the U-jets."""
     cache = u.curvature_cache
     if "context" not in cache:
         if u.provider == "analytic":
             cache["context"] = _context_from_jets(u.jets(4))
         else:
-            cache["context"] = _context_fd(u)
+            G = u.hessian_field()
+            cache["context"] = {"G": G, "U": _spd_inverse(G)}
     return cache["context"]
 
 
@@ -325,13 +300,12 @@ def _locate(u: SymplecticPotential, x):
 
 
 def _point_context(u: SymplecticPotential, pt, k) -> dict:
-    """One-point context at (pt, k) from _locate, with its lower eigenvalue:
-    the exact context at pt of a closed form, or the k:k+1 slice of the grid
-    context of node data."""
+    """One-point context at (pt, k) from _locate: the exact context at pt of
+    a closed form, or the k:k+1 slice of the grid context of node data."""
     if k is None:
-        return _with_min_eig(_context_from_jets(u.partials_at(pt[None, :])))
-    ctx = _with_min_eig(_jet_context(u))
-    return {key: ctx[key][..., k : k + 1] for key in ("G", "U", "min_eig", "dU", "d2U")}
+        return _context_from_jets(u.partials_at(pt[None, :]))
+    ctx = _jet_context(u)
+    return {key: ctx[key][..., k : k + 1] for key in ("G", "U", "dU", "d2U")}
 
 
 # ---------------------------------------------------------------------------

@@ -77,16 +77,14 @@ class EnergyReport:
         return json_value(self)
 
 
-def dissipation_integral(u: SymplecticPotential, cls: AdmissibleClass,
-                         R: np.ndarray = None) -> float:
-    """int_P u^{ir} u^{js} R_{,ij} R_{,rs} p dmu.
+def dissipation_integral(u: SymplecticPotential, cls: AdmissibleClass) -> float:
+    """int_P u^{ir} u^{js} R_{,ij} R_{,rs} p dmu, R the weighted scalar field.
 
     The rate identity along the flow is d(Ca)/dt = -2 * this integral; the
     curvature Hessian comes from second differences of the scalar field, which
     costs one extra order of finite-difference noise.
     """
-    if R is None:
-        R = weighted_scalar_field(u, cls)
+    R = weighted_scalar_field(u, cls)
     grid = u.grid
     # Hess R as its components (3, n), one product of the hessian_operator;
     # u^{ir} u^{js} R_{,ij} R_{,rs} is tr((U Hess R)^2)
@@ -113,7 +111,7 @@ def energy_report(u: SymplecticPotential, cls: AdmissibleClass,
     rm2_tot = interior_quadrature(grid, rm2_total_field(u, cls) * pw)
     rm2_fib_field = fiber_riemann_norm_field(u)
     rm2_fib = interior_quadrature(grid, rm2_fib_field)
-    diss = dissipation_integral(u, cls, R)
+    diss = dissipation_integral(u, cls)
     u_bdry = float(np.dot(quad.weights, u.boundary_values(quad)))
     u_nodes = u.jets(0)[(0, 0)]
     l2_u = interior_quadrature(grid, u_nodes**2)

@@ -13,7 +13,6 @@ import numpy as np
 
 from .curvature import (
     AdmissibleClass,
-    _with_min_eig,
     class_record,
     curvature_context,
     rm2_total_field,
@@ -361,9 +360,9 @@ class FlowRun:
         cls = self.cls
         rep = energy_report(u, cls, self.bquad)
         # the Hessian field of the state's curvature context, cached by
-        # energy_report, with its lower eigenvalue, kept from the first record
-        ctx = _with_min_eig(curvature_context(u))
-        G, eigs = ctx["G"], ctx["min_eig"]
+        # energy_report, and its lower eigenvalue
+        G = curvature_context(u)["G"]
+        eigs = _sym2_eigenvalues(G)[0]
         positivity = bool(np.min(eigs) > 0)
         d = self._correction_derivative_maxima(u)
         if len(self.eps_ring) and len(self.eps2_ring):
@@ -418,14 +417,12 @@ class FlowRun:
 
     # -- driving ------------------------------------------------------------
 
-    def advance(self, n_steps: int = None) -> None:
+    def advance(self) -> None:
         """Step to t_end / max_steps, emitting a record every monitor_every
         accepted steps.  The t = 0 state is measured once for the interior
         witness bands but is not a monitor row."""
         cfg = self.cfg
         limit = cfg.max_steps if cfg.max_steps is not None else 10**9
-        if n_steps is not None:
-            limit = min(limit, self.state.step_count + n_steps)
         if self.initial_witnesses is None:
             self.initial_witnesses = self.measure()
         while self.state.t < cfg.t_end and self.state.step_count < limit:

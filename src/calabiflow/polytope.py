@@ -36,33 +36,6 @@ def _polygon_area(poly) -> float:
     return 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
 
 
-def _polygon_moments(poly):
-    """(area, [A, Mx, My, Mxx, Mxy, Myy]) of a simple polygon.
-
-    Moments are integrals of 1, x, y, x^2, xy, y^2 over the polygon,
-    positively oriented regardless of input orientation.
-    """
-    if len(poly) < 3:
-        return 0.0, None
-    x = np.asarray([p[0] for p in poly])
-    y = np.asarray([p[1] for p in poly])
-    x1 = np.roll(x, -1)
-    y1 = np.roll(y, -1)
-    cross = x * y1 - x1 * y
-    area2 = cross.sum()
-    if abs(area2) < 1e-300:
-        return 0.0, None
-    sgn = 1.0 if area2 > 0 else -1.0
-    A = 0.5 * area2
-    Mx = ((x + x1) * cross).sum() / 6.0
-    My = ((y + y1) * cross).sum() / 6.0
-    Mxx = ((x * x + x * x1 + x1 * x1) * cross).sum() / 12.0
-    Myy = ((y * y + y * y1 + y1 * y1) * cross).sum() / 12.0
-    Mxy = ((x * y1 + 2 * x * y + 2 * x1 * y1 + x1 * y) * cross).sum() / 24.0
-    m = sgn * np.array([A, Mx, My, Mxx, Mxy, Myy])
-    return abs(A), m
-
-
 def clip_cells(xy, counts, a: float, b: float, c: float):
     """Clip many polygons at once to the half-plane a*x + b*y + c >= 0
     (Sutherland-Hodgman).
@@ -94,42 +67,30 @@ def clip_cells(xy, counts, a: float, b: float, c: float):
     return out, counts
 
 
-def _slot_sum(terms):
-    """Row sums of an (m, n) array, n < 8, in numpy's order for fewer than 8
-    terms: left to right from 0."""
-    total = np.zeros(len(terms))
-    for col in terms.T:
-        total = total + col
-    return total
-
-
 def _cell_moments(xy, counts):
-    """(area, moments) of each polygon of a clip_cells array, as
-    _polygon_moments gives them: moments (m, 6), and area 0 with NaN moments
-    where it gives None.
+    """(area, moments) of each polygon of a clip_cells array: moments (m, 6)
+    are the integrals [A, Mx, My, Mxx, Mxy, Myy] of 1, x, y, x^2, xy, y^2 over
+    the polygon, positively oriented regardless of input orientation, and a
+    polygon of fewer than 3 vertices or of zero area has area 0 and NaN
+    moments.
 
-    A polygon of 8 or more vertices, whose sums numpy takes pairwise, goes
-    through _polygon_moments itself."""
+    The polygons of one vertex count are summed as one stack; numpy sums
+    each row as it sums a 1-d array (left to right below 8 terms, pairwise
+    from 8 on), so a polygon gets the bits it gets alone."""
     area = np.zeros(len(counts))
     moments = np.full((len(counts), 6), np.nan)
     for n in np.unique(counts[counts >= 3]):
         rows = np.flatnonzero(counts == n)
-        if n >= 8:
-            for r in rows:
-                a, mom = _polygon_moments(xy[r, :n])
-                if mom is not None:
-                    area[r], moments[r] = a, mom
-            continue
         x, y = xy[rows, :n, 0], xy[rows, :n, 1]
         x1, y1 = np.roll(x, -1, axis=1), np.roll(y, -1, axis=1)
         cross = x * y1 - x1 * y
-        area2 = _slot_sum(cross)
+        area2 = cross.sum(axis=1)
         A = 0.5 * area2
-        Mx = _slot_sum((x + x1) * cross) / 6.0
-        My = _slot_sum((y + y1) * cross) / 6.0
-        Mxx = _slot_sum((x * x + x * x1 + x1 * x1) * cross) / 12.0
-        Myy = _slot_sum((y * y + y * y1 + y1 * y1) * cross) / 12.0
-        Mxy = _slot_sum((x * y1 + 2 * x * y + 2 * x1 * y1 + x1 * y) * cross) / 24.0
+        Mx = ((x + x1) * cross).sum(axis=1) / 6.0
+        My = ((y + y1) * cross).sum(axis=1) / 6.0
+        Mxx = ((x * x + x * x1 + x1 * x1) * cross).sum(axis=1) / 12.0
+        Myy = ((y * y + y * y1 + y1 * y1) * cross).sum(axis=1) / 12.0
+        Mxy = ((x * y1 + 2 * x * y + 2 * x1 * y1 + x1 * y) * cross).sum(axis=1) / 24.0
         sgn = np.where(area2 > 0, 1.0, -1.0)
         ok = np.abs(area2) >= 1e-300
         rows = rows[ok]
@@ -662,6 +623,18 @@ class Grid:
                 out = ops[axis, 1] @ out
         return out
 
+    def _quadratic_cloud(self, centers, k):
+        """(near, M) of the node cloud of a quadratic fit about each of m
+        centers: near (m, k) the ids of its k nearest nodes (all nodes if
+        fewer), and M (m, k, 6) the monomials (1, dx, dy, dx^2, dx dy, dy^2)
+        of their offsets (dx, dy) from the center in units of h."""
+        m, k = len(centers), min(k, self.n_nodes)
+        _, near = self.kdtree.query(centers, k=k)
+        near = near.reshape(m, k)
+        d = (self.points[near] - centers[:, None, :]) / self.h
+        dx, dy = d[..., 0], d[..., 1]
+        return near, np.stack([np.ones((m, k)), dx, dy, dx**2, dx * dy, dy**2], axis=-1)
+
     def _ls_band(self):
         """(nodes, clouds, pinv) of the least-squares quadratic jets on the
         near-boundary node band.
@@ -684,22 +657,12 @@ class Grid:
         r, c, _ = _entries(ops[1, 1])
         bad[r[~served[0, 1][c]]] = True
         nodes = np.nonzero(bad)[0]
-        k = min(24, self.n_nodes)
-        if len(nodes) == 0:
-            return nodes, np.empty((0, k), dtype=int), np.empty((0, 6, k))
-        _, clouds = self.kdtree.query(self.points[nodes], k=k)
-        clouds = np.atleast_2d(clouds)
-        d = (self.points[clouds] - self.points[nodes][:, None, :]) / self.h
-        M = np.stack(
-            [np.ones(d.shape[:2]), d[..., 0], d[..., 1],
-             d[..., 0] ** 2, d[..., 0] * d[..., 1], d[..., 1] ** 2],
-            axis=-1,
-        )  # (nb, k, 6)
+        clouds, M = self._quadratic_cloud(self.points[nodes], 24)
         # Gaussian distance weights: neighbors fade smoothly, so the fitted
         # jets vary smoothly with node position (abrupt k-NN cloud changes
         # otherwise inject node-scale noise that fourth-order differencing
         # amplifies catastrophically along the flow)
-        r2 = (d**2).sum(-1)
+        r2 = M[..., 3] + M[..., 5]
         omega = np.exp(-r2 / 1.5**2)
         MtW = np.swapaxes(M, 1, 2) * omega[:, None, :]  # (nb, 6, k)
         gram = MtW @ M  # (nb, 6, 6)
@@ -840,10 +803,8 @@ class Grid:
         once; a cell whose local node cloud is too thin falls back to
         centroid-only, then area-only matching, and one that none of the
         three matches puts its area on its nearest node."""
-        m, k, h = len(center), min(12, self.n_nodes), self.h
-        _, near = self.kdtree.query(center, k=k)
-        near = near.reshape(m, k)
-        xi = (self.points[near] - center[:, None, :]) / h
+        near, M = self._quadratic_cloud(center, 12)
+        (m, k), h = near.shape, self.h
         A, Mx, My, Mxx, Mxy, Myy = moments.T
         cx, cy = center.T
         # math.pow, the libm pow that squares a numpy scalar, not the x * x
@@ -863,11 +824,9 @@ class Grid:
             ],
             axis=1,
         )
-        rows6 = np.stack(
-            [np.ones((m, k)), xi[..., 0], xi[..., 1],
-             xi[..., 0] ** 2, xi[..., 0] * xi[..., 1], xi[..., 1] ** 2],
-            axis=1,
-        )  # (m, 6, k)
+        # a contiguous copy: the products of the transposed view round
+        # differently in the last bit
+        rows6 = np.ascontiguousarray(M.swapaxes(1, 2))  # (m, 6, k)
         weights = np.zeros((m, k))
         weights[:, 0] = A
         used = np.ones(m, dtype=int)

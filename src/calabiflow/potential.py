@@ -449,19 +449,21 @@ def load_snapshot(path, polytope: DelzantPolytope = None):
     one node, a node without a row, and an f that is not finite.
     """
     path = Path(path)
-    try:
-        with open(path.with_suffix(path.suffix + ".json")) as fh:
-            meta = json.load(fh)
-        P = polytope_from_dict(meta["polytope"])
-        if P.content_hash() != meta["polytope_hash"]:
-            raise DomainError(f"malformed snapshot {path}: facets differ from polytope_hash")
-        if polytope is not None and polytope != P:
-            raise DomainError("snapshot belongs to a different polytope")
-        grid = Grid(P, meta["grid_n"], float(meta["delta_min"]))
-        t = float(meta["t"])
-        if not math.isfinite(t):
-            raise DomainError(f"malformed snapshot {path}: flow time {t!r} is not finite")
-        with open(path) as fh:
+    # the snapshot is opened before its sidecar, so that a missing snapshot
+    # is reported by its own name
+    with open(path) as fh:
+        try:
+            with open(path.with_suffix(path.suffix + ".json")) as side:
+                meta = json.load(side)
+            P = polytope_from_dict(meta["polytope"])
+            if P.content_hash() != meta["polytope_hash"]:
+                raise DomainError(f"malformed snapshot {path}: facets differ from polytope_hash")
+            if polytope is not None and polytope != P:
+                raise DomainError("snapshot belongs to a different polytope")
+            grid = Grid(P, meta["grid_n"], float(meta["delta_min"]))
+            t = float(meta["t"])
+            if not math.isfinite(t):
+                raise DomainError(f"malformed snapshot {path}: flow time {t!r} is not finite")
             names = fh.readline().rstrip("\n").split(",")
             with warnings.catch_warnings():
                 # a header without rows is reported below as a missing node
@@ -469,8 +471,8 @@ def load_snapshot(path, polytope: DelzantPolytope = None):
                 rows = np.loadtxt(fh, delimiter=",", ndmin=1,
                                   usecols=[names.index(c) for c in ("i", "j", "f")],
                                   dtype=[("i", np.int64), ("j", np.int64), ("f", float)])
-    except (KeyError, TypeError, ValueError, DegenerateInputError) as exc:
-        raise DomainError(f"malformed snapshot {path}: {exc!r}") from exc
+        except (KeyError, TypeError, ValueError, DegenerateInputError) as exc:
+            raise DomainError(f"malformed snapshot {path}: {exc!r}") from exc
     i, j = rows["i"], rows["j"]
     ni, nj = grid.node_id.shape
     on_grid = (0 <= i) & (i < ni) & (0 <= j) & (j < nj)

@@ -212,9 +212,11 @@ def test_flow_rejects_polygon_normal_that_is_not_a_pair(capsys, tmp_path, triang
     assert err.startswith("error:")
 
 
-@pytest.mark.parametrize("edit", [{"grid": {"N": "abc"}},
-                                  {"perturbation": {"kind": "bump", "center": [0.1]}}],
-                         ids=["non-numeric-N", "one-number-center"])
+@pytest.mark.parametrize("edit", [{"grid": {"N": "abc"}}, {"grid": {"N": 12.5}},
+                                  {"perturbation": {"kind": "bump", "center": [0.1]}},
+                                  {"max_steps": -4}],
+                         ids=["non-numeric-N", "fractional-N", "one-number-center",
+                              "negative-max-steps"])
 def test_flow_rejects_malformed_config_values(capsys, tmp_path, triangle_file, edit):
     cfg = {
         "polytope": str(triangle_file),
@@ -387,12 +389,17 @@ def test_fiber_bound_refuses_a_class_past_the_float_range(capsys, tmp_path):
 
 @pytest.mark.parametrize("command", [("energy",), ("curvature", "--at", "0", "0")],
                          ids=["energy", "curvature"])
-def test_snapshot_commands_refuse_a_missing_snapshot(capsys, tmp_path, command):
-    missing = tmp_path / "missing.csv"
-    code, out, err = run_cli(capsys, command[0], "--snapshot", str(missing), *command[1:])
-    assert code == 2, err
-    assert out == ""
-    assert err.startswith(f"error: cannot read snapshot {missing}")
+def test_snapshot_commands_refuse_a_missing_snapshot(capsys, tmp_path, command, fs_snapshot):
+    # the error names the file that is missing: the snapshot, and its sidecar
+    # only when the snapshot exists
+    lone = tmp_path / "lone.csv"
+    lone.write_bytes(fs_snapshot.read_bytes())
+    for path, absent in ((tmp_path / "missing.csv", "missing.csv"), (lone, "lone.csv.json")):
+        code, out, err = run_cli(capsys, command[0], "--snapshot", str(path), *command[1:])
+        assert code == 2, err
+        assert out == ""
+        assert err.startswith(f"error: cannot read snapshot {path}")
+        assert err.endswith(f"No such file or directory: '{tmp_path / absent}'\n")
 
 
 def test_deterministic_outputs(capsys, tmp_path, triangle_file):

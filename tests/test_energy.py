@@ -187,7 +187,7 @@ def test_dissipation_density_matches_einsum_reference(poly, grid, request, bundl
         assert np.array_equal(Rh, tensor_field(g.field_jets(R), 2, g.n_nodes))
         U, pw = sym2_matrices(curvature_context(u)["U"]), class_record(g, cls).pw
         ref = interior_quadrature(g, np.einsum("nir,njs,nij,nrs->n", U, U, Rh, Rh) * pw)
-        assert abs(dissipation_integral(u, cls, R) - ref) <= 1e-13 * abs(ref)
+        assert abs(dissipation_integral(u, cls) - ref) <= 1e-13 * abs(ref)
 
 
 def test_fresh_fd_report_evaluates_fiber_norm_once(monkeypatch, triangle, grid48, bundle_class):

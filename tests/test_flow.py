@@ -35,12 +35,13 @@ def fd_state(potential):
 
 
 def _count_calls(monkeypatch):
-    """Count Grid.diff, Grid.field_jets and fd curvature-context builds."""
+    """Count Grid.diff, Grid.field_jets and the SPD inverses of curvature
+    contexts, one per fd context build."""
     from calabiflow import curvature
     from calabiflow.polytope import Grid
 
-    calls = {"diff": 0, "field_jets": 0, "_context_fd": 0}
-    for owner, name in ((Grid, "diff"), (Grid, "field_jets"), (curvature, "_context_fd")):
+    calls = {"diff": 0, "field_jets": 0, "_spd_inverse": 0}
+    for owner, name in ((Grid, "diff"), (Grid, "field_jets"), (curvature, "_spd_inverse")):
         orig = getattr(owner, name)
 
         def counted(*args, _orig=orig, _name=name):
@@ -62,7 +63,7 @@ def test_step_composes_no_higher_differences(monkeypatch, triangle, grid48, bund
     assert calls["diff"] == 0
     assert calls["field_jets"] == 0
     # five contexts: the fresh state, the three later RK stages, the candidate
-    assert calls["_context_fd"] == 5
+    assert calls["_spd_inverse"] == 5
 
 
 def test_step_reuses_cached_curvature(monkeypatch, triangle, grid48, bundle_class):
@@ -80,7 +81,7 @@ def test_step_reuses_cached_curvature(monkeypatch, triangle, grid48, bundle_clas
     cur = step(cur, bundle_class, 0.1, r_bar)
     # the candidate of the last step is this state: three later RK stages and
     # the new candidate
-    assert calls["_context_fd"] == 4
+    assert calls["_spd_inverse"] == 4
     cur = step(cur, bundle_class, 0.1, r_bar)
     assert cur.step_count == ref.step_count == 3
     assert cur.t == ref.t
@@ -126,19 +127,20 @@ def test_measure_reads_the_contexts_lower_eigenvalues(monkeypatch, triangle_file
     from calabiflow import curvature, flow
 
     fr = _flow_run24(triangle_file, bundle_class)
-    first = fr.measure()
-    ctx = curvature.curvature_context(fr.state.u)
-    # the field the SPD check evaluated is the one min_hessian_eigenvalues gives
-    assert np.array_equal(ctx["min_eig"], fr.state.u.min_hessian_eigenvalues())
-    assert first.min_hess_eig == ctx["min_eig"][fr.eps_nodes].min()
+    lo = fr.state.u.min_hessian_eigenvalues()
     calls = []
     for owner in (curvature, flow):
         orig = owner._sym2_eigenvalues
         monkeypatch.setattr(owner, "_sym2_eigenvalues",
-                            lambda S, _orig=orig: calls.append(1) or _orig(S))
-    # on a cached context a record computes no eigenvalues
+                            lambda S, _orig=orig: calls.append(S) or _orig(S))
+    first = fr.measure()
+    # one eigen-decomposition per record, of the context's Hessian field
+    G = curvature.curvature_context(fr.state.u)["G"]
+    assert len(calls) == 1 and calls[0] is G
+    assert first.min_hess_eig == lo[fr.eps_nodes].min()
+    # a cached context keeps no eigenvalues: the next record decomposes again
     assert fr.measure().csv_row() == first.csv_row()
-    assert calls == []
+    assert len(calls) == 2 and calls[1] is G
 
 
 def test_step_decomposes_once_and_a_record_once_more(monkeypatch, triangle_file, bundle_class):
@@ -155,9 +157,9 @@ def test_step_decomposes_once_and_a_record_once_more(monkeypatch, triangle_file,
     # the SPD checks of the five contexts pass by their trace and determinant
     # certificate; the one eigen-decomposition is that of proposed_dt
     assert calls == ["calabiflow.flow"]
-    # a record adds the lower eigenvalue field of the candidate's context
+    # a record adds the lower eigenvalue field of the candidate's Hessian
     fr.measure()
-    assert calls == ["calabiflow.flow", "calabiflow.curvature"]
+    assert calls == ["calabiflow.flow", "calabiflow.flow"]
 
 
 def test_measure_reads_hessians_from_curvature_context(monkeypatch, triangle_file,
@@ -669,10 +671,10 @@ def test_rhs_equals_the_velocity_from_separate_blocks(request, poly, bundle_clas
 def test_rk4_step_makes_eight_sparse_products(triangle_file, bundle_class, csr_products):
     fr = _flow_run24(triangle_file, bundle_class)
     # the first step also evaluates the velocity of the fresh initial state
-    fr.advance(1)
+    state = step(fr.state, fr.cls, fr.cfg.cfl_sigma, fr.r_bar)
     del csr_products[:]
-    fr.advance(1)
-    assert fr.state.step_count == 2
+    state = step(state, fr.cls, fr.cfg.cfl_sigma, fr.r_bar)
+    assert state.step_count == 2
     # four velocities (three later RK stages and the candidate), each one
     # product of the stacked Hessian operator for the three second partials
     # of f and one of the class operator

@@ -25,7 +25,6 @@ from calabiflow.polytope import (
     _D2_STENCILS,
     _cell_moments,
     _polygon_area,
-    _polygon_moments,
     _solve_each,
     clip_cells,
     from_dict,
@@ -54,6 +53,34 @@ def clip_halfplane(poly, a: float, b: float, c: float):
             t = fp / (fp - fq)
             out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
     return out
+
+
+def _polygon_moments(poly):
+    """(area, [A, Mx, My, Mxx, Mxy, Myy]) of a simple polygon.
+
+    Moments are integrals of 1, x, y, x^2, xy, y^2 over the polygon,
+    positively oriented regardless of input orientation.  The one-polygon
+    reference of _cell_moments.
+    """
+    if len(poly) < 3:
+        return 0.0, None
+    x = np.asarray([p[0] for p in poly])
+    y = np.asarray([p[1] for p in poly])
+    x1 = np.roll(x, -1)
+    y1 = np.roll(y, -1)
+    cross = x * y1 - x1 * y
+    area2 = cross.sum()
+    if abs(area2) < 1e-300:
+        return 0.0, None
+    sgn = 1.0 if area2 > 0 else -1.0
+    A = 0.5 * area2
+    Mx = ((x + x1) * cross).sum() / 6.0
+    My = ((y + y1) * cross).sum() / 6.0
+    Mxx = ((x * x + x * x1 + x1 * x1) * cross).sum() / 12.0
+    Myy = ((y * y + y * y1 + y1 * y1) * cross).sum() / 12.0
+    Mxy = ((x * y1 + 2 * x * y + 2 * x1 * y1 + x1 * y) * cross).sum() / 24.0
+    m = sgn * np.array([A, Mx, My, Mxx, Mxy, Myy])
+    return abs(A), m
 
 
 def test_standard_triangle_vertices(triangle):
@@ -482,9 +509,13 @@ def test_clip_cells_matches_clip_halfplane():
 
 
 def test_cell_moments_match_polygon_moments():
-    # 8 or more vertices go through _polygon_moments, fewer are summed in place
+    # every vertex count from 3 to 39, in both orientations: numpy sums fewer
+    # than 8 terms left to right and 8 or more pairwise, and a stack of rows
+    # must be summed as each row alone is
     rng = np.random.default_rng(20152)
-    polys = _convex_polygons(rng, 500, [3, 4, 5, 6, 7, 8, 9, 12])
+    polys = _convex_polygons(rng, 1500, range(3, 40))
+    assert {len(p) for p in polys} == set(range(3, 40))
+    polys += [p[::-1] for p in polys]
     polys += [[], [(0.0, 0.0)], [(0.0, 0.0), (1.0, 1.0)],
               [(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)],                  # zero area
               [(0.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, 0.0)]]      # clockwise

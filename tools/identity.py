@@ -11,10 +11,10 @@ the same set in both trees, each in a fresh interpreter with
 * N=48 flows on the hexagon and the trapezoid (bump 0.05, 40 steps, a
   monitor record every 2, epsilon = 0.1), so that the monitors' region
   distances and third and fourth partials are compared off the triangle;
-* the command-line flows of CI on the triangle and the hexagon at N=12, with
+* 10-step command-line flows on the triangle and the hexagon at N=12, with
   the ``energy`` and ``curvature`` JSON of their final snapshots;
 * the ``--json`` outputs of the golden suite (``baseline``), of
-  ``fiber-bound`` on the CI class, and of ``sobolev-bound`` at one Calabi
+  ``fiber-bound`` on the bundle class, and of ``sobolev-bound`` at one Calabi
   energy per outcome: a bound (Ca = 0 and 10), a closed Yamabe gap
   (Ca = 48 pi^2, written as its repr) and a failed quadratic-curvature test
   (Ca = 1e4);
@@ -121,8 +121,8 @@ def _write_inputs(work: Path) -> None:
     flows = {
         "acceptance": ("triangle", 48, {"max_steps": 200, "monitor_every": 5,
                                         "snapshot_every": 50}),
-        "ci_triangle": ("triangle", 12, {"max_steps": 10, "snapshot_every": 0}),
-        "ci_hexagon": ("hexagon", 12, {"max_steps": 10, "snapshot_every": 0}),
+        "cli_triangle": ("triangle", 12, {"max_steps": 10, "snapshot_every": 0}),
+        "cli_hexagon": ("hexagon", 12, {"max_steps": 10, "snapshot_every": 0}),
         "hexagon48": ("hexagon", 48, MONITORED_FLOW),
         "trapezoid48": ("trapezoid", 48, MONITORED_FLOW),
     }
@@ -144,9 +144,9 @@ def collect(work: Path) -> None:
         with open(work / stdout, "w") as fh:
             subprocess.run(cli + args, cwd=work, stdout=fh, check=True)
 
-    for name in ("acceptance", "ci_triangle", "ci_hexagon", "hexagon48", "trapezoid48"):
+    for name in ("acceptance", "cli_triangle", "cli_hexagon", "hexagon48", "trapezoid48"):
         call(["--json", "flow", f"{name}.json"], f"{name}-flow.json")
-    for name in ("ci_triangle", "ci_hexagon"):
+    for name in ("cli_triangle", "cli_hexagon"):
         snap = f"{name}/snapshot_final.csv"
         call(["energy", "--snapshot", snap, "--class", "class.json"], f"{name}-energy.json")
         call(["curvature", "--snapshot", snap, "--at", "0", "0", "--class", "class.json"],
