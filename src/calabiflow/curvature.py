@@ -188,29 +188,32 @@ def _spd_inverse(G) -> np.ndarray:
     be positive definite (CurvatureUndefinedError).
 
     The test is lo > _SPD_RATIO max(hi, 1) at every point, lo <= hi the
-    eigenvalues.  A certificate from the trace and the determinant, which
-    the inverse needs anyway, decides first: tr > 0 and
-    det > 4 _SPD_RATIO tr max(tr, 1) give lo > 4 _SPD_RATIO max(hi, 1), since
-    lo = det / hi and hi < tr.  The rounding of det and tr (about u tr^2,
-    u = 2^-53) and the error of a computed lo (about 6 u hi) stay far inside
-    the factor 4, so the eigenvalue test passes wherever the certificate
-    does.  Where the certificate fails (NaN, inf, tr^2 overflowing and with
-    it det, tiny, indefinite or nearly singular fields) the eigenvalue test
-    decides, and its error message counts the failing points."""
+    eigenvalues.  One bound from the trace and the determinant, which the
+    inverse needs anyway, decides first: with T the largest trace, tr > 0
+    and det > max(T, 1) T 4 _SPD_RATIO at every point.  Each point's own
+    bound max(tr, 1) tr 4 _SPD_RATIO, multiplied in the same order, is at
+    most this one, since rounding is monotone, and it gives
+    lo > 4 _SPD_RATIO max(hi, 1), since lo = det / hi and hi < tr.  The
+    rounding of det and tr (about u tr^2, u = 2^-53) and the error of a
+    computed lo (about 6 u hi) stay far inside the factor 4, so the
+    eigenvalue test passes wherever the bound does.  T is a Python float, so
+    a T^2 past the float range is inf without a warning.  Where the bound
+    fails (NaN, inf, T^2 overflowing, tiny, indefinite, nearly singular or
+    widely spread fields) the eigenvalue test decides, without warnings of
+    its arithmetic on such fields, and its error message counts the failing
+    points."""
     s00, s01, s11 = G
     sq = s01 * s01
     det = s00 * s11
     det -= sq
     tr = s00 + s11
-    # tr max(tr, 1) first: it overflows wherever s00 s11 does
-    bound = np.maximum(tr, 1.0)
-    bound *= tr
-    bound *= 4.0 * _SPD_RATIO
+    T = float(tr.max())
     # a NaN fails both comparisons
-    if not (tr.min() > 0 and (det > bound).all()):
-        lo, hi = _sym2_eigenvalues(G, sq)
-        np.maximum(hi, 1.0, out=hi)
-        hi *= _SPD_RATIO
+    if not (tr.min() > 0 and det.min() > max(T, 1.0) * T * (4.0 * _SPD_RATIO)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            lo, hi = _sym2_eigenvalues(G, sq)
+            np.maximum(hi, 1.0, out=hi)
+            hi *= _SPD_RATIO
         if not np.all(lo > hi):
             # fmin skips NaN without the all-NaN warning of nanmin
             raise CurvatureUndefinedError(
@@ -258,17 +261,41 @@ def _context_from_jets(p: dict) -> dict:
     return {"G": G, "U": U, "dU": dU, "d2U": d2U}
 
 
+def _node_context(grid: Grid, f_hessian: np.ndarray) -> dict:
+    """The context {"G", "U"} of node data whose second partials are
+    f_hessian, (3, n): G the canonical Hessian plus f_hessian, U its inverse."""
+    G = np.add(grid.guillemin_hessian, f_hessian)
+    return {"G": G, "U": _spd_inverse(G)}
+
+
+def _node_scalar(rec: ClassRecord, U: np.ndarray) -> np.ndarray:
+    """The weighted scalar curvature scal_q - L U of node data from its U."""
+    R = rec.L @ U.ravel()
+    return np.subtract(rec.scal_q, R, out=R)
+
+
+def stage_velocity(grid: Grid, rec: ClassRecord, f: np.ndarray, r_bar: float) -> np.ndarray:
+    """The flow velocity r_bar - R at every node of the node data f, R the
+    weighted scalar curvature of the class whose record is rec.
+
+    The chain of curvature_context and weighted_scalar_field for node data,
+    bit for bit, with no potential and no cache: one product of the grid's
+    hessian_operator, the canonical Hessian added, _spd_inverse, and one
+    product of rec.L."""
+    f_hessian = (grid.hessian_operator @ f).reshape(3, -1)
+    return r_bar - _node_scalar(rec, _node_context(grid, f_hessian)["U"])
+
+
 def curvature_context(u: SymplecticPotential) -> dict:
     """Cached grid-wide derivative context of the potential, as
-    _context_from_jets has it for a closed form; node data has G =
-    u.hessian_field() and U alone until _jet_context adds the U-jets."""
+    _context_from_jets has it for a closed form; node data has G and U alone
+    (_node_context) until _jet_context adds the U-jets."""
     cache = u.curvature_cache
     if "context" not in cache:
         if u.provider == "analytic":
             cache["context"] = _context_from_jets(u.jets(4))
         else:
-            G = u.hessian_field()
-            cache["context"] = {"G": G, "U": _spd_inverse(G)}
+            cache["context"] = _node_context(u.grid, u._f_jet(2))
     return cache["context"]
 
 
@@ -357,8 +384,7 @@ def weighted_scalar_field(u: SymplecticPotential, cls: AdmissibleClass) -> np.nd
     if key not in cache:
         rec = class_record(u.grid, cls)
         if u.provider == "fd":
-            R = rec.L @ curvature_context(u)["U"].ravel()
-            cache[key] = np.subtract(rec.scal_q, R, out=R)
+            cache[key] = _node_scalar(rec, curvature_context(u)["U"])
         else:
             cache[key] = _weighted_scalar_from_ctx(_jet_context(u), cls, rec.q)
     return cache[key]

@@ -16,6 +16,7 @@ from .curvature import (
     class_record,
     curvature_context,
     rm2_total_field,
+    stage_velocity,
     weighted_scalar_field,
 )
 from .energy import average_scalar, energy_report, interior_quadrature
@@ -99,9 +100,16 @@ def proposed_dt(u: SymplecticPotential, sigma: float) -> float:
 
 
 def _calabi(u: SymplecticPotential, cls: AdmissibleClass, r_bar: float) -> float:
-    pw = class_record(u.grid, cls).pw
-    R = weighted_scalar_field(u, cls)
-    return interior_quadrature(u.grid, (R - r_bar) ** 2 * pw)
+    """The Calabi energy of u that step compares, kept in u.curvature_cache,
+    so that an accepted candidate's is not computed again as the next step's
+    energy now."""
+    cache = u.curvature_cache
+    key = ("calabi", cls, r_bar)
+    if key not in cache:
+        pw = class_record(u.grid, cls).pw
+        R = weighted_scalar_field(u, cls)
+        cache[key] = interior_quadrature(u.grid, (R - r_bar) ** 2 * pw)
+    return cache[key]
 
 
 def step(state: FlowState, cls: AdmissibleClass, sigma: float, r_bar: float) -> FlowState:
@@ -110,28 +118,27 @@ def step(state: FlowState, cls: AdmissibleClass, sigma: float, r_bar: float) -> 
     energy increase or positivity failure, raising StiffnessError after
     MAX_RETRIES retries, and ConfigError unless sigma is finite and positive.
 
-    Positivity is checked where the curvature of a stage or of the candidate
-    is computed: a Hessian that is not positive definite raises
-    CurvatureUndefinedError there."""
+    The stages after the first are stage_velocity of the stage's node values,
+    with no potential built; the candidate is a potential, whose cached
+    curvature and Calabi energy an accepted step hands on.  Positivity is
+    checked where the curvature of a stage or of the candidate is computed:
+    a Hessian that is not positive definite raises CurvatureUndefinedError
+    there."""
     if not 0 < sigma < math.inf:
         raise ConfigError(f"CFL factor sigma must be finite and positive, got {sigma!r}")
     u = state.u
     calabi_now = _calabi(u, cls, r_bar)
     f0 = u.f_values
     dt = proposed_dt(u, sigma)
-
-    def velocity(f_stage: np.ndarray) -> np.ndarray:
-        # the flow is autonomous, so a stage keeps the step's start time
-        return rhs(FlowState(t=state.t, u=u.with_node_values(f_stage)), cls, r_bar)
-
+    grid, rec = u.grid, class_record(u.grid, cls)
     # a node-data field is a function of (grid, f_values) alone, so the
     # state's own cached curvature gives the k1 of a fresh copy
-    k1 = rhs(state, cls, r_bar) if u.provider == "fd" else velocity(f0)
+    k1 = rhs(state, cls, r_bar) if u.provider == "fd" else stage_velocity(grid, rec, f0, r_bar)
     for _ in range(MAX_RETRIES + 1):
         try:
-            k2 = velocity(f0 + 0.5 * dt * k1)
-            k3 = velocity(f0 + 0.5 * dt * k2)
-            k4 = velocity(f0 + dt * k3)
+            k2 = stage_velocity(grid, rec, f0 + 0.5 * dt * k1, r_bar)
+            k3 = stage_velocity(grid, rec, f0 + 0.5 * dt * k2, r_bar)
+            k4 = stage_velocity(grid, rec, f0 + dt * k3, r_bar)
             f_new = f0 + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             cand = u.with_node_values(f_new)
             calabi_new = _calabi(cand, cls, r_bar)

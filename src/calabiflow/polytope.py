@@ -558,10 +558,11 @@ class Grid:
                 k.astype(np.int8), indptr)
 
     def _axis_operator(self, axis: int, order: int):
-        """(CSR matrix, served mask) of one axis stencil operator.
+        """(CSR matrix, stencil) of one axis stencil operator.
 
-        Each node takes the first stencil of the table whose nodes all exist.
-        A node no stencil serves gets the row of the nearest served node.
+        Each node takes the first stencil of the table whose nodes all exist;
+        stencil holds its index in the table, -1 where no stencil serves the
+        node.  Such a node gets the row of the nearest served node.
         The axis neighbours at offsets -3..3 are gathered once, and each
         stencil picks its columns from them.
         """
@@ -569,36 +570,37 @@ class Grid:
         scale = self.h if order == 1 else self.h * self.h
         n = self.n_nodes
         line = self._neighbors(np.outer(np.arange(-3, 4), np.eye(2, dtype=int)[axis]))
-        served = np.zeros(n, dtype=bool)
+        stencil = np.full(n, -1, dtype=np.int8)
         rows, cols, vals = [], [], []
-        for offs, cs in table:
+        for s, (offs, cs) in enumerate(table):
             ids = line[:, np.add(offs, 3)]
-            take = ~served & (ids >= 0).all(axis=1)
-            served |= take
+            take = (stencil < 0) & (ids >= 0).all(axis=1)
+            stencil[take] = s
             rows.append(np.repeat(np.nonzero(take)[0], len(offs)))
             cols.append(ids[take].ravel())
             vals.append(np.tile(np.asarray(cs) / scale, int(take.sum())))
         A = _csr(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), (n, n))
-        if served.all():
-            return A, served
-        good = np.nonzero(served)[0]
+        if (stencil >= 0).all():
+            return A, stencil
+        good = np.nonzero(stencil >= 0)[0]
         if len(good) == 0:
             raise DegenerateInputError("grid too sparse for finite differences")
-        bad = np.nonzero(~served)[0]
+        bad = np.nonzero(stencil < 0)[0]
         d2 = ((self.points[bad][:, None, :] - self.points[good][None, :, :]) ** 2).sum(-1)
         src = np.arange(n)
         src[bad] = good[np.argmin(d2, axis=1)]
-        return A[src], served
+        return A[src], stencil
 
     @cached_property
     def _compiled(self):
-        """({(axis, order): CSR}, {(axis, order): served mask}) for orders 1, 2."""
-        ops, served = {}, {}
+        """({(axis, order): CSR}, {(axis, order): stencil}) for orders 1, 2;
+        stencil as _axis_operator has it."""
+        ops, stencils = {}, {}
         for axis in (0, 1):
             for order in (1, 2):
-                A, served[axis, order] = self._axis_operator(axis, order)
+                A, stencils[axis, order] = self._axis_operator(axis, order)
                 ops[axis, order] = _frozen(A)
-        return ops, served
+        return ops, stencils
 
     @property
     def axis_operators(self) -> dict:
@@ -640,22 +642,27 @@ class Grid:
         near-boundary node band.
 
         The band covers every node within 3h of a facet in the facet-affine
-        sense, plus any node the axis stencils cannot serve (corner wedges and
-        consumers of their composed intermediates).  A single smooth quadratic
-        fit per node kills the row-to-row alternation of one-sided stencil
-        patterns along staircased facets, which otherwise injects wrong-signed
-        high-frequency error into the flow's energy balance; it reproduces
-        quadratic fields exactly, so the canonical inverse-Hessian field stays
-        exact to roundoff.  pinv[:, c] maps the node values of a cloud to the
-        coefficient c of (1, dx, dy, dx^2, dx dy, dy^2) in units of h.
+        sense, plus any node the axis stencils cannot serve (corner wedges),
+        and every node whose mixed partial, d/dy of the d/dx field, reads a
+        d/dx row that is not exact on quadratics: an unserved row or a
+        two-point stencil, whose h f_xx / 2 error the central d/dy would
+        carry.  A single smooth quadratic fit per node kills the row-to-row
+        alternation of one-sided stencil patterns along staircased facets,
+        which otherwise injects wrong-signed high-frequency error into the
+        flow's energy balance; it reproduces quadratic fields exactly, so the
+        canonical inverse-Hessian field stays exact to roundoff.  pinv[:, c]
+        maps the node values of a cloud to the coefficient c of
+        (1, dx, dy, dx^2, dx dy, dy^2) in units of h.
         """
-        ops, served = self._compiled
+        ops, stencils = self._compiled
         bad = self.min_facet_distance < 3.0 * self.h
-        for ok in served.values():
-            bad |= ~ok
-        # composition d/dy of the d/dx field: flag consumers of bad intermediates
+        for stencil in stencils.values():
+            bad |= stencil < 0
+        # composition d/dy of the d/dx field: flag consumers of inexact
+        # intermediates; the entry appended for index -1 marks unserved rows
+        inexact = np.array([len(offs) == 2 and 0 in offs for offs, _ in _D1_STENCILS] + [True])
         r, c, _ = _entries(ops[1, 1])
-        bad[r[~served[0, 1][c]]] = True
+        bad[r[inexact[stencils[0, 1][c]]]] = True
         nodes = np.nonzero(bad)[0]
         clouds, M = self._quadratic_cloud(self.points[nodes], 24)
         # Gaussian distance weights: neighbors fade smoothly, so the fitted

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -130,12 +132,18 @@ def _decisions(G):
     return out
 
 
-def test_spd_certificate_decides_as_the_eigenvalue_test(monkeypatch, rng):
+def _count_eigenvalue_tests(monkeypatch):
+    """A list that grows by one for every eigenvalue test of _spd_inverse."""
     from calabiflow import curvature
 
     calls = []
     monkeypatch.setattr(curvature, "_sym2_eigenvalues",
                         lambda *args: calls.append(1) or _sym2_eigenvalues(*args))
+    return calls
+
+
+def test_spd_certificate_decides_as_the_eigenvalue_test(monkeypatch, rng):
+    calls = _count_eigenvalue_tests(monkeypatch)
     S = _spd_samples(rng)
     outcomes = {"certificate": 0, "fallback": 0, "raise": 0}
     # one-point fields, then fields of 7 points, so that a bad point among
@@ -164,6 +172,53 @@ def test_spd_certificate_decides_as_the_eigenvalue_test(monkeypatch, rng):
         assert np.all(lo > 3.99 * _SPD_RATIO * np.maximum(hi, 1.0)), G
     # every outcome is exercised, and the certificate decides most fields
     assert min(outcomes.values()) > 100 and outcomes["certificate"] > outcomes["fallback"], outcomes
+
+
+def test_spd_one_bound_defers_a_spread_field_to_the_eigenvalue_test(monkeypatch):
+    calls = _count_eigenvalue_tests(monkeypatch)
+    # trace 1e6 at one node, det 1e-3 at the other
+    G = np.array([[1e6, 0.1], [0.0, 0.0], [1.0, 0.01]])
+    s00, s01, s11 = G
+    det, tr = s00 * s11 - s01 * s01, s00 + s11
+    # each node passes its own bound, the field fails the one of its largest trace
+    assert np.all(det > np.maximum(tr, 1.0) * tr * (4.0 * _SPD_RATIO))
+    T = float(tr.max())
+    assert not det.min() > max(T, 1.0) * T * (4.0 * _SPD_RATIO)
+    assert _spd_inverse(G).tobytes() == _sym2_inverse(G).tobytes()
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("bad", [
+    (np.nan, 0.0, 1.0), (1.0, np.nan, 1.0), (np.inf, 0.0, 1.0), (1.0, np.inf, 1.0),
+    (-np.inf, 0.0, 1.0), (1.0, -np.inf, 1.0), (np.inf, 0.0, np.inf), (1.0, 2.0, 1.0),
+    (-2.0, 1.0, -1.0)],
+    ids=["nan-diagonal", "nan-offdiagonal", "inf", "inf-offdiagonal", "minus-inf",
+         "minus-inf-offdiagonal", "inf-both", "indefinite", "negative-definite"])
+def test_spd_refusals_keep_their_wording(bad):
+    # one bad node among good ones; the reference is the eigenvalue test alone
+    G = np.array([(1.0, 0.0, 1.0), bad, (2.0, 0.5, 1.0)]).T
+    with np.errstate(all="ignore"), pytest.raises(CurvatureUndefinedError) as ref:
+        _eigenvalue_spd_inverse(G)
+    # and no warning of the arithmetic on the bad node
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CurvatureUndefinedError) as got:
+            _spd_inverse(G)
+    assert str(got.value) == str(ref.value)
+    assert "at 1 point(s)" in str(got.value)
+
+
+def test_spd_test_of_a_trace_past_the_square_range_does_not_warn():
+    # tr^2 is past the float range: the bound is inf, without a warning, and
+    # the eigenvalue test refuses the node
+    G = np.array([[1e200, 1.0], [0.0, 0.0], [1.0, 1.0]])
+    with np.errstate(all="ignore"), pytest.raises(CurvatureUndefinedError) as ref:
+        _eigenvalue_spd_inverse(G)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CurvatureUndefinedError) as got:
+            _spd_inverse(G)
+    assert str(got.value) == str(ref.value)
 
 
 # -- weighted scalar ---------------------------------------------------------

@@ -17,7 +17,7 @@ from calabiflow import (
     save_polytope,
     step,
 )
-from calabiflow.curvature import class_record, curvature_context
+from calabiflow.curvature import class_record, curvature_context, stage_velocity
 from calabiflow.energy import average_scalar
 from calabiflow.flow import boundary_ring, distance_field, proposed_dt, region_graph
 from calabiflow.errors import CurvatureUndefinedError, StiffnessError
@@ -62,7 +62,8 @@ def test_step_composes_no_higher_differences(monkeypatch, triangle, grid48, bund
     # the velocity applies single derivative operators, never the full jets
     assert calls["diff"] == 0
     assert calls["field_jets"] == 0
-    # five contexts: the fresh state, the three later RK stages, the candidate
+    # five SPD inverses: the fresh state's context, the three later RK
+    # stages, the candidate's context
     assert calls["_spd_inverse"] == 5
 
 
@@ -269,21 +270,21 @@ def test_step_halves_dt_on_every_energy_increase(monkeypatch, triangle, bundle_c
     st = FlowState(t=0.0, u=SymplecticPotential.from_node_values(
         triangle, grid, np.zeros(grid.n_nodes)))
     energies, raised = [], []
-    real_calabi, real_scalar = flow._calabi, flow.weighted_scalar_field
+    real_calabi, real_stage = flow._calabi, flow.stage_velocity
 
     def calabi(*args):
         energies.append(real_calabi(*args))
         return energies[-1]
 
-    def scalar(*args):
+    def stage(*args):
         try:
-            return real_scalar(*args)
+            return real_stage(*args)
         except CurvatureUndefinedError:
             raised.append(args)
             raise
 
     monkeypatch.setattr(flow, "_calabi", calabi)
-    monkeypatch.setattr(flow, "weighted_scalar_field", scalar)
+    monkeypatch.setattr(flow, "stage_velocity", stage)
     with pytest.raises(StiffnessError, match="at t = 0$") as exc:
         step(st, bundle_class, 0.1, average_scalar(triangle, bundle_class, grid))
     # the energy now, then one candidate per attempt
@@ -308,24 +309,31 @@ def test_step_rejects_non_spd_candidate(monkeypatch, triangle, grid48, bundle_cl
     k = int(np.argmin((grid48.points**2).sum(axis=1)))
     spike = np.zeros(grid48.n_nodes)
     spike[k] = u.min_hessian_eigenvalues()[k] * grid48.h**2 / (2.0 * 7.6 * dt0)
-    real = flow.weighted_scalar_field
+    real_stage, real_calabi = flow.stage_velocity, flow._calabi
     rejected = []
 
-    def spiked(p, cls):
+    def checked(f, check, *args):
+        # the real evaluation decides positivity at f
         try:
-            real(p, cls)
+            return check(*args)
         except CurvatureUndefinedError:
-            rejected.append(p.f_values[k] / (dt0 * spike[k]))
+            rejected.append(f[k] / (dt0 * spike[k]))
             raise
-        return -(spike + 4.0 / dt0 * (p.f_values - f0))  # r_bar = 0
 
-    real_calabi = flow._calabi
+    def velocity(f):
+        return spike + 4.0 / dt0 * (f - f0)
 
-    def calabi(*args):
-        real_calabi(*args)  # raises for a candidate that is not SPD
+    def stage(grid, rec, f, r_bar):
+        checked(f, real_stage, grid, rec, f, r_bar)
+        return velocity(f)
+
+    def calabi(p, *args):
+        checked(p.f_values, real_calabi, p, *args)
         return 0.0
 
-    monkeypatch.setattr(flow, "weighted_scalar_field", spiked)
+    # k1 from the state, the later stages and the candidate's energy
+    monkeypatch.setattr(flow, "rhs", lambda state, cls, r_bar: velocity(state.u.f_values))
+    monkeypatch.setattr(flow, "stage_velocity", stage)
     monkeypatch.setattr(flow, "_calabi", calabi)
     new = step(FlowState(t=0.0, u=u), bundle_class, 0.1, 0.0)
     assert rejected == [pytest.approx(50.0 / 6.0)]
@@ -651,7 +659,7 @@ def test_step_policy_checks_its_fields(fs48, kwargs):
         step(fd_state(fs48), AdmissibleClass.trivial(), r_bar=4.0, **kwargs)
 
 
-@pytest.mark.parametrize("poly", ["triangle", "hexagon"])
+@pytest.mark.parametrize("poly", ["triangle", "hexagon", "trapezoid"])
 def test_rhs_equals_the_velocity_from_separate_blocks(request, poly, bundle_class):
     P = request.getfixturevalue(poly)
     lo, hi = P.bbox
@@ -666,6 +674,61 @@ def test_rhs_equals_the_velocity_from_separate_blocks(request, poly, bundle_clas
                   for k, key in enumerate(HESSIAN_KEYS)])
     rec = class_record(grid, bundle_class)
     assert np.array_equal(got, 0.25 - (rec.scal_q - rec.L @ _sym2_inverse(G).ravel()))
+    # the RK4 stages' velocity, with no potential, has the same bits
+    assert got.tobytes() == stage_velocity(grid, rec, f, 0.25).tobytes()
+
+
+def test_step_from_a_cached_state_builds_one_potential(monkeypatch, triangle, grid48,
+                                                       bundle_class):
+    f = bump_form(0.05)(*grid48.points.T)
+    r_bar = average_scalar(triangle, bundle_class, grid48)
+    state = step(FlowState(t=0.0, u=SymplecticPotential.from_node_values(triangle, grid48, f)),
+                 bundle_class, 0.1, r_bar)
+    built = []
+    init = SymplecticPotential.__init__
+    monkeypatch.setattr(SymplecticPotential, "__init__",
+                        lambda self, *args, **kw: built.append(1) or init(self, *args, **kw))
+    new = step(state, bundle_class, 0.1, r_bar)
+    # the candidate; the stages are node arrays
+    assert new.step_count == 2 and new.dt_last == proposed_dt(state.u, 0.1)
+    assert built == [1]
+
+
+def test_a_run_computes_each_states_calabi_energy_once(monkeypatch, tmp_path, triangle_file,
+                                                       bundle_class):
+    import calabiflow.flow as flow
+
+    quadratures = []
+    real_quadrature = flow.interior_quadrature
+    monkeypatch.setattr(flow, "interior_quadrature",
+                        lambda *args: quadratures.append(1) or real_quadrature(*args))
+
+    def run(out, fresh):
+        fr = FlowRun(RunConfig(polytope_path=str(triangle_file), admissible_class=bundle_class,
+                               grid_n=24, perturbation_kind="bump",
+                               perturbation_amplitude=0.05, max_steps=3, monitor_every=1,
+                               snapshot_every=0, out_dir=str(tmp_path / out)))
+        if fresh:
+            # every step starts from a fresh copy, so its energy now and its
+            # k1 are computed anew
+            real_step = flow.step
+            monkeypatch.setattr(flow, "step", lambda st, *args: real_step(
+                FlowState(t=st.t, u=st.u.with_node_values(st.u.f_values),
+                          step_count=st.step_count), *args))
+        del quadratures[:]
+        fr.advance()
+        fr.write_outputs()
+        return fr, len(quadratures)
+
+    cur, cur_count = run("cached", fresh=False)
+    ref, ref_count = run("fresh", fresh=True)
+    # three accepted steps at their proposed dt: four states, one energy each
+    assert cur.state.step_count == ref.state.step_count == 3
+    assert cur_count == 4 and ref_count == 6
+    assert cur.state.t == ref.state.t
+    assert np.array_equal(cur.state.u.f_values, ref.state.u.f_values)
+    assert ((tmp_path / "cached" / "monitor.csv").read_bytes()
+            == (tmp_path / "fresh" / "monitor.csv").read_bytes())
 
 
 def test_rk4_step_makes_eight_sparse_products(triangle_file, bundle_class, csr_products):

@@ -675,8 +675,14 @@ def test_facet_values_of_a_stack_are_those_of_its_rows(request, name):
     assert stacked.tobytes() == P.facet_values(corners.reshape(-1, 2)).tobytes()
 
 
-def test_field_jets_exact_on_quadratics_every_row(small_grid):
+@pytest.mark.parametrize("delta", [0.5, 2.0, 2.5, 3.0, 4.0])
+def test_field_jets_exact_on_quadratics_every_row(small_grid, delta):
+    # delta_min in units of h; from 2h on, mixed partials whose d/dx
+    # intermediate is a two-point stencil join the least-squares band.  Those
+    # grids are twice as fine, so that the trapezoid keeps nodes at 4h
     g = small_grid
+    if delta != 0.5:
+        g = build_grid(g.polytope, 2 * g.n, delta * g.h / 2)
     x, y = g.points[:, 0], g.points[:, 1]
     f = 1.5 * x**2 - 0.7 * x * y + 0.3 * y**2 + 2 * x - y + 4
     jets = g.field_jets(f)

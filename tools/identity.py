@@ -21,7 +21,7 @@ the same set in both trees, each in a fresh interpreter with
 * digests of the grid arrays (cell and quadrature weights, boundary
   distances, axis, jet and velocity operators, ``edges8``) on the triangle,
   the hexagon, the trapezoid and the Hirzebruch F_3 trapezoid at
-  N = 12-128 with delta_min = h/2, h, 2h.  F_3 has a normal entry of 3:
+  N = 12-128 with delta_min = h/2, h, 2h, 4h.  F_3 has a normal entry of 3:
   where every entry is 0, +-1 or +-2, each product of an entry with a
   coordinate is exact, and a fused and an unfused multiply-add give the same
   facet value, so only such a polygon shows a change in how facet values
@@ -56,7 +56,7 @@ POLYGONS = {
 }
 GRID_NS = (12, 24, 48, 96, 128)
 # delta_min as a multiple of h
-DELTA_FACTORS = (0.5, 1.0, 2.0)
+DELTA_FACTORS = (0.5, 1.0, 2.0, 4.0)
 # the off-triangle N=48 flows: short, with a record every other step
 MONITORED_FLOW = {"max_steps": 40, "monitor_every": 2, "snapshot_every": 0, "epsilon": 0.1}
 # the sobolev-bound energies of the module docstring, 48 pi^2 as its repr
