@@ -18,7 +18,7 @@ from .curvature import (
     weighted_scalar_field,
 )
 from .errors import DegenerateInputError
-from .polytope import HESSIAN_KEYS, BoundaryQuadrature, DelzantPolytope, Grid, quadrature_for
+from .polytope import BoundaryQuadrature, DelzantPolytope, Grid, quadrature_for
 from .potential import SymplecticPotential, _trace_of_square
 
 
@@ -46,7 +46,7 @@ def average_scalar(P: DelzantPolytope, cls: AdmissibleClass, grid: Grid,
     weighted scalar integrates to twice the weighted boundary measure.  q and
     p at the nodes are those of the class record (see class_record).  The
     grid must be one of P (DegenerateInputError), and so must the boundary
-    quadrature (DomainError, as in SymplecticPotential.boundary_values).
+    quadrature (DomainError, as in SymplecticPotential.boundary_integral).
     """
     if P != grid.polytope:
         raise DegenerateInputError("the grid is not one of the polytope")
@@ -88,7 +88,7 @@ def dissipation_integral(u: SymplecticPotential, cls: AdmissibleClass) -> float:
     grid = u.grid
     # Hess R as its components (3, n), one product of the hessian_operator;
     # u^{ir} u^{js} R_{,ij} R_{,rs} is tr((U Hess R)^2)
-    Rh = np.stack(list(grid.field_jets(R, HESSIAN_KEYS).values()))
+    Rh = (grid.hessian_operator @ R).reshape(3, -1)
     U = curvature_context(u)["U"]
     return interior_quadrature(grid, _trace_of_square(U, Rh) * class_record(grid, cls).pw)
 
@@ -112,7 +112,7 @@ def energy_report(u: SymplecticPotential, cls: AdmissibleClass,
     rm2_fib_field = fiber_riemann_norm_field(u)
     rm2_fib = interior_quadrature(grid, rm2_fib_field)
     diss = dissipation_integral(u, cls)
-    u_bdry = float(np.dot(quad.weights, u.boundary_values(quad)))
+    u_bdry = u.boundary_integral(quad)
     u_nodes = u.jets(0)[(0, 0)]
     l2_u = interior_quadrature(grid, u_nodes**2)
     rf = abreu_scalar_field(u)

@@ -22,8 +22,6 @@ from .curvature import (
 from .energy import average_scalar, energy_report, interior_quadrature
 from .errors import ConfigError, CurvatureUndefinedError, StiffnessError
 from .polytope import (
-    GRADIENT_KEYS,
-    HESSIAN_KEYS,
     OFFSETS8,
     Grid,
     boundary_quadrature,
@@ -162,16 +160,19 @@ class RegionGraph(NamedTuple):
     """The 8-neighbour graph induced on a region of grid nodes: the edges of
     grid.edges8 with both ends in the region, in the same order.
 
-    nodes holds the region's grid ids, sorted.  Edge e runs from grid node
-    rows[e] to cols[e] at offset (dx[e], dy[e]); indices and indptr are the
-    CSR structure of the edges on the numbering of nodes.  entries holds the
-    region nodes, in that numbering, that an edge from outside enters."""
+    nodes holds the region's grid ids, sorted; indices and indptr are the
+    CSR structure of the edges on the numbering of nodes.  An edge and its
+    reverse are one undirected edge, stored once: undirected edge e joins
+    grid node ends[0, e] to the higher id ends[1, e] at offset (dx[e], dy[e]),
+    and pair[d] is the undirected edge of the d-th edge in CSR order.  entries
+    holds the region nodes, in the numbering of nodes, that an edge from
+    outside enters."""
 
     nodes: np.ndarray
-    rows: np.ndarray
-    cols: np.ndarray
+    ends: np.ndarray
     dx: np.ndarray
     dy: np.ndarray
+    pair: np.ndarray
     indices: np.ndarray
     indptr: np.ndarray
     entries: np.ndarray
@@ -187,12 +188,18 @@ def region_graph(grid: Grid, region) -> RegionGraph:
     rows, cols, k, _ = grid.edges8
     entries = np.unique(local[cols[inside[cols] & ~inside[rows]]])
     keep = inside[rows] & inside[cols]
-    rows, cols = rows[keep].astype(np.intp), cols[keep].astype(np.intp)
+    rows, cols, k = rows[keep].astype(np.intp), cols[keep].astype(np.intp), k[keep]
     indptr = np.zeros(len(nodes) + 1, dtype=np.int32)
     np.cumsum(np.bincount(local[rows], minlength=len(nodes)), out=indptr[1:])
-    dx, dy = (np.take(o, k[keep]) for o in (grid.h * OFFSETS8).T)
-    return RegionGraph(nodes=nodes, rows=rows, cols=cols, dx=dx, dy=dy, indices=local[cols],
-                       indptr=indptr, entries=entries)
+    # the edges at offsets 4-7 of OFFSETS8 raise the node id; in CSR order
+    # they are sorted by (row, col), so each edge finds its undirected edge,
+    # the one from its lower end, by its ends' key
+    up = k >= 4
+    key = rows * grid.n_nodes + cols
+    pair = np.searchsorted(key[up], np.minimum(rows, cols) * grid.n_nodes + np.maximum(rows, cols))
+    dx, dy = (np.take(o, k[up]) for o in (grid.h * OFFSETS8).T)
+    return RegionGraph(nodes=nodes, ends=np.stack([rows[up], cols[up]]), dx=dx, dy=dy,
+                       pair=pair, indices=local[cols], indptr=indptr, entries=entries)
 
 
 def distance_field(graph: RegionGraph, hessians, sources) -> np.ndarray:
@@ -203,7 +210,10 @@ def distance_field(graph: RegionGraph, hessians, sources) -> np.ndarray:
 
     hessians is the metric at every grid node as its components (g00, g01,
     g11).  An edge n -> m has metric length sqrt(dx^T G dx), G the mean of
-    the Hessians at its two ends.  Zero-length edges stay edges of the graph.
+    the Hessians at its two ends.  The length is that of the reverse edge bit
+    for bit (the mean's sum commutes, and negating dx and dy is exact), so
+    it is computed once per undirected edge.  Zero-length edges stay edges
+    of the graph.
 
     The sources are grid node ids in the region.  Every edge from outside the
     region enters it at a source, at distance 0, so a shortest path to a
@@ -223,9 +233,10 @@ def distance_field(graph: RegionGraph, hessians, sources) -> np.ndarray:
     if not is_source[graph.entries].all():
         raise ValueError("an edge enters the region at a node that is not a source")
     dx, dy = graph.dx, graph.dy
-    g00, g01, g11 = (0.5 * (np.take(e, graph.rows) + np.take(e, graph.cols)) for e in hessians)
+    a, b = graph.ends
+    g00, g01, g11 = 0.5 * (np.take(hessians, a, axis=1) + np.take(hessians, b, axis=1))
     q = g00 * dx * dx + 2.0 * g01 * dx * dy + g11 * dy * dy
-    A = csr_array((np.sqrt(np.maximum(q, 0.0)), graph.indices, graph.indptr),
+    A = csr_array((np.take(np.sqrt(np.maximum(q, 0.0)), graph.pair), graph.indices, graph.indptr),
                   shape=(len(graph.nodes),) * 2)
     return dijkstra(A, indices=local, min_only=True)
 
@@ -347,19 +358,24 @@ class FlowRun:
         """The 8-neighbour graph of the eps-region, built on the first record."""
         return region_graph(self.grid, self.eps_nodes)
 
+    @cached_property
+    def _eps2_in_graph(self) -> np.ndarray:
+        """The positions of the 2eps-ring's nodes in eps_graph.nodes; the
+        2eps-region lies inside the eps-region."""
+        return np.searchsorted(self.eps_graph.nodes, self.eps2_ring)
+
     def _correction_derivative_maxima(self, u: SymplecticPotential) -> dict:
         """Max over the eps-region of |d^k f| per order k (a flow state is node
         data): orders 1 and 2 from the state's jets, 3 and 4 from one
-        _f_higher of the state."""
+        _f_higher of the state, all fourteen partials gathered at once."""
         sel = self.eps_nodes
         if not len(sel):
             return dict.fromkeys((1, 2, 3, 4), float("nan"))
-        partials = {key: u.f_partial(key) for key in GRADIENT_KEYS + HESSIAN_KEYS}
-        partials.update(u._f_higher())
-        out = {}
-        for k in (1, 2, 3, 4):
-            out[k] = float(np.max([np.abs(partials[a, k - a][sel]).max() for a in range(k + 1)]))
-        return out
+        # the rows by order, as _f_higher keeps its keys: 2, 3, 4 and 5
+        # partials of orders 1-4
+        partials = np.vstack([u._f_jet(1), u._f_jet(2), *u._f_higher().values()])
+        top = np.maximum.reduceat(np.abs(partials.take(sel, axis=1)).max(axis=1), [0, 2, 5, 9])
+        return dict(zip((1, 2, 3, 4), top.tolist()))
 
     def measure(self) -> MonitorRecord:
         """Evaluate all monitored quantities at the current state."""
@@ -373,12 +389,10 @@ class FlowRun:
         positivity = bool(np.min(eigs) > 0)
         d = self._correction_derivative_maxima(u)
         if len(self.eps_ring) and len(self.eps2_ring):
-            # distances at the eps-region's nodes, in the order of g.nodes;
-            # the 2eps-region lies inside the eps-region
+            # distances at the eps-region's nodes, in the order of g.nodes
             g = self.eps_graph
             dist = distance_field(g, G, self.eps_ring)
-            dist_eps = (float("nan") if self.rings_meet
-                        else float(np.min(dist[np.searchsorted(g.nodes, self.eps2_ring)])))
+            dist_eps = float("nan") if self.rings_meet else float(np.min(dist[self._eps2_in_graph]))
             rm2 = rm2_total_field(u, cls)
             q = np.sqrt(np.maximum(rm2[g.nodes], 0.0)) * dist**2
             q_d2_max = float(q.max())

@@ -457,7 +457,9 @@ class Grid:
     """Axis-aligned lattice of interior nodes with finite-difference stencils.
 
     Nodes are the lattice points x = anchor + h*(i, j) whose smallest facet
-    value min_i l_i(x) is at least delta_min.  Construction is deterministic
+    value min_i l_i(x) is at least delta_min.  The lattice spans the
+    polytope's bounding box, and its cells, the h-squares about the lattice
+    points, cover the bounding box.  Construction is deterministic
     from (polytope, n, delta_min) and reads the nodes and their boundary
     distances off one table of facet values; what else is derived is built
     on first request and immutable, and kept unless it is cheap to rebuild
@@ -486,7 +488,9 @@ class Grid:
         lo, hi = polytope.bbox
         h = (hi[0] - lo[0]) / n
         ni = int(round((hi[0] - lo[0]) / h)) + 1
-        nj = int(math.floor((hi[1] - lo[1]) / h + 1e-9)) + 1
+        # one row more where the last falls more than h/2 short of hi[1], so
+        # that the cells cover the bounding box
+        nj = int(math.ceil((hi[1] - lo[1]) / h - 0.5 - 1e-9)) + 1
         ii, jj = np.meshgrid(np.arange(ni), np.arange(nj), indexing="ij")
         xs = lo[0] + h * ii
         ys = lo[1] + h * jj
@@ -612,8 +616,9 @@ class Grid:
     def diff(self, f: np.ndarray, dx: int, dy: int) -> np.ndarray:
         """Finite-difference partial of a node field, composing per axis.
 
-        Pure derivatives up to order 2 use a single stencil; higher orders and
-        mixed derivatives compose first/second differences.
+        f is (n,) or a stack (n, k) of k fields, each differenced as it is
+        alone.  Pure derivatives up to order 2 use a single stencil; higher
+        orders and mixed derivatives compose first/second differences.
         """
         ops = self.axis_operators
         out = np.asarray(f, dtype=float)
@@ -950,18 +955,31 @@ class BoundaryQuadrature:
     weights: np.ndarray
     canonical: np.ndarray
     polytope_hash: str
-    # grid -> nearest_nodes(grid); weak keys, so a lookup never outlives its grid
-    _nearest: weakref.WeakKeyDictionary = field(
+    # grid -> node_moments(grid); weak keys, so an entry never outlives its grid
+    _moments: weakref.WeakKeyDictionary = field(
         default_factory=weakref.WeakKeyDictionary, init=False, repr=False, compare=False
     )
     # class -> weighted_measure(class)
     _weighted: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def nearest_nodes(self, grid: Grid):
-        """grid.nearest_nodes of the points, computed once per grid."""
-        if grid not in self._nearest:
-            self._nearest[grid] = grid.nearest_nodes(self.points)
-        return self._nearest[grid]
+    def node_moments(self, grid: Grid):
+        """(nodes, moments) of the points about their nearest grid nodes,
+        computed once per grid.  Consecutive points along a facet share their
+        nearest node in runs: nodes (k,) holds the nearest node of each run,
+        and moments (6, k) the sums over the run's points of w, w dx, w dy,
+        w dx^2 / 2, w dx dy and w dy^2 / 2, with w a point's weight and
+        (dx, dy) its offset from the node.  The quadrature of the second-order
+        Taylor step about the nearest node is the products of these rows with
+        the value and the first and second partials (HESSIAN_KEYS order) at
+        the nodes."""
+        if grid not in self._moments:
+            ks, dx, dy = grid.nearest_nodes(self.points)
+            starts = np.flatnonzero(np.diff(ks, prepend=-1))
+            w = self.weights
+            wx, wy = w * dx, w * dy
+            self._moments[grid] = ks[starts], np.add.reduceat(
+                np.stack([w, wx, wy, 0.5 * wx * dx, wx * dy, 0.5 * wy * dy]), starts, axis=1)
+        return self._moments[grid]
 
     def weighted_measure(self, cls) -> float:
         """The boundary integral of an admissible class's weight, the dot

@@ -9,10 +9,12 @@ differentiated follows from what it was built from, it is not chosen:
 * node data f_values -- differenced on the grid: orders 1-2 by the grid's
   two jet operators (stencil rows in the interior, least-squares fits on the
   near-boundary band), one product for each order and computed once; orders
-  3-4 all nine at once by axis differences of shared intermediates
-  (``_f_higher``), on each request.  Off the grid only the
-  value is read, that of the Taylor step from the nearest node
-  (``_taylor_value``).
+  3-4 all nine at once by seven axis differences of shared intermediates,
+  two of them of stacks (``_f_higher``), on each request.  Off the grid only
+  the value is read, that of the Taylor step from the nearest node
+  (``_taylor_value``); the boundary integral of that value is summed node
+  by node from a boundary quadrature's moments about its nearest nodes
+  (``boundary_integral``), with no Taylor step at its points.
 
 On the grid the partials of u are the canonical ones plus ``f_partial``, the
 one place where the two kinds differ; at any interior point a closed form's
@@ -303,17 +305,20 @@ class SymplecticPotential:
         """The nine third and fourth partials {(a, b): array over nodes} of
         the node data f, computed on each call and not kept.
 
-        Twelve one-product Grid.diff calls on the shared intermediates f_x,
-        f_xx, f_yy and their differences, where diff(f, a, b) for each key
-        would make twenty products.  Each partial gets the operator sequence
-        of diff(f, a, b), x before y, so its bits are those of diff."""
+        Seven Grid.diff calls, where diff(f, a, b) for each key would make
+        twenty products: f_x, f_xx and f_yy, then d/dx and d2/dx2 of f_xx,
+        d2/dy2 of the stack (f_x, f_xx, f_yy), and d/dy of the stack (f_xx,
+        f_yy, f_xxx, f_xyy).  Each partial gets the operator sequence of
+        diff(f, a, b), x before y, and a sparse product sums each column of
+        a stack as it sums one vector, so its bits are those of diff."""
         d, f = self.grid.diff, self.f_values
         fx, fxx, fyy = d(f, 1, 0), d(f, 2, 0), d(f, 0, 2)
-        fxxx, fxyy = d(fxx, 1, 0), d(fx, 0, 2)
+        fxxx = d(fxx, 1, 0)
+        fxyy, fxxyy, fyyyy = d(np.stack([fx, fxx, fyy], axis=1), 0, 2).T
+        fxxy, fyyy, fxxxy, fxyyy = d(np.stack([fxx, fyy, fxxx, fxyy], axis=1), 0, 1).T
         return {
-            (3, 0): fxxx, (2, 1): d(fxx, 0, 1), (1, 2): fxyy, (0, 3): d(fyy, 0, 1),
-            (4, 0): d(fxx, 2, 0), (3, 1): d(fxxx, 0, 1), (2, 2): d(fxx, 0, 2),
-            (1, 3): d(fxyy, 0, 1), (0, 4): d(fyy, 0, 2),
+            (3, 0): fxxx, (2, 1): fxxy, (1, 2): fxyy, (0, 3): fyyy,
+            (4, 0): d(fxx, 2, 0), (3, 1): fxxxy, (2, 2): fxxyy, (1, 3): fxyyy, (0, 4): fyyyy,
         }
 
     def partials_at(self, points, order: int = 4) -> dict:
@@ -384,17 +389,21 @@ class SymplecticPotential:
         out = guillemin_value(self.polytope, pts) + f
         return out if np.asarray(points).ndim > 1 else out[0]
 
-    def boundary_values(self, quad: BoundaryQuadrature) -> np.ndarray:
-        """u at the points of a boundary quadrature, as value_at(quad.points)
-        computes it, from the quadrature's canonical values and, for node
-        data, its nearest nodes on this grid.  A quadrature of another polytope
-        raises DomainError."""
+    def boundary_integral(self, quad: BoundaryQuadrature) -> float:
+        """The boundary quadrature of u, the dot product of quad.weights with
+        u at quad.points as value_at computes it, from the quadrature's
+        canonical values.  Node data's Taylor steps are linear in the node
+        data, so their quadrature is the products of the quadrature's node
+        moments on this grid with f and its first and second partials there.
+        A quadrature of another polytope raises DomainError."""
         quadrature_for(self.polytope, quad)
         if self.provider == "analytic":
             f = self.f_form(quad.points[:, 0], quad.points[:, 1])
-        else:
-            f = self._taylor_value(*quad.nearest_nodes(self.grid))
-        return quad.canonical + f
+            return float(np.dot(quad.weights, quad.canonical + f))
+        nodes, m = quad.node_moments(self.grid)
+        return float(np.dot(quad.weights, quad.canonical) + np.dot(m[0], self.f_values[nodes])
+                     + np.vdot(m[1:3], self._f_jet(1)[:, nodes])
+                     + np.vdot(m[3:], self._f_jet(2)[:, nodes]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import sys
@@ -80,12 +81,16 @@ def fs96(triangle, grid96):
 
 @pytest.fixture()
 def csr_products(monkeypatch):
-    """A list that grows by one for every sparse matrix-vector product
-    (scipy's csr_matvec) made while the test runs."""
+    """A list that grows by one for every sparse product with a vector or a
+    stack of vectors (scipy's csr_matvec and csr_matvecs) made while the
+    test runs."""
     from scipy.sparse import _sparsetools
 
-    calls, matvec = [], _sparsetools.csr_matvec
-    monkeypatch.setattr(_sparsetools, "csr_matvec", lambda *a: calls.append(1) or matvec(*a))
+    calls = []
+    for name in ("csr_matvec", "csr_matvecs"):
+        product = getattr(_sparsetools, name)
+        monkeypatch.setattr(_sparsetools, name,
+                            lambda *a, _product=product: calls.append(1) or _product(*a))
     return calls
 
 
@@ -109,6 +114,53 @@ def distance_to_boundary(P, x) -> float:
     one facet segment at a time: the scalar reference of
     Grid.boundary_distance."""
     return min(_point_segment_distance(x, *P.facet_segment(i)) for i in range(len(P.offsets)))
+
+
+def blow_up(P, i, eps):
+    """The toric blow-up of P at the vertex where facet i meets facet i + 1
+    (mod d): a new facet, normal v_i + v_{i+1} and offset c_i + c_{i+1} - eps,
+    put between the two, cuts the corner where l_i + l_{i+1} < eps.  The
+    facets of P must be in cyclic order, and eps positive and below the
+    lattice lengths of both facets; the result is then Delzant again
+    (Fulton, Introduction to Toric Varieties, 2.5)."""
+    d = len(P.offsets)
+    j = (i + 1) % d
+    normals, offsets = P.normals.tolist(), P.offsets.tolist()
+    normals.insert(i + 1, [normals[i][0] + normals[j][0], normals[i][1] + normals[j][1]])
+    offsets.insert(i + 1, offsets[i] + offsets[j] - eps)
+    return DelzantPolytope(normals, offsets)
+
+
+def hirzebruch(a):
+    """The trapezoid of F_a: normals (1, 0), (0, 1), (-1, -a), (0, -1);
+    offsets 1, 1, 1 + a, 1; its top facet runs from (-1, 1) to (1, 1)."""
+    return DelzantPolytope([[1, 0], [0, 1], [-1, -a], [0, -1]], [1.0, 1.0, 1.0 + a, 1.0])
+
+
+def _generated_polygons() -> dict:
+    """The triangle and F_0-F_3, each also with its first corner cut, and
+    the triangle and F_2 with two corners cut, all cuts at eps = 0.5: every
+    smooth projective toric surface is P^2 or some F_a blown up torically,
+    so the family reaches polygons the hand-written fixtures do not."""
+    base = {"triangle": standard_triangle(), **{f"F{a}": hirzebruch(a) for a in range(4)}}
+    polygons = dict(base)
+    for name, P in base.items():
+        polygons[f"{name} cut"] = blow_up(P, 0, 0.5)
+    for name in ("triangle", "F2"):
+        polygons[f"{name} cut twice"] = blow_up(polygons[f"{name} cut"], 2, 0.5)
+    return polygons
+
+
+# a fixed list, the same at every run
+GENERATED_POLYGONS = _generated_polygons()
+
+
+@functools.lru_cache(maxsize=None)
+def generated_grid(name, n):
+    """The grid of GENERATED_POLYGONS[name] at N=n, delta_min = h/2, built
+    once per session."""
+    P = GENERATED_POLYGONS[name]
+    return build_grid(P, n, 0.5 * (P.bbox[1][0] - P.bbox[0][0]) / n)
 
 
 def interior_points(polytope, rng, n, margin=0.3):

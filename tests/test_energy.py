@@ -21,6 +21,7 @@ from calabiflow.curvature import class_record, curvature_context
 from calabiflow.energy import dissipation_integral
 from calabiflow.polytope import HESSIAN_KEYS, JET_KEYS, Grid
 from calabiflow.potential import bump_form
+from conftest import GENERATED_POLYGONS, generated_grid
 from fd_oracle import sym2_matrices, tensor_field
 
 
@@ -66,6 +67,15 @@ def test_average_scalar_trivial(triangle, grid96):
 def test_average_scalar_constant_weight(triangle, grid96):
     cls = AdmissibleClass((0.0, 0.0), 2.0, -1.0, 1, -2)
     assert average_scalar(triangle, cls, grid96) == pytest.approx(-0.5 + 4.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("n", [23, 24])
+@pytest.mark.parametrize("name", GENERATED_POLYGONS)
+def test_trivial_average_scalar_on_generated_polygons(name, n):
+    # the Abreu scalar integrates to twice the lattice boundary measure
+    P = GENERATED_POLYGONS[name]
+    r_bar = average_scalar(P, AdmissibleClass.trivial(), generated_grid(name, n))
+    assert r_bar == pytest.approx(2.0 * P.boundary_measure() / P.area, rel=1e-12)
 
 
 def test_average_scalar_refuses_a_grid_of_another_polytope(triangle, hexagon, grid48,
@@ -201,9 +211,10 @@ def test_fresh_fd_report_evaluates_fiber_norm_once(monkeypatch, triangle, grid48
                         keys.append(tuple(k)) or field_jets(self, f, k))
     rep = energy_report(u, bundle_class)
     # |Rm|^2 and the unweighted fiber energy read one cached fiber field, and
-    # the dissipation applies only the second-order blocks to R
+    # the dissipation applies the Hessian operator alone to R, not through
+    # field_jets
     assert calls == [1]
-    assert keys == [JET_KEYS[2:]]
+    assert keys == []
     assert rep.fiber_rm2_unweighted == interior_quadrature(
         grid48, curvature.fiber_riemann_norm_field(u))
 

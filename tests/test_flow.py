@@ -112,13 +112,13 @@ def test_measure_differentiates_node_data_once(monkeypatch, triangle_file, bundl
 
     monkeypatch.setattr(Grid, "diff", diff)
     fr.measure()
-    # the nine third/fourth partials of f for the |d^k f| maxima, from twelve
-    # one-product differences of shared intermediates, and the jets of R for
-    # the dissipation; first/second partials of f come from the derivative
-    # operators
-    assert calls["diff"] == 12
-    assert products_per_diff == [1] * 12
-    assert calls["field_jets"] == 1
+    # the nine third/fourth partials of f for the |d^k f| maxima, from seven
+    # one-product differences of shared intermediates, two of them of
+    # stacks; first/second partials of f, and Hess R for the dissipation,
+    # come from the derivative operators
+    assert calls["diff"] == 7
+    assert products_per_diff == [1] * 7
+    assert calls["field_jets"] == 0
     # the state keeps the two first and three second partials of f, no
     # partial of order 3 or 4
     assert {order: len(jet) for order, jet in fr.state.u._f_jets.items()} == {1: 2, 2: 3}
@@ -188,20 +188,31 @@ class _CountingTree:
         return self.tree.query(*args, **kwargs)
 
 
-def test_measure_builds_run_constants_once(triangle_file, bundle_class):
+def test_measure_builds_run_constants_once(monkeypatch, triangle_file, bundle_class):
+    from calabiflow import flow
+
     fr = _flow_run24(triangle_file, bundle_class)
     tree = _CountingTree(fr.grid.kdtree)
     fr.grid.__dict__["kdtree"] = tree
-    # set-up builds no distance graph; the first record does
+    graphs = []
+    monkeypatch.setattr(flow, "region_graph",
+                        lambda *args: graphs.append(region_graph(*args)) or graphs[-1])
+    # set-up builds no distance graph and no boundary moments; the first
+    # record does
     assert "eps_graph" not in fr.__dict__
+    assert fr.grid not in fr.bquad._moments
     first = fr.measure()
     edges, graph, queries = fr.grid.edges8, fr.eps_graph, tree.queries
+    moments, ring2 = fr.bquad._moments[fr.grid], fr._eps2_in_graph
     fr.state = step(fr.state, bundle_class, fr.cfg.cfl_sigma, fr.r_bar)
     second = fr.measure()
-    # the boundary points' nearest nodes and the distance graphs are reused
-    assert tree.queries == queries
+    # the boundary points' nearest nodes and moments, the distance graph with
+    # its undirected-edge table, and the 2eps-ring's place in it are reused
+    assert tree.queries == queries == 1
+    assert fr.bquad._moments[fr.grid] is moments
     assert fr.grid.edges8 is edges
-    assert fr.eps_graph is graph
+    assert len(graphs) == 1 and graphs[0] is graph and fr.eps_graph is graph
+    assert fr._eps2_in_graph is ring2
     assert second.boundary_u != first.boundary_u
 
 

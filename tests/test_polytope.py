@@ -29,7 +29,7 @@ from calabiflow.polytope import (
     clip_cells,
     from_dict,
 )
-from conftest import distance_to_boundary
+from conftest import GENERATED_POLYGONS, distance_to_boundary, generated_grid, hirzebruch
 
 
 def clip_halfplane(poly, a: float, b: float, c: float):
@@ -234,12 +234,40 @@ def test_boundary_quadrature_lattice_lengths(triangle, hexagon):
     assert boundary_quadrature(hexagon).weights.sum() == pytest.approx(7.0, abs=1e-12)
 
 
-def test_cell_weights_tile_area(triangle, grid96, trapezoid):
-    assert grid96.cell_weights.sum() == pytest.approx(4.5, abs=1e-12)
-    # a normal outside {-1, 0, 1}: the trapezoid's area is 8
-    g = build_grid(trapezoid, 24, 0.5 * 6.0 / 24)
-    assert trapezoid.area == pytest.approx(8.0, abs=1e-14)
-    assert g.cell_weights.sum() == pytest.approx(8.0, abs=1e-12)
+# the trapezoid and F_3 have a normal outside {-1, 0, 1}; at N=32 on the
+# trapezoid and N = 23 and 27 on F_3 the last lattice row falls more than
+# h/2 short of the top facet, so one row more of cells reaches it
+@pytest.mark.parametrize("poly, n, area", [
+    ("triangle", 96, 4.5), ("trapezoid", 24, 8.0), ("trapezoid", 32, 8.0),
+    ("F3", 23, 10.0), ("F3", 27, 10.0)])
+def test_cell_weights_tile_area(request, poly, n, area):
+    P = hirzebruch(3) if poly == "F3" else request.getfixturevalue(poly)
+    assert P.area == pytest.approx(area, abs=1e-14)
+    g = build_grid(P, n, 0.5 * (P.bbox[1][0] - P.bbox[0][0]) / n)
+    assert g.cell_weights.sum() == pytest.approx(area, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [23, 24])
+@pytest.mark.parametrize("name", GENERATED_POLYGONS)
+def test_generated_polygon_weights_tile_area(name, n):
+    P = GENERATED_POLYGONS[name]
+    assert abs(generated_grid(name, n).cell_weights.sum() - P.area) <= 1e-12 * P.area
+
+
+@pytest.mark.parametrize("name", GENERATED_POLYGONS)
+def test_generated_polygon_boundary_distance_is_the_segment_distance(name):
+    g = generated_grid(name, 24)
+    ref = np.array([distance_to_boundary(g.polytope, p) for p in g.points])
+    size = np.abs(g.polytope.vertices).max()
+    assert np.all(np.abs(g.boundary_distance - ref) <= 2 * np.spacing(size))
+
+
+@pytest.mark.parametrize("name", GENERATED_POLYGONS)
+def test_generated_polygon_eps_region_matches_reference(name):
+    g = generated_grid(name, 24)
+    ref = np.array([distance_to_boundary(g.polytope, p) for p in g.points])
+    for eps in (0.1, 0.2, 0.25, 0.45, 0.5):
+        assert np.array_equal(eps_region(g, eps), np.nonzero(ref >= eps - 1e-12)[0])
 
 
 def _distribute_cell(g, moments, center):
@@ -591,7 +619,7 @@ def test_boundary_distance_matches_scalar_loop(triangle, grid48, hexagon, hex_gr
     # not to the distance's: a facet value near 0 is a difference of numbers
     # near the polygon's size.  F_3 has a normal entry of 3, so its facet
     # values are rounded as a fused multiply-add or not
-    f3 = DelzantPolytope([[1, 0], [0, 1], [-1, -3], [0, -1]], [1.0, 1.0, 4.0, 1.0])
+    f3 = hirzebruch(3)
     for g in (grid48, hex_grid, trap_grid, build_grid(f3, 48, 0.5 * 8.0 / 48)):
         ref = np.array([distance_to_boundary(g.polytope, p) for p in g.points])
         size = np.abs(g.polytope.vertices).max()

@@ -308,18 +308,21 @@ def test_order0_jet_is_value_at_nodes(poly, grid, request):
         assert np.array_equal(u.jets(0)[(0, 0)], u.value_at(g.points)), u.provider
 
 
-@pytest.mark.parametrize("poly", ["triangle", "hexagon"])
-def test_boundary_values_match_value_at(poly, request):
+@pytest.mark.parametrize("poly", ["triangle", "hexagon", "trapezoid"])
+def test_boundary_integral_is_the_quadrature_of_value_at(poly, request):
     P = request.getfixturevalue(poly)
     width = P.bbox[1][0] - P.bbox[0][0]
     grids = [build_grid(P, n, 0.5 * width / n) for n in (24, 48)]
     quad = boundary_quadrature(P)
     form = bump_form(0.05, (0.1, -0.2), 0.7)
-    # one quadrature alternately on two grids: its nearest nodes are per grid
+    # one quadrature alternately on two grids: its node moments are per grid
     for g in grids + grids:
-        for u in (SymplecticPotential.from_closed_form(P, g, form),
-                  SymplecticPotential.from_node_values(P, g, form(g.points[:, 0], g.points[:, 1]))):
-            assert np.array_equal(u.boundary_values(quad), u.value_at(quad.points)), u.provider
+        u = SymplecticPotential.from_closed_form(P, g, form)
+        assert u.boundary_integral(quad) == float(np.dot(quad.weights, u.value_at(quad.points)))
+        # node data: the Taylor steps' quadrature summed node by node
+        u = SymplecticPotential.from_node_values(P, g, form(g.points[:, 0], g.points[:, 1]))
+        ref = float(np.dot(quad.weights, u.value_at(quad.points)))
+        assert abs(u.boundary_integral(quad) - ref) <= 1e-14 * abs(ref)
 
 
 def _potential_of_kind(kind, triangle, grid48):

@@ -20,8 +20,9 @@ the same set in both trees, each in a fresh interpreter with
   (Ca = 1e4);
 * digests of the grid arrays (cell and quadrature weights, boundary
   distances, axis, jet and velocity operators, ``edges8``) on the triangle,
-  the hexagon, the trapezoid and the Hirzebruch F_3 trapezoid at
-  N = 12-128 with delta_min = h/2, h, 2h, 4h.  F_3 has a normal entry of 3:
+  the hexagon, the trapezoid, the Hirzebruch F_3 trapezoid and the triangle
+  with its (-1, -1) corner cut (a toric blow-up, normal (1, 1), offset 1.5)
+  at N = 12-128 with delta_min = h/2, h, 2h, 4h.  F_3 has a normal entry of 3:
   where every entry is 0, +-1 or +-2, each product of an entry with a
   coordinate is exact, and a fused and an unfused multiply-add give the same
   facet value, so only such a polygon shows a change in how facet values
@@ -53,6 +54,7 @@ POLYGONS = {
                 [1.0, 1.0, 1.0, 1.0, 1.5, 1.5]),
     "trapezoid": ([[1, 0], [0, 1], [-1, -2], [0, -1]], [1.0, 1.0, 3.0, 1.0]),
     "hirzebruch3": ([[1, 0], [0, 1], [-1, -3], [0, -1]], [1.0, 1.0, 4.0, 1.0]),
+    "triangle_cut": ([[1, 0], [1, 1], [0, 1], [-1, -1]], [1.0, 1.5, 1.0, 1.0]),
 }
 GRID_NS = (12, 24, 48, 96, 128)
 # delta_min as a multiple of h
