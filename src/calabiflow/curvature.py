@@ -535,17 +535,10 @@ def control_rm_rhs(cls: AdmissibleClass, x) -> float:
 def canonical_rm2_bound(cls: AdmissibleClass, q: float) -> float:
     """|Rm|^2 bound of the canonical potential where <p, z> + c_S = q:
 
-    (1/q^2) (scal_S^2 + 90 p1^4 / q^2 + (4 p1 + 24 p1^2 / q)^2) + 4/3.
+    (scal_S / q)^2 + 90 r^4 + (4 r + 24 r^2)^2 + 4/3, r = p1 / q.
 
-    A float power past the float range (p1^4 for p1 past 1.2e77) gives inf, the
-    value a product past it already gives, so a caller refuses it as it
-    refuses any non-finite bound.
+    In the ratio r no power of p1 itself is taken, so a class whose p1 and
+    c_S are both large has a finite bound wherever r is moderate.
     """
-    p1 = cls.p[0]
-    try:
-        return (
-            (cls.scal_S**2 + 90.0 * p1**4 / q**2 + (4.0 * p1 + 24.0 * p1**2 / q) ** 2) / q**2
-            + 4.0 / 3.0
-        )
-    except OverflowError:
-        return math.inf
+    r = cls.p[0] / q
+    return (cls.scal_S / q) ** 2 + 90.0 * r**4 + (4.0 * r + 24.0 * r**2) ** 2 + 4.0 / 3.0

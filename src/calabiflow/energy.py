@@ -93,6 +93,19 @@ def dissipation_integral(u: SymplecticPotential, cls: AdmissibleClass) -> float:
     return interior_quadrature(grid, _trace_of_square(U, Rh) * class_record(grid, cls).pw)
 
 
+def calabi_energy(u: SymplecticPotential, cls: AdmissibleClass, r_bar: float) -> float:
+    """int_P (R - r_bar)^2 p dmu, R the weighted scalar field and r_bar the
+    class's average_scalar, kept in u.curvature_cache: a flow step compares
+    it with its candidate's, an accepted candidate's is the next step's
+    energy now, and a record of that state reads it again."""
+    cache = u.curvature_cache
+    key = ("calabi", cls, r_bar)
+    if key not in cache:
+        R = weighted_scalar_field(u, cls)
+        cache[key] = interior_quadrature(u.grid, (R - r_bar) ** 2 * class_record(u.grid, cls).pw)
+    return cache[key]
+
+
 def fiber_average_scalar(P: DelzantPolytope) -> float:
     """Unweighted class average of the fiber scalar curvature: 2 |dP| / |P|."""
     return 2.0 * P.boundary_measure() / P.area
@@ -106,8 +119,7 @@ def energy_report(u: SymplecticPotential, cls: AdmissibleClass,
     area = interior_quadrature(grid, np.ones(grid.n_nodes))
     wvol = interior_quadrature(grid, pw)
     r_bar = average_scalar(u.polytope, cls, grid, quad)
-    R = weighted_scalar_field(u, cls)
-    calabi = interior_quadrature(grid, (R - r_bar) ** 2 * pw)
+    calabi = calabi_energy(u, cls, r_bar)
     rm2_tot = interior_quadrature(grid, rm2_total_field(u, cls) * pw)
     rm2_fib_field = fiber_riemann_norm_field(u)
     rm2_fib = interior_quadrature(grid, rm2_fib_field)

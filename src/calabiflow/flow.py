@@ -19,7 +19,7 @@ from .curvature import (
     stage_velocity,
     weighted_scalar_field,
 )
-from .energy import average_scalar, energy_report, interior_quadrature
+from .energy import average_scalar, calabi_energy, energy_report
 from .errors import ConfigError, CurvatureUndefinedError, StiffnessError
 from .polytope import (
     OFFSETS8,
@@ -97,19 +97,6 @@ def proposed_dt(u: SymplecticPotential, sigma: float) -> float:
     return sigma * u.grid.h**4 / (1.0 + s) ** 2
 
 
-def _calabi(u: SymplecticPotential, cls: AdmissibleClass, r_bar: float) -> float:
-    """The Calabi energy of u that step compares, kept in u.curvature_cache,
-    so that an accepted candidate's is not computed again as the next step's
-    energy now."""
-    cache = u.curvature_cache
-    key = ("calabi", cls, r_bar)
-    if key not in cache:
-        pw = class_record(u.grid, cls).pw
-        R = weighted_scalar_field(u, cls)
-        cache[key] = interior_quadrature(u.grid, (R - r_bar) ** 2 * pw)
-    return cache[key]
-
-
 def step(state: FlowState, cls: AdmissibleClass, sigma: float, r_bar: float) -> FlowState:
     """One accepted classical RK4 step from the CFL step proposed_dt(u, sigma),
     with r_bar the class's average scalar curvature; halves dt and retries on
@@ -125,7 +112,7 @@ def step(state: FlowState, cls: AdmissibleClass, sigma: float, r_bar: float) -> 
     if not 0 < sigma < math.inf:
         raise ConfigError(f"CFL factor sigma must be finite and positive, got {sigma!r}")
     u = state.u
-    calabi_now = _calabi(u, cls, r_bar)
+    calabi_now = calabi_energy(u, cls, r_bar)
     f0 = u.f_values
     dt = proposed_dt(u, sigma)
     grid, rec = u.grid, class_record(u.grid, cls)
@@ -139,7 +126,7 @@ def step(state: FlowState, cls: AdmissibleClass, sigma: float, r_bar: float) -> 
             k4 = stage_velocity(grid, rec, f0 + dt * k3, r_bar)
             f_new = f0 + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             cand = u.with_node_values(f_new)
-            calabi_new = _calabi(cand, cls, r_bar)
+            calabi_new = calabi_energy(cand, cls, r_bar)
         except CurvatureUndefinedError:
             dt *= 0.5
             continue
@@ -345,9 +332,10 @@ class FlowRun:
         self.eps_nodes = eps_region(self.grid, cfg.epsilon)
         self.eps2_nodes = eps_region(self.grid, 2.0 * cfg.epsilon)
         self.eps_ring = boundary_ring(self.grid, self.eps_nodes)
-        self.eps2_ring = boundary_ring(self.grid, self.eps2_nodes)
-        # a node on both rings: the lattice cannot separate the two level sets
-        self.rings_meet = bool(np.intersect1d(self.eps_ring, self.eps2_ring).size)
+        # a node on both rings: the lattice cannot separate the two level
+        # sets; an eps-ring node in the 2eps-region has a neighbour outside
+        # the eps-region, so it is on the 2eps-ring
+        self.rings_meet = bool(np.intersect1d(self.eps_ring, self.eps2_nodes).size)
         self.records: list[MonitorRecord] = []
         self.initial_witnesses = None
 
@@ -360,9 +348,9 @@ class FlowRun:
 
     @cached_property
     def _eps2_in_graph(self) -> np.ndarray:
-        """The positions of the 2eps-ring's nodes in eps_graph.nodes; the
+        """The positions of the 2eps-region's nodes in eps_graph.nodes; the
         2eps-region lies inside the eps-region."""
-        return np.searchsorted(self.eps_graph.nodes, self.eps2_ring)
+        return np.searchsorted(self.eps_graph.nodes, self.eps2_nodes)
 
     def _correction_derivative_maxima(self, u: SymplecticPotential) -> dict:
         """Max over the eps-region of |d^k f| per order k (a flow state is node
@@ -383,13 +371,15 @@ class FlowRun:
         cls = self.cls
         rep = energy_report(u, cls, self.bquad)
         # the Hessian field of the state's curvature context, cached by
-        # energy_report, and its lower eigenvalue
+        # energy_report; the context exists only once _spd_inverse has
+        # certified G positive definite at every node
         G = curvature_context(u)["G"]
-        eigs = _sym2_eigenvalues(G)[0]
-        positivity = bool(np.min(eigs) > 0)
         d = self._correction_derivative_maxima(u)
-        if len(self.eps_ring) and len(self.eps2_ring):
-            # distances at the eps-region's nodes, in the order of g.nodes
+        if len(self.eps_ring) and len(self.eps2_nodes):
+            # distances at the eps-region's nodes, in the order of g.nodes;
+            # a path from the eps-ring into the 2eps-region crosses its ring
+            # first, and lengths are not negative, so the least distance over
+            # the 2eps-region is that over its ring
             g = self.eps_graph
             dist = distance_field(g, G, self.eps_ring)
             dist_eps = float("nan") if self.rings_meet else float(np.min(dist[self._eps2_in_graph]))
@@ -406,12 +396,13 @@ class FlowRun:
             calabi_rate_residual=float("nan"),
             l2_u=rep.l2_u,
             boundary_u=rep.boundary_u,
-            min_hess_eig=float(eigs[self.eps_nodes].min()) if len(self.eps_nodes) else float("nan"),
+            min_hess_eig=(float(_sym2_eigenvalues(G[:, self.eps_nodes])[0].min())
+                          if len(self.eps_nodes) else float("nan")),
             max_d1=d[1], max_d2=d[2], max_d3=d[3], max_d4=d[4],
             dist_eps=dist_eps,
             q_d2_max=q_d2_max,
             invariant_j=rep.invariant_j,
-            positivity_ok=positivity,
+            positivity_ok=True,
         )
 
     def monitor(self) -> MonitorRecord:

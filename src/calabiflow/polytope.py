@@ -418,8 +418,6 @@ _D2_STENCILS = [
 # and kl = 00, 01, 11.
 GRADIENT_KEYS = ((1, 0), (0, 1))
 HESSIAN_KEYS = ((2, 0), (1, 1), (0, 2))
-# the first and second partials, the default of Grid.field_jets
-JET_KEYS = GRADIENT_KEYS + HESSIAN_KEYS
 
 # lattice offsets (di, dj) of the columns of Grid.neighbors8
 OFFSETS8 = np.array([(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)])
@@ -728,22 +726,20 @@ class Grid:
         (3, n), is the (00, 01, 11) components of Hess f."""
         return self._jet_operators[1]
 
-    def field_jets(self, f: np.ndarray, keys=JET_KEYS) -> dict:
+    def field_jets(self, f: np.ndarray) -> dict:
         """First and second derivative fields of a node field.
 
         f is (n,) or a stack (n, m) of m fields.  Tensor-product stencils in
         the interior; smooth least-squares jets on the near-boundary band.
-        Returns {(a, b): array shaped like f} for the partials `keys`, by
-        default every (a, b) with 1 <= a+b <= 2, from one product of each jet
-        operator that holds one of them.
+        Returns {(a, b): array shaped like f} for every (a, b) with
+        1 <= a+b <= 2, from one product of each jet operator.
         """
         f = np.asarray(f, dtype=float)
         jets = {}
-        for stacked, A in ((GRADIENT_KEYS, self.gradient_operator),
-                           (HESSIAN_KEYS, self.hessian_operator)):
-            if not set(stacked).isdisjoint(keys):
-                jets.update(zip(stacked, (A @ f).reshape(len(stacked), *f.shape)))
-        return {key: jets[key] for key in keys}
+        for keys, A in ((GRADIENT_KEYS, self.gradient_operator),
+                        (HESSIAN_KEYS, self.hessian_operator)):
+            jets.update(zip(keys, (A @ f).reshape(len(keys), *f.shape)))
+        return jets
 
     @property
     def boundary_distance(self) -> np.ndarray:

@@ -333,15 +333,10 @@ class SymplecticPotential:
         base = guillemin_partials(self.polytope, pts, order)
         return {key: base[key] + self.f_form.partial(*key, *pts.T) for key in base}
 
-    def hessian_field(self) -> np.ndarray:
-        """Components (00, 01, 11) of the Hessian of u at every node, (3, n)."""
-        # node data, on every flow-velocity evaluation: one product and one add
-        f = (self._f_jet(2) if self.f_form is None
-             else [self.f_partial(key) for key in HESSIAN_KEYS])
-        return np.add(self.grid.guillemin_hessian, f)
-
     def min_hessian_eigenvalues(self) -> np.ndarray:
-        return _sym2_eigenvalues(self.hessian_field())[0]
+        """The lower eigenvalue of the Hessian of u at every node."""
+        jets = self.jets(2)
+        return _sym2_eigenvalues([jets[key] for key in HESSIAN_KEYS])[0]
 
     # -- pointwise evaluation --------------------------------------------------
 

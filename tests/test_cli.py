@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from calabiflow import SymplecticPotential, save_snapshot
+from calabiflow import AdmissibleClass, SymplecticPotential, fiber_energy_bound, save_snapshot
 from calabiflow.cli import main
 import calabiflow
 import calabiflow.cli as cli_mod
@@ -375,16 +375,28 @@ def test_fiber_bound_regime_error(capsys, tmp_path):
     assert "12 p1" in err
 
 
-def test_fiber_bound_refuses_a_class_past_the_float_range(capsys, tmp_path):
-    # p1**4 overflows a float; the command once exited 1 with a traceback
+@pytest.mark.parametrize("p1", [1e77, 1e80], ids=["1e77", "1e80"])
+def test_fiber_bound_accepts_a_class_past_the_float_range(capsys, tmp_path, p1):
+    # p1**4 overflows a float from about 1.2e77, and a product in the old
+    # form of the bound from about 5e76, so the command once refused these
+    # in-regime classes with "bound inf"; in the ratio r = p1 / q the bound
+    # is finite and, at c_S = 12 p1, the bundle class's
     cpath = tmp_path / "class.json"
-    cpath.write_text(json.dumps({"p": [1e80, 1], "c_S": 1.2e81, "scal_S": -1, "m": 1,
+    c_S = 12.0 * p1
+    cpath.write_text(json.dumps({"p": [p1, 1], "c_S": c_S, "scal_S": -1, "m": 1,
                                  "chi_S": -2}))
-    code, out, err = run_cli(capsys, "fiber-bound", "--class", str(cpath))
-    assert code == 2, err
-    assert out == ""
-    assert err == ("error: pointwise curvature bound inf does not clear the regime "
-                   "ceiling 1.83333\n")
+    code, out, err = run_cli(capsys, "--json", "fiber-bound", "--class", str(cpath))
+    assert code == 0, err
+    data = json.loads(out)
+    q = c_S - 2.0 * p1
+    r = p1 / q
+    assert data["sup_rm2_pointwise"] == ((1.0 / q) ** 2 + 90.0 * r**4
+                                         + (4.0 * r + 24.0 * r**2) ** 2 + 4.0 / 3.0)
+    assert data["sup_rm2_pointwise"] == pytest.approx(1.7519333, abs=1e-7)
+    bundle = fiber_energy_bound(AdmissibleClass((1.0, 1.0), 12.0, -1.0, 1, -2))
+    assert data["ca_bound"] == pytest.approx(bundle.ca_bound, rel=1e-12)
+    assert data["certificate"]["sobolev_bound"] == pytest.approx(
+        bundle.certificate.sobolev_bound, rel=1e-12)
 
 
 @pytest.mark.parametrize("command", [("energy",), ("curvature", "--at", "0", "0")],

@@ -19,7 +19,7 @@ from calabiflow import (
 )
 from calabiflow.curvature import class_record, curvature_context
 from calabiflow.energy import dissipation_integral
-from calabiflow.polytope import HESSIAN_KEYS, JET_KEYS, Grid
+from calabiflow.polytope import Grid
 from calabiflow.potential import bump_form
 from conftest import GENERATED_POLYGONS, generated_grid
 from fd_oracle import sym2_matrices, tensor_field
@@ -192,8 +192,8 @@ def test_dissipation_density_matches_einsum_reference(poly, grid, request, bundl
     for cls in (bundle_class, AdmissibleClass.trivial(),
                 AdmissibleClass((0.7, 0.3), 13.1, 1.0, 1, 2)):
         R = weighted_scalar_field(u, cls)
-        Rh = sym2_matrices(list(g.field_jets(R, HESSIAN_KEYS).values()))
-        # the second-order blocks alone give the Hessian of R the full jets give
+        Rh = sym2_matrices((g.hessian_operator @ R).reshape(3, -1))
+        # the Hessian operator alone gives the Hessian of R the full jets give
         assert np.array_equal(Rh, tensor_field(g.field_jets(R), 2, g.n_nodes))
         U, pw = sym2_matrices(curvature_context(u)["U"]), class_record(g, cls).pw
         ref = interior_quadrature(g, np.einsum("nir,njs,nij,nrs->n", U, U, Rh, Rh) * pw)
@@ -205,16 +205,15 @@ def test_fresh_fd_report_evaluates_fiber_norm_once(monkeypatch, triangle, grid48
 
     u = _bump_fd(triangle, grid48)
     fiber_rm2, field_jets = curvature._fiber_rm2, Grid.field_jets
-    calls, keys = [], []
+    calls, jets = [], []
     monkeypatch.setattr(curvature, "_fiber_rm2", lambda d2U: calls.append(1) or fiber_rm2(d2U))
-    monkeypatch.setattr(Grid, "field_jets", lambda self, f, k=JET_KEYS:
-                        keys.append(tuple(k)) or field_jets(self, f, k))
+    monkeypatch.setattr(Grid, "field_jets", lambda self, f: jets.append(1) or field_jets(self, f))
     rep = energy_report(u, bundle_class)
     # |Rm|^2 and the unweighted fiber energy read one cached fiber field, and
     # the dissipation applies the Hessian operator alone to R, not through
     # field_jets
     assert calls == [1]
-    assert keys == []
+    assert jets == []
     assert rep.fiber_rm2_unweighted == interior_quadrature(
         grid48, curvature.fiber_riemann_norm_field(u))
 

@@ -135,13 +135,16 @@ def test_measure_reads_the_contexts_lower_eigenvalues(monkeypatch, triangle_file
         monkeypatch.setattr(owner, "_sym2_eigenvalues",
                             lambda S, _orig=orig: calls.append(S) or _orig(S))
     first = fr.measure()
-    # one eigen-decomposition per record, of the context's Hessian field
+    # one eigen-decomposition per record, of the eps-region's columns of the
+    # context's Hessian field; the context's SPD certificate is the record's
+    # positivity
     G = curvature.curvature_context(fr.state.u)["G"]
-    assert len(calls) == 1 and calls[0] is G
+    assert len(calls) == 1 and np.array_equal(calls[0], G[:, fr.eps_nodes])
     assert first.min_hess_eig == lo[fr.eps_nodes].min()
+    assert first.positivity_ok is True
     # a cached context keeps no eigenvalues: the next record decomposes again
     assert fr.measure().csv_row() == first.csv_row()
-    assert len(calls) == 2 and calls[1] is G
+    assert len(calls) == 2 and np.array_equal(calls[1], G[:, fr.eps_nodes])
 
 
 def test_step_decomposes_once_and_a_record_once_more(monkeypatch, triangle_file, bundle_class):
@@ -161,20 +164,6 @@ def test_step_decomposes_once_and_a_record_once_more(monkeypatch, triangle_file,
     # a record adds the lower eigenvalue field of the candidate's Hessian
     fr.measure()
     assert calls == ["calabiflow.flow", "calabiflow.flow"]
-
-
-def test_measure_reads_hessians_from_curvature_context(monkeypatch, triangle_file,
-                                                       bundle_class):
-    from calabiflow.curvature import curvature_context
-
-    fr = _flow_run24(triangle_file, bundle_class)
-    curvature_context(fr.state.u)
-    calls = []
-    orig = SymplecticPotential.hessian_field
-    monkeypatch.setattr(SymplecticPotential, "hessian_field",
-                        lambda self: calls.append(1) or orig(self))
-    fr.measure()
-    assert calls == []
 
 
 class _CountingTree:
@@ -281,7 +270,7 @@ def test_step_halves_dt_on_every_energy_increase(monkeypatch, triangle, bundle_c
     st = FlowState(t=0.0, u=SymplecticPotential.from_node_values(
         triangle, grid, np.zeros(grid.n_nodes)))
     energies, raised = [], []
-    real_calabi, real_stage = flow._calabi, flow.stage_velocity
+    real_calabi, real_stage = flow.calabi_energy, flow.stage_velocity
 
     def calabi(*args):
         energies.append(real_calabi(*args))
@@ -294,7 +283,7 @@ def test_step_halves_dt_on_every_energy_increase(monkeypatch, triangle, bundle_c
             raised.append(args)
             raise
 
-    monkeypatch.setattr(flow, "_calabi", calabi)
+    monkeypatch.setattr(flow, "calabi_energy", calabi)
     monkeypatch.setattr(flow, "stage_velocity", stage)
     with pytest.raises(StiffnessError, match="at t = 0$") as exc:
         step(st, bundle_class, 0.1, average_scalar(triangle, bundle_class, grid))
@@ -320,7 +309,7 @@ def test_step_rejects_non_spd_candidate(monkeypatch, triangle, grid48, bundle_cl
     k = int(np.argmin((grid48.points**2).sum(axis=1)))
     spike = np.zeros(grid48.n_nodes)
     spike[k] = u.min_hessian_eigenvalues()[k] * grid48.h**2 / (2.0 * 7.6 * dt0)
-    real_stage, real_calabi = flow.stage_velocity, flow._calabi
+    real_stage, real_calabi = flow.stage_velocity, flow.calabi_energy
     rejected = []
 
     def checked(f, check, *args):
@@ -345,7 +334,7 @@ def test_step_rejects_non_spd_candidate(monkeypatch, triangle, grid48, bundle_cl
     # k1 from the state, the later stages and the candidate's energy
     monkeypatch.setattr(flow, "rhs", lambda state, cls, r_bar: velocity(state.u.f_values))
     monkeypatch.setattr(flow, "stage_velocity", stage)
-    monkeypatch.setattr(flow, "_calabi", calabi)
+    monkeypatch.setattr(flow, "calabi_energy", calabi)
     new = step(FlowState(t=0.0, u=u), bundle_class, 0.1, 0.0)
     assert rejected == [pytest.approx(50.0 / 6.0)]
     assert new.dt_last == dt0 / 2
@@ -364,7 +353,8 @@ def test_riemannian_distance_flat_metric(triangle, grid48):
 
 def test_riemannian_distance_zero_on_overlap(fs48, triangle, grid48):
     ring = boundary_ring(grid48, eps_region(grid48, 0.25))
-    assert len(ring) and np.all(distance_field(whole_graph(grid48), fs48.hessian_field(), ring)[ring] == 0.0)
+    dist = distance_field(whole_graph(grid48), curvature_context(fs48)["G"], ring)
+    assert len(ring) and np.all(dist[ring] == 0.0)
 
 
 def test_riemannian_distance_refinement_monotone(triangle):
@@ -379,7 +369,7 @@ def test_riemannian_distance_refinement_monotone(triangle):
         a = int(np.argmin(((g.points - pts[0]) ** 2).sum(axis=1)))
         b = int(np.argmin(((g.points - pts[1]) ** 2).sum(axis=1)))
         assert np.allclose(g.points[a], pts[0]) and np.allclose(g.points[b], pts[1])
-        vals.append(distance_field(whole_graph(g), u.hessian_field(), [a])[b])
+        vals.append(distance_field(whole_graph(g), curvature_context(u)["G"], [a])[b])
     assert vals[1] <= vals[0] * (1 + 1e-9)
 
 
@@ -451,7 +441,7 @@ def bump_state(grid):
 
 
 def bump_hessians(grid):
-    return bump_state(grid).hessian_field()
+    return curvature_context(bump_state(grid))["G"]
 
 
 # the trapezoid's staircased facet, normal (-1, -2), gives the edge table
@@ -707,12 +697,25 @@ def test_step_from_a_cached_state_builds_one_potential(monkeypatch, triangle, gr
 
 def test_a_run_computes_each_states_calabi_energy_once(monkeypatch, tmp_path, triangle_file,
                                                        bundle_class):
+    import sys
+
+    import calabiflow.energy as energy
     import calabiflow.flow as flow
 
-    quadratures = []
-    real_quadrature = flow.interior_quadrature
-    monkeypatch.setattr(flow, "interior_quadrature",
-                        lambda *args: quadratures.append(1) or real_quadrature(*args))
+    # the quadratures made by calabi_energy, told apart from energy_report's
+    # others by their caller, and the calls of calabi_energy from the step
+    # and from a record's energy_report
+    quadratures, energies = [], []
+    real_quadrature, real_calabi = energy.interior_quadrature, energy.calabi_energy
+    monkeypatch.setattr(energy, "interior_quadrature", lambda *args: quadratures.append(
+        sys._getframe(1).f_code.co_name) or real_quadrature(*args))
+
+    def calabi(*args):
+        energies.append(sys._getframe(1).f_code.co_name)
+        return real_calabi(*args)
+
+    monkeypatch.setattr(energy, "calabi_energy", calabi)
+    monkeypatch.setattr(flow, "calabi_energy", calabi)
 
     def run(out, fresh):
         fr = FlowRun(RunConfig(polytope_path=str(triangle_file), admissible_class=bundle_class,
@@ -726,16 +729,20 @@ def test_a_run_computes_each_states_calabi_energy_once(monkeypatch, tmp_path, tr
             monkeypatch.setattr(flow, "step", lambda st, *args: real_step(
                 FlowState(t=st.t, u=st.u.with_node_values(st.u.f_values),
                           step_count=st.step_count), *args))
-        del quadratures[:]
+        del quadratures[:], energies[:]
         fr.advance()
         fr.write_outputs()
-        return fr, len(quadratures)
+        return fr, quadratures.count("calabi_energy"), list(energies)
 
-    cur, cur_count = run("cached", fresh=False)
-    ref, ref_count = run("fresh", fresh=True)
-    # three accepted steps at their proposed dt: four states, one energy each
+    cur, cur_count, cur_calls = run("cached", fresh=False)
+    ref, ref_count, ref_calls = run("fresh", fresh=True)
+    # three accepted steps at their proposed dt: four states, one energy
+    # each, though the step asks for it twice per attempt and each of the
+    # four records (the initial one and one per step) once more; a record
+    # reuses its step's energy, and the first step the initial record's
     assert cur.state.step_count == ref.state.step_count == 3
-    assert cur_count == 4 and ref_count == 6
+    assert sorted(cur_calls) == ["energy_report"] * 4 + ["step"] * 6 == sorted(ref_calls)
+    assert cur_count == 4 and ref_count == 7
     assert cur.state.t == ref.state.t
     assert np.array_equal(cur.state.u.f_values, ref.state.u.f_values)
     assert ((tmp_path / "cached" / "monitor.csv").read_bytes()
@@ -755,6 +762,28 @@ def test_rk4_step_makes_eight_sparse_products(triangle_file, bundle_class, csr_p
     assert len(csr_products) == 8
 
 
+@pytest.mark.parametrize("eps", [0.1, 0.25])
+@pytest.mark.parametrize("polygon", ["triangle", "hexagon", "trapezoid"])
+def test_dist_eps_reads_the_2eps_region_as_its_ring(request, tmp_path, bundle_class, polygon,
+                                                    eps):
+    # the rings meet where an eps-ring node lies in the 2eps-region, and the
+    # least distance over the 2eps-region is the least over its ring: both
+    # as computed from the 2eps-ring itself, bit for bit
+    path = tmp_path / f"{polygon}.json"
+    save_polytope(request.getfixturevalue(polygon), path)
+    fr = FlowRun(RunConfig(polytope_path=str(path), admissible_class=bundle_class, grid_n=48,
+                           perturbation_kind="bump", perturbation_amplitude=0.05,
+                           epsilon=eps, snapshot_every=0))
+    rec = fr.measure()
+    ring2 = boundary_ring(fr.grid, fr.eps2_nodes)
+    meet = bool(np.intersect1d(fr.eps_ring, ring2).size)
+    g = fr.eps_graph
+    dist = distance_field(g, curvature_context(fr.state.u)["G"], fr.eps_ring)
+    ref = math.nan if meet else float(np.min(dist[np.searchsorted(g.nodes, ring2)]))
+    assert fr.rings_meet == meet
+    assert np.array_equal(rec.dist_eps, ref, equal_nan=True)
+
+
 # a lattice step can move a node closer to a facet by more than eps, so the
 # eps-ring and the 2eps-ring can share nodes: the staircased facet of the
 # trapezoid at N=48 and eps = 0.1, and the triangle at N=12 and eps = 0.25;
@@ -768,7 +797,8 @@ def test_dist_eps_is_nan_when_the_rings_share_a_node(request, tmp_path, bundle_c
     fr = FlowRun(RunConfig(polytope_path=str(path), admissible_class=bundle_class, grid_n=n,
                            perturbation_kind="bump", perturbation_amplitude=0.05,
                            epsilon=eps, snapshot_every=0))
-    assert len(np.intersect1d(fr.eps_ring, fr.eps2_ring)) == shared
+    assert len(np.intersect1d(fr.eps_ring, boundary_ring(fr.grid, fr.eps2_nodes))) == shared
+    assert fr.rings_meet == bool(shared)
     rec = fr.measure()
     # the distance field itself is still defined, so q_d2_max is read
     assert np.isfinite(rec.q_d2_max)

@@ -106,11 +106,19 @@ def test_regime_errors():
         fiber_energy_bound(AdmissibleClass((1.0, 0.5), 12.0, -1.0, 1, -2))
     with pytest.raises(RegimeError, match="m = 1"):
         fiber_energy_bound(AdmissibleClass((1.0, 1.0), 12.0, -1.0, 0, -2))
-    # at p1 = 1e77 a product in the curvature bound overflows to inf; at 1e80
-    # p1**4 itself overflows, which once escaped as an OverflowError
+    # past p1 = 5e76 the curvature bound, taken in p1 itself, once overflowed
+    # to inf and refused these in-regime classes; in the ratio r = p1 / q it
+    # is finite, and at c_S = 12 p1 the certificate is the bundle class's
+    base = fiber_energy_bound(AdmissibleClass((1.0, 1.0), 12.0, -1.0, 1, -2))
     for p1 in (1e77, 1e80):
-        with pytest.raises(RegimeError, match="bound inf does not clear the regime ceiling"):
-            fiber_energy_bound(AdmissibleClass((p1, 1.0), 12.0 * p1, -1.0, 1, -2))
+        fb = fiber_energy_bound(AdmissibleClass((p1, 1.0), 12.0 * p1, -1.0, 1, -2))
+        r = p1 / fb.inf_weight
+        assert fb.sup_rm2_pointwise == ((1.0 / fb.inf_weight) ** 2 + 90.0 * r**4
+                                        + (4.0 * r + 24.0 * r**2) ** 2 + 4.0 / 3.0)
+        assert fb.sup_rm2_pointwise == pytest.approx(1.7519333, abs=1e-7)
+        assert fb.ca_bound == pytest.approx(base.ca_bound, rel=1e-12)
+        assert fb.certificate.sobolev_bound == pytest.approx(base.certificate.sobolev_bound,
+                                                             rel=1e-12)
 
 
 @pytest.mark.parametrize("scal_S, chi_S, named, blameless", [

@@ -13,6 +13,8 @@ the same set in both trees, each in a fresh interpreter with
   distances and third and fourth partials are compared off the triangle;
 * 10-step command-line flows on the triangle and the hexagon at N=12, with
   the ``energy`` and ``curvature`` JSON of their final snapshots;
+* a 10-step N=12 triangle flow at epsilon = 0.5, whose 2epsilon-region has no
+  node, so that its records' ring distances take their NaN side;
 * the ``--json`` outputs of the golden suite (``baseline``), of
   ``fiber-bound`` on the bundle class, and of ``sobolev-bound`` at one Calabi
   energy per outcome: a bound (Ca = 0 and 10), a closed Yamabe gap
@@ -127,6 +129,8 @@ def _write_inputs(work: Path) -> None:
         "cli_hexagon": ("hexagon", 12, {"max_steps": 10, "snapshot_every": 0}),
         "hexagon48": ("hexagon", 48, MONITORED_FLOW),
         "trapezoid48": ("trapezoid", 48, MONITORED_FLOW),
+        "triangle12_eps": ("triangle", 12, {"max_steps": 10, "snapshot_every": 0,
+                                            "epsilon": 0.5}),
     }
     for name, (polygon, n, extra) in flows.items():
         config = {"polytope": f"{polygon}.json", "class": "class.json", "grid": {"N": n},
@@ -146,7 +150,8 @@ def collect(work: Path) -> None:
         with open(work / stdout, "w") as fh:
             subprocess.run(cli + args, cwd=work, stdout=fh, check=True)
 
-    for name in ("acceptance", "cli_triangle", "cli_hexagon", "hexagon48", "trapezoid48"):
+    for name in ("acceptance", "cli_triangle", "cli_hexagon", "hexagon48", "trapezoid48",
+                 "triangle12_eps"):
         call(["--json", "flow", f"{name}.json"], f"{name}-flow.json")
     for name in ("cli_triangle", "cli_hexagon"):
         snap = f"{name}/snapshot_final.csv"
