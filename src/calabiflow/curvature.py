@@ -133,15 +133,28 @@ class ClassRecord:
 
 
 def _velocity_operator(grid: Grid, cls: AdmissibleClass, q: np.ndarray):
-    """The operator L of ClassRecord; it keeps the int32 indices of the grid's operators."""
+    """The operator L of ClassRecord, with the int32 indices of the grid's
+    operators.
+
+    The five D are row blocks of the grid's jet operators, built on slices
+    of their arrays, not copied row by row.  Scipy's products and sums form
+    L00, L01 and L11, and so fix the entry order of each of their rows; row
+    r of L is row r of L00, of L01 and of L11 in turn.  A row's entry order
+    is part of L's bits, since its products sum in that order, so the sums
+    stay scipy's until ROADMAP item 15 moves these bits anyway."""
     from scipy import sparse
 
     G, H, n = grid.gradient_operator, grid.hessian_operator, grid.n_nodes
-    Dx, Dy, Dxx, Dxy, Dyy = (A[k * n : (k + 1) * n]
-                             for A, k in ((G, 0), (G, 1), (H, 0), (H, 1), (H, 2)))
+
+    def rows(A, k):
+        lo, hi = A.indptr[k * n], A.indptr[(k + 1) * n]
+        return sparse.csr_array((A.data[lo:hi], A.indices[lo:hi],
+                                 A.indptr[k * n:(k + 1) * n + 1] - lo), shape=(n, n))
+
+    Dx, Dy, Dxx, Dxy, Dyy = (rows(A, k) for A, k in ((G, 0), (G, 1), (H, 0), (H, 1), (H, 2)))
     a0, a1 = (sparse.diags_array(2.0 * cls.m * p / q) for p in cls.p)
-    L00, L01, L11 = a0 @ Dx + Dxx, a0 @ Dy + a1 @ Dx + 2.0 * Dxy, a1 @ Dy + Dyy
-    return _frozen(sparse.hstack([L00, L01, L11], format="csr"))
+    blocks = a0 @ Dx + Dxx, a0 @ Dy + a1 @ Dx + 2.0 * Dxy, a1 @ Dy + Dyy
+    return _frozen(sparse.hstack(blocks, format="csr"))
 
 
 def class_record(grid: Grid, cls: AdmissibleClass) -> ClassRecord:

@@ -111,14 +111,14 @@ def fiber_average_scalar(P: DelzantPolytope) -> float:
     return 2.0 * P.boundary_measure() / P.area
 
 
-def energy_report(u: SymplecticPotential, cls: AdmissibleClass,
-                  quad: BoundaryQuadrature = None) -> EnergyReport:
+def _state_energies(u: SymplecticPotential, cls: AdmissibleClass, r_bar: float,
+                    quad: BoundaryQuadrature) -> dict:
+    """The EnergyReport fields of a state that depend on u, given the class
+    average r_bar and P's boundary quadrature: five interior quadratures
+    once the state's Calabi energy is cached.  A flow record reads these
+    alone, with the r_bar its run holds."""
     grid = u.grid
-    quad = quadrature_for(u.polytope, quad)
     pw = class_record(grid, cls).pw
-    area = interior_quadrature(grid, np.ones(grid.n_nodes))
-    wvol = interior_quadrature(grid, pw)
-    r_bar = average_scalar(u.polytope, cls, grid, quad)
     calabi = calabi_energy(u, cls, r_bar)
     rm2_tot = interior_quadrature(grid, rm2_total_field(u, cls) * pw)
     rm2_fib_field = fiber_riemann_norm_field(u)
@@ -130,15 +130,18 @@ def energy_report(u: SymplecticPotential, cls: AdmissibleClass,
     rf = abreu_scalar_field(u)
     rf_bar = fiber_average_scalar(u.polytope)
     invariant_j = rm2_fib - 0.25 * interior_quadrature(grid, (rf - rf_bar) ** 2)
+    return dict(calabi=calabi, total_rm2=rm2_tot, fiber_rm2_unweighted=rm2_fib, dissipation=diss,
+                boundary_u=u_bdry, l2_u=l2_u, invariant_j=invariant_j)
+
+
+def energy_report(u: SymplecticPotential, cls: AdmissibleClass,
+                  quad: BoundaryQuadrature = None) -> EnergyReport:
+    grid = u.grid
+    quad = quadrature_for(u.polytope, quad)
+    r_bar = average_scalar(u.polytope, cls, grid, quad)
     return EnergyReport(
-        area=area,
-        weighted_volume=wvol,
+        area=interior_quadrature(grid, np.ones(grid.n_nodes)),
+        weighted_volume=interior_quadrature(grid, class_record(grid, cls).pw),
         r_bar=r_bar,
-        calabi=calabi,
-        total_rm2=rm2_tot,
-        fiber_rm2_unweighted=rm2_fib,
-        dissipation=diss,
-        boundary_u=u_bdry,
-        l2_u=l2_u,
-        invariant_j=invariant_j,
+        **_state_energies(u, cls, r_bar, quad),
     )

@@ -19,7 +19,7 @@ from .curvature import (
     stage_velocity,
     weighted_scalar_field,
 )
-from .energy import average_scalar, calabi_energy, energy_report
+from .energy import _state_energies, average_scalar, calabi_energy
 from .errors import ConfigError, CurvatureUndefinedError, StiffnessError
 from .polytope import (
     OFFSETS8,
@@ -369,9 +369,11 @@ class FlowRun:
         """Evaluate all monitored quantities at the current state."""
         u = self.state.u
         cls = self.cls
-        rep = energy_report(u, cls, self.bquad)
+        # the run holds the class average, so the record pays for none of
+        # the u-free quadratures of energy_report
+        rep = _state_energies(u, cls, self.r_bar, self.bquad)
         # the Hessian field of the state's curvature context, cached by
-        # energy_report; the context exists only once _spd_inverse has
+        # _state_energies; the context exists only once _spd_inverse has
         # certified G positive definite at every node
         G = curvature_context(u)["G"]
         d = self._correction_derivative_maxima(u)
@@ -391,17 +393,17 @@ class FlowRun:
             q_d2_max = float("nan")
         return MonitorRecord(
             t=self.state.t,
-            calabi=rep.calabi,
-            dissipation=rep.dissipation,
+            calabi=rep["calabi"],
+            dissipation=rep["dissipation"],
             calabi_rate_residual=float("nan"),
-            l2_u=rep.l2_u,
-            boundary_u=rep.boundary_u,
+            l2_u=rep["l2_u"],
+            boundary_u=rep["boundary_u"],
             min_hess_eig=(float(_sym2_eigenvalues(G[:, self.eps_nodes])[0].min())
                           if len(self.eps_nodes) else float("nan")),
             max_d1=d[1], max_d2=d[2], max_d3=d[3], max_d4=d[4],
             dist_eps=dist_eps,
             q_d2_max=q_d2_max,
-            invariant_j=rep.invariant_j,
+            invariant_j=rep["invariant_j"],
             positivity_ok=True,
         )
 

@@ -423,25 +423,6 @@ HESSIAN_KEYS = ((2, 0), (1, 1), (0, 2))
 OFFSETS8 = np.array([(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)])
 
 
-def _csr(rows, cols, vals, shape):
-    """CSR matrix from entry triplets; the entries of a row keep their order.
-
-    Indices are int32 (scipy keeps int64 ones as given, doubling the index
-    memory of every operator)."""
-    from scipy import sparse
-
-    order = np.argsort(rows, kind="stable")
-    indptr = np.zeros(shape[0] + 1, dtype=np.int32)
-    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
-    return sparse.csr_array((vals[order], cols[order].astype(np.int32), indptr), shape=shape)
-
-
-def _entries(A):
-    """(rows, cols, vals) of a CSR matrix in storage order."""
-    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
-    return rows, A.indices, A.data
-
-
 def _frozen(A):
     """A with read-only data, indices and row pointer, so that a read which
     sorts its rows in place (scipy's max or abs) raises ValueError instead of
@@ -468,9 +449,16 @@ class Grid:
     the two jet operators ``gradient_operator`` (2n, n) and
     ``hessian_operator`` (3n, n), which stack the first and the second
     partials row block by row block, and the quadrature functional in
-    ``quadrature_weights``.  The operators' arrays are read-only: a caller
-    copies an operator before canonicalizing it (sum_duplicates,
-    sort_indices), or before a read that does so in place.  ``class_records`` holds
+    ``quadrature_weights``.  The axis and jet operators are compiled by
+    writing their CSR arrays in place: every row's length is known before
+    any entry is written, so indptr is one cumulative sum, and each source
+    (a stencil of the table, the stored rows of an axis operator or of the
+    product d/dy d/dx, a least-squares cloud) writes its entries at
+    indptr[row] + slot in a fixed order.  That order is part of the
+    operators' bits: a product sums each row in it.  The operators' arrays
+    are read-only: a caller copies an operator before canonicalizing it
+    (sum_duplicates, sort_indices), or before a read that does so in place,
+    since either reorders the rows.  ``class_records`` holds
     the constants of each admissible class on the grid, among them the flow
     velocity's operator (see calabiflow.curvature.class_record).  Nothing
     derived refers back to the grid, so a grid is freed without a cyclic
@@ -559,48 +547,61 @@ class Grid:
         return (rows.astype(np.int32), nbrs[rows, k].astype(np.int32),
                 k.astype(np.int8), indptr)
 
-    def _axis_operator(self, axis: int, order: int):
-        """(CSR matrix, stencil) of one axis stencil operator.
+    def _axis_operators(self, axis: int):
+        """{order: (CSR matrix, stencil)} of the axis's stencil operators of
+        orders 1 and 2.
 
-        Each node takes the first stencil of the table whose nodes all exist;
-        stencil holds its index in the table, -1 where no stencil serves the
-        node.  Such a node gets the row of the nearest served node.
-        The axis neighbours at offsets -3..3 are gathered once, and each
-        stencil picks its columns from them.
+        Each node takes the first stencil of the order's table whose nodes all
+        exist; stencil holds its index in the table, -1 where no stencil
+        serves the node.  Such a node gets the row of the nearest served node.
+        The axis neighbours at offsets -3..3 are gathered once for both
+        orders, and each stencil picks its columns from them.  The arrays are
+        written in place: a row's length is its stencil's, so indptr is one
+        cumulative sum, and each stencil writes its coefficients and columns,
+        in table order, into the slots of the rows it serves.
         """
-        table = _D1_STENCILS if order == 1 else _D2_STENCILS
-        scale = self.h if order == 1 else self.h * self.h
+        from scipy import sparse
+
         n = self.n_nodes
         line = self._neighbors(np.outer(np.arange(-3, 4), np.eye(2, dtype=int)[axis]))
-        stencil = np.full(n, -1, dtype=np.int8)
-        rows, cols, vals = [], [], []
-        for s, (offs, cs) in enumerate(table):
-            ids = line[:, np.add(offs, 3)]
-            take = (stencil < 0) & (ids >= 0).all(axis=1)
-            stencil[take] = s
-            rows.append(np.repeat(np.nonzero(take)[0], len(offs)))
-            cols.append(ids[take].ravel())
-            vals.append(np.tile(np.asarray(cs) / scale, int(take.sum())))
-        A = _csr(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), (n, n))
-        if (stencil >= 0).all():
-            return A, stencil
-        good = np.nonzero(stencil >= 0)[0]
-        if len(good) == 0:
-            raise DegenerateInputError("grid too sparse for finite differences")
-        bad = np.nonzero(stencil < 0)[0]
-        d2 = ((self.points[bad][:, None, :] - self.points[good][None, :, :]) ** 2).sum(-1)
-        src = np.arange(n)
-        src[bad] = good[np.argmin(d2, axis=1)]
-        return A[src], stencil
+        exists = line >= 0
+        out = {}
+        for order, table, scale in ((1, _D1_STENCILS, self.h), (2, _D2_STENCILS, self.h * self.h)):
+            stencil = np.full(n, -1, dtype=np.int8)
+            for s, (offs, _) in enumerate(table):
+                take = (stencil < 0) & exists[:, np.add(offs, 3)].all(axis=1)
+                stencil[take] = s
+            # row r holds the stencil row of node src[r]
+            src = np.arange(n)
+            bad = np.nonzero(stencil < 0)[0]
+            if len(bad):
+                good = np.nonzero(stencil >= 0)[0]
+                if len(good) == 0:
+                    raise DegenerateInputError("grid too sparse for finite differences")
+                d2 = ((self.points[bad][:, None, :] - self.points[good][None, :, :]) ** 2).sum(-1)
+                src[bad] = good[np.argmin(d2, axis=1)]
+            row_stencil = stencil[src]
+            lengths = np.array([len(offs) for offs, _ in table])[row_stencil]
+            indptr = np.zeros(n + 1, dtype=np.int32)
+            np.cumsum(lengths, out=indptr[1:])
+            data = np.empty(indptr[-1])
+            indices = np.empty(indptr[-1], dtype=np.int32)
+            for s, (offs, cs) in enumerate(table):
+                served = row_stencil == s
+                rows = np.nonzero(served)[0]
+                at = np.repeat(served, lengths)
+                data[at] = np.tile(np.asarray(cs) / scale, len(rows))
+                indices[at] = line.take(src[rows], axis=0)[:, np.add(offs, 3)].ravel()
+            out[order] = sparse.csr_array((data, indices, indptr), shape=(n, n)), stencil
+        return out
 
     @cached_property
     def _compiled(self):
         """({(axis, order): CSR}, {(axis, order): stencil}) for orders 1, 2;
-        stencil as _axis_operator has it."""
+        stencil as _axis_operators has it."""
         ops, stencils = {}, {}
         for axis in (0, 1):
-            for order in (1, 2):
-                A, stencils[axis, order] = self._axis_operator(axis, order)
+            for order, (A, stencils[axis, order]) in self._axis_operators(axis).items():
                 ops[axis, order] = _frozen(A)
         return ops, stencils
 
@@ -664,8 +665,9 @@ class Grid:
         # composition d/dy of the d/dx field: flag consumers of inexact
         # intermediates; the entry appended for index -1 marks unserved rows
         inexact = np.array([len(offs) == 2 and 0 in offs for offs, _ in _D1_STENCILS] + [True])
-        r, c, _ = _entries(ops[1, 1])
-        bad[r[inexact[stencils[0, 1][c]]]] = True
+        dy = ops[1, 1]
+        rows = np.repeat(np.arange(self.n_nodes), np.diff(dy.indptr))
+        bad[rows[inexact[stencils[0, 1][dy.indices]]]] = True
         nodes = np.nonzero(bad)[0]
         clouds, M = self._quadratic_cloud(self.points[nodes], 24)
         # Gaussian distance weights: neighbors fade smoothly, so the fitted
@@ -684,27 +686,41 @@ class Grid:
         """(gradient_operator, hessian_operator): see those.
 
         Tensor-product stencil rows in the interior, the mixed partial being
-        d/dy of d/dx; least-squares rows on the near-boundary band.
+        d/dy of d/dx; least-squares rows on the near-boundary band.  The
+        arrays are written in place: a row's length is known first (its
+        stencil row's off the band, its cloud's on it), so indptr is one
+        cumulative sum; each off-band row copies its stencil row's entries in
+        their stored order, and each band row its cloud's in cloud order.
         """
+        from scipy import sparse
+
         ops = self.axis_operators
         n, h = self.n_nodes, self.h
         nodes, clouds, pinv = self._ls_band()
-        in_band = np.zeros(n, dtype=bool)
-        in_band[nodes] = True
-        band_rows = np.repeat(nodes, clouds.shape[1])
+        off_band = np.ones(n, dtype=bool)
+        off_band[nodes] = False
 
         def stack(parts):
             # row block k of the stack: the stencil rows of parts[k] off the
-            # band, its least-squares rows on it
-            rows, cols, vals = [], [], []
+            # band, its least-squares rows on it; the band nodes are sorted,
+            # so their rows take the clouds in turn
+            lengths = np.empty((len(parts), n), dtype=np.int32)
+            for k, (stencil, _) in enumerate(parts):
+                lengths[k] = np.diff(stencil.indptr)
+            lengths[:, nodes] = clouds.shape[1]
+            indptr = np.zeros(lengths.size + 1, dtype=np.int32)
+            np.cumsum(lengths.ravel(), out=indptr[1:])
+            data = np.empty(indptr[-1])
+            indices = np.empty(indptr[-1], dtype=np.int32)
             for k, (stencil, ls) in enumerate(parts):
-                r, c, v = _entries(stencil)
-                keep = ~in_band[r]
-                rows += [r[keep] + k * n, band_rows + k * n]
-                cols += [c[keep], clouds.ravel()]
-                vals += [v[keep], ls.ravel()]
-            return _frozen(_csr(np.concatenate(rows), np.concatenate(cols),
-                                np.concatenate(vals), (len(parts) * n, n)))
+                at = slice(indptr[k * n], indptr[(k + 1) * n])
+                copied = np.repeat(off_band, lengths[k])
+                kept = np.repeat(off_band, np.diff(stencil.indptr))
+                data[at][copied] = stencil.data[kept]
+                indices[at][copied] = stencil.indices[kept]
+                data[at][~copied] = ls.ravel()
+                indices[at][~copied] = clouds.ravel()
+            return _frozen(sparse.csr_array((data, indices, indptr), shape=(len(parts) * n, n)))
 
         gradient = stack(((ops[0, 1], pinv[:, 1] / h), (ops[1, 1], pinv[:, 2] / h)))
         hessian = stack(((ops[0, 2], 2.0 * pinv[:, 3] / (h * h)),

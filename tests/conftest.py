@@ -163,6 +163,18 @@ def generated_grid(name, n):
     return build_grid(P, n, 0.5 * (P.bbox[1][0] - P.bbox[0][0]) / n)
 
 
+@pytest.fixture(params=["triangle", "hexagon", "trapezoid", "F2 cut twice"])
+def small_grid(request, triangle, hex_grid, trap_grid):
+    """A small triangle grid (N=16), the hexagon and trapezoid grids and a
+    generated polygon at N=24; all but the hexagon grid have nodes that no
+    stencil of some axis operator serves."""
+    if request.param == "triangle":
+        return build_grid(triangle, 16, 0.5 * 3.0 / 16)
+    if request.param in GENERATED_POLYGONS:
+        return generated_grid(request.param, 24)
+    return {"hexagon": hex_grid, "trapezoid": trap_grid}[request.param]
+
+
 def interior_points(polytope, rng, n, margin=0.3):
     """Random points at distance >= margin from the boundary."""
     pts = []

@@ -549,6 +549,26 @@ def test_velocity_operator_matches_block_trace_formula(poly, grid, request, bund
         assert np.all(np.abs(R - ref) <= 1e-12 * scale), cls
 
 
+def test_velocity_operator_arrays_match_scipy_hstack_reference(small_grid, bundle_class):
+    from scipy import sparse
+
+    g = small_grid
+    G, H, n = g.gradient_operator, g.hessian_operator, g.n_nodes
+    # scipy's row slices, products, sums and horizontal stack, whose entry
+    # order within each row the products of L sum in
+    Dx, Dy, Dxx, Dxy, Dyy = (A[k * n : (k + 1) * n] for A, k in ((G, 0), (G, 1), (H, 0),
+                                                                 (H, 1), (H, 2)))
+    for cls in (bundle_class, AdmissibleClass.trivial(), AdmissibleClass((0.7, 0.3), 13.1, 1.0, 1, 2)):
+        q = cls.affine(g.points)
+        a0, a1 = (sparse.diags_array(2.0 * cls.m * p / q) for p in cls.p)
+        ref = sparse.hstack([a0 @ Dx + Dxx, a0 @ Dy + a1 @ Dx + 2.0 * Dxy, a1 @ Dy + Dyy],
+                            format="csr")
+        L = class_record(g, cls).L
+        assert L.shape == ref.shape == (n, 3 * n)
+        for a, b in ((L.data, ref.data), (L.indices, ref.indices), (L.indptr, ref.indptr)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), cls
+
+
 # -- closed-form contractions against the einsum references ------------------
 
 @pytest.mark.parametrize("poly, grid", POLY_GRIDS)

@@ -702,9 +702,9 @@ def test_a_run_computes_each_states_calabi_energy_once(monkeypatch, tmp_path, tr
     import calabiflow.energy as energy
     import calabiflow.flow as flow
 
-    # the quadratures made by calabi_energy, told apart from energy_report's
+    # the quadratures made by calabi_energy, told apart from a record's
     # others by their caller, and the calls of calabi_energy from the step
-    # and from a record's energy_report
+    # and from a record's _state_energies
     quadratures, energies = [], []
     real_quadrature, real_calabi = energy.interior_quadrature, energy.calabi_energy
     monkeypatch.setattr(energy, "interior_quadrature", lambda *args: quadratures.append(
@@ -741,12 +741,33 @@ def test_a_run_computes_each_states_calabi_energy_once(monkeypatch, tmp_path, tr
     # four records (the initial one and one per step) once more; a record
     # reuses its step's energy, and the first step the initial record's
     assert cur.state.step_count == ref.state.step_count == 3
-    assert sorted(cur_calls) == ["energy_report"] * 4 + ["step"] * 6 == sorted(ref_calls)
+    assert sorted(cur_calls) == ["_state_energies"] * 4 + ["step"] * 6 == sorted(ref_calls)
     assert cur_count == 4 and ref_count == 7
     assert cur.state.t == ref.state.t
     assert np.array_equal(cur.state.u.f_values, ref.state.u.f_values)
     assert ((tmp_path / "cached" / "monitor.csv").read_bytes()
             == (tmp_path / "fresh" / "monitor.csv").read_bytes())
+
+
+def test_a_record_makes_five_interior_quadratures(monkeypatch, triangle_file, bundle_class):
+    import calabiflow.energy as energy
+
+    fr = _flow_run24(triangle_file, bundle_class)
+    fr.state = step(fr.state, fr.cls, fr.cfg.cfl_sigma, fr.r_bar)
+    quadratures = []
+    real_quadrature = energy.interior_quadrature
+    monkeypatch.setattr(energy, "interior_quadrature",
+                        lambda *args: quadratures.append(1) or real_quadrature(*args))
+    rec = fr.measure()
+    # the total and fiber |Rm|^2, the dissipation, the L2 norm of u and the
+    # invariant's scalar term; the step cached the state's Calabi energy, and
+    # the run holds r_bar, so the area, the weighted volume and the two
+    # quadratures of average_scalar are not made again
+    assert len(quadratures) == 5
+    rep = energy.energy_report(fr.state.u, fr.cls, fr.bquad)
+    assert rep.r_bar == fr.r_bar
+    assert (rec.calabi, rec.dissipation, rec.l2_u, rec.boundary_u, rec.invariant_j) == (
+        rep.calabi, rep.dissipation, rep.l2_u, rep.boundary_u, rep.invariant_j)
 
 
 def test_rk4_step_makes_eight_sparse_products(triangle_file, bundle_class, csr_products):

@@ -596,16 +596,7 @@ def test_field_jets_exact_on_quadratics(grid48):
 
 
 # the small grids with nodes that no stencil of some axis operator serves
-_UNSERVED_GRIDS = ("triangle", "trapezoid")
-
-
-@pytest.fixture(params=["triangle", "hexagon", "trapezoid"])
-def small_grid(request, triangle, hex_grid, trap_grid):
-    """A small triangle grid, the hexagon grid and the trapezoid grid; the
-    triangle and the trapezoid grids have unserved stencil rows."""
-    if request.param == "triangle":
-        return build_grid(triangle, 16, 0.5 * 3.0 / 16)
-    return {"hexagon": hex_grid, "trapezoid": trap_grid}[request.param]
+_UNSERVED_GRIDS = ("triangle", "trapezoid", "F2 cut twice")
 
 
 def test_boundary_distance_matches_scalar_loop(triangle, grid48, hexagon, hex_grid, trap_grid):
@@ -661,11 +652,20 @@ def _loop_stencil_rows(g, axis, order):
     return rows
 
 
+def _row(A, r) -> tuple:
+    """(columns, values) of row r of a CSR operator, in storage order."""
+    lo, hi = A.indptr[r], A.indptr[r + 1]
+    return A.indices[lo:hi].tolist(), A.data[lo:hi].tolist()
+
+
 def test_axis_operators_match_stencil_loop(small_grid, request):
+    # a product sums each row in storage order, so the order is part of the
+    # operator's bits: a served row holds its stencil's entries in the order
+    # of the table
     g = small_grid
     unserved = 0
     for (axis, order), A in g.axis_operators.items():
-        dense = A.toarray()
+        assert A.indices.dtype == A.indptr.dtype == np.int32
         rows = _loop_stencil_rows(g, axis, order)
         served = [k for k, r in enumerate(rows) if r is not None]
         unserved += g.n_nodes - len(served)
@@ -674,12 +674,31 @@ def test_axis_operators_match_stencil_loop(small_grid, request):
                 # unserved rows repeat the row of the nearest served node
                 d2 = ((g.points[served] - g.points[k]) ** 2).sum(axis=1)
                 row = rows[served[int(np.argmin(d2))]]
-            expect = np.zeros(g.n_nodes)
-            for col, c in row.items():
-                expect[col] = c
-            assert np.array_equal(dense[k], expect), (axis, order, k)
+            assert _row(A, k) == (list(row), list(row.values())), (axis, order, k)
     # the fill rows are checked where there are some
     assert (unserved > 0) == (request.node.callspec.params["small_grid"] in _UNSERVED_GRIDS)
+
+
+def test_jet_operator_rows_are_in_stencil_order_off_the_band_and_cloud_order_on_it(
+        small_grid):
+    g = small_grid
+    ops, h, n = g.axis_operators, g.h, g.n_nodes
+    nodes, clouds, pinv = g._ls_band()
+    band = {node: b for b, node in enumerate(nodes.tolist())}
+    stacks = (
+        (g.gradient_operator, ((ops[0, 1], pinv[:, 1] / h), (ops[1, 1], pinv[:, 2] / h))),
+        (g.hessian_operator, ((ops[0, 2], 2.0 * pinv[:, 3] / (h * h)),
+                              (ops[1, 1] @ ops[0, 1], pinv[:, 4] / (h * h)),
+                              (ops[1, 2], 2.0 * pinv[:, 5] / (h * h)))),
+    )
+    for A, parts in stacks:
+        assert A.indices.dtype == A.indptr.dtype == np.int32
+        assert A.shape == (len(parts) * n, n)
+        for k, (stencil, ls) in enumerate(parts):
+            for r in range(n):
+                b = band.get(r)
+                expect = _row(stencil, r) if b is None else (clouds[b].tolist(), ls[b].tolist())
+                assert _row(A, k * n + r) == expect, (k, r)
 
 
 def test_neighbors_match_node_loop(small_grid):

@@ -2,9 +2,13 @@
 
     python3 tools/identity.py PARENT_REV
 
-Exports PARENT_REV with ``git archive`` into a temporary directory and runs
-the same set in both trees, each in a fresh interpreter with
-``PYTHONPATH=<tree>/src``:
+Exports PARENT_REV with ``git archive`` into a temporary directory and
+collects the set of each tree with that tree's own ``tools/identity.py``, in
+a fresh interpreter with ``PYTHONPATH=<tree>/src``, so that an output one
+tree adds, or a command or option the other lacks, shows as a difference
+instead of stopping the run.  A revision without ``tools/identity.py`` has
+nothing to collect with: the script says so and exits 2.  The set of this
+tree is:
 
 * the N=48 acceptance flow on the standard triangle (bump 0.05, 200 steps,
   a monitor record every 5 and a snapshot every 50);
@@ -30,9 +34,13 @@ the same set in both trees, each in a fresh interpreter with
   facet value, so only such a polygon shows a change in how facet values
   are multiplied that moves bits.
 
-Prints every output that differs and, for a monitor CSV, the largest
-relative drift of each column and the number of its rows that are NaN on one
-side only.  Exits 1 on any difference, 0 otherwise.
+Prints every output that differs, every output and grid digest found in one
+tree only, every command that fails in either tree (a failing command leaves
+a ``<output>.failed`` file holding its exit status; it fails the run even
+where it fails alike in both) and a collect that fails as a whole; for a
+monitor CSV it prints the largest relative drift of each column and the
+number of its rows that are NaN on one side only.  Exits 1 on any difference
+or failure, 0 otherwise; 2 when the revision cannot be exported.
 It runs from any working directory; the revision is read from the checkout
 that holds this script.
 """
@@ -148,7 +156,11 @@ def collect(work: Path) -> None:
 
     def call(args, stdout):
         with open(work / stdout, "w") as fh:
-            subprocess.run(cli + args, cwd=work, stdout=fh, check=True)
+            status = subprocess.run(cli + args, cwd=work, stdout=fh).returncode
+        if status:
+            # the failure is an output too, so that a command failing in one
+            # tree only is listed as a difference
+            (work / f"{stdout}.failed").write_text(f"exit status {status}\n")
 
     for name in ("acceptance", "cli_triangle", "cli_hexagon", "hexagon48", "trapezoid48",
                  "triangle12_eps"):
@@ -188,28 +200,40 @@ def _monitor_drift(a: Path, b: Path) -> list:
 
 
 def compare(a: Path, b: Path) -> int:
-    """Print each output that differs between two collect directories; the
-    number of differences."""
+    """Print each output that differs between two collect directories, a the
+    parent's and b this tree's, that is found in one of them only, or whose
+    command fails in either; the number of such outputs."""
     files = sorted({p.relative_to(d) for d in (a, b) for p in d.rglob("*") if p.is_file()})
     bad = 0
     for rel in files:
         pa, pb = a / rel, b / rel
-        if pa.is_file() and pb.is_file() and pa.read_bytes() == pb.read_bytes():
+        both = pa.is_file() and pb.is_file()
+        side = "the parent" if pa.is_file() else "this tree"
+        if rel.suffix == ".failed":
+            # a failing command counts even where it fails alike in both
+            # trees, where its outputs are alike too
+            bad += 1
+            print(f"{rel.with_suffix('')}: its command fails in "
+                  f"{'both trees' if both else side + ' only'}")
+            continue
+        if both and pa.read_bytes() == pb.read_bytes():
             continue
         bad += 1
-        if not (pa.is_file() and pb.is_file()):
-            print(f"{rel}: only in {'the parent' if pa.is_file() else 'this tree'}")
+        if not both:
+            print(f"{rel}: only in {side}")
         elif rel.name == "grid_digests.json":
             da, db = json.loads(pa.read_text()), json.loads(pb.read_text())
             for key in sorted(set(da) | set(db)):
-                if da.get(key) != db.get(key):
+                if (key in da) != (key in db):
+                    print(f"{rel}: {key} only in {'the parent' if key in da else 'this tree'}")
+                elif da[key] != db[key]:
                     print(f"{rel}: {key} differs")
         elif rel.name == "monitor.csv":
             print(f"{rel} differs; largest relative drift per column:")
             print("\n".join(_monitor_drift(pa, pb)))
         else:
             print(f"{rel} differs")
-    print(f"{len(files)} outputs compared, {bad} differ")
+    print(f"{len(files)} outputs compared, {bad} differ or fail")
     return bad
 
 
@@ -225,13 +249,24 @@ def main(argv) -> int:
         parent = tmp / "parent"
         parent.mkdir()
         archive = subprocess.run(["git", "-C", str(ROOT), "archive", argv[1]],
-                                 stdout=subprocess.PIPE, check=True).stdout
-        subprocess.run(["tar", "-x", "-C", str(parent)], input=archive, check=True)
-        for label, tree in (("parent", parent), ("tree", ROOT)):
+                                 stdout=subprocess.PIPE)
+        if archive.returncode:
+            print(f"git cannot export {argv[1]}", file=sys.stderr)
+            return 2
+        subprocess.run(["tar", "-x", "-C", str(parent)], input=archive.stdout, check=True)
+        script = Path("tools", "identity.py")
+        if not (parent / script).is_file():
+            print(f"{argv[1]} has no {script} to collect its outputs with", file=sys.stderr)
+            return 2
+        failed = 0
+        for label, tree in (("the parent", parent), ("this tree", ROOT)):
             env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-            subprocess.run([sys.executable, str(Path(__file__).resolve()), "--collect",
-                            str(tmp / f"out-{label}")], env=env, check=True)
-        return 1 if compare(tmp / "out-parent", tmp / "out-tree") else 0
+            status = subprocess.run([sys.executable, str(tree / script), "--collect",
+                                     str(tmp / label.replace(" ", "-"))], env=env).returncode
+            if status:
+                print(f"the collect of {label} fails (exit status {status})")
+                failed += 1
+        return 1 if compare(tmp / "the-parent", tmp / "this-tree") + failed else 0
 
 
 if __name__ == "__main__":
