@@ -12,6 +12,7 @@ import hashlib
 import itertools
 import json
 import math
+import numbers
 import weakref
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
@@ -337,20 +338,28 @@ def standard_triangle() -> DelzantPolytope:
 # canonical singular part
 
 
+def _derivative_order(order) -> int:
+    """order as an int; ValueError unless it is a whole number from 0 to 4,
+    the orders whose partials are supported."""
+    if not (isinstance(order, numbers.Real) and float(order).is_integer() and 0 <= order <= 4):
+        raise ValueError(f"derivative order must be a whole number from 0 to 4, got {order!r}")
+    return int(order)
+
+
 def guillemin_partials(P: DelzantPolytope, points, order: int = 4) -> dict:
     """All partials of u_G = 1/2 sum l_i ln l_i up to `order` at interior points.
 
     Returns {(a, b): array}.  Raises DomainError if any point is on or outside
-    the boundary.
+    the boundary, ValueError unless order is a whole number from 0 to 4.
     """
-    if order > 4:
-        raise ValueError("derivatives supported up to order 4")
+    order = _derivative_order(order)
     pts = np.asarray(points, dtype=float)
     single = pts.ndim == 1
     L, V = _interior_facet_values(P, np.atleast_2d(pts)), P.normals.astype(float)
+    log_l = np.log(L)
     out = {}
     for k in range(order + 1):
-        out.update(_guillemin_order(L, V, k))
+        out.update(_guillemin_order(L, log_l, V, k))
     if single:
         out = {k: v[0] for k, v in out.items()}
     return out
@@ -364,14 +373,15 @@ def _interior_facet_values(P: DelzantPolytope, pts: np.ndarray) -> np.ndarray:
     return L
 
 
-def _guillemin_order(L: np.ndarray, V: np.ndarray, k: int) -> dict:
+def _guillemin_order(L: np.ndarray, log_l: np.ndarray, V: np.ndarray, k: int) -> dict:
     """The partials {(a, b): array} of u_G with a + b = k, from the facet
-    values L (n, d) and the normals V (d, 2): for k >= 2 they are
-    c_k sum_i v_i^(a, b) / l_i^(k-1) with c_k = 1/2, -1/2, 1."""
+    values L (n, d), their logarithm log_l (read for k <= 1 only) and the
+    normals V (d, 2): for k >= 2 they are c_k sum_i v_i^(a, b) / l_i^(k-1)
+    with c_k = 1/2, -1/2, 1."""
     if k == 0:
-        return {(0, 0): 0.5 * np.sum(L * np.log(L), axis=1)}
+        return {(0, 0): 0.5 * np.sum(L * log_l, axis=1)}
     if k == 1:
-        g = 0.5 * (np.log(L) + 1.0) @ V  # (n, 2)
+        g = 0.5 * (log_l + 1.0) @ V  # (n, 2)
         return {(1, 0): g[:, 0], (0, 1): g[:, 1]}
     coef, inv = {2: 0.5, 3: -0.5, 4: 1.0}[k], 1.0 / L ** (k - 1)
     # product of normal components
@@ -778,23 +788,44 @@ class Grid:
         return ks, dx, dy
 
     @cached_property
-    def _guillemin(self):
-        """(guillemin_jets, guillemin_hessian): see those."""
-        jets = guillemin_partials(self.polytope, self.points)
+    def _guillemin2(self):
+        """(partials of u_G at the nodes of orders 0-2, guillemin_hessian),
+        built on first request: the first tier of guillemin_jets, all that
+        node data reads of u_G.  The facet values are not kept."""
+        P = self.polytope
+        L, V = _interior_facet_values(P, self.points), P.normals.astype(float)
+        log_l = np.log(L)
+        jets = {}
+        for k in range(3):
+            jets.update(_guillemin_order(L, log_l, V, k))
         hessian = np.stack([jets[key] for key in HESSIAN_KEYS])
         jets.update(zip(HESSIAN_KEYS, hessian))
         return jets, hessian
 
-    @property
+    @cached_property
     def guillemin_jets(self) -> dict:
-        """guillemin_partials of u_G at the nodes, built on first request; its
-        second partials are the rows of guillemin_hessian."""
-        return self._guillemin[0]
+        """guillemin_partials of u_G at the nodes, all fifteen, built on first
+        request: the partials of orders 0-2 are guillemin_jets_to(2)'s, those
+        of orders 3 and 4 are added then.  Its second partials are the rows
+        of guillemin_hessian."""
+        P = self.polytope
+        L, V = _interior_facet_values(P, self.points), P.normals.astype(float)
+        jets = dict(self._guillemin2[0])
+        for k in (3, 4):
+            jets.update(_guillemin_order(L, None, V, k))
+        return jets
+
+    def guillemin_jets_to(self, order: int) -> dict:
+        """The partials of u_G at the nodes of orders up to at least `order`:
+        the first tier (orders 0-2) for order <= 2, guillemin_jets else, so
+        that reading orders up to 2 builds no partial of order 3 or 4."""
+        return self._guillemin2[0] if order <= 2 else self.guillemin_jets
 
     @property
     def guillemin_hessian(self) -> np.ndarray:
-        """Components (00, 01, 11) of Hess u_G at the nodes, (3, n)."""
-        return self._guillemin[1]
+        """Components (00, 01, 11) of Hess u_G at the nodes, (3, n), built
+        with the first tier."""
+        return self._guillemin2[1]
 
     @property
     def cell_weights(self) -> np.ndarray:
@@ -983,9 +1014,27 @@ class BoundaryQuadrature:
         (dx, dy) its offset from the node.  The quadrature of the second-order
         Taylor step about the nearest node is the products of these rows with
         the value and the first and second partials (HESSIAN_KEYS order) at
-        the nodes."""
+        the nodes.
+
+        The nearest nodes are those grid.nearest_nodes gives, found by
+        querying grid.kdtree at few points.  The search relies on the layout:
+        each facet's points are a block of BOUNDARY_PANELS consecutive points
+        in order along the facet's segment.  Every _PROBE_STRIDE-th point of
+        a block and its last point are queried; where the two ends of an
+        interval of the block have the same nearest node, every point between
+        them gets it, and otherwise the midpoint is queried and both halves
+        are searched again.  A Voronoi cell is convex, so a segment whose
+        ends lie in one node's cell lies in it.  Ties cannot flip between
+        probes: along a facet the difference of the squared distances to two
+        nodes is affine in the position, and not constant 0, both nodes
+        lying on the polygon's side of the facet's line.  Where it is at most
+        0 at both ends of an interval it is below 0 at every point inside, by
+        a margin far above the rounding of the tree's distances, so only a
+        queried end can be equidistant to two nodes; the tree's choice there
+        is never copied to a point whose own query could choose the other."""
         if grid not in self._moments:
-            ks, dx, dy = grid.nearest_nodes(self.points)
+            ks = _facet_nearest_nodes(grid.kdtree, self.points)
+            dx, dy = (self.points - grid.points[ks]).T
             starts = np.flatnonzero(np.diff(ks, prepend=-1))
             w = self.weights
             wx, wy = w * dx, w * dy
@@ -1003,6 +1052,34 @@ class BoundaryQuadrature:
 
 
 BOUNDARY_PANELS = 2048
+# the spacing, in points, of the first nearest-node queries along a facet;
+# strides of 8 to 64 took about the same time
+_PROBE_STRIDE = 16
+
+
+def _facet_nearest_nodes(tree, points) -> np.ndarray:
+    """The nearest node of each point, tree.query's, where points are blocks
+    of BOUNDARY_PANELS consecutive points along a segment each: queried at
+    the probes of each block, and by bisection between probes whose nearest
+    nodes differ (see BoundaryQuadrature.node_moments)."""
+    m = BOUNDARY_PANELS
+    ks = np.empty(len(points), dtype=np.intp)
+    known = np.zeros(len(points), dtype=bool)
+    probes = (np.arange(0, len(points), m)[:, None]
+              + np.append(np.arange(0, m, _PROBE_STRIDE), m - 1)).ravel()
+    at, lo, hi = probes, probes[:-1], probes[1:]
+    while len(at):
+        ks[at] = tree.query(points[at])[1]
+        known[at] = True
+        # the intervals with points inside whose ends' nodes differ; those
+        # between two blocks have none
+        split = (hi - lo > 1) & (ks[lo] != ks[hi])
+        lo, hi = lo[split], hi[split]
+        at = (lo + hi) // 2
+        lo, hi = np.concatenate([lo, at]), np.concatenate([at, hi])
+    # each point not queried takes the node of the last queried point before it
+    last = np.maximum.accumulate(np.where(known, np.arange(len(points)), 0))
+    return ks[last]
 
 
 def boundary_quadrature(P: DelzantPolytope) -> BoundaryQuadrature:

@@ -34,7 +34,8 @@ from numpy.polynomial.hermite import hermval
 
 from .errors import DegenerateInputError, DomainError
 from .polytope import (GRADIENT_KEYS, HESSIAN_KEYS, BoundaryQuadrature, DelzantPolytope, Grid,
-                       guillemin_partials, guillemin_value, quadrature_for, standard_triangle)
+                       _derivative_order, guillemin_partials, guillemin_value, quadrature_for,
+                       standard_triangle)
 from .polytope import from_dict as polytope_from_dict
 
 PARTIALS = [(a, b) for total in range(5) for a in range(total + 1) for b in [total - a]]
@@ -268,10 +269,10 @@ class SymplecticPotential:
     # -- derivative fields ----------------------------------------------------
 
     def jets(self, order: int = 4) -> dict:
-        """Partials {(a, b): array over nodes} of u with a + b <= `order`."""
-        if order > 4:
-            raise ValueError("derivatives supported up to order 4")
-        base = self.grid.guillemin_jets
+        """Partials {(a, b): array over nodes} of u with a + b <= `order`;
+        ValueError unless order is a whole number from 0 to 4."""
+        order = _derivative_order(order)
+        base = self.grid.guillemin_jets_to(order)
         # node data's third and fourth partials come from one _f_higher
         higher = self._f_higher() if order > 2 and self.f_form is None else {}
         return {key: base[key] + (higher[key] if key in higher else self.f_partial(key))
@@ -324,9 +325,9 @@ class SymplecticPotential:
     def partials_at(self, points, order: int = 4) -> dict:
         """Exact partials {(a, b): array over points} of a closed-form u with
         a + b <= `order` at interior points.  Node data is read off the grid
-        only as a value (value_at), so for it this raises DomainError."""
-        if order > 4:
-            raise ValueError("derivatives supported up to order 4")
+        only as a value (value_at), so for it this raises DomainError.
+        ValueError unless order is a whole number from 0 to 4."""
+        order = _derivative_order(order)
         if self.f_form is None:
             raise DomainError("node-data potentials have no off-grid partials")
         pts = np.atleast_2d(np.asarray(points, dtype=float))

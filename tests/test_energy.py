@@ -234,6 +234,30 @@ def test_fresh_fd_report_makes_10_sparse_products(hexagon, hex_grid, bundle_clas
     assert len(csr_products) == 1 + 1 + 2 * 3 + 1 + 1
 
 
+def test_fresh_fd_report_builds_canonical_partials_to_order_2(monkeypatch, hexagon,
+                                                              bundle_class):
+    from calabiflow import polytope
+    from calabiflow.curvature import _context_from_jets
+
+    build, orders = polytope._guillemin_order, []
+    monkeypatch.setattr(polytope, "_guillemin_order",
+                        lambda L, log_l, V, k: orders.append(k) or build(L, log_l, V, k))
+    g = build_grid(hexagon, 24, 0.5 * 2.0 / 24)
+    energy_report(_bump_fd(hexagon, g), bundle_class)
+    # node data reads u_G and its Hessian at the nodes, nothing of order 3 or 4
+    assert sorted(orders) == [0, 1, 2]
+    # a closed form on the same grid adds orders 3 and 4, and its context is
+    # that of all fifteen partials as guillemin_partials computes them
+    u = SymplecticPotential.from_closed_form(hexagon, g, bump_form(0.05))
+    ctx = curvature_context(u)
+    assert sorted(orders) == [0, 1, 2, 3, 4]
+    ref = polytope.guillemin_partials(hexagon, g.points)
+    ref_ctx = _context_from_jets({key: val + u.f_partial(key) for key, val in ref.items()})
+    assert ctx.keys() == ref_ctx.keys()
+    for name, val in ref_ctx.items():
+        assert np.array_equal(ctx[name].view(np.int64), val.view(np.int64)), name
+
+
 def test_second_report_evaluates_no_class_weight_on_the_quadrature(monkeypatch, hexagon,
                                                                   hex_grid, bundle_class):
     bquad = boundary_quadrature(hexagon)

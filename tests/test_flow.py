@@ -167,14 +167,15 @@ def test_step_decomposes_once_and_a_record_once_more(monkeypatch, triangle_file,
 
 
 class _CountingTree:
-    """Stands in for Grid.kdtree and counts its queries."""
+    """Stands in for Grid.kdtree and counts its queries and their points."""
 
     def __init__(self, tree):
-        self.tree, self.queries = tree, 0
+        self.tree, self.queries, self.points = tree, 0, 0
 
-    def query(self, *args, **kwargs):
+    def query(self, x, *args, **kwargs):
         self.queries += 1
-        return self.tree.query(*args, **kwargs)
+        self.points += len(np.atleast_2d(x))
+        return self.tree.query(x, *args, **kwargs)
 
 
 def test_measure_builds_run_constants_once(monkeypatch, triangle_file, bundle_class):
@@ -193,16 +194,32 @@ def test_measure_builds_run_constants_once(monkeypatch, triangle_file, bundle_cl
     first = fr.measure()
     edges, graph, queries = fr.grid.edges8, fr.eps_graph, tree.queries
     moments, ring2 = fr.bquad._moments[fr.grid], fr._eps2_in_graph
+    # the first record finds the boundary points' nearest nodes by querying
+    # fewer than half of them
+    assert queries >= 1 and tree.points < len(fr.bquad.points) / 2
     fr.state = step(fr.state, bundle_class, fr.cfg.cfl_sigma, fr.r_bar)
     second = fr.measure()
     # the boundary points' nearest nodes and moments, the distance graph with
     # its undirected-edge table, and the 2eps-ring's place in it are reused
-    assert tree.queries == queries == 1
+    assert tree.queries == queries
     assert fr.bquad._moments[fr.grid] is moments
     assert fr.grid.edges8 is edges
     assert len(graphs) == 1 and graphs[0] is graph and fr.eps_graph is graph
     assert fr._eps2_in_graph is ring2
     assert second.boundary_u != first.boundary_u
+
+
+def test_run_and_record_build_canonical_partials_to_order_2(monkeypatch, triangle_file,
+                                                           bundle_class):
+    from calabiflow import polytope
+
+    build, orders = polytope._guillemin_order, []
+    monkeypatch.setattr(polytope, "_guillemin_order",
+                        lambda L, log_l, V, k: orders.append(k) or build(L, log_l, V, k))
+    fr = _flow_run24(triangle_file, bundle_class)
+    fr.measure()
+    # set-up and a record read u_G and its Hessian at the nodes, built once
+    assert sorted(orders) == [0, 1, 2]
 
 
 def test_rhs_vanishes_at_fs_trivial(fs48, triangle, grid48):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -232,6 +233,26 @@ def test_boundary_quadrature_lattice_lengths(triangle, hexagon):
         assert block.sum() == pytest.approx(3.0, abs=1e-12)
     assert bq.weights.sum() == pytest.approx(9.0, abs=1e-12)
     assert boundary_quadrature(hexagon).weights.sum() == pytest.approx(7.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("poly", ["hexagon", "trapezoid", *GENERATED_POLYGONS])
+def test_node_moments_are_those_of_every_points_nearest_node(poly, request):
+    # the small_grid polygons and the generated ones; the search queries a
+    # few points and fills the rest, the reference queries every point
+    P = GENERATED_POLYGONS[poly] if poly in GENERATED_POLYGONS else request.getfixturevalue(poly)
+    quad = boundary_quadrature(P)
+    width = P.bbox[1][0] - P.bbox[0][0]
+    for n, factor in itertools.product((32, 48), (0.5, 1.0, 2.0, 4.0)):
+        g = build_grid(P, n, factor * width / n)
+        ks, dx, dy = g.nearest_nodes(quad.points)
+        starts = np.flatnonzero(np.diff(ks, prepend=-1))
+        w = quad.weights
+        wx, wy = w * dx, w * dy
+        ref = np.add.reduceat(np.stack([w, wx, wy, 0.5 * wx * dx, wx * dy, 0.5 * wy * dy]),
+                              starts, axis=1)
+        nodes, moments = quad.node_moments(g)
+        assert np.array_equal(nodes, ks[starts]), (n, factor)
+        assert np.array_equal(moments.view(np.int64), ref.view(np.int64)), (n, factor)
 
 
 # the trapezoid and F_3 have a normal outside {-1, 0, 1}; at N=32 on the

@@ -134,6 +134,31 @@ def test_evaluate_order_cap(fs48):
         fs48.evaluate((0.0, 0.0), order=5)
 
 
+# not a whole number from 0 to 4; jets(-1) once returned {}, jets(2.5) the
+# partials of order 2, and guillemin_partials raised TypeError at 2.5
+BAD_ORDERS = (-1, -2, 2.5, 5, np.nan, "2")
+
+
+@pytest.mark.parametrize("entry", ["guillemin_partials", "jets", "partials_at", "evaluate"])
+def test_derivative_order_is_a_whole_number_from_0_to_4(entry, triangle, grid48, fs48, fs48_fd):
+    node = grid48.points[len(grid48.points) // 2]
+    calls = {
+        "guillemin_partials": [lambda order: guillemin_partials(triangle, node, order)],
+        "jets": [fs48.jets, fs48_fd.jets],
+        "partials_at": [lambda order: fs48.partials_at(node, order)],
+        "evaluate": [lambda order, u=u: u.evaluate(node, order=order) for u in (fs48, fs48_fd)],
+    }[entry]
+    for call in calls:
+        for order in BAD_ORDERS:
+            with pytest.raises(ValueError):
+                call(order)
+        # a whole number of another type is that order
+        for order in (2.0, np.int64(2)):
+            out = call(order)
+            keys = out.partials if entry == "evaluate" else out
+            assert max(sum(key) for key in keys) == 2
+
+
 def test_fd_hessian_richardson_ratio(triangle):
     # cubic bump correction: fd Hessian converges at second order
     form = bump_form(0.3, (0.1, -0.1), 1.1)

@@ -25,7 +25,8 @@ tree is:
   (Ca = 48 pi^2, written as its repr) and a failed quadratic-curvature test
   (Ca = 1e4);
 * digests of the grid arrays (cell and quadrature weights, boundary
-  distances, axis, jet and velocity operators, ``edges8``) on the triangle,
+  distances, axis, jet and velocity operators, ``edges8``, and the boundary
+  quadrature's ``node_moments``, its nearest nodes and moments) on the triangle,
   the hexagon, the trapezoid, the Hirzebruch F_3 trapezoid and the triangle
   with its (-1, -1) corner cut (a toric blow-up, normal (1, 1), offset 1.5)
   at N = 12-128 with delta_min = h/2, h, 2h, 4h.  F_3 has a normal entry of 3:
@@ -88,7 +89,7 @@ def _csr_digest(A) -> str:
 
 
 def _grid_digests() -> dict:
-    from calabiflow import AdmissibleClass, DelzantPolytope, build_grid
+    from calabiflow import AdmissibleClass, DelzantPolytope, boundary_quadrature, build_grid
     from calabiflow.curvature import class_record
     from calabiflow.errors import DegenerateInputError
 
@@ -96,6 +97,7 @@ def _grid_digests() -> dict:
     out = {}
     for name, (normals, offsets) in POLYGONS.items():
         P = DelzantPolytope(normals, offsets)
+        quad = boundary_quadrature(P)
         width = float(P.bbox[1][0] - P.bbox[0][0])
         for n in GRID_NS:
             for factor in DELTA_FACTORS:
@@ -116,6 +118,7 @@ def _grid_digests() -> dict:
                     "hessian_operator": _csr_digest(g.hessian_operator),
                     "velocity_operator": _csr_digest(class_record(g, cls).L),
                     "edges8": _digest(*g.edges8),
+                    "node_moments": _digest(*quad.node_moments(g)),
                 }
                 for (axis, order), A in g.axis_operators.items():
                     arrays[f"axis_operator_{axis}{order}"] = _csr_digest(A)
