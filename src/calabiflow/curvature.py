@@ -305,10 +305,10 @@ def curvature_context(u: SymplecticPotential) -> dict:
     (_node_context) until _jet_context adds the U-jets."""
     cache = u.curvature_cache
     if "context" not in cache:
-        if u.provider == "analytic":
-            cache["context"] = _context_from_jets(u.jets(4))
-        else:
+        if u.f_form is None:
             cache["context"] = _node_context(u.grid, u._f_jet(2))
+        else:
+            cache["context"] = _context_from_jets(u.jets(4))
     return cache["context"]
 
 
@@ -333,10 +333,10 @@ def _locate(u: SymplecticPotential, x):
     x = np.asarray(x, dtype=float)
     if not u.polytope.contains(x):
         raise DomainError(f"point {tuple(x)} is not interior to the polytope")
-    if u.provider == "analytic":
-        return x, None
-    k = u.grid_node(x)
-    return u.grid.points[k], k
+    if u.f_form is None:
+        k = u.grid_node(x)
+        return u.grid.points[k], k
+    return x, None
 
 
 def _point_context(u: SymplecticPotential, pt, k) -> dict:
@@ -396,7 +396,7 @@ def weighted_scalar_field(u: SymplecticPotential, cls: AdmissibleClass) -> np.nd
     key = ("weighted", cls)
     if key not in cache:
         rec = class_record(u.grid, cls)
-        if u.provider == "fd":
+        if u.f_form is None:
             cache[key] = _node_scalar(rec, curvature_context(u)["U"])
         else:
             cache[key] = _weighted_scalar_from_ctx(_jet_context(u), cls, rec.q)

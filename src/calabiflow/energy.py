@@ -53,7 +53,7 @@ def average_scalar(P: DelzantPolytope, cls: AdmissibleClass, grid: Grid,
     quad = quadrature_for(P, quad)
     rec = class_record(grid, cls)
     base = cls.scal_S * interior_quadrature(grid, rec.pw / rec.q)
-    bdry = 2.0 * quad.weighted_measure(cls)
+    bdry = 2.0 * float(np.dot(quad.weights, cls.weight(quad.points)))
     vol = interior_quadrature(grid, rec.pw)
     return (base + bdry) / vol
 

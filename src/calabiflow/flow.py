@@ -118,7 +118,7 @@ def step(state: FlowState, cls: AdmissibleClass, sigma: float, r_bar: float) -> 
     grid, rec = u.grid, class_record(u.grid, cls)
     # a node-data field is a function of (grid, f_values) alone, so the
     # state's own cached curvature gives the k1 of a fresh copy
-    k1 = rhs(state, cls, r_bar) if u.provider == "fd" else stage_velocity(grid, rec, f0, r_bar)
+    k1 = rhs(state, cls, r_bar) if u.f_form is None else stage_velocity(grid, rec, f0, r_bar)
     for _ in range(MAX_RETRIES + 1):
         try:
             k2 = stage_velocity(grid, rec, f0 + 0.5 * dt * k1, r_bar)
@@ -353,16 +353,19 @@ class FlowRun:
         return np.searchsorted(self.eps_graph.nodes, self.eps2_nodes)
 
     def _correction_derivative_maxima(self, u: SymplecticPotential) -> dict:
-        """Max over the eps-region of |d^k f| per order k (a flow state is node
-        data): orders 1 and 2 from the state's jets, 3 and 4 from one
-        _f_higher of the state, all fourteen partials gathered at once."""
+        """Max over the eps-region of |d^k f| per order k, from the state's
+        f_jets: exact for a closed form; for node data, orders 1 and 2 from
+        its jets and 3 and 4 from one _f_higher."""
         sel = self.eps_nodes
         if not len(sel):
             return dict.fromkeys((1, 2, 3, 4), float("nan"))
-        # the rows by order, as _f_higher keeps its keys: 2, 3, 4 and 5
-        # partials of orders 1-4
-        partials = np.vstack([u._f_jet(1), u._f_jet(2), *u._f_higher().values()])
-        top = np.maximum.reduceat(np.abs(partials.take(sel, axis=1)).max(axis=1), [0, 2, 5, 9])
+        jets = u.f_jets(4)
+        del jets[0, 0]
+        # the largest |partial| over the region of each key, then of each
+        # order: f_jets keeps PARTIALS order, where each order's keys are a run
+        row_max = np.abs(np.stack(list(jets.values())).take(sel, axis=1)).max(axis=1)
+        orders = [sum(key) for key in jets]
+        top = np.maximum.reduceat(row_max, [orders.index(k) for k in (1, 2, 3, 4)])
         return dict(zip((1, 2, 3, 4), top.tolist()))
 
     def measure(self) -> MonitorRecord:

@@ -1002,8 +1002,6 @@ class BoundaryQuadrature:
     _moments: weakref.WeakKeyDictionary = field(
         default_factory=weakref.WeakKeyDictionary, init=False, repr=False, compare=False
     )
-    # class -> weighted_measure(class)
-    _weighted: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def node_moments(self, grid: Grid):
         """(nodes, moments) of the points about their nearest grid nodes,
@@ -1041,14 +1039,6 @@ class BoundaryQuadrature:
             self._moments[grid] = ks[starts], np.add.reduceat(
                 np.stack([w, wx, wy, 0.5 * wx * dx, wx * dy, 0.5 * wy * dy]), starts, axis=1)
         return self._moments[grid]
-
-    def weighted_measure(self, cls) -> float:
-        """The boundary integral of an admissible class's weight, the dot
-        product of the weights with cls.weight(points), computed once per
-        class."""
-        if cls not in self._weighted:
-            self._weighted[cls] = float(np.dot(self.weights, cls.weight(self.points)))
-        return self._weighted[cls]
 
 
 BOUNDARY_PANELS = 2048

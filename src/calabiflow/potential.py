@@ -9,16 +9,20 @@ differentiated follows from what it was built from, it is not chosen:
 * node data f_values -- differenced on the grid: orders 1-2 by the grid's
   two jet operators (stencil rows in the interior, least-squares fits on the
   near-boundary band), one product for each order and computed once; orders
-  3-4 all nine at once by seven axis differences of shared intermediates,
-  two of them of stacks (``_f_higher``), on each request.  Off the grid only
-  the value is read, that of the Taylor step from the nearest node
-  (``_taylor_value``); the boundary integral of that value is summed node
-  by node from a boundary quadrature's moments about its nearest nodes
-  (``boundary_integral``), with no Taylor step at its points.
+  3-4 by one-product axis differences of shared intermediates
+  (``_f_higher``), on each request.  Off the grid only the value is read,
+  that of the Taylor step from the nearest node (``_taylor_value``); the
+  boundary integral of that value is summed node by node from a boundary
+  quadrature's moments about its nearest nodes (``boundary_integral``), with
+  no Taylor step at its points.
 
-On the grid the partials of u are the canonical ones plus ``f_partial``, the
-one place where the two kinds differ; at any interior point a closed form's
-are ``partials_at``.
+On the grid the partials of u are the canonical ones plus those of
+``f_jets``, which reads both kinds; at any interior point a closed form's
+are ``partials_at``.  The kinds are told apart by ``f_form is None`` (node
+data) where they differ: here in ``f_jets``, ``partials_at``, ``evaluate``,
+``value_at`` and ``boundary_integral``; in calabiflow.curvature in
+``curvature_context``, ``_locate`` and ``weighted_scalar_field``; and in
+the first stage of calabiflow.flow.step.
 """
 
 from __future__ import annotations
@@ -39,6 +43,8 @@ from .polytope import (GRADIENT_KEYS, HESSIAN_KEYS, BoundaryQuadrature, DelzantP
 from .polytope import from_dict as polytope_from_dict
 
 PARTIALS = [(a, b) for total in range(5) for a in range(total + 1) for b in [total - a]]
+# the orders (a, b) a ClosedForm differentiates, for a membership test
+_PARTIAL_KEYS = frozenset(PARTIALS)
 
 
 class ClosedForm:
@@ -53,11 +59,16 @@ class ClosedForm:
         self.bumps = [(float(A), (float(c[0]), float(c[1])), float(w)) for A, c, w in bumps]
 
     def partial(self, a: int, b: int, x, y) -> np.ndarray:
-        """d^(a+b) / dx^a dy^b, shaped like x.
+        """d^(a+b) / dx^a dy^b, shaped like x; ValueError unless a and b are
+        whole numbers, not negative, with a + b <= 4.
 
         Monomials differentiate by falling factorials; a bump by Rodrigues'
         formula A (-1/w)^(a+b) H_a(s) H_b(t) exp(-s^2 - t^2), H_k the
         physicists' Hermite polynomials."""
+        if (a, b) not in _PARTIAL_KEYS:
+            raise ValueError(f"partial orders must be whole numbers a, b >= 0 with a + b <= 4, "
+                             f"got {(a, b)!r}")
+        a, b = int(a), int(b)
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         out = np.zeros(x.shape)
@@ -228,17 +239,11 @@ class SymplecticPotential:
             raise ValueError("f_values must have one entry per grid node")
         # {order: (k, n) product of the grid's jet operator of that order
         # with the node data f}, for orders 1 and 2, filled on first request
-        # by f_partial
+        # by _f_jet
         self._f_jets = {}
         # curvature fields of this state, filled on first request by
         # calabiflow.curvature: the derivative context and the scalar fields
         self.curvature_cache = {}
-
-    @property
-    def provider(self) -> str:
-        """How u is differentiated, fixed by its inputs: "analytic" for a closed
-        form, "fd" for node data."""
-        return "fd" if self.f_form is None else "analytic"
 
     # -- constructors --------------------------------------------------------
 
@@ -271,27 +276,28 @@ class SymplecticPotential:
     def jets(self, order: int = 4) -> dict:
         """Partials {(a, b): array over nodes} of u with a + b <= `order`;
         ValueError unless order is a whole number from 0 to 4."""
-        order = _derivative_order(order)
+        f = self.f_jets(order)
         base = self.grid.guillemin_jets_to(order)
-        # node data's third and fourth partials come from one _f_higher
-        higher = self._f_higher() if order > 2 and self.f_form is None else {}
-        return {key: base[key] + (higher[key] if key in higher else self.f_partial(key))
-                for key in PARTIALS if sum(key) <= order}
+        return {key: base[key] + val for key, val in f.items()}
 
-    def f_partial(self, key) -> np.ndarray:
-        """Partial key = (a, b) of f at every node.
+    def f_jets(self, order: int = 4) -> dict:
+        """Partials {(a, b): array over nodes} of f with a + b <= `order`, in
+        PARTIALS order; ValueError unless order is a whole number from 0 to 4.
 
-        A closed form's is exact and computed on each call.  Node data's is
-        f itself, a row of _f_jet for orders 1 and 2, or, for orders 3 and 4,
-        one entry of _f_higher, which computes all nine on each call."""
+        A closed form's are exact and computed on each call.  Node data's are
+        f itself, the rows of _f_jet for orders 1 and 2, kept, and for orders
+        3 and 4 those of one _f_higher, computed on each call.  Nothing of an
+        order above `order` is built."""
+        order = _derivative_order(order)
+        keys = [key for key in PARTIALS if sum(key) <= order]
         if self.f_form is not None:
-            return self.f_form.partial(*key, *self.grid.points.T)
-        order = sum(key)
-        if order == 0:
-            return self.f_values
+            return {key: self.f_form.partial(*key, *self.grid.points.T) for key in keys}
+        rows = {(0, 0): self.f_values}
+        for k, names in enumerate((GRADIENT_KEYS, HESSIAN_KEYS)[:order], 1):
+            rows.update(zip(names, self._f_jet(k)))
         if order > 2:
-            return self._f_higher()[key]
-        return self._f_jet(order)[(GRADIENT_KEYS, HESSIAN_KEYS)[order - 1].index(key)]
+            rows.update(self._f_higher(order))
+        return {key: rows[key] for key in keys}
 
     def _f_jet(self, order: int) -> np.ndarray:
         """The first (order 1, (2, n) in GRADIENT_KEYS order) or second
@@ -302,25 +308,23 @@ class SymplecticPotential:
             self._f_jets[order] = (A @ self.f_values).reshape(-1, self.grid.n_nodes)
         return self._f_jets[order]
 
-    def _f_higher(self) -> dict:
-        """The nine third and fourth partials {(a, b): array over nodes} of
-        the node data f, computed on each call and not kept.
+    def _f_higher(self, order: int) -> dict:
+        """The third partials {(a, b): array over nodes} of the node data f,
+        and its fourth if order is 4, computed on each call and not kept.
 
-        Seven Grid.diff calls, where diff(f, a, b) for each key would make
-        twenty products: f_x, f_xx and f_yy, then d/dx and d2/dx2 of f_xx,
-        d2/dy2 of the stack (f_x, f_xx, f_yy), and d/dy of the stack (f_xx,
-        f_yy, f_xxx, f_xyy).  Each partial gets the operator sequence of
-        diff(f, a, b), x before y, and a sparse product sums each column of
-        a stack as it sums one vector, so its bits are those of diff."""
+        One-product Grid.diff calls of shared intermediates, twelve for both
+        orders: f_x, f_xx and f_yy, then one axis difference of one of them,
+        or of f_xxx or f_xyy, per partial.  Each partial gets the operator
+        sequence of diff(f, a, b), x before y, so its bits are those of
+        diff."""
         d, f = self.grid.diff, self.f_values
         fx, fxx, fyy = d(f, 1, 0), d(f, 2, 0), d(f, 0, 2)
-        fxxx = d(fxx, 1, 0)
-        fxyy, fxxyy, fyyyy = d(np.stack([fx, fxx, fyy], axis=1), 0, 2).T
-        fxxy, fyyy, fxxxy, fxyyy = d(np.stack([fxx, fyy, fxxx, fxyy], axis=1), 0, 1).T
-        return {
-            (3, 0): fxxx, (2, 1): fxxy, (1, 2): fxyy, (0, 3): fyyy,
-            (4, 0): d(fxx, 2, 0), (3, 1): fxxxy, (2, 2): fxxyy, (1, 3): fxyyy, (0, 4): fyyyy,
-        }
+        out = {(3, 0): d(fxx, 1, 0), (2, 1): d(fxx, 0, 1), (1, 2): d(fx, 0, 2),
+               (0, 3): d(fyy, 0, 1)}
+        if order > 3:
+            out.update({(4, 0): d(fxx, 2, 0), (3, 1): d(out[3, 0], 0, 1), (2, 2): d(fxx, 0, 2),
+                        (1, 3): d(out[1, 2], 0, 1), (0, 4): d(fyy, 0, 2)})
+        return out
 
     def partials_at(self, points, order: int = 4) -> dict:
         """Exact partials {(a, b): array over points} of a closed-form u with
@@ -359,7 +363,7 @@ class SymplecticPotential:
         Closed forms accept any interior point; node data requires a grid
         node (the nearest node within h/2 is used).
         """
-        if self.provider == "fd":
+        if self.f_form is None:
             k = self.grid_node(x)
             return Jet({key: float(val[k]) for key, val in self.jets(order).items()})
         return Jet({key: float(val[0]) for key, val in self.partials_at(x, order).items()})
@@ -378,10 +382,10 @@ class SymplecticPotential:
         """u on the closed polytope (canonical part by continuity on the
         boundary); node data by the Taylor step from the nearest node."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if self.provider == "analytic":
-            f = self.f_form(pts[:, 0], pts[:, 1])
-        else:
+        if self.f_form is None:
             f = self._taylor_value(*self.grid.nearest_nodes(pts))
+        else:
+            f = self.f_form(pts[:, 0], pts[:, 1])
         out = guillemin_value(self.polytope, pts) + f
         return out if np.asarray(points).ndim > 1 else out[0]
 
@@ -393,13 +397,13 @@ class SymplecticPotential:
         moments on this grid with f and its first and second partials there.
         A quadrature of another polytope raises DomainError."""
         quadrature_for(self.polytope, quad)
-        if self.provider == "analytic":
-            f = self.f_form(quad.points[:, 0], quad.points[:, 1])
-            return float(np.dot(quad.weights, quad.canonical + f))
-        nodes, m = quad.node_moments(self.grid)
-        return float(np.dot(quad.weights, quad.canonical) + np.dot(m[0], self.f_values[nodes])
-                     + np.vdot(m[1:3], self._f_jet(1)[:, nodes])
-                     + np.vdot(m[3:], self._f_jet(2)[:, nodes]))
+        if self.f_form is None:
+            nodes, m = quad.node_moments(self.grid)
+            return float(np.dot(quad.weights, quad.canonical) + np.dot(m[0], self.f_values[nodes])
+                         + np.vdot(m[1:3], self._f_jet(1)[:, nodes])
+                         + np.vdot(m[3:], self._f_jet(2)[:, nodes]))
+        f = self.f_form(quad.points[:, 0], quad.points[:, 1])
+        return float(np.dot(quad.weights, quad.canonical + f))
 
 
 # ---------------------------------------------------------------------------

@@ -245,38 +245,25 @@ def fiber_energy_bound(cls: AdmissibleClass,
 # numerical Sobolev-inequality tester
 
 
-def builtin_test_functions():
-    """Smooth test functions on the closed polytope: value and gradient maps."""
-    import numpy as np
-
+def builtin_test_functions() -> dict:
+    """Smooth test functions on the closed polytope, {name: ClosedForm}."""
     from .potential import bump_form, polynomial_form
 
-    forms = [
-        ("one", polynomial_form({(0, 0): 1.0})),
-        ("x", polynomial_form({(1, 0): 1.0})),
-        ("y", polynomial_form({(0, 1): 1.0})),
-        ("1+x+y", polynomial_form({(0, 0): 1.0, (1, 0): 1.0, (0, 1): 1.0})),
-        ("x2-y2", polynomial_form({(2, 0): 1.0, (0, 2): -1.0})),
-        ("xy", polynomial_form({(1, 1): 1.0})),
-        ("bump", bump_form(1.0, (0, 0), 1.0)),
-    ]
-
-    def maps(form):
-        def val(pts):
-            return form(pts[:, 0], pts[:, 1])
-
-        def grad(pts):
-            x, y = pts[:, 0], pts[:, 1]
-            return np.stack([form.partial(1, 0, x, y), form.partial(0, 1, x, y)], axis=-1)
-
-        return val, grad
-
-    return [(name, *maps(form)) for name, form in forms]
+    return {
+        "one": polynomial_form({(0, 0): 1.0}),
+        "x": polynomial_form({(1, 0): 1.0}),
+        "y": polynomial_form({(0, 1): 1.0}),
+        "1+x+y": polynomial_form({(0, 0): 1.0, (1, 0): 1.0, (0, 1): 1.0}),
+        "x2-y2": polynomial_form({(2, 0): 1.0, (0, 2): -1.0}),
+        "xy": polynomial_form({(1, 1): 1.0}),
+        "bump": bump_form(1.0, (0, 0), 1.0),
+    }
 
 
-def sobolev_inequality_test(u: SymplecticPotential, cls: AdmissibleClass,
-                            test_functions=None) -> float:
-    """Worst ratio ||f||_L3 / (||f||_L2 + ||grad f||_L2) over the test family.
+def sobolev_inequality_test(u: SymplecticPotential, cls: AdmissibleClass) -> float:
+    """Worst ratio ||f||_L3 / (||f||_L2 + ||grad f||_L2) over the functions
+    of builtin_test_functions, each read at the grid nodes as the closed
+    form it is.
 
     Norms use the weighted measure p(z) dmu; the gradient norm is the inverse
     Hessian contraction u^{ij} f_i f_j.
@@ -287,20 +274,17 @@ def sobolev_inequality_test(u: SymplecticPotential, cls: AdmissibleClass,
     from .energy import interior_quadrature
     from .potential import _sym2_dot
 
-    if test_functions is None:
-        test_functions = builtin_test_functions()
     grid = u.grid
+    x, y = grid.points[:, 0], grid.points[:, 1]
     pw = class_record(grid, cls).pw
     U = curvature_context(u)["U"]
     worst = 0.0
-    for name, val, grad in test_functions:
-        fv = np.asarray(val(grid.points), dtype=float)
-        if fv.shape != (grid.n_nodes,):
-            fv = np.broadcast_to(fv, (grid.n_nodes,))
-        gv = np.asarray(grad(grid.points), dtype=float)
+    for form in builtin_test_functions().values():
+        fv = form(x, y)
+        gx, gy = form.partial(1, 0, x, y), form.partial(0, 1, x, y)
         l3 = interior_quadrature(grid, np.abs(fv) ** 3 * pw) ** (1.0 / 3.0)
         l2 = math.sqrt(interior_quadrature(grid, fv**2 * pw))
-        grad2 = _sym2_dot(U, (gv[:, 0] * gv[:, 0], gv[:, 0] * gv[:, 1], gv[:, 1] * gv[:, 1]))
+        grad2 = _sym2_dot(U, (gx * gx, gx * gy, gy * gy))
         h1 = math.sqrt(interior_quadrature(grid, grad2 * pw))
         denom = l2 + h1
         if denom > 0:

@@ -450,15 +450,15 @@ def test_fd_traces_equal_full_jets(poly, grid, request):
 
 def test_fd_context_reads_second_partials_only(monkeypatch, triangle, grid48):
     u = _cubic_fd(triangle, grid48)
-    f_partial, f_jet = SymplecticPotential.f_partial, SymplecticPotential._f_jet
-    keys, orders = [], []
-    monkeypatch.setattr(SymplecticPotential, "f_partial",
-                        lambda self, key: keys.append(key) or f_partial(self, key))
+    f_jets, f_jet = SymplecticPotential.f_jets, SymplecticPotential._f_jet
+    jets_orders, orders = [], []
+    monkeypatch.setattr(SymplecticPotential, "f_jets",
+                        lambda self, order=4: jets_orders.append(order) or f_jets(self, order))
     monkeypatch.setattr(SymplecticPotential, "_f_jet",
                         lambda self, order: orders.append(order) or f_jet(self, order))
     curvature_context(u)
     # the three second partials of f, as the rows of one jet, and nothing else
-    assert keys == [] and orders == [2]
+    assert jets_orders == [] and orders == [2]
 
 
 def test_all_nan_hessian_is_curvature_undefined(triangle, grid48):

@@ -252,25 +252,21 @@ def test_fresh_fd_report_builds_canonical_partials_to_order_2(monkeypatch, hexag
     ctx = curvature_context(u)
     assert sorted(orders) == [0, 1, 2, 3, 4]
     ref = polytope.guillemin_partials(hexagon, g.points)
-    ref_ctx = _context_from_jets({key: val + u.f_partial(key) for key, val in ref.items()})
+    f = u.f_jets(4)
+    ref_ctx = _context_from_jets({key: val + f[key] for key, val in ref.items()})
     assert ctx.keys() == ref_ctx.keys()
     for name, val in ref_ctx.items():
         assert np.array_equal(ctx[name].view(np.int64), val.view(np.int64)), name
 
 
-def test_second_report_evaluates_no_class_weight_on_the_quadrature(monkeypatch, hexagon,
-                                                                  hex_grid, bundle_class):
+def test_second_report_reads_the_class_average_of_the_formula(hexagon, hex_grid, bundle_class):
     bquad = boundary_quadrature(hexagon)
     first = energy_report(_bump_fd(hexagon, hex_grid), bundle_class, bquad)
-    sizes = []
-    weight = AdmissibleClass.weight
-    monkeypatch.setattr(AdmissibleClass, "weight",
-                        lambda self, points: sizes.append(len(points)) or weight(self, points))
     second = energy_report(_bump_fd(hexagon, hex_grid), bundle_class, bquad)
-    assert len(bquad.points) not in sizes
     assert second.r_bar == first.r_bar
-    # the kept boundary measure is the one a fresh quadrature computes
-    assert bquad.weighted_measure(bundle_class) == float(
-        np.dot(bquad.weights, weight(bundle_class, bquad.points)))
-    energy_report(_bump_fd(hexagon, hex_grid), bundle_class, boundary_quadrature(hexagon))
-    assert len(bquad.points) in sizes
+    # the class average is the formula of its docstring, bit for bit
+    rec = class_record(hex_grid, bundle_class)
+    base = bundle_class.scal_S * interior_quadrature(hex_grid, rec.pw / rec.q)
+    bdry = 2.0 * float(np.dot(bquad.weights, bundle_class.weight(bquad.points)))
+    r_bar = (base + bdry) / interior_quadrature(hex_grid, rec.pw)
+    assert average_scalar(hexagon, bundle_class, hex_grid, bquad) == r_bar == first.r_bar

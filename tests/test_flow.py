@@ -1,5 +1,6 @@
 import heapq
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from calabiflow.curvature import class_record, curvature_context, stage_velocity
 from calabiflow.energy import average_scalar
 from calabiflow.flow import boundary_ring, distance_field, proposed_dt, region_graph
 from calabiflow.errors import CurvatureUndefinedError, StiffnessError
-from calabiflow.potential import HESSIAN_KEYS, _sym2_inverse, bump_form
+from calabiflow.potential import HESSIAN_KEYS, PARTIALS, _sym2_inverse, bump_form
 from fd_oracle import sym2_matrices
 
 
@@ -112,12 +113,12 @@ def test_measure_differentiates_node_data_once(monkeypatch, triangle_file, bundl
 
     monkeypatch.setattr(Grid, "diff", diff)
     fr.measure()
-    # the nine third/fourth partials of f for the |d^k f| maxima, from seven
-    # one-product differences of shared intermediates, two of them of
-    # stacks; first/second partials of f, and Hess R for the dissipation,
-    # come from the derivative operators
-    assert calls["diff"] == 7
-    assert products_per_diff == [1] * 7
+    # the nine third/fourth partials of f for the |d^k f| maxima, from
+    # twelve one-product differences of shared intermediates; first/second
+    # partials of f, and Hess R for the dissipation, come from the
+    # derivative operators
+    assert calls["diff"] == 12
+    assert products_per_diff == [1] * 12
     assert calls["field_jets"] == 0
     # the state keeps the two first and three second partials of f, no
     # partial of order 3 or 4
@@ -542,17 +543,33 @@ def test_distance_field_refuses_a_region_entered_off_its_sources(grid48):
         distance_field(graph, G, np.append(ring, outside[0]))
 
 
+# the third and fourth partials, in the row order of the reference stack below
+HIGHER_KEYS = ((3, 0), (2, 1), (1, 2), (0, 3), (4, 0), (3, 1), (2, 2), (1, 3), (0, 4))
+
+
 @pytest.mark.parametrize("polygon", ["triangle", "hexagon", "trapezoid"])
 def test_higher_partials_are_the_differences_of_diff(polygon_grids48, polygon):
     grid = polygon_grids48[polygon]
     u = bump_state(grid)
-    partials = u._f_higher()
+    partials = u._f_higher(4)
     assert sorted(partials) == sorted((a, k - a) for k in (3, 4) for a in range(k + 1))
-    jets = u.jets(4)
+    jets, f = u.jets(4), u.f_jets(4)
     for key, value in partials.items():
         assert np.array_equal(value, grid.diff(u.f_values, *key)), key
-        assert np.array_equal(u.f_partial(key), value), key
+        assert np.array_equal(f[key], value), key
         assert np.array_equal(jets[key], grid.guillemin_jets[key] + value), key
+    # the monitor's |d^k f| maxima, against a reference: one stack of all
+    # fourteen rows, ordered by order, and a reduceat over its row maxima
+    sel = eps_region(grid, 0.1)
+    run = SimpleNamespace(eps_nodes=sel)
+    rows = np.vstack([u._f_jet(1), u._f_jet(2), *(partials[key] for key in HIGHER_KEYS)])
+    top = np.maximum.reduceat(np.abs(rows.take(sel, axis=1)).max(axis=1), [0, 2, 5, 9])
+    assert FlowRun._correction_derivative_maxima(run, u) == dict(zip((1, 2, 3, 4), top.tolist()))
+    # a closed-form state's are the maxima of its exact partials
+    ua = SymplecticPotential.from_closed_form(grid.polytope, grid, bump_form(0.05))
+    exact = {k: max(float(np.abs(ua.f_form.partial(*key, *grid.points.T)[sel]).max())
+                    for key in PARTIALS if sum(key) == k) for k in (1, 2, 3, 4)}
+    assert FlowRun._correction_derivative_maxima(run, ua) == exact
 
 
 # -- fixed-point run ---------------------------------------------------------

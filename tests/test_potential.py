@@ -17,8 +17,9 @@ from calabiflow import (
     standard_triangle,
 )
 from calabiflow.curvature import curvature_context
-from calabiflow.polytope import DelzantPolytope, boundary_quadrature
-from calabiflow.potential import (PARTIALS, _mat2, _mat2_product, _repr_column,
+from calabiflow.polytope import (GRADIENT_KEYS, HESSIAN_KEYS, DelzantPolytope, Grid,
+                                 boundary_quadrature)
+from calabiflow.potential import (PARTIALS, ClosedForm, _mat2, _mat2_product, _repr_column,
                                   _sym2_dot, _sym2_eigenvalues, _sym2_inverse, _sym2_matrix,
                                   _sym2_sandwich, _trace_of_square, bump_form, zero_form)
 from conftest import interior_points
@@ -139,12 +140,14 @@ def test_evaluate_order_cap(fs48):
 BAD_ORDERS = (-1, -2, 2.5, 5, np.nan, "2")
 
 
-@pytest.mark.parametrize("entry", ["guillemin_partials", "jets", "partials_at", "evaluate"])
+@pytest.mark.parametrize("entry", ["guillemin_partials", "jets", "f_jets", "partials_at",
+                                   "evaluate"])
 def test_derivative_order_is_a_whole_number_from_0_to_4(entry, triangle, grid48, fs48, fs48_fd):
     node = grid48.points[len(grid48.points) // 2]
     calls = {
         "guillemin_partials": [lambda order: guillemin_partials(triangle, node, order)],
         "jets": [fs48.jets, fs48_fd.jets],
+        "f_jets": [fs48.f_jets, fs48_fd.f_jets],
         "partials_at": [lambda order: fs48.partials_at(node, order)],
         "evaluate": [lambda order, u=u: u.evaluate(node, order=order) for u in (fs48, fs48_fd)],
     }[entry]
@@ -331,7 +334,7 @@ def test_order0_jet_is_value_at_nodes(poly, grid, request):
     form = bump_form(0.05, (0.1, -0.2), 0.7)
     for u in (SymplecticPotential.from_closed_form(P, g, form),
               SymplecticPotential.from_node_values(P, g, form(g.points[:, 0], g.points[:, 1]))):
-        assert np.array_equal(u.jets(0)[(0, 0)], u.value_at(g.points)), u.provider
+        assert np.array_equal(u.jets(0)[(0, 0)], u.value_at(g.points))
 
 
 @pytest.mark.parametrize("poly", ["triangle", "hexagon", "trapezoid"])
@@ -375,6 +378,35 @@ def test_gradient_and_hessian_at_match_evaluate(kind, triangle, grid48, rng):
                                    rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("kind", ["closed_form", "node_values"])
+def test_f_jets_are_the_partials_of_f_and_jets_their_sums(kind, monkeypatch, triangle, grid48):
+    u = _potential_of_kind(kind, triangle, grid48)
+    diffs = []
+    diff = Grid.diff
+    monkeypatch.setattr(Grid, "diff", lambda self, *args: diffs.append(args) or diff(self, *args))
+    for order in range(5):
+        before = len(diffs)
+        f = u.f_jets(order)
+        # node data's third and fourth partials are twelve differences, seven
+        # for the third alone; nothing else is differenced
+        assert len(diffs) - before == (0 if kind == "closed_form" else [0, 0, 0, 7, 12][order])
+        assert list(f) == [key for key in PARTIALS if sum(key) <= order]
+        jets, base = u.jets(order), grid48.guillemin_jets_to(order)
+        assert list(jets) == list(f)
+        for key, val in f.items():
+            assert (base[key] + val).tobytes() == jets[key].tobytes(), (order, key)
+            if kind == "closed_form":
+                exact = u.f_form.partial(*key, *grid48.points.T)
+                assert exact.tobytes() == val.tobytes(), (order, key)
+        if kind == "node_values":
+            assert f[(0, 0)] is u.f_values
+            # the first and second partials are views of the kept jet rows
+            for k, names in ((1, GRADIENT_KEYS), (2, HESSIAN_KEYS))[:order]:
+                for row, key in zip(u._f_jet(k), names):
+                    assert np.shares_memory(f[key], u._f_jet(k)), key
+                    assert f[key].tobytes() == row.tobytes(), key
+
+
 def test_node_data_value_at_is_the_taylor_step(triangle, grid48, rng):
     u = _potential_of_kind("node_values", triangle, grid48)
     ks = rng.choice(grid48.n_nodes, size=25, replace=False)
@@ -384,7 +416,7 @@ def test_node_data_value_at_is_the_taylor_step(triangle, grid48, rng):
     d = rng.uniform(-0.2, 0.2, (25, 2)) * grid48.h
     off = grid48.points[ks] + d
     dx, dy = d.T
-    f = {key: u.f_partial(key)[ks] for key in PARTIALS if sum(key) <= 2}
+    f = {key: val[ks] for key, val in u.f_jets(2).items()}
     taylor = (f[(0, 0)] + f[(1, 0)] * dx + f[(0, 1)] * dy
               + 0.5 * (f[(2, 0)] * dx**2 + 2 * f[(1, 1)] * dx * dy + f[(0, 2)] * dy**2))
     canonical = guillemin_partials(triangle, off, order=0)[(0, 0)]
@@ -452,6 +484,20 @@ def test_polynomial_partials_exact_on_monomials():
             got = form.partial(a, b, x, y)
             assert got.shape == x.shape
             np.testing.assert_array_equal(got, expect, err_msg=str((i, j, a, b)))
+
+
+@pytest.mark.parametrize("form", [polynomial_form(QUARTIC), bump_form(*BUMP),
+                                  ClosedForm(QUARTIC, [BUMP])], ids=["polynomial", "bump", "mixed"])
+def test_closed_form_partial_orders_are_those_of_partials(form):
+    x, y = np.array([0.3, -0.2]), np.array([0.1, 0.25])
+    # -1 once differentiated a bump and 2.5 a polynomial
+    for a, b in ((-1, 0), (0, -1), (2.5, 0), (0, 2.5), (5, 0), (3, 2)):
+        with pytest.raises(ValueError, match="partial orders"):
+            form.partial(a, b, x, y)
+    # a whole number of another type is that order
+    for two in (2.0, np.int64(2)):
+        assert form.partial(two, 0, x, y).tobytes() == form.partial(2, 0, x, y).tobytes()
+        assert form.partial(1, two, x, y).tobytes() == form.partial(1, 2, x, y).tobytes()
 
 
 def test_constant_partials_are_shaped_like_x():

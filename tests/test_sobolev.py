@@ -13,6 +13,8 @@ from calabiflow import (
 )
 from calabiflow.curvature import class_record
 from calabiflow.polytope import DelzantPolytope
+from calabiflow import sobolev
+from calabiflow.potential import polynomial_form
 from calabiflow.sobolev import builtin_test_functions
 
 PI2 = math.pi**2
@@ -156,12 +158,15 @@ def test_builtin_test_functions_match_formulas(grid48, hex_grid):
         "bump": (lambda p: np.exp(-(x2(p) + y2(p))),
                  lambda p: -2 * p * np.exp(-(x2(p) + y2(p)))[:, None]),
     }
-    fns = builtin_test_functions()
-    assert [name for name, _, _ in fns] == list(ref)
+    forms = builtin_test_functions()
+    assert list(forms) == list(ref)
     for pts in (grid48.points, hex_grid.points):
-        for name, val, grad in fns:
-            assert np.array_equal(val(pts), ref[name][0](pts)), name
-            assert np.array_equal(grad(pts), ref[name][1](pts)), name
+        # the coordinate views the tester reads
+        x, y = pts[:, 0], pts[:, 1]
+        for name, form in forms.items():
+            assert np.array_equal(form(x, y), ref[name][0](pts)), name
+            grad = np.stack([form.partial(1, 0, x, y), form.partial(0, 1, x, y)], axis=-1)
+            assert np.array_equal(grad, ref[name][1](pts)), name
 
 
 def test_topology_validation():
@@ -176,23 +181,24 @@ def test_topology_refuses_nan(key):
         ClassTopology(**args)
 
 
-def test_ratio_constant_function(fs48):
+def test_ratio_constant_function(monkeypatch, fs48):
     triv = AdmissibleClass.trivial()
-    worst = sobolev_inequality_test(fs48, triv, [("one", lambda p: np.ones(len(p)),
-                                                  lambda p: np.zeros((len(p), 2)))])
+    monkeypatch.setattr(sobolev, "builtin_test_functions",
+                        lambda: {"one": polynomial_form({(0, 0): 1.0})})
+    worst = sobolev_inequality_test(fs48, triv)
     assert worst == pytest.approx(4.5 ** (1 / 3) / 4.5**0.5, rel=1e-6)
 
 
-def test_ratio_scale_invariance(fs48):
+def test_ratio_scale_invariance(monkeypatch, fs48):
     triv = AdmissibleClass.trivial()
 
-    def fam(lam):
-        return [("f", lambda p: lam * (1 + p[:, 0]),
-                 lambda p: np.tile([lam, 0.0], (len(p), 1)))]
+    def ratio(lam):
+        # lam (1 + x)
+        form = polynomial_form({(0, 0): lam, (1, 0): lam})
+        monkeypatch.setattr(sobolev, "builtin_test_functions", lambda: {"f": form})
+        return sobolev_inequality_test(fs48, triv)
 
-    r1 = sobolev_inequality_test(fs48, triv, fam(1.0))
-    r2 = sobolev_inequality_test(fs48, triv, fam(7.5))
-    assert r1 == pytest.approx(r2, rel=1e-12)
+    assert ratio(1.0) == pytest.approx(ratio(7.5), rel=1e-12)
 
 
 def test_ratio_below_certificate(fs48, bundle_class):

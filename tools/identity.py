@@ -24,6 +24,10 @@ tree is:
   energy per outcome: a bound (Ca = 0 and 10), a closed Yamabe gap
   (Ca = 48 pi^2, written as its repr) and a failed quadratic-curvature test
   (Ca = 1e4);
+* ``library.json``: the repr of sobolev_inequality_test for Fubini-Study
+  on the N=48 triangle in the trivial and the bundle class, and for the bump
+  0.05 on the N=48 hexagon in the bundle class, once as node data and once
+  as a closed form;
 * digests of the grid arrays (cell and quadrature weights, boundary
   distances, axis, jet and velocity operators, ``edges8``, and the boundary
   quadrature's ``node_moments``, its nearest nodes and moments) on the triangle,
@@ -127,6 +131,29 @@ def _grid_digests() -> dict:
     return out
 
 
+def _library() -> dict:
+    """Outputs of library calls that no command prints: the Sobolev tester's
+    worst ratios, as reprs."""
+    from calabiflow import (AdmissibleClass, DelzantPolytope, SymplecticPotential, build_grid,
+                            bump_form, sobolev_inequality_test)
+
+    cls = AdmissibleClass(**BUNDLE)
+    triangle, hexagon = (DelzantPolytope(*POLYGONS[name]) for name in ("triangle", "hexagon"))
+    fs = SymplecticPotential.fubini_study(build_grid(triangle, 48, 0.5 * 3.0 / 48))
+    g = build_grid(hexagon, 48, 0.5 * 2.0 / 48)
+    form = bump_form(0.05)
+    states = {
+        "fubini_study triangle N=48 trivial": (fs, AdmissibleClass.trivial()),
+        "fubini_study triangle N=48 bundle": (fs, cls),
+        "bump node data hexagon N=48 bundle": (
+            SymplecticPotential.from_node_values(hexagon, g, form(*g.points.T)), cls),
+        "bump closed form hexagon N=48 bundle": (
+            SymplecticPotential.from_closed_form(hexagon, g, form), cls),
+    }
+    return {f"sobolev_inequality_test {name}": repr(sobolev_inequality_test(u, c))
+            for name, (u, c) in states.items()}
+
+
 def _write_inputs(work: Path) -> None:
     from calabiflow import DelzantPolytope, save_polytope
 
@@ -177,6 +204,7 @@ def collect(work: Path) -> None:
     call(["--json", "fiber-bound", "--class", "class.json"], "fiber-bound.json")
     for ca in CERTIFICATE_CAS:
         call(["--json", "sobolev-bound", "--ca", ca], f"sobolev-bound-{ca}.json")
+    (work / "library.json").write_text(json.dumps(_library(), indent=1))
     (work / "grid_digests.json").write_text(json.dumps(_grid_digests(), indent=1))
 
 
