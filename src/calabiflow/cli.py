@@ -39,7 +39,8 @@ def _load_json(path):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
+        # ValueError: malformed JSON, or bytes that do not decode
         raise ConfigError(f"cannot read JSON file {path}: {exc}") from exc
 
 
@@ -111,10 +112,7 @@ def load_run_config(path, out_dir=None) -> RunConfig:
     values["admissible_class"] = load_class(values["admissible_class"])
     if out_dir is not None:
         values["out_dir"] = out_dir
-    cfg = RunConfig(**values)
-    if not Path(cfg.polytope_path).exists():
-        raise ConfigError(f"polytope file {cfg.polytope_path} does not exist")
-    return cfg
+    return RunConfig(**values)
 
 
 # ---------------------------------------------------------------------------

@@ -145,7 +145,7 @@ def step(state: FlowState, cls: AdmissibleClass, sigma: float, r_bar: float) -> 
 
 class RegionGraph(NamedTuple):
     """The 8-neighbour graph induced on a region of grid nodes: the edges of
-    grid.edges8 with both ends in the region, in the same order.
+    grid.neighbors8 with both ends in the region, in CSR order.
 
     nodes holds the region's grid ids, sorted; indices and indptr are the
     CSR structure of the edges on the numbering of nodes.  An edge and its
@@ -166,16 +166,21 @@ class RegionGraph(NamedTuple):
 
 
 def region_graph(grid: Grid, region) -> RegionGraph:
-    """The RegionGraph of a node set of the grid."""
+    """The RegionGraph of a node set of the grid, its edges gathered from
+    grid.neighbors8 on each call."""
     inside = np.zeros(grid.n_nodes, dtype=bool)
     inside[np.asarray(region, dtype=int)] = True
     nodes = np.nonzero(inside)[0]
     local = np.full(grid.n_nodes, -1, dtype=np.int32)
     local[nodes] = np.arange(len(nodes), dtype=np.int32)
-    rows, cols, k, _ = grid.edges8
+    # the directed edges in CSR order: node ids grow with (i, j), so the
+    # columns of a row are sorted
+    nbrs = grid.neighbors8
+    rows, k = np.nonzero(nbrs >= 0)
+    cols = nbrs[rows, k]
     entries = np.unique(local[cols[inside[cols] & ~inside[rows]]])
     keep = inside[rows] & inside[cols]
-    rows, cols, k = rows[keep].astype(np.intp), cols[keep].astype(np.intp), k[keep]
+    rows, cols, k = rows[keep], cols[keep].astype(np.intp), k[keep]
     indptr = np.zeros(len(nodes) + 1, dtype=np.int32)
     np.cumsum(np.bincount(local[rows], minlength=len(nodes)), out=indptr[1:])
     # the edges at offsets 4-7 of OFFSETS8 raise the node id; in CSR order

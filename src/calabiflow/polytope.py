@@ -314,8 +314,15 @@ def from_dict(data: dict) -> DelzantPolytope:
 
 
 def load_polytope(path) -> DelzantPolytope:
-    with open(path) as fh:
-        return from_dict(json.load(fh))
+    """The polytope of a JSON file (see from_dict); DegenerateInputError,
+    naming the file, if it cannot be read or is not JSON."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:
+        # ValueError: malformed JSON, or bytes that do not decode
+        raise DegenerateInputError(f"cannot read polytope file {path}: {exc}") from exc
+    return from_dict(data)
 
 
 def save_polytope(P: DelzantPolytope, path) -> None:
@@ -354,14 +361,21 @@ def guillemin_partials(P: DelzantPolytope, points, order: int = 4) -> dict:
     """
     order = _derivative_order(order)
     pts = np.asarray(points, dtype=float)
-    single = pts.ndim == 1
-    L, V = _interior_facet_values(P, np.atleast_2d(pts)), P.normals.astype(float)
-    log_l = np.log(L)
-    out = {}
-    for k in range(order + 1):
-        out.update(_guillemin_order(L, log_l, V, k))
-    if single:
+    out = _guillemin_orders(P, np.atleast_2d(pts), range(order + 1))
+    if pts.ndim == 1:
         out = {k: v[0] for k, v in out.items()}
+    return out
+
+
+def _guillemin_orders(P: DelzantPolytope, pts: np.ndarray, orders: range) -> dict:
+    """The partials {(a, b): array} of u_G with a + b in `orders` at interior
+    points (n, 2): one _guillemin_order call per order on one table of facet
+    values, whose logarithm is taken only if order 0 or 1 reads it."""
+    L, V = _interior_facet_values(P, pts), P.normals.astype(float)
+    log_l = np.log(L) if orders[0] <= 1 else None
+    out = {}
+    for k in orders:
+        out.update(_guillemin_order(L, log_l, V, k))
     return out
 
 
@@ -451,8 +465,10 @@ class Grid:
     points, cover the bounding box.  Construction is deterministic
     from (polytope, n, delta_min) and reads the nodes and their boundary
     distances off one table of facet values; what else is derived is built
-    on first request and immutable, and kept unless it is cheap to rebuild
-    and rarely read (``neighbors8``).
+    on first request and immutable.  A grid keeps a table that a second
+    request reads; what has one reader is built by it and not kept
+    (``neighbors8``, ``midpoint_correction_mask``, the canonical partials of
+    orders 3 and 4, the edges of calabiflow.flow.region_graph).
 
     Every linear derivative operator is a sparse (CSR) matrix over the node
     list, compiled once per grid: the axis stencils in ``axis_operators``,
@@ -543,19 +559,6 @@ class Grid:
         """(n_nodes, 8) ids of the 8 lattice neighbours at OFFSETS8, -1 where
         the neighbour is not a node; built on each access, not kept."""
         return self._neighbors(OFFSETS8)
-
-    @cached_property
-    def edges8(self):
-        """(rows, cols, k, indptr) of the 8-neighbour graph in CSR order: edge
-        e runs from node rows[e] to node cols[e] at offset OFFSETS8[k[e]], and
-        the edges of node n are indptr[n]:indptr[n + 1].  Node ids grow with
-        (i, j), so the columns of a row are sorted."""
-        nbrs = self.neighbors8
-        rows, k = np.nonzero(nbrs >= 0)
-        indptr = np.zeros(self.n_nodes + 1, dtype=np.int32)
-        np.cumsum(np.bincount(rows, minlength=self.n_nodes), out=indptr[1:])
-        return (rows.astype(np.int32), nbrs[rows, k].astype(np.int32),
-                k.astype(np.int8), indptr)
 
     def _axis_operators(self, axis: int):
         """{order: (CSR matrix, stencil)} of the axis's stencil operators of
@@ -788,44 +791,21 @@ class Grid:
         return ks, dx, dy
 
     @cached_property
-    def _guillemin2(self):
-        """(partials of u_G at the nodes of orders 0-2, guillemin_hessian),
-        built on first request: the first tier of guillemin_jets, all that
-        node data reads of u_G.  The facet values are not kept."""
-        P = self.polytope
-        L, V = _interior_facet_values(P, self.points), P.normals.astype(float)
-        log_l = np.log(L)
-        jets = {}
-        for k in range(3):
-            jets.update(_guillemin_order(L, log_l, V, k))
+    def guillemin_jets(self) -> dict:
+        """guillemin_partials of u_G at the nodes up to order 2, built on first
+        request: all that node data reads of u_G.  Its second partials are
+        the rows of guillemin_hessian.  Orders 3 and 4 are built by their
+        reader, SymplecticPotential.jets, and not kept."""
+        jets = guillemin_partials(self.polytope, self.points, 2)
         hessian = np.stack([jets[key] for key in HESSIAN_KEYS])
         jets.update(zip(HESSIAN_KEYS, hessian))
-        return jets, hessian
-
-    @cached_property
-    def guillemin_jets(self) -> dict:
-        """guillemin_partials of u_G at the nodes, all fifteen, built on first
-        request: the partials of orders 0-2 are guillemin_jets_to(2)'s, those
-        of orders 3 and 4 are added then.  Its second partials are the rows
-        of guillemin_hessian."""
-        P = self.polytope
-        L, V = _interior_facet_values(P, self.points), P.normals.astype(float)
-        jets = dict(self._guillemin2[0])
-        for k in (3, 4):
-            jets.update(_guillemin_order(L, None, V, k))
         return jets
-
-    def guillemin_jets_to(self, order: int) -> dict:
-        """The partials of u_G at the nodes of orders up to at least `order`:
-        the first tier (orders 0-2) for order <= 2, guillemin_jets else, so
-        that reading orders up to 2 builds no partial of order 3 or 4."""
-        return self._guillemin2[0] if order <= 2 else self.guillemin_jets
 
     @property
     def guillemin_hessian(self) -> np.ndarray:
-        """Components (00, 01, 11) of Hess u_G at the nodes, (3, n), built
-        with the first tier."""
-        return self._guillemin2[1]
+        """Components (00, 01, 11) of Hess u_G at the nodes, (3, n): the array
+        whose rows are guillemin_jets' second partials."""
+        return self.guillemin_jets[HESSIAN_KEYS[0]].base
 
     @property
     def cell_weights(self) -> np.ndarray:
@@ -940,9 +920,10 @@ class Grid:
         np.add.at(weights, nodes[order], contribs[order])
         return weights
 
-    @cached_property
+    @property
     def midpoint_correction_mask(self) -> np.ndarray:
-        """Nodes whose stencils are central on both axes.
+        """Nodes whose stencils are central on both axes; built on each
+        access, not kept.
 
         Such a node owns a full interior cell: its axis neighbours clear
         delta_min, so each facet value at the node exceeds delta_min by at

@@ -38,8 +38,8 @@ from numpy.polynomial.hermite import hermval
 
 from .errors import DegenerateInputError, DomainError
 from .polytope import (GRADIENT_KEYS, HESSIAN_KEYS, BoundaryQuadrature, DelzantPolytope, Grid,
-                       _derivative_order, guillemin_partials, guillemin_value, quadrature_for,
-                       standard_triangle)
+                       _derivative_order, _guillemin_orders, guillemin_partials, guillemin_value,
+                       quadrature_for, standard_triangle)
 from .polytope import from_dict as polytope_from_dict
 
 PARTIALS = [(a, b) for total in range(5) for a in range(total + 1) for b in [total - a]]
@@ -52,11 +52,26 @@ class ClosedForm:
 
     A polynomial sum c_ij x^i y^j from coefficients {(i, j): c}, plus Gaussian
     bumps (A, (cx, cy), w) for A exp(-s^2 - t^2), s = (x - cx)/w, t = (y - cy)/w.
+    Construction raises DegenerateInputError unless each exponent pair (i, j)
+    is a pair of whole numbers >= 0 (2.0 is 2), every coefficient, amplitude
+    and centre is finite, and each width is finite and positive.
     """
 
     def __init__(self, coeffs: dict = None, bumps=()):
-        self.coeffs = dict(coeffs or {})
-        self.bumps = [(float(A), (float(c[0]), float(c[1])), float(w)) for A, c, w in bumps]
+        try:
+            self.coeffs = {_exponents(*key): c for key, c in dict(coeffs or {}).items()}
+            self.bumps = [(float(A), (float(cx), float(cy)), float(w))
+                          for A, (cx, cy), w in bumps]
+            finite = all(map(math.isfinite, [*self.coeffs.values(),
+                                             *(v for A, c, _ in self.bumps for v in (A, *c))]))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise DegenerateInputError(f"malformed closed form: {exc}") from exc
+        # each check is written so that NaN fails it
+        if not finite:
+            raise DegenerateInputError("closed-form coefficients, amplitudes and centres "
+                                       "must be finite")
+        if not all(0 < w < math.inf for _, _, w in self.bumps):
+            raise DegenerateInputError("bump widths must be finite and positive")
 
     def partial(self, a: int, b: int, x, y) -> np.ndarray:
         """d^(a+b) / dx^a dy^b, shaped like x; ValueError unless a and b are
@@ -83,6 +98,13 @@ class ClosedForm:
 
     def __call__(self, x, y) -> np.ndarray:
         return self.partial(0, 0, x, y)
+
+
+def _exponents(i, j) -> tuple:
+    """(i, j) as ints; ValueError unless both are whole numbers >= 0."""
+    if not all(float(e).is_integer() and e >= 0 for e in (i, j)):
+        raise ValueError(f"exponents must be whole numbers >= 0, got {(i, j)!r}")
+    return int(i), int(j)
 
 
 def zero_form() -> ClosedForm:
@@ -275,10 +297,14 @@ class SymplecticPotential:
 
     def jets(self, order: int = 4) -> dict:
         """Partials {(a, b): array over nodes} of u with a + b <= `order`;
-        ValueError unless order is a whole number from 0 to 4."""
-        f = self.f_jets(order)
-        base = self.grid.guillemin_jets_to(order)
-        return {key: base[key] + val for key, val in f.items()}
+        ValueError unless order is a whole number from 0 to 4.  The canonical
+        partials are the grid's guillemin_jets, and those of orders 3 to
+        `order`, built on each call."""
+        order, grid = _derivative_order(order), self.grid
+        base = grid.guillemin_jets
+        if order > 2:
+            base = {**base, **_guillemin_orders(grid.polytope, grid.points, range(3, order + 1))}
+        return {key: base[key] + val for key, val in self.f_jets(order).items()}
 
     def f_jets(self, order: int = 4) -> dict:
         """Partials {(a, b): array over nodes} of f with a + b <= `order`, in

@@ -105,16 +105,36 @@ def test_flow_missing_polytope(capsys, tmp_path):
     cfg_path.write_text(json.dumps(cfg))
     code, _, err = run_cli(capsys, "flow", str(cfg_path))
     assert code == 2
-    assert "does not exist" in err
+    assert f"cannot read polytope file {tmp_path / 'nope.json'}: " in err
 
 
-def test_flow_polytope_that_is_not_a_path(capsys, tmp_path):
+def test_flow_polytope_that_is_not_a_path(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     cfg = {"polytope": 5, "class": {"p": [0, 0], "c_S": 1.0, "scal_S": 0, "m": 0}}
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps(cfg))
     code, _, err = run_cli(capsys, "flow", str(cfg_path))
     assert code == 2
-    assert "does not exist" in err
+    assert "cannot read polytope file 5: " in err
+
+
+# each of these once ended `calabiflow flow` with a traceback and exit code 1
+@pytest.mark.parametrize("write", [
+    lambda path: path.write_text('{"facets": [{"normal": [1, 0], "offs'),
+    lambda path: path.mkdir(),
+    lambda path: path.write_bytes(b'{"facets": "\xff\xfe"}'),
+], ids=["truncated", "directory", "invalid utf-8"])
+def test_flow_polytope_file_it_cannot_read(capsys, tmp_path, write):
+    poly_path = tmp_path / "poly.json"
+    write(poly_path)
+    cfg = {"polytope": str(poly_path), "class": {"p": [0, 0], "c_S": 1.0, "scal_S": 0, "m": 0},
+           "out_dir": str(tmp_path / "out")}
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code, out, err = run_cli(capsys, "flow", str(cfg_path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot read polytope file {poly_path}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_flow_unknown_key(capsys, tmp_path, triangle_file):
@@ -130,11 +150,12 @@ def test_flow_unknown_key(capsys, tmp_path, triangle_file):
     assert "wibble" in err
 
 
-@pytest.mark.parametrize("text", [None, '{"p": [1, 1],'], ids=["missing", "malformed"])
+@pytest.mark.parametrize("text", [None, b'{"p": [1, 1],', b'{"p": "\xff"}'],
+                         ids=["missing", "malformed", "invalid utf-8"])
 def test_fiber_bound_rejects_a_class_file_it_cannot_read(capsys, tmp_path, text):
     cpath = tmp_path / "class.json"
     if text is not None:
-        cpath.write_text(text)
+        cpath.write_bytes(text)
     code, _, err = run_cli(capsys, "fiber-bound", "--class", str(cpath))
     assert code == 2, err
     assert "cannot read JSON file" in err

@@ -623,7 +623,7 @@ def test_grid_and_its_caches_form_no_reference_cycle(triangle, bundle_class):
         abreu_scalar_field(v)
         weighted_scalar_field(v, bundle_class)
     admissible_blocks(u, bundle_class, g.points[5])
-    g.edges8, g.midpoint_correction_mask
+    g.quadrature_weights
     ref = weakref.ref(g)
     # the class records, the lazily filled canonical partials and the fd
     # contexts hold no reference back to the grid: it is freed at once

@@ -259,6 +259,25 @@ def test_fresh_fd_report_builds_canonical_partials_to_order_2(monkeypatch, hexag
         assert np.array_equal(ctx[name].view(np.int64), val.view(np.int64)), name
 
 
+def test_closed_form_report_builds_canonical_partials_3_and_4_once_and_keeps_none(
+        monkeypatch, hexagon, bundle_class):
+    from calabiflow import polytope
+
+    build, orders = polytope._guillemin_order, []
+    monkeypatch.setattr(polytope, "_guillemin_order",
+                        lambda L, log_l, V, k: orders.append(k) or build(L, log_l, V, k))
+    g = build_grid(hexagon, 24, 0.5 * 2.0 / 24)
+    u = SymplecticPotential.from_closed_form(hexagon, g, bump_form(0.05))
+    energy_report(u, bundle_class)
+    assert sorted(orders) == [0, 1, 2, 3, 4]
+    # the grid keeps the partials of orders 0-2 only: a second closed form
+    # builds orders 3 and 4 again, and nothing of a lower order
+    assert all(sum(key) <= 2 for key in g.guillemin_jets)
+    energy_report(SymplecticPotential.from_closed_form(hexagon, g, bump_form(0.03)),
+                  bundle_class)
+    assert sorted(orders) == [0, 1, 2, 3, 3, 4, 4]
+
+
 def test_second_report_reads_the_class_average_of_the_formula(hexagon, hex_grid, bundle_class):
     bquad = boundary_quadrature(hexagon)
     first = energy_report(_bump_fd(hexagon, hex_grid), bundle_class, bquad)

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -391,7 +392,7 @@ def test_f_jets_are_the_partials_of_f_and_jets_their_sums(kind, monkeypatch, tri
         # for the third alone; nothing else is differenced
         assert len(diffs) - before == (0 if kind == "closed_form" else [0, 0, 0, 7, 12][order])
         assert list(f) == [key for key in PARTIALS if sum(key) <= order]
-        jets, base = u.jets(order), grid48.guillemin_jets_to(order)
+        jets, base = u.jets(order), guillemin_partials(triangle, grid48.points, order)
         assert list(jets) == list(f)
         for key, val in f.items():
             assert (base[key] + val).tobytes() == jets[key].tobytes(), (order, key)
@@ -498,6 +499,46 @@ def test_closed_form_partial_orders_are_those_of_partials(form):
     for two in (2.0, np.int64(2)):
         assert form.partial(two, 0, x, y).tobytes() == form.partial(2, 0, x, y).tobytes()
         assert form.partial(1, two, x, y).tobytes() == form.partial(1, 2, x, y).tobytes()
+
+
+# each of these was accepted: (-1, 0) was dropped, so the form was 0
+# everywhere; (0.5, 0) raised TypeError at its first partial; width 0
+# divided by zero and a NaN width gave NaN
+@pytest.mark.parametrize("build", [
+    lambda: polynomial_form({(-1, 0): 1.0}),
+    lambda: polynomial_form({(0, -2): 1.0}),
+    lambda: polynomial_form({(0.5, 0): 1.0}),
+    lambda: polynomial_form({(math.nan, 0): 1.0}),
+    lambda: polynomial_form({(math.inf, 0): 1.0}),
+    lambda: polynomial_form({(10**400, 0): 1.0}),
+    lambda: polynomial_form({(1, 2, 3): 1.0}),
+    lambda: polynomial_form({(1, 0): math.nan}),
+    lambda: polynomial_form({(1, 0): math.inf}),
+    lambda: polynomial_form({(1, 0): "1"}),
+    lambda: bump_form(1.0, (0, 0), 0.0),
+    lambda: bump_form(1.0, (0, 0), -0.5),
+    lambda: bump_form(1.0, (0, 0), math.nan),
+    lambda: bump_form(1.0, (0, 0), math.inf),
+    lambda: bump_form(math.nan),
+    lambda: bump_form(-math.inf),
+    lambda: bump_form(1.0, (math.nan, 0)),
+    lambda: bump_form(1.0, (0, math.inf)),
+    lambda: bump_form(1.0, (0, 0, 0)),
+], ids=["exponent -1", "exponent -2", "exponent 0.5", "exponent nan", "exponent inf",
+        "exponent 10**400", "three exponents", "coefficient nan", "coefficient inf",
+        "coefficient str", "width 0", "width negative", "width nan", "width inf", "amplitude nan",
+        "amplitude -inf", "centre nan", "centre inf", "centre of three"])
+def test_closed_form_refuses_terms_it_cannot_differentiate(build):
+    with pytest.raises(DegenerateInputError):
+        build()
+
+
+def test_closed_form_takes_whole_float_exponents_as_ints():
+    x, y = np.array([0.3, -0.2]), np.array([0.1, 0.25])
+    form, ref = polynomial_form({(2.0, 1.0): 1.5}), polynomial_form({(2, 1): 1.5})
+    assert list(form.coeffs) == [(2, 1)] and all(type(e) is int for e in next(iter(form.coeffs)))
+    for a, b in PARTIALS:
+        assert form.partial(a, b, x, y).tobytes() == ref.partial(a, b, x, y).tobytes()
 
 
 def test_constant_partials_are_shaped_like_x():

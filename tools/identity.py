@@ -27,10 +27,13 @@ tree is:
 * ``library.json``: the repr of sobolev_inequality_test for Fubini-Study
   on the N=48 triangle in the trivial and the bundle class, and for the bump
   0.05 on the N=48 hexagon in the bundle class, once as node data and once
-  as a closed form;
+  as a closed form; and for that closed form, which reads the canonical
+  partials of orders 3 and 4 off the triangle, the reprs of its bundle-class
+  energy_report fields and of its admissible_blocks sample at (0.3, -0.2);
 * digests of the grid arrays (cell and quadrature weights, boundary
-  distances, axis, jet and velocity operators, ``edges8``, and the boundary
-  quadrature's ``node_moments``, its nearest nodes and moments) on the triangle,
+  distances, axis, jet and velocity operators, the 8-neighbour graph
+  ``region_graph`` of all nodes, and the boundary quadrature's
+  ``node_moments``, its nearest nodes and moments) on the triangle,
   the hexagon, the trapezoid, the Hirzebruch F_3 trapezoid and the triangle
   with its (-1, -1) corner cut (a toric blow-up, normal (1, 1), offset 1.5)
   at N = 12-128 with delta_min = h/2, h, 2h, 4h.  F_3 has a normal entry of 3:
@@ -96,6 +99,7 @@ def _grid_digests() -> dict:
     from calabiflow import AdmissibleClass, DelzantPolytope, boundary_quadrature, build_grid
     from calabiflow.curvature import class_record
     from calabiflow.errors import DegenerateInputError
+    from calabiflow.flow import region_graph
 
     cls = AdmissibleClass(**BUNDLE)
     out = {}
@@ -121,7 +125,7 @@ def _grid_digests() -> dict:
                     "gradient_operator": _csr_digest(g.gradient_operator),
                     "hessian_operator": _csr_digest(g.hessian_operator),
                     "velocity_operator": _csr_digest(class_record(g, cls).L),
-                    "edges8": _digest(*g.edges8),
+                    "region_graph": _digest(*region_graph(g, range(g.n_nodes))),
                     "node_moments": _digest(*quad.node_moments(g)),
                 }
                 for (axis, order), A in g.axis_operators.items():
@@ -132,10 +136,12 @@ def _grid_digests() -> dict:
 
 
 def _library() -> dict:
-    """Outputs of library calls that no command prints: the Sobolev tester's
-    worst ratios, as reprs."""
-    from calabiflow import (AdmissibleClass, DelzantPolytope, SymplecticPotential, build_grid,
-                            bump_form, sobolev_inequality_test)
+    """Outputs of library calls that no command prints, as reprs: the Sobolev
+    tester's worst ratios, and a closed form's energies and curvature blocks
+    off the triangle."""
+    from calabiflow import (AdmissibleClass, DelzantPolytope, SymplecticPotential,
+                            admissible_blocks, build_grid, bump_form, energy_report,
+                            sobolev_inequality_test)
 
     cls = AdmissibleClass(**BUNDLE)
     triangle, hexagon = (DelzantPolytope(*POLYGONS[name]) for name in ("triangle", "hexagon"))
@@ -150,8 +156,14 @@ def _library() -> dict:
         "bump closed form hexagon N=48 bundle": (
             SymplecticPotential.from_closed_form(hexagon, g, form), cls),
     }
-    return {f"sobolev_inequality_test {name}": repr(sobolev_inequality_test(u, c))
-            for name, (u, c) in states.items()}
+    out = {f"sobolev_inequality_test {name}": repr(sobolev_inequality_test(u, c))
+           for name, (u, c) in states.items()}
+    closed, _ = states["bump closed form hexagon N=48 bundle"]
+    out["energy_report bump closed form hexagon N=48 bundle"] = repr(
+        energy_report(closed, cls).to_dict())
+    out["admissible_blocks bump closed form hexagon N=48 bundle at (0.3, -0.2)"] = repr(
+        admissible_blocks(closed, cls, (0.3, -0.2)).to_dict())
+    return out
 
 
 def _write_inputs(work: Path) -> None:
