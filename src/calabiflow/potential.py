@@ -5,7 +5,10 @@ closed form; only the smooth correction f is discretized.  How u is
 differentiated follows from what it was built from, it is not chosen:
 
 * a closed form f_form -- every partial up to order 4 is exact, at any
-  interior point;
+  interior point.  ``ClosedForm.partials(order, x, y)`` is the one
+  evaluator: all the partials up to `order` of a point set in one pass, from
+  one exponential and one table of Hermite values per bump; ``partial`` and
+  the value ``__call__`` read one key of it;
 * node data f_values -- differenced on the grid: orders 1-2 by the grid's
   two jet operators (stencil rows in the interior, least-squares fits on the
   near-boundary band), one product for each order and computed once; orders
@@ -34,7 +37,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from numpy.polynomial.hermite import hermval
 
 from .errors import DegenerateInputError, DomainError
 from .polytope import (GRADIENT_KEYS, HESSIAN_KEYS, BoundaryQuadrature, DelzantPolytope, Grid,
@@ -73,31 +75,63 @@ class ClosedForm:
         if not all(0 < w < math.inf for _, _, w in self.bumps):
             raise DegenerateInputError("bump widths must be finite and positive")
 
-    def partial(self, a: int, b: int, x, y) -> np.ndarray:
-        """d^(a+b) / dx^a dy^b, shaped like x; ValueError unless a and b are
-        whole numbers, not negative, with a + b <= 4.
+    def partials(self, order: int, x, y) -> dict:
+        """Every partial {(a, b): d^(a+b) / dx^a dy^b} with a + b <= `order`,
+        in PARTIALS order, each shaped like the broadcast of x and y;
+        ValueError unless order is a whole number from 0 to 4.
 
         Monomials differentiate by falling factorials; a bump by Rodrigues'
         formula A (-1/w)^(a+b) H_a(s) H_b(t) exp(-s^2 - t^2), H_k the
-        physicists' Hermite polynomials."""
+        physicists' Hermite polynomials.  Each bump's exponential and its
+        Hermite values H_0..H_order of s and of t are computed once for all
+        the partials; each partial is summed from zeros, the monomials in
+        coefficient order and then the bumps in order."""
+        order = _derivative_order(order)
+        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        tables = []
+        for A, (cx, cy), w in self.bumps:
+            s, t = (x - cx) / w, (y - cy) / w
+            tables.append((A, w, _hermite_values(s, order), _hermite_values(t, order),
+                           np.exp(-s * s - t * t)))
+        out = {}
+        for a, b in [key for key in PARTIALS if sum(key) <= order]:
+            f = np.zeros(x.shape)
+            for (i, j), c in self.coeffs.items():
+                if i >= a and j >= b:
+                    f += c * math.perm(i, a) * math.perm(j, b) * x ** (i - a) * y ** (j - b)
+            for A, w, Hs, Ht, E in tables:
+                f += A * (-1.0 / w) ** (a + b) * Hs[a] * Ht[b] * E
+            out[a, b] = f
+        return out
+
+    def partial(self, a: int, b: int, x, y) -> np.ndarray:
+        """d^(a+b) / dx^a dy^b, the one key (a, b) of partials(a + b, x, y);
+        ValueError unless a and b are whole numbers, not negative, with
+        a + b <= 4."""
         if (a, b) not in _PARTIAL_KEYS:
             raise ValueError(f"partial orders must be whole numbers a, b >= 0 with a + b <= 4, "
                              f"got {(a, b)!r}")
         a, b = int(a), int(b)
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        out = np.zeros(x.shape)
-        for (i, j), c in self.coeffs.items():
-            if i >= a and j >= b:
-                out += c * math.perm(i, a) * math.perm(j, b) * x ** (i - a) * y ** (j - b)
-        for A, (cx, cy), w in self.bumps:
-            s, t = (x - cx) / w, (y - cy) / w
-            Ha, Hb = hermval(s, [0] * a + [1]), hermval(t, [0] * b + [1])
-            out += A * (-1.0 / w) ** (a + b) * Ha * Hb * np.exp(-s * s - t * t)
-        return out
+        return self.partials(a + b, x, y)[a, b]
 
     def __call__(self, x, y) -> np.ndarray:
         return self.partial(0, 0, x, y)
+
+
+def _hermite_values(s, order: int) -> list:
+    """The physicists' Hermite polynomials [H_0(s), ..., H_order(s)]: each by
+    the Clenshaw steps of numpy's hermval(s, [0] * k + [1]), so each has its
+    bits."""
+    s2 = s * 2
+    out = [1.0 + 0 * s2]
+    if order >= 1:
+        out.append(0.0 + 1.0 * s2)
+    for k in range(2, order + 1):
+        c0, c1 = 0.0, 1.0
+        for nd in range(k, 1, -1):
+            c0, c1 = 0.0 - c1 * (2 * (nd - 1)), c0 + c1 * s2
+        out.append(c0 + c1 * s2)
+    return out
 
 
 def _exponents(i, j) -> tuple:
@@ -310,20 +344,19 @@ class SymplecticPotential:
         """Partials {(a, b): array over nodes} of f with a + b <= `order`, in
         PARTIALS order; ValueError unless order is a whole number from 0 to 4.
 
-        A closed form's are exact and computed on each call.  Node data's are
-        f itself, the rows of _f_jet for orders 1 and 2, kept, and for orders
-        3 and 4 those of one _f_higher, computed on each call.  Nothing of an
-        order above `order` is built."""
+        A closed form's are exact: one ClosedForm.partials call, made on each
+        call.  Node data's are f itself, the rows of _f_jet for orders 1 and
+        2, kept, and for orders 3 and 4 those of one _f_higher, computed on
+        each call.  Nothing of an order above `order` is built."""
         order = _derivative_order(order)
-        keys = [key for key in PARTIALS if sum(key) <= order]
         if self.f_form is not None:
-            return {key: self.f_form.partial(*key, *self.grid.points.T) for key in keys}
+            return self.f_form.partials(order, *self.grid.points.T)
         rows = {(0, 0): self.f_values}
         for k, names in enumerate((GRADIENT_KEYS, HESSIAN_KEYS)[:order], 1):
             rows.update(zip(names, self._f_jet(k)))
         if order > 2:
             rows.update(self._f_higher(order))
-        return {key: rows[key] for key in keys}
+        return {key: rows[key] for key in PARTIALS if sum(key) <= order}
 
     def _f_jet(self, order: int) -> np.ndarray:
         """The first (order 1, (2, n) in GRADIENT_KEYS order) or second
@@ -361,8 +394,8 @@ class SymplecticPotential:
         if self.f_form is None:
             raise DomainError("node-data potentials have no off-grid partials")
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        base = guillemin_partials(self.polytope, pts, order)
-        return {key: base[key] + self.f_form.partial(*key, *pts.T) for key in base}
+        base, f = guillemin_partials(self.polytope, pts, order), self.f_form.partials(order, *pts.T)
+        return {key: base[key] + f[key] for key in base}
 
     def min_hessian_eigenvalues(self) -> np.ndarray:
         """The lower eigenvalue of the Hessian of u at every node."""

@@ -263,10 +263,14 @@ def builtin_test_functions() -> dict:
 def sobolev_inequality_test(u: SymplecticPotential, cls: AdmissibleClass) -> float:
     """Worst ratio ||f||_L3 / (||f||_L2 + ||grad f||_L2) over the functions
     of builtin_test_functions, each read at the grid nodes as the closed
-    form it is.
+    form it is, its value and gradient from one partials(1, x, y) call.
 
     Norms use the weighted measure p(z) dmu; the gradient norm is the inverse
-    Hessian contraction u^{ij} f_i f_j.
+    Hessian contraction u^{ij} f_i f_j.  On every state checked so far the
+    worst ratio is that of the constant function "one", whose gradient term
+    is 0: q^(1/3) / q^(1/2) with q the interior quadrature of the class
+    weight p, which reads nothing of u.  The ratio notices the potential only
+    if a non-constant test function overtakes "one".
     """
     import numpy as np
 
@@ -280,8 +284,8 @@ def sobolev_inequality_test(u: SymplecticPotential, cls: AdmissibleClass) -> flo
     U = curvature_context(u)["U"]
     worst = 0.0
     for form in builtin_test_functions().values():
-        fv = form(x, y)
-        gx, gy = form.partial(1, 0, x, y), form.partial(0, 1, x, y)
+        jets = form.partials(1, x, y)
+        fv, gx, gy = jets[0, 0], jets[1, 0], jets[0, 1]
         l3 = interior_quadrature(grid, np.abs(fv) ** 3 * pw) ** (1.0 / 3.0)
         l2 = math.sqrt(interior_quadrature(grid, fv**2 * pw))
         grad2 = _sym2_dot(U, (gx * gx, gx * gy, gy * gy))

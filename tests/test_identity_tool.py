@@ -60,3 +60,14 @@ def test_compare_counts_a_command_failing_alike_in_both_trees(tmp_path, capsys):
     assert _identity().compare(_write(tmp_path / "a", files), _write(tmp_path / "b", files)) == 1
     assert capsys.readouterr().out.splitlines() == ["x.json: its command fails in both trees",
                                                     "3 outputs compared, 1 differ or fail"]
+
+
+def test_compare_lists_library_entries_by_key(tmp_path, capsys):
+    library = {"sobolev_inequality_test a": "0.5", "energy_report a": "{}"}
+    parent = _write(tmp_path / "parent", {"library.json": json.dumps(library)})
+    tree = _write(tmp_path / "tree", {"library.json": json.dumps(
+        {**library, "energy_report a": "{'x': 1}", "jets(4) b": "ee"})})
+    assert _identity().compare(parent, tree) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "library.json: energy_report a differs", "library.json: jets(4) b only in this tree",
+        "1 outputs compared, 1 differ or fail"]

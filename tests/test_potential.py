@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.hermite import hermval
 
 from calabiflow import (
     DegenerateInputError,
@@ -20,9 +21,10 @@ from calabiflow import (
 from calabiflow.curvature import curvature_context
 from calabiflow.polytope import (GRADIENT_KEYS, HESSIAN_KEYS, DelzantPolytope, Grid,
                                  boundary_quadrature)
-from calabiflow.potential import (PARTIALS, ClosedForm, _mat2, _mat2_product, _repr_column,
-                                  _sym2_dot, _sym2_eigenvalues, _sym2_inverse, _sym2_matrix,
-                                  _sym2_sandwich, _trace_of_square, bump_form, zero_form)
+from calabiflow.potential import (PARTIALS, ClosedForm, _hermite_values, _mat2, _mat2_product,
+                                  _repr_column, _sym2_dot, _sym2_eigenvalues, _sym2_inverse,
+                                  _sym2_matrix, _sym2_sandwich, _trace_of_square, bump_form,
+                                  zero_form)
 from conftest import interior_points
 from fd_oracle import sym2_matrices
 
@@ -142,7 +144,7 @@ BAD_ORDERS = (-1, -2, 2.5, 5, np.nan, "2")
 
 
 @pytest.mark.parametrize("entry", ["guillemin_partials", "jets", "f_jets", "partials_at",
-                                   "evaluate"])
+                                   "evaluate", "ClosedForm.partials"])
 def test_derivative_order_is_a_whole_number_from_0_to_4(entry, triangle, grid48, fs48, fs48_fd):
     node = grid48.points[len(grid48.points) // 2]
     calls = {
@@ -151,6 +153,7 @@ def test_derivative_order_is_a_whole_number_from_0_to_4(entry, triangle, grid48,
         "f_jets": [fs48.f_jets, fs48_fd.f_jets],
         "partials_at": [lambda order: fs48.partials_at(node, order)],
         "evaluate": [lambda order, u=u: u.evaluate(node, order=order) for u in (fs48, fs48_fd)],
+        "ClosedForm.partials": [lambda order: ClosedForm(QUARTIC, [BUMP]).partials(order, *node)],
     }[entry]
     for call in calls:
         for order in BAD_ORDERS:
@@ -546,6 +549,70 @@ def test_constant_partials_are_shaped_like_x():
     assert zero_form().partial(2, 1, x, x).shape == (2, 3)
     assert bump_form(0.05)(0.0, 0.0).shape == ()
     assert float(bump_form(0.05)(0.0, 0.0)) == 0.05
+
+
+# x and y of different shapes: each raised "non-broadcastable output operand"
+@pytest.mark.parametrize("x, y", [(0.3, np.array([0.1, 0.2])), (np.array([0.3]), np.array([0.1, 0.2])),
+                                  (np.array([[0.3], [-0.1]]), np.array([0.1, 0.2, -0.25])),
+                                  (np.array([0.3, -0.1]), np.array([0.1, 0.2]))],
+                         ids=["scalar with (2,)", "(1,) with (2,)", "(2, 1) with (3,)",
+                              "equal shapes"])
+@pytest.mark.parametrize("form", [polynomial_form({(1, 1): 1.0}), bump_form(0.05),
+                                  ClosedForm(QUARTIC, [BUMP])], ids=["polynomial", "bump", "mixed"])
+def test_closed_form_evaluates_on_the_broadcast_of_x_and_y(form, x, y):
+    bx, by = (np.array(v) for v in np.broadcast_arrays(x, y))
+    ref = form.partials(4, bx, by)
+    for key, val in form.partials(4, x, y).items():
+        assert val.shape == bx.shape and val.tobytes() == ref[key].tobytes(), key
+        assert form.partial(*key, x, y).tobytes() == ref[key].tobytes(), key
+    assert form(x, y).tobytes() == ref[0, 0].tobytes()
+
+
+def _partial_per_key(form, a, b, x, y):
+    """A closed form's (a, b) partial by the formula that evaluated one key
+    at a time, with a hermval call per Hermite value and an exponential per
+    bump: the bits partials keeps."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    out = np.zeros(x.shape)
+    for (i, j), c in form.coeffs.items():
+        if i >= a and j >= b:
+            out += c * math.perm(i, a) * math.perm(j, b) * x ** (i - a) * y ** (j - b)
+    for A, (cx, cy), w in form.bumps:
+        s, t = (x - cx) / w, (y - cy) / w
+        Ha, Hb = hermval(s, [0] * a + [1]), hermval(t, [0] * b + [1])
+        out += A * (-1.0 / w) ** (a + b) * Ha * Hb * np.exp(-s * s - t * t)
+    return out
+
+
+def test_hermite_values_are_those_of_hermval():
+    tiny, huge = np.finfo(float).tiny, np.finfo(float).max
+    s = np.array([0.0, -0.0, 5e-324, -5e-324, tiny, -1e-200, 1e-8, 0.7, -1.3, 3.5, -12.0, 1e30,
+                  -1e80, 1e160, -1e300, huge, -huge])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for order in range(5):
+            values = _hermite_values(s, order)
+            assert len(values) == order + 1
+            for k, H in enumerate(values):
+                assert H.tobytes() == hermval(s, [0] * k + [1]).tobytes(), (order, k)
+            # and at one point, as a 0-d array and as a numpy scalar
+            for point in (np.asarray(-0.0), np.float64(0.7)):
+                for k, H in enumerate(_hermite_values(point, order)):
+                    ref = hermval(point, [0] * k + [1])
+                    assert np.asarray(H).tobytes() == np.asarray(ref).tobytes(), (point, k)
+
+
+@pytest.mark.parametrize("form", [polynomial_form(QUARTIC), bump_form(*BUMP),
+                                  ClosedForm(QUARTIC, [BUMP, (-0.05, (-0.3, 0.25), 0.5)])],
+                         ids=["polynomial", "bump", "mixed"])
+@pytest.mark.parametrize("where", ["one point", "grid nodes"])
+def test_partials_are_the_per_key_formula(form, where, grid48):
+    x, y = (0.3, -0.2) if where == "one point" else grid48.points.T
+    for order in range(5):
+        out = form.partials(order, x, y)
+        assert list(out) == [key for key in PARTIALS if sum(key) <= order]
+        for key, val in out.items():
+            assert val.tobytes() == _partial_per_key(form, *key, x, y).tobytes(), (order, key)
 
 
 # -- the 2x2 component algebra against numpy.linalg and np.einsum --------------

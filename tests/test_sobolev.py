@@ -7,11 +7,15 @@ from calabiflow import (
     AdmissibleClass,
     ClassTopology,
     RegimeError,
+    SymplecticPotential,
+    build_grid,
+    bump_form,
     certify,
     fiber_energy_bound,
     sobolev_inequality_test,
 )
 from calabiflow.curvature import class_record
+from calabiflow.energy import interior_quadrature
 from calabiflow.polytope import DelzantPolytope
 from calabiflow import sobolev
 from calabiflow.potential import polynomial_form
@@ -164,8 +168,9 @@ def test_builtin_test_functions_match_formulas(grid48, hex_grid):
         # the coordinate views the tester reads
         x, y = pts[:, 0], pts[:, 1]
         for name, form in forms.items():
-            assert np.array_equal(form(x, y), ref[name][0](pts)), name
-            grad = np.stack([form.partial(1, 0, x, y), form.partial(0, 1, x, y)], axis=-1)
+            jets = form.partials(1, x, y)
+            assert np.array_equal(jets[0, 0], ref[name][0](pts)), name
+            grad = np.stack([jets[1, 0], jets[0, 1]], axis=-1)
             assert np.array_equal(grad, ref[name][1](pts)), name
 
 
@@ -187,6 +192,21 @@ def test_ratio_constant_function(monkeypatch, fs48):
                         lambda: {"one": polynomial_form({(0, 0): 1.0})})
     worst = sobolev_inequality_test(fs48, triv)
     assert worst == pytest.approx(4.5 ** (1 / 3) / 4.5**0.5, rel=1e-6)
+
+
+@pytest.mark.parametrize("state", ["fubini_study triangle trivial", "bump node data hexagon bundle"])
+def test_worst_ratio_is_that_of_the_constant_function(state, fs48, hexagon, bundle_class):
+    # "one" has no gradient term, so its ratio is q^(1/3) / q^(1/2) of the
+    # class weight alone; a non-constant function that overtook it would
+    # make the tester read the potential
+    if state.startswith("fubini_study"):
+        u, cls = fs48, AdmissibleClass.trivial()
+    else:
+        grid = build_grid(hexagon, 48, 0.5 * 2.0 / 48)
+        u = SymplecticPotential.from_node_values(hexagon, grid, bump_form(0.05)(*grid.points.T))
+        cls = bundle_class
+    q = interior_quadrature(u.grid, class_record(u.grid, cls).pw)
+    assert sobolev_inequality_test(u, cls) == q ** (1 / 3) / math.sqrt(q)
 
 
 def test_ratio_scale_invariance(monkeypatch, fs48):

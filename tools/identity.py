@@ -30,6 +30,9 @@ tree is:
   as a closed form; and for that closed form, which reads the canonical
   partials of orders 3 and 4 off the triangle, the reprs of its bundle-class
   energy_report fields and of its admissible_blocks sample at (0.3, -0.2);
+  and, for a closed form of every monomial of degree <= 4 plus two bumps on
+  the N=48 hexagon and trapezoid, the digest of its ``jets(4)`` at the nodes
+  and the reprs of its ``partials_at((0.3, -0.2))``;
 * digests of the grid arrays (cell and quadrature weights, boundary
   distances, axis, jet and velocity operators, the 8-neighbour graph
   ``region_graph`` of all nodes, and the boundary quadrature's
@@ -42,8 +45,8 @@ tree is:
   facet value, so only such a polygon shows a change in how facet values
   are multiplied that moves bits.
 
-Prints every output that differs, every output and grid digest found in one
-tree only, every command that fails in either tree (a failing command leaves
+Prints every output that differs, every output, grid digest and library
+entry found in one tree only, every command that fails in either tree (a failing command leaves
 a ``<output>.failed`` file holding its exit status; it fails the run even
 where it fails alike in both) and a collect that fails as a whole; for a
 monitor CSV it prints the largest relative drift of each column and the
@@ -136,13 +139,18 @@ def _grid_digests() -> dict:
 
 
 def _library() -> dict:
-    """Outputs of library calls that no command prints, as reprs: the Sobolev
-    tester's worst ratios, and a closed form's energies and curvature blocks
-    off the triangle."""
-    from calabiflow import (AdmissibleClass, DelzantPolytope, SymplecticPotential,
+    """Outputs of library calls that no command prints, as reprs or digests:
+    the Sobolev tester's worst ratios, a closed form's energies and curvature
+    blocks off the triangle, and the partials of a polynomial-plus-bumps
+    closed form."""
+    from calabiflow import (AdmissibleClass, ClosedForm, DelzantPolytope, SymplecticPotential,
                             admissible_blocks, build_grid, bump_form, energy_report,
                             sobolev_inequality_test)
 
+    # every monomial of degree <= 4 plus two bumps, so that each partial up
+    # to order 4 has a polynomial and a Hermite part
+    mixed = ClosedForm({(i, j): 0.01 * (1 + i - 2 * j) for i in range(5) for j in range(5 - i)},
+                       [(0.3, (0.15, -0.2), 0.7), (-0.05, (-0.3, 0.25), 0.5)])
     cls = AdmissibleClass(**BUNDLE)
     triangle, hexagon = (DelzantPolytope(*POLYGONS[name]) for name in ("triangle", "hexagon"))
     fs = SymplecticPotential.fubini_study(build_grid(triangle, 48, 0.5 * 3.0 / 48))
@@ -163,6 +171,13 @@ def _library() -> dict:
         energy_report(closed, cls).to_dict())
     out["admissible_blocks bump closed form hexagon N=48 bundle at (0.3, -0.2)"] = repr(
         admissible_blocks(closed, cls, (0.3, -0.2)).to_dict())
+    for name in ("hexagon", "trapezoid"):
+        P = DelzantPolytope(*POLYGONS[name])
+        width = float(P.bbox[1][0] - P.bbox[0][0])
+        u = SymplecticPotential.from_closed_form(P, build_grid(P, 48, 0.5 * width / 48), mixed)
+        out[f"jets(4) mixed closed form {name} N=48"] = _digest(*u.jets(4).values())
+        out[f"partials_at mixed closed form {name} N=48 at (0.3, -0.2)"] = repr(
+            {key: val.tolist() for key, val in u.partials_at((0.3, -0.2)).items()})
     return out
 
 
@@ -264,7 +279,7 @@ def compare(a: Path, b: Path) -> int:
         bad += 1
         if not both:
             print(f"{rel}: only in {side}")
-        elif rel.name == "grid_digests.json":
+        elif rel.name in ("grid_digests.json", "library.json"):
             da, db = json.loads(pa.read_text()), json.loads(pb.read_text())
             for key in sorted(set(da) | set(db)):
                 if (key in da) != (key in db):
