@@ -46,9 +46,9 @@ tree is:
   are multiplied that moves bits.
 
 Prints every output that differs, every output, grid digest and library
-entry found in one tree only, every command that fails in either tree (a failing command leaves
-a ``<output>.failed`` file holding its exit status; it fails the run even
-where it fails alike in both) and a collect that fails as a whole; for a
+entry found in one tree only, every command that fails in either tree (a
+failing command leaves a ``<output>.failed`` file holding its exit status; it
+fails the run even where it fails alike in both) and a collect that fails as a whole; for a
 monitor CSV it prints the largest relative drift of each column and the
 number of its rows that are NaN on one side only.  Exits 1 on any difference
 or failure, 0 otherwise; 2 when the revision cannot be exported.
