@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._serialize import json_value
-from .errors import CurvatureUndefinedError, DegenerateInputError, DomainError
+from .errors import CurvatureUndefinedError, DegenerateInputError, DomainError, RegimeError
 from .polytope import DelzantPolytope, Grid, _frozen
 from .potential import (HESSIAN_KEYS, SymplecticPotential, _mat2, _mat2_product, _sym2_dot,
                         _sym2_eigenvalues, _sym2_inverse, _sym2_matrix, _sym2_sandwich,
@@ -40,7 +40,8 @@ _SPD_RATIO = 1e-12
 class AdmissibleClass:
     """Scalar data of an admissible Kahler class on a projective-plane bundle.
 
-    p : line-bundle curvature factors (p1, p2), two finite floats, p1 >= p2
+    p : line-bundle curvature factors (p1, p2), any two finite floats; the
+        |Rm|^2 bound (canonical_rm2_bound) needs p1 >= |p2|
     c_S : class constant, a finite float, with <p, z> + c_S > 0 on the
           closed polytope (validate_on)
     scal_S : normalized base scalar curvature, one of -1, 0, 1
@@ -541,7 +542,9 @@ def ricci_trace(u: SymplecticPotential, cls: AdmissibleClass, x) -> float:
 
 
 def control_rm_rhs(cls: AdmissibleClass, x) -> float:
-    """Pointwise upper bound for |Rm|^2 of the canonical potential at x."""
+    """Pointwise upper bound for |Rm|^2 of the canonical potential at x,
+    canonical_rm2_bound at the class's <p, x> + c_S; RegimeError unless
+    p1 >= |p2|."""
     return canonical_rm2_bound(cls, float(cls.affine(np.asarray(x, dtype=float))))
 
 
@@ -550,8 +553,14 @@ def canonical_rm2_bound(cls: AdmissibleClass, q: float) -> float:
 
     (scal_S / q)^2 + 90 r^4 + (4 r + 24 r^2)^2 + 4/3, r = p1 / q.
 
-    In the ratio r no power of p1 itself is taken, so a class whose p1 and
-    c_S are both large has a finite bound wherever r is moderate.
+    The bound takes p1 as the larger factor: it holds only for p1 >= |p2|,
+    and a class outside that raises RegimeError (on Fubini-Study at N=48,
+    p = (0, -2), c_S = 60, the total |Rm|^2 exceeds it at every node).  In
+    the ratio r no power of p1 itself is taken, so a class whose p1 and c_S
+    are both large has a finite bound wherever r is moderate.
     """
-    r = cls.p[0] / q
+    p1, p2 = cls.p
+    if not p1 >= abs(p2):
+        raise RegimeError(f"the |Rm|^2 bound needs p1 >= |p2|, got p = ({p1:g}, {p2:g})")
+    r = p1 / q
     return (cls.scal_S / q) ** 2 + 90.0 * r**4 + (4.0 * r + 24.0 * r**2) ** 2 + 4.0 / 3.0

@@ -20,7 +20,7 @@ from .curvature import (
     weighted_scalar_field,
 )
 from .energy import _state_energies, average_scalar, calabi_energy
-from .errors import ConfigError, CurvatureUndefinedError, StiffnessError
+from .errors import ConfigError, CurvatureUndefinedError, DegenerateInputError, StiffnessError
 from .polytope import (
     OFFSETS8,
     Grid,
@@ -98,27 +98,32 @@ def proposed_dt(u: SymplecticPotential, sigma: float) -> float:
 
 
 def step(state: FlowState, cls: AdmissibleClass, sigma: float, r_bar: float) -> FlowState:
-    """One accepted classical RK4 step from the CFL step proposed_dt(u, sigma),
-    with r_bar the class's average scalar curvature; halves dt and retries on
-    energy increase or positivity failure, raising StiffnessError after
-    MAX_RETRIES retries, and ConfigError unless sigma is finite and positive.
+    """One accepted classical RK4 step of a node-data state from the CFL step
+    proposed_dt(u, sigma), with r_bar the class's average scalar curvature;
+    halves dt and retries on energy increase or positivity failure, raising
+    StiffnessError after MAX_RETRIES retries, and ConfigError unless sigma is
+    finite and positive.  A closed-form state is refused with
+    DegenerateInputError before any curvature is computed: its node data,
+    u.with_node_values(u.f_values), is the state this stepper advances.
 
-    The stages after the first are stage_velocity of the stage's node values,
-    with no potential built; the candidate is a potential, whose cached
-    curvature and Calabi energy an accepted step hands on.  Positivity is
-    checked where the curvature of a stage or of the candidate is computed:
-    a Hessian that is not positive definite raises CurvatureUndefinedError
-    there."""
+    k1 is rhs of the state, from its cached curvature; the later stages are
+    stage_velocity of the stage's node values, with no potential built; the
+    candidate is a potential, whose cached curvature and Calabi energy an
+    accepted step hands on.  Positivity is checked where the curvature of a
+    stage or of the candidate is computed: a Hessian that is not positive
+    definite raises CurvatureUndefinedError there."""
     if not 0 < sigma < math.inf:
         raise ConfigError(f"CFL factor sigma must be finite and positive, got {sigma!r}")
     u = state.u
+    if u.f_form is not None:
+        raise DegenerateInputError(
+            "step advances node data; convert a closed-form state with "
+            "u.with_node_values(u.f_values)")
     calabi_now = calabi_energy(u, cls, r_bar)
     f0 = u.f_values
     dt = proposed_dt(u, sigma)
     grid, rec = u.grid, class_record(u.grid, cls)
-    # a node-data field is a function of (grid, f_values) alone, so the
-    # state's own cached curvature gives the k1 of a fresh copy
-    k1 = rhs(state, cls, r_bar) if u.f_form is None else stage_velocity(grid, rec, f0, r_bar)
+    k1 = rhs(state, cls, r_bar)
     for _ in range(MAX_RETRIES + 1):
         try:
             k2 = stage_velocity(grid, rec, f0 + 0.5 * dt * k1, r_bar)

@@ -23,9 +23,9 @@ On the grid the partials of u are the canonical ones plus those of
 ``f_jets``, which reads both kinds; at any interior point a closed form's
 are ``partials_at``.  The kinds are told apart by ``f_form is None`` (node
 data) where they differ: here in ``f_jets``, ``partials_at``, ``evaluate``,
-``value_at`` and ``boundary_integral``; in calabiflow.curvature in
-``curvature_context``, ``_locate`` and ``weighted_scalar_field``; and in
-the first stage of calabiflow.flow.step.
+``value_at`` and ``boundary_integral``; and in calabiflow.curvature in
+``curvature_context``, ``_locate`` and ``weighted_scalar_field``.
+calabiflow.flow.step advances node data only and refuses a closed form.
 """
 
 from __future__ import annotations

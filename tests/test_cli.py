@@ -302,6 +302,32 @@ def test_curvature_command_with_class(capsys, fs_snapshot, tmp_path):
     assert data["r_weighted"] == pytest.approx(-1.0 / 12.0 + 4.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("with_class", [False, True], ids=["fiber", "class"])
+def test_curvature_off_a_node_reports_the_nearest_node(capsys, fs_snapshot, tmp_path, grid48,
+                                                       with_class):
+    extra = []
+    if with_class:
+        cpath = tmp_path / "class.json"
+        cpath.write_text(json.dumps({"p": [1, 1], "c_S": 12, "scal_S": -1, "m": 1,
+                                     "chi_S": -2}))
+        extra = ["--class", str(cpath)]
+    x = np.array([0.3, -0.2])
+    node = grid48.points[np.argmin(((grid48.points - x) ** 2).sum(axis=1))]
+    assert not np.array_equal(node, x)
+    outputs = []
+    for at in (x, node):
+        code, out, err = run_cli(capsys, "curvature", "--snapshot", str(fs_snapshot),
+                                 "--at", repr(float(at[0])), repr(float(at[1])), *extra)
+        assert code == 0, err
+        outputs.append(json.loads(out))
+    off, on = outputs
+    assert off["point"] == node.tolist()
+    assert off["requested_point"] == [0.3, -0.2]
+    assert on["requested_point"] == node.tolist()
+    del off["requested_point"], on["requested_point"]
+    assert off == on
+
+
 def test_curvature_exterior_point(capsys, fs_snapshot):
     code, _, err = run_cli(capsys, "curvature", "--snapshot", str(fs_snapshot),
                            "--at", "5", "5")

@@ -7,6 +7,7 @@ from calabiflow import (
     AdmissibleClass,
     CurvatureUndefinedError,
     DegenerateInputError,
+    RegimeError,
     SymplecticPotential,
     abreu_scalar,
     abreu_scalar_field,
@@ -349,6 +350,37 @@ def test_control_rm_dominates_fs_total_norm(fs48, grid48):
         lhs = rm2_total_field(fs48, cls)
         rhs_vals = np.array([control_rm_rhs(cls, x) for x in grid48.points])
         assert np.all(lhs <= rhs_vals)
+
+
+@pytest.mark.parametrize("p", [(0.5, 2.0), (0.0, -2.0), (1.0, 4.0)])
+def test_control_rm_refuses_a_second_factor_larger_than_the_first(p):
+    # on Fubini-Study the total norm exceeds the p1-only bound at some node of
+    # each of these classes, at every node for (0, -2)
+    cls = AdmissibleClass(p, 60.0, -1.0, 1, -2)
+    with pytest.raises(RegimeError, match=r"p1 >= \|p2\|"):
+        control_rm_rhs(cls, (0.0, 0.0))
+
+
+# the bound's values before it refused |p2| > p1, at (-1, -1), (0.3, -0.2)
+# and (0.5, 0.25)
+CONTROL_RM_VALUES = [
+    (AdmissibleClass.trivial(), [1.3333333333333333] * 3),
+    (AdmissibleClass((1.0, 1.0), 12.0, -1.0, 1, -2),
+     [1.7619333333333334, 1.5888940068376889, 1.5557444634682693]),
+    (AdmissibleClass((2.0, 1.0), 24.0, 1.0, 1, 2),
+     [1.701374427321949, 1.5783098753866474, 1.5569119451436029]),
+    (AdmissibleClass((3.0, 2.0), 50.0, -1.0, 1, -4),
+     [1.4749827160493827, 1.438737386119945, 1.4312041733774494]),
+    (AdmissibleClass((0.7, 0.3), 3.0, 0.0, 1, 0),
+     [21.51949583333333, 5.854595336076817, 4.802848307444736]),
+]
+
+
+@pytest.mark.parametrize("cls, values", CONTROL_RM_VALUES,
+                         ids=["trivial", "bundle", "(2,1)", "(3,2)", "(0.7,0.3)"])
+def test_control_rm_keeps_its_values_where_p1_dominates(cls, values):
+    points = [(-1.0, -1.0), (0.3, -0.2), (0.5, 0.25)]
+    assert [control_rm_rhs(cls, x) for x in points] == values
 
 
 def test_total_norm_dominates_fiber(fs48, grid48):

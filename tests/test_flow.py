@@ -22,7 +22,7 @@ from calabiflow import (
 from calabiflow.curvature import class_record, curvature_context, stage_velocity
 from calabiflow.energy import average_scalar
 from calabiflow.flow import boundary_ring, distance_field, proposed_dt, region_graph
-from calabiflow.errors import CurvatureUndefinedError, StiffnessError
+from calabiflow.errors import CurvatureUndefinedError, DegenerateInputError, StiffnessError
 from calabiflow.potential import HESSIAN_KEYS, PARTIALS, _sym2_inverse, bump_form
 from fd_oracle import sym2_matrices
 
@@ -263,6 +263,26 @@ def test_step_accepts_and_advances(fs48, triangle, grid48):
     st2 = step(fd_state(fs48), cls, 0.1, average_scalar(triangle, cls, grid48))
     assert st2.step_count == 1
     assert st2.t == st2.dt_last > 0
+
+
+def test_step_refuses_a_closed_form_state(triangle, grid48, bundle_class):
+    u = SymplecticPotential.from_closed_form(triangle, grid48, bump_form(0.05))
+    r_bar = average_scalar(triangle, bundle_class, grid48)
+    with pytest.raises(DegenerateInputError, match=r"u\.with_node_values\(u\.f_values\)"):
+        step(FlowState(t=0.0, u=u), bundle_class, 0.1, r_bar)
+    # refused before its curvature context or Calabi energy was computed
+    assert u.curvature_cache == {}
+
+
+def test_step_of_a_converted_closed_form_is_the_node_data_step(triangle, grid48, bundle_class):
+    form = bump_form(0.05)
+    r_bar = average_scalar(triangle, bundle_class, grid48)
+    got = step(fd_state(SymplecticPotential.from_closed_form(triangle, grid48, form)),
+               bundle_class, 0.1, r_bar)
+    ref = step(FlowState(t=0.0, u=SymplecticPotential.from_node_values(
+        triangle, grid48, form(*grid48.points.T))), bundle_class, 0.1, r_bar)
+    assert (got.t, got.dt_last, got.step_count) == (ref.t, ref.dt_last, ref.step_count)
+    assert got.u.f_values.tobytes() == ref.u.f_values.tobytes()
 
 
 def test_stiffness_error_carries_state(fs48, triangle, grid48):

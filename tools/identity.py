@@ -16,7 +16,9 @@ tree is:
   monitor record every 2, epsilon = 0.1), so that the monitors' region
   distances and third and fourth partials are compared off the triangle;
 * 10-step command-line flows on the triangle and the hexagon at N=12, with
-  the ``energy`` and ``curvature`` JSON of their final snapshots;
+  the ``energy`` JSON of their final snapshots with and without the class,
+  and their ``curvature`` JSON at the node (0, 0) with the class and at
+  (0.3, -0.2), which is not a node, with and without it;
 * a 10-step N=12 triangle flow at epsilon = 0.5, whose 2epsilon-region has no
   node, so that its records' ring distances take their NaN side;
 * the ``--json`` outputs of the golden suite (``baseline``), of
@@ -225,8 +227,12 @@ def collect(work: Path) -> None:
     for name in ("cli_triangle", "cli_hexagon"):
         snap = f"{name}/snapshot_final.csv"
         call(["energy", "--snapshot", snap, "--class", "class.json"], f"{name}-energy.json")
+        call(["energy", "--snapshot", snap], f"{name}-energy-fiber.json")
         call(["curvature", "--snapshot", snap, "--at", "0", "0", "--class", "class.json"],
              f"{name}-curvature.json")
+        off_node = ["curvature", "--snapshot", snap, "--at", "0.3", "-0.2"]
+        call(off_node + ["--class", "class.json"], f"{name}-curvature-off-node.json")
+        call(off_node, f"{name}-curvature-off-node-fiber.json")
     call(["--json", "baseline"], "baseline.json")
     call(["--json", "fiber-bound", "--class", "class.json"], "fiber-bound.json")
     for ca in CERTIFICATE_CAS:
