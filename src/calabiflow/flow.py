@@ -149,41 +149,59 @@ def step(state: FlowState, cls: AdmissibleClass, sigma: float, r_bar: float) -> 
 # Riemannian grid-graph distances
 
 class RegionGraph(NamedTuple):
-    """The 8-neighbour graph induced on a region of grid nodes: the edges of
+    """The 8-neighbour graph induced on a region of grid nodes, with the
+    sources that its distance fields start from: the edges of
     grid.neighbors8 with both ends in the region, in CSR order.
 
-    nodes holds the region's grid ids, sorted; indices and indptr are the
-    CSR structure of the edges on the numbering of nodes.  An edge and its
-    reverse are one undirected edge, stored once: undirected edge e joins
-    grid node ends[0, e] to the higher id ends[1, e] at offset (dx[e], dy[e]),
-    and pair[d] is the undirected edge of the d-th edge in CSR order.  entries
+    nodes holds the region's grid ids, sorted; csr is the one CSR array of
+    the edges on the numbering of nodes, and its data holds the edge lengths
+    of the last distance_field call on the graph.  An edge and its reverse
+    are one undirected edge, stored once: undirected edge e joins grid node
+    ends[0, e] to the higher id ends[1, e] at offset (dx[e], dy[e]), and
+    pair[d] is the undirected edge of the d-th edge in CSR order.  entries
     holds the region nodes, in the numbering of nodes, that an edge from
-    outside enters."""
+    outside enters; sources holds the sources' positions in nodes."""
 
     nodes: np.ndarray
     ends: np.ndarray
     dx: np.ndarray
     dy: np.ndarray
     pair: np.ndarray
-    indices: np.ndarray
-    indptr: np.ndarray
     entries: np.ndarray
+    sources: np.ndarray
+    csr: object
 
 
-def region_graph(grid: Grid, region) -> RegionGraph:
-    """The RegionGraph of a node set of the grid, its edges gathered from
-    grid.neighbors8 on each call."""
+def region_graph(grid: Grid, region, sources) -> RegionGraph:
+    """The RegionGraph of a node set of the grid and source grid node ids in
+    it, its edges gathered from grid.neighbors8.
+
+    Every edge from outside the region must enter it at a source, at
+    distance 0, so that a shortest path to a region node never needs to leave
+    the region, and distance_field gives the distances of the whole graph bit
+    for bit; ValueError for a source outside the region, or a region that an
+    edge enters at a node that is not a source."""
+    from scipy.sparse import csr_array
+
     inside = np.zeros(grid.n_nodes, dtype=bool)
     inside[np.asarray(region, dtype=int)] = True
     nodes = np.nonzero(inside)[0]
     local = np.full(grid.n_nodes, -1, dtype=np.int32)
     local[nodes] = np.arange(len(nodes), dtype=np.int32)
+    sources = np.atleast_1d(np.asarray(sources, dtype=int))
+    at = np.searchsorted(nodes, sources)
+    if not (at < len(nodes)).all() or not np.array_equal(nodes[at], sources):
+        raise ValueError("a source is not a node of the region")
     # the directed edges in CSR order: node ids grow with (i, j), so the
     # columns of a row are sorted
     nbrs = grid.neighbors8
     rows, k = np.nonzero(nbrs >= 0)
     cols = nbrs[rows, k]
     entries = np.unique(local[cols[inside[cols] & ~inside[rows]]])
+    is_source = np.zeros(len(nodes), dtype=bool)
+    is_source[at] = True
+    if not is_source[entries].all():
+        raise ValueError("an edge enters the region at a node that is not a source")
     keep = inside[rows] & inside[cols]
     rows, cols, k = rows[keep], cols[keep].astype(np.intp), k[keep]
     indptr = np.zeros(len(nodes) + 1, dtype=np.int32)
@@ -195,15 +213,17 @@ def region_graph(grid: Grid, region) -> RegionGraph:
     key = rows * grid.n_nodes + cols
     pair = np.searchsorted(key[up], np.minimum(rows, cols) * grid.n_nodes + np.maximum(rows, cols))
     dx, dy = (np.take(o, k[up]) for o in (grid.h * OFFSETS8).T)
+    csr = csr_array((np.zeros(len(pair)), local[cols], indptr), shape=(len(nodes),) * 2)
     return RegionGraph(nodes=nodes, ends=np.stack([rows[up], cols[up]]), dx=dx, dy=dy,
-                       pair=pair, indices=local[cols], indptr=indptr, entries=entries)
+                       pair=pair, entries=entries, sources=at, csr=csr)
 
 
-def distance_field(graph: RegionGraph, hessians, sources) -> np.ndarray:
-    """Dijkstra distances from a source node set on the 8-neighbour graph of
-    a region of the grid, graph from region_graph; the whole grid is the
+def distance_field(graph: RegionGraph, hessians) -> np.ndarray:
+    """Dijkstra distances from the graph's sources on the 8-neighbour graph
+    of a region of the grid, graph from region_graph; the whole grid is the
     region of all its nodes.  Returns the distance at each node of the
-    region, in the order of graph.nodes.
+    region, in the order of graph.nodes, and leaves the edge lengths in
+    graph.csr.data.
 
     hessians is the metric at every grid node as its components (g00, g01,
     g11).  An edge n -> m has metric length sqrt(dx^T G dx), G the mean of
@@ -211,31 +231,15 @@ def distance_field(graph: RegionGraph, hessians, sources) -> np.ndarray:
     for bit (the mean's sum commutes, and negating dx and dy is exact), so
     it is computed once per undirected edge.  Zero-length edges stay edges
     of the graph.
-
-    The sources are grid node ids in the region.  Every edge from outside the
-    region enters it at a source, at distance 0, so a shortest path to a
-    region node never needs to leave the region, and the distances are those
-    of the whole graph bit for bit; ValueError for a region that an edge
-    enters at a node that is not a source, or a source outside the region.
     """
-    from scipy.sparse import csr_array
     from scipy.sparse.csgraph import dijkstra
 
-    sources = np.atleast_1d(np.asarray(sources, dtype=int))
-    local = np.searchsorted(graph.nodes, sources)
-    if not (local < len(graph.nodes)).all() or not np.array_equal(graph.nodes[local], sources):
-        raise ValueError("a source is not a node of the region")
-    is_source = np.zeros(len(graph.nodes), dtype=bool)
-    is_source[local] = True
-    if not is_source[graph.entries].all():
-        raise ValueError("an edge enters the region at a node that is not a source")
     dx, dy = graph.dx, graph.dy
     a, b = graph.ends
     g00, g01, g11 = 0.5 * (np.take(hessians, a, axis=1) + np.take(hessians, b, axis=1))
     q = g00 * dx * dx + 2.0 * g01 * dx * dy + g11 * dy * dy
-    A = csr_array((np.take(np.sqrt(np.maximum(q, 0.0)), graph.pair), graph.indices, graph.indptr),
-                  shape=(len(graph.nodes),) * 2)
-    return dijkstra(A, indices=local, min_only=True)
+    np.take(np.sqrt(np.maximum(q, 0.0)), graph.pair, out=graph.csr.data)
+    return dijkstra(graph.csr, indices=graph.sources, min_only=True)
 
 
 def boundary_ring(grid: Grid, region) -> np.ndarray:
@@ -353,8 +357,9 @@ class FlowRun:
 
     @cached_property
     def eps_graph(self) -> RegionGraph:
-        """The 8-neighbour graph of the eps-region, built on the first record."""
-        return region_graph(self.grid, self.eps_nodes)
+        """The 8-neighbour graph of the eps-region with the eps-ring as its
+        sources, built on the first record."""
+        return region_graph(self.grid, self.eps_nodes, self.eps_ring)
 
     @cached_property
     def _eps2_in_graph(self) -> np.ndarray:
@@ -390,14 +395,16 @@ class FlowRun:
         # certified G positive definite at every node
         G = curvature_context(u)["G"]
         d = self._correction_derivative_maxima(u)
-        if len(self.eps_ring) and len(self.eps2_nodes):
+        if len(self.eps_ring):
             # distances at the eps-region's nodes, in the order of g.nodes;
             # a path from the eps-ring into the 2eps-region crosses its ring
             # first, and lengths are not negative, so the least distance over
-            # the 2eps-region is that over its ring
+            # the 2eps-region is that over its ring; q_d2_max reads the
+            # eps-region alone, dist_eps a 2eps-region apart from the eps-ring
             g = self.eps_graph
-            dist = distance_field(g, G, self.eps_ring)
-            dist_eps = float("nan") if self.rings_meet else float(np.min(dist[self._eps2_in_graph]))
+            dist = distance_field(g, G)
+            dist_eps = (float("nan") if self.rings_meet or not len(self.eps2_nodes)
+                        else float(np.min(dist[self._eps2_in_graph])))
             rm2 = rm2_total_field(u, cls)
             q = np.sqrt(np.maximum(rm2[g.nodes], 0.0)) * dist**2
             q_d2_max = float(q.max())

@@ -19,7 +19,8 @@ from calabiflow import (
     save_polytope,
     step,
 )
-from calabiflow.curvature import class_record, curvature_context, stage_velocity
+from calabiflow.curvature import (class_record, curvature_context, rm2_total_field,
+                                  stage_velocity)
 from calabiflow.energy import average_scalar
 from calabiflow.flow import boundary_ring, distance_field, proposed_dt, region_graph
 from calabiflow.errors import CurvatureUndefinedError, DegenerateInputError, StiffnessError
@@ -27,9 +28,9 @@ from calabiflow.potential import HESSIAN_KEYS, PARTIALS, _sym2_inverse, bump_for
 from fd_oracle import sym2_matrices
 
 
-def whole_graph(grid):
-    """The RegionGraph of all of a grid's nodes."""
-    return region_graph(grid, np.arange(grid.n_nodes))
+def whole_graph(grid, sources):
+    """The RegionGraph of all of a grid's nodes, from the given sources."""
+    return region_graph(grid, np.arange(grid.n_nodes), sources)
 
 
 def fd_state(potential):
@@ -195,6 +196,8 @@ def test_measure_builds_run_constants_once(monkeypatch, triangle_file, bundle_cl
     assert fr.grid not in fr.bquad._moments
     first = fr.measure()
     graph, queries = fr.eps_graph, tree.queries
+    csr, lengths = graph.csr, graph.csr.data.copy()
+    indices, indptr = csr.indices, csr.indptr
     moments, ring2 = fr.bquad._moments[fr.grid], fr._eps2_in_graph
     # the first record finds the boundary points' nearest nodes by querying
     # fewer than half of them
@@ -202,10 +205,13 @@ def test_measure_builds_run_constants_once(monkeypatch, triangle_file, bundle_cl
     fr.state = step(fr.state, bundle_class, fr.cfg.cfl_sigma, fr.r_bar)
     second = fr.measure()
     # the boundary points' nearest nodes and moments, the distance graph with
-    # its undirected-edge table, and the 2eps-ring's place in it are reused
+    # its undirected-edge table and its one CSR, and the 2eps-ring's place in
+    # it are reused; the CSR holds the second record's edge lengths
     assert tree.queries == queries
     assert fr.bquad._moments[fr.grid] is moments
     assert len(graphs) == 1 and graphs[0] is graph and fr.eps_graph is graph
+    assert graph.csr is csr and csr.indices is indices and csr.indptr is indptr
+    assert not np.array_equal(csr.data, lengths)
     assert fr._eps2_in_graph is ring2
     assert second.boundary_u != first.boundary_u
 
@@ -384,14 +390,14 @@ def test_riemannian_distance_flat_metric(triangle, grid48):
     ident = np.array([[1.0], [0.0], [1.0]]) * np.ones(grid48.n_nodes)
     a = int(np.argmin(((grid48.points - (-0.5, -0.5)) ** 2).sum(axis=1)))
     b = int(np.argmin(((grid48.points - (0.75, 0.25)) ** 2).sum(axis=1)))
-    d = distance_field(whole_graph(grid48), ident, [a])[b]
+    d = distance_field(whole_graph(grid48, [a]), ident)[b]
     euclid = np.hypot(*(grid48.points[a] - grid48.points[b]))
     assert euclid <= d <= 1.09 * euclid
 
 
 def test_riemannian_distance_zero_on_overlap(fs48, triangle, grid48):
     ring = boundary_ring(grid48, eps_region(grid48, 0.25))
-    dist = distance_field(whole_graph(grid48), curvature_context(fs48)["G"], ring)
+    dist = distance_field(whole_graph(grid48, ring), curvature_context(fs48)["G"])
     assert len(ring) and np.all(dist[ring] == 0.0)
 
 
@@ -407,7 +413,7 @@ def test_riemannian_distance_refinement_monotone(triangle):
         a = int(np.argmin(((g.points - pts[0]) ** 2).sum(axis=1)))
         b = int(np.argmin(((g.points - pts[1]) ** 2).sum(axis=1)))
         assert np.allclose(g.points[a], pts[0]) and np.allclose(g.points[b], pts[1])
-        vals.append(distance_field(whole_graph(g), curvature_context(u)["G"], [a])[b])
+        vals.append(distance_field(whole_graph(g, [a]), curvature_context(u)["G"])[b])
     assert vals[1] <= vals[0] * (1 + 1e-9)
 
 
@@ -503,9 +509,8 @@ def test_distance_field_matches_reference(request, grid_name):
     grid = request.getfixturevalue(grid_name)
     hess = bump_hessians(grid)
     eps_ring = boundary_ring(grid, eps_region(grid, 0.25))
-    graph = whole_graph(grid)
     for sources in (eps_ring, [0], [grid.n_nodes // 2, grid.n_nodes - 1]):
-        dist = distance_field(graph, hess, sources)
+        dist = distance_field(whole_graph(grid, sources), hess)
         assert np.isfinite(dist).all()
         assert np.array_equal(dist, reference_distance_field(grid, sym2_matrices(hess), sources))
 
@@ -513,7 +518,7 @@ def test_distance_field_matches_reference(request, grid_name):
 def test_distance_field_zero_metric(grid48):
     # zero-length edges are still edges: every node is at distance 0, not inf
     zero = np.zeros((3, grid48.n_nodes))
-    dist = distance_field(whole_graph(grid48), zero, [grid48.n_nodes // 2])
+    dist = distance_field(whole_graph(grid48, [grid48.n_nodes // 2]), zero)
     assert np.array_equal(dist, np.zeros(grid48.n_nodes))
     assert np.array_equal(dist, reference_distance_field(grid48, sym2_matrices(zero),
                                                          [grid48.n_nodes // 2]))
@@ -536,31 +541,52 @@ def test_region_distances_are_whole_graph_distances(polygon_grids48, polygon, ep
     G = curvature_context(bump_state(grid))["G"]
     region = eps_region(grid, eps)
     ring = boundary_ring(grid, region)
-    graph = region_graph(grid, region)
+    graph = region_graph(grid, region, ring)
     assert np.array_equal(graph.nodes, region)
     assert len(graph.nodes) < grid.n_nodes
-    dist = distance_field(graph, G, ring)
+    dist = distance_field(graph, G)
     assert np.isfinite(dist).all()
-    assert np.array_equal(dist, distance_field(whole_graph(grid), G, ring)[region])
+    assert np.array_equal(dist, distance_field(whole_graph(grid, ring), G)[region])
     assert np.array_equal(dist, reference_distance_field(grid, sym2_matrices(G), ring)[region])
 
 
-def test_distance_field_refuses_a_region_entered_off_its_sources(grid48):
-    G = curvature_context(bump_state(grid48))["G"]
+def test_region_graph_refuses_a_region_entered_off_its_sources(grid48):
     region = eps_region(grid48, 0.25)
     ring = boundary_ring(grid48, region)
-    graph = region_graph(grid48, region)
     inner = np.setdiff1d(region, ring)
     assert len(inner)
     # the ring is entered from outside, so one interior source leaves
     # entries that are not sources
     with pytest.raises(ValueError, match="not a source"):
-        distance_field(graph, G, [inner[0]])
+        region_graph(grid48, region, [inner[0]])
     with pytest.raises(ValueError, match="not a source"):
-        distance_field(graph, G, ring[1:])
+        region_graph(grid48, region, ring[1:])
     outside = np.setdiff1d(np.arange(grid48.n_nodes), region)
     with pytest.raises(ValueError, match="not a node of the region"):
-        distance_field(graph, G, np.append(ring, outside[0]))
+        region_graph(grid48, region, np.append(ring, outside[0]))
+
+
+@pytest.mark.parametrize("grid_name", ["grid48", "trap_grid"])
+def test_a_reused_graph_gives_the_distances_of_a_fresh_one(request, grid_name):
+    # one graph, read under a sequence of metrics, gives each metric's
+    # distances bit for bit, and its CSR structure never changes
+    grid = request.getfixturevalue(grid_name)
+    region = eps_region(grid, 0.25)
+    ring = boundary_ring(grid, region)
+    graph = region_graph(grid, region, ring)
+    csr = graph.csr
+    indices, indptr = csr.indices.copy(), csr.indptr.copy()
+    # a bump's Hessians, a constant anisotropic metric, the zero metric and
+    # an indefinite one, whose negative q on the (1, -1) diagonals clips to 0
+    const = [np.array([[g00], [g01], [g11]]) * np.ones(grid.n_nodes)
+             for g00, g01, g11 in ((2.0, 0.7, 0.5), (0.0, 0.0, 0.0), (1.0, 2.0, 1.0))]
+    metrics = [bump_hessians(grid), *const, bump_hessians(grid)]
+    for G in metrics:
+        dist = distance_field(graph, G)
+        assert np.array_equal(dist, distance_field(region_graph(grid, region, ring), G))
+        assert np.array_equal(dist, reference_distance_field(grid, sym2_matrices(G), ring)[region])
+        assert graph.csr is csr
+        assert np.array_equal(csr.indices, indices) and np.array_equal(csr.indptr, indptr)
 
 
 # the third and fourth partials, in the row order of the reference stack below
@@ -854,7 +880,7 @@ def test_dist_eps_reads_the_2eps_region_as_its_ring(request, tmp_path, bundle_cl
     ring2 = boundary_ring(fr.grid, fr.eps2_nodes)
     meet = bool(np.intersect1d(fr.eps_ring, ring2).size)
     g = fr.eps_graph
-    dist = distance_field(g, curvature_context(fr.state.u)["G"], fr.eps_ring)
+    dist = distance_field(g, curvature_context(fr.state.u)["G"])
     ref = math.nan if meet else float(np.min(dist[np.searchsorted(g.nodes, ring2)]))
     assert fr.rings_meet == meet
     assert np.array_equal(rec.dist_eps, ref, equal_nan=True)
@@ -882,3 +908,21 @@ def test_dist_eps_is_nan_when_the_rings_share_a_node(request, tmp_path, bundle_c
         assert np.isnan(rec.dist_eps)
     else:
         assert rec.dist_eps > 0
+
+
+def test_q_d2_max_is_read_when_only_the_2eps_region_is_empty(triangle_file, bundle_class):
+    # at N=24 and eps = 0.45 the triangle's eps-region has a ring and no
+    # node lies in the 2eps-region: dist_eps has no region to reach, but
+    # q_d2_max reads the eps-region alone
+    fr = FlowRun(RunConfig(polytope_path=str(triangle_file), admissible_class=bundle_class,
+                           grid_n=24, perturbation_kind="bump", perturbation_amplitude=0.05,
+                           epsilon=0.45, snapshot_every=0))
+    assert (len(fr.eps_nodes), len(fr.eps_ring), len(fr.eps2_nodes)) == (66, 38, 0)
+    rec = fr.measure()
+    assert np.isnan(rec.dist_eps)
+    u = fr.state.u
+    dist = distance_field(region_graph(fr.grid, fr.eps_nodes, fr.eps_ring),
+                          curvature_context(u)["G"])
+    rm2 = rm2_total_field(u, bundle_class)[fr.eps_nodes]
+    assert rec.q_d2_max == float((np.sqrt(np.maximum(rm2, 0.0)) * dist**2).max())
+    assert rec.q_d2_max > 0

@@ -20,7 +20,8 @@ tree is:
   and their ``curvature`` JSON at the node (0, 0) with the class and at
   (0.3, -0.2), which is not a node, with and without it;
 * a 10-step N=12 triangle flow at epsilon = 0.5, whose 2epsilon-region has no
-  node, so that its records' ring distances take their NaN side;
+  node, so that its records' ``dist_eps`` takes its NaN side while
+  ``q_d2_max``, which reads the epsilon-region alone, is finite;
 * the ``--json`` outputs of the golden suite (``baseline``), of
   ``fiber-bound`` on the bundle class, and of ``sobolev-bound`` at one Calabi
   energy per outcome: a bound (Ca = 0 and 10), a closed Yamabe gap
@@ -36,9 +37,9 @@ tree is:
   the N=48 hexagon and trapezoid, the digest of its ``jets(4)`` at the nodes
   and the reprs of its ``partials_at((0.3, -0.2))``;
 * digests of the grid arrays (cell and quadrature weights, boundary
-  distances, axis, jet and velocity operators, the 8-neighbour graph
-  ``region_graph`` of all nodes, and the boundary quadrature's
-  ``node_moments``, its nearest nodes and moments) on the triangle,
+  distances, axis, jet and velocity operators, the structure arrays of the
+  8-neighbour graph ``region_graph`` of all nodes, and the boundary
+  quadrature's ``node_moments``, its nearest nodes and moments) on the triangle,
   the hexagon, the trapezoid, the Hirzebruch F_3 trapezoid and the triangle
   with its (-1, -1) corner cut (a toric blow-up, normal (1, 1), offset 1.5)
   at N = 12-128 with delta_min = h/2, h, 2h, 4h.  F_3 has a normal entry of 3:
@@ -122,6 +123,8 @@ def _grid_digests() -> dict:
                     # refusal is the output
                     out[f"{name} N={n} delta={factor}h"] = str(exc)
                     continue
+                # the whole grid is entered at no node, so any source will do
+                graph = region_graph(g, range(g.n_nodes), [0])
                 arrays = {
                     "points": _digest(g.points, g.ij, g.node_id, g.min_facet_distance),
                     "cell_weights": _digest(g.cell_weights),
@@ -130,7 +133,9 @@ def _grid_digests() -> dict:
                     "gradient_operator": _csr_digest(g.gradient_operator),
                     "hessian_operator": _csr_digest(g.hessian_operator),
                     "velocity_operator": _csr_digest(class_record(g, cls).L),
-                    "region_graph": _digest(*region_graph(g, range(g.n_nodes))),
+                    "region_graph": _digest(graph.nodes, graph.ends, graph.dx, graph.dy,
+                                            graph.pair, graph.csr.indices, graph.csr.indptr,
+                                            graph.entries),
                     "node_moments": _digest(*quad.node_moments(g)),
                 }
                 for (axis, order), A in g.axis_operators.items():
