@@ -8,12 +8,11 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import fields
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-# each command imports the modules it runs, so `sobolev-bound` loads no numpy
-# and no grid, potential, curvature, energy or flow code
+# each command imports the modules it runs, so `sobolev-bound` loads no numpy,
+# no dataclasses and no grid, potential, curvature, energy or flow code
 from ._serialize import json_value
 from .errors import (
     ConfigError,
@@ -53,6 +52,8 @@ def _require_object(value, what):
 def load_class(data) -> AdmissibleClass:
     """The AdmissibleClass of a JSON object or file; a key left out keeps the
     class's default, and the class checks the values."""
+    from dataclasses import fields
+
     from .curvature import AdmissibleClass
 
     if isinstance(data, (str, Path)):
@@ -272,6 +273,8 @@ def _load_snapshot_potential(path):
 
 
 def cmd_curvature(args) -> int:
+    from dataclasses import fields
+
     import numpy as np
 
     from .curvature import CurvatureSample, abreu_scalar, admissible_blocks, fiber_riemann_norm

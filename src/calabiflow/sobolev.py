@@ -9,7 +9,7 @@ and a numerical tester of the resulting Sobolev inequality on the polytope.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from typing import TYPE_CHECKING
 
 from ._serialize import json_value
@@ -26,8 +26,8 @@ if TYPE_CHECKING:
 _SUP_RM2_CEILING = 0.5 + 4.0 / 3.0
 
 
-@dataclass(frozen=True)
-class ClassTopology:
+class ClassTopology(namedtuple("ClassTopology",
+                               "c1_squared volume r_bar euler_char_base", defaults=(-2,))):
     """Topological data the certification consumes (never recomputed).
 
     c1_squared : self-intersection of the fiber first Chern class
@@ -37,17 +37,16 @@ class ClassTopology:
         no bound reads it
     """
 
-    c1_squared: float
-    volume: float
-    r_bar: float
-    euler_char_base: int = -2
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         # each check is written so that NaN fails it
         if not (0 < self.volume < math.inf and 0 < self.c1_squared < math.inf):
             raise RegimeError("fiber class must have finite positive volume and c1^2")
         if not math.isfinite(self.r_bar):
             raise RegimeError("average scalar curvature r_bar must be finite")
+        return self
 
     @classmethod
     def standard_o3(cls, euler_char_base: int = -2) -> "ClassTopology":
@@ -63,18 +62,19 @@ class ClassTopology:
         )
 
 
-@dataclass
-class SobolevCertificate:
+class SobolevCertificate(namedtuple("SobolevCertificate", [
+    "calabi",
+    "eq_cs_satisfied",
+    "yamabe_lower",             # nan when the radicand is not positive
+    "calabi_l2",                # sqrt(Ca), the L2 size of R - R_bar
+    "sobolev_bound",            # nan when no bound is certified
+    "eq_cs_threshold",          # largest Ca passing the quadratic-curvature test
+    "prop_threshold_variant",   # the alternative stated threshold, reported only
+    "derivation_log",
+])):
     """Outcome of the Yamabe -> Sobolev chain for one Calabi-energy value."""
 
-    calabi: float
-    eq_cs_satisfied: bool
-    yamabe_lower: float          # nan when the radicand is not positive
-    calabi_l2: float             # sqrt(Ca), the L2 size of R - R_bar
-    sobolev_bound: float         # nan when no bound is certified
-    eq_cs_threshold: float       # largest Ca passing the quadratic-curvature test
-    prop_threshold_variant: float  # the alternative stated threshold, reported only
-    derivation_log: list = field(default_factory=list)
+    __slots__ = ()
 
     @property
     def has_bound(self) -> bool:
@@ -100,6 +100,9 @@ def certify(ca: float, topo: ClassTopology) -> SobolevCertificate:
         raise RegimeError(f"Calabi energy must be finite, got {ca!r}")
     if ca < 0:
         raise RegimeError("Calabi energy must be nonnegative")
+    # + 0.0 turns a zero written -0.0 into 0.0, so that Ca and sqrt(Ca) print
+    # as the zero energy they are
+    ca = float(ca) + 0.0
     log = []
     total_r2 = ca + topo.r_bar**2 * topo.volume
     radicand = 96.0 * math.pi**2 * topo.c1_squared - 2.0 * total_r2
@@ -132,7 +135,7 @@ def certify(ca: float, topo: ClassTopology) -> SobolevCertificate:
         bound = prefactor / gap
         log.append(f"Sobolev constant bound = {bound:.9g}")
     return SobolevCertificate(
-        calabi=float(ca),
+        calabi=ca,
         eq_cs_satisfied=bool(eq_cs),
         yamabe_lower=y_lb,
         calabi_l2=calabi_l2,
@@ -147,18 +150,19 @@ def certify(ca: float, topo: ClassTopology) -> SobolevCertificate:
 # controlled-class fiber energy bound
 
 
-@dataclass
-class FiberEnergyBound:
+class FiberEnergyBound(namedtuple("FiberEnergyBound", [
+    "sup_rm2_pointwise",        # max of the curvature-bound right-hand side
+    "sup_rm2_ceiling",          # the regime ceiling 1/2 + 4/3 fed downstream
+    "inf_weight",
+    "sup_weight",
+    "total_rm2_upper",          # bound on the weighted total curvature
+    "fiber_l2_bound",           # bound on int |Rm|^2 over the polytope
+    "ca_bound",                 # fiber Calabi-energy bound
+    "certificate",              # the SobolevCertificate of ca_bound
+], defaults=(None,))):
     """Outcome of the controlled-class chain c_S >= 12 p1."""
 
-    sup_rm2_pointwise: float     # max of the curvature-bound right-hand side
-    sup_rm2_ceiling: float       # the regime ceiling 1/2 + 4/3 fed downstream
-    inf_weight: float
-    sup_weight: float
-    total_rm2_upper: float       # bound on the weighted total curvature
-    fiber_l2_bound: float        # bound on int |Rm|^2 over the polytope
-    ca_bound: float              # fiber Calabi-energy bound
-    certificate: SobolevCertificate = None
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return json_value(self)

@@ -526,10 +526,11 @@ def test_cli_import_loads_no_symbolic_engine():
     assert proc.stdout.strip() == "False"
 
 
-# a command in a fresh interpreter: its exit code, its printed output and the
-# modules outside the standard library loaded by then that the interpreter's
-# start had not loaded; `from calabiflow import *` first loads every module of
-# the package, and `sys.modules["numpy"] = None` makes every `import numpy` fail
+# a command in a fresh interpreter: its exit code, its printed output, and the
+# modules outside the standard library ("modules") and in it ("stdlib") loaded
+# by then that the interpreter's start had not loaded; `from calabiflow import *`
+# first loads every module of the package, and `sys.modules["numpy"] = None`
+# makes every `import numpy` fail
 _FRESH_RUN = """
 import contextlib, io, json, sys
 started = set(sys.modules)
@@ -538,9 +539,10 @@ from calabiflow import cli
 buf = io.StringIO()
 with contextlib.redirect_stdout(buf):
     code = cli.main({argv!r})
+new = [m for m in sorted(sys.modules) if m not in started]
+stdlib = [m for m in new if m.split(".")[0] in sys.stdlib_module_names]
 print(json.dumps({{"code": code, "out": buf.getvalue(),
-                  "modules": sorted(m for m in sys.modules if m not in started
-                                    and m.split(".")[0] not in sys.stdlib_module_names)}}))
+                  "modules": [m for m in new if m not in stdlib], "stdlib": stdlib}}))
 """
 
 _SOBOLEV_BOUND = ["--json", "sobolev-bound", "--ca", "1.0"]
@@ -567,12 +569,16 @@ def test_sobolev_bound_loads_only_its_own_modules():
     # the eager run does load the field stack and numpy, so the comparison
     # above is one between the two import graphs
     assert {"calabiflow.flow", "calabiflow.polytope", "numpy"} <= set(eager["modules"])
+    # nor dataclasses, whose import pulls in inspect, ast and dis; the field
+    # stack's dataclasses do load it, so the start had not
+    assert not {"dataclasses", "inspect", "ast", "dis"} & set(lazy["stdlib"])
+    assert "dataclasses" in eager["stdlib"]
 
 
 def test_sobolev_bound_runs_where_numpy_cannot_be_imported():
     eager = _run_in_fresh_interpreter("from calabiflow import *")
     blocked = _run_in_fresh_interpreter(_NO_NUMPY)
-    assert blocked == {**eager, "modules": blocked["modules"]}
+    assert (blocked["code"], blocked["out"]) == (eager["code"], eager["out"])
     # "numpy" is the blocking None entry itself
     assert blocked["modules"] == ["calabiflow", "calabiflow._serialize", "calabiflow.cli",
                                   "calabiflow.errors", "calabiflow.sobolev", "numpy"]

@@ -1,4 +1,5 @@
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,3 +41,13 @@ def test_json_value_keeps_the_shape_of_containers_and_dataclasses():
         [1, [2.0, None], [0.5]])
     assert _exact(json_value({"k": np.array(3), "h": Holder(np.arange(3.0), "a")})) == _exact(
         {"k": 3, "h": {"values": [0.0, 1.0, 2.0], "label": "a"}})
+
+
+def test_json_value_turns_a_named_tuple_into_a_dict_by_its_fields():
+    Pair = namedtuple("Pair", "first second")
+    nested = {"p": Pair(np.float64(1.5), Pair(math.nan, (2, 3)))}
+    assert _exact(json_value(nested)) == _exact(
+        {"p": {"first": 1.5, "second": {"first": None, "second": [2, 3]}}})
+    # a dataclass holding a named tuple
+    assert _exact(json_value(Holder(np.zeros(1), Pair("a", "b")))) == _exact(
+        {"values": [0.0], "label": {"first": "a", "second": "b"}})

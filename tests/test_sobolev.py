@@ -233,3 +233,72 @@ def test_ratio_reads_the_class_record_weight(monkeypatch, fs48, m):
     assert np.array_equal(class_record(fs48.grid, cls).pw, cls.weight(fs48.grid.points))
     monkeypatch.setattr(AdmissibleClass, "weight", lambda *a: pytest.fail("weight evaluated"))
     assert sobolev_inequality_test(fs48, cls) > 0.0
+
+
+def test_topology_is_immutable_and_hashes_by_value():
+    t = ClassTopology.standard_o3()
+    with pytest.raises(AttributeError):
+        t.r_bar = 5.0
+    with pytest.raises(AttributeError):
+        t.extra = 1
+    assert t == ClassTopology(4.5, 9.0 * PI2, 4.0) == ClassTopology.standard_o3(-2)
+    assert hash(t) == hash(ClassTopology(c1_squared=4.5, volume=9.0 * PI2, r_bar=4.0))
+    assert ClassTopology.standard_o3(-4).euler_char_base == -4
+    with pytest.raises(RegimeError, match="finite positive volume"):
+        ClassTopology(0.0, 9.0 * PI2, 4.0)
+    with pytest.raises(RegimeError, match="r_bar must be finite"):
+        ClassTopology(4.5, 9.0 * PI2, math.inf)
+
+
+# the keys of a certificate's dict, in their order
+_CERTIFICATE_KEYS = ["calabi", "eq_cs_satisfied", "yamabe_lower", "calabi_l2", "sobolev_bound",
+                     "eq_cs_threshold", "prop_threshold_variant", "derivation_log"]
+
+
+def test_certificate_dict_keeps_its_keys_order_and_values(topo):
+    d = certify(0.0, topo).to_dict()
+    assert list(d) == _CERTIFICATE_KEYS
+    assert d == dict(zip(_CERTIFICATE_KEYS, [
+        0.0, True, 37.69911184307751, 0.0, 1.0000000000000002, 473.74101125228907,
+        947.4820225045784, d["derivation_log"]]))
+    assert d["derivation_log"][-1] == "Sobolev constant bound = 1"
+    # a certificate without a bound prints its NaN fields as null
+    d = certify(100 * PI2, topo).to_dict()
+    assert list(d) == _CERTIFICATE_KEYS
+    assert (d["yamabe_lower"], d["sobolev_bound"], d["calabi_l2"]) == (None, None,
+                                                                       31.41592653589793)
+
+
+def test_fiber_bound_dict_keeps_its_keys_order_and_values(bundle_class):
+    d = fiber_energy_bound(bundle_class).to_dict()
+    assert d == {"sup_rm2_pointwise": 1.7619333333333334, "sup_rm2_ceiling": 1.8333333333333333,
+                 "inf_weight": 10.0, "sup_weight": 14.0, "total_rm2_upper": 19099.866435064683,
+                 "fiber_l2_bound": 11.549999999999999, "ca_bound": 438.2104354083674,
+                 "certificate": d["certificate"]}
+    assert list(d) == ["sup_rm2_pointwise", "sup_rm2_ceiling", "inf_weight", "sup_weight",
+                       "total_rm2_upper", "fiber_l2_bound", "ca_bound", "certificate"]
+    cert = d["certificate"]
+    assert type(cert) is dict and list(cert) == _CERTIFICATE_KEYS
+    assert (cert["calabi"], cert["yamabe_lower"], cert["sobolev_bound"]) == (
+        438.2104354083674, 23.34099747097652, 15.658891942206413)
+    # the fiber chain's three lines come before the certificate's own six
+    assert cert["derivation_log"][:3] == [
+        "weight interval [10, 14]",
+        "pointwise |Rm|^2 bound 1.76193333 < 1.83333333; ceiling used downstream",
+        "fiber curvature L2 bound 11.55; Ca bound 44.4 pi^2",
+    ]
+    assert len(cert["derivation_log"]) == 9
+
+
+def test_certificates_never_share_a_derivation_log(topo, bundle_class):
+    a, b = certify(1.0, topo), certify(1.0, topo)
+    assert a == b and a.derivation_log is not b.derivation_log
+    # the fiber bound prepends its lines to its own certificate's log only
+    fiber = fiber_energy_bound(bundle_class).certificate
+    assert len(fiber.derivation_log) == len(certify(fiber.calabi, topo).derivation_log) + 3
+
+
+def test_negative_zero_energy_is_the_zero_energy(topo):
+    cert = certify(-0.0, topo)
+    assert math.copysign(1.0, cert.calabi) == math.copysign(1.0, cert.calabi_l2) == 1.0
+    assert cert == certify(0.0, topo)
